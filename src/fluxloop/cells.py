@@ -16,10 +16,10 @@ halt processing, so margin sweeps can classify the failure kind.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
-from typing import Any, Iterable, Mapping
+from functools import cached_property, lru_cache
+from typing import Any, Callable, Iterable, Mapping
 
 from .core import BiasPoint, FluxloopError, format_ratio, round_half_up
 
@@ -90,6 +90,15 @@ class BiasDelayModel:
             raise ValueError("operating range must bracket the nominal ratio 1.0")
         if ratios[0] > self.range_lo or ratios[-1] < self.range_hi:
             raise ValueError("knots must span the operating range")
+
+    # Every delay lookup hashes its model to key the interpolation cache;
+    # hash the Fraction knots once per model, not once per lookup.
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.points, self.range_lo, self.range_hi))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def scaled(
@@ -194,6 +203,17 @@ class CellParams:
         if rng is None or rng[0] <= bias.ratio <= rng[1]:
             return bias
         return BiasPoint(rng[0] if bias.ratio < rng[0] else rng[1])
+
+    def at_bias(self, bias: BiasPoint) -> "CellParams":
+        """A copy with the delays of ``bias`` (which must be in range) as
+        constants; setup, hold and minimum separation are kept."""
+        return replace(
+            self,
+            prop_delay_fs=self.delay(bias),
+            delay_model=None,
+            prop_delay_out1_fs=self.delay_out1(bias),
+            delay_model_out1=None,
+        )
 
 
 @dataclass
@@ -369,6 +389,14 @@ _STEPPERS = {
 }
 
 
+def stepper_for(kind: CellKind) -> Callable[..., tuple[list[tuple[str, int]], list[TimingViolation]]]:
+    """The behavioral step function of a cell kind."""
+    try:
+        return _STEPPERS[kind]
+    except KeyError:
+        raise ValueError(f"cell kind {kind} does not process pulses") from None
+
+
 def step_cell(
     cell: str,
     params: CellParams,
@@ -378,11 +406,7 @@ def step_cell(
     bias: BiasPoint,
 ) -> tuple[list[tuple[str, int]], list[TimingViolation]]:
     """Dispatch one input pulse to the right behavioral step function."""
-    try:
-        stepper = _STEPPERS[params.kind]
-    except KeyError:
-        raise ValueError(f"cell kind {params.kind} does not process pulses") from None
-    return stepper(cell, params, state, port, t, bias)
+    return stepper_for(params.kind)(cell, params, state, port, t, bias)
 
 
 # --- default cell set ------------------------------------------------------
@@ -405,14 +429,33 @@ _DEFAULT_TIMINGS: dict[str, tuple[CellKind, int, int, int]] = {
 }
 
 
+def _freeze(value: Any) -> Any:
+    """A hashable equal of an override value: mappings and lists become tuples."""
+    if isinstance(value, Mapping):
+        return tuple(sorted((key, _freeze(item)) for key, item in value.items()))
+    if isinstance(value, (list, tuple)):
+        return tuple(_freeze(item) for item in value)
+    return value
+
+
 def default_cell_params(cell_overrides: Mapping[str, Mapping[str, Any]] | None = None) -> dict[str, CellParams]:
     """The calibrated default cell set, with per-instance overrides applied.
 
     Overrides use the normalized form produced by config parsing: durations
     in fs, ``bias_curve`` as (ratio, multiplier) knots, ``operating_range``
-    as a ratio pair.
+    as a ratio pair (lists are accepted wherever tuples are).
+
+    The cell set is built once per distinct overrides value (equal overrides
+    held in distinct objects share one entry of a bounded cache).  Each call
+    returns a new dict, so callers may add or replace entries freely; the
+    frozen ``CellParams`` inside are shared between calls.
     """
-    cell_overrides = cell_overrides or {}
+    return dict(_cell_set(_freeze(cell_overrides or {})))
+
+
+@lru_cache(maxsize=64)
+def _cell_set(frozen_overrides: tuple) -> dict[str, CellParams]:
+    cell_overrides = {name: dict(o) for name, o in frozen_overrides}
     out: dict[str, CellParams] = {}
     for name, (kind, nominal, setup, hold) in _DEFAULT_TIMINGS.items():
         o = cell_overrides.get(name, {})

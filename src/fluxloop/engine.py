@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .core import BiasPoint, FluxloopError, PulseEvent, format_ratio
 from .cells import (
@@ -28,7 +29,7 @@ from .cells import (
     CellState,
     TimingViolation,
     ViolationKind,
-    step_cell,
+    stepper_for,
 )
 
 _INPUT_PORTS = {
@@ -197,7 +198,7 @@ def schedule(netlist: Netlist, stimulus: list[PulseEvent]) -> PreparedRun:
         if key in seen:
             raise DuplicatePulseError(f"duplicate pulse on {pulse.line!r} at {pulse.time_fs} fs")
         seen.add(key)
-    return PreparedRun(netlist, tuple(sorted(stimulus)))
+    return PreparedRun(netlist, tuple(sorted(stimulus, key=attrgetter("time_fs", "line"))))
 
 
 def _tap_offset(schedule_: tuple[tuple[int, int], ...], t: int) -> int:
@@ -221,27 +222,15 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
         raise ValueError("t_end must be non-negative")
     net = prepared.netlist
 
-    consumers: dict[str, list[tuple[str, str]]] = {}
-    taps: dict[str, list[Connection]] = {}
-    out_lines: dict[tuple[str, str], str] = {}
-    for conn in net.connections:
-        if _is_port(conn.dst):
-            consumers.setdefault(conn.src, []).append(_split_port(conn.dst))
-        elif _is_port(conn.src):
-            out_lines[_split_port(conn.src)] = conn.dst
-        else:
-            taps.setdefault(conn.src, []).append(conn)
-    for key in consumers:
-        consumers[key].sort()
-
+    # Pin every cell at the bias it runs at, once: the event loop then works
+    # on integer delays only.
     states = {name: CellState() for name in net.cells}
     violations: list[TimingViolation] = []
-    cell_bias: dict[str, BiasPoint] = {}
+    pinned: dict[str, tuple[CellParams, BiasPoint]] = {}
     for name in sorted(net.cells):
-        rng = net.cells[name].operating_range()
-        if rng is None or rng[0] <= bias.ratio <= rng[1]:
-            cell_bias[name] = bias
-        else:
+        params = net.cells[name]
+        rng = params.operating_range()
+        if rng is not None and not (rng[0] <= bias.ratio <= rng[1]):
             violations.append(
                 TimingViolation(
                     name,
@@ -251,7 +240,28 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
                     f"[{format_ratio(rng[0])}, {format_ratio(rng[1])}]",
                 )
             )
-            cell_bias[name] = net.cells[name].clamped_bias(bias)
+        cell_bias = params.clamped_bias(bias)
+        pinned[name] = (params.at_bias(cell_bias), cell_bias)
+
+    ports_on: dict[str, list[tuple[str, str]]] = {}
+    taps: dict[str, list[Connection]] = {}
+    out_lines: dict[str, dict[str, str]] = {name: {} for name in net.cells}
+    for conn in net.connections:
+        if _is_port(conn.dst):
+            ports_on.setdefault(conn.src, []).append(_split_port(conn.dst))
+        elif _is_port(conn.src):
+            cell, port = _split_port(conn.src)
+            out_lines[cell][port] = conn.dst
+        else:
+            taps.setdefault(conn.src, []).append(conn)
+    # line -> (stepper, cell, pinned params, bias, state, port, output-line map)
+    consumers = {
+        line: [
+            (stepper_for(net.cells[cell].kind), cell, *pinned[cell], states[cell], port, out_lines[cell])
+            for cell, port in sorted(ports)
+        ]
+        for line, ports in ports_on.items()
+    }
 
     heap: list[tuple[int, str, int]] = []
     seq = 0
@@ -282,13 +292,11 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
             break
         if line in observed_set:
             recorded.append(PulseEvent(t, line))
-        for cell, port in consumers.get(line, ()):
-            emissions, cell_violations = step_cell(
-                cell, net.cells[cell], states[cell], port, t, cell_bias[cell]
-            )
+        for stepper, cell, params, cell_bias, state, port, outs in consumers.get(line, ()):
+            emissions, cell_violations = stepper(cell, params, state, port, t, cell_bias)
             violations.extend(cell_violations)
             for out_port, t_out in emissions:
-                target = out_lines.get((cell, out_port))
+                target = outs.get(out_port)
                 if target is not None:
                     push(t_out, target)
         for tap in taps.get(line, ()):

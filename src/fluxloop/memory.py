@@ -21,6 +21,7 @@ exactly one of {read_address, ¬read_address} fires.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -242,7 +243,9 @@ def stimulus_for(program: MemoryProgram, cfg: SimConfig) -> list[PulseEvent]:
     """Temporally-encoded differential stimulus for a program.
 
     In every address interval exactly one of each complement pair fires;
-    write_data appears in the header only for trips writing a 1.
+    write_data appears in the header only for trips writing a 1.  Pulses
+    come in generation order (each line's in time order); ``schedule``
+    sorts them.
     """
     _check_program(program, cfg.num_addresses)
     interval = interval_duration(cfg)
@@ -261,7 +264,7 @@ def stimulus_for(program: MemoryProgram, cfg: SimConfig) -> list[PulseEvent]:
             writing = op.write is not None and op.write[0] == k
             pulses.append(PulseEvent(slot + ph_write, "write_address" if writing else "not_write_address"))
             pulses.append(PulseEvent(slot + ph_read, "read_address" if k in reads else "not_read_address"))
-    return sorted(pulses)
+    return pulses
 
 
 def read_window_offset(cfg: SimConfig, bias: BiasPoint | None = None) -> int:
@@ -301,13 +304,13 @@ def run_program(program: MemoryProgram, cfg: SimConfig) -> MemoryResult:
     header = cfg.header_intervals * interval
     offset = read_window_offset(cfg)
 
-    read_times = trace.pulses_on("read_data")
+    read_times = trace.pulses_on("read_data")  # in time order
     reads: dict[tuple[int, int], int] = {}
     for t, op in enumerate(program.trips):
         for k in op.reads:
             w0 = t * trip + header + k * interval + ph_write + offset
-            w1 = w0 + interval
-            reads[(t, k)] = 1 if any(w0 <= rt < w1 for rt in read_times) else 0
+            i = bisect_left(read_times, w0)
+            reads[(t, k)] = 1 if i < len(read_times) and read_times[i] < w0 + interval else 0
 
     return MemoryResult(reads=reads, trace=trace, passed=not trace.failed)
 

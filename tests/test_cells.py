@@ -340,3 +340,71 @@ class TestDefaultCellParams:
         assert m.delay(bias("0.5")) == 3000
         assert m.delay(bias("1.5")) == 750
         assert m.operating_range() == (Fraction("0.5"), Fraction("1.5"))
+
+    def test_each_call_returns_a_fresh_dict(self):
+        first = default_cell_params()
+        first["merger"] = first["fanout"]
+        del first["read_dro2r"]
+        second = default_cell_params()
+        assert second is not first
+        assert set(second) == {"write_dro", "recirc_dro2r", "merger", "fanout", "read_dro2r"}
+        assert second["merger"].kind == CellKind.MERGER
+
+    def test_equal_overrides_in_distinct_objects_share_one_cell_set(self):
+        a = default_cell_params({"read_dro2r": {"setup": 4000, "hold": 500}})
+        b = default_cell_params({"read_dro2r": dict(hold=500, setup=4000)})
+        assert a == b
+        assert all(a[name] is b[name] for name in a)
+        assert default_cell_params({"read_dro2r": {"setup": 4001}}) != a
+
+    def test_mutating_an_override_after_a_call_takes_effect(self):
+        overrides = {"read_dro2r": {"setup": 4000}}
+        assert default_cell_params(overrides)["read_dro2r"].setup_fs == 4000
+        overrides["read_dro2r"]["setup"] = 5000
+        assert default_cell_params(overrides)["read_dro2r"].setup_fs == 5000
+
+    def test_list_valued_curve_and_range_overrides(self):
+        as_tuples = {
+            "bias_curve": ((Fraction("0.5"), Fraction(2)), (Fraction(1), Fraction(1)), (Fraction("1.5"), Fraction(1, 2))),
+            "operating_range": (Fraction("0.5"), Fraction("1.5")),
+        }
+        as_lists = {
+            "bias_curve": [[Fraction("0.5"), 2], [1, 1], [Fraction("1.5"), Fraction(1, 2)]],
+            "operating_range": [Fraction("0.5"), Fraction("1.5")],
+        }
+        m = default_cell_params({"merger": as_lists})["merger"]
+        assert m == default_cell_params({"merger": as_tuples})["merger"]
+        assert m.delay(bias("0.5")) == 3000
+        assert m.operating_range() == (Fraction("0.5"), Fraction("1.5"))
+
+
+# --- pinning at one bias -----------------------------------------------------
+
+
+class TestAtBias:
+    @pytest.mark.parametrize("ratio", ["0.76", "0.87", "0.9", "1", "1.13", "1.24", Fraction(97, 93)])
+    def test_pinned_delays_equal_the_curve_at_that_bias(self, ratio):
+        b = bias(ratio)
+        cells = default_cell_params({"recirc_dro2r": {"prop_delay_out1": 4000}})
+        for params in cells.values():
+            pinned = params.at_bias(b)
+            assert pinned.delay_model is None and pinned.delay_model_out1 is None
+            assert pinned.delay(b) == params.delay(b)
+            assert pinned.delay_out1(b) == params.delay_out1(b)
+            # the pinned delay no longer depends on the bias passed in
+            assert pinned.delay(NOM) == params.delay(b)
+            assert (pinned.kind, pinned.setup_fs, pinned.hold_fs, pinned.min_separation_fs) == (
+                params.kind,
+                params.setup_fs,
+                params.hold_fs,
+                params.min_separation_fs,
+            )
+
+    def test_constant_delay_cell_pins_to_itself(self):
+        pinned = DRO.at_bias(bias("0.8"))
+        assert pinned.delay(NOM) == DRO.prop_delay_fs
+        assert pinned.delay_out1(NOM) == DRO.delay_out1(NOM)
+
+    def test_out_of_range_bias_is_refused(self):
+        with pytest.raises(BiasRangeError):
+            default_cell_params()["merger"].at_bias(bias("0.5"))

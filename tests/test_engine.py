@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from fluxloop import FluxloopError
+from fluxloop import FluxloopError, SimConfig, build_controller, cells, scenario_write_read, stimulus_for
 from fluxloop.cells import BiasDelayModel, CellKind, CellParams, TimingViolation, ViolationKind
-from fluxloop.core import NOMINAL_BIAS, BiasPoint, PulseEvent
+from fluxloop.core import CELL_NAMES, NOMINAL_BIAS, BiasPoint, PulseEvent, trip_duration
 from fluxloop.engine import (
     Connection,
     DuplicatePulseError,
@@ -214,6 +214,33 @@ class TestRunUntil:
         assert v.detail == "bias 0.5 outside operating range [0.76, 1.24]"
         # delays evaluate at the clamped range edge (0.76 -> multiplier 1.39)
         assert trace.pulses_on("out") == (24170,)
+
+    @pytest.mark.parametrize("outside, edge", [("0.5", "0.76"), ("1.5", "1.24")])
+    def test_controller_out_of_range_flags_each_cell_once_and_runs_at_the_edge(self, outside, edge):
+        cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
+        prepared = schedule(build_controller(cfg), stimulus_for(scenario_write_read(1, 3), cfg))
+        t_end = 5 * trip_duration(cfg)
+        off = run_until(prepared, t_end, BiasPoint.of(outside))
+        at_edge = run_until(prepared, t_end, BiasPoint.of(edge))
+        flagged = [v for v in off.violations if "outside operating range" in v.detail]
+        assert [v.cell for v in flagged] == sorted(CELL_NAMES)
+        assert all(v.kind == ViolationKind.ELECTRICAL and v.time_fs == 0 for v in flagged)
+        assert off.violations[len(flagged):] == at_edge.violations
+        assert off.events == at_edge.events
+
+    def test_delay_curves_are_evaluated_per_run_not_per_event(self, monkeypatch):
+        cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
+        lookups = []
+        original = cells.delay_at_bias
+        monkeypatch.setattr(cells, "delay_at_bias", lambda model, b: lookups.append(b) or original(model, b))
+        per_run = []
+        for trips in (1, 8):
+            prepared = schedule(build_controller(cfg), stimulus_for(scenario_write_read(1, trips), cfg))
+            lookups.clear()
+            trace = run_until(prepared, (trips + 2) * trip_duration(cfg), BiasPoint.of("0.9"))
+            assert trace.events
+            per_run.append(len(lookups))
+        assert per_run[0] == per_run[1] > 0
 
 
 class TestTaps:
