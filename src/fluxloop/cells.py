@@ -46,6 +46,25 @@ class CellKind(enum.Enum):
     FANOUT = "FANOUT"
 
 
+#: Each cell kind's input and output ports: the one definition that netlists
+#: are validated against and the steppers check arrivals against.  A
+#: storage kind lists ``data`` first, then its clocks, whose releases leave
+#: on the outputs in the same order.
+INPUT_PORTS: dict[CellKind, tuple[str, ...]] = {
+    CellKind.DRO: ("data", "clock"),
+    CellKind.DRO2R: ("data", "clock0", "clock1"),
+    CellKind.MERGER: ("in0", "in1"),
+    CellKind.FANOUT: ("in",),
+}
+
+OUTPUT_PORTS: dict[CellKind, tuple[str, ...]] = {
+    CellKind.DRO: ("out",),
+    CellKind.DRO2R: ("out0", "out1"),
+    CellKind.MERGER: ("out",),
+    CellKind.FANOUT: ("out_a", "out_b"),
+}
+
+
 class ViolationKind(enum.Enum):
     SETUP = "SETUP"
     HOLD = "HOLD"
@@ -111,17 +130,17 @@ class BiasDelayModel:
         points = tuple((ratio, round_half_up(nominal_fs * mult)) for ratio, mult in curve)
         return cls(points=points, range_lo=operating_range[0], range_hi=operating_range[1])
 
-    def clamp(self, bias: BiasPoint) -> BiasPoint:
-        """Pull an out-of-range bias to the nearest range edge."""
-        if bias.ratio < self.range_lo:
-            return BiasPoint(self.range_lo)
-        if bias.ratio > self.range_hi:
-            return BiasPoint(self.range_hi)
-        return bias
 
-
-@lru_cache(maxsize=None)
+# Sized above a margin sweep's working set: at most 101 bias ratios on each
+# of the three delay models of the default cell set.  The range check is
+# cached with the delay (an out-of-range call raises and caches nothing).
+@lru_cache(maxsize=512)
 def _interpolate(model: BiasDelayModel, ratio: Fraction) -> int:
+    if not (model.range_lo <= ratio <= model.range_hi):
+        raise BiasRangeError(
+            f"bias {format_ratio(ratio)} outside operating range "
+            f"[{format_ratio(model.range_lo)}, {format_ratio(model.range_hi)}]"
+        )
     points = model.points
     if ratio <= points[0][0]:
         return points[0][1]
@@ -138,11 +157,6 @@ def delay_at_bias(model: BiasDelayModel, bias: BiasPoint) -> int:
 
     Raises ``BiasRangeError`` outside the electrical operating range.
     """
-    if not (model.range_lo <= bias.ratio <= model.range_hi):
-        raise BiasRangeError(
-            f"bias {format_ratio(bias.ratio)} outside operating range "
-            f"[{format_ratio(model.range_lo)}, {format_ratio(model.range_hi)}]"
-        )
     return _interpolate(model, bias.ratio)
 
 
@@ -188,6 +202,11 @@ class CellParams:
 
     def operating_range(self) -> tuple[Fraction, Fraction] | None:
         """Intersection of the electrical ranges of all delay models, if any."""
+        return self._operating_range
+
+    # Every clamp and window check reads the range; intersect it once.
+    @cached_property
+    def _operating_range(self) -> tuple[Fraction, Fraction] | None:
         ranges = [
             (model.range_lo, model.range_hi)
             for model in (self.delay_model, self.delay_model_out1)
@@ -199,7 +218,7 @@ class CellParams:
 
     def clamped_bias(self, bias: BiasPoint) -> BiasPoint:
         """The bias this cell actually operates at (range edges saturate)."""
-        rng = self.operating_range()
+        rng = self._operating_range
         if rng is None or rng[0] <= bias.ratio <= rng[1]:
             return bias
         return BiasPoint(rng[0] if bias.ratio < rng[0] else rng[1])
@@ -259,7 +278,7 @@ def _check_hold(cell: str, params: CellParams, state: CellState, t: int) -> Timi
     return None
 
 
-def dro_step(
+def storage_step(
     cell: str,
     params: CellParams,
     state: CellState,
@@ -267,12 +286,13 @@ def dro_step(
     t: int,
     bias: BiasPoint,
 ) -> tuple[list[tuple[str, int]], list[TimingViolation]]:
-    """Advance a DRO by one input pulse on ``data`` or ``clock``.
+    """Advance a storage cell (DRO or DRO2R) by one input pulse.
 
     Data on an empty cell stores; data on a full cell is ignored (a storage
-    loop holds at most one flux quantum).  Clock on a full cell releases the
-    stored pulse on ``out`` after the propagation delay; clock on an empty
-    cell is a no-op.
+    loop holds at most one flux quantum).  A clock on a full cell releases
+    the stored pulse on that clock's output after its propagation delay; a
+    clock on an empty cell is a no-op.  A DRO2R's two clock/output pairs
+    share one loop, so whichever clock arrives first claims the pulse.
     """
     emitted: list[tuple[str, int]] = []
     violations: list[TimingViolation] = []
@@ -280,57 +300,20 @@ def dro_step(
         v = _check_hold(cell, params, state, t)
         if v:
             violations.append(v)
-        if not state.stored:
-            state.stored = True
+        state.stored = True
         state.last_data_fs = t
-    elif port == "clock":
-        v = _check_setup(cell, params, state, t, "clock")
-        if v:
-            violations.append(v)
-        if state.stored:
-            state.stored = False
-            emitted.append(("out", t + params.delay(bias)))
-        state.last_clock_fs = t
-    else:
-        raise ValueError(f"DRO has no port {port!r}")
-    return emitted, violations
-
-
-def dro2r_step(
-    cell: str,
-    params: CellParams,
-    state: CellState,
-    port: str,
-    t: int,
-    bias: BiasPoint,
-) -> tuple[list[tuple[str, int]], list[TimingViolation]]:
-    """Advance a DRO2R: like a DRO but with two clock/output port pairs.
-
-    The storage loop is shared — whichever clock arrives first claims the
-    stored pulse and pushes it to its own output.
-    """
-    emitted: list[tuple[str, int]] = []
-    violations: list[TimingViolation] = []
-    if port == "data":
-        v = _check_hold(cell, params, state, t)
-        if v:
-            violations.append(v)
-        if not state.stored:
-            state.stored = True
-        state.last_data_fs = t
-    elif port in ("clock0", "clock1"):
-        v = _check_setup(cell, params, state, t, port)
-        if v:
-            violations.append(v)
-        if state.stored:
-            state.stored = False
-            if port == "clock0":
-                emitted.append(("out0", t + params.delay(bias)))
-            else:
-                emitted.append(("out1", t + params.delay_out1(bias)))
-        state.last_clock_fs = t
-    else:
-        raise ValueError(f"DRO2R has no port {port!r}")
+        return emitted, violations
+    release = _RELEASES.get(port)
+    if release is None or release[0] is not params.kind:
+        raise ValueError(f"{params.kind.value} has no port {port!r}")
+    _, out, delay = release
+    v = _check_setup(cell, params, state, t, port)
+    if v:
+        violations.append(v)
+    if state.stored:
+        state.stored = False
+        emitted.append((out, t + delay(params, bias)))
+    state.last_clock_fs = t
     return emitted, violations
 
 
@@ -347,10 +330,10 @@ def merger_step(
     Pulses on opposite inputs closer than the minimum separation record an
     ELECTRICAL collision (both pulses are still forwarded).
     """
-    if port not in ("in0", "in1"):
+    other = _MERGER_PEERS.get(port)
+    if other is None:
         raise ValueError(f"merger has no port {port!r}")
     violations: list[TimingViolation] = []
-    other = "in1" if port == "in0" else "in0"
     if other in state.last_in_fs and params.min_separation_fs > 0:
         gap = t - state.last_in_fs[other]
         if 0 <= gap < params.min_separation_fs:
@@ -375,15 +358,26 @@ def fanout_step(
     bias: BiasPoint,
 ) -> tuple[list[tuple[str, int]], list[TimingViolation]]:
     """Ideal passive fan-out: one input pulse, one pulse on each output."""
-    if port != "in":
+    if port != _FANOUT_INPUT:
         raise ValueError(f"fanout has no port {port!r}")
     d = params.delay(bias)
     return [("out_a", t + d), ("out_b", t + d)], []
 
 
+# Per-pulse port lookups, resolved from the tables once (a CellKind key
+# costs a Python-level hash).  Storage clock -> (kind, output, delay getter);
+# clock names differ between the storage kinds.
+_RELEASES = {
+    clock: (kind, out, CellParams.delay_out1 if i else CellParams.delay)
+    for kind in (CellKind.DRO, CellKind.DRO2R)
+    for i, (clock, out) in enumerate(zip(INPUT_PORTS[kind][1:], OUTPUT_PORTS[kind]))
+}
+_MERGER_PEERS = dict(zip(INPUT_PORTS[CellKind.MERGER], reversed(INPUT_PORTS[CellKind.MERGER])))
+(_FANOUT_INPUT,) = INPUT_PORTS[CellKind.FANOUT]
+
 _STEPPERS = {
-    CellKind.DRO: dro_step,
-    CellKind.DRO2R: dro2r_step,
+    CellKind.DRO: storage_step,
+    CellKind.DRO2R: storage_step,
     CellKind.MERGER: merger_step,
     CellKind.FANOUT: fanout_step,
 }

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -32,13 +32,10 @@ CELL_OVERRIDE_KEYS = (
     "operating_range",
 )
 
-_DURATION_UNITS = {"fs": 1, "ps": 10**3, "ns": 10**6}
-_FREQUENCY_UNITS = {
-    "hz": 1,
-    "khz": 10**3,
-    "mhz": 10**6,
-    "ghz": 10**9,
-    "thz": 10**12,
+#: quantity -> (suffix units, unit of a bare number, hint for an unknown unit)
+_QUANTITIES: dict[str, tuple[dict[str, int], str, str]] = {
+    "duration": ({"fs": 1, "ps": 10**3, "ns": 10**6}, "fs", " (use fs, ps or ns)"),
+    "frequency": ({"hz": 1, "khz": 10**3, "mhz": 10**6, "ghz": 10**9, "thz": 10**12}, "hz", ""),
 }
 
 _UNIT_RE = re.compile(r"^\s*([+-]?[0-9][0-9_]*\.?[0-9]*(?:[eE][+-]?[0-9]+)?)\s*([a-zA-Z]*)\s*$")
@@ -107,10 +104,30 @@ def _ratio_to_json(value: Fraction) -> float | str:
 
 def format_ratio(value: Fraction) -> str:
     """Human-oriented decimal rendering of a ratio (deterministic)."""
-    as_float = float(value)
-    if Fraction(repr(as_float)) == value:
-        return repr(as_float)
-    return f"{value.numerator}/{value.denominator}"
+    rendered = _ratio_to_json(value)
+    return repr(rendered) if isinstance(rendered, float) else rendered
+
+
+def _parse_quantity(value: Any, field_name: str, what: str) -> int:
+    """A ``_QUANTITIES`` value as an integer count of its base unit.
+
+    Plain numbers are base units; strings may carry a case-insensitive unit
+    suffix.  Fractional counts round half up.
+    """
+    units, bare_unit, hint = _QUANTITIES[what]
+    if isinstance(value, bool):
+        raise ConfigError(field_name, f"expected a {what}, got a boolean")
+    if isinstance(value, (int, float)):
+        return round_half_up(exact_ratio(value))
+    if not isinstance(value, str):
+        raise ConfigError(field_name, f"expected a {what}, got {type(value).__name__}")
+    match = _UNIT_RE.match(value)
+    if not match:
+        raise ConfigError(field_name, f"cannot parse {what} {value!r}")
+    unit = match.group(2).lower() or bare_unit
+    if unit not in units:
+        raise ConfigError(field_name, f"unknown {what} unit {match.group(2)!r}{hint}")
+    return round_half_up(Fraction(match.group(1).replace("_", "")) * units[unit])
 
 
 def parse_duration(value: Any, field_name: str = "duration", *, allow_negative: bool = False) -> int:
@@ -119,21 +136,7 @@ def parse_duration(value: Any, field_name: str = "duration", *, allow_negative: 
     Plain numbers are taken as femtoseconds; strings may carry an ``fs``,
     ``ps`` or ``ns`` suffix.  Fractional femtoseconds round half up.
     """
-    if isinstance(value, bool):
-        raise ConfigError(field_name, "expected a duration, got a boolean")
-    if isinstance(value, (int, float)):
-        fs = round_half_up(exact_ratio(value))
-    elif isinstance(value, str):
-        match = _UNIT_RE.match(value)
-        if not match:
-            raise ConfigError(field_name, f"cannot parse duration {value!r}")
-        magnitude = Fraction(match.group(1).replace("_", ""))
-        unit = match.group(2).lower() or "fs"
-        if unit not in _DURATION_UNITS:
-            raise ConfigError(field_name, f"unknown duration unit {match.group(2)!r} (use fs, ps or ns)")
-        fs = round_half_up(magnitude * _DURATION_UNITS[unit])
-    else:
-        raise ConfigError(field_name, f"expected a duration, got {type(value).__name__}")
+    fs = _parse_quantity(value, field_name, "duration")
     if fs < 0 and not allow_negative:
         raise ConfigError(field_name, "duration must be non-negative")
     return fs
@@ -141,21 +144,7 @@ def parse_duration(value: Any, field_name: str = "duration", *, allow_negative: 
 
 def parse_frequency(value: Any, field_name: str = "frequency") -> int:
     """Parse a frequency into integer hertz (suffixes Hz..THz accepted)."""
-    if isinstance(value, bool):
-        raise ConfigError(field_name, "expected a frequency, got a boolean")
-    if isinstance(value, (int, float)):
-        hz = round_half_up(exact_ratio(value))
-    elif isinstance(value, str):
-        match = _UNIT_RE.match(value)
-        if not match:
-            raise ConfigError(field_name, f"cannot parse frequency {value!r}")
-        magnitude = Fraction(match.group(1).replace("_", ""))
-        unit = match.group(2).lower() or "hz"
-        if unit not in _FREQUENCY_UNITS:
-            raise ConfigError(field_name, f"unknown frequency unit {match.group(2)!r}")
-        hz = round_half_up(magnitude * _FREQUENCY_UNITS[unit])
-    else:
-        raise ConfigError(field_name, f"expected a frequency, got {type(value).__name__}")
+    hz = _parse_quantity(value, field_name, "frequency")
     if hz <= 0:
         raise ConfigError(field_name, "frequency must be positive")
     return hz
@@ -245,17 +234,10 @@ class SimConfig:
                 raise ConfigError(f"cells.{name}", f"unknown cell (valid: {', '.join(CELL_NAMES)})")
 
     def with_bias(self, bias: BiasPoint) -> "SimConfig":
-        return replace_config(self, bias=bias)
+        return replace(self, bias=bias)
 
     def with_frequency(self, frequency_hz: int) -> "SimConfig":
-        return replace_config(self, frequency_hz=frequency_hz)
-
-
-def replace_config(cfg: SimConfig, **changes: Any) -> SimConfig:
-    """dataclasses.replace with our validation re-run (frozen class)."""
-    from dataclasses import replace
-
-    return replace(cfg, **changes)
+        return replace(self, frequency_hz=frequency_hz)
 
 
 def interval_duration(cfg: SimConfig) -> int:
@@ -421,8 +403,3 @@ def serialize_config(cfg: SimConfig) -> str:
     if cells:
         doc["cells"] = cells
     return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def config_fingerprint(cfg: SimConfig) -> str:
-    """Stable one-line summary used in trace metadata."""
-    return f"f={cfg.frequency_hz}Hz N={cfg.num_addresses} bias={cfg.bias}"

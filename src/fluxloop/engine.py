@@ -24,27 +24,14 @@ from operator import attrgetter
 
 from .core import BiasPoint, FluxloopError, PulseEvent, format_ratio
 from .cells import (
-    CellKind,
+    INPUT_PORTS,
+    OUTPUT_PORTS,
     CellParams,
     CellState,
     TimingViolation,
     ViolationKind,
     stepper_for,
 )
-
-_INPUT_PORTS = {
-    CellKind.DRO: ("data", "clock"),
-    CellKind.DRO2R: ("data", "clock0", "clock1"),
-    CellKind.MERGER: ("in0", "in1"),
-    CellKind.FANOUT: ("in",),
-}
-
-_OUTPUT_PORTS = {
-    CellKind.DRO: ("out",),
-    CellKind.DRO2R: ("out0", "out1"),
-    CellKind.MERGER: ("out",),
-    CellKind.FANOUT: ("out_a", "out_b"),
-}
 
 
 class NetlistError(FluxloopError):
@@ -113,14 +100,14 @@ def _validate(net: Netlist) -> None:
                 if cell not in net.cells:
                     raise NetlistError(f"connection endpoint {endpoint!r} references unknown cell")
                 kind = net.cells[cell].kind
-                valid = _INPUT_PORTS.get(kind, ()) + _OUTPUT_PORTS.get(kind, ())
+                valid = INPUT_PORTS.get(kind, ()) + OUTPUT_PORTS.get(kind, ())
                 if port not in valid:
                     raise NetlistError(f"cell {cell!r} ({kind.value}) has no port {port!r}")
         if _is_port(conn.src) and _is_port(conn.dst):
             raise NetlistError(f"{conn.src} -> {conn.dst}: cell ports must connect through a line")
         if _is_port(conn.dst):
             cell, port = _split_port(conn.dst)
-            if port not in _INPUT_PORTS[net.cells[cell].kind]:
+            if port not in INPUT_PORTS[net.cells[cell].kind]:
                 raise NetlistError(f"{conn.dst} is not an input port")
             if conn.delay_fs != 0 or conn.offset_schedule:
                 raise NetlistError(f"{conn.src} -> {conn.dst}: line-to-port wiring must have zero delay")
@@ -129,7 +116,7 @@ def _validate(net: Netlist) -> None:
             input_drivers[(cell, port)] = conn.src
         if _is_port(conn.src):
             cell, port = _split_port(conn.src)
-            if port not in _OUTPUT_PORTS[net.cells[cell].kind]:
+            if port not in OUTPUT_PORTS[net.cells[cell].kind]:
                 raise NetlistError(f"{conn.src} is not an output port")
         if not _is_port(conn.src) and not _is_port(conn.dst):
             if conn.delay_fs <= 0 and not conn.is_loop:
@@ -164,7 +151,11 @@ def _validate(net: Netlist) -> None:
 
 @dataclass(frozen=True)
 class Trace:
-    """Everything one run produced: pulses on observed lines + violations."""
+    """Everything one run produced: pulses on observed lines + violations.
+
+    ``events`` are in strictly increasing ``(time_fs, line)`` order: at most
+    one pulse per line and instant, time ascending, ties by line name.
+    """
 
     events: tuple[PulseEvent, ...]
     violations: tuple[TimingViolation, ...]
@@ -308,6 +299,10 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
                 )
             push(arrival, tap.dst)
 
+    if any(p.prop_delay_fs == 0 or p.prop_delay_out1_fs == 0 for p, _ in pinned.values()):
+        # a zero-delay emission can land at the current instant on a line
+        # that sorts before the one just popped
+        recorded.sort(key=attrgetter("time_fs", "line"))
     return Trace(
         events=tuple(recorded),
         violations=tuple(violations),
@@ -363,21 +358,21 @@ def trace_to_vcd(trace: Trace) -> str:
     out.append("$upscope $end")
     out.append("$enddefinitions $end")
 
-    by_time: dict[int, list[str]] = {}
-    for event in trace.events:
-        by_time.setdefault(event.time_fs, []).append(event.line)
-
     level = {line: 0 for line in trace.observed}
+    events = trace.events
+    start = 0
+    # events are (time, line)-ordered: the t=0 pulses set the initial levels
+    while start < len(events) and events[start].time_fs == 0:
+        level[events[start].line] = 1
+        start += 1
     out.append("#0")
-    for line in trace.observed:
-        if line in by_time.get(0, ()):
-            level[line] = 1
+    out.extend(f"{level[line]}{ids[line]}" for line in trace.observed)
+    t_prev = 0
+    for event in events[start:]:
+        if event.time_fs != t_prev:
+            t_prev = event.time_fs
+            out.append(f"#{t_prev}")
+        line = event.line
+        level[line] ^= 1
         out.append(f"{level[line]}{ids[line]}")
-    for t in sorted(by_time):
-        if t == 0:
-            continue
-        out.append(f"#{t}")
-        for line in sorted(by_time[t]):
-            level[line] ^= 1
-            out.append(f"{level[line]}{ids[line]}")
     return "\n".join(out) + "\n"

@@ -163,17 +163,19 @@ def phase_instants(cfg: SimConfig) -> tuple[int, int, int]:
     )
 
 
-def _source_path_delays(cells: dict[str, CellParams], bias: BiasPoint) -> tuple[int, int]:
+def source_path_delays(cells: dict[str, CellParams], bias: BiasPoint) -> tuple[int, int]:
     """Merged-path delay (to loop_data_in / read clock) from each source.
 
-    Returns (write-sourced, recirculation-sourced) totals at the given bias.
+    Returns (write-sourced, recirculation-sourced) totals at the given bias,
+    with each cell's bias clamped to its operating range as the engine does.
     """
-    merger = cells["merger"].delay(bias)
-    fanout = cells["fanout"].delay(bias)
-    return (
-        cells["write_dro"].delay(bias) + merger + fanout,
-        cells["recirc_dro2r"].delay(bias) + merger + fanout,
-    )
+
+    def at(name: str) -> int:
+        params = cells[name]
+        return params.delay(params.clamped_bias(bias))
+
+    shared = at("merger") + at("fanout")
+    return at("write_dro") + shared, at("recirc_dro2r") + shared
 
 
 def required_loop_delay(cfg: SimConfig) -> int:
@@ -186,7 +188,7 @@ def required_loop_delay(cfg: SimConfig) -> int:
     """
     cells = default_cell_params(cfg.cell_overrides)
     nominal = BiasPoint.nominal()
-    _, recirc_path = _source_path_delays(cells, nominal)
+    _, recirc_path = source_path_delays(cells, nominal)
     budget = recirc_path + cells["recirc_dro2r"].setup_fs + cfg.retiming_guard_fs
     trip = trip_duration(cfg)
     if budget >= trip:
@@ -275,13 +277,8 @@ def read_window_offset(cfg: SimConfig, bias: BiasPoint | None = None) -> int:
     """
     bias = bias if bias is not None else cfg.bias
     cells = default_cell_params(cfg.cell_overrides)
-
-    def at(name: str) -> int:
-        params = cells[name]
-        return params.delay(params.clamped_bias(bias))
-
-    shared = at("merger") + at("fanout")
-    return min(at("write_dro"), at("recirc_dro2r")) + shared + at("read_dro2r")
+    read = cells["read_dro2r"]
+    return min(source_path_delays(cells, bias)) + read.delay(read.clamped_bias(bias))
 
 
 def run_program(program: MemoryProgram, cfg: SimConfig) -> MemoryResult:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .cells import BiasRangeError, CellKind, default_cell_params
+from .cells import INPUT_PORTS, OUTPUT_PORTS, BiasRangeError, default_cell_params
 from .core import (
     BiasPoint,
     InfeasibleFrequencyError,
@@ -36,25 +36,11 @@ from .memory import (
     phase_instants,
     required_loop_delay,
     run_program,
+    source_path_delays,
 )
 
 
 # --- characterization -------------------------------------------------------
-
-_CHAR_WIRING = {
-    CellKind.DRO: (("cin_data", "data"), ("cin_clock", "clock")),
-    CellKind.DRO2R: (("cin_data", "data"), ("cin_clock", "clock0")),
-    CellKind.MERGER: (("cin_clock", "in0"),),
-    CellKind.FANOUT: (("cin_clock", "in"),),
-}
-
-_CHAR_OUTPUT = {
-    CellKind.DRO: "out",
-    CellKind.DRO2R: "out0",
-    CellKind.MERGER: "out",
-    CellKind.FANOUT: "out_a",
-}
-
 
 def characterize_cell(
     cell: str,
@@ -73,19 +59,24 @@ def characterize_cell(
         raise KeyError(f"unknown cell {cell!r}")
     params = params_by_name[cell]
 
-    connections = [Connection(line, f"{cell}.{port}") for line, port in _CHAR_WIRING[params.kind]]
-    connections.append(Connection(f"{cell}.{_CHAR_OUTPUT[params.kind]}", "cout"))
-    inputs = frozenset(line for line, _ in _CHAR_WIRING[params.kind])
+    # drive the data port, if any, and the first clock (or input); watch the
+    # first output
+    inputs = INPUT_PORTS[params.kind]
+    wiring = {"cin_clock": next(port for port in inputs if port != "data")}
+    if "data" in inputs:
+        wiring["cin_data"] = "data"
+    connections = [Connection(line, f"{cell}.{port}") for line, port in wiring.items()]
+    connections.append(Connection(f"{cell}.{OUTPUT_PORTS[params.kind][0]}", "cout"))
     net = Netlist(
         cells={cell: params},
         connections=tuple(connections),
-        external_inputs=inputs,
+        external_inputs=frozenset(wiring),
         observed=("cout",),
     )
 
     clock_at = params.setup_fs + 10_000
     stimulus = [PulseEvent(clock_at, "cin_clock")]
-    if "cin_data" in inputs:
+    if "cin_data" in wiring:
         stimulus.insert(0, PulseEvent(0, "cin_data"))
     prepared = schedule(net, stimulus)
 
@@ -190,14 +181,9 @@ def sta(
     loop_delay = cfg.loop_delay_fs if cfg.loop_delay_fs is not None else required_loop_delay(cfg)
 
     at_lo, at_hi = BiasPoint(lo), BiasPoint(hi)
-    dmin = {name: p.delay(at_hi) for name, p in cells.items()}
-    dmax = {name: p.delay(at_lo) for name, p in cells.items()}
-
-    shared_min = dmin["merger"] + dmin["fanout"]
-    shared_max = dmax["merger"] + dmax["fanout"]
     # Merged-path extremes over both sources (fresh write vs recirculation).
-    path_min = min(dmin["write_dro"], dmin["recirc_dro2r"]) + shared_min
-    path_max = max(dmax["write_dro"], dmax["recirc_dro2r"]) + shared_max
+    path_min = min(source_path_delays(cells, at_hi))
+    path_max = max(source_path_delays(cells, at_lo))
 
     nominal = BiasPoint.nominal()
     wd, rc, rd = cells["write_dro"], cells["recirc_dro2r"], cells["read_dro2r"]
@@ -213,10 +199,10 @@ def sta(
         SlackRow("loop_race", "read_dro2r", interval + ph_read - ph_write - path_max),
     )
     windows = (
-        ArrivalWindow("merger_in0", dmin["write_dro"], dmax["write_dro"]),
-        ArrivalWindow("merger_in1", dmin["recirc_dro2r"], dmax["recirc_dro2r"]),
+        ArrivalWindow("merger_in0", wd.delay(at_hi), wd.delay(at_lo)),
+        ArrivalWindow("merger_in1", rc.delay(at_hi), rc.delay(at_lo)),
         ArrivalWindow("loop_data_in", path_min, path_max),
-        ArrivalWindow("read_data", path_min + dmin["read_dro2r"], path_max + dmax["read_dro2r"]),
+        ArrivalWindow("read_data", path_min + rd.delay(at_hi), path_max + rd.delay(at_lo)),
         ArrivalWindow("recirc_data_next_trip", path_min + loop_delay - trip, path_max + loop_delay - trip),
     )
     return StaReport(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 
 import _oracle
 import pytest
@@ -31,7 +32,7 @@ from fluxloop import (
     trace_to_csv,
     trace_to_vcd,
 )
-from fluxloop.core import replace_config, serialize_config
+from fluxloop.core import serialize_config
 from fluxloop.density import PRESETS, SPEED_OF_LIGHT, report_to_csv
 from fluxloop.memory import default_margin_suite
 from fluxloop.timing import margin_sweep, margins_to_csv
@@ -188,7 +189,7 @@ def test_loop_jitter_retiming_window():
         trip_idx = rng.randint(0, 3)
         offsets = [0, 0, 0, 0]
         offsets[trip_idx] = jitter
-        result = run_program(program, replace_config(cfg, loop_jitter_fs=tuple(offsets)))
+        result = run_program(program, replace(cfg, loop_jitter_fs=tuple(offsets)))
         assert result.passed, (jitter, trip_idx)
         assert result.trace.pulses_on("loop_data_in") == reference.trace.pulses_on("loop_data_in")
         cases += 1
@@ -201,7 +202,7 @@ def test_loop_jitter_retiming_window():
         trip_idx = rng.randint(0, 2)
         offsets = [0, 0, 0, 0]
         offsets[trip_idx] = jitter
-        result = run_program(program, replace_config(cfg, loop_jitter_fs=tuple(offsets)))
+        result = run_program(program, replace(cfg, loop_jitter_fs=tuple(offsets)))
         assert not result.passed, (jitter, trip_idx)
         kinds = {v.kind.value for v in result.trace.violations}
         assert kinds & {"SETUP", "HOLD"}, (jitter, trip_idx, kinds)

@@ -11,16 +11,18 @@ from fluxloop import BiasRangeError, ViolationKind, default_cell_params
 from fluxloop.cells import (
     DEFAULT_BIAS_CURVE,
     DEFAULT_OPERATING_RANGE,
+    INPUT_PORTS,
+    OUTPUT_PORTS,
     BiasDelayModel,
     CellKind,
     CellParams,
     CellState,
     delay_at_bias,
-    dro2r_step,
-    dro_step,
     fanout_step,
     merger_step,
     step_cell,
+    stepper_for,
+    storage_step,
 )
 from fluxloop.core import BiasPoint
 
@@ -63,9 +65,10 @@ class TestBiasDelayModel:
             delay_at_bias(self.MODEL, bias("1.25"))
 
     def test_clamp(self):
-        assert self.MODEL.clamp(bias("0.5")).ratio == Fraction("0.76")
-        assert self.MODEL.clamp(bias("1.5")).ratio == Fraction("1.24")
-        assert self.MODEL.clamp(bias("0.9")).ratio == Fraction("0.9")
+        cell = CellParams(kind=CellKind.DRO, prop_delay_fs=3000, delay_model=self.MODEL)
+        assert cell.clamped_bias(bias("0.5")).ratio == Fraction("0.76")
+        assert cell.clamped_bias(bias("1.5")).ratio == Fraction("1.24")
+        assert cell.clamped_bias(bias("0.9")).ratio == Fraction("0.9")
 
     @given(
         st.fractions(
@@ -143,20 +146,20 @@ DRO = CellParams(kind=CellKind.DRO, prop_delay_fs=5000, setup_fs=2000, hold_fs=1
 class TestDro:
     def test_store_then_release(self):
         state = CellState()
-        out, v = dro_step("d", DRO, state, "data", 0, NOM)
+        out, v = storage_step("d", DRO, state, "data", 0, NOM)
         assert out == [] and v == []
         # second data pulse on a full cell is absorbed
-        out, v = dro_step("d", DRO, state, "data", 3000, NOM)
+        out, v = storage_step("d", DRO, state, "data", 3000, NOM)
         assert out == [] and v == []
-        out, v = dro_step("d", DRO, state, "clock", 20000, NOM)
+        out, v = storage_step("d", DRO, state, "clock", 20000, NOM)
         assert out == [("out", 25000)] and v == []
         # cell is now empty: another clock releases nothing
-        out, v = dro_step("d", DRO, state, "clock", 40000, NOM)
+        out, v = storage_step("d", DRO, state, "clock", 40000, NOM)
         assert out == [] and v == []
 
     def test_clock_on_empty_cell(self):
         state = CellState()
-        out, v = dro_step("d", DRO, state, "clock", 100, NOM)
+        out, v = storage_step("d", DRO, state, "clock", 100, NOM)
         assert out == [] and v == []
 
     @pytest.mark.parametrize(
@@ -165,8 +168,8 @@ class TestDro:
     )
     def test_setup_boundary_is_strict(self, gap, ok):
         state = CellState()
-        dro_step("d", DRO, state, "data", 10000, NOM)
-        out, v = dro_step("d", DRO, state, "clock", 10000 + gap, NOM)
+        storage_step("d", DRO, state, "data", 10000, NOM)
+        out, v = storage_step("d", DRO, state, "clock", 10000 + gap, NOM)
         assert out == [("out", 10000 + gap + 5000)]
         if ok:
             assert v == []
@@ -180,8 +183,8 @@ class TestDro:
     @pytest.mark.parametrize("gap, ok", [(1000, True), (999, False)])
     def test_hold_boundary_is_strict(self, gap, ok):
         state = CellState()
-        dro_step("d", DRO, state, "clock", 5000, NOM)
-        out, v = dro_step("d", DRO, state, "data", 5000 + gap, NOM)
+        storage_step("d", DRO, state, "clock", 5000, NOM)
+        out, v = storage_step("d", DRO, state, "data", 5000 + gap, NOM)
         assert out == []
         if ok:
             assert v == []
@@ -192,13 +195,13 @@ class TestDro:
 
     def test_hold_clean_example(self):
         state = CellState()
-        dro_step("d", DRO, state, "clock", 5000, NOM)
-        out, v = dro_step("d", DRO, state, "data", 8000, NOM)
+        storage_step("d", DRO, state, "clock", 5000, NOM)
+        out, v = storage_step("d", DRO, state, "data", 8000, NOM)
         assert out == [] and v == []
 
     def test_unknown_port(self):
         with pytest.raises(ValueError, match="DRO has no port"):
-            dro_step("d", DRO, CellState(), "clk2", 0, NOM)
+            storage_step("d", DRO, CellState(), "clk2", 0, NOM)
 
 
 # --- DRO2R -----------------------------------------------------------------
@@ -216,29 +219,29 @@ DRO2R = CellParams(
 class TestDro2r:
     def test_clock0_takes_out0(self):
         state = CellState()
-        dro2r_step("r", DRO2R, state, "data", 0, NOM)
-        out, v = dro2r_step("r", DRO2R, state, "clock0", 10000, NOM)
+        storage_step("r", DRO2R, state, "data", 0, NOM)
+        out, v = storage_step("r", DRO2R, state, "clock0", 10000, NOM)
         assert out == [("out0", 15000)] and v == []
 
     def test_clock1_takes_out1_with_its_own_delay(self):
         state = CellState()
-        dro2r_step("r", DRO2R, state, "data", 0, NOM)
-        out, v = dro2r_step("r", DRO2R, state, "clock1", 15000, NOM)
+        storage_step("r", DRO2R, state, "data", 0, NOM)
+        out, v = storage_step("r", DRO2R, state, "clock1", 15000, NOM)
         assert out == [("out1", 21000)] and v == []
         # the shared loop is now empty, so the other clock gets nothing
-        out, v = dro2r_step("r", DRO2R, state, "clock0", 30000, NOM)
+        out, v = storage_step("r", DRO2R, state, "clock0", 30000, NOM)
         assert out == [] and v == []
 
     def test_setup_checked_on_both_clocks(self):
         state = CellState()
-        dro2r_step("r", DRO2R, state, "data", 0, NOM)
-        out, v = dro2r_step("r", DRO2R, state, "clock1", 500, NOM)
+        storage_step("r", DRO2R, state, "data", 0, NOM)
+        out, v = storage_step("r", DRO2R, state, "clock1", 500, NOM)
         assert out == [("out1", 6500)]
         assert v[0].detail == "clock1 500 fs after data (setup 2000 fs)"
 
     def test_unknown_port(self):
         with pytest.raises(ValueError, match="DRO2R has no port"):
-            dro2r_step("r", DRO2R, CellState(), "clock", 0, NOM)
+            storage_step("r", DRO2R, CellState(), "clock", 0, NOM)
 
 
 # --- merger / fanout ---------------------------------------------------------
@@ -282,6 +285,19 @@ def test_fanout_duplicates_pulse():
     assert out == [("out_a", 600), ("out_b", 600)] and v == []
     with pytest.raises(ValueError, match="fanout has no port"):
         fanout_step("f", params, CellState(), "out", 0, NOM)
+
+
+@pytest.mark.parametrize("kind", list(CellKind))
+def test_steppers_accept_and_emit_exactly_the_table_ports(kind):
+    params = CellParams(kind=kind, prop_delay_fs=500)
+    known = {port for table in (INPUT_PORTS, OUTPUT_PORTS) for ports in table.values() for port in ports}
+    for port in sorted(known):
+        if port in INPUT_PORTS[kind]:
+            out, _ = stepper_for(kind)("c", params, CellState(stored=True), port, 0, NOM)
+            assert {name for name, _ in out} <= set(OUTPUT_PORTS[kind])
+        else:
+            with pytest.raises(ValueError, match="has no port"):
+                stepper_for(kind)("c", params, CellState(stored=True), port, 0, NOM)
 
 
 def test_step_cell_dispatch():

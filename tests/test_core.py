@@ -19,7 +19,6 @@ from fluxloop.core import (
     NOMINAL_BIAS,
     BiasPoint,
     PulseEvent,
-    config_fingerprint,
     exact_ratio,
     format_ratio,
     parse_duration,
@@ -248,8 +247,3 @@ class TestParseConfig:
         again = parse_config(serialize_config(cfg))
         assert again == cfg
 
-
-def test_config_fingerprint(cfg100):
-    assert config_fingerprint(cfg100) == "f=100000000000Hz N=3 bias=1.0"
-    shifted = cfg100.with_bias(BiasPoint.of(0.87))
-    assert config_fingerprint(shifted) == "f=100000000000Hz N=3 bias=0.87"

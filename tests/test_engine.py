@@ -319,6 +319,25 @@ class TestTraceQueries:
         with pytest.raises(UnknownLineError, match="not observed"):
             trace.pulses_on("d.out")
 
+    def test_events_are_in_time_then_line_order_with_zero_delay_cells(self):
+        # a zero-delay fanout emits at the instant being processed, onto
+        # lines that sort before its input line
+        net = Netlist(
+            cells={"f": CellParams(kind=CellKind.FANOUT, prop_delay_fs=0)},
+            connections=(
+                Connection("z", "f.in"),
+                Connection("f.out_a", "a"),
+                Connection("f.out_b", "b"),
+            ),
+            external_inputs=frozenset({"z"}),
+            observed=("a", "b", "z"),
+        )
+        trace = run(net, [(100, "z"), (300, "z")])
+        assert [(e.time_fs, e.line) for e in trace.events] == [
+            (100, "a"), (100, "b"), (100, "z"), (300, "a"), (300, "b"), (300, "z"),
+        ]
+        assert trace_to_vcd(trace).endswith('#0\n0!\n0"\n0#\n#100\n1!\n1"\n1#\n#300\n0!\n0"\n0#\n')
+
     def test_reruns_are_identical(self):
         pulses = [(0, "din"), (20000, "clk"), (30000, "din"), (50000, "clk")]
         assert run(dro_netlist(), pulses) == run(dro_netlist(), pulses)

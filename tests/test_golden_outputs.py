@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 import random
 from functools import lru_cache
 
@@ -26,7 +27,6 @@ from fluxloop import (
     trace_to_csv,
     trace_to_vcd,
 )
-from fluxloop.core import replace_config
 from fluxloop.timing import margin_sweep, margins_to_csv, sta_to_text
 
 GHZ = 10**9
@@ -65,7 +65,7 @@ def _artifacts() -> dict[str, str]:
     off_nominal = run_program(program, cfg.with_bias(BiasPoint.of("0.80"))).trace
     out_of_range = run_program(program, cfg.with_bias(BiasPoint.of("1.30"))).trace
     jitter_rng = random.Random(7)
-    jitter_cfg = replace_config(
+    jitter_cfg = replace(
         cfg, loop_jitter_fs=tuple(jitter_rng.randint(-4000, 4000) for _ in range(40))
     )
     jitter = run_program(program, jitter_cfg).trace

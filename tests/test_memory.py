@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -24,7 +25,7 @@ from fluxloop import (
     scenario_write_read,
     serialize_program,
 )
-from fluxloop.core import BiasPoint, replace_config
+from fluxloop.core import BiasPoint
 from fluxloop.memory import (
     INPUT_LINES,
     OBSERVED_LINES,
@@ -121,12 +122,12 @@ class TestControllerNetlist:
         assert net.observed == OBSERVED_LINES
 
     def test_explicit_loop_delay_wins(self, cfg100):
-        cfg = replace_config(cfg100, loop_delay_fs=25000)
+        cfg = replace(cfg100, loop_delay_fs=25000)
         loops = [c for c in build_controller(cfg).connections if c.is_loop]
         assert loops[0].delay_fs == 25000
 
     def test_jitter_offsets_become_a_schedule(self, cfg100):
-        cfg = replace_config(cfg100, loop_jitter_fs=(500, -500))
+        cfg = replace(cfg100, loop_jitter_fs=(500, -500))
         loops = [c for c in build_controller(cfg).connections if c.is_loop]
         # one entry per trip plus the terminating return-to-zero entry
         assert loops[0].offset_schedule == ((0, 500), (40000, -500), (80000, 0))
@@ -270,14 +271,14 @@ class TestJitter:
         ],
     )
     def test_boundaries_are_exact(self, cfg100, jitter, kinds):
-        cfg = replace_config(cfg100, loop_jitter_fs=(jitter,))
+        cfg = replace(cfg100, loop_jitter_fs=(jitter,))
         result = run_program(scenario_write_read(address=1, trips=3), cfg)
         assert {v.kind.value for v in result.trace.violations} == kinds
 
     def test_in_window_jitter_is_fully_retimed(self, cfg100):
         reference = run_program(scenario_write_read(address=1, trips=3), cfg100)
         for jitter in (-4000, -1500, 1, 2000):
-            cfg = replace_config(cfg100, loop_jitter_fs=(jitter,))
+            cfg = replace(cfg100, loop_jitter_fs=(jitter,))
             result = run_program(scenario_write_read(address=1, trips=3), cfg)
             assert result.passed
             # the re-timing clock swallows the error: downstream times match

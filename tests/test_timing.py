@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,8 @@ from fluxloop import (
     max_frequency,
     sta,
 )
-from fluxloop.cells import default_cell_params, delay_at_bias
-from fluxloop.core import BiasPoint, replace_config
+from fluxloop.cells import _interpolate, default_cell_params, delay_at_bias
+from fluxloop.core import BiasPoint
 from fluxloop.memory import default_margin_suite
 from fluxloop.timing import (
     characterization_to_csv,
@@ -79,6 +80,12 @@ class TestCharacterization:
         ratios = [Fraction(76 + 4 * i, 100) for i in range(13)]  # 0.76 .. 1.24
         delays = [d for _, d in characterize_cell("read_dro2r", cfg100, ratios)]
         assert all(b < a for a, b in zip(delays, delays[1:]))
+
+    def test_long_sweep_keeps_the_delay_cache_bounded(self, cfg100):
+        ratios = [Fraction("0.76") + Fraction(i, 10_000) for i in range(4800)]
+        assert len(characterize_cell("read_dro2r", cfg100, ratios)) == 4800
+        info = _interpolate.cache_info()
+        assert info.currsize <= info.maxsize
 
     def test_out_of_range_bias_refused(self, cfg100):
         with pytest.raises(BiasRangeError, match="outside write_dro operating range"):
@@ -153,7 +160,7 @@ class TestSta:
         assert report.worst().constraint == "read_hold"
 
     def test_explicit_loop_delay_shifts_the_recirc_races(self, cfg100):
-        report = sta(replace_config(cfg100, loop_delay_fs=20000))
+        report = sta(replace(cfg100, loop_delay_fs=20000))
         by_name = {r.constraint: r.slack_fs for r in report.slacks}
         assert by_name["recirc_setup"] == 12000
         assert by_name["recirc_hold"] == -6000
@@ -208,17 +215,17 @@ class TestMaxFrequency:
         assert max_frequency(cfg100, step_hz=5 * GHZ) == 100 * GHZ
 
     def test_doubled_cells_halve_the_rating(self, cfg100):
-        cfg = replace_config(cfg100, cell_overrides=DOUBLED, retiming_guard_fs=4000)
+        cfg = replace(cfg100, cell_overrides=DOUBLED, retiming_guard_fs=4000)
         assert max_frequency(cfg) == 50 * GHZ
 
     def test_unconstrained_cells_hit_the_search_ceiling(self, cfg100):
-        cfg = replace_config(cfg100, cell_overrides=ZEROED, retiming_guard_fs=0)
+        cfg = replace(cfg100, cell_overrides=ZEROED, retiming_guard_fs=0)
         assert max_frequency(cfg) == 10**12
         # the guard alone then caps the recirculation hold race at 500 GHz
-        assert max_frequency(replace_config(cfg100, cell_overrides=ZEROED)) == 500 * GHZ
+        assert max_frequency(replace(cfg100, cell_overrides=ZEROED)) == 500 * GHZ
 
     def test_raises_when_no_grid_point_fits(self, cfg100):
-        cfg = replace_config(cfg100, search_ceiling_hz=500 * GHZ)
+        cfg = replace(cfg100, search_ceiling_hz=500 * GHZ)
         with pytest.raises(InfeasibleFrequencyError, match="no feasible frequency"):
             max_frequency(cfg, step_hz=400 * GHZ)
 
@@ -241,13 +248,13 @@ class TestBiasMargin:
 
     def test_nominal_violation_reports_zero_margin(self, cfg100):
         # a loop 25 ps short lands bits against the re-timing clock edge
-        broken = replace_config(cfg100, loop_delay_fs=5000)
+        broken = replace(cfg100, loop_delay_fs=5000)
         assert bias_margin(broken) == MarginReport(100 * GHZ, 0, 0, "SETUP", "SETUP")
 
     def test_clean_aliasing_is_caught_by_the_read_oracle(self, cfg100):
         # a loop exactly one interval short re-times cleanly into the wrong
         # slot: no violation fires, only the decoded reads betray it
-        aliased = replace_config(cfg100, loop_delay_fs=20000)
+        aliased = replace(cfg100, loop_delay_fs=20000)
         assert bias_margin(aliased) == MarginReport(100 * GHZ, 0, 0, "WRONG_READ", "WRONG_READ")
 
     def test_margin_cap(self, cfg100):
