@@ -19,6 +19,7 @@ import enum
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping
 
 from .core import BiasPoint, FluxloopError, format_ratio, round_half_up
@@ -284,7 +285,6 @@ def storage_step(
     state: CellState,
     port: str,
     t: int,
-    bias: BiasPoint,
 ) -> tuple[list[tuple[str, int]], list[TimingViolation]]:
     """Advance a storage cell (DRO or DRO2R) by one input pulse.
 
@@ -293,6 +293,10 @@ def storage_step(
     the stored pulse on that clock's output after its propagation delay; a
     clock on an empty cell is a no-op.  A DRO2R's two clock/output pairs
     share one loop, so whichever clock arrives first claims the pulse.
+
+    Like every stepper, it reads the constant delays of ``params``
+    (``prop_delay_fs``, ``prop_delay_out1_fs``): pin a bias-dependent cell
+    with ``CellParams.at_bias`` first, as the engine does.
     """
     emitted: list[tuple[str, int]] = []
     violations: list[TimingViolation] = []
@@ -312,7 +316,7 @@ def storage_step(
         violations.append(v)
     if state.stored:
         state.stored = False
-        emitted.append((out, t + delay(params, bias)))
+        emitted.append((out, t + delay(params)))
     state.last_clock_fs = t
     return emitted, violations
 
@@ -323,7 +327,6 @@ def merger_step(
     state: CellState,
     port: str,
     t: int,
-    bias: BiasPoint,
 ) -> tuple[list[tuple[str, int]], list[TimingViolation]]:
     """Forward a pulse from either merger input to the output.
 
@@ -346,7 +349,7 @@ def merger_step(
                 )
             )
     state.last_in_fs[port] = t
-    return [("out", t + params.delay(bias))], violations
+    return [("out", t + params.prop_delay_fs)], violations
 
 
 def fanout_step(
@@ -355,20 +358,24 @@ def fanout_step(
     state: CellState,
     port: str,
     t: int,
-    bias: BiasPoint,
 ) -> tuple[list[tuple[str, int]], list[TimingViolation]]:
     """Ideal passive fan-out: one input pulse, one pulse on each output."""
     if port != _FANOUT_INPUT:
         raise ValueError(f"fanout has no port {port!r}")
-    d = params.delay(bias)
+    d = params.prop_delay_fs
     return [("out_a", t + d), ("out_b", t + d)], []
+
+
+def _out1_delay(params: CellParams) -> int:
+    out1 = params.prop_delay_out1_fs
+    return params.prop_delay_fs if out1 is None else out1
 
 
 # Per-pulse port lookups, resolved from the tables once (a CellKind key
 # costs a Python-level hash).  Storage clock -> (kind, output, delay getter);
 # clock names differ between the storage kinds.
 _RELEASES = {
-    clock: (kind, out, CellParams.delay_out1 if i else CellParams.delay)
+    clock: (kind, out, _out1_delay if i else attrgetter("prop_delay_fs"))
     for kind in (CellKind.DRO, CellKind.DRO2R)
     for i, (clock, out) in enumerate(zip(INPUT_PORTS[kind][1:], OUTPUT_PORTS[kind]))
 }
@@ -397,10 +404,9 @@ def step_cell(
     state: CellState,
     port: str,
     t: int,
-    bias: BiasPoint,
 ) -> tuple[list[tuple[str, int]], list[TimingViolation]]:
     """Dispatch one input pulse to the right behavioral step function."""
-    return stepper_for(params.kind)(cell, params, state, port, t, bias)
+    return stepper_for(params.kind)(cell, params, state, port, t)
 
 
 # --- default cell set ------------------------------------------------------

@@ -68,6 +68,16 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text)
 
 
+def _ratio_option(raw: str | None, option: str) -> Fraction | None:
+    """A positive ratio given on the command line (None when not given)."""
+    if raw is None:
+        return None
+    try:
+        return BiasPoint(exact_ratio(raw)).ratio
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(option, f"expected a positive ratio, got {raw!r}") from None
+
+
 def _parse_freq_list(raw: str) -> list[int]:
     freqs = [parse_frequency(item.strip(), "freqs") for item in raw.split(",") if item.strip()]
     if not freqs:
@@ -79,7 +89,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = parse_config(_read(args.config, "config"))
     program = parse_program(_read(args.program, "program"))
     if args.bias is not None:
-        cfg = cfg.with_bias(BiasPoint(exact_ratio(args.bias)))
+        cfg = cfg.with_bias(BiasPoint(_ratio_option(args.bias, "--bias")))
 
     result = run_program(program, cfg)
 
@@ -115,7 +125,7 @@ def _cmd_sta(args: argparse.Namespace) -> int:
         freq = max_frequency(cfg)
         print(f"max feasible frequency: {freq / 1e9:g} GHz")
         cfg = cfg.with_frequency(freq)
-    report = sta(cfg, args.bias_lo, args.bias_hi)
+    report = sta(cfg, _ratio_option(args.bias_lo, "--bias-lo"), _ratio_option(args.bias_hi, "--bias-hi"))
     sys.stdout.write(sta_to_text(report))
     return EXIT_OK if report.all_met else EXIT_RUN_FAILED
 
@@ -148,6 +158,8 @@ def _cmd_density(args: argparse.Namespace) -> int:
         except KeyError as exc:
             raise ConfigError("preset", str(exc).strip("'\"")) from None
         if args.layers is not None:
+            if args.layers < 1:
+                raise ConfigError("layers", f"--layers must be at least 1, got {args.layers}")
             spec = stacked_spec(spec.name, args.layers)
         freqs = (
             list(TABLE_FREQUENCIES_GHZ)
@@ -174,10 +186,10 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
         raise ConfigError("cell", f"unknown cell {args.cell!r}") from None
 
     rng = params.operating_range()
-    lo = exact_ratio(args.lo) if args.lo is not None else (rng[0] if rng else Fraction(1))
-    hi = exact_ratio(args.hi) if args.hi is not None else (rng[1] if rng else Fraction(1))
-    step = exact_ratio(args.step)
-    if step <= 0 or lo > hi:
+    lo = _ratio_option(args.lo, "--lo") or (rng[0] if rng else Fraction(1))
+    hi = _ratio_option(args.hi, "--hi") or (rng[1] if rng else Fraction(1))
+    step = _ratio_option(args.step, "--step")
+    if lo > hi:
         raise ConfigError("step", "need step > 0 and lo <= hi")
     ratios = []
     ratio = lo

@@ -20,7 +20,11 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property, lru_cache, partial
 from operator import attrgetter
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .core import BiasPoint, FluxloopError, PulseEvent, format_ratio
 from .cells import (
@@ -69,13 +73,105 @@ class Connection:
 
 @dataclass(frozen=True)
 class Netlist:
-    cells: dict[str, CellParams]
+    """Cells wired by connections.
+
+    ``cells`` is a read-only copy of the mapping given, since one netlist may
+    serve many callers (``memory.build_controller`` memoizes).  The wiring is
+    resolved once per netlist and each bias's pinned cells once per bias
+    (:meth:`at_bias`), so a run only builds fresh cell states.
+    """
+
+    cells: Mapping[str, CellParams]
     connections: tuple[Connection, ...]
     external_inputs: frozenset[str]
     observed: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "cells", MappingProxyType(dict(self.cells)))
         _validate(self)
+
+    @cached_property
+    def _wiring(self) -> tuple[dict[str, tuple], dict[str, tuple[Connection, ...]]]:
+        """(line -> its (stepper, cell, port, output-line map) consumers, line -> its taps)."""
+        ports_on: dict[str, list[tuple[str, str]]] = {}
+        taps: dict[str, list[Connection]] = {}
+        out_lines: dict[str, dict[str, str]] = {name: {} for name in self.cells}
+        for conn in self.connections:
+            if _is_port(conn.dst):
+                ports_on.setdefault(conn.src, []).append(_split_port(conn.dst))
+            elif _is_port(conn.src):
+                cell, port = _split_port(conn.src)
+                out_lines[cell][port] = conn.dst
+            else:
+                taps.setdefault(conn.src, []).append(conn)
+        consumers = {
+            line: tuple(
+                (stepper_for(self.cells[cell].kind), cell, port, out_lines[cell]) for cell, port in sorted(ports)
+            )
+            for line, ports in ports_on.items()
+        }
+        return consumers, {line: tuple(conns) for line, conns in taps.items()}
+
+    # Bounded: a margin search visits at most 101 ratios per netlist.
+    @cached_property
+    def _pinned(self) -> Callable[[Fraction], "PinnedNetlist"]:
+        return lru_cache(maxsize=128)(partial(_pin, self.cells, self._wiring[0]))
+
+    def at_bias(self, bias: BiasPoint) -> "PinnedNetlist":
+        """Every cell pinned at the bias it runs at (cached per bias ratio)."""
+        return self._pinned(bias.ratio)
+
+
+class PinnedNetlist:
+    """A netlist's cells at one bias: constant delays, the t=0 ELECTRICAL
+    violations of cells whose range excludes the bias, and each line's
+    consumers as (stepper, cell, pinned params, port, output-line map)."""
+
+    # A slotted class, not a dataclass or NamedTuple: defining one of those
+    # costs 0.3-1.3 ms of every CLI start.
+    __slots__ = ("cells", "violations", "consumers", "zero_delay")
+
+    def __init__(
+        self,
+        cells: Mapping[str, CellParams],
+        violations: tuple[TimingViolation, ...],
+        consumers: Mapping[str, tuple[tuple, ...]],
+        zero_delay: bool,
+    ) -> None:
+        self.cells = cells
+        self.violations = violations
+        self.consumers = consumers
+        #: a zero pinned delay can emit at the current instant (see run_until)
+        self.zero_delay = zero_delay
+
+
+def _pin(cells: Mapping[str, CellParams], consumers: dict, ratio: Fraction) -> PinnedNetlist:
+    bias = BiasPoint(ratio)
+    violations = []
+    pinned = {}
+    for name in sorted(cells):
+        params = cells[name]
+        rng = params.operating_range()
+        if rng is not None and not (rng[0] <= ratio <= rng[1]):
+            violations.append(
+                TimingViolation(
+                    name,
+                    ViolationKind.ELECTRICAL,
+                    0,
+                    f"bias {format_ratio(ratio)} outside operating range "
+                    f"[{format_ratio(rng[0])}, {format_ratio(rng[1])}]",
+                )
+            )
+        pinned[name] = params.at_bias(params.clamped_bias(bias))
+    return PinnedNetlist(
+        cells=MappingProxyType(pinned),
+        violations=tuple(violations),
+        consumers=MappingProxyType({
+            line: tuple((stepper, cell, pinned[cell], port, outs) for stepper, cell, port, outs in entries)
+            for line, entries in consumers.items()
+        }),
+        zero_delay=any(p.prop_delay_fs == 0 or p.prop_delay_out1_fs == 0 for p in pinned.values()),
+    )
 
 
 def _is_port(endpoint: str) -> bool:
@@ -212,47 +308,14 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
     if t_end_fs < 0:
         raise ValueError("t_end must be non-negative")
     net = prepared.netlist
-
-    # Pin every cell at the bias it runs at, once: the event loop then works
-    # on integer delays only.
+    pins = net.at_bias(bias)
+    taps = net._wiring[1]
     states = {name: CellState() for name in net.cells}
-    violations: list[TimingViolation] = []
-    pinned: dict[str, tuple[CellParams, BiasPoint]] = {}
-    for name in sorted(net.cells):
-        params = net.cells[name]
-        rng = params.operating_range()
-        if rng is not None and not (rng[0] <= bias.ratio <= rng[1]):
-            violations.append(
-                TimingViolation(
-                    name,
-                    ViolationKind.ELECTRICAL,
-                    0,
-                    f"bias {format_ratio(bias.ratio)} outside operating range "
-                    f"[{format_ratio(rng[0])}, {format_ratio(rng[1])}]",
-                )
-            )
-        cell_bias = params.clamped_bias(bias)
-        pinned[name] = (params.at_bias(cell_bias), cell_bias)
-
-    ports_on: dict[str, list[tuple[str, str]]] = {}
-    taps: dict[str, list[Connection]] = {}
-    out_lines: dict[str, dict[str, str]] = {name: {} for name in net.cells}
-    for conn in net.connections:
-        if _is_port(conn.dst):
-            ports_on.setdefault(conn.src, []).append(_split_port(conn.dst))
-        elif _is_port(conn.src):
-            cell, port = _split_port(conn.src)
-            out_lines[cell][port] = conn.dst
-        else:
-            taps.setdefault(conn.src, []).append(conn)
-    # line -> (stepper, cell, pinned params, bias, state, port, output-line map)
     consumers = {
-        line: [
-            (stepper_for(net.cells[cell].kind), cell, *pinned[cell], states[cell], port, out_lines[cell])
-            for cell, port in sorted(ports)
-        ]
-        for line, ports in ports_on.items()
+        line: [(stepper, cell, params, states[cell], port, outs) for stepper, cell, params, port, outs in entries]
+        for line, entries in pins.consumers.items()
     }
+    violations = list(pins.violations)
 
     heap: list[tuple[int, str, int]] = []
     seq = 0
@@ -283,8 +346,8 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
             break
         if line in observed_set:
             recorded.append(PulseEvent(t, line))
-        for stepper, cell, params, cell_bias, state, port, outs in consumers.get(line, ()):
-            emissions, cell_violations = stepper(cell, params, state, port, t, cell_bias)
+        for stepper, cell, params, state, port, outs in consumers.get(line, ()):
+            emissions, cell_violations = stepper(cell, params, state, port, t)
             violations.extend(cell_violations)
             for out_port, t_out in emissions:
                 target = outs.get(out_port)
@@ -299,7 +362,7 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
                 )
             push(arrival, tap.dst)
 
-    if any(p.prop_delay_fs == 0 or p.prop_delay_out1_fs == 0 for p, _ in pinned.values()):
+    if pins.zero_delay:
         # a zero-delay emission can land at the current instant on a line
         # that sorts before the one just popped
         recorded.sort(key=attrgetter("time_fs", "line"))

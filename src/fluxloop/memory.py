@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields
+from functools import lru_cache
+from typing import Any, Callable, Mapping
 
-from .cells import CellParams, default_cell_params
+from .cells import CellParams, _cell_set, _freeze, default_cell_params
 from .core import (
     BiasPoint,
     ConfigError,
@@ -36,7 +37,7 @@ from .core import (
     round_half_up,
     trip_duration,
 )
-from .engine import Connection, Netlist, Trace, run_until, schedule
+from .engine import Connection, Netlist, PinnedNetlist, Trace, run_until, schedule
 
 #: The externally driven lines.
 INPUT_LINES = (
@@ -123,11 +124,23 @@ def parse_program(text: str) -> MemoryProgram:
             if not isinstance(w, dict) or "addr" not in w or "bit" not in w:
                 raise ConfigError(f"trips[{i}].write", "expected {'addr': ..., 'bit': ...}")
             write = (w["addr"], w["bit"])
+            for key, value in zip(("addr", "bit"), write):
+                if type(value) is not int:
+                    raise _not_an_integer(f"trips[{i}].write.{key}", value)
         reads = raw.get("reads", [])
         if not isinstance(reads, list):
             raise ConfigError(f"trips[{i}].reads", "expected a list of addresses")
+        for j, value in enumerate(reads):
+            if type(value) is not int:
+                raise _not_an_integer(f"trips[{i}].reads[{j}]", value)
         trips.append(TripOp(write=write, reads=tuple(reads)))
     return MemoryProgram(trips=tuple(trips))
+
+
+def _not_an_integer(field_name: str, value: Any) -> ConfigError:
+    # JSON numbers decode to int or float, and true/false to bool (an int
+    # subclass), so ``type(value) is not int`` rejects exactly the non-integers
+    return ConfigError(field_name, f"expected an integer, got {json.dumps(value)}")
 
 
 def serialize_program(program: MemoryProgram) -> str:
@@ -186,9 +199,11 @@ def required_loop_delay(cfg: SimConfig) -> int:
     later, so the loop absorbs a full trip minus the controller's nominal
     re-timing budget.
     """
-    cells = default_cell_params(cfg.cell_overrides)
-    nominal = BiasPoint.nominal()
-    _, recirc_path = source_path_delays(cells, nominal)
+    return _loop_delay(default_cell_params(cfg.cell_overrides), cfg)
+
+
+def _loop_delay(cells: Mapping[str, CellParams], cfg: SimConfig) -> int:
+    _, recirc_path = source_path_delays(cells, BiasPoint.nominal())
     budget = recirc_path + cells["recirc_dro2r"].setup_fs + cfg.retiming_guard_fs
     trip = trip_duration(cfg)
     if budget >= trip:
@@ -199,18 +214,47 @@ def required_loop_delay(cfg: SimConfig) -> int:
     return trip - budget
 
 
-def build_controller(cfg: SimConfig) -> Netlist:
-    """Assemble the controller netlist plus the storage-loop connection."""
-    if cfg.loop_delay_fs is not None and cfg.loop_delay_fs <= 0:
-        raise ConfigError("loop_delay", "must be positive")
-    loop_delay = cfg.loop_delay_fs if cfg.loop_delay_fs is not None else required_loop_delay(cfg)
+#: SimConfig fields a run reads but the compiled controller does not.
+_RUN_FIELDS = frozenset({"bias", "max_events", "search_ceiling_hz"})
 
+
+class _BiasFree:
+    """A config that hashes and compares on every field but ``_RUN_FIELDS``."""
+
+    __slots__ = ("cfg", "key")
+
+    def __init__(self, cfg: SimConfig) -> None:
+        self.cfg = cfg
+        self.key = tuple(_freeze(getattr(cfg, f.name)) for f in fields(cfg) if f.name not in _RUN_FIELDS)
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _BiasFree) and self.key == other.key
+
+
+def build_controller(cfg: SimConfig) -> Netlist:
+    """Assemble the controller netlist plus the storage-loop connection.
+
+    Compiled (built and validated) once per bias-free configuration: configs
+    that differ only in bias, event cap or search ceiling share one netlist,
+    from a bounded cache.
+    """
+    return _compile(_BiasFree(cfg))
+
+
+@lru_cache(maxsize=64)
+def _compile(config: _BiasFree) -> Netlist:
+    cfg = config.cfg
+    # the cell set default_cell_params serves, read without a per-call copy
+    cells = _cell_set(_freeze(cfg.cell_overrides))
+    loop_delay = cfg.loop_delay_fs if cfg.loop_delay_fs is not None else _loop_delay(cells, cfg)
     trip = trip_duration(cfg)
     offsets = tuple((t * trip, off) for t, off in enumerate(cfg.loop_jitter_fs))
     if offsets:
         offsets += ((len(cfg.loop_jitter_fs) * trip, 0),)
 
-    cells = default_cell_params(cfg.cell_overrides)
     connections = (
         Connection("write_data", "write_dro.data"),
         Connection("write_address", "write_dro.clock"),
@@ -272,44 +316,56 @@ def stimulus_for(program: MemoryProgram, cfg: SimConfig) -> list[PulseEvent]:
 def read_window_offset(cfg: SimConfig, bias: BiasPoint | None = None) -> int:
     """Offset from an interval's write instant to its read_data release.
 
-    Uses the same per-cell bias clamping and rounding as the engine, so the
-    decode window starts exactly where the release lands.
+    Read off the controller's cells pinned at the bias, as the engine runs
+    them, so the decode window starts exactly where the release lands.
     """
     bias = bias if bias is not None else cfg.bias
-    cells = default_cell_params(cfg.cell_overrides)
-    read = cells["read_dro2r"]
-    return min(source_path_delays(cells, bias)) + read.delay(read.clamped_bias(bias))
+    return _read_offset(build_controller(cfg).at_bias(bias), bias)
 
 
-def run_program(program: MemoryProgram, cfg: SimConfig) -> MemoryResult:
-    """Simulate a program and decode its reads from the read_data line.
+def _read_offset(pins: PinnedNetlist, bias: BiasPoint) -> int:
+    return min(source_path_delays(pins.cells, bias)) + pins.cells["read_dro2r"].prop_delay_fs
+
+
+def prepare_program(program: MemoryProgram, cfg: SimConfig) -> Callable[..., MemoryResult]:
+    """Everything of a run that does not depend on bias (the controller, the
+    scheduled stimulus, the end time and each read's decode slot), as a
+    function ``run(bias, max_events=10_000_000)`` that simulates at ``bias``
+    and decodes the reads from the read_data line.
 
     A read of address k in trip t reports 1 iff a read_data pulse lands in
     the one-interval window opening at that interval's release offset.
     """
-    _check_program(program, cfg.num_addresses)
-    netlist = build_controller(cfg)
-    stimulus = stimulus_for(program, cfg)
+    stimulus = stimulus_for(program, cfg)  # checks the program before the controller compiles
+    prepared = schedule(build_controller(cfg), stimulus)
+    interval = interval_duration(cfg)
     trip = trip_duration(cfg)
     t_end = (len(program.trips) + 2) * trip
-
-    prepared = schedule(netlist, stimulus)
-    trace = run_until(prepared, t_end, cfg.bias, cfg.max_events)
-
-    interval = interval_duration(cfg)
     _, ph_write, _ = phase_instants(cfg)
-    header = cfg.header_intervals * interval
-    offset = read_window_offset(cfg)
+    first = cfg.header_intervals * interval + ph_write
+    # (trip, address, write instant of that read's interval), one per read
+    read_slots = tuple(
+        (t, k, t * trip + first + k * interval) for t, op in enumerate(program.trips) for k in op.reads
+    )
 
-    read_times = trace.pulses_on("read_data")  # in time order
-    reads: dict[tuple[int, int], int] = {}
-    for t, op in enumerate(program.trips):
-        for k in op.reads:
-            w0 = t * trip + header + k * interval + ph_write + offset
+    def run(bias: BiasPoint, max_events: int = 10_000_000) -> MemoryResult:
+        trace = run_until(prepared, t_end, bias, max_events)
+        offset = _read_offset(prepared.netlist.at_bias(bias), bias)
+        read_times = trace.pulses_on("read_data")  # in time order
+        reads: dict[tuple[int, int], int] = {}
+        for t, k, write_at in read_slots:
+            w0 = write_at + offset
             i = bisect_left(read_times, w0)
             reads[(t, k)] = 1 if i < len(read_times) and read_times[i] < w0 + interval else 0
+        return MemoryResult(reads=reads, trace=trace, passed=not trace.failed)
 
-    return MemoryResult(reads=reads, trace=trace, passed=not trace.failed)
+    return run
+
+
+def run_program(program: MemoryProgram, cfg: SimConfig) -> MemoryResult:
+    """Simulate a program at the config's bias and decode its reads
+    (see :func:`prepare_program`)."""
+    return prepare_program(program, cfg)(cfg.bias, cfg.max_events)
 
 
 def oracle(program: MemoryProgram, num_addresses: int) -> dict[tuple[int, int], int]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cells import INPUT_PORTS, OUTPUT_PORTS, BiasRangeError, default_cell_params
 from .core import (
@@ -31,11 +31,13 @@ from .core import (
 from .engine import Connection, Netlist, run_until, schedule
 from .memory import (
     MemoryProgram,
+    MemoryResult,
     default_margin_suite,
     oracle,
     phase_instants,
+    prepare_program,
     required_loop_delay,
-    run_program,
+    run_program,  # unused here; perfbench's tracer and self-test expect timing.run_program
     source_path_delays,
 )
 
@@ -275,11 +277,12 @@ class MarginReport:
 
 
 def _suite_failure(
-    cfg: SimConfig,
-    scenarios: Sequence[MemoryProgram],
+    scenarios: Sequence[Callable[..., MemoryResult]],
     expected: Sequence[dict[tuple[int, int], int]],
+    bias: BiasPoint,
+    max_events: int,
 ) -> str | None:
-    """First failure cause across the suite at this config, else None.
+    """First failure cause across the suite at this bias, else None.
 
     Violations win over silent wrong reads and are ranked by (time, cell,
     kind) across all scenarios, so the verdict does not depend on scenario
@@ -287,8 +290,8 @@ def _suite_failure(
     """
     violations = []
     wrong = False
-    for program, want in zip(scenarios, expected):
-        result = run_program(program, cfg)
+    for scenario, want in zip(scenarios, expected):
+        result = scenario(bias, max_events)
         violations.extend(result.trace.violations)
         if result.reads != want:
             wrong = True
@@ -305,14 +308,22 @@ def bias_margin(
     scenarios: Sequence[MemoryProgram] | None = None,
     max_pct: int = 50,
 ) -> MarginReport:
-    """Bracket the bias window by stepping away from nominal in 1% moves."""
+    """Bracket the bias window by stepping away from nominal in 1% moves.
+
+    Each scenario is prepared (controller, stimulus, read slots) once; a
+    bias step only runs the prepared scenarios.
+    """
     if scenarios is None:
         scenarios = default_margin_suite(cfg)
     if not scenarios:
         raise ValueError("bias_margin needs at least one scenario")
     expected = [oracle(p, cfg.num_addresses) for p in scenarios]
+    prepared = [prepare_program(p, cfg) for p in scenarios]
 
-    nominal_failure = _suite_failure(cfg.with_bias(BiasPoint.nominal()), scenarios, expected)
+    def failure(ratio: Fraction) -> str | None:
+        return _suite_failure(prepared, expected, BiasPoint(ratio), cfg.max_events)
+
+    nominal_failure = failure(Fraction(1))
     if nominal_failure is not None:
         return MarginReport(cfg.frequency_hz, 0, 0, nominal_failure, nominal_failure)
 
@@ -320,10 +331,9 @@ def bias_margin(
     for sign in (-1, 1):
         bound, limiter = max_pct, None
         for pct in range(1, max_pct + 1):
-            ratio = Fraction(100 + sign * pct, 100)
-            failure = _suite_failure(cfg.with_bias(BiasPoint(ratio)), scenarios, expected)
-            if failure is not None:
-                bound, limiter = pct - 1, failure
+            cause = failure(Fraction(100 + sign * pct, 100))
+            if cause is not None:
+                bound, limiter = pct - 1, cause
                 break
         bounds.append((bound, limiter))
 

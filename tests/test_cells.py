@@ -146,20 +146,20 @@ DRO = CellParams(kind=CellKind.DRO, prop_delay_fs=5000, setup_fs=2000, hold_fs=1
 class TestDro:
     def test_store_then_release(self):
         state = CellState()
-        out, v = storage_step("d", DRO, state, "data", 0, NOM)
+        out, v = storage_step("d", DRO, state, "data", 0)
         assert out == [] and v == []
         # second data pulse on a full cell is absorbed
-        out, v = storage_step("d", DRO, state, "data", 3000, NOM)
+        out, v = storage_step("d", DRO, state, "data", 3000)
         assert out == [] and v == []
-        out, v = storage_step("d", DRO, state, "clock", 20000, NOM)
+        out, v = storage_step("d", DRO, state, "clock", 20000)
         assert out == [("out", 25000)] and v == []
         # cell is now empty: another clock releases nothing
-        out, v = storage_step("d", DRO, state, "clock", 40000, NOM)
+        out, v = storage_step("d", DRO, state, "clock", 40000)
         assert out == [] and v == []
 
     def test_clock_on_empty_cell(self):
         state = CellState()
-        out, v = storage_step("d", DRO, state, "clock", 100, NOM)
+        out, v = storage_step("d", DRO, state, "clock", 100)
         assert out == [] and v == []
 
     @pytest.mark.parametrize(
@@ -168,8 +168,8 @@ class TestDro:
     )
     def test_setup_boundary_is_strict(self, gap, ok):
         state = CellState()
-        storage_step("d", DRO, state, "data", 10000, NOM)
-        out, v = storage_step("d", DRO, state, "clock", 10000 + gap, NOM)
+        storage_step("d", DRO, state, "data", 10000)
+        out, v = storage_step("d", DRO, state, "clock", 10000 + gap)
         assert out == [("out", 10000 + gap + 5000)]
         if ok:
             assert v == []
@@ -183,8 +183,8 @@ class TestDro:
     @pytest.mark.parametrize("gap, ok", [(1000, True), (999, False)])
     def test_hold_boundary_is_strict(self, gap, ok):
         state = CellState()
-        storage_step("d", DRO, state, "clock", 5000, NOM)
-        out, v = storage_step("d", DRO, state, "data", 5000 + gap, NOM)
+        storage_step("d", DRO, state, "clock", 5000)
+        out, v = storage_step("d", DRO, state, "data", 5000 + gap)
         assert out == []
         if ok:
             assert v == []
@@ -195,13 +195,13 @@ class TestDro:
 
     def test_hold_clean_example(self):
         state = CellState()
-        storage_step("d", DRO, state, "clock", 5000, NOM)
-        out, v = storage_step("d", DRO, state, "data", 8000, NOM)
+        storage_step("d", DRO, state, "clock", 5000)
+        out, v = storage_step("d", DRO, state, "data", 8000)
         assert out == [] and v == []
 
     def test_unknown_port(self):
         with pytest.raises(ValueError, match="DRO has no port"):
-            storage_step("d", DRO, CellState(), "clk2", 0, NOM)
+            storage_step("d", DRO, CellState(), "clk2", 0)
 
 
 # --- DRO2R -----------------------------------------------------------------
@@ -219,29 +219,29 @@ DRO2R = CellParams(
 class TestDro2r:
     def test_clock0_takes_out0(self):
         state = CellState()
-        storage_step("r", DRO2R, state, "data", 0, NOM)
-        out, v = storage_step("r", DRO2R, state, "clock0", 10000, NOM)
+        storage_step("r", DRO2R, state, "data", 0)
+        out, v = storage_step("r", DRO2R, state, "clock0", 10000)
         assert out == [("out0", 15000)] and v == []
 
     def test_clock1_takes_out1_with_its_own_delay(self):
         state = CellState()
-        storage_step("r", DRO2R, state, "data", 0, NOM)
-        out, v = storage_step("r", DRO2R, state, "clock1", 15000, NOM)
+        storage_step("r", DRO2R, state, "data", 0)
+        out, v = storage_step("r", DRO2R, state, "clock1", 15000)
         assert out == [("out1", 21000)] and v == []
         # the shared loop is now empty, so the other clock gets nothing
-        out, v = storage_step("r", DRO2R, state, "clock0", 30000, NOM)
+        out, v = storage_step("r", DRO2R, state, "clock0", 30000)
         assert out == [] and v == []
 
     def test_setup_checked_on_both_clocks(self):
         state = CellState()
-        storage_step("r", DRO2R, state, "data", 0, NOM)
-        out, v = storage_step("r", DRO2R, state, "clock1", 500, NOM)
+        storage_step("r", DRO2R, state, "data", 0)
+        out, v = storage_step("r", DRO2R, state, "clock1", 500)
         assert out == [("out1", 6500)]
         assert v[0].detail == "clock1 500 fs after data (setup 2000 fs)"
 
     def test_unknown_port(self):
         with pytest.raises(ValueError, match="DRO2R has no port"):
-            storage_step("r", DRO2R, CellState(), "clock", 0, NOM)
+            storage_step("r", DRO2R, CellState(), "clock", 0)
 
 
 # --- merger / fanout ---------------------------------------------------------
@@ -250,17 +250,17 @@ class TestDro2r:
 def test_merger_forwards_each_input():
     params = CellParams(kind=CellKind.MERGER, prop_delay_fs=1500, min_separation_fs=2000)
     state = CellState()
-    out, v = merger_step("m", params, state, "in0", 0, NOM)
+    out, v = merger_step("m", params, state, "in0", 0)
     assert out == [("out", 1500)] and v == []
-    out, v = merger_step("m", params, state, "in1", 10000, NOM)
+    out, v = merger_step("m", params, state, "in1", 10000)
     assert out == [("out", 11500)] and v == []
 
 
 def test_merger_collision_is_electrical_but_both_forward():
     params = CellParams(kind=CellKind.MERGER, prop_delay_fs=1500, min_separation_fs=2000)
     state = CellState()
-    out0, v0 = merger_step("m", params, state, "in0", 0, NOM)
-    out1, v1 = merger_step("m", params, state, "in1", 1000, NOM)
+    out0, v0 = merger_step("m", params, state, "in0", 0)
+    out1, v1 = merger_step("m", params, state, "in1", 1000)
     assert out0 == [("out", 1500)] and v0 == []
     assert out1 == [("out", 2500)]
     assert [(x.kind, x.time_fs, x.detail) for x in v1] == [
@@ -268,23 +268,23 @@ def test_merger_collision_is_electrical_but_both_forward():
     ]
     # same-port repeats do not collide
     fresh = CellState()
-    merger_step("m", params, fresh, "in1", 0, NOM)
-    out2, v2 = merger_step("m", params, fresh, "in1", 500, NOM)
+    merger_step("m", params, fresh, "in1", 0)
+    out2, v2 = merger_step("m", params, fresh, "in1", 500)
     assert out2 == [("out", 2000)] and v2 == []
 
 
 def test_merger_unknown_port():
     params = CellParams(kind=CellKind.MERGER, prop_delay_fs=1500)
     with pytest.raises(ValueError, match="merger has no port"):
-        merger_step("m", params, CellState(), "in2", 0, NOM)
+        merger_step("m", params, CellState(), "in2", 0)
 
 
 def test_fanout_duplicates_pulse():
     params = CellParams(kind=CellKind.FANOUT, prop_delay_fs=500)
-    out, v = fanout_step("f", params, CellState(), "in", 100, NOM)
+    out, v = fanout_step("f", params, CellState(), "in", 100)
     assert out == [("out_a", 600), ("out_b", 600)] and v == []
     with pytest.raises(ValueError, match="fanout has no port"):
-        fanout_step("f", params, CellState(), "out", 0, NOM)
+        fanout_step("f", params, CellState(), "out", 0)
 
 
 @pytest.mark.parametrize("kind", list(CellKind))
@@ -293,15 +293,15 @@ def test_steppers_accept_and_emit_exactly_the_table_ports(kind):
     known = {port for table in (INPUT_PORTS, OUTPUT_PORTS) for ports in table.values() for port in ports}
     for port in sorted(known):
         if port in INPUT_PORTS[kind]:
-            out, _ = stepper_for(kind)("c", params, CellState(stored=True), port, 0, NOM)
+            out, _ = stepper_for(kind)("c", params, CellState(stored=True), port, 0)
             assert {name for name, _ in out} <= set(OUTPUT_PORTS[kind])
         else:
             with pytest.raises(ValueError, match="has no port"):
-                stepper_for(kind)("c", params, CellState(stored=True), port, 0, NOM)
+                stepper_for(kind)("c", params, CellState(stored=True), port, 0)
 
 
 def test_step_cell_dispatch():
-    out, v = step_cell("d", DRO, CellState(), "data", 0, NOM)
+    out, v = step_cell("d", DRO, CellState(), "data", 0)
     assert out == [] and v == []
 
 

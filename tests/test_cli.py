@@ -108,6 +108,29 @@ class TestSimulate:
         assert code == EXIT_INFEASIBLE
         assert "does not fit" in err
 
+    @pytest.mark.parametrize(
+        "trips, field",
+        [
+            ([{"write": {"addr": "1", "bit": 1}}], "trips[0].write.addr"),
+            ([{"reads": [0]}, {"reads": [2, 1.0]}], "trips[1].reads[1]"),
+            ([{"write": {"addr": 1, "bit": True}}], "trips[0].write.bit"),
+        ],
+    )
+    def test_program_fields_must_be_integers(self, write_config, write_program, capsys, trips, field):
+        code = main(["simulate", "--config", write_config(), "--program", write_program(trips)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err.startswith(f"error: {field}: expected an integer")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("value", ["abc", "0", "1/0"])
+    def test_malformed_bias_option(self, write_config, write_program, capsys, value):
+        program = write_program(WRITE_READ)
+        code = main(["simulate", "--config", write_config(), "--program", program, "--bias", value])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err == f"error: --bias: expected a positive ratio, got {value!r}\n"
+
     def test_deterministic_trace_bytes(self, write_config, write_program, tmp_path, capsys):
         config, program = write_config(), write_program(WRITE_READ)
         paths = [tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "a.vcd", tmp_path / "b.vcd"]
@@ -131,6 +154,12 @@ class TestSta:
         out = capsys.readouterr().out
         assert code == EXIT_RUN_FAILED
         assert "timing VIOLATED (read_hold)" in out
+
+    def test_malformed_window_edge(self, write_config, capsys):
+        code = main(["sta", "--config", write_config(), "--bias-lo", "low"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err == "error: --bias-lo: expected a positive ratio, got 'low'\n"
 
     def test_window_outside_electrical_range(self, write_config, capsys):
         code = main(["sta", "--config", write_config(), "--bias-lo", "0.7", "--bias-hi", "1.3"])
@@ -214,6 +243,15 @@ class TestDensity:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "--layers applies to a single --preset" in err
+
+
+    @pytest.mark.parametrize("layers", ["0", "-3"])
+    def test_layers_must_be_positive(self, capsys, layers):
+        code = main(["density", "--preset", "nbn-nanowire-15", "--layers", layers])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == f"error: layers: --layers must be at least 1, got {layers}\n"
+        assert captured.out == ""
 
 
 class TestCharacterize:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from fluxloop import FluxloopError, SimConfig, build_controller, cells, scenario_write_read, stimulus_for
@@ -230,17 +232,59 @@ class TestRunUntil:
 
     def test_delay_curves_are_evaluated_per_run_not_per_event(self, monkeypatch):
         cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
+        controller = build_controller(cfg)
+        # a netlist of its own, so no earlier run has pinned a bias on it
+        net = Netlist(controller.cells, controller.connections, controller.external_inputs, controller.observed)
         lookups = []
         original = cells.delay_at_bias
         monkeypatch.setattr(cells, "delay_at_bias", lambda model, b: lookups.append(b) or original(model, b))
-        per_run = []
-        for trips in (1, 8):
-            prepared = schedule(build_controller(cfg), stimulus_for(scenario_write_read(1, trips), cfg))
+
+        def count(trips: int, ratio: str) -> int:
+            prepared = schedule(net, stimulus_for(scenario_write_read(1, trips), cfg))
             lookups.clear()
-            trace = run_until(prepared, (trips + 2) * trip_duration(cfg), BiasPoint.of("0.9"))
+            trace = run_until(prepared, (trips + 2) * trip_duration(cfg), BiasPoint.of(ratio))
             assert trace.events
-            per_run.append(len(lookups))
-        assert per_run[0] == per_run[1] > 0
+            return len(lookups)
+
+        # the first run at each bias pins the cells; more trips add no lookup
+        assert count(1, "0.9") == count(8, "0.95") > 0
+        # a bias already pinned on this netlist is looked up no more
+        assert count(8, "0.9") == 0
+
+    def test_repeat_runs_at_one_bias_give_equal_traces(self):
+        cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
+        prepared = schedule(build_controller(cfg), stimulus_for(scenario_write_read(1, 3), cfg))
+        first = run_until(prepared, 5 * trip_duration(cfg), BiasPoint.of("0.5"))
+        again = run_until(prepared, 5 * trip_duration(cfg), BiasPoint.of("0.5"))
+        assert first == again and first.violations
+
+    def test_pin_cache_stays_bounded(self):
+        net = dro_netlist()
+        prepared = schedule(net, [PulseEvent(0, "din"), PulseEvent(20000, "clk")])
+        for i in range(200):
+            run_until(prepared, 40000, BiasPoint(Fraction(50 + i, 100)))
+        info = net._pinned.cache_info()
+        assert 0 < info.currsize <= info.maxsize
+
+
+class TestNetlistCells:
+    def test_cells_are_read_only(self):
+        net = dro_netlist()
+        with pytest.raises(TypeError):
+            net.cells["d"] = FANOUT  # type: ignore[index]
+        with pytest.raises(TypeError):
+            del net.cells["d"]  # type: ignore[attr-defined]
+
+    def test_cells_are_copied_from_the_mapping_given(self):
+        given = {"d": DRO}
+        net = Netlist(
+            cells=given,
+            connections=(Connection("din", "d.data"),),
+            external_inputs=frozenset({"din"}),
+            observed=("din",),
+        )
+        given["d"] = FANOUT
+        assert net.cells["d"] is DRO
 
 
 class TestTaps:

@@ -74,6 +74,9 @@ class TestProgramModel:
             ('{"trips": [[1]]}', r"trips\[0\]"),
             ('{"trips": [{"write": {"addr": 1}}]}', r"trips\[0\].write"),
             ('{"trips": [{"reads": 3}]}', r"trips\[0\].reads"),
+            ('{"trips": [{"write": {"addr": "1", "bit": 1}}]}', r"trips\[0\].write.addr: expected an integer"),
+            ('{"trips": [{"write": {"addr": 1, "bit": true}}]}', r"trips\[0\].write.bit: expected an integer"),
+            ('{"trips": [{}, {"reads": [0, 1.0]}]}', r"trips\[1\].reads\[1\]: expected an integer"),
         ],
     )
     def test_parse_errors_name_the_field(self, text, field):
@@ -120,6 +123,29 @@ class TestControllerNetlist:
         assert (loops[0].src, loops[0].dst, loops[0].delay_fs) == ("loop_data_in", "loop_data_out", 30000)
         assert net.external_inputs == frozenset(INPUT_LINES)
         assert net.observed == OBSERVED_LINES
+
+    def test_compiled_once_per_bias_free_config(self, cfg100):
+        net = build_controller(cfg100)
+        assert build_controller(cfg100.with_bias(BiasPoint.of("0.8"))) is net
+        assert build_controller(replace(cfg100, max_events=5, search_ceiling_hz=GHZ)) is net
+        # equal overrides held in distinct objects compile alike
+        tuned = {"merger": {"prop_delay": 1000}}
+        assert build_controller(replace(cfg100, cell_overrides=tuned)) is build_controller(
+            replace(cfg100, cell_overrides={"merger": {"prop_delay": 1000}})
+        )
+        for changed in (
+            cfg100.with_frequency(50 * GHZ),
+            replace(cfg100, retiming_guard_fs=1000),
+            replace(cfg100, loop_jitter_fs=(100,)),
+            replace(cfg100, cell_overrides=tuned),
+        ):
+            assert build_controller(changed) is not net
+
+    def test_shared_cells_are_read_only(self, cfg100):
+        net = build_controller(cfg100)
+        with pytest.raises(TypeError):
+            net.cells["merger"] = net.cells["fanout"]
+        assert build_controller(cfg100).cells["merger"].kind.value == "MERGER"
 
     def test_explicit_loop_delay_wins(self, cfg100):
         cfg = replace(cfg100, loop_delay_fs=25000)

@@ -18,9 +18,10 @@ from fluxloop import (
     max_frequency,
     sta,
 )
+from fluxloop import cells, memory
 from fluxloop.cells import _interpolate, default_cell_params, delay_at_bias
 from fluxloop.core import BiasPoint
-from fluxloop.memory import default_margin_suite
+from fluxloop.memory import build_controller, default_margin_suite, scenario_write_read
 from fluxloop.timing import (
     characterization_to_csv,
     margins_to_csv,
@@ -264,6 +265,26 @@ class TestBiasMargin:
     def test_empty_scenario_list_rejected(self, cfg100):
         with pytest.raises(ValueError, match="at least one scenario"):
             bias_margin(cfg100, ())
+
+
+class TestCaches:
+    def test_caches_stay_bounded_over_many_frequencies(self, cfg100):
+        suite = (scenario_write_read(1, 1),)
+        for ghz in range(20, 220):
+            cfg = cfg100.with_frequency(ghz * GHZ)
+            sta(cfg)
+            bias_margin(cfg, suite, max_pct=1)
+        for cache in (memory._compile, cells._cell_set, cells._interpolate, build_controller(cfg)._pinned):
+            info = cache.cache_info()
+            assert 0 < info.currsize <= info.maxsize
+
+    def test_sweep_is_the_same_on_warm_and_cleared_caches(self, cfg100):
+        freqs = [50 * GHZ, 100 * GHZ, 500 * GHZ]
+        warm = margins_to_csv(margin_sweep(cfg100, freqs))
+        assert margins_to_csv(margin_sweep(cfg100, freqs)) == warm
+        for cache in (memory._compile, cells._cell_set, cells._interpolate):
+            cache.cache_clear()
+        assert margins_to_csv(margin_sweep(cfg100, freqs)) == warm
 
 
 class TestMarginSweep:
