@@ -6,9 +6,10 @@ for the maximum feasible frequency), ``margins`` sweeps empirical bias
 margins over a frequency list, ``density`` prints storage-density tables,
 and ``characterize`` sweeps one cell's delay over bias.
 
-Exit codes classify failures for scripting: 2 config/usage trouble,
-3 infeasible frequency, 4 a run that completed but failed (violations or
-wrong reads).
+Exit codes classify failures for scripting: 2 config/usage trouble (a
+malformed document or option, a run that exceeds ``max_events``, or any
+other input the simulator refuses), 3 infeasible frequency, 4 a run that
+completed but failed (violations or wrong reads).
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .cells import BiasRangeError, default_cell_params
+from .cells import default_cell_params
 from .core import (
     BiasPoint,
     ConfigError,
+    FluxloopError,
     InfeasibleFrequencyError,
     exact_ratio,
+    format_ratio,
     parse_config,
     parse_frequency,
 )
@@ -37,7 +40,7 @@ from .density import (
     resolve_preset,
     stacked_spec,
 )
-from .engine import trace_to_csv, trace_to_vcd
+from .engine import RunawayQueueError, trace_to_csv, trace_to_vcd
 from .memory import oracle, parse_program, run_program
 from .timing import (
     characterization_to_csv,
@@ -121,11 +124,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_sta(args: argparse.Namespace) -> int:
     cfg = parse_config(_read(args.config, "config"))
+    bias_lo, bias_hi = _ratio_option(args.bias_lo, "--bias-lo"), _ratio_option(args.bias_hi, "--bias-hi")
+    lo = bias_lo if bias_lo is not None else cfg.bias.ratio
+    hi = bias_hi if bias_hi is not None else cfg.bias.ratio
+    if lo > hi:
+        raise ConfigError(
+            "--bias-lo" if bias_lo is not None else "--bias-hi",
+            f"window low edge {format_ratio(lo)} exceeds its high edge {format_ratio(hi)} "
+            "(an edge not given is the config bias)",
+        )
     if args.find_max:
         freq = max_frequency(cfg)
         print(f"max feasible frequency: {freq / 1e9:g} GHz")
         cfg = cfg.with_frequency(freq)
-    report = sta(cfg, _ratio_option(args.bias_lo, "--bias-lo"), _ratio_option(args.bias_hi, "--bias-hi"))
+    report = sta(cfg, lo, hi)
     sys.stdout.write(sta_to_text(report))
     return EXIT_OK if report.all_met else EXIT_RUN_FAILED
 
@@ -259,15 +271,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except BiasRangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except InfeasibleFrequencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except RunawayQueueError as exc:
+        print(f"error: max_events: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except FluxloopError as exc:  # a ConfigError, BiasRangeError or any other refused input
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Mapping
@@ -55,6 +56,7 @@ class ConfigError(FluxloopError):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
         self.field = field_name
+        self.message = message
 
 
 class InfeasibleFrequencyError(FluxloopError):
@@ -150,16 +152,21 @@ def parse_frequency(value: Any, field_name: str = "frequency") -> int:
     return hz
 
 
-@dataclass(frozen=True, order=True)
-class PulseEvent:
-    """A single SFQ pulse: a bare timestamp on a named signal line."""
+class PulseEvent(namedtuple("PulseEvent", "time_fs line")):
+    """A single SFQ pulse: a bare timestamp on a named signal line.
 
-    time_fs: int
-    line: str
+    A tuple ``(time_fs, line)``: pulses order by time, then line, and equal
+    the plain tuple of their fields.  The constructor refuses a negative
+    time; the event kernel wraps keys it has proved valid with
+    ``tuple.__new__(PulseEvent, key)`` instead.
+    """
 
-    def __post_init__(self) -> None:
-        if self.time_fs < 0:
-            raise ValueError(f"pulse time must be non-negative, got {self.time_fs}")
+    __slots__ = ()
+
+    def __new__(cls, time_fs: int, line: str) -> "PulseEvent":
+        if time_fs < 0:
+            raise ValueError(f"pulse time must be non-negative, got {time_fs}")
+        return tuple.__new__(cls, (time_fs, line))
 
 
 @dataclass(frozen=True)

@@ -10,19 +10,19 @@ emits onto the lines wired to its outputs.  Two connection shapes exist:
   cyclic connection in the controller.  A tap may carry a piecewise
   schedule of extra delay offsets (per-trip loop jitter).
 
-Events at equal timestamps are ordered by line name, then insertion order,
-so reruns of an identical (netlist, stimulus, bias) triple produce
-bit-identical traces.
+Events at equal timestamps are ordered by line name, and at most one pulse
+exists per line and instant, so reruns of an identical (netlist, stimulus,
+bias) triple produce bit-identical traces.
 """
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from operator import attrgetter
+from heapq import heappop, heappush
+from itertools import cycle
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -91,26 +91,36 @@ class Netlist:
         _validate(self)
 
     @cached_property
-    def _wiring(self) -> tuple[dict[str, tuple], dict[str, tuple[Connection, ...]]]:
-        """(line -> its (stepper, cell, port, output-line map) consumers, line -> its taps)."""
+    def _wiring(self) -> tuple[dict[str, tuple], frozenset[str]]:
+        """(line -> its route, the external inputs a cell or tap also drives).
+
+        Every line a pulse can land on has a route: (observed?, its consumers
+        as (stepper, cell, port, output-line map), its taps as (delay, offset
+        schedule, destination)).
+        """
         ports_on: dict[str, list[tuple[str, str]]] = {}
-        taps: dict[str, list[Connection]] = {}
+        taps: dict[str, list[tuple]] = {}
         out_lines: dict[str, dict[str, str]] = {name: {} for name in self.cells}
+        driven = set()
         for conn in self.connections:
             if _is_port(conn.dst):
                 ports_on.setdefault(conn.src, []).append(_split_port(conn.dst))
-            elif _is_port(conn.src):
+                continue
+            driven.add(conn.dst)
+            if _is_port(conn.src):
                 cell, port = _split_port(conn.src)
                 out_lines[cell][port] = conn.dst
             else:
-                taps.setdefault(conn.src, []).append(conn)
-        consumers = {
-            line: tuple(
-                (stepper_for(self.cells[cell].kind), cell, port, out_lines[cell]) for cell, port in sorted(ports)
+                taps.setdefault(conn.src, []).append((conn.delay_fs, conn.offset_schedule, conn.dst))
+        routes = {
+            line: (
+                line in self.observed,
+                tuple((stepper_for(self.cells[c].kind), c, p, out_lines[c]) for c, p in sorted(ports_on.get(line, ()))),
+                tuple(taps.get(line, ())),
             )
-            for line, ports in ports_on.items()
+            for line in driven | self.external_inputs
         }
-        return consumers, {line: tuple(conns) for line, conns in taps.items()}
+        return routes, frozenset(driven & self.external_inputs)
 
     # Bounded: a margin search visits at most 101 ratios per netlist.
     @cached_property
@@ -125,27 +135,28 @@ class Netlist:
 class PinnedNetlist:
     """A netlist's cells at one bias: constant delays, the t=0 ELECTRICAL
     violations of cells whose range excludes the bias, and each line's
-    consumers as (stepper, cell, pinned params, port, output-line map)."""
+    route with its consumers as (stepper, cell, pinned params, port,
+    output-line map)."""
 
     # A slotted class, not a dataclass or NamedTuple: defining one of those
     # costs 0.3-1.3 ms of every CLI start.
-    __slots__ = ("cells", "violations", "consumers", "zero_delay")
+    __slots__ = ("cells", "violations", "routes", "zero_delay")
 
     def __init__(
         self,
         cells: Mapping[str, CellParams],
         violations: tuple[TimingViolation, ...],
-        consumers: Mapping[str, tuple[tuple, ...]],
+        routes: Mapping[str, tuple],
         zero_delay: bool,
     ) -> None:
         self.cells = cells
         self.violations = violations
-        self.consumers = consumers
+        self.routes = routes
         #: a zero pinned delay can emit at the current instant (see run_until)
         self.zero_delay = zero_delay
 
 
-def _pin(cells: Mapping[str, CellParams], consumers: dict, ratio: Fraction) -> PinnedNetlist:
+def _pin(cells: Mapping[str, CellParams], routes: dict, ratio: Fraction) -> PinnedNetlist:
     bias = BiasPoint(ratio)
     violations = []
     pinned = {}
@@ -166,9 +177,9 @@ def _pin(cells: Mapping[str, CellParams], consumers: dict, ratio: Fraction) -> P
     return PinnedNetlist(
         cells=MappingProxyType(pinned),
         violations=tuple(violations),
-        consumers=MappingProxyType({
-            line: tuple((stepper, cell, pinned[cell], port, outs) for stepper, cell, port, outs in entries)
-            for line, entries in consumers.items()
+        routes=MappingProxyType({
+            line: (observed, tuple((step, cell, pinned[cell], port, outs) for step, cell, port, outs in entries), taps)
+            for line, (observed, entries, taps) in routes.items()
         }),
         zero_delay=any(p.prop_delay_fs == 0 or p.prop_delay_out1_fs == 0 for p in pinned.values()),
     )
@@ -210,13 +221,12 @@ def _validate(net: Netlist) -> None:
             if (cell, port) in input_drivers:
                 raise NetlistError(f"input port {conn.dst} has more than one driver")
             input_drivers[(cell, port)] = conn.src
-        if _is_port(conn.src):
+        elif _is_port(conn.src):
             cell, port = _split_port(conn.src)
             if port not in OUTPUT_PORTS[net.cells[cell].kind]:
                 raise NetlistError(f"{conn.src} is not an output port")
-        if not _is_port(conn.src) and not _is_port(conn.dst):
-            if conn.delay_fs <= 0 and not conn.is_loop:
-                raise NetlistError(f"line tap {conn.src} -> {conn.dst} needs a positive delay")
+        elif conn.delay_fs <= 0 and not conn.is_loop:
+            raise NetlistError(f"line tap {conn.src} -> {conn.dst} needs a positive delay")
         starts = [s for s, _ in conn.offset_schedule]
         if starts != sorted(starts):
             raise NetlistError(f"{conn.src} -> {conn.dst}: offset schedule must be sorted by start time")
@@ -266,7 +276,7 @@ class Trace:
     def pulses_on(self, line: str) -> tuple[int, ...]:
         if line not in self.observed:
             raise UnknownLineError(f"line {line!r} is not observed by this trace")
-        return tuple(e.time_fs for e in self.events if e.line == line)
+        return tuple(t for t, on in self.events if on == line)
 
 
 @dataclass
@@ -281,20 +291,15 @@ def schedule(netlist: Netlist, stimulus: list[PulseEvent]) -> PreparedRun:
     for pulse in stimulus:
         if pulse.line not in netlist.external_inputs:
             raise UnknownLineError(f"line {pulse.line!r} is not a declared external input")
-        key = (pulse.time_fs, pulse.line)
-        if key in seen:
+        if pulse in seen:
             raise DuplicatePulseError(f"duplicate pulse on {pulse.line!r} at {pulse.time_fs} fs")
-        seen.add(key)
-    return PreparedRun(netlist, tuple(sorted(stimulus, key=attrgetter("time_fs", "line"))))
+        seen.add(pulse)
+    return PreparedRun(netlist, tuple(sorted(stimulus)))
 
 
 def _tap_offset(schedule_: tuple[tuple[int, int], ...], t: int) -> int:
-    if not schedule_:
-        return 0
     idx = bisect_right(schedule_, (t, float("inf"))) - 1
-    if idx < 0:
-        return 0
-    return schedule_[idx][1]
+    return schedule_[idx][1] if idx >= 0 else 0
 
 
 def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events: int = 10_000_000) -> Trace:
@@ -304,75 +309,81 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
     ELECTRICAL violation for that cell at t=0 and evaluates its delays at
     the nearest range edge, so the trace remains collectible while the run
     is marked failed.
+
+    The sorted stimulus is walked in place, merged with a heap of the pulses
+    cells and taps emit.  ``max_events`` bounds the pending pulses: the heap
+    plus the stimulus not yet walked.
     """
     if t_end_fs < 0:
         raise ValueError("t_end must be non-negative")
+    stimulus = prepared.stimulus
+    if len(stimulus) > max_events:
+        raise RunawayQueueError(f"stimulus of {len(stimulus)} pulses exceeds the bound of {max_events} events")
     net = prepared.netlist
     pins = net.at_bias(bias)
-    taps = net._wiring[1]
     states = {name: CellState() for name in net.cells}
-    consumers = {
-        line: [(stepper, cell, params, states[cell], port, outs) for stepper, cell, params, port, outs in entries]
-        for line, entries in pins.consumers.items()
+    routes = {
+        line: (observed, [(step, cell, p, states[cell], port, outs) for step, cell, p, port, outs in entries], taps)
+        for line, (observed, entries, taps) in pins.routes.items()
     }
     violations = list(pins.violations)
-
-    heap: list[tuple[int, str, int]] = []
-    seq = 0
-    queued: set[tuple[int, str]] = set()
-
-    def push(t: int, line: str) -> None:
-        nonlocal seq
-        key = (t, line)
-        if key in queued:
-            # two coincident pulses on one line merge into a single pulse
-            # (the collision itself is reported by the emitting cell)
-            return
-        queued.add(key)
-        heapq.heappush(heap, (t, line, seq))
-        seq += 1
-        if len(heap) > max_events:
-            raise RunawayQueueError(f"event queue exceeded {max_events} events — runaway feedback")
-
-    for pulse in prepared.stimulus:
-        push(pulse.time_fs, pulse.line)
-
-    observed_set = set(net.observed)
+    contested = net._wiring[1]
+    # keys of the emitted pulses: an emission onto a pending or processed key
+    # merges into that pulse (the emitting cell reports the collision); on a
+    # line that a cell or tap drives besides the stimulus, stimulus keys too
+    queued: set[tuple[int, str]] = {key for key in stimulus if key[1] in contested} if contested else set()
+    heap: list[tuple[int, str]] = []
+    room = max_events - len(stimulus)  # a push may overflow only the heap's share
+    end = (t_end_fs,)  # sorts after every key before t_end, before every other
+    walk = (*stimulus[: bisect_left(stimulus, end)], end)
+    i = 0
+    following = walk[0]
     recorded: list[PulseEvent] = []
 
-    while heap:
-        t, line, _ = heapq.heappop(heap)
-        if t >= t_end_fs:
+    while True:
+        if heap and heap[0] < following:
+            t, line = key = heappop(heap)
+            observed, consumers, taps = routes[line]
+            if observed:
+                # every delay is non-negative and the stimulus is validated
+                recorded.append(tuple.__new__(PulseEvent, key))
+        elif following is not end:
+            t, line = key = following
+            i += 1
+            following = walk[i]
+            observed, consumers, taps = routes[line]
+            if observed:
+                recorded.append(key)
+        else:
             break
-        if line in observed_set:
-            recorded.append(PulseEvent(t, line))
-        for stepper, cell, params, state, port, outs in consumers.get(line, ()):
+        for stepper, cell, params, state, port, outs in consumers:
             emissions, cell_violations = stepper(cell, params, state, port, t)
-            violations.extend(cell_violations)
+            if cell_violations:
+                violations.extend(cell_violations)
             for out_port, t_out in emissions:
                 target = outs.get(out_port)
-                if target is not None:
-                    push(t_out, target)
-        for tap in taps.get(line, ()):
-            arrival = t + tap.delay_fs + _tap_offset(tap.offset_schedule, t)
+                if target is not None and (t_out, target) not in queued:
+                    queued.add((t_out, target))
+                    heappush(heap, (t_out, target))
+                    if len(heap) - i > room:
+                        raise RunawayQueueError(f"event queue exceeded {max_events} events — runaway feedback")
+        for delay, offsets, dst in taps:
+            arrival = t + delay + (_tap_offset(offsets, t) if offsets else 0)
             if arrival <= t:
                 raise FluxloopError(
-                    f"tap {tap.src} -> {tap.dst}: effective delay must stay positive "
-                    f"(got {arrival - t} fs at t={t})"
+                    f"tap {line} -> {dst}: effective delay must stay positive (got {arrival - t} fs at t={t})"
                 )
-            push(arrival, tap.dst)
+            if (arrival, dst) not in queued:
+                queued.add((arrival, dst))
+                heappush(heap, (arrival, dst))
+                if len(heap) - i > room:
+                    raise RunawayQueueError(f"event queue exceeded {max_events} events — runaway feedback")
 
     if pins.zero_delay:
         # a zero-delay emission can land at the current instant on a line
         # that sorts before the one just popped
-        recorded.sort(key=attrgetter("time_fs", "line"))
-    return Trace(
-        events=tuple(recorded),
-        violations=tuple(violations),
-        observed=net.observed,
-        t_end_fs=t_end_fs,
-        bias=bias,
-    )
+        recorded.sort()
+    return Trace(tuple(recorded), tuple(violations), net.observed, t_end_fs, bias)
 
 
 def query_pulses(trace: Trace, line: str, t0: int, t1: int) -> tuple[int, ...]:
@@ -391,11 +402,8 @@ def trace_to_csv(trace: Trace) -> str:
     kind as the detail prefix.  Rows are sorted by time, pulses before
     violations at equal times.
     """
-    rows: list[tuple[int, int, str, str, str]] = []
-    for event in trace.events:
-        rows.append((event.time_fs, 0, event.line, "pulse", ""))
-    for v in trace.violations:
-        rows.append((v.time_fs, 1, v.cell, "violation", f"{v.kind.value}: {v.detail}"))
+    rows = [(time_fs, 0, line, "pulse", "") for time_fs, line in trace.events]
+    rows += [(v.time_fs, 1, v.cell, "violation", f"{v.kind.value}: {v.detail}") for v in trace.violations]
     rows.sort()
     lines = ["time_fs,line,kind,detail"]
     for time_fs, _, name, kind, detail in rows:
@@ -407,35 +415,26 @@ def trace_to_csv(trace: Trace) -> str:
 
 def trace_to_vcd(trace: Trace) -> str:
     """Render a trace as a VCD document (1 fs timescale, toggle per pulse)."""
-    ids = {}
-    for i, line in enumerate(trace.observed):
-        if i >= 94:
-            raise FluxloopError("too many observed lines for single-character VCD ids")
-        ids[line] = chr(33 + i)
-    out = [
-        "$timescale 1fs $end",
-        "$scope module fluxloop $end",
-    ]
-    for line in trace.observed:
-        out.append(f"$var wire 1 {ids[line]} {line} $end")
-    out.append("$upscope $end")
-    out.append("$enddefinitions $end")
-
-    level = {line: 0 for line in trace.observed}
+    if len(trace.observed) > 94:
+        raise FluxloopError("too many observed lines for single-character VCD ids")
+    ids = {line: chr(33 + i) for i, line in enumerate(trace.observed)}
+    out = ["$timescale 1fs $end", "$scope module fluxloop $end"]
+    out += [f"$var wire 1 {ids[line]} {line} $end" for line in trace.observed]
+    out += ["$upscope $end", "$enddefinitions $end", "#0"]
+    # events are (time, line)-ordered: the t=0 pulses set the initial levels,
+    # and each later pulse toggles its line
     events = trace.events
-    start = 0
-    # events are (time, line)-ordered: the t=0 pulses set the initial levels
-    while start < len(events) and events[start].time_fs == 0:
-        level[events[start].line] = 1
-        start += 1
-    out.append("#0")
-    out.extend(f"{level[line]}{ids[line]}" for line in trace.observed)
+    start = bisect_left(events, (1,))
+    high = {line for _, line in events[:start]}
+    out += [f"{int(line in high)}{ids[line]}" for line in trace.observed]
+    toggle = {
+        line: cycle((f"{int(line not in high)}{ids[line]}", f"{int(line in high)}{ids[line]}")).__next__
+        for line in trace.observed
+    }
     t_prev = 0
-    for event in events[start:]:
-        if event.time_fs != t_prev:
-            t_prev = event.time_fs
-            out.append(f"#{t_prev}")
-        line = event.line
-        level[line] ^= 1
-        out.append(f"{level[line]}{ids[line]}")
+    for t, line in events[start:]:
+        if t != t_prev:
+            t_prev = t
+            out.append(f"#{t}")
+        out.append(toggle[line]())
     return "\n".join(out) + "\n"

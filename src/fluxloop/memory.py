@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Callable, Mapping
 
 from .cells import CellParams, _cell_set, _freeze, default_cell_params
@@ -37,7 +37,7 @@ from .core import (
     round_half_up,
     trip_duration,
 )
-from .engine import Connection, Netlist, PinnedNetlist, Trace, run_until, schedule
+from .engine import Connection, Netlist, PinnedNetlist, RunawayQueueError, Trace, run_until, schedule
 
 #: The externally driven lines.
 INPUT_LINES = (
@@ -66,10 +66,12 @@ class TripOp:
                 raise ConfigError("write.addr", "address must be non-negative")
             if bit not in (0, 1):
                 raise ConfigError("write.bit", "bit must be 0 or 1")
-        if any(a < 0 for a in self.reads):
-            raise ConfigError("reads", "addresses must be non-negative")
+        for j, addr in enumerate(self.reads):
+            if addr < 0:
+                raise ConfigError(f"reads[{j}]", "addresses must be non-negative")
         if len(set(self.reads)) != len(self.reads):
-            raise ConfigError("reads", "duplicate read address within a trip")
+            j = next(j for j, addr in enumerate(self.reads) if addr in self.reads[:j])
+            raise ConfigError(f"reads[{j}]", "duplicate read address within a trip")
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,10 @@ def parse_program(text: str) -> MemoryProgram:
         for j, value in enumerate(reads):
             if type(value) is not int:
                 raise _not_an_integer(f"trips[{i}].reads[{j}]", value)
-        trips.append(TripOp(write=write, reads=tuple(reads)))
+        try:
+            trips.append(TripOp(write=write, reads=tuple(reads)))
+        except ConfigError as exc:
+            raise ConfigError(f"trips[{i}].{exc.field}", exc.message) from None
     return MemoryProgram(trips=tuple(trips))
 
 
@@ -291,25 +296,33 @@ def stimulus_for(program: MemoryProgram, cfg: SimConfig) -> list[PulseEvent]:
     In every address interval exactly one of each complement pair fires;
     write_data appears in the header only for trips writing a 1.  Pulses
     come in generation order (each line's in time order); ``schedule``
-    sorts them.
+    sorts them.  A program whose stimulus alone exceeds ``cfg.max_events``
+    raises ``RunawayQueueError`` before any pulse is made.
     """
     _check_program(program, cfg.num_addresses)
+    ones = sum(1 for op in program.trips if op.write is not None and op.write[1] == 1)
+    size = 2 * cfg.num_addresses * len(program.trips) + ones
+    if size > cfg.max_events:
+        raise RunawayQueueError(f"stimulus of {size} pulses exceeds the bound of {cfg.max_events} events")
     interval = interval_duration(cfg)
     trip = trip_duration(cfg)
     ph_read, ph_write, ph_data = phase_instants(cfg)
     header = cfg.header_intervals * interval
 
+    # every instant is non-negative (SimConfig keeps the phases in [0, 1)),
+    # so the pulses are made without PulseEvent's per-pulse check
+    pulse = partial(tuple.__new__, PulseEvent)
     pulses: list[PulseEvent] = []
     for t, op in enumerate(program.trips):
         trip_start = t * trip
         if op.write is not None and op.write[1] == 1:
-            pulses.append(PulseEvent(trip_start + ph_data, "write_data"))
+            pulses.append(pulse((trip_start + ph_data, "write_data")))
         reads = set(op.reads)
         for k in range(cfg.num_addresses):
             slot = trip_start + header + k * interval
             writing = op.write is not None and op.write[0] == k
-            pulses.append(PulseEvent(slot + ph_write, "write_address" if writing else "not_write_address"))
-            pulses.append(PulseEvent(slot + ph_read, "read_address" if k in reads else "not_read_address"))
+            pulses.append(pulse((slot + ph_write, "write_address" if writing else "not_write_address")))
+            pulses.append(pulse((slot + ph_read, "read_address" if k in reads else "not_read_address")))
     return pulses
 
 

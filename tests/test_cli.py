@@ -123,6 +123,41 @@ class TestSimulate:
         assert captured.err.startswith(f"error: {field}: expected an integer")
         assert "Traceback" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "trips, message",
+        [
+            ([{"write": {"addr": 1, "bit": 2}}], "trips[0].write.bit: bit must be 0 or 1"),
+            ([{"reads": [0]}, {"reads": [2, -1]}], "trips[1].reads[1]: addresses must be non-negative"),
+            ([{"reads": [0, 2, 0]}], "trips[0].reads[2]: duplicate read address within a trip"),
+        ],
+    )
+    def test_program_errors_name_the_trip(self, write_config, write_program, capsys, trips, message):
+        code = main(["simulate", "--config", write_config(), "--program", write_program(trips)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
+    @pytest.mark.parametrize("max_events", [5, 6])
+    def test_event_bound(self, write_config, write_program, capsys, max_events):
+        # the stimulus alone (7 pulses) exceeds the bound, so nothing is simulated
+        program = write_program(WRITE_READ[:1])
+        code = main(["simulate", "--config", write_config(max_events=max_events), "--program", program])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == f"error: max_events: stimulus of 7 pulses exceeds the bound of {max_events} events\n"
+        assert captured.out == ""
+        assert main(["simulate", "--config", write_config(max_events=7), "--program", program]) == EXIT_OK
+
+    def test_other_refused_input(self, write_config, write_program, capsys):
+        # jitter that cancels the loop delay is refused by the kernel
+        config = write_config(loop_jitter=["-30ps"])
+        code = main(["simulate", "--config", config, "--program", write_program(WRITE_READ)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == (
+            "error: tap loop_data_in -> loop_data_out: effective delay must stay positive (got 0 fs at t=30000)\n"
+        )
+
     @pytest.mark.parametrize("value", ["abc", "0", "1/0"])
     def test_malformed_bias_option(self, write_config, write_program, capsys, value):
         program = write_program(WRITE_READ)
@@ -160,6 +195,24 @@ class TestSta:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err == "error: --bias-lo: expected a positive ratio, got 'low'\n"
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (["--bias-lo", "1.1"], "--bias-lo: window low edge 1.1 exceeds its high edge 1.0"),
+            (["--bias-hi", "0.9"], "--bias-hi: window low edge 1.0 exceeds its high edge 0.9"),
+            (
+                ["--bias-lo", "1.1", "--bias-hi", "1.05", "--find-max"],
+                "--bias-lo: window low edge 1.1 exceeds its high edge 1.05",
+            ),
+        ],
+    )
+    def test_window_edges_out_of_order(self, write_config, capsys, edges, message):
+        code = main(["sta", "--config", write_config(), *edges])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == f"error: {message} (an edge not given is the config bias)\n"
+        assert captured.out == ""
 
     def test_window_outside_electrical_range(self, write_config, capsys):
         code = main(["sta", "--config", write_config(), "--bias-lo", "0.7", "--bias-hi", "1.3"])

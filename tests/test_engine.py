@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -347,6 +348,107 @@ class TestTaps:
         )
         with pytest.raises(RunawayQueueError, match="runaway feedback"):
             run(net, [(0, "x")], max_events=1000)
+
+
+class TestStimulusMerge:
+    """The kernel walks the sorted stimulus and merges it with the emitted pulses."""
+
+    def test_emission_onto_a_pending_stimulus_pulse_is_processed_once(self):
+        # d releases onto x at 25000, where the stimulus also pulses x
+        net = Netlist(
+            cells={"d": DRO},
+            connections=(
+                Connection("din", "d.data"),
+                Connection("clk", "d.clock"),
+                Connection("d.out", "x"),
+                Connection("x", "y", delay_fs=1000),
+            ),
+            external_inputs=frozenset({"din", "clk", "x"}),
+            observed=("x", "y"),
+        )
+        trace = run(net, [(0, "din"), (20000, "clk"), (10000, "x"), (25000, "x")])
+        assert [(e.time_fs, e.line) for e in trace.events] == [(10000, "x"), (11000, "y"), (25000, "x"), (26000, "y")]
+        assert not trace.violations
+
+    def test_emission_onto_a_processed_stimulus_pulse_is_dropped(self):
+        # (100, "a") is walked before (100, "z"), whose zero-delay fanout
+        # emits onto a at the same instant
+        net = Netlist(
+            cells={"f": CellParams(kind=CellKind.FANOUT, prop_delay_fs=0)},
+            connections=(
+                Connection("z", "f.in"),
+                Connection("f.out_a", "a"),
+                Connection("f.out_b", "b"),
+                Connection("a", "c", delay_fs=50),
+            ),
+            external_inputs=frozenset({"a", "z"}),
+            observed=("a", "b", "c", "z"),
+        )
+        trace = run(net, [(100, "a"), (100, "z"), (300, "z")])
+        assert [(e.time_fs, e.line) for e in trace.events] == [
+            (100, "a"), (100, "b"), (100, "z"), (150, "c"), (300, "a"), (300, "b"), (300, "z"), (350, "c"),
+        ]
+        assert trace_to_vcd(trace).endswith(
+            '#0\n0!\n0"\n0#\n0$\n#100\n1!\n1"\n1$\n#150\n1#\n#300\n0!\n0"\n0$\n#350\n0#\n'
+        )
+
+    def test_stimulus_alone_over_the_bound_is_refused(self):
+        pulses = [(0, "din"), (20000, "clk"), (30000, "din")]
+        with pytest.raises(RunawayQueueError, match="stimulus of 3 pulses exceeds the bound of 2 events"):
+            run(dro_netlist(), pulses, max_events=2)
+        # stimulus beyond t_end still counts, as every pulse is pending at t=0
+        with pytest.raises(RunawayQueueError):
+            run(dro_netlist(), pulses, t_end=1, max_events=2)
+        assert run(dro_netlist(), pulses, max_events=3).pulses_on("out") == (25000,)
+
+    def test_the_bound_counts_the_stimulus_not_yet_walked(self):
+        # after the first pulse on z: two fanout emissions in flight plus one
+        # stimulus pulse pending make three, over a bound of two
+        net = Netlist(
+            cells={"f": FANOUT},
+            connections=(Connection("z", "f.in"), Connection("f.out_a", "a"), Connection("f.out_b", "b")),
+            external_inputs=frozenset({"z"}),
+            observed=("a", "b"),
+        )
+        with pytest.raises(RunawayQueueError, match="event queue exceeded 2 events"):
+            run(net, [(0, "z"), (10000, "z")], max_events=2)
+        assert run(net, [(0, "z"), (10000, "z")], max_events=3).pulses_on("a") == (500, 10500)
+
+    def test_recorded_pulses_are_pulse_events(self):
+        trace = run(dro_netlist(), [(0, "din"), (20000, "clk")])
+        assert trace.events == ((0, "din"), (20000, "clk"), (25000, "out"))
+        assert all(type(e) is PulseEvent for e in trace.events)
+
+
+class TestPulseEvent:
+    def test_equality_and_hash_follow_the_fields(self):
+        a = PulseEvent(10, "x")
+        assert a == PulseEvent(10, "x") and hash(a) == hash(PulseEvent(10, "x"))
+        assert a != PulseEvent(10, "y") and a != PulseEvent(11, "x")
+        assert a == (10, "x") and hash(a) == hash((10, "x"))
+        assert len({a, PulseEvent(10, "x"), PulseEvent(11, "x")}) == 2
+        assert (a.time_fs, a.line) == (10, "x")
+
+    def test_is_immutable(self):
+        a = PulseEvent(10, "x")
+        with pytest.raises(AttributeError):
+            a.time_fs = 5  # type: ignore[misc]
+        with pytest.raises(AttributeError):
+            a.note = "extra"  # type: ignore[attr-defined]
+        with pytest.raises(TypeError):
+            a[0] = 5  # type: ignore[index]
+
+    def test_orders_by_time_then_line(self):
+        pulses = [PulseEvent(5, "b"), PulseEvent(7, "a"), PulseEvent(5, "a"), PulseEvent(0, "z")]
+        assert sorted(pulses) == [PulseEvent(0, "z"), PulseEvent(5, "a"), PulseEvent(5, "b"), PulseEvent(7, "a")]
+        assert PulseEvent(5, "b") < PulseEvent(7, "a") and PulseEvent(5, "a") <= PulseEvent(5, "a")
+        assert max(pulses) == PulseEvent(7, "a")
+
+    def test_pickles_through_the_validating_constructor(self):
+        a = PulseEvent(10, "x")
+        again = pickle.loads(pickle.dumps(a))
+        assert again == a and type(again) is PulseEvent
+        assert repr(a) == "PulseEvent(time_fs=10, line='x')"
 
 
 class TestTraceQueries:

@@ -25,7 +25,9 @@ from fluxloop import (
     scenario_write_read,
     serialize_program,
 )
+from fluxloop import memory
 from fluxloop.core import BiasPoint
+from fluxloop.engine import RunawayQueueError
 from fluxloop.memory import (
     INPUT_LINES,
     OBSERVED_LINES,
@@ -77,6 +79,10 @@ class TestProgramModel:
             ('{"trips": [{"write": {"addr": "1", "bit": 1}}]}', r"trips\[0\].write.addr: expected an integer"),
             ('{"trips": [{"write": {"addr": 1, "bit": true}}]}', r"trips\[0\].write.bit: expected an integer"),
             ('{"trips": [{}, {"reads": [0, 1.0]}]}', r"trips\[1\].reads\[1\]: expected an integer"),
+            ('{"trips": [{"write": {"addr": 1, "bit": 2}}]}', r"trips\[0\].write.bit: bit must be 0 or 1"),
+            ('{"trips": [{}, {"write": {"addr": -1, "bit": 1}}]}', r"trips\[1\].write.addr: address must be non-neg"),
+            ('{"trips": [{"reads": [0, 2, -2]}]}', r"trips\[0\].reads\[2\]: addresses must be non-negative"),
+            ('{"trips": [{}, {"reads": [2, 0, 2]}]}', r"trips\[1\].reads\[2\]: duplicate read address within"),
         ],
     )
     def test_parse_errors_name_the_field(self, text, field):
@@ -198,6 +204,19 @@ class TestStimulus:
     def test_out_of_range_address_refused(self, cfg100):
         with pytest.raises(ConfigError, match="address 3 out of range for num_addresses=3"):
             stimulus_for(MemoryProgram(trips=(TripOp(reads=(3,)),)), cfg100)
+
+    def test_stimulus_over_the_event_bound_is_refused_before_any_pulse_is_made(self, cfg100, monkeypatch):
+        # the pulse instants are computed only once the size is known to fit
+        timed = []
+        monkeypatch.setattr(memory, "phase_instants", lambda cfg: timed.append(cfg) or phase_instants(cfg))
+        program = scenario_write_read(address=1, trips=2)  # 2 trips x 2 x 3 addresses + one write of a 1
+        with pytest.raises(RunawayQueueError, match="stimulus of 13 pulses exceeds the bound of 12 events"):
+            stimulus_for(program, replace(cfg100, max_events=12))
+        assert timed == []
+        assert len(stimulus_for(program, replace(cfg100, max_events=13))) == 13
+        # a bad address is still reported first
+        with pytest.raises(ConfigError, match="address 3 out of range"):
+            stimulus_for(MemoryProgram(trips=(TripOp(reads=(3,)),)), replace(cfg100, max_events=1))
 
 
 class TestRunProgram:
