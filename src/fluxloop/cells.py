@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping
 
-from .core import BiasPoint, FluxloopError, format_ratio, round_half_up
+from .core import BiasPoint, ConfigError, FluxloopError, format_ratio, round_half_up
 
 #: Default delay-vs-bias curve, as multipliers of the nominal delay.  The
 #: shape is convex and strictly decreasing (cells slow down when starved of
@@ -455,6 +455,8 @@ def default_cell_params(cell_overrides: Mapping[str, Mapping[str, Any]] | None =
 
 @lru_cache(maxsize=64)
 def _cell_set(frozen_overrides: tuple) -> dict[str, CellParams]:
+    """The cell set of one overrides value; a delay model the overrides make
+    invalid raises ``ConfigError`` naming the override at fault."""
     cell_overrides = {name: dict(o) for name, o in frozen_overrides}
     out: dict[str, CellParams] = {}
     for name, (kind, nominal, setup, hold) in _DEFAULT_TIMINGS.items():
@@ -467,13 +469,30 @@ def _cell_set(frozen_overrides: tuple) -> dict[str, CellParams]:
             prop_delay_fs=prop,
             setup_fs=o.get("setup", setup),
             hold_fs=o.get("hold", hold),
-            delay_model=_model(prop, o) if prop > 0 else None,
         )
-        if kind == CellKind.DRO2R:
-            prop1 = o.get("prop_delay_out1", o.get("prop_delay", nominal))
-            params["prop_delay_out1_fs"] = prop1
-            params["delay_model_out1"] = _model(prop1, o) if prop1 > 0 else None
-        if kind == CellKind.MERGER:
-            params["min_separation_fs"] = o.get("min_separation", DEFAULT_MERGER_MIN_SEPARATION_FS)
-        out[name] = CellParams(**params)
+        try:
+            params["delay_model"] = _model(prop, o) if prop > 0 else None
+            if kind == CellKind.DRO2R:
+                prop1 = o.get("prop_delay_out1", o.get("prop_delay", nominal))
+                params["prop_delay_out1_fs"] = prop1
+                params["delay_model_out1"] = _model(prop1, o) if prop1 > 0 else None
+            if kind == CellKind.MERGER:
+                params["min_separation_fs"] = o.get("min_separation", DEFAULT_MERGER_MIN_SEPARATION_FS)
+            out[name] = CellParams(**params)
+        except ValueError as exc:
+            raise ConfigError(f"cells.{name}.{_blamed_override(o)}", str(exc)) from None
     return out
+
+
+#: Overrides a refused cell may be blamed on, most likely culprit first: the
+#: curve (its shape, 1.0 knot or span), the range the default curve must
+#: span, a nominal delay too short to keep the scaled knots apart, and a
+#: negative setup or hold (refused by config parsing, not by a SimConfig).
+_BLAME_ORDER = ("bias_curve", "operating_range", "prop_delay", "prop_delay_out1", "setup", "hold")
+
+
+def _blamed_override(overrides: Mapping[str, Any]) -> str:
+    lo, hi = overrides.get("operating_range", DEFAULT_OPERATING_RANGE)
+    if not lo < 1 < hi:
+        return "operating_range"  # at fault whatever else is given
+    return next(key for key in _BLAME_ORDER if key in overrides)

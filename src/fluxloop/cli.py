@@ -59,6 +59,9 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_RUN_FAILED = 4
 
+#: Most bias points one ``characterize`` sweep may take (each is a simulation).
+MAX_SWEEP_POINTS = 10_000
+
 
 def _read(path: str, what: str) -> str:
     try:
@@ -198,16 +201,20 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
         raise ConfigError("cell", f"unknown cell {args.cell!r}") from None
 
     rng = params.operating_range()
-    lo = _ratio_option(args.lo, "--lo") or (rng[0] if rng else Fraction(1))
+    given_lo = _ratio_option(args.lo, "--lo")
+    lo = given_lo or (rng[0] if rng else Fraction(1))
     hi = _ratio_option(args.hi, "--hi") or (rng[1] if rng else Fraction(1))
     step = _ratio_option(args.step, "--step")
     if lo > hi:
-        raise ConfigError("step", "need step > 0 and lo <= hi")
-    ratios = []
-    ratio = lo
-    while ratio <= hi:
-        ratios.append(ratio)
-        ratio += step
+        raise ConfigError(
+            "--lo" if given_lo is not None else "--hi",
+            f"sweep start {format_ratio(lo)} exceeds its end {format_ratio(hi)} "
+            "(an edge not given is the cell's operating-range edge)",
+        )
+    points = (hi - lo) // step + 1  # exact: the ratios are Fractions
+    if points > MAX_SWEEP_POINTS:
+        raise ConfigError("--step", f"sweep of {points} points exceeds the cap of {MAX_SWEEP_POINTS}")
+    ratios = [lo + i * step for i in range(points)]
 
     rows = characterize_cell(args.cell, cfg, ratios)
     rendered = characterization_to_csv(rows)

@@ -181,19 +181,16 @@ def phase_instants(cfg: SimConfig) -> tuple[int, int, int]:
     )
 
 
-def source_path_delays(cells: dict[str, CellParams], bias: BiasPoint) -> tuple[int, int]:
+def source_path_delays(cells: Mapping[str, CellParams]) -> tuple[int, int]:
     """Merged-path delay (to loop_data_in / read clock) from each source.
 
-    Returns (write-sourced, recirculation-sourced) totals at the given bias,
-    with each cell's bias clamped to its operating range as the engine does.
+    Returns (write-sourced, recirculation-sourced) totals of the cells'
+    constant delays: pass cells pinned at a bias (``Netlist.at_bias``), or
+    the unpinned set for nominal, where every delay model equals
+    ``prop_delay_fs``.
     """
-
-    def at(name: str) -> int:
-        params = cells[name]
-        return params.delay(params.clamped_bias(bias))
-
-    shared = at("merger") + at("fanout")
-    return at("write_dro") + shared, at("recirc_dro2r") + shared
+    shared = cells["merger"].prop_delay_fs + cells["fanout"].prop_delay_fs
+    return cells["write_dro"].prop_delay_fs + shared, cells["recirc_dro2r"].prop_delay_fs + shared
 
 
 def required_loop_delay(cfg: SimConfig) -> int:
@@ -208,8 +205,7 @@ def required_loop_delay(cfg: SimConfig) -> int:
 
 
 def _loop_delay(cells: Mapping[str, CellParams], cfg: SimConfig) -> int:
-    _, recirc_path = source_path_delays(cells, BiasPoint.nominal())
-    budget = recirc_path + cells["recirc_dro2r"].setup_fs + cfg.retiming_guard_fs
+    budget = source_path_delays(cells)[1] + cells["recirc_dro2r"].setup_fs + cfg.retiming_guard_fs
     trip = trip_duration(cfg)
     if budget >= trip:
         raise InfeasibleFrequencyError(
@@ -326,18 +322,13 @@ def stimulus_for(program: MemoryProgram, cfg: SimConfig) -> list[PulseEvent]:
     return pulses
 
 
-def read_window_offset(cfg: SimConfig, bias: BiasPoint | None = None) -> int:
+def read_window_offset(pins: PinnedNetlist) -> int:
     """Offset from an interval's write instant to its read_data release.
 
-    Read off the controller's cells pinned at the bias, as the engine runs
-    them, so the decode window starts exactly where the release lands.
+    Read off the controller's cells pinned at the run's bias, as the engine
+    runs them, so the decode window starts exactly where the release lands.
     """
-    bias = bias if bias is not None else cfg.bias
-    return _read_offset(build_controller(cfg).at_bias(bias), bias)
-
-
-def _read_offset(pins: PinnedNetlist, bias: BiasPoint) -> int:
-    return min(source_path_delays(pins.cells, bias)) + pins.cells["read_dro2r"].prop_delay_fs
+    return min(source_path_delays(pins.cells)) + pins.cells["read_dro2r"].prop_delay_fs
 
 
 def prepare_program(program: MemoryProgram, cfg: SimConfig) -> Callable[..., MemoryResult]:
@@ -363,7 +354,7 @@ def prepare_program(program: MemoryProgram, cfg: SimConfig) -> Callable[..., Mem
 
     def run(bias: BiasPoint, max_events: int = 10_000_000) -> MemoryResult:
         trace = run_until(prepared, t_end, bias, max_events)
-        offset = _read_offset(prepared.netlist.at_bias(bias), bias)
+        offset = read_window_offset(prepared.netlist.at_bias(bias))
         read_times = trace.pulses_on("read_data")  # in time order
         reads: dict[tuple[int, int], int] = {}
         for t, k, write_at in read_slots:

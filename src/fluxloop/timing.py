@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .cells import INPUT_PORTS, OUTPUT_PORTS, BiasRangeError, default_cell_params
+from .cells import INPUT_PORTS, OUTPUT_PORTS, BiasRangeError, _cell_set, _freeze, default_cell_params
 from .core import (
     BiasPoint,
     InfeasibleFrequencyError,
@@ -32,11 +33,11 @@ from .engine import Connection, Netlist, run_until, schedule
 from .memory import (
     MemoryProgram,
     MemoryResult,
+    _loop_delay,
     default_margin_suite,
     oracle,
     phase_instants,
     prepare_program,
-    required_loop_delay,
     run_program,  # unused here; perfbench's tracer and self-test expect timing.run_program
     source_path_delays,
 )
@@ -61,12 +62,15 @@ def characterize_cell(
         raise KeyError(f"unknown cell {cell!r}")
     params = params_by_name[cell]
 
-    # drive the data port, if any, and the first clock (or input); watch the
-    # first output
+    # drive the data port, if any, then a comfortably late first clock (or
+    # input); watch the first output
     inputs = INPUT_PORTS[params.kind]
+    clock_at = params.setup_fs + 10_000
     wiring = {"cin_clock": next(port for port in inputs if port != "data")}
+    stimulus = [PulseEvent(clock_at, "cin_clock")]
     if "data" in inputs:
         wiring["cin_data"] = "data"
+        stimulus.insert(0, PulseEvent(0, "cin_data"))
     connections = [Connection(line, f"{cell}.{port}") for line, port in wiring.items()]
     connections.append(Connection(f"{cell}.{OUTPUT_PORTS[params.kind][0]}", "cout"))
     net = Netlist(
@@ -75,11 +79,6 @@ def characterize_cell(
         external_inputs=frozenset(wiring),
         observed=("cout",),
     )
-
-    clock_at = params.setup_fs + 10_000
-    stimulus = [PulseEvent(clock_at, "cin_clock")]
-    if "cin_data" in wiring:
-        stimulus.insert(0, PulseEvent(0, "cin_data"))
     prepared = schedule(net, stimulus)
 
     rng = params.operating_range()
@@ -141,9 +140,12 @@ class StaReport:
         return min(self.slacks, key=lambda row: (row.slack_fs, row.constraint))
 
 
-def _check_window(cells, lo: Fraction, hi: Fraction) -> None:
+@lru_cache(maxsize=64)
+def _window_cells(frozen_overrides: tuple, lo: Fraction, hi: Fraction) -> tuple[dict, dict, dict]:
+    """The frequency-free part of sta: (cells, cells pinned at lo, at hi) of a checked window."""
     if lo > hi:
         raise ValueError("bias_lo must not exceed bias_hi")
+    cells = _cell_set(frozen_overrides)
     for name, params in cells.items():
         rng = params.operating_range()
         if rng is not None and not (rng[0] <= lo and hi <= rng[1]):
@@ -151,6 +153,7 @@ def _check_window(cells, lo: Fraction, hi: Fraction) -> None:
                 f"bias window [{format_ratio(lo)}, {format_ratio(hi)}] exceeds {name} "
                 f"operating range [{format_ratio(rng[0])}, {format_ratio(rng[1])}]"
             )
+    return cells, *({name: p.at_bias(BiasPoint(edge)) for name, p in cells.items()} for edge in (lo, hi))
 
 
 def sta(
@@ -173,38 +176,35 @@ def sta(
     """
     lo = exact_ratio(bias_lo) if bias_lo is not None else cfg.bias.ratio
     hi = exact_ratio(bias_hi) if bias_hi is not None else cfg.bias.ratio
-    cells = default_cell_params(cfg.cell_overrides)
-    _check_window(cells, lo, hi)
+    cells, at_lo, at_hi = _window_cells(_freeze(cfg.cell_overrides), lo, hi)
 
     interval = interval_duration(cfg)
     trip = trip_duration(cfg)
     ph_read, ph_write, ph_data = phase_instants(cfg)
     header = cfg.header_intervals * interval
-    loop_delay = cfg.loop_delay_fs if cfg.loop_delay_fs is not None else required_loop_delay(cfg)
+    loop_delay = cfg.loop_delay_fs if cfg.loop_delay_fs is not None else _loop_delay(cells, cfg)
 
-    at_lo, at_hi = BiasPoint(lo), BiasPoint(hi)
     # Merged-path extremes over both sources (fresh write vs recirculation).
-    path_min = min(source_path_delays(cells, at_hi))
-    path_max = max(source_path_delays(cells, at_lo))
+    path_min = min(source_path_delays(at_hi))
+    path_max = max(source_path_delays(at_lo))
 
-    nominal = BiasPoint.nominal()
     wd, rc, rd = cells["write_dro"], cells["recirc_dro2r"], cells["read_dro2r"]
     slacks = (
         SlackRow("write_setup", "write_dro", header + ph_write - ph_data - wd.setup_fs),
         SlackRow("write_hold", "write_dro", interval + ph_data - ph_write - wd.hold_fs),
         SlackRow("recirc_setup", "recirc_dro2r", trip - loop_delay - path_max - rc.setup_fs),
         SlackRow("recirc_hold", "recirc_dro2r", path_min + loop_delay - (trip - interval) - rc.hold_fs),
-        SlackRow("recirc_period", "recirc_dro2r", interval - rc.setup_fs - rc.delay(nominal)),
+        SlackRow("recirc_period", "recirc_dro2r", interval - rc.setup_fs - rc.prop_delay_fs),
         SlackRow("read_setup", "read_dro2r", ph_write + path_min - ph_read - rd.setup_fs),
         SlackRow("read_hold", "read_dro2r", interval + ph_read - ph_write - path_max - rd.hold_fs),
-        SlackRow("read_period", "read_dro2r", interval - rd.setup_fs - rd.delay(nominal)),
+        SlackRow("read_period", "read_dro2r", interval - rd.setup_fs - rd.prop_delay_fs),
         SlackRow("loop_race", "read_dro2r", interval + ph_read - ph_write - path_max),
     )
     windows = (
-        ArrivalWindow("merger_in0", wd.delay(at_hi), wd.delay(at_lo)),
-        ArrivalWindow("merger_in1", rc.delay(at_hi), rc.delay(at_lo)),
+        ArrivalWindow("merger_in0", at_hi["write_dro"].prop_delay_fs, at_lo["write_dro"].prop_delay_fs),
+        ArrivalWindow("merger_in1", at_hi["recirc_dro2r"].prop_delay_fs, at_lo["recirc_dro2r"].prop_delay_fs),
         ArrivalWindow("loop_data_in", path_min, path_max),
-        ArrivalWindow("read_data", path_min + rd.delay(at_hi), path_max + rd.delay(at_lo)),
+        ArrivalWindow("read_data", path_min + at_hi["read_dro2r"].prop_delay_fs, path_max + at_lo["read_dro2r"].prop_delay_fs),
         ArrivalWindow("recirc_data_next_trip", path_min + loop_delay - trip, path_max + loop_delay - trip),
     )
     return StaReport(

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from fluxloop.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_RUN_FAILED, main
+from fluxloop.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_RUN_FAILED, MAX_SWEEP_POINTS, main
 
 WRITE_READ = [
     {"write": {"addr": 1, "bit": 1}, "reads": [1]},
@@ -339,7 +339,62 @@ class TestCharacterize:
         )
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
-        assert "step" in err
+        assert err == (
+            "error: --lo: sweep start 1.1 exceeds its end 0.9 (an edge not given is the cell's operating-range edge)\n"
+        )
+
+    def test_default_edge_past_the_given_one(self, write_config, capsys):
+        code = main(["characterize", "--config", write_config(), "--cell", "merger", "--hi", "0.5"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: --hi: sweep start 0.76 exceeds its end 0.5")
+
+    @pytest.mark.parametrize("step, points", [("1e-30", 480000000000000000000000000001), ("0.000048", 10001)])
+    def test_sweep_over_the_point_cap_is_refused_before_any_run(self, write_config, capsys, step, points):
+        # counted in exact arithmetic, so a vanishing step returns at once
+        code = main(["characterize", "--config", write_config(), "--cell", "merger", "--step", step])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == f"error: --step: sweep of {points} points exceeds the cap of {MAX_SWEEP_POINTS}\n"
+        assert captured.out == ""
+
+
+#: One refused delay-model override per BiasDelayModel/CellParams check, as
+#: (merger overrides, field named, message).
+REFUSED_CELL_OVERRIDES = [
+    (
+        {"bias_curve": [[0.76, 1.39], [1.0, 1.1], [1.24, 0.59]]},
+        "bias_curve",
+        "nominal delay 1500 fs disagrees with the delay model at bias 1.0 (1650 fs)",
+    ),
+    ({"bias_curve": [[1.24, 0.59], [1.0, 1.0], [0.76, 1.39]]}, "bias_curve", "knot ratios must be strictly increasing"),
+    ({"bias_curve": [[0.76, 1.0], [1.0, 1.0], [1.24, 0.59]]}, "bias_curve", "knot delays must be strictly decreasing"),
+    ({"bias_curve": [[0.8, 1.3], [1.0, 1.0], [1.24, 0.59]]}, "bias_curve", "knots must span the operating range"),
+    ({"operating_range": [1.1, 1.2]}, "operating_range", "operating range must bracket the nominal ratio 1.0"),
+    ({"operating_range": [0.5, 1.5]}, "operating_range", "knots must span the operating range"),
+    ({"prop_delay": "1fs"}, "prop_delay", "knot delays must be strictly decreasing"),
+]
+
+
+@pytest.mark.parametrize("merger, field, message", REFUSED_CELL_OVERRIDES)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--program", "PROGRAM"],
+        ["sta", "--find-max"],
+        ["margins", "--freqs", "100GHz,50GHz"],
+        ["characterize", "--cell", "write_dro"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_refused_cell_override_names_the_field(write_config, write_program, capsys, command, merger, field, message):
+    config = write_config(cells={"merger": merger})
+    argv = [write_program(WRITE_READ) if arg == "PROGRAM" else arg for arg in command]
+    code = main([argv[0], "--config", config, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err == f"error: cells.merger.{field}: {message}\n"
+    assert captured.out == ""
 
 
 class TestParser:

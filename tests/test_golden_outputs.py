@@ -21,6 +21,7 @@ from fluxloop import (
     MemoryProgram,
     SimConfig,
     TripOp,
+    max_frequency,
     parse_config,
     run_program,
     sta,
@@ -41,6 +42,7 @@ GOLDEN_SHA256 = {
     "overrides.csv": "91039f4e8de2515ec7e3146321c973f2d79bc61241fbacd124e389040ca05b76",
     "margins.csv": "b41556381c57f24597634aadca9d0b573ff2dac87e52c0b29cab3859a4a0f68e",
     "sta.txt": "b25c7160e67e902ae266484accfc4705eb13984ebacdd0566b704944304acc77",
+    "sta_asymmetric.txt": "8c476617fefe2cf4582d0c7702a846231b116c1fe246a18df6bc3accbb989e4f",
 }
 
 
@@ -92,6 +94,33 @@ def _artifacts() -> dict[str, str]:
     margins = margin_sweep(small, [75 * GHZ, 100 * GHZ])
     sta_text = sta_to_text(sta(small, "0.87", "1.13")) + sta_to_text(sta(small.with_frequency(150 * GHZ)))
 
+    # write and recirculation paths differ in delay and in bias curve, so
+    # these reports pin which source sets each merged-path extreme
+    asymmetric = parse_config(
+        json.dumps(
+            {
+                "frequency": "60GHz",
+                "num_addresses": 5,
+                "cells": {
+                    "write_dro": {"prop_delay": "4ps"},
+                    "recirc_dro2r": {"prop_delay": "2.5ps", "prop_delay_out1": "3.5ps"},
+                    "merger": {
+                        "bias_curve": [[0.7, 1.5], [1.0, 1.0], [1.3, 0.6]],
+                        "operating_range": [0.7, 1.3],
+                    },
+                    "fanout": {"prop_delay": 0},
+                    "read_dro2r": {"setup": "6ps"},
+                },
+            }
+        )
+    )
+    sta_asymmetric = (
+        sta_to_text(sta(asymmetric, "0.9", "1.1"))
+        + sta_to_text(sta(asymmetric.with_frequency(100 * GHZ), "0.8", "1.0"))
+        + sta_to_text(sta(replace(asymmetric, loop_delay_fs=70_000), "0.95", "1.2"))
+        + f"max feasible frequency: {max_frequency(asymmetric) / GHZ:g} GHz\n"
+    )
+
     return {
         "stream.csv": trace_to_csv(stream),
         "stream.vcd": trace_to_vcd(stream),
@@ -102,6 +131,7 @@ def _artifacts() -> dict[str, str]:
         "overrides.csv": trace_to_csv(overrides),
         "margins.csv": margins_to_csv(margins),
         "sta.txt": sta_text,
+        "sta_asymmetric.txt": sta_asymmetric,
     }
 
 
@@ -111,6 +141,8 @@ def test_fixtures_exercise_the_failure_paths():
     assert art["out_of_range.csv"].count("ELECTRICAL") == 5
     assert "violation" in art["jitter.csv"]
     assert "violation" not in art["stream.csv"]
+    assert art["sta_asymmetric.txt"].count("VIOLATED") == 3
+    assert art["sta_asymmetric.txt"].endswith("max feasible frequency: 107 GHz\n")
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))

@@ -230,9 +230,10 @@ class TestRunProgram:
         assert result.trace.pulses_on("read_data") == (33000, 73000, 113000)
 
     def test_read_window_offset(self, cfg100):
-        assert read_window_offset(cfg100) == 8000
+        controller = build_controller(cfg100)
+        assert read_window_offset(controller.at_bias(cfg100.bias)) == 8000
         # biased low: every cell slows down
-        assert read_window_offset(cfg100, BiasPoint.of("0.76")) == 11120  # 8000 * 1.39
+        assert read_window_offset(controller.at_bias(BiasPoint.of("0.76"))) == 11120  # 8000 * 1.39
 
     def test_golden_overwrite(self, cfg100):
         result = run_program(scenario_overwrite(address=1), cfg100)

@@ -18,7 +18,7 @@ from fluxloop import (
     max_frequency,
     sta,
 )
-from fluxloop import cells, memory
+from fluxloop import cells, memory, timing
 from fluxloop.cells import _interpolate, default_cell_params, delay_at_bias
 from fluxloop.core import BiasPoint
 from fluxloop.memory import build_controller, default_margin_suite, scenario_write_read
@@ -267,6 +267,37 @@ class TestBiasMargin:
             bias_margin(cfg100, ())
 
 
+#: (cell overrides, retiming guard fs, frequency GHz) of the agreement cases.
+AGREEMENT_CASES = [({}, 2000, ghz) for ghz in (20, 50, 75, 100)] + [(DOUBLED, 4000, ghz) for ghz in (25, 50)]
+
+
+class TestStaAgreesWithSimulation:
+    """The STA window at each empirical bias margin meets timing, and one
+    percent wider fails the race that stopped the simulation (SETUP or HOLD)
+    or leaves the electrical range (ELECTRICAL)."""
+
+    @pytest.mark.parametrize("overrides, guard, ghz", AGREEMENT_CASES)
+    def test_margin_edges(self, overrides, guard, ghz):
+        cfg = SimConfig(frequency_hz=ghz * GHZ, num_addresses=3, cell_overrides=overrides, retiming_guard_fs=guard)
+        margin = bias_margin(cfg)
+        sides = ((-1, margin.lower_pct, margin.lower_limiter), (1, margin.upper_pct, margin.upper_limiter))
+        for sign, pct, limiter in sides:
+
+            def window(p: int) -> tuple[Fraction, Fraction]:
+                edge = 1 + sign * Fraction(p, 100)
+                return (edge, Fraction(1)) if sign < 0 else (Fraction(1), edge)
+
+            assert sta(cfg, *window(pct)).all_met
+            if limiter == "ELECTRICAL":
+                with pytest.raises(BiasRangeError):
+                    sta(cfg, *window(pct + 1))
+            else:
+                assert limiter in ("SETUP", "HOLD")
+                wider = sta(cfg, *window(pct + 1))
+                assert not wider.all_met
+                assert wider.worst().constraint.endswith("_" + limiter.lower())
+
+
 class TestCaches:
     def test_caches_stay_bounded_over_many_frequencies(self, cfg100):
         suite = (scenario_write_read(1, 1),)
@@ -274,17 +305,22 @@ class TestCaches:
             cfg = cfg100.with_frequency(ghz * GHZ)
             sta(cfg)
             bias_margin(cfg, suite, max_pct=1)
-        for cache in (memory._compile, cells._cell_set, cells._interpolate, build_controller(cfg)._pinned):
+        caches = (memory._compile, cells._cell_set, cells._interpolate, timing._window_cells, build_controller(cfg)._pinned)
+        for cache in caches:
             info = cache.cache_info()
             assert 0 < info.currsize <= info.maxsize
 
     def test_sweep_is_the_same_on_warm_and_cleared_caches(self, cfg100):
         freqs = [50 * GHZ, 100 * GHZ, 500 * GHZ]
-        warm = margins_to_csv(margin_sweep(cfg100, freqs))
-        assert margins_to_csv(margin_sweep(cfg100, freqs)) == warm
-        for cache in (memory._compile, cells._cell_set, cells._interpolate):
+
+        def render() -> str:
+            return margins_to_csv(margin_sweep(cfg100, freqs)) + sta_to_text(sta(cfg100, "0.87", "1.13"))
+
+        warm = render()
+        assert render() == warm
+        for cache in (memory._compile, cells._cell_set, cells._interpolate, timing._window_cells):
             cache.cache_clear()
-        assert margins_to_csv(margin_sweep(cfg100, freqs)) == warm
+        assert render() == warm
 
 
 class TestMarginSweep:
