@@ -236,7 +236,7 @@ class CellParams:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class CellState:
     """Mutable per-run state of one cell."""
 
@@ -247,45 +247,12 @@ class CellState:
     last_in_fs: dict[str, int] = field(default_factory=dict)
 
 
-def _check_setup(
-    cell: str, params: CellParams, state: CellState, t: int, port: str
-) -> TimingViolation | None:
-    """Clock arriving within the setup window after a data pulse."""
-    if state.last_data_fs is None:
-        return None
-    gap = t - state.last_data_fs
-    if 0 <= gap < params.setup_fs:
-        return TimingViolation(
-            cell,
-            ViolationKind.SETUP,
-            t,
-            f"{port} {gap} fs after data (setup {params.setup_fs} fs)",
-        )
-    return None
+#: What a stepper returns: (emissions as (output port, time), violations).
+#: Both are tuples, and an empty one is the shared ``()``.
+Step = tuple[tuple[tuple[str, int], ...], tuple[TimingViolation, ...]]
 
 
-def _check_hold(cell: str, params: CellParams, state: CellState, t: int) -> TimingViolation | None:
-    """Data arriving within the hold window after a clock pulse."""
-    if state.last_clock_fs is None:
-        return None
-    gap = t - state.last_clock_fs
-    if 0 <= gap < params.hold_fs:
-        return TimingViolation(
-            cell,
-            ViolationKind.HOLD,
-            t,
-            f"data {gap} fs after clock (hold {params.hold_fs} fs)",
-        )
-    return None
-
-
-def storage_step(
-    cell: str,
-    params: CellParams,
-    state: CellState,
-    port: str,
-    t: int,
-) -> tuple[list[tuple[str, int]], list[TimingViolation]]:
+def storage_step(cell: str, params: CellParams, state: CellState, port: str, t: int) -> Step:
     """Advance a storage cell (DRO or DRO2R) by one input pulse.
 
     Data on an empty cell stores; data on a full cell is ignored (a storage
@@ -293,41 +260,38 @@ def storage_step(
     the stored pulse on that clock's output after its propagation delay; a
     clock on an empty cell is a no-op.  A DRO2R's two clock/output pairs
     share one loop, so whichever clock arrives first claims the pulse.
+    Data within the hold window after a clock records HOLD; a clock within
+    the setup window after data records SETUP.
 
     Like every stepper, it reads the constant delays of ``params``
     (``prop_delay_fs``, ``prop_delay_out1_fs``): pin a bias-dependent cell
     with ``CellParams.at_bias`` first, as the engine does.
     """
-    emitted: list[tuple[str, int]] = []
-    violations: list[TimingViolation] = []
     if port == "data":
-        v = _check_hold(cell, params, state, t)
-        if v:
-            violations.append(v)
+        last = state.last_clock_fs
         state.stored = True
         state.last_data_fs = t
-        return emitted, violations
+        if last is not None and 0 <= t - last < params.hold_fs:
+            detail = f"data {t - last} fs after clock (hold {params.hold_fs} fs)"
+            return (), (TimingViolation(cell, ViolationKind.HOLD, t, detail),)
+        return (), ()
     release = _RELEASES.get(port)
     if release is None or release[0] is not params.kind:
         raise ValueError(f"{params.kind.value} has no port {port!r}")
     _, out, delay = release
-    v = _check_setup(cell, params, state, t, port)
-    if v:
-        violations.append(v)
+    last = state.last_data_fs
+    violations = ()
+    if last is not None and 0 <= t - last < params.setup_fs:
+        detail = f"{port} {t - last} fs after data (setup {params.setup_fs} fs)"
+        violations = (TimingViolation(cell, ViolationKind.SETUP, t, detail),)
+    state.last_clock_fs = t
     if state.stored:
         state.stored = False
-        emitted.append((out, t + delay(params)))
-    state.last_clock_fs = t
-    return emitted, violations
+        return ((out, t + delay(params)),), violations
+    return (), violations
 
 
-def merger_step(
-    cell: str,
-    params: CellParams,
-    state: CellState,
-    port: str,
-    t: int,
-) -> tuple[list[tuple[str, int]], list[TimingViolation]]:
+def merger_step(cell: str, params: CellParams, state: CellState, port: str, t: int) -> Step:
     """Forward a pulse from either merger input to the output.
 
     Pulses on opposite inputs closer than the minimum separation record an
@@ -336,34 +300,21 @@ def merger_step(
     other = _MERGER_PEERS.get(port)
     if other is None:
         raise ValueError(f"merger has no port {port!r}")
-    violations: list[TimingViolation] = []
-    if other in state.last_in_fs and params.min_separation_fs > 0:
-        gap = t - state.last_in_fs[other]
-        if 0 <= gap < params.min_separation_fs:
-            violations.append(
-                TimingViolation(
-                    cell,
-                    ViolationKind.ELECTRICAL,
-                    t,
-                    f"inputs {gap} fs apart (min separation {params.min_separation_fs} fs)",
-                )
-            )
+    last = state.last_in_fs.get(other)
     state.last_in_fs[port] = t
-    return [("out", t + params.prop_delay_fs)], violations
+    emitted = (("out", t + params.prop_delay_fs),)
+    if last is not None and 0 <= t - last < params.min_separation_fs:
+        detail = f"inputs {t - last} fs apart (min separation {params.min_separation_fs} fs)"
+        return emitted, (TimingViolation(cell, ViolationKind.ELECTRICAL, t, detail),)
+    return emitted, ()
 
 
-def fanout_step(
-    cell: str,
-    params: CellParams,
-    state: CellState,
-    port: str,
-    t: int,
-) -> tuple[list[tuple[str, int]], list[TimingViolation]]:
+def fanout_step(cell: str, params: CellParams, state: CellState, port: str, t: int) -> Step:
     """Ideal passive fan-out: one input pulse, one pulse on each output."""
     if port != _FANOUT_INPUT:
         raise ValueError(f"fanout has no port {port!r}")
-    d = params.prop_delay_fs
-    return [("out_a", t + d), ("out_b", t + d)], []
+    t_out = t + params.prop_delay_fs
+    return (("out_a", t_out), ("out_b", t_out)), ()
 
 
 def _out1_delay(params: CellParams) -> int:
@@ -390,7 +341,7 @@ _STEPPERS = {
 }
 
 
-def stepper_for(kind: CellKind) -> Callable[..., tuple[list[tuple[str, int]], list[TimingViolation]]]:
+def stepper_for(kind: CellKind) -> Callable[..., Step]:
     """The behavioral step function of a cell kind."""
     try:
         return _STEPPERS[kind]
@@ -398,13 +349,7 @@ def stepper_for(kind: CellKind) -> Callable[..., tuple[list[tuple[str, int]], li
         raise ValueError(f"cell kind {kind} does not process pulses") from None
 
 
-def step_cell(
-    cell: str,
-    params: CellParams,
-    state: CellState,
-    port: str,
-    t: int,
-) -> tuple[list[tuple[str, int]], list[TimingViolation]]:
+def step_cell(cell: str, params: CellParams, state: CellState, port: str, t: int) -> Step:
     """Dispatch one input pulse to the right behavioral step function."""
     return stepper_for(params.kind)(cell, params, state, port, t)
 

@@ -99,7 +99,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     result = run_program(program, cfg)
 
-    print(f"frequency {cfg.frequency_hz / 1e9:g} GHz, {cfg.num_addresses} addresses, bias {cfg.bias}")
+    out = [f"frequency {cfg.frequency_hz / 1e9:g} GHz, {cfg.num_addresses} addresses, bias {cfg.bias}"]
     expected = oracle(program, cfg.num_addresses)
     mismatches = 0
     for (trip, addr), bit in sorted(result.reads.items()):
@@ -107,9 +107,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if expected[(trip, addr)] != bit:
             note = f"  (expected {expected[(trip, addr)]})"
             mismatches += 1
-        print(f"trip {trip}: addr {addr} -> {bit}{note}")
-    for v in result.trace.violations:
-        print(f"violation: {v.kind.value} {v.cell} at {v.time_fs} fs: {v.detail}")
+        out.append(f"trip {trip}: addr {addr} -> {bit}{note}")
+    out += [f"violation: {v.kind.value} {v.cell} at {v.time_fs} fs: {v.detail}" for v in result.trace.violations]
+    sys.stdout.write("\n".join(out) + "\n")
 
     if args.trace is not None:
         suffix = Path(args.trace).suffix.lower()

@@ -157,8 +157,8 @@ class PulseEvent(namedtuple("PulseEvent", "time_fs line")):
 
     A tuple ``(time_fs, line)``: pulses order by time, then line, and equal
     the plain tuple of their fields.  The constructor refuses a negative
-    time; the event kernel wraps keys it has proved valid with
-    ``tuple.__new__(PulseEvent, key)`` instead.
+    time; the event kernel wraps pairs it has proved valid with
+    ``tuple.__new__(PulseEvent, (t, line))`` instead.
     """
 
     __slots__ = ()

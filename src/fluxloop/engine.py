@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from heapq import heappop, heappush
-from itertools import cycle
+from itertools import compress, cycle
+from operator import eq
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -91,41 +92,42 @@ class Netlist:
         _validate(self)
 
     @cached_property
-    def _wiring(self) -> tuple[dict[str, tuple], frozenset[str]]:
-        """(line -> its route, the external inputs a cell or tap also drives).
-
-        Every line a pulse can land on has a route: (observed?, its consumers
-        as (stepper, cell, port, output-line map), its taps as (delay, offset
-        schedule, destination)).
-        """
+    def _wiring(self) -> tuple[tuple[str, ...], dict[str, int], tuple[tuple, ...], frozenset[int]]:
+        """(every line a pulse can land on, by name; each external input's
+        rank there; each rank's route; the ranks of the inputs a cell or tap
+        also drives).  The kernel keys a pulse at t on the line of rank r as
+        ``t * len(lines) + r``, so int order is (time, line) order.  A route
+        is (observed?, its consumers as (stepper, cell, port, output port ->
+        rank), its taps as (delay, offset schedule, destination rank))."""
+        driven = {conn.dst for conn in self.connections if not _is_port(conn.dst)}
+        lines = tuple(sorted(driven | self.external_inputs))
+        rank = {line: r for r, line in enumerate(lines)}
         ports_on: dict[str, list[tuple[str, str]]] = {}
         taps: dict[str, list[tuple]] = {}
-        out_lines: dict[str, dict[str, str]] = {name: {} for name in self.cells}
-        driven = set()
+        outs: dict[str, dict[str, int]] = {name: {} for name in self.cells}
         for conn in self.connections:
             if _is_port(conn.dst):
                 ports_on.setdefault(conn.src, []).append(_split_port(conn.dst))
-                continue
-            driven.add(conn.dst)
-            if _is_port(conn.src):
+            elif _is_port(conn.src):
                 cell, port = _split_port(conn.src)
-                out_lines[cell][port] = conn.dst
+                outs[cell][port] = rank[conn.dst]
             else:
-                taps.setdefault(conn.src, []).append((conn.delay_fs, conn.offset_schedule, conn.dst))
-        routes = {
-            line: (
+                taps.setdefault(conn.src, []).append((conn.delay_fs, conn.offset_schedule, rank[conn.dst]))
+        routes = tuple(
+            (
                 line in self.observed,
-                tuple((stepper_for(self.cells[c].kind), c, p, out_lines[c]) for c, p in sorted(ports_on.get(line, ()))),
+                tuple((stepper_for(self.cells[c].kind), c, p, outs[c]) for c, p in sorted(ports_on.get(line, ()))),
                 tuple(taps.get(line, ())),
             )
-            for line in driven | self.external_inputs
-        }
-        return routes, frozenset(driven & self.external_inputs)
+            for line in lines
+        )
+        inputs = {line: rank[line] for line in self.external_inputs}
+        return lines, inputs, routes, frozenset(rank[line] for line in driven & self.external_inputs)
 
     # Bounded: a margin search visits at most 101 ratios per netlist.
     @cached_property
     def _pinned(self) -> Callable[[Fraction], "PinnedNetlist"]:
-        return lru_cache(maxsize=128)(partial(_pin, self.cells, self._wiring[0]))
+        return lru_cache(maxsize=128)(partial(_pin, self.cells))
 
     def at_bias(self, bias: BiasPoint) -> "PinnedNetlist":
         """Every cell pinned at the bias it runs at (cached per bias ratio)."""
@@ -133,30 +135,21 @@ class Netlist:
 
 
 class PinnedNetlist:
-    """A netlist's cells at one bias: constant delays, the t=0 ELECTRICAL
-    violations of cells whose range excludes the bias, and each line's
-    route with its consumers as (stepper, cell, pinned params, port,
-    output-line map)."""
+    """A netlist's cells at one bias: constant delays, and the t=0
+    ELECTRICAL violations of cells whose range excludes the bias."""
 
     # A slotted class, not a dataclass or NamedTuple: defining one of those
     # costs 0.3-1.3 ms of every CLI start.
-    __slots__ = ("cells", "violations", "routes", "zero_delay")
+    __slots__ = ("cells", "violations", "zero_delay")
 
-    def __init__(
-        self,
-        cells: Mapping[str, CellParams],
-        violations: tuple[TimingViolation, ...],
-        routes: Mapping[str, tuple],
-        zero_delay: bool,
-    ) -> None:
+    def __init__(self, cells: Mapping[str, CellParams], violations: tuple[TimingViolation, ...], zero_delay: bool) -> None:
         self.cells = cells
         self.violations = violations
-        self.routes = routes
         #: a zero pinned delay can emit at the current instant (see run_until)
         self.zero_delay = zero_delay
 
 
-def _pin(cells: Mapping[str, CellParams], routes: dict, ratio: Fraction) -> PinnedNetlist:
+def _pin(cells: Mapping[str, CellParams], ratio: Fraction) -> PinnedNetlist:
     bias = BiasPoint(ratio)
     violations = []
     pinned = {}
@@ -164,23 +157,12 @@ def _pin(cells: Mapping[str, CellParams], routes: dict, ratio: Fraction) -> Pinn
         params = cells[name]
         rng = params.operating_range()
         if rng is not None and not (rng[0] <= ratio <= rng[1]):
-            violations.append(
-                TimingViolation(
-                    name,
-                    ViolationKind.ELECTRICAL,
-                    0,
-                    f"bias {format_ratio(ratio)} outside operating range "
-                    f"[{format_ratio(rng[0])}, {format_ratio(rng[1])}]",
-                )
-            )
+            detail = f"bias {format_ratio(ratio)} outside operating range [{format_ratio(rng[0])}, {format_ratio(rng[1])}]"
+            violations.append(TimingViolation(name, ViolationKind.ELECTRICAL, 0, detail))
         pinned[name] = params.at_bias(params.clamped_bias(bias))
     return PinnedNetlist(
         cells=MappingProxyType(pinned),
         violations=tuple(violations),
-        routes=MappingProxyType({
-            line: (observed, tuple((step, cell, pinned[cell], port, outs) for step, cell, port, outs in entries), taps)
-            for line, (observed, entries, taps) in routes.items()
-        }),
         zero_delay=any(p.prop_delay_fs == 0 or p.prop_delay_out1_fs == 0 for p in pinned.values()),
     )
 
@@ -276,30 +258,32 @@ class Trace:
     def pulses_on(self, line: str) -> tuple[int, ...]:
         if line not in self.observed:
             raise UnknownLineError(f"line {line!r} is not observed by this trace")
-        return tuple(t for t, on in self.events if on == line)
+        return tuple([t for t, on in self.events if on == line])
 
 
 @dataclass
 class PreparedRun:
+    """What ``schedule`` makes: a netlist, its sorted stimulus and each pulse's key."""
+
     netlist: Netlist
     stimulus: tuple[PulseEvent, ...] = ()
+    keys: tuple[int, ...] = ()
 
 
 def schedule(netlist: Netlist, stimulus: list[PulseEvent]) -> PreparedRun:
     """Load stimulus, rejecting pulses on undeclared lines and duplicates."""
-    seen: set[tuple[int, str]] = set()
-    for pulse in stimulus:
-        if pulse.line not in netlist.external_inputs:
-            raise UnknownLineError(f"line {pulse.line!r} is not a declared external input")
-        if pulse in seen:
-            raise DuplicatePulseError(f"duplicate pulse on {pulse.line!r} at {pulse.time_fs} fs")
-        seen.add(pulse)
-    return PreparedRun(netlist, tuple(sorted(stimulus)))
-
-
-def _tap_offset(schedule_: tuple[tuple[int, int], ...], t: int) -> int:
-    idx = bisect_right(schedule_, (t, float("inf"))) - 1
-    return schedule_[idx][1] if idx >= 0 else 0
+    lines, inputs, _, _ = netlist._wiring
+    n = len(lines)
+    ordered = tuple(sorted(stimulus))
+    try:
+        keys = tuple([t * n + inputs[line] for t, line in ordered])
+    except KeyError as exc:
+        raise UnknownLineError(f"line {exc.args[0]!r} is not a declared external input") from None
+    # sorted, so a duplicate sits just before its equal
+    duplicate = next(compress(ordered, map(eq, keys, keys[1:])), None)
+    if duplicate is not None:
+        raise DuplicatePulseError(f"duplicate pulse on {duplicate.line!r} at {duplicate.time_fs} fs")
+    return PreparedRun(netlist, ordered, keys)
 
 
 def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events: int = 10_000_000) -> Trace:
@@ -320,40 +304,46 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
     if len(stimulus) > max_events:
         raise RunawayQueueError(f"stimulus of {len(stimulus)} pulses exceeds the bound of {max_events} events")
     net = prepared.netlist
+    lines, _, routes, contested = net._wiring
+    n = len(lines)
     pins = net.at_bias(bias)
     states = {name: CellState() for name in net.cells}
-    routes = {
-        line: (observed, [(step, cell, p, states[cell], port, outs) for step, cell, p, port, outs in entries], taps)
-        for line, (observed, entries, taps) in pins.routes.items()
-    }
+    routes = [
+        (observed, [(step, cell, pins.cells[cell], states[cell], port, outs) for step, cell, port, outs in entries], taps)
+        for observed, entries, taps in routes
+    ]
     violations = list(pins.violations)
-    contested = net._wiring[1]
-    # keys of the emitted pulses: an emission onto a pending or processed key
-    # merges into that pulse (the emitting cell reports the collision); on a
-    # line that a cell or tap drives besides the stimulus, stimulus keys too
-    queued: set[tuple[int, str]] = {key for key in stimulus if key[1] in contested} if contested else set()
-    heap: list[tuple[int, str]] = []
+    # keys of the emitted pulses (and of stimulus on lines a cell or tap also
+    # drives): an emission onto one merges into it, and the emitting cell
+    # reports any collision.  With no zero delay every emission lands after
+    # the current instant, so popped keys are discarded; with one they stay.
+    queued = {key for key in prepared.keys if key % n in contested} if contested else set()
+    prune = not pins.zero_delay
+    heap: list[int] = []
     room = max_events - len(stimulus)  # a push may overflow only the heap's share
-    end = (t_end_fs,)  # sorts after every key before t_end, before every other
-    walk = (*stimulus[: bisect_left(stimulus, end)], end)
+    end = t_end_fs * n  # above every key before t_end, at or below every other
+    walk = prepared.keys[: bisect_left(prepared.keys, end)] + (end,)
     i = 0
     following = walk[0]
     recorded: list[PulseEvent] = []
 
     while True:
         if heap and heap[0] < following:
-            t, line = key = heappop(heap)
-            observed, consumers, taps = routes[line]
+            key = heappop(heap)
+            if prune:
+                queued.discard(key)
+            t, rank = divmod(key, n)
+            observed, consumers, taps = routes[rank]
             if observed:
                 # every delay is non-negative and the stimulus is validated
-                recorded.append(tuple.__new__(PulseEvent, key))
-        elif following is not end:
-            t, line = key = following
+                recorded.append(tuple.__new__(PulseEvent, (t, lines[rank])))
+        elif following < end:
+            t, rank = divmod(following, n)
+            observed, consumers, taps = routes[rank]
+            if observed:
+                recorded.append(stimulus[i])
             i += 1
             following = walk[i]
-            observed, consumers, taps = routes[line]
-            if observed:
-                recorded.append(key)
         else:
             break
         for stepper, cell, params, state, port, outs in consumers:
@@ -362,20 +352,25 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
                 violations.extend(cell_violations)
             for out_port, t_out in emissions:
                 target = outs.get(out_port)
-                if target is not None and (t_out, target) not in queued:
-                    queued.add((t_out, target))
-                    heappush(heap, (t_out, target))
-                    if len(heap) - i > room:
-                        raise RunawayQueueError(f"event queue exceeded {max_events} events — runaway feedback")
+                if target is not None:
+                    key = t_out * n + target
+                    if key not in queued:
+                        queued.add(key)
+                        heappush(heap, key)
+                        if len(heap) - i > room:
+                            raise RunawayQueueError(f"event queue exceeded {max_events} events — runaway feedback")
         for delay, offsets, dst in taps:
-            arrival = t + delay + (_tap_offset(offsets, t) if offsets else 0)
+            arrival = t + delay
+            if offsets:  # the offset of the last entry starting at or before t
+                entry = bisect_right(offsets, (t, float("inf"))) - 1
+                arrival += offsets[entry][1] if entry >= 0 else 0
             if arrival <= t:
-                raise FluxloopError(
-                    f"tap {line} -> {dst}: effective delay must stay positive (got {arrival - t} fs at t={t})"
-                )
-            if (arrival, dst) not in queued:
-                queued.add((arrival, dst))
-                heappush(heap, (arrival, dst))
+                detail = f"effective delay must stay positive (got {arrival - t} fs at t={t})"
+                raise FluxloopError(f"tap {lines[rank]} -> {lines[dst]}: {detail}")
+            key = arrival * n + dst
+            if key not in queued:
+                queued.add(key)
+                heappush(heap, key)
                 if len(heap) - i > room:
                     raise RunawayQueueError(f"event queue exceeded {max_events} events — runaway feedback")
 
@@ -402,15 +397,20 @@ def trace_to_csv(trace: Trace) -> str:
     kind as the detail prefix.  Rows are sorted by time, pulses before
     violations at equal times.
     """
-    rows = [(time_fs, 0, line, "pulse", "") for time_fs, line in trace.events]
-    rows += [(v.time_fs, 1, v.cell, "violation", f"{v.kind.value}: {v.detail}") for v in trace.violations]
-    rows.sort()
-    lines = ["time_fs,line,kind,detail"]
-    for time_fs, _, name, kind, detail in rows:
+    events = trace.events
+    pulse_rows = {line: f",{line},pulse," for line in trace.observed}
+    out = ["time_fs,line,kind,detail"]
+    done = 0
+    for time_fs, cell, detail in sorted((v.time_fs, v.cell, f"{v.kind.value}: {v.detail}") for v in trace.violations):
+        # events are (time, line)-ordered: the pulses up to this instant first
+        upto = bisect_left(events, (time_fs + 1,))
+        out += [f"{t}{pulse_rows[line]}" for t, line in events[done:upto]]
+        done = upto
         if "," in detail or '"' in detail:
             detail = '"' + detail.replace('"', '""') + '"'
-        lines.append(f"{time_fs},{name},{kind},{detail}")
-    return "\n".join(lines) + "\n"
+        out.append(f"{time_fs},{cell},violation,{detail}")
+    out += [f"{t}{pulse_rows[line]}" for t, line in events[done:]]
+    return "\n".join(out) + "\n"
 
 
 def trace_to_vcd(trace: Trace) -> str:

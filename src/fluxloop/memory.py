@@ -286,6 +286,15 @@ def _compile(config: _BiasFree) -> Netlist:
     )
 
 
+def _check_stimulus_size(program: MemoryProgram, cfg: SimConfig) -> None:
+    """Raise ``RunawayQueueError`` if the program's stimulus alone exceeds
+    ``cfg.max_events``, counted in closed form before any pulse is made."""
+    ones = sum(1 for op in program.trips if op.write is not None and op.write[1] == 1)
+    size = 2 * cfg.num_addresses * len(program.trips) + ones
+    if size > cfg.max_events:
+        raise RunawayQueueError(f"stimulus of {size} pulses exceeds the bound of {cfg.max_events} events")
+
+
 def stimulus_for(program: MemoryProgram, cfg: SimConfig) -> list[PulseEvent]:
     """Temporally-encoded differential stimulus for a program.
 
@@ -296,10 +305,7 @@ def stimulus_for(program: MemoryProgram, cfg: SimConfig) -> list[PulseEvent]:
     raises ``RunawayQueueError`` before any pulse is made.
     """
     _check_program(program, cfg.num_addresses)
-    ones = sum(1 for op in program.trips if op.write is not None and op.write[1] == 1)
-    size = 2 * cfg.num_addresses * len(program.trips) + ones
-    if size > cfg.max_events:
-        raise RunawayQueueError(f"stimulus of {size} pulses exceeds the bound of {cfg.max_events} events")
+    _check_stimulus_size(program, cfg)
     interval = interval_duration(cfg)
     trip = trip_duration(cfg)
     ph_read, ph_write, ph_data = phase_instants(cfg)

@@ -34,6 +34,7 @@ from .memory import (
     MemoryProgram,
     MemoryResult,
     _loop_delay,
+    _check_stimulus_size,
     default_margin_suite,
     oracle,
     phase_instants,
@@ -317,7 +318,9 @@ def bias_margin(
         scenarios = default_margin_suite(cfg)
     if not scenarios:
         raise ValueError("bias_margin needs at least one scenario")
-    expected = [oracle(p, cfg.num_addresses) for p in scenarios]
+    expected = [oracle(p, cfg.num_addresses) for p in scenarios]  # checks each program
+    for p in scenarios:  # every scenario's size before any stimulus is built
+        _check_stimulus_size(p, cfg)
     prepared = [prepare_program(p, cfg) for p in scenarios]
 
     def failure(ratio: Fraction) -> str | None:

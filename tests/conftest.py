@@ -1,12 +1,20 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
+from hypothesis import settings
 
 from fluxloop import SimConfig
 
 GHZ = 10**9
+
+# CI (GitHub Actions sets CI) runs each property test on the same examples
+# every time, with no per-example deadline on a slow runner.
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

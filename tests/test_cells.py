@@ -147,20 +147,20 @@ class TestDro:
     def test_store_then_release(self):
         state = CellState()
         out, v = storage_step("d", DRO, state, "data", 0)
-        assert out == [] and v == []
+        assert out == () and v == ()
         # second data pulse on a full cell is absorbed
         out, v = storage_step("d", DRO, state, "data", 3000)
-        assert out == [] and v == []
+        assert out == () and v == ()
         out, v = storage_step("d", DRO, state, "clock", 20000)
-        assert out == [("out", 25000)] and v == []
+        assert out == (("out", 25000),) and v == ()
         # cell is now empty: another clock releases nothing
         out, v = storage_step("d", DRO, state, "clock", 40000)
-        assert out == [] and v == []
+        assert out == () and v == ()
 
     def test_clock_on_empty_cell(self):
         state = CellState()
         out, v = storage_step("d", DRO, state, "clock", 100)
-        assert out == [] and v == []
+        assert out == () and v == ()
 
     @pytest.mark.parametrize(
         "gap, ok",
@@ -170,9 +170,9 @@ class TestDro:
         state = CellState()
         storage_step("d", DRO, state, "data", 10000)
         out, v = storage_step("d", DRO, state, "clock", 10000 + gap)
-        assert out == [("out", 10000 + gap + 5000)]
+        assert out == (("out", 10000 + gap + 5000),)
         if ok:
-            assert v == []
+            assert v == ()
         else:
             assert len(v) == 1
             assert v[0].kind is ViolationKind.SETUP
@@ -185,9 +185,9 @@ class TestDro:
         state = CellState()
         storage_step("d", DRO, state, "clock", 5000)
         out, v = storage_step("d", DRO, state, "data", 5000 + gap)
-        assert out == []
+        assert out == ()
         if ok:
-            assert v == []
+            assert v == ()
         else:
             assert [(x.kind, x.detail) for x in v] == [
                 (ViolationKind.HOLD, f"data {gap} fs after clock (hold 1000 fs)")
@@ -197,7 +197,7 @@ class TestDro:
         state = CellState()
         storage_step("d", DRO, state, "clock", 5000)
         out, v = storage_step("d", DRO, state, "data", 8000)
-        assert out == [] and v == []
+        assert out == () and v == ()
 
     def test_unknown_port(self):
         with pytest.raises(ValueError, match="DRO has no port"):
@@ -221,22 +221,22 @@ class TestDro2r:
         state = CellState()
         storage_step("r", DRO2R, state, "data", 0)
         out, v = storage_step("r", DRO2R, state, "clock0", 10000)
-        assert out == [("out0", 15000)] and v == []
+        assert out == (("out0", 15000),) and v == ()
 
     def test_clock1_takes_out1_with_its_own_delay(self):
         state = CellState()
         storage_step("r", DRO2R, state, "data", 0)
         out, v = storage_step("r", DRO2R, state, "clock1", 15000)
-        assert out == [("out1", 21000)] and v == []
+        assert out == (("out1", 21000),) and v == ()
         # the shared loop is now empty, so the other clock gets nothing
         out, v = storage_step("r", DRO2R, state, "clock0", 30000)
-        assert out == [] and v == []
+        assert out == () and v == ()
 
     def test_setup_checked_on_both_clocks(self):
         state = CellState()
         storage_step("r", DRO2R, state, "data", 0)
         out, v = storage_step("r", DRO2R, state, "clock1", 500)
-        assert out == [("out1", 6500)]
+        assert out == (("out1", 6500),)
         assert v[0].detail == "clock1 500 fs after data (setup 2000 fs)"
 
     def test_unknown_port(self):
@@ -251,9 +251,9 @@ def test_merger_forwards_each_input():
     params = CellParams(kind=CellKind.MERGER, prop_delay_fs=1500, min_separation_fs=2000)
     state = CellState()
     out, v = merger_step("m", params, state, "in0", 0)
-    assert out == [("out", 1500)] and v == []
+    assert out == (("out", 1500),) and v == ()
     out, v = merger_step("m", params, state, "in1", 10000)
-    assert out == [("out", 11500)] and v == []
+    assert out == (("out", 11500),) and v == ()
 
 
 def test_merger_collision_is_electrical_but_both_forward():
@@ -261,8 +261,8 @@ def test_merger_collision_is_electrical_but_both_forward():
     state = CellState()
     out0, v0 = merger_step("m", params, state, "in0", 0)
     out1, v1 = merger_step("m", params, state, "in1", 1000)
-    assert out0 == [("out", 1500)] and v0 == []
-    assert out1 == [("out", 2500)]
+    assert out0 == (("out", 1500),) and v0 == ()
+    assert out1 == (("out", 2500),)
     assert [(x.kind, x.time_fs, x.detail) for x in v1] == [
         (ViolationKind.ELECTRICAL, 1000, "inputs 1000 fs apart (min separation 2000 fs)")
     ]
@@ -270,7 +270,7 @@ def test_merger_collision_is_electrical_but_both_forward():
     fresh = CellState()
     merger_step("m", params, fresh, "in1", 0)
     out2, v2 = merger_step("m", params, fresh, "in1", 500)
-    assert out2 == [("out", 2000)] and v2 == []
+    assert out2 == (("out", 2000),) and v2 == ()
 
 
 def test_merger_unknown_port():
@@ -282,7 +282,7 @@ def test_merger_unknown_port():
 def test_fanout_duplicates_pulse():
     params = CellParams(kind=CellKind.FANOUT, prop_delay_fs=500)
     out, v = fanout_step("f", params, CellState(), "in", 100)
-    assert out == [("out_a", 600), ("out_b", 600)] and v == []
+    assert out == (("out_a", 600), ("out_b", 600)) and v == ()
     with pytest.raises(ValueError, match="fanout has no port"):
         fanout_step("f", params, CellState(), "out", 0)
 
@@ -302,7 +302,7 @@ def test_steppers_accept_and_emit_exactly_the_table_ports(kind):
 
 def test_step_cell_dispatch():
     out, v = step_cell("d", DRO, CellState(), "data", 0)
-    assert out == [] and v == []
+    assert out == () and v == ()
 
 
 # --- default cell set --------------------------------------------------------

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pickle
 from fractions import Fraction
+from heapq import heappop, heappush
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fluxloop import FluxloopError, SimConfig, build_controller, cells, scenario_write_read, stimulus_for
-from fluxloop.cells import BiasDelayModel, CellKind, CellParams, TimingViolation, ViolationKind
+from fluxloop.cells import BiasDelayModel, CellKind, CellParams, CellState, TimingViolation, ViolationKind, stepper_for
 from fluxloop.core import CELL_NAMES, NOMINAL_BIAS, BiasPoint, PulseEvent, trip_duration
 from fluxloop.engine import (
     Connection,
@@ -24,6 +26,7 @@ from fluxloop.engine import (
     trace_to_csv,
     trace_to_vcd,
 )
+from fluxloop.memory import MemoryProgram, TripOp
 
 DRO = CellParams(kind=CellKind.DRO, prop_delay_fs=5000, setup_fs=2000, hold_fs=1000)
 MERGER = CellParams(kind=CellKind.MERGER, prop_delay_fs=1500, min_separation_fs=2000)
@@ -331,6 +334,23 @@ class TestTaps:
         with pytest.raises(FluxloopError, match="effective delay must stay positive"):
             run(net, [(10, "a")])
 
+    @pytest.mark.parametrize("line, dst", [("a", "b"), ("w", "v")])
+    def test_refused_tap_names_its_own_lines(self, line, dst):
+        # a is walked from the stimulus and w popped from the heap, each after
+        # pulses on other lines, so a stale line name would show
+        net = Netlist(
+            cells={},
+            connections=(
+                Connection("z", "w", delay_fs=10),
+                Connection("a", "b", delay_fs=100, offset_schedule=((50, -100 if line == "a" else 0),), is_loop=True),
+                Connection("w", "v", delay_fs=100, offset_schedule=((50, -100 if line == "w" else 0),), is_loop=True),
+            ),
+            external_inputs=frozenset({"a", "z"}),
+            observed=("b", "v"),
+        )
+        with pytest.raises(FluxloopError, match=f"^tap {line} -> {dst}: effective delay must stay positive"):
+            run(net, [(0, "z"), (20, "z"), (60, "a"), (70, "z")])
+
     def test_runaway_feedback_is_bounded(self):
         # a fanout whose outputs both re-enter its input at slightly
         # different delays doubles the pulse count every pass
@@ -418,6 +438,144 @@ class TestStimulusMerge:
         trace = run(dro_netlist(), [(0, "din"), (20000, "clk")])
         assert trace.events == ((0, "din"), (20000, "clk"), (25000, "out"))
         assert all(type(e) is PulseEvent for e in trace.events)
+
+
+def reference_run(net: Netlist, stimulus: list[tuple[int, str]], t_end: int, bias: BiasPoint) -> tuple[tuple, tuple]:
+    """The kernel's contract, written naively: one heap of (t, line) keys
+    holding every pulse, and every key ever queued remembered."""
+    pins = net.at_bias(bias)
+    states = {name: CellState() for name in net.cells}
+    heap = sorted(set(stimulus))
+    seen = set(heap)
+    events, violations = [], list(pins.violations)
+
+    def push(key: tuple[int, str]) -> None:
+        if key not in seen:
+            seen.add(key)
+            heappush(heap, key)
+
+    while heap and heap[0][0] < t_end:
+        t, line = heappop(heap)
+        if line in net.observed:
+            events.append((t, line))
+        for cell, port in sorted(c.dst.split(".") for c in net.connections if c.src == line and "." in c.dst):
+            emitted, found = stepper_for(net.cells[cell].kind)(cell, pins.cells[cell], states[cell], port, t)
+            violations += found
+            for out, t_out in emitted:
+                for c in net.connections:
+                    if c.src == f"{cell}.{out}":
+                        push((t_out, c.dst))
+        for c in net.connections:
+            if c.src == line and "." not in c.dst:
+                extra = [offset for start, offset in c.offset_schedule if start <= t]
+                push((t + c.delay_fs + (extra[-1] if extra else 0), c.dst))
+    return tuple(sorted(events)), tuple(violations)
+
+
+delays = st.integers(0, 6).map(lambda k: 500 * k)
+instants = st.integers(0, 40).map(lambda k: 500 * k)
+
+
+def stimuli(lines: tuple[str, ...]):
+    return st.sets(st.tuples(instants, st.sampled_from(lines)), max_size=14).map(sorted)
+
+
+def dro_net(prop: int, setup: int, hold: int) -> Netlist:
+    return Netlist(
+        cells={"d": CellParams(kind=CellKind.DRO, prop_delay_fs=prop, setup_fs=setup, hold_fs=hold)},
+        connections=dro_netlist().connections,
+        external_inputs=frozenset({"din", "clk"}),
+        observed=("din", "clk", "out"),
+    )
+
+
+def fanout_net(fanout: int, merger: int) -> Netlist:
+    # a is driven by the stimulus, the fanout and the merger (a contested
+    # line), and sorts before the lines that make them emit onto it
+    return Netlist(
+        cells={
+            "f": CellParams(kind=CellKind.FANOUT, prop_delay_fs=fanout),
+            "m": CellParams(kind=CellKind.MERGER, prop_delay_fs=merger, min_separation_fs=1000),
+        },
+        connections=(
+            Connection("z", "f.in"),
+            Connection("f.out_a", "a"),
+            Connection("f.out_b", "b"),
+            Connection("a", "c", delay_fs=50),
+            Connection("p", "m.in0"),
+            Connection("z", "m.in1"),
+            Connection("m.out", "a"),
+        ),
+        external_inputs=frozenset({"a", "p", "z"}),
+        observed=("a", "b", "c", "p", "z"),
+    )
+
+
+def loop_net(prop: int, setup: int, loop: int, jitter: list[tuple[int, int]]) -> Netlist:
+    # the DRO's release re-enters its own data line through a jittered tap
+    return Netlist(
+        cells={"d": CellParams(kind=CellKind.DRO, prop_delay_fs=prop, setup_fs=setup, hold_fs=setup)},
+        connections=(
+            Connection("x", "d.data"),
+            Connection("clk", "d.clock"),
+            Connection("d.out", "y"),
+            Connection("y", "x", delay_fs=loop, offset_schedule=tuple(sorted(jitter)), is_loop=True),
+        ),
+        external_inputs=frozenset({"x", "clk"}),
+        observed=("clk", "x", "y"),
+    )
+
+
+class TestKernelMatchesReference:
+    """run_until against the naive kernel above, on drawn delays and stimuli."""
+
+    @staticmethod
+    def check(net: Netlist, stimulus: list[tuple[int, str]], t_end: int, bias: BiasPoint = NOMINAL_BIAS) -> None:
+        trace = run_until(schedule(net, [PulseEvent(t, line) for t, line in stimulus]), t_end, bias)
+        assert (trace.events, trace.violations) == reference_run(net, stimulus, t_end, bias)
+
+    @settings(max_examples=40)
+    @given(delays, delays, delays, stimuli(("din", "clk")), instants)
+    def test_dro(self, prop, setup, hold, stimulus, t_end):
+        self.check(dro_net(prop, setup, hold), stimulus, t_end)
+
+    @settings(max_examples=40)
+    @given(delays, delays, stimuli(("a", "p", "z")), instants)
+    # the merger's a is processed before the fanout emits onto it again
+    @example(0, 0, [(500, "p"), (500, "z")], 1000)
+    def test_zero_delay_fanout_onto_a_contested_line(self, fanout, merger, stimulus, t_end):
+        self.check(fanout_net(fanout, merger), stimulus, t_end)
+
+    @settings(max_examples=40)
+    @given(
+        delays,
+        delays,
+        st.integers(1, 8).map(lambda k: 1000 * k),
+        st.lists(st.tuples(instants, st.integers(-1, 2).map(lambda k: 400 * k)), max_size=3),
+        stimuli(("x", "clk")),
+        instants,
+    )
+    def test_jittered_tap_loop(self, prop, setup, loop, jitter, stimulus, t_end):
+        self.check(loop_net(prop, setup, loop, jitter), stimulus, t_end)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.dictionaries(st.sampled_from(sorted(CELL_NAMES)), delays.map(lambda d: {"prop_delay": d}), max_size=3),
+        st.lists(
+            st.builds(
+                TripOp,
+                st.none() | st.tuples(st.integers(0, 2), st.integers(0, 1)),
+                st.sets(st.integers(0, 2)).map(tuple),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from(["0.5", "0.9", "1", "1.1"]),
+    )
+    def test_stock_controller(self, overrides, trips, ratio):
+        cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3, cell_overrides=overrides)
+        stimulus = stimulus_for(MemoryProgram(tuple(trips)), cfg)
+        self.check(build_controller(cfg), stimulus, (len(trips) + 2) * trip_duration(cfg), BiasPoint.of(ratio))
 
 
 class TestPulseEvent:

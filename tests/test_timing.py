@@ -21,6 +21,7 @@ from fluxloop import (
 from fluxloop import cells, memory, timing
 from fluxloop.cells import _interpolate, default_cell_params, delay_at_bias
 from fluxloop.core import BiasPoint
+from fluxloop.engine import RunawayQueueError
 from fluxloop.memory import build_controller, default_margin_suite, scenario_write_read
 from fluxloop.timing import (
     characterization_to_csv,
@@ -265,6 +266,22 @@ class TestBiasMargin:
     def test_empty_scenario_list_rejected(self, cfg100):
         with pytest.raises(ValueError, match="at least one scenario"):
             bias_margin(cfg100, ())
+
+    def test_every_scenario_is_sized_before_any_stimulus_is_built(self, cfg100, monkeypatch):
+        # the default suite's stimuli are 19, 25 and 27 pulses: only the last is over
+        built = []
+        stimulus_for = memory.stimulus_for
+
+        def spy(program, cfg):
+            built.append(program)
+            return stimulus_for(program, cfg)
+
+        monkeypatch.setattr(memory, "stimulus_for", spy)
+        with pytest.raises(RunawayQueueError, match="stimulus of 27 pulses exceeds the bound of 26 events"):
+            bias_margin(replace(cfg100, max_events=26))
+        assert built == []
+        bias_margin(cfg100)  # the spy sees each stimulus built
+        assert len(built) == 3
 
 
 #: (cell overrides, retiming guard fs, frequency GHz) of the agreement cases.
