@@ -244,12 +244,19 @@ class SimConfig:
         return replace(self, bias=bias)
 
     def with_frequency(self, frequency_hz: int) -> "SimConfig":
-        return replace(self, frequency_hz=frequency_hz)
+        """``replace(self, frequency_hz=frequency_hz)`` that checks only the new
+        frequency: every other field was validated when this config was made."""
+        if frequency_hz <= 0:
+            raise ConfigError("frequency", "must be positive")
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__, frequency_hz=frequency_hz)
+        return copy
 
 
 def interval_duration(cfg: SimConfig) -> int:
     """Duration of one address interval in fs (1/frequency, round half up)."""
-    return round_half_up(Fraction(FS_PER_SECOND, cfg.frequency_hz))
+    # round_half_up(Fraction(FS_PER_SECOND, f)) in integer arithmetic
+    return (2 * FS_PER_SECOND + cfg.frequency_hz) // (2 * cfg.frequency_hz)
 
 
 def trip_duration(cfg: SimConfig) -> int:
@@ -306,19 +313,8 @@ def parse_config(text: str) -> SimConfig:
         raise ConfigError("<document>", "top level must be an object")
 
     known = {
-        "frequency",
-        "num_addresses",
-        "bias",
-        "header_intervals",
-        "phase_read",
-        "phase_write",
-        "phase_data",
-        "loop_delay",
-        "retiming_guard",
-        "loop_jitter",
-        "cells",
-        "max_events",
-        "search_ceiling",
+        "frequency", "num_addresses", "bias", "header_intervals", "phase_read", "phase_write", "phase_data",
+        "loop_delay", "retiming_guard", "loop_jitter", "cells", "max_events", "search_ceiling",
     }
     for key in doc:
         if key not in known:

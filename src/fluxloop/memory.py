@@ -27,16 +27,7 @@ from functools import lru_cache, partial
 from typing import Any, Callable, Mapping
 
 from .cells import CellParams, _cell_set, _freeze, default_cell_params
-from .core import (
-    BiasPoint,
-    ConfigError,
-    InfeasibleFrequencyError,
-    PulseEvent,
-    SimConfig,
-    interval_duration,
-    round_half_up,
-    trip_duration,
-)
+from .core import BiasPoint, ConfigError, InfeasibleFrequencyError, PulseEvent, SimConfig, interval_duration, trip_duration
 from .engine import Connection, Netlist, PinnedNetlist, RunawayQueueError, Trace, run_until, schedule
 
 #: The externally driven lines.
@@ -173,11 +164,14 @@ def _check_program(program: MemoryProgram, num_addresses: int) -> None:
 
 def phase_instants(cfg: SimConfig) -> tuple[int, int, int]:
     """(read, write, data) pulse offsets within an interval, in fs."""
-    interval = interval_duration(cfg)
-    return (
-        round_half_up(cfg.phase_read * interval),
-        round_half_up(cfg.phase_write * interval),
-        round_half_up(cfg.phase_data * interval),
+    return _phase_instants(cfg, interval_duration(cfg))
+
+
+def _phase_instants(cfg: SimConfig, interval: int) -> tuple[int, int, int]:
+    # round_half_up(phase * interval) of each phase, in integer arithmetic
+    return tuple(
+        (2 * p.numerator * interval + p.denominator) // (2 * p.denominator)
+        for p in (cfg.phase_read, cfg.phase_write, cfg.phase_data)
     )
 
 
@@ -201,12 +195,11 @@ def required_loop_delay(cfg: SimConfig) -> int:
     later, so the loop absorbs a full trip minus the controller's nominal
     re-timing budget.
     """
-    return _loop_delay(default_cell_params(cfg.cell_overrides), cfg)
+    return _loop_delay(default_cell_params(cfg.cell_overrides), cfg, trip_duration(cfg))
 
 
-def _loop_delay(cells: Mapping[str, CellParams], cfg: SimConfig) -> int:
+def _loop_delay(cells: Mapping[str, CellParams], cfg: SimConfig, trip: int) -> int:
     budget = source_path_delays(cells)[1] + cells["recirc_dro2r"].setup_fs + cfg.retiming_guard_fs
-    trip = trip_duration(cfg)
     if budget >= trip:
         raise InfeasibleFrequencyError(
             f"controller re-timing budget {budget} fs does not fit in a "
@@ -250,8 +243,8 @@ def _compile(config: _BiasFree) -> Netlist:
     cfg = config.cfg
     # the cell set default_cell_params serves, read without a per-call copy
     cells = _cell_set(_freeze(cfg.cell_overrides))
-    loop_delay = cfg.loop_delay_fs if cfg.loop_delay_fs is not None else _loop_delay(cells, cfg)
     trip = trip_duration(cfg)
+    loop_delay = cfg.loop_delay_fs if cfg.loop_delay_fs is not None else _loop_delay(cells, cfg, trip)
     offsets = tuple((t * trip, off) for t, off in enumerate(cfg.loop_jitter_fs))
     if offsets:
         offsets += ((len(cfg.loop_jitter_fs) * trip, 0),)
@@ -290,7 +283,10 @@ def _check_stimulus_size(program: MemoryProgram, cfg: SimConfig) -> None:
     """Raise ``RunawayQueueError`` if the program's stimulus alone exceeds
     ``cfg.max_events``, counted in closed form before any pulse is made."""
     ones = sum(1 for op in program.trips if op.write is not None and op.write[1] == 1)
-    size = 2 * cfg.num_addresses * len(program.trips) + ones
+    _check_pulse_count(2 * cfg.num_addresses * len(program.trips) + ones, cfg)
+
+
+def _check_pulse_count(size: int, cfg: SimConfig) -> None:
     if size > cfg.max_events:
         raise RunawayQueueError(f"stimulus of {size} pulses exceeds the bound of {cfg.max_events} events")
 
@@ -300,9 +296,11 @@ def stimulus_for(program: MemoryProgram, cfg: SimConfig) -> list[PulseEvent]:
 
     In every address interval exactly one of each complement pair fires;
     write_data appears in the header only for trips writing a 1.  Pulses
-    come in generation order (each line's in time order); ``schedule``
-    sorts them.  A program whose stimulus alone exceeds ``cfg.max_events``
-    raises ``RunawayQueueError`` before any pulse is made.
+    come in time order (each interval's read before its write, as
+    ``phase_read < phase_write``), so the sort in ``schedule`` only has to
+    order pulses whose phases round to the same instant.  A program whose
+    stimulus alone exceeds ``cfg.max_events`` raises ``RunawayQueueError``
+    before any pulse is made.
     """
     _check_program(program, cfg.num_addresses)
     _check_stimulus_size(program, cfg)
@@ -323,8 +321,8 @@ def stimulus_for(program: MemoryProgram, cfg: SimConfig) -> list[PulseEvent]:
         for k in range(cfg.num_addresses):
             slot = trip_start + header + k * interval
             writing = op.write is not None and op.write[0] == k
-            pulses.append(pulse((slot + ph_write, "write_address" if writing else "not_write_address")))
             pulses.append(pulse((slot + ph_read, "read_address" if k in reads else "not_read_address")))
+            pulses.append(pulse((slot + ph_write, "write_address" if writing else "not_write_address")))
     return pulses
 
 
@@ -421,18 +419,31 @@ def scenario_overwrite(address: int = 1) -> MemoryProgram:
 
 
 def scenario_address_sweep(num_addresses: int) -> MemoryProgram:
-    """Write every address in turn, then read them all back in one trip."""
-    ops = [TripOp(write=(a, 1), reads=(a,)) for a in range(num_addresses)]
+    """Write a 1 to every address in turn, from the last down, then read
+    them all back in one trip.
+
+    Each writing trip reads back its own address and, after the first, the
+    one written the trip before, so a fresh write's read clock races the
+    next interval's read_address: the write-sourced read hold that ``sta``
+    checks, which no other default scenario exercises.
+    """
+    top = num_addresses - 1
+    ops = [TripOp(write=(a, 1), reads=(a, a + 1) if a < top else (a,)) for a in range(top, -1, -1)]
     ops.append(TripOp(reads=tuple(range(num_addresses))))
     return MemoryProgram(trips=tuple(ops))
 
 
 def default_margin_suite(cfg: SimConfig) -> tuple[MemoryProgram, ...]:
-    address = min(1, cfg.num_addresses - 1)
+    """The scenarios ``bias_margin`` runs by default.  An address sweep whose
+    stimulus would exceed ``cfg.max_events`` raises ``RunawayQueueError``
+    before it is built."""
+    n = cfg.num_addresses
+    _check_pulse_count(2 * n * (n + 1) + n, cfg)  # n + 1 trips, n writes of a 1
+    address = min(1, n - 1)
     return (
         scenario_write_read(address=address),
         scenario_overwrite(address=address),
-        scenario_address_sweep(cfg.num_addresses),
+        scenario_address_sweep(n),
     )
 
 

@@ -19,28 +19,12 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .cells import INPUT_PORTS, OUTPUT_PORTS, BiasRangeError, _cell_set, _freeze, default_cell_params
-from .core import (
-    BiasPoint,
-    InfeasibleFrequencyError,
-    PulseEvent,
-    SimConfig,
-    exact_ratio,
-    format_ratio,
-    interval_duration,
-    trip_duration,
-)
+from .core import BiasPoint, InfeasibleFrequencyError, PulseEvent, SimConfig, exact_ratio, format_ratio, interval_duration
 from .engine import Connection, Netlist, run_until, schedule
 from .memory import (
-    MemoryProgram,
-    MemoryResult,
-    _loop_delay,
-    _check_stimulus_size,
-    default_margin_suite,
-    oracle,
-    phase_instants,
-    prepare_program,
+    MemoryProgram, MemoryResult, _check_stimulus_size, _loop_delay, _phase_instants, default_margin_suite, oracle,
+    prepare_program, source_path_delays,
     run_program,  # unused here; perfbench's tracer and self-test expect timing.run_program
-    source_path_delays,
 )
 
 
@@ -180,10 +164,10 @@ def sta(
     cells, at_lo, at_hi = _window_cells(_freeze(cfg.cell_overrides), lo, hi)
 
     interval = interval_duration(cfg)
-    trip = trip_duration(cfg)
-    ph_read, ph_write, ph_data = phase_instants(cfg)
     header = cfg.header_intervals * interval
-    loop_delay = cfg.loop_delay_fs if cfg.loop_delay_fs is not None else _loop_delay(cells, cfg)
+    trip = header + cfg.num_addresses * interval
+    loop_delay = cfg.loop_delay_fs if cfg.loop_delay_fs is not None else _loop_delay(cells, cfg, trip)
+    ph_read, ph_write, ph_data = _phase_instants(cfg, interval)
 
     # Merged-path extremes over both sources (fresh write vs recirculation).
     path_min = min(source_path_delays(at_hi))
@@ -318,9 +302,9 @@ def bias_margin(
         scenarios = default_margin_suite(cfg)
     if not scenarios:
         raise ValueError("bias_margin needs at least one scenario")
-    expected = [oracle(p, cfg.num_addresses) for p in scenarios]  # checks each program
-    for p in scenarios:  # every scenario's size before any stimulus is built
+    for p in scenarios:  # every scenario's size before its oracle or stimulus is built
         _check_stimulus_size(p, cfg)
+    expected = [oracle(p, cfg.num_addresses) for p in scenarios]  # checks each program
     prepared = [prepare_program(p, cfg) for p in scenarios]
 
     def failure(ratio: Fraction) -> str | None:

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fluxloop import (
     ConfigError,
@@ -16,6 +19,7 @@ from fluxloop import (
     trip_duration,
 )
 from fluxloop.core import (
+    FS_PER_SECOND,
     NOMINAL_BIAS,
     BiasPoint,
     PulseEvent,
@@ -25,6 +29,7 @@ from fluxloop.core import (
     parse_frequency,
     round_half_up,
 )
+from fluxloop.memory import build_controller, phase_instants
 
 GHZ = 10**9
 
@@ -128,6 +133,66 @@ def test_trip_duration(cfg100):
     assert trip_duration(cfg100) == 40000
     wide = SimConfig(frequency_hz=100 * GHZ, num_addresses=7, header_intervals=2)
     assert trip_duration(wide) == 90000
+
+
+#: Phases in [0, 1) with denominators up to a million.
+_phases = st.tuples(st.integers(0, 10**6), st.integers(1, 10**6)).map(lambda nd: Fraction(nd[0] % nd[1], nd[1]))
+
+
+@st.composite
+def _timebase_configs(draw) -> SimConfig:
+    read, write = sorted((draw(_phases), draw(_phases)))
+    assume(read < write)
+    return SimConfig(
+        frequency_hz=draw(st.integers(1, 10 * 10**12)),
+        num_addresses=draw(st.integers(1, 10**6)),
+        header_intervals=draw(st.integers(1, 16)),
+        phase_read=read,
+        phase_write=write,
+        phase_data=draw(_phases),
+    )
+
+
+@settings(max_examples=100)
+@given(_timebase_configs())
+def test_integer_timebase_matches_exact_rounding(cfg):
+    # the reference: exact rationals, rounded once by round_half_up
+    interval = round_half_up(Fraction(FS_PER_SECOND, cfg.frequency_hz))
+    assert interval_duration(cfg) == interval
+    assert trip_duration(cfg) == (cfg.num_addresses + cfg.header_intervals) * interval
+    phases = (cfg.phase_read, cfg.phase_write, cfg.phase_data)
+    assert phase_instants(cfg) == tuple(round_half_up(p * interval) for p in phases)
+
+
+class TestWithFrequency:
+    @pytest.mark.parametrize("ghz", [1, 75, 100, 150])
+    def test_equals_a_validated_replace(self, ghz):
+        cfg = SimConfig(
+            frequency_hz=100 * GHZ,
+            num_addresses=5,
+            bias=BiasPoint.of("0.9"),
+            header_intervals=2,
+            phase_read=Fraction(1, 3),
+            loop_jitter_fs=(300, -200),
+            cell_overrides={"merger": {"prop_delay": 2000}},
+            max_events=5000,
+        )
+        moved, replaced = cfg.with_frequency(ghz * GHZ), replace(cfg, frequency_hz=ghz * GHZ)
+        assert type(moved) is SimConfig
+        assert moved == replaced and vars(moved) == vars(replaced)
+        assert cfg.frequency_hz == 100 * GHZ  # the original is untouched
+        # SimConfig holds its cell overrides in a dict, so neither config hashes
+        for config in (moved, replaced):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(config)
+        assert build_controller(moved) is build_controller(replaced)
+
+    @pytest.mark.parametrize("hz", [0, -1, -100 * GHZ])
+    def test_refuses_a_non_positive_frequency(self, cfg100, hz):
+        for make in (cfg100.with_frequency, lambda f: replace(cfg100, frequency_hz=f)):
+            with pytest.raises(ConfigError) as info:
+                make(hz)
+            assert (info.value.field, info.value.message) == ("frequency", "must be positive")
 
 
 def test_pulse_event_ordering_and_validation():

@@ -182,6 +182,17 @@ class TestStimulus:
         assert by_line["read_address"] == [22000, 62000, 102000]
         assert by_line["not_read_address"] == [12000, 32000, 52000, 72000, 92000, 112000]
 
+    @pytest.mark.parametrize("ghz", [20, 75, 100])
+    def test_stimulus_comes_in_time_order(self, ghz):
+        # at the default phases no two pulses share an instant, so the
+        # generation order is the order schedule sorts into
+        cfg = SimConfig(frequency_hz=ghz * GHZ, num_addresses=4, header_intervals=2)
+        program = MemoryProgram(
+            trips=(TripOp(write=(0, 1), reads=(0, 3)), TripOp(write=(3, 0), reads=(1,)), TripOp(write=(2, 1)))
+        )
+        pulses = stimulus_for(program, cfg)
+        assert pulses == sorted(pulses)
+
     def test_every_interval_is_differential(self, cfg100):
         program = MemoryProgram(
             trips=(TripOp(write=(0, 1), reads=(2,)), TripOp(reads=(0, 1, 2)), TripOp())
@@ -249,6 +260,24 @@ class TestRunProgram:
         assert result.passed
         assert result.reads == oracle(program, 3)
         assert set(result.reads.values()) == {1}
+
+    def test_address_sweep_reads_each_fresh_write_and_its_successor(self):
+        # the read of address a + 1 races the read clock of a's fresh write
+        assert scenario_address_sweep(3).trips == (
+            TripOp(write=(2, 1), reads=(2,)),
+            TripOp(write=(1, 1), reads=(1, 2)),
+            TripOp(write=(0, 1), reads=(0, 1)),
+            TripOp(reads=(0, 1, 2)),
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_default_suite_refuses_a_sweep_over_the_event_bound(self, cfg100, n):
+        cfg = replace(cfg100, num_addresses=n)
+        size = len(stimulus_for(scenario_address_sweep(n), cfg))
+        assert size == 2 * n * (n + 1) + n
+        default_margin_suite(replace(cfg, max_events=size))
+        with pytest.raises(RunawayQueueError, match=f"stimulus of {size} pulses exceeds the bound of {size - 1}"):
+            default_margin_suite(replace(cfg, max_events=size - 1))
 
     def test_stale_bit_is_replaced_not_merged(self, cfg100):
         # writing address 2 then reading everything: addresses 0 and 1 must

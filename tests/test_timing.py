@@ -6,9 +6,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fluxloop import (
     BiasRangeError,
+    ConfigError,
     InfeasibleFrequencyError,
     MarginReport,
     SimConfig,
@@ -283,6 +286,34 @@ class TestBiasMargin:
         bias_margin(cfg100)  # the spy sees each stimulus built
         assert len(built) == 3
 
+    @pytest.mark.parametrize(
+        "num_addresses, max_events, sweeps",
+        [
+            (3, 26, 0),  # the sweep (27 pulses) is over: refused before it is built
+            (1, 8, 1),  # the sweep (5) fits, the overwrite scenario (9) is over
+        ],
+    )
+    def test_an_oversized_suite_is_refused_before_its_oracle(self, num_addresses, max_events, sweeps, monkeypatch):
+        calls = {"oracle": 0, "sweep": 0}
+        oracle, sweep = timing.oracle, memory.scenario_address_sweep
+
+        def oracle_spy(program, n):
+            calls["oracle"] += 1
+            return oracle(program, n)
+
+        def sweep_spy(n):
+            calls["sweep"] += 1
+            return sweep(n)
+
+        monkeypatch.setattr(timing, "oracle", oracle_spy)
+        monkeypatch.setattr(memory, "scenario_address_sweep", sweep_spy)
+        cfg = SimConfig(frequency_hz=100 * GHZ, num_addresses=num_addresses, max_events=max_events)
+        with pytest.raises(RunawayQueueError, match="exceeds the bound"):
+            bias_margin(cfg)
+        assert calls == {"oracle": 0, "sweep": sweeps}
+        bias_margin(replace(cfg, max_events=10_000))
+        assert calls == {"oracle": 3, "sweep": sweeps + 1}
+
 
 #: (cell overrides, retiming guard fs, frequency GHz) of the agreement cases.
 AGREEMENT_CASES = [({}, 2000, ghz) for ghz in (20, 50, 75, 100)] + [(DOUBLED, 4000, ghz) for ghz in (25, 50)]
@@ -313,6 +344,74 @@ class TestStaAgreesWithSimulation:
                 wider = sta(cfg, *window(pct + 1))
                 assert not wider.all_met
                 assert wider.worst().constraint.endswith("_" + limiter.lower())
+
+
+#: Per-cell overrides of the timing figures that sta and the simulator share.
+_drawn_overrides = st.dictionaries(
+    st.sampled_from(("write_dro", "recirc_dro2r", "merger", "fanout", "read_dro2r")),
+    st.dictionaries(st.sampled_from(("prop_delay", "setup", "hold")), st.integers(0, 8000), min_size=1),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestStaAgreesWithSimulationOnDrawnCells:
+    """On drawn cell overrides, the widest STA window that meets timing on
+    each side of nominal is the empirical bias margin.
+
+    The ``*_period`` rows are left out: they rate the design point's
+    throughput at nominal bias whatever the window (see ``sta``), and the
+    pulse-level model has no event they would describe, so a failing period
+    row has no simulated counterpart.  A SETUP or HOLD limiter need not name
+    the kind of the STA row that fails one percent further out: a data pulse
+    that lands just after its clock fails the STA setup row, and the
+    simulator reports it as a hold violation against that clock (or, when
+    one bias step carries it past a setup-plus-hold window only a few fs
+    wide, only as a wrong read).
+    """
+
+    @staticmethod
+    def failing_rows(cfg: SimConfig, lo: Fraction, hi: Fraction) -> list[str] | None:
+        """The non-period rows sta fails on [lo, hi]; None past a cell's electrical range."""
+        try:
+            report = sta(cfg, lo, hi)
+        except BiasRangeError:
+            return None
+        return [row.constraint for row in report.slacks if row.slack_fs < 0 and not row.constraint.endswith("_period")]
+
+    @settings(max_examples=30, deadline=None)
+    @given(overrides=_drawn_overrides, ghz=st.sampled_from((50, 75, 100)))
+    # a 1% lower margin, set by the write-sourced read hold, which only the
+    # address sweep's reads of each fresh write's successor exercise
+    @example(overrides={"write_dro": {"prop_delay": 3900, "setup": 2500, "hold": 400}}, ghz=100)
+    def test_widest_met_window_is_the_margin(self, overrides, ghz):
+        cfg = SimConfig(frequency_hz=ghz * GHZ, num_addresses=3, cell_overrides=overrides)
+        try:
+            margin = bias_margin(cfg)
+        except (ConfigError, InfeasibleFrequencyError) as exc:
+            # a delay curve the override breaks, or a loop that cannot fit the trip
+            with pytest.raises(type(exc)):
+                sta(cfg)
+            return
+        nominal_fails = bias_margin(cfg, max_pct=0).lower_limiter is not None
+        assert (self.failing_rows(cfg, Fraction(1), Fraction(1)) != []) == nominal_fails
+        if nominal_fails:
+            return
+        sides = ((-1, margin.lower_pct, margin.lower_limiter), (1, margin.upper_pct, margin.upper_limiter))
+        for sign, pct, limiter in sides:
+
+            def window(p: int) -> tuple[Fraction, Fraction]:
+                edge = 1 + sign * Fraction(p, 100)
+                return (edge, Fraction(1)) if sign < 0 else (Fraction(1), edge)
+
+            assert self.failing_rows(cfg, *window(pct)) == []
+            if limiter is None:  # the scan's 50% cap
+                continue
+            wider = self.failing_rows(cfg, *window(pct + 1))
+            if limiter == "ELECTRICAL":
+                assert wider is None
+            else:
+                assert wider, (sign, pct, limiter)
 
 
 class TestCaches:
