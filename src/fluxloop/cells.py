@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping
 
-from .core import BiasPoint, ConfigError, FluxloopError, format_ratio, round_half_up
+from .core import BiasPoint, ConfigError, FluxloopError, _freeze, format_ratio, round_half_up
 
 #: Default delay-vs-bias curve, as multipliers of the nominal delay.  The
 #: shape is convex and strictly decreasing (cells slow down when starved of
@@ -372,15 +372,6 @@ _DEFAULT_TIMINGS: dict[str, tuple[CellKind, int, int, int]] = {
     "fanout": (CellKind.FANOUT, 500, 0, 0),
     "read_dro2r": (CellKind.DRO2R, 3000, 7000, 1000),
 }
-
-
-def _freeze(value: Any) -> Any:
-    """A hashable equal of an override value: mappings and lists become tuples."""
-    if isinstance(value, Mapping):
-        return tuple(sorted((key, _freeze(item)) for key, item in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(item) for item in value)
-    return value
 
 
 def default_cell_params(cell_overrides: Mapping[str, Mapping[str, Any]] | None = None) -> dict[str, CellParams]:

@@ -9,12 +9,13 @@ and ``characterize`` sweeps one cell's delay over bias.
 Exit codes classify failures for scripting: 2 config/usage trouble (a
 malformed document or option, a run that exceeds ``max_events``, or any
 other input the simulator refuses), 3 infeasible frequency, 4 a run that
-completed but failed (violations or wrong reads).
+completed but failed (violations or wrong reads), 141 stdout closed early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -43,6 +44,7 @@ from .density import (
 from .engine import RunawayQueueError, trace_to_csv, trace_to_vcd
 from .memory import oracle, parse_program, run_program
 from .timing import (
+    _window_cells,
     characterization_to_csv,
     characterize_cell,
     bias_margin,
@@ -58,6 +60,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_RUN_FAILED = 4
+#: What a shell reports for a process that SIGPIPE ended: stdout's reader closed early.
+EXIT_BROKEN_PIPE = 141
 
 #: Most bias points one ``characterize`` sweep may take (each is a simulation).
 MAX_SWEEP_POINTS = 10_000
@@ -137,6 +141,9 @@ def _cmd_sta(args: argparse.Namespace) -> int:
             "(an edge not given is the config bias)",
         )
     if args.find_max:
+        # the scan rates the design at the config bias; the window only sets the report's,
+        # so a window a cell cannot take is refused before the scan prints anything
+        _window_cells(cfg.frozen_overrides, *lo.as_integer_ratio(), *hi.as_integer_ratio())
         freq = max_frequency(cfg)
         print(f"max feasible frequency: {freq / 1e9:g} GHz")
         cfg = cfg.with_frequency(freq)
@@ -243,7 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--bias-lo", help="low edge of the bias window (default: config bias)")
     p.add_argument("--bias-hi", help="high edge of the bias window")
-    p.add_argument("--find-max", action="store_true", help="search for the maximum feasible frequency first")
+    p.add_argument(
+        "--find-max",
+        action="store_true",
+        help="first rate the design: the highest frequency on a 1 GHz grid whose slacks all meet at the config "
+        "bias; --bias-lo/--bias-hi only set the window of the slack report printed at that frequency",
+    )
     p.set_defaults(func=_cmd_sta)
 
     p = sub.add_parser("margins", help="empirical bias-margin sweep")
@@ -276,6 +288,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # stdout's reader went away (``| head -1``).  As the Python docs' SIGPIPE
+        # note advises, point stdout at devnull so the flush at exit is quiet.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError:  # io.UnsupportedOperation: a stdout with no descriptor leaves nothing to flush at exit
+            pass
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _run(args: argparse.Namespace) -> int:
+    """The command's exit code, with a refused input reported on stderr."""
     try:
         return args.func(args)
     except InfeasibleFrequencyError as exc:

@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Any, Mapping
 
 FS_PER_SECOND = 10**15
@@ -66,18 +67,11 @@ class InfeasibleFrequencyError(FluxloopError):
 def round_half_up(value: Fraction | int) -> int:
     """Round an exact rational to the nearest integer, ties toward +inf.
 
-    All timestamp rounding in the package funnels through here so that the
-    tie-break is uniform and float representation error can never flip a
-    boundary case.
+    Every timestamp rounds by this rule, ``(2·num + den) // (2·den)`` (an int
+    is its own numerator over 1; ``interval_duration`` and the phase instants
+    inline it), so float representation error can never flip a tie.
     """
-    if isinstance(value, int):
-        return value
-    num, den = value.numerator, value.denominator
-    floor, rem = divmod(num, den)
-    # divmod on Fractions keeps 0 <= rem < den for positive den
-    if 2 * rem >= den:
-        return floor + 1
-    return floor
+    return (2 * value.numerator + value.denominator) // (2 * value.denominator)
 
 
 def exact_ratio(value: float | int | str | Fraction) -> Fraction:
@@ -93,6 +87,13 @@ def exact_ratio(value: float | int | str | Fraction) -> Fraction:
     if isinstance(value, float):
         return Fraction(repr(value))
     return Fraction(str(value).strip())
+
+
+def _freeze(value: Any) -> Any:
+    """A hashable equal of an override value: mappings and lists become tuples."""
+    if isinstance(value, Mapping):
+        return tuple(sorted((key, _freeze(item)) for key, item in value.items()))
+    return tuple(map(_freeze, value)) if isinstance(value, (list, tuple)) else value
 
 
 def _ratio_to_json(value: Fraction) -> float | str:
@@ -200,7 +201,8 @@ class SimConfig:
 
     ``cell_overrides`` holds normalized per-cell parameter overrides
     (durations already in fs, curve knots as exact ratios); the cell layer
-    merges them over its defaults.
+    merges them over its defaults.  They are a read-only copy (lists as
+    tuples), so ``frozen_overrides``, their hashable equal, is computed once.
     """
 
     frequency_hz: int
@@ -239,6 +241,14 @@ class SimConfig:
         for name in self.cell_overrides:
             if name not in CELL_NAMES:
                 raise ConfigError(f"cells.{name}", f"unknown cell (valid: {', '.join(CELL_NAMES)})")
+        overrides = {name: MappingProxyType({k: _freeze(v) for k, v in o.items()}) for name, o in self.cell_overrides.items()}
+        object.__setattr__(self, "cell_overrides", MappingProxyType(overrides))
+        object.__setattr__(self, "frozen_overrides", _freeze(overrides))
+
+    def __reduce__(self) -> tuple:
+        """Pickle through the constructor, the read-only overrides as plain dicts."""
+        plain = {name: dict(o) for name, o in self.cell_overrides.items()}
+        return type(self), tuple(plain if f.name == "cell_overrides" else getattr(self, f.name) for f in fields(self))
 
     def with_bias(self, bias: BiasPoint) -> "SimConfig":
         return replace(self, bias=bias)
@@ -299,6 +309,13 @@ def _parse_cell_overrides(raw: Any) -> dict[str, dict[str, Any]]:
     return out
 
 
+def _integer(doc: dict[str, Any], key: str) -> int:
+    value = doc[key]
+    if type(value) is not int:  # JSON true/false decode to bool, an int subclass
+        raise ConfigError(key, "expected an integer")
+    return value
+
+
 def parse_config(text: str) -> SimConfig:
     """Parse and validate a JSON configuration document.
 
@@ -320,32 +337,20 @@ def parse_config(text: str) -> SimConfig:
         if key not in known:
             raise ConfigError(key, "unknown configuration field")
 
-    if "frequency" not in doc:
-        raise ConfigError("frequency", "required field is missing")
-    if "num_addresses" not in doc:
-        raise ConfigError("num_addresses", "required field is missing")
-
-    frequency_hz = parse_frequency(doc["frequency"], "frequency")
-
-    num_addresses = doc["num_addresses"]
-    if not isinstance(num_addresses, int) or isinstance(num_addresses, bool):
-        raise ConfigError("num_addresses", "expected an integer")
-
+    for key in ("frequency", "num_addresses"):
+        if key not in doc:
+            raise ConfigError(key, "required field is missing")
     kwargs: dict[str, Any] = {
-        "frequency_hz": frequency_hz,
-        "num_addresses": num_addresses,
+        "frequency_hz": parse_frequency(doc["frequency"], "frequency"),
+        "num_addresses": _integer(doc, "num_addresses"),
     }
-
     if "bias" in doc:
         try:
             kwargs["bias"] = BiasPoint(exact_ratio(doc["bias"]))
         except (ValueError, ZeroDivisionError):
             raise ConfigError("bias", f"invalid bias ratio {doc['bias']!r}") from None
     if "header_intervals" in doc:
-        value = doc["header_intervals"]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError("header_intervals", "expected an integer")
-        kwargs["header_intervals"] = value
+        kwargs["header_intervals"] = _integer(doc, "header_intervals")
     for phase_key in ("phase_read", "phase_write", "phase_data"):
         if phase_key in doc:
             try:
@@ -366,14 +371,17 @@ def parse_config(text: str) -> SimConfig:
     if "cells" in doc:
         kwargs["cell_overrides"] = _parse_cell_overrides(doc["cells"])
     if "max_events" in doc:
-        value = doc["max_events"]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError("max_events", "expected an integer")
-        kwargs["max_events"] = value
+        kwargs["max_events"] = _integer(doc, "max_events")
     if "search_ceiling" in doc:
         kwargs["search_ceiling_hz"] = parse_frequency(doc["search_ceiling"], "search_ceiling")
 
     return SimConfig(**kwargs)
+
+
+def _override_to_json(key: str, value: Any) -> Any:
+    if key == "bias_curve":
+        return [list(map(_ratio_to_json, knot)) for knot in value]
+    return list(map(_ratio_to_json, value)) if key == "operating_range" else value
 
 
 def serialize_config(cfg: SimConfig) -> str:
@@ -392,17 +400,9 @@ def serialize_config(cfg: SimConfig) -> str:
         "max_events": cfg.max_events,
         "search_ceiling": cfg.search_ceiling_hz,
     }
-    cells: dict[str, Any] = {}
-    for name, overrides in cfg.cell_overrides.items():
-        entry: dict[str, Any] = {}
-        for key, value in overrides.items():
-            if key == "bias_curve":
-                entry[key] = [[_ratio_to_json(r), _ratio_to_json(m)] for r, m in value]
-            elif key == "operating_range":
-                entry[key] = [_ratio_to_json(value[0]), _ratio_to_json(value[1])]
-            else:
-                entry[key] = value
-        cells[name] = entry
-    if cells:
-        doc["cells"] = cells
+    if cfg.cell_overrides:
+        doc["cells"] = {
+            name: {key: _override_to_json(key, value) for key, value in overrides.items()}
+            for name, overrides in cfg.cell_overrides.items()
+        }
     return json.dumps(doc, indent=2, sort_keys=True)

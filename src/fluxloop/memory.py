@@ -70,13 +70,8 @@ class MemoryProgram:
     trips: tuple[TripOp, ...]
 
     def max_address(self) -> int:
-        top = -1
-        for trip in self.trips:
-            if trip.write is not None:
-                top = max(top, trip.write[0])
-            for a in trip.reads:
-                top = max(top, a)
-        return top
+        """The highest address any trip writes or reads (-1 for none)."""
+        return max((a for op in self.trips for a in (*op.reads, *(op.write or ())[:1])), default=-1)
 
 
 @dataclass(frozen=True)
@@ -195,11 +190,16 @@ def required_loop_delay(cfg: SimConfig) -> int:
     later, so the loop absorbs a full trip minus the controller's nominal
     re-timing budget.
     """
-    return _loop_delay(default_cell_params(cfg.cell_overrides), cfg, trip_duration(cfg))
+    return _loop_delay(_retiming_budget(_cell_set(cfg.frozen_overrides)), cfg, trip_duration(cfg))
 
 
-def _loop_delay(cells: Mapping[str, CellParams], cfg: SimConfig, trip: int) -> int:
-    budget = source_path_delays(cells)[1] + cells["recirc_dro2r"].setup_fs + cfg.retiming_guard_fs
+def _retiming_budget(cells: Mapping[str, CellParams]) -> int:
+    """The re-timing budget before the guard: the recirculation path plus the re-timing cell's setup."""
+    return source_path_delays(cells)[1] + cells["recirc_dro2r"].setup_fs
+
+
+def _loop_delay(budget: int, cfg: SimConfig, trip: int) -> int:
+    budget += cfg.retiming_guard_fs
     if budget >= trip:
         raise InfeasibleFrequencyError(
             f"controller re-timing budget {budget} fs does not fit in a "
@@ -210,6 +210,8 @@ def _loop_delay(cells: Mapping[str, CellParams], cfg: SimConfig, trip: int) -> i
 
 #: SimConfig fields a run reads but the compiled controller does not.
 _RUN_FIELDS = frozenset({"bias", "max_events", "search_ceiling_hz"})
+#: The compiled fields but the cell overrides, which key by ``SimConfig.frozen_overrides``.
+_COMPILED_FIELDS = tuple(f.name for f in fields(SimConfig) if f.name not in _RUN_FIELDS | {"cell_overrides"})
 
 
 class _BiasFree:
@@ -219,7 +221,7 @@ class _BiasFree:
 
     def __init__(self, cfg: SimConfig) -> None:
         self.cfg = cfg
-        self.key = tuple(_freeze(getattr(cfg, f.name)) for f in fields(cfg) if f.name not in _RUN_FIELDS)
+        self.key = (cfg.frozen_overrides, *(_freeze(getattr(cfg, name)) for name in _COMPILED_FIELDS))
 
     def __hash__(self) -> int:
         return hash(self.key)
@@ -242,9 +244,9 @@ def build_controller(cfg: SimConfig) -> Netlist:
 def _compile(config: _BiasFree) -> Netlist:
     cfg = config.cfg
     # the cell set default_cell_params serves, read without a per-call copy
-    cells = _cell_set(_freeze(cfg.cell_overrides))
+    cells = _cell_set(cfg.frozen_overrides)
     trip = trip_duration(cfg)
-    loop_delay = cfg.loop_delay_fs if cfg.loop_delay_fs is not None else _loop_delay(cells, cfg, trip)
+    loop_delay = cfg.loop_delay_fs if cfg.loop_delay_fs is not None else _loop_delay(_retiming_budget(cells), cfg, trip)
     offsets = tuple((t * trip, off) for t, off in enumerate(cfg.loop_jitter_fs))
     if offsets:
         offsets += ((len(cfg.loop_jitter_fs) * trip, 0),)
@@ -474,13 +476,10 @@ def jitter_tolerance(cfg: SimConfig) -> JitterWindow:
     negative jitter is bounded by the hold check against the previous
     interval's clock.
     """
-    cells = default_cell_params(cfg.cell_overrides)
-    interval = interval_duration(cfg)
-    setup = cells["recirc_dro2r"].setup_fs
-    hold = cells["recirc_dro2r"].hold_fs
-    guard = cfg.retiming_guard_fs
+    retimer = default_cell_params(cfg.cell_overrides)["recirc_dro2r"]
+    setup, hold, guard = retimer.setup_fs, retimer.hold_fs, cfg.retiming_guard_fs
     hi = guard
-    lo = -(interval - setup - guard - hold)
+    lo = -(interval_duration(cfg) - setup - guard - hold)
     if lo > 0:
         raise InfeasibleFrequencyError(
             "no re-timing slack at this frequency: the interval is shorter "

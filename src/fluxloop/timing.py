@@ -13,17 +13,18 @@ Three complementary views of the same controller:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .cells import INPUT_PORTS, OUTPUT_PORTS, BiasRangeError, _cell_set, _freeze, default_cell_params
+from .cells import INPUT_PORTS, OUTPUT_PORTS, BiasRangeError, _cell_set, default_cell_params
 from .core import BiasPoint, InfeasibleFrequencyError, PulseEvent, SimConfig, exact_ratio, format_ratio, interval_duration
 from .engine import Connection, Netlist, run_until, schedule
 from .memory import (
-    MemoryProgram, MemoryResult, _check_stimulus_size, _loop_delay, _phase_instants, default_margin_suite, oracle,
-    prepare_program, source_path_delays,
+    MemoryProgram, MemoryResult, _check_stimulus_size, _loop_delay, _phase_instants, _retiming_budget,
+    default_margin_suite, oracle, prepare_program, source_path_delays,
     run_program,  # unused here; perfbench's tracer and self-test expect timing.run_program
 )
 
@@ -108,26 +109,44 @@ class ArrivalWindow:
     latest_fs: int
 
 
-@dataclass(frozen=True)
-class StaReport:
-    frequency_hz: int
-    bias_lo: Fraction
-    bias_hi: Fraction
-    loop_delay_fs: int
-    slacks: tuple[SlackRow, ...]
-    windows: tuple[ArrivalWindow, ...]
+#: (constraint, cell) of each slack in a report, in report order.
+_SLACK_ROWS = (
+    ("write_setup", "write_dro"), ("write_hold", "write_dro"), ("recirc_setup", "recirc_dro2r"),
+    ("recirc_hold", "recirc_dro2r"), ("recirc_period", "recirc_dro2r"), ("read_setup", "read_dro2r"),
+    ("read_hold", "read_dro2r"), ("read_period", "read_dro2r"), ("loop_race", "read_dro2r"),
+)
+_WINDOW_NODES = ("merger_in0", "merger_in1", "loop_data_in", "read_data", "recirc_data_next_trip")
+
+
+class StaReport(namedtuple("StaReport", "frequency_hz bias_lo bias_hi loop_delay_fs slack_fs window_fs")):
+    """Slacks in ``_SLACK_ROWS`` order and (earliest, latest) arrival pairs in
+    ``_WINDOW_NODES`` order, as plain ints; :attr:`slacks`/:attr:`windows`
+    build the named rows when read.  A tuple: immutable, equal by value."""
+
+    __slots__ = ()
+
+    @property
+    def slacks(self) -> tuple[SlackRow, ...]:
+        return tuple(SlackRow(name, cell, slack) for (name, cell), slack in zip(_SLACK_ROWS, self.slack_fs))
+
+    @property
+    def windows(self) -> tuple[ArrivalWindow, ...]:
+        return tuple(ArrivalWindow(node, *pair) for node, pair in zip(_WINDOW_NODES, self.window_fs))
 
     @property
     def all_met(self) -> bool:
-        return all(row.slack_fs >= 0 for row in self.slacks)
+        return min(self.slack_fs) >= 0
 
     def worst(self) -> SlackRow:
         return min(self.slacks, key=lambda row: (row.slack_fs, row.constraint))
 
 
 @lru_cache(maxsize=64)
-def _window_cells(frozen_overrides: tuple, lo: Fraction, hi: Fraction) -> tuple[dict, dict, dict]:
-    """The frequency-free part of sta: (cells, cells pinned at lo, at hi) of a checked window."""
+def _window_cells(frozen_overrides: tuple, lo_num: int, lo_den: int, hi_num: int, hi_den: int) -> tuple:
+    """The frequency-free part of sta over a checked window [lo_num/lo_den, hi_num/hi_den], keyed on
+    ints so a hit hashes no Fraction: (path_min, path_max, re-timing budget before the guard, the
+    (setup, hold, prop) figures of write_dro, recirc_dro2r and read_dro2r, the fixed arrival windows)."""
+    lo, hi = Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
     if lo > hi:
         raise ValueError("bias_lo must not exceed bias_hi")
     cells = _cell_set(frozen_overrides)
@@ -138,7 +157,17 @@ def _window_cells(frozen_overrides: tuple, lo: Fraction, hi: Fraction) -> tuple[
                 f"bias window [{format_ratio(lo)}, {format_ratio(hi)}] exceeds {name} "
                 f"operating range [{format_ratio(rng[0])}, {format_ratio(rng[1])}]"
             )
-    return cells, *({name: p.at_bias(BiasPoint(edge)) for name, p in cells.items()} for edge in (lo, hi))
+    at_lo, at_hi = ({name: p.at_bias(BiasPoint(edge)) for name, p in cells.items()} for edge in (lo, hi))
+    # Merged-path extremes over both sources (fresh write vs recirculation).
+    path_min, path_max = min(source_path_delays(at_hi)), max(source_path_delays(at_lo))
+    windows = (
+        (at_hi["write_dro"].prop_delay_fs, at_lo["write_dro"].prop_delay_fs),
+        (at_hi["recirc_dro2r"].prop_delay_fs, at_lo["recirc_dro2r"].prop_delay_fs),
+        (path_min, path_max),
+        (path_min + at_hi["read_dro2r"].prop_delay_fs, path_max + at_lo["read_dro2r"].prop_delay_fs),
+    )
+    figures = ((c.setup_fs, c.hold_fs, c.prop_delay_fs) for c in map(cells.get, ("write_dro", "recirc_dro2r", "read_dro2r")))
+    return (path_min, path_max, _retiming_budget(cells), *figures, windows)
 
 
 def sta(
@@ -161,45 +190,27 @@ def sta(
     """
     lo = exact_ratio(bias_lo) if bias_lo is not None else cfg.bias.ratio
     hi = exact_ratio(bias_hi) if bias_hi is not None else cfg.bias.ratio
-    cells, at_lo, at_hi = _window_cells(_freeze(cfg.cell_overrides), lo, hi)
-
+    (path_min, path_max, budget, (wd_setup, wd_hold, _), (rc_setup, rc_hold, rc_prop), (rd_setup, rd_hold, rd_prop),
+     windows) = _window_cells(cfg.frozen_overrides, *lo.as_integer_ratio(), *hi.as_integer_ratio())
     interval = interval_duration(cfg)
     header = cfg.header_intervals * interval
     trip = header + cfg.num_addresses * interval
-    loop_delay = cfg.loop_delay_fs if cfg.loop_delay_fs is not None else _loop_delay(cells, cfg, trip)
+    loop_delay = cfg.loop_delay_fs if cfg.loop_delay_fs is not None else _loop_delay(budget, cfg, trip)
     ph_read, ph_write, ph_data = _phase_instants(cfg, interval)
-
-    # Merged-path extremes over both sources (fresh write vs recirculation).
-    path_min = min(source_path_delays(at_hi))
-    path_max = max(source_path_delays(at_lo))
-
-    wd, rc, rd = cells["write_dro"], cells["recirc_dro2r"], cells["read_dro2r"]
-    slacks = (
-        SlackRow("write_setup", "write_dro", header + ph_write - ph_data - wd.setup_fs),
-        SlackRow("write_hold", "write_dro", interval + ph_data - ph_write - wd.hold_fs),
-        SlackRow("recirc_setup", "recirc_dro2r", trip - loop_delay - path_max - rc.setup_fs),
-        SlackRow("recirc_hold", "recirc_dro2r", path_min + loop_delay - (trip - interval) - rc.hold_fs),
-        SlackRow("recirc_period", "recirc_dro2r", interval - rc.setup_fs - rc.prop_delay_fs),
-        SlackRow("read_setup", "read_dro2r", ph_write + path_min - ph_read - rd.setup_fs),
-        SlackRow("read_hold", "read_dro2r", interval + ph_read - ph_write - path_max - rd.hold_fs),
-        SlackRow("read_period", "read_dro2r", interval - rd.setup_fs - rd.prop_delay_fs),
-        SlackRow("loop_race", "read_dro2r", interval + ph_read - ph_write - path_max),
+    read_gap = interval + ph_read - ph_write - path_max  # the loop race
+    slack_fs = (  # in _SLACK_ROWS order
+        header + ph_write - ph_data - wd_setup,
+        interval + ph_data - ph_write - wd_hold,
+        trip - loop_delay - path_max - rc_setup,
+        path_min + loop_delay - (trip - interval) - rc_hold,
+        interval - rc_setup - rc_prop,
+        ph_write + path_min - ph_read - rd_setup,
+        read_gap - rd_hold,
+        interval - rd_setup - rd_prop,
+        read_gap,
     )
-    windows = (
-        ArrivalWindow("merger_in0", at_hi["write_dro"].prop_delay_fs, at_lo["write_dro"].prop_delay_fs),
-        ArrivalWindow("merger_in1", at_hi["recirc_dro2r"].prop_delay_fs, at_lo["recirc_dro2r"].prop_delay_fs),
-        ArrivalWindow("loop_data_in", path_min, path_max),
-        ArrivalWindow("read_data", path_min + at_hi["read_dro2r"].prop_delay_fs, path_max + at_lo["read_dro2r"].prop_delay_fs),
-        ArrivalWindow("recirc_data_next_trip", path_min + loop_delay - trip, path_max + loop_delay - trip),
-    )
-    return StaReport(
-        frequency_hz=cfg.frequency_hz,
-        bias_lo=lo,
-        bias_hi=hi,
-        loop_delay_fs=loop_delay,
-        slacks=slacks,
-        windows=windows,
-    )
+    next_trip = (path_min + loop_delay - trip, path_max + loop_delay - trip)  # recirc_data_next_trip
+    return StaReport(cfg.frequency_hz, lo, hi, loop_delay, slack_fs, (*windows, next_trip))
 
 
 def sta_to_text(report: StaReport) -> str:
@@ -210,15 +221,11 @@ def sta_to_text(report: StaReport) -> str:
         "",
         f"{'constraint':<14} {'cell':<13} {'slack_fs':>9}",
     ]
-    for row in report.slacks:
-        lines.append(f"{row.constraint:<14} {row.cell:<13} {row.slack_fs:>9}")
-    lines.append("")
-    lines.append("arrival windows (fs after the interval write instant):")
-    for win in report.windows:
-        lines.append(f"  {win.node:<22} [{win.earliest_fs}, {win.latest_fs}]")
+    lines += [f"{row.constraint:<14} {row.cell:<13} {row.slack_fs:>9}" for row in report.slacks]
+    lines += ["", "arrival windows (fs after the interval write instant):"]
+    lines += [f"  {win.node:<22} [{win.earliest_fs}, {win.latest_fs}]" for win in report.windows]
     status = "met" if report.all_met else f"VIOLATED ({report.worst().constraint})"
-    lines.append("")
-    lines.append(f"timing {status}")
+    lines += ["", f"timing {status}"]
     return "\n".join(lines) + "\n"
 
 
@@ -278,14 +285,11 @@ def _suite_failure(
     for scenario, want in zip(scenarios, expected):
         result = scenario(bias, max_events)
         violations.extend(result.trace.violations)
-        if result.reads != want:
-            wrong = True
+        wrong = wrong or result.reads != want
     if violations:
         first = min(violations, key=lambda v: (v.time_fs, v.cell, v.kind.value))
         return first.kind.value
-    if wrong:
-        return "WRONG_READ"
-    return None
+    return "WRONG_READ" if wrong else None
 
 
 def bias_margin(
@@ -314,17 +318,14 @@ def bias_margin(
     if nominal_failure is not None:
         return MarginReport(cfg.frequency_hz, 0, 0, nominal_failure, nominal_failure)
 
-    bounds: list[tuple[int, str | None]] = []
-    for sign in (-1, 1):
-        bound, limiter = max_pct, None
+    def bound(sign: int) -> tuple[int, str | None]:
         for pct in range(1, max_pct + 1):
             cause = failure(Fraction(100 + sign * pct, 100))
             if cause is not None:
-                bound, limiter = pct - 1, cause
-                break
-        bounds.append((bound, limiter))
+                return pct - 1, cause
+        return max_pct, None
 
-    (lower_pct, lower_limiter), (upper_pct, upper_limiter) = bounds
+    (lower_pct, lower_limiter), (upper_pct, upper_limiter) = bound(-1), bound(1)
     return MarginReport(cfg.frequency_hz, lower_pct, upper_pct, lower_limiter, upper_limiter)
 
 
@@ -349,11 +350,10 @@ def margins_to_csv(reports: Sequence[MarginReport]) -> str:
         return "" if value is None else str(value)
 
     lines = ["frequency_hz,lower_pct,upper_pct,lower_limiter,upper_limiter"]
-    for r in reports:
-        lines.append(
-            f"{r.frequency_hz},{cell(r.lower_pct)},{cell(r.upper_pct)},"
-            f"{cell(r.lower_limiter)},{cell(r.upper_limiter)}"
-        )
+    lines += [
+        f"{r.frequency_hz},{cell(r.lower_pct)},{cell(r.upper_pct)},{cell(r.lower_limiter)},{cell(r.upper_limiter)}"
+        for r in reports
+    ]
     return "\n".join(lines) + "\n"
 
 

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fluxloop.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_RUN_FAILED, MAX_SWEEP_POINTS, main
+import fluxloop
+from fluxloop import cli
+from fluxloop.cli import (
+    EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_RUN_FAILED, MAX_SWEEP_POINTS, main,
+)
 
 WRITE_READ = [
     {"write": {"addr": 1, "bit": 1}, "reads": [1]},
@@ -227,6 +236,16 @@ class TestSta:
         assert out.startswith("max feasible frequency: 100 GHz\n")
         assert "frequency 100 GHz" in out
 
+    def test_find_max_refuses_a_window_outside_a_cell_range_before_the_scan(self, write_config, capsys, monkeypatch):
+        scans = []
+        monkeypatch.setattr(cli, "max_frequency", lambda cfg: scans.append(cfg) or 100 * 10**9)
+        code = main(["sta", "--config", write_config(), "--find-max", "--bias-lo", "0.5", "--bias-hi", "1.13"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == "error: bias window [0.5, 1.13] exceeds write_dro operating range [0.76, 1.24]\n"
+        assert scans == []
+
 
 class TestMargins:
     def test_single_frequency(self, write_config, capsys):
@@ -395,6 +414,60 @@ def test_refused_cell_override_names_the_field(write_config, write_program, caps
     assert code == EXIT_CONFIG
     assert captured.err == f"error: cells.merger.{field}: {message}\n"
     assert captured.out == ""
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: writing (or, buffered, flushing) fails."""
+
+    def __init__(self, fail_on: str):
+        self.fail_on = fail_on
+
+    def write(self, text: str) -> int:
+        if self.fail_on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self) -> None:
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self) -> int:
+        raise io.UnsupportedOperation("fileno")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("fail_on", ["write", "flush"])
+    @pytest.mark.parametrize(
+        "command",
+        [["sta", "--find-max"], ["sta", "--bias-lo", "0.86", "--bias-hi", "1.14"], ["margins", "--freqs", "100GHz"]],
+        ids=lambda command: " ".join(command),
+    )
+    def test_a_closed_stdout_exits_quietly(self, write_config, capsys, monkeypatch, command, fail_on):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fail_on))
+        code = main([command[0], "--config", write_config(), *command[1:]])
+        err = capsys.readouterr().err
+        assert code == EXIT_BROKEN_PIPE
+        assert "Traceback" not in err and err == ""
+
+    def test_density_to_a_closed_stdout(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe("write"))
+        assert main(["density", "--all"]) == EXIT_BROKEN_PIPE
+        assert capsys.readouterr().err == ""
+
+    def test_a_pipe_closed_before_the_first_write(self, write_config):
+        # the pipe has no reader before the child starts, so its first write to stdout fails
+        src = str(Path(fluxloop.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "fluxloop", "sta", "--config", write_config(), "--find-max"],
+                stdout=writer, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(writer)
+        assert child.returncode == EXIT_BROKEN_PIPE
+        assert child.stderr == b""
 
 
 class TestParser:

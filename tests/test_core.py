@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 
@@ -193,6 +195,42 @@ class TestWithFrequency:
             with pytest.raises(ConfigError) as info:
                 make(hz)
             assert (info.value.field, info.value.message) == ("frequency", "must be positive")
+
+
+class TestReadOnlyOverrides:
+    OVERRIDES = {
+        "merger": {"prop_delay": 2000},
+        "read_dro2r": {
+            "operating_range": [Fraction(4, 5), Fraction(6, 5)],
+            "bias_curve": [[Fraction(4, 5), Fraction(13, 10)], [1, 1], [Fraction(6, 5), Fraction(7, 10)]],
+        },
+    }
+
+    def test_overrides_are_a_read_only_copy(self):
+        cfg = SimConfig(frequency_hz=100 * GHZ, num_addresses=3, cell_overrides=self.OVERRIDES)
+        assert cfg.cell_overrides == {
+            "merger": {"prop_delay": 2000},
+            "read_dro2r": {
+                "operating_range": (Fraction(4, 5), Fraction(6, 5)),
+                "bias_curve": ((Fraction(4, 5), Fraction(13, 10)), (1, 1), (Fraction(6, 5), Fraction(7, 10))),
+            },
+        }
+        with pytest.raises(TypeError):
+            cfg.cell_overrides["fanout"] = {}
+        with pytest.raises(TypeError):
+            cfg.cell_overrides["merger"]["prop_delay"] = 1
+
+    def test_pickles_and_copies_through_the_constructor(self):
+        cfg = SimConfig(frequency_hz=100 * GHZ, num_addresses=3, cell_overrides=self.OVERRIDES).with_frequency(75 * GHZ)
+        for again in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg), copy.copy(cfg)):
+            assert again == cfg and vars(again) == vars(cfg)
+            with pytest.raises(TypeError):
+                again.cell_overrides["merger"]["prop_delay"] = 1
+
+    def test_serializes_and_parses_back(self):
+        cfg = SimConfig(frequency_hz=100 * GHZ, num_addresses=3, cell_overrides=self.OVERRIDES)
+        again = parse_config(serialize_config(cfg))
+        assert again == cfg and again.frozen_overrides == cfg.frozen_overrides
 
 
 def test_pulse_event_ordering_and_validation():

@@ -21,11 +21,11 @@ from fluxloop import (
     max_frequency,
     sta,
 )
-from fluxloop import cells, memory, timing
+from fluxloop import cells, core, memory, timing
 from fluxloop.cells import _interpolate, default_cell_params, delay_at_bias
-from fluxloop.core import BiasPoint
+from fluxloop.core import BiasPoint, exact_ratio, format_ratio, interval_duration, round_half_up
 from fluxloop.engine import RunawayQueueError
-from fluxloop.memory import build_controller, default_margin_suite, scenario_write_read
+from fluxloop.memory import build_controller, default_margin_suite, scenario_write_read, source_path_delays
 from fluxloop.timing import (
     characterization_to_csv,
     margins_to_csv,
@@ -414,6 +414,132 @@ class TestStaAgreesWithSimulationOnDrawnCells:
                 assert wider, (sign, pct, limiter)
 
 
+def reference_sta(cfg: SimConfig, bias_lo=None, bias_hi=None) -> tuple:
+    """sta written out plainly: every cell pinned and every instant rounded
+    through Fractions on each call.  Returns (loop delay, rows, windows) or
+    raises what sta must raise, in the same order."""
+    lo = exact_ratio(bias_lo) if bias_lo is not None else cfg.bias.ratio
+    hi = exact_ratio(bias_hi) if bias_hi is not None else cfg.bias.ratio
+    if lo > hi:
+        raise ValueError("bias_lo must not exceed bias_hi")
+    cells = default_cell_params(cfg.cell_overrides)
+    for name, params in cells.items():
+        rng = params.operating_range()
+        if rng is not None and not (rng[0] <= lo and hi <= rng[1]):
+            raise BiasRangeError(
+                f"bias window [{format_ratio(lo)}, {format_ratio(hi)}] exceeds {name} "
+                f"operating range [{format_ratio(rng[0])}, {format_ratio(rng[1])}]"
+            )
+    at_lo = {name: p.at_bias(BiasPoint(lo)) for name, p in cells.items()}
+    at_hi = {name: p.at_bias(BiasPoint(hi)) for name, p in cells.items()}
+
+    interval = round_half_up(Fraction(10**15, cfg.frequency_hz))
+    header = cfg.header_intervals * interval
+    trip = header + cfg.num_addresses * interval
+    loop_delay = cfg.loop_delay_fs
+    if loop_delay is None:
+        budget = source_path_delays(cells)[1] + cells["recirc_dro2r"].setup_fs + cfg.retiming_guard_fs
+        if budget >= trip:
+            raise InfeasibleFrequencyError(
+                f"controller re-timing budget {budget} fs does not fit in a "
+                f"{trip} fs trip at {cfg.frequency_hz} Hz"
+            )
+        loop_delay = trip - budget
+    phases = (cfg.phase_read, cfg.phase_write, cfg.phase_data)
+    ph_read, ph_write, ph_data = (round_half_up(p * interval) for p in phases)
+    path_min = min(source_path_delays(at_hi))
+    path_max = max(source_path_delays(at_lo))
+    wd, rc, rd = cells["write_dro"], cells["recirc_dro2r"], cells["read_dro2r"]
+    rows = [
+        ("write_setup", "write_dro", header + ph_write - ph_data - wd.setup_fs),
+        ("write_hold", "write_dro", interval + ph_data - ph_write - wd.hold_fs),
+        ("recirc_setup", "recirc_dro2r", trip - loop_delay - path_max - rc.setup_fs),
+        ("recirc_hold", "recirc_dro2r", path_min + loop_delay - (trip - interval) - rc.hold_fs),
+        ("recirc_period", "recirc_dro2r", interval - rc.setup_fs - rc.prop_delay_fs),
+        ("read_setup", "read_dro2r", ph_write + path_min - ph_read - rd.setup_fs),
+        ("read_hold", "read_dro2r", interval + ph_read - ph_write - path_max - rd.hold_fs),
+        ("read_period", "read_dro2r", interval - rd.setup_fs - rd.prop_delay_fs),
+        ("loop_race", "read_dro2r", interval + ph_read - ph_write - path_max),
+    ]
+    windows = [
+        ("merger_in0", at_hi["write_dro"].prop_delay_fs, at_lo["write_dro"].prop_delay_fs),
+        ("merger_in1", at_hi["recirc_dro2r"].prop_delay_fs, at_lo["recirc_dro2r"].prop_delay_fs),
+        ("loop_data_in", path_min, path_max),
+        ("read_data", path_min + at_hi["read_dro2r"].prop_delay_fs, path_max + at_lo["read_dro2r"].prop_delay_fs),
+        ("recirc_data_next_trip", path_min + loop_delay - trip, path_max + loop_delay - trip),
+    ]
+    return loop_delay, rows, windows
+
+
+def reference_text(cfg: SimConfig, lo: Fraction, hi: Fraction, loop_delay: int, rows: list, windows: list) -> str:
+    """The sta report rendered row by row, as sta_to_text must."""
+    worst = min(rows, key=lambda row: (row[2], row[0]))
+    lines = [
+        f"frequency {cfg.frequency_hz / 1e9:g} GHz, bias window [{format_ratio(lo)}, {format_ratio(hi)}], "
+        f"loop delay {loop_delay} fs",
+        "",
+        f"{'constraint':<14} {'cell':<13} {'slack_fs':>9}",
+    ]
+    for constraint, cell, slack in rows:
+        lines.append(f"{constraint:<14} {cell:<13} {slack:>9}")
+    lines.append("")
+    lines.append("arrival windows (fs after the interval write instant):")
+    for node, earliest, latest in windows:
+        lines.append(f"  {node:<22} [{earliest}, {latest}]")
+    lines.append("")
+    lines.append("timing met" if worst[2] >= 0 else f"timing VIOLATED ({worst[0]})")
+    return "\n".join(lines) + "\n"
+
+
+#: A bias window edge inside every stock cell's operating range [0.76, 1.24], or the config bias.
+_drawn_edge = st.none() | st.integers(7600, 12400).map(lambda k: Fraction(k, 10_000))
+
+
+class TestStaMatchesReference:
+    """sta against :func:`reference_sta` on drawn cells, frequencies, windows
+    and loop delays: the same rows, windows, verdict and text, or the same
+    error with the same message."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        overrides=_drawn_overrides,
+        # whole GHz over the scan's range, or any Hz below 200 GHz, where most configs are feasible
+        hz=st.integers(1, 1000).map(lambda ghz: ghz * GHZ) | st.integers(GHZ, 200 * GHZ),
+        # two given edges in order; an edge left to the config bias may still fall out of order
+        edges=st.tuples(_drawn_edge, _drawn_edge).map(lambda e: tuple(sorted(e)) if None not in e else e),
+        loop_delay=st.none() | st.integers(1, 200_000),
+    )
+    @example(
+        overrides={"merger": {"prop_delay": 2000}}, hz=100 * GHZ, edges=(Fraction("0.87"), Fraction("1.13")), loop_delay=None
+    )
+    @example(overrides={"read_dro2r": {"setup": 9000}}, hz=1000 * GHZ, edges=(None, None), loop_delay=None)
+    @example(overrides={"fanout": {"hold": 10}}, hz=100 * GHZ, edges=(Fraction("1.1"), Fraction("0.9")), loop_delay=5)
+    @example(overrides={"fanout": {"hold": 10}}, hz=100 * GHZ, edges=(Fraction("0.5"), Fraction("1.13")), loop_delay=None)
+    @example(overrides={"merger": {"prop_delay": 1}}, hz=100 * GHZ, edges=(None, None), loop_delay=None)
+    # read_setup and read_hold tie at -50 fs: worst() breaks the tie by name
+    @example(overrides={"fanout": {"hold": 0}}, hz=100 * GHZ, edges=(Fraction("0.86"), Fraction("1.14")), loop_delay=None)
+    def test_same_report_or_same_error(self, overrides, hz, edges, loop_delay):
+        cfg = SimConfig(frequency_hz=hz, num_addresses=3, cell_overrides=overrides, loop_delay_fs=loop_delay)
+        try:
+            expected = reference_sta(cfg, *edges)
+        except (ConfigError, BiasRangeError, ValueError, InfeasibleFrequencyError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                sta(cfg, *edges)
+            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+            return
+        report = sta(cfg, *edges)
+        want_loop, want_rows, want_windows = expected
+        assert report.loop_delay_fs == want_loop
+        assert [(r.constraint, r.cell, r.slack_fs) for r in report.slacks] == want_rows
+        assert [(w.node, w.earliest_fs, w.latest_fs) for w in report.windows] == want_windows
+        assert report.all_met == all(slack >= 0 for _, _, slack in want_rows)
+        worst = report.worst()
+        assert (worst.constraint, worst.cell, worst.slack_fs) == min(want_rows, key=lambda row: (row[2], row[0]))
+        lo, hi = (edge if edge is not None else cfg.bias.ratio for edge in edges)
+        assert (report.frequency_hz, report.bias_lo, report.bias_hi) == (hz, lo, hi)
+        assert sta_to_text(report) == reference_text(cfg, lo, hi, want_loop, want_rows, want_windows)
+
+
 class TestCaches:
     def test_caches_stay_bounded_over_many_frequencies(self, cfg100):
         suite = (scenario_write_read(1, 1),)
@@ -437,6 +563,59 @@ class TestCaches:
         for cache in (memory._compile, cells._cell_set, cells._interpolate, timing._window_cells):
             cache.cache_clear()
         assert render() == warm
+
+
+class TestOverridesKey:
+    """The cell overrides are frozen once per config, and sta's window cache
+    keys on that frozen value and the window's ints."""
+
+    def test_equal_overrides_in_distinct_objects_share_one_window_entry(self):
+        timing._window_cells.cache_clear()
+        configs = [
+            SimConfig(frequency_hz=ghz * GHZ, num_addresses=3, cell_overrides={"merger": {"prop_delay": 1000}})
+            for ghz in (50, 100)
+        ]
+        assert configs[0].cell_overrides is not configs[1].cell_overrides
+        reports = [sta(cfg, "0.9", Fraction(11, 10)) for cfg in configs]
+        info = timing._window_cells.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+        assert [r.frequency_hz for r in reports] == [50 * GHZ, 100 * GHZ]
+
+    def test_with_frequency_reuses_the_frozen_key(self, monkeypatch):
+        cfg = SimConfig(frequency_hz=100 * GHZ, num_addresses=3, cell_overrides={"read_dro2r": {"setup": 6000}})
+        expected, rating = sta(cfg.with_frequency(90 * GHZ)), max_frequency(cfg)
+
+        def refuse(value):
+            raise AssertionError("overrides frozen again")
+
+        monkeypatch.setattr(cells, "_freeze", refuse)
+        monkeypatch.setattr(core, "_freeze", refuse)
+        moved = cfg.with_frequency(90 * GHZ)
+        assert moved.frozen_overrides is cfg.frozen_overrides
+        assert sta(moved) == expected
+        assert max_frequency(cfg) == rating
+
+    def test_overrides_cannot_change_under_their_key(self):
+        curve = [[Fraction(r), Fraction(m)] for r, m in (("0.76", "1.39"), ("1", "1"), ("1.24", "0.59"))]
+        given = {"read_dro2r": {"setup": 6000, "bias_curve": curve}}
+        cfg = SimConfig(frequency_hz=100 * GHZ, num_addresses=3, cell_overrides=given)
+        key, report = cfg.frozen_overrides, sta(cfg)
+        with pytest.raises(TypeError):
+            cfg.cell_overrides["merger"] = {"prop_delay": 1}
+        with pytest.raises(TypeError):
+            cfg.cell_overrides["read_dro2r"]["setup"] = 1
+        with pytest.raises(TypeError):
+            cfg.cell_overrides["read_dro2r"]["bias_curve"][0] = (Fraction(1), Fraction(1))
+        # the config holds a copy: changing the mapping it was made from changes neither
+        given["read_dro2r"]["setup"] = 1
+        curve[0][1] = Fraction(2)
+        assert cfg.cell_overrides["read_dro2r"]["setup"] == 6000
+        assert cfg.frozen_overrides == key == cells._freeze(cfg.cell_overrides)
+        assert sta(cfg) == report
+        # a config with other overrides gets its own key
+        changed = replace(cfg, cell_overrides={"read_dro2r": {"setup": 5000}})
+        assert changed.frozen_overrides == (("read_dro2r", (("setup", 5000),)),)
+        assert sta(changed).slacks != report.slacks
 
 
 class TestMarginSweep:
