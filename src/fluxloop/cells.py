@@ -16,11 +16,12 @@ halt processing, so margin sweeps can classify the failure kind.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .core import BiasPoint, ConfigError, FluxloopError, _freeze, format_ratio, round_half_up
 
@@ -76,16 +77,14 @@ class BiasRangeError(FluxloopError):
     """Bias ratio lies outside a cell's electrical operating range."""
 
 
-@dataclass(frozen=True)
-class TimingViolation:
+class TimingViolation(NamedTuple):
     cell: str
     kind: ViolationKind
     time_fs: int
     detail: str
 
 
-@dataclass(frozen=True)
-class BiasDelayModel:
+class BiasDelayModel(namedtuple("BiasDelayModel", "points range_lo range_hi")):
     """Piecewise-linear delay vs bias over an electrical operating range.
 
     ``points`` are (bias ratio, delay fs) knots, strictly increasing in
@@ -93,29 +92,28 @@ class BiasDelayModel:
     operating range ``[range_lo, range_hi]``.
     """
 
-    points: tuple[tuple[Fraction, int], ...]
-    range_lo: Fraction
-    range_hi: Fraction
+    # no __slots__: the instance dict holds the cached hash
 
-    def __post_init__(self) -> None:
-        if len(self.points) < 2:
+    def __new__(cls, points: tuple[tuple[Fraction, int], ...], range_lo: Fraction, range_hi: Fraction) -> "BiasDelayModel":
+        if len(points) < 2:
             raise ValueError("delay model needs at least two knots")
-        ratios = [r for r, _ in self.points]
-        delays = [d for _, d in self.points]
+        ratios = [r for r, _ in points]
+        delays = [d for _, d in points]
         if any(b <= a for a, b in zip(ratios, ratios[1:])):
             raise ValueError("knot ratios must be strictly increasing")
         if any(b >= a for a, b in zip(delays, delays[1:])):
             raise ValueError("knot delays must be strictly decreasing")
-        if not (self.range_lo < 1 < self.range_hi):
+        if not (range_lo < 1 < range_hi):
             raise ValueError("operating range must bracket the nominal ratio 1.0")
-        if ratios[0] > self.range_lo or ratios[-1] < self.range_hi:
+        if ratios[0] > range_lo or ratios[-1] < range_hi:
             raise ValueError("knots must span the operating range")
+        return tuple.__new__(cls, (points, range_lo, range_hi))
 
     # Every delay lookup hashes its model to key the interpolation cache;
     # hash the Fraction knots once per model, not once per lookup.
     @cached_property
     def _hash(self) -> int:
-        return hash((self.points, self.range_lo, self.range_hi))
+        return tuple.__hash__(self)
 
     def __hash__(self) -> int:
         return self._hash
@@ -236,15 +234,17 @@ class CellParams:
         )
 
 
-@dataclass(slots=True)
 class CellState:
     """Mutable per-run state of one cell."""
 
-    stored: bool = False
-    last_data_fs: int | None = None
-    last_clock_fs: int | None = None
-    # merger bookkeeping: last arrival per input port
-    last_in_fs: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("stored", "last_data_fs", "last_clock_fs", "last_in_fs")
+
+    def __init__(self, stored: bool = False, last_data_fs: int | None = None, last_clock_fs: int | None = None) -> None:
+        self.stored = stored
+        self.last_data_fs = last_data_fs
+        self.last_clock_fs = last_clock_fs
+        #: merger bookkeeping: last arrival per input port
+        self.last_in_fs: dict[str, int] = {}
 
 
 #: What a stepper returns: (emissions as (output port, time), violations).

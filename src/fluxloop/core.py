@@ -89,6 +89,13 @@ def exact_ratio(value: float | int | str | Fraction) -> Fraction:
     return Fraction(str(value).strip())
 
 
+def _ratio(value: Any, field_name: str, what: str = "ratio") -> Fraction:
+    try:
+        return exact_ratio(value)
+    except (ValueError, ZeroDivisionError):  # a malformed string, or a float that is NaN or infinite
+        raise ConfigError(field_name, f"invalid {what} {value!r}") from None
+
+
 def _freeze(value: Any) -> Any:
     """A hashable equal of an override value: mappings and lists become tuples."""
     if isinstance(value, Mapping):
@@ -121,7 +128,7 @@ def _parse_quantity(value: Any, field_name: str, what: str) -> int:
     if isinstance(value, bool):
         raise ConfigError(field_name, f"expected a {what}, got a boolean")
     if isinstance(value, (int, float)):
-        return round_half_up(exact_ratio(value))
+        return round_half_up(_ratio(value, field_name, what))
     if not isinstance(value, str):
         raise ConfigError(field_name, f"expected a {what}, got {type(value).__name__}")
     match = _UNIT_RE.match(value)
@@ -170,15 +177,15 @@ class PulseEvent(namedtuple("PulseEvent", "time_fs line")):
         return tuple.__new__(cls, (time_fs, line))
 
 
-@dataclass(frozen=True)
-class BiasPoint:
+class BiasPoint(namedtuple("BiasPoint", "ratio")):
     """A bias supply level as a fraction of nominal (1.0 = nominal)."""
 
-    ratio: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.ratio <= 0:
+    def __new__(cls, ratio: Fraction) -> "BiasPoint":
+        if ratio <= 0:
             raise ValueError("bias ratio must be positive")
+        return tuple.__new__(cls, (ratio,))
 
     @classmethod
     def of(cls, value: float | int | str | Fraction) -> "BiasPoint":
@@ -281,7 +288,7 @@ def _parse_curve(raw: Any, field_name: str) -> tuple[tuple[Fraction, Fraction], 
     for i, pair in enumerate(raw):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(f"{field_name}[{i}]", "expected a [ratio, multiplier] pair")
-        knots.append((exact_ratio(pair[0]), exact_ratio(pair[1])))
+        knots.append(tuple(_ratio(item, f"{field_name}[{i}]") for item in pair))
     return tuple(knots)
 
 
@@ -304,7 +311,7 @@ def _parse_cell_overrides(raw: Any) -> dict[str, dict[str, Any]]:
             else:  # operating_range
                 if not isinstance(value, list) or len(value) != 2:
                     raise ConfigError(qualified, "expected [low, high] bias ratios")
-                entry[key] = (exact_ratio(value[0]), exact_ratio(value[1]))
+                entry[key] = tuple(_ratio(item, qualified) for item in value)
         out[name] = entry
     return out
 
@@ -353,10 +360,7 @@ def parse_config(text: str) -> SimConfig:
         kwargs["header_intervals"] = _integer(doc, "header_intervals")
     for phase_key in ("phase_read", "phase_write", "phase_data"):
         if phase_key in doc:
-            try:
-                kwargs[phase_key] = exact_ratio(doc[phase_key])
-            except (ValueError, ZeroDivisionError):
-                raise ConfigError(phase_key, f"invalid ratio {doc[phase_key]!r}") from None
+            kwargs[phase_key] = _ratio(doc[phase_key], phase_key)
     if "loop_delay" in doc and doc["loop_delay"] is not None:
         kwargs["loop_delay_fs"] = parse_duration(doc["loop_delay"], "loop_delay")
     if "retiming_guard" in doc:

@@ -18,8 +18,8 @@ each against its printed figure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from collections import namedtuple
+from typing import Mapping, NamedTuple, Sequence
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
 
@@ -27,8 +27,9 @@ SPEED_OF_LIGHT = 2.998e8  # m/s
 TABLE_FREQUENCIES_GHZ = (20, 50, 75, 100)
 
 
-@dataclass(frozen=True)
-class LineSpec:
+class LineSpec(
+    namedtuple("LineSpec", "name linewidth_nm spacing_nm capacitance_ff_per_um inductance_ph_per_um layers speed_factor_override")
+):
     """Geometry and per-length electricals of one delay-line technology.
 
     Capacitance and inductance are per unit length in the units the tables
@@ -36,21 +37,26 @@ class LineSpec:
     measured figure when the sqrt(LC) estimate disagrees with it.
     """
 
-    name: str
-    linewidth_nm: float
-    spacing_nm: float
-    capacitance_ff_per_um: float
-    inductance_ph_per_um: float
-    layers: int = 1
-    speed_factor_override: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if min(self.linewidth_nm, self.spacing_nm) <= 0:
+    def __new__(
+        cls,
+        name: str,
+        linewidth_nm: float,
+        spacing_nm: float,
+        capacitance_ff_per_um: float,
+        inductance_ph_per_um: float,
+        layers: int = 1,
+        speed_factor_override: float | None = None,
+    ) -> "LineSpec":
+        if min(linewidth_nm, spacing_nm) <= 0:
             raise ValueError("linewidth and spacing must be positive")
-        if min(self.capacitance_ff_per_um, self.inductance_ph_per_um) <= 0:
+        if min(capacitance_ff_per_um, inductance_ph_per_um) <= 0:
             raise ValueError("capacitance and inductance must be positive")
-        if self.layers < 1:
+        if layers < 1:
             raise ValueError("layers must be at least 1")
+        fields = (name, linewidth_nm, spacing_nm, capacitance_ff_per_um, inductance_ph_per_um, layers, speed_factor_override)
+        return tuple.__new__(cls, fields)
 
     @property
     def pitch_m(self) -> float:
@@ -187,8 +193,7 @@ def published_tolerance(printed: str, relative: float = 0.05) -> tuple[float, fl
     return value, relative * value + quantum
 
 
-@dataclass(frozen=True)
-class DensityRow:
+class DensityRow(NamedTuple):
     preset: str
     frequency_ghz: float
     layers: int
@@ -197,16 +202,14 @@ class DensityRow:
     within_tolerance: bool | None  # None: no anchor (unpublished or flagged)
 
 
-@dataclass(frozen=True)
-class FactorRow:
+class FactorRow(NamedTuple):
     preset: str
     computed: float
     published: float
     within_tolerance: bool
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     rows: tuple[DensityRow, ...]
     factors: tuple[FactorRow, ...]
 
@@ -232,33 +235,22 @@ def reproduce_published(factor_tolerance: float = 0.001) -> DensityReport:
                 within_tolerance=abs(computed_factor - pub_factor) <= factor_tolerance,
             )
         )
-        for freq_ghz, printed in zip(TABLE_FREQUENCIES_GHZ, _PUBLISHED_DENSITIES[name]):
-            computed = density_mbit_per_cm2(spec, freq_ghz * 1e9)
-            value, allowed = published_tolerance(printed)
-            flagged = (name, freq_ghz) in INCONSISTENT_CELLS
-            rows.append(
-                DensityRow(
-                    preset=name,
-                    frequency_ghz=freq_ghz,
-                    layers=spec.layers,
-                    computed=computed,
-                    published=value,
-                    within_tolerance=None if flagged else abs(computed - value) <= allowed,
-                )
-            )
+        printed_rows = [(spec.layers, _PUBLISHED_DENSITIES[name])]
         if name in _PUBLISHED_STACKED:
-            stack_layers, printed_row = _PUBLISHED_STACKED[name]
+            printed_rows.append(_PUBLISHED_STACKED[name])
+        for layers, printed_row in printed_rows:
             for freq_ghz, printed in zip(TABLE_FREQUENCIES_GHZ, printed_row):
-                computed = density_mbit_per_cm2(spec, freq_ghz * 1e9, layers=stack_layers)
+                computed = density_mbit_per_cm2(spec, freq_ghz * 1e9, layers=layers)
                 value, allowed = published_tolerance(printed)
+                flagged = (name, freq_ghz) in INCONSISTENT_CELLS
                 rows.append(
                     DensityRow(
                         preset=name,
                         frequency_ghz=freq_ghz,
-                        layers=stack_layers,
+                        layers=layers,
                         computed=computed,
                         published=value,
-                        within_tolerance=abs(computed - value) <= allowed,
+                        within_tolerance=None if flagged else abs(computed - value) <= allowed,
                     )
                 )
     return DensityReport(rows=tuple(rows), factors=tuple(factors))
@@ -290,7 +282,7 @@ def build_report(
 
 def stacked_spec(name: str, layers: int) -> LineSpec:
     """A preset re-labeled for an n-layer stacking projection."""
-    return replace(PRESETS[name], layers=layers)
+    return LineSpec(**{**PRESETS[name]._asdict(), "layers": layers})
 
 
 # --- rendering ---------------------------------------------------------------

@@ -18,14 +18,14 @@ bias) triple produce bit-identical traces.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from heapq import heappop, heappush
 from itertools import compress, cycle
 from operator import eq
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .core import BiasPoint, FluxloopError, PulseEvent, format_ratio
 from .cells import (
@@ -55,8 +55,7 @@ class RunawayQueueError(FluxloopError):
     """Event queue grew past its bound — runaway feedback."""
 
 
-@dataclass(frozen=True)
-class Connection:
+class Connection(NamedTuple):
     """One wire: ``src`` -> ``dst``.
 
     ``src`` is a line name or ``cell.port``; same for ``dst``.  Only
@@ -72,8 +71,7 @@ class Connection:
     is_loop: bool = False
 
 
-@dataclass(frozen=True)
-class Netlist:
+class Netlist(namedtuple("Netlist", "cells connections external_inputs observed")):
     """Cells wired by connections.
 
     ``cells`` is a read-only copy of the mapping given, since one netlist may
@@ -82,14 +80,22 @@ class Netlist:
     (:meth:`at_bias`), so a run only builds fresh cell states.
     """
 
-    cells: Mapping[str, CellParams]
-    connections: tuple[Connection, ...]
-    external_inputs: frozenset[str]
-    observed: tuple[str, ...]
+    # no __slots__: the instance dict holds the cached wiring and pinned cells
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", MappingProxyType(dict(self.cells)))
-        _validate(self)
+    def __new__(
+        cls,
+        cells: Mapping[str, CellParams],
+        connections: tuple[Connection, ...],
+        external_inputs: frozenset[str],
+        observed: tuple[str, ...],
+    ) -> "Netlist":
+        net = tuple.__new__(cls, (MappingProxyType(dict(cells)), connections, external_inputs, observed))
+        _validate(net)
+        return net
+
+    def __reduce__(self) -> tuple:
+        """Pickle and copy through the constructor, leaving the cached wiring and pins behind."""
+        return type(self), (dict(self.cells), self.connections, self.external_inputs, self.observed)
 
     @cached_property
     def _wiring(self) -> tuple[tuple[str, ...], dict[str, int], tuple[tuple, ...], frozenset[int]]:
@@ -237,8 +243,7 @@ def _validate(net: Netlist) -> None:
             visit(node)
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     """Everything one run produced: pulses on observed lines + violations.
 
     ``events`` are in strictly increasing ``(time_fs, line)`` order: at most
@@ -261,8 +266,7 @@ class Trace:
         return tuple([t for t, on in self.events if on == line])
 
 
-@dataclass
-class PreparedRun:
+class PreparedRun(NamedTuple):
     """What ``schedule`` makes: a netlist, its sorted stimulus and each pulse's key."""
 
     netlist: Netlist

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from dataclasses import fields
 from functools import lru_cache, partial
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .cells import CellParams, _cell_set, _freeze, default_cell_params
 from .core import BiasPoint, ConfigError, InfeasibleFrequencyError, PulseEvent, SimConfig, interval_duration, trip_duration
@@ -43,30 +44,29 @@ INPUT_LINES = (
 OBSERVED_LINES = INPUT_LINES + ("loop_data_in", "loop_data_out", "read_data")
 
 
-@dataclass(frozen=True)
-class TripOp:
-    """One trip's worth of operations: at most one write, any set of reads."""
+class TripOp(namedtuple("TripOp", "write reads")):
+    """One trip's worth of operations: at most one write, as an (address,
+    bit) pair, and any set of reads."""
 
-    write: tuple[int, int] | None = None  # (address, bit)
-    reads: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.write is not None:
-            addr, bit = self.write
+    def __new__(cls, write: tuple[int, int] | None = None, reads: tuple[int, ...] = ()) -> "TripOp":
+        if write is not None:
+            addr, bit = write
             if addr < 0:
                 raise ConfigError("write.addr", "address must be non-negative")
             if bit not in (0, 1):
                 raise ConfigError("write.bit", "bit must be 0 or 1")
-        for j, addr in enumerate(self.reads):
+        for j, addr in enumerate(reads):
             if addr < 0:
                 raise ConfigError(f"reads[{j}]", "addresses must be non-negative")
-        if len(set(self.reads)) != len(self.reads):
-            j = next(j for j, addr in enumerate(self.reads) if addr in self.reads[:j])
+        if len(set(reads)) != len(reads):
+            j = next(j for j, addr in enumerate(reads) if addr in reads[:j])
             raise ConfigError(f"reads[{j}]", "duplicate read address within a trip")
+        return tuple.__new__(cls, (write, reads))
 
 
-@dataclass(frozen=True)
-class MemoryProgram:
+class MemoryProgram(NamedTuple):
     trips: tuple[TripOp, ...]
 
     def max_address(self) -> int:
@@ -74,8 +74,7 @@ class MemoryProgram:
         return max((a for op in self.trips for a in (*op.reads, *(op.write or ())[:1])), default=-1)
 
 
-@dataclass(frozen=True)
-class MemoryResult:
+class MemoryResult(NamedTuple):
     """Decoded reads plus the full trace of one program run."""
 
     reads: dict[tuple[int, int], int]  # (trip, address) -> observed bit
@@ -164,9 +163,14 @@ def phase_instants(cfg: SimConfig) -> tuple[int, int, int]:
 
 def _phase_instants(cfg: SimConfig, interval: int) -> tuple[int, int, int]:
     # round_half_up(phase * interval) of each phase, in integer arithmetic
-    return tuple(
-        (2 * p.numerator * interval + p.denominator) // (2 * p.denominator)
-        for p in (cfg.phase_read, cfg.phase_write, cfg.phase_data)
+    read, read_den = cfg.phase_read.as_integer_ratio()
+    write, write_den = cfg.phase_write.as_integer_ratio()
+    data, data_den = cfg.phase_data.as_integer_ratio()
+    twice = 2 * interval
+    return (
+        (twice * read + read_den) // (2 * read_den),
+        (twice * write + write_den) // (2 * write_den),
+        (twice * data + data_den) // (2 * data_den),
     )
 
 
@@ -317,14 +321,14 @@ def stimulus_for(program: MemoryProgram, cfg: SimConfig) -> list[PulseEvent]:
     pulses: list[PulseEvent] = []
     for t, op in enumerate(program.trips):
         trip_start = t * trip
-        if op.write is not None and op.write[1] == 1:
+        written, bit = op.write if op.write is not None else (None, 0)
+        if bit == 1:
             pulses.append(pulse((trip_start + ph_data, "write_data")))
         reads = set(op.reads)
         for k in range(cfg.num_addresses):
             slot = trip_start + header + k * interval
-            writing = op.write is not None and op.write[0] == k
             pulses.append(pulse((slot + ph_read, "read_address" if k in reads else "not_read_address")))
-            pulses.append(pulse((slot + ph_write, "write_address" if writing else "not_write_address")))
+            pulses.append(pulse((slot + ph_write, "write_address" if k == written else "not_write_address")))
     return pulses
 
 
@@ -451,8 +455,7 @@ def default_margin_suite(cfg: SimConfig) -> tuple[MemoryProgram, ...]:
 
 # --- loop jitter ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JitterWindow:
+class JitterWindow(NamedTuple):
     """Tolerated per-trip loop-delay error, and where excess is detectable.
 
     Within [lo_fs, hi_fs] the re-timing clock fully absorbs the error:

@@ -14,10 +14,9 @@ Three complementary views of the same controller:
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .cells import INPUT_PORTS, OUTPUT_PORTS, BiasRangeError, _cell_set, default_cell_params
 from .core import BiasPoint, InfeasibleFrequencyError, PulseEvent, SimConfig, exact_ratio, format_ratio, interval_duration
@@ -92,15 +91,13 @@ def characterization_to_csv(rows: Sequence[tuple[Fraction, int]]) -> str:
 
 # --- static timing analysis -------------------------------------------------
 
-@dataclass(frozen=True)
-class SlackRow:
+class SlackRow(NamedTuple):
     constraint: str
     cell: str
     slack_fs: int
 
 
-@dataclass(frozen=True)
-class ArrivalWindow:
+class ArrivalWindow(NamedTuple):
     """Earliest/latest pulse arrival at a node, relative to the interval's
     write-phase instant (recirc_data_next_trip: to the next trip's)."""
 
@@ -250,8 +247,7 @@ def max_frequency(cfg: SimConfig, step_hz: int = 10**9) -> int:
 
 # --- empirical bias margins -------------------------------------------------
 
-@dataclass(frozen=True)
-class MarginReport:
+class MarginReport(NamedTuple):
     """Empirical bias window around nominal, in whole percent.
 
     lower_pct/upper_pct are the last consecutive 1% steps in each direction

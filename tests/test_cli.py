@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -413,6 +414,43 @@ def test_refused_cell_override_names_the_field(write_config, write_program, caps
     captured = capsys.readouterr()
     assert code == EXIT_CONFIG
     assert captured.err == f"error: cells.merger.{field}: {message}\n"
+    assert captured.out == ""
+
+
+#: One non-finite JSON number per kind of numeric field, as (config fields,
+#: field named).  ``1e400`` overflows to an infinite float when parsed.
+NON_FINITE_FIELDS = [
+    ('"frequency": 1e400', "frequency"),
+    ('"frequency": NaN', "frequency"),
+    ('"frequency": "100GHz", "search_ceiling": -Infinity', "search_ceiling"),
+    ('"frequency": "100GHz", "retiming_guard": Infinity', "retiming_guard"),
+    ('"frequency": "100GHz", "loop_jitter": [0, 1e400]', "loop_jitter[1]"),
+    ('"frequency": "100GHz", "cells": {"merger": {"prop_delay": NaN}}', "cells.merger.prop_delay"),
+    ('"frequency": "100GHz", "cells": {"merger": {"operating_range": [0.76, Infinity]}}', "cells.merger.operating_range"),
+    ('"frequency": "100GHz", "cells": {"merger": {"bias_curve": [[0.76, 1e400], [1.24, 0.5]]}}', "cells.merger.bias_curve[0]"),
+    ('"frequency": "100GHz", "phase_read": NaN', "phase_read"),
+    ('"frequency": "100GHz", "bias": Infinity', "bias"),
+]
+
+
+@pytest.mark.parametrize(
+    "fields, field",
+    NON_FINITE_FIELDS,
+    ids=[f"{field}-{re.search(r'1e400|NaN|-?Infinity', fields).group()}" for fields, field in NON_FINITE_FIELDS],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--program", "PROGRAM"], ["sta"], ["margins", "--freqs", "100GHz"]],
+    ids=lambda command: command[0],
+)
+def test_non_finite_numbers_are_refused_naming_the_field(tmp_path, write_program, capsys, command, fields, field):
+    config = tmp_path / "config.json"
+    config.write_text(f'{{{fields}, "num_addresses": 3}}')
+    argv = [write_program(WRITE_READ) if arg == "PROGRAM" else arg for arg in command]
+    code = main([argv[0], "--config", str(config), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err.startswith(f"error: {field}: ") and "Traceback" not in captured.err
     assert captured.out == ""
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import pickle
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -289,6 +290,22 @@ class TestNetlistCells:
         )
         given["d"] = FANOUT
         assert net.cells["d"] is DRO
+
+    def test_pickles_and_deep_copies_through_the_constructor(self):
+        cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
+        stimulus = stimulus_for(scenario_write_read(), cfg)
+
+        def write_read(net: Netlist) -> Trace:
+            return run_until(schedule(net, stimulus), 5 * trip_duration(cfg), cfg.bias)
+
+        net = build_controller(cfg)
+        original = write_read(net)  # the wiring and the nominal pins are cached now
+        for again in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+            assert again == net and again is not net
+            assert "_wiring" not in vars(again) and "_pinned" not in vars(again)
+            with pytest.raises(TypeError):
+                again.cells["merger"] = FANOUT  # type: ignore[index]
+            assert write_read(again) == original
 
 
 class TestTaps:

@@ -1,0 +1,148 @@
+"""The package's record types: what importing defines, and how records behave."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import fluxloop
+from fluxloop import (
+    BiasDelayModel,
+    BiasPoint,
+    ConfigError,
+    Connection,
+    JitterWindow,
+    LineSpec,
+    MarginReport,
+    MemoryProgram,
+    MemoryResult,
+    Netlist,
+    SimConfig,
+    Trace,
+    TimingViolation,
+    TripOp,
+    ViolationKind,
+    build_controller,
+)
+from fluxloop.density import DensityReport, DensityRow, FactorRow
+from fluxloop.engine import NetlistError, PreparedRun
+from fluxloop.timing import ArrivalWindow, SlackRow
+
+SRC = str(Path(fluxloop.__file__).resolve().parents[1])
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_importing_the_cli_defines_only_two_dataclasses():
+    # each @dataclass execs generated source at import; the records are tuples
+    script = (
+        "import sys, fluxloop, fluxloop.cli\n"
+        "print(sorted({f'{v.__module__}.{v.__name__}' for m, mod in list(sys.modules.items())"
+        " if m.split('.')[0] == 'fluxloop' for v in vars(mod).values()"
+        " if isinstance(v, type) and '__dataclass_fields__' in vars(v)}))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "['fluxloop.cells.CellParams', 'fluxloop.core.SimConfig']\n"
+
+
+CFG = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
+NET = build_controller(CFG)
+KNOTS = ((Fraction(3, 4), 20), (Fraction(5, 4), 10))
+TRACE_FIELDS = {"events": (), "violations": (), "observed": ("read_data",), "t_end_fs": 10, "bias": BiasPoint(Fraction(1))}
+SPEC = {"name": "x", "linewidth_nm": 15, "spacing_nm": 120, "capacitance_ff_per_um": 0.04, "inductance_ph_per_um": 5467.0}
+
+#: Every record type, as (type, the fields given by keyword, the defaults of the others).
+RECORDS = [
+    (BiasPoint, {"ratio": Fraction(9, 10)}, {}),
+    (TimingViolation, {"cell": "merger", "kind": ViolationKind.HOLD, "time_fs": 5, "detail": "d"}, {}),
+    (BiasDelayModel, {"points": KNOTS, "range_lo": Fraction(4, 5), "range_hi": Fraction(6, 5)}, {}),
+    (Connection, {"src": "a", "dst": "b"}, {"delay_fs": 0, "offset_schedule": (), "is_loop": False}),
+    (Netlist, {"cells": dict(NET.cells), "connections": NET.connections, "external_inputs": NET.external_inputs,
+               "observed": NET.observed}, {}),
+    (Trace, TRACE_FIELDS, {}),
+    (PreparedRun, {"netlist": NET}, {"stimulus": (), "keys": ()}),
+    (TripOp, {}, {"write": None, "reads": ()}),
+    (MemoryProgram, {"trips": (TripOp(write=(0, 1)),)}, {}),
+    (MemoryResult, {"reads": {(0, 1): 1}, "trace": Trace(**TRACE_FIELDS), "passed": True}, {}),
+    (JitterWindow, {"lo_fs": -4, "hi_fs": 2, "detect_below": (-9, -5), "detect_above": (3, 7)}, {}),
+    (SlackRow, {"constraint": "read_setup", "cell": "read_dro2r", "slack_fs": 0}, {}),
+    (ArrivalWindow, {"node": "merger_in0", "earliest_fs": 1, "latest_fs": 2}, {}),
+    (MarginReport, {"frequency_hz": 10**11, "lower_pct": 13, "upper_pct": 13, "lower_limiter": "HOLD",
+                    "upper_limiter": "SETUP"}, {}),
+    (LineSpec, SPEC, {"layers": 1, "speed_factor_override": None}),
+    (DensityRow, {"preset": "x", "frequency_ghz": 20, "layers": 4, "computed": 0.5, "published": None,
+                  "within_tolerance": None}, {}),
+    (FactorRow, {"preset": "x", "computed": 0.007, "published": 0.007, "within_tolerance": True}, {}),
+    (DensityReport, {"rows": (), "factors": ()}, {}),
+]
+#: Records holding a mapping, which hash no more than they did as dataclasses.
+UNHASHABLE = (Netlist, PreparedRun, MemoryResult)
+
+
+@pytest.mark.parametrize("record, given, defaults", RECORDS, ids=[record.__name__ for record, _, _ in RECORDS])
+def test_record_behaviour(record, given, defaults):
+    made = record(**given)
+    assert {name: getattr(made, name) for name in record._fields} == {**given, **defaults}
+    with pytest.raises(AttributeError):
+        setattr(made, record._fields[0], next(iter(given.values()), None))
+    again = record(**given)
+    assert made == again and made is not again
+    if record in UNHASHABLE:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(made)
+    else:
+        assert hash(made) == hash(again)
+    fields = ", ".join(f"{name}={getattr(made, name)!r}" for name in record._fields)
+    assert repr(made) == f"{record.__name__}({fields})"
+    # the one difference from a dataclass: a record is the tuple of its fields
+    assert made == tuple(made) and len(made) == len(record._fields)
+
+
+#: Each check of a validating record, as (construction, error type, exact message).
+REFUSALS = [
+    (lambda: BiasPoint(Fraction(0)), ValueError, "bias ratio must be positive"),
+    (lambda: BiasDelayModel(KNOTS[:1], Fraction(4, 5), Fraction(6, 5)), ValueError, "delay model needs at least two knots"),
+    (lambda: BiasDelayModel(KNOTS[::-1], Fraction(4, 5), Fraction(6, 5)), ValueError,
+     "knot ratios must be strictly increasing"),
+    (lambda: BiasDelayModel(((Fraction(3, 4), 10), (Fraction(5, 4), 20)), Fraction(4, 5), Fraction(6, 5)), ValueError,
+     "knot delays must be strictly decreasing"),
+    (lambda: BiasDelayModel(KNOTS, Fraction(11, 10), Fraction(6, 5)), ValueError,
+     "operating range must bracket the nominal ratio 1.0"),
+    (lambda: BiasDelayModel(KNOTS, Fraction(1, 2), Fraction(6, 5)), ValueError, "knots must span the operating range"),
+    (lambda: Netlist({"a.b": NET.cells["merger"]}, (), frozenset(), ()), NetlistError,
+     "cell name 'a.b' must not contain '.'"),
+    (lambda: TripOp(write=(-1, 1)), ConfigError, "write.addr: address must be non-negative"),
+    (lambda: TripOp(write=(0, 2)), ConfigError, "write.bit: bit must be 0 or 1"),
+    (lambda: TripOp(reads=(0, -1)), ConfigError, "reads[1]: addresses must be non-negative"),
+    (lambda: TripOp(reads=(2, 0, 2)), ConfigError, "reads[2]: duplicate read address within a trip"),
+    (lambda: LineSpec(**{**SPEC, "spacing_nm": 0}), ValueError, "linewidth and spacing must be positive"),
+    (lambda: LineSpec(**{**SPEC, "capacitance_ff_per_um": -1}), ValueError, "capacitance and inductance must be positive"),
+    (lambda: LineSpec(**SPEC, layers=0), ValueError, "layers must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("make, error, message", REFUSALS, ids=[message for _, _, message in REFUSALS])
+def test_validating_records_keep_their_error_text(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_readme_library_snippet_runs_and_prints_what_it_shows():
+    (snippet,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(snippet, str(README), "exec"), {})
+    printed = out.getvalue().splitlines()
+    assert printed, "the snippet prints nothing"
+    for line in printed:  # each printed line appears in the snippet as a comment
+        assert f"# {line}\n" in snippet
