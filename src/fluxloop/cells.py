@@ -16,14 +16,12 @@ halt processing, so margin sweeps can classify the failure kind.
 from __future__ import annotations
 
 import enum
-from collections import namedtuple
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
-from .core import BiasPoint, ConfigError, FluxloopError, _freeze, format_ratio, round_half_up
+from .core import BiasPoint, ConfigError, FluxloopError, _freeze, format_ratio, round_half_up, validated_record
 
 #: Default delay-vs-bias curve, as multipliers of the nominal delay.  The
 #: shape is convex and strictly decreasing (cells slow down when starved of
@@ -84,7 +82,7 @@ class TimingViolation(NamedTuple):
     detail: str
 
 
-class BiasDelayModel(namedtuple("BiasDelayModel", "points range_lo range_hi")):
+class BiasDelayModel(validated_record("BiasDelayModel", "points range_lo range_hi")):
     """Piecewise-linear delay vs bias over an electrical operating range.
 
     ``points`` are (bias ratio, delay fs) knots, strictly increasing in
@@ -159,35 +157,37 @@ def delay_at_bias(model: BiasDelayModel, bias: BiasPoint) -> int:
     return _interpolate(model, bias.ratio)
 
 
-@dataclass(frozen=True)
-class CellParams:
-    """Static parameters of one cell instance."""
+class CellParams(validated_record(
+    "CellParams", "kind prop_delay_fs setup_fs hold_fs delay_model prop_delay_out1_fs delay_model_out1 min_separation_fs",
+)):
+    """Static parameters of one cell instance: nominal delays and the bias
+    models they follow.  Steppers read a cell pinned at one bias
+    (:meth:`at_bias`), never these."""
 
-    kind: CellKind
-    prop_delay_fs: int = 0
-    setup_fs: int = 0
-    hold_fs: int = 0
-    delay_model: BiasDelayModel | None = None
-    prop_delay_out1_fs: int | None = None
-    delay_model_out1: BiasDelayModel | None = None
-    min_separation_fs: int = 0
+    # no __slots__: the instance dict holds the cached operating range
 
-    def __post_init__(self) -> None:
-        if self.setup_fs < 0 or self.hold_fs < 0:
+    def __new__(
+        cls, kind: CellKind, prop_delay_fs: int = 0, setup_fs: int = 0, hold_fs: int = 0,
+        delay_model: BiasDelayModel | None = None, prop_delay_out1_fs: int | None = None,
+        delay_model_out1: BiasDelayModel | None = None, min_separation_fs: int = 0,
+    ) -> "CellParams":
+        if setup_fs < 0 or hold_fs < 0:
             raise ValueError("setup and hold times must be non-negative")
-        if self.prop_delay_fs < 0:
+        if prop_delay_fs < 0 or (prop_delay_out1_fs or 0) < 0:
             raise ValueError("propagation delay must be non-negative")
-        if self.delay_model is not None:
-            nominal = _interpolate(self.delay_model, Fraction(1))
-            if nominal != self.prop_delay_fs:
+        if delay_model is not None:
+            nominal = _interpolate(delay_model, Fraction(1))
+            if nominal != prop_delay_fs:
                 raise ValueError(
-                    f"nominal delay {self.prop_delay_fs} fs disagrees with the "
-                    f"delay model at bias 1.0 ({nominal} fs)"
+                    f"nominal delay {prop_delay_fs} fs disagrees with the delay model at bias 1.0 ({nominal} fs)"
                 )
-        if self.delay_model_out1 is not None and self.prop_delay_out1_fs is not None:
-            nominal1 = _interpolate(self.delay_model_out1, Fraction(1))
-            if nominal1 != self.prop_delay_out1_fs:
+        if delay_model_out1 is not None and prop_delay_out1_fs is not None:
+            nominal1 = _interpolate(delay_model_out1, Fraction(1))
+            if nominal1 != prop_delay_out1_fs:
                 raise ValueError("out1 nominal delay disagrees with its delay model at bias 1.0")
+        return tuple.__new__(cls, (
+            kind, prop_delay_fs, setup_fs, hold_fs, delay_model, prop_delay_out1_fs, delay_model_out1, min_separation_fs,
+        ))
 
     def delay(self, bias: BiasPoint) -> int:
         if self.delay_model is None:
@@ -206,14 +206,10 @@ class CellParams:
     # Every clamp and window check reads the range; intersect it once.
     @cached_property
     def _operating_range(self) -> tuple[Fraction, Fraction] | None:
-        ranges = [
-            (model.range_lo, model.range_hi)
-            for model in (self.delay_model, self.delay_model_out1)
-            if model is not None
-        ]
-        if not ranges:
+        models = [model for model in (self.delay_model, self.delay_model_out1) if model is not None]
+        if not models:
             return None
-        return (max(lo for lo, _ in ranges), min(hi for _, hi in ranges))
+        return (max(model.range_lo for model in models), min(model.range_hi for model in models))
 
     def clamped_bias(self, bias: BiasPoint) -> BiasPoint:
         """The bias this cell actually operates at (range edges saturate)."""
@@ -222,16 +218,31 @@ class CellParams:
             return bias
         return BiasPoint(rng[0] if bias.ratio < rng[0] else rng[1])
 
-    def at_bias(self, bias: BiasPoint) -> "CellParams":
-        """A copy with the delays of ``bias`` (which must be in range) as
-        constants; setup, hold and minimum separation are kept."""
-        return replace(
-            self,
-            prop_delay_fs=self.delay(bias),
-            delay_model=None,
-            prop_delay_out1_fs=self.delay_out1(bias),
-            delay_model_out1=None,
+    def at_bias(self, bias: BiasPoint) -> "PinnedCell":
+        """This cell at ``bias`` (which must be in range): its delays there as
+        constants, with setup, hold and minimum separation kept."""
+        return PinnedCell(
+            self.kind, self.delay(bias), self.delay_out1(bias), self.setup_fs, self.hold_fs, self.min_separation_fs
         )
+
+
+class PinnedCell:
+    """One cell at one bias: the constants a stepper reads on every pulse, as
+    slot reads (faster than namedtuple getters).  ``prop_delay_out1_fs`` is
+    always an int: a second output's own delay, else ``prop_delay_fs``."""
+
+    __slots__ = ("kind", "prop_delay_fs", "prop_delay_out1_fs", "setup_fs", "hold_fs", "min_separation_fs")
+
+    def __init__(
+        self, kind: CellKind, prop_delay_fs: int, prop_delay_out1_fs: int, setup_fs: int, hold_fs: int,
+        min_separation_fs: int,
+    ) -> None:
+        self.kind = kind
+        self.prop_delay_fs = prop_delay_fs
+        self.prop_delay_out1_fs = prop_delay_out1_fs
+        self.setup_fs = setup_fs
+        self.hold_fs = hold_fs
+        self.min_separation_fs = min_separation_fs
 
 
 class CellState:
@@ -252,7 +263,7 @@ class CellState:
 Step = tuple[tuple[tuple[str, int], ...], tuple[TimingViolation, ...]]
 
 
-def storage_step(cell: str, params: CellParams, state: CellState, port: str, t: int) -> Step:
+def storage_step(cell: str, params: PinnedCell, state: CellState, port: str, t: int) -> Step:
     """Advance a storage cell (DRO or DRO2R) by one input pulse.
 
     Data on an empty cell stores; data on a full cell is ignored (a storage
@@ -263,9 +274,8 @@ def storage_step(cell: str, params: CellParams, state: CellState, port: str, t: 
     Data within the hold window after a clock records HOLD; a clock within
     the setup window after data records SETUP.
 
-    Like every stepper, it reads the constant delays of ``params``
-    (``prop_delay_fs``, ``prop_delay_out1_fs``): pin a bias-dependent cell
-    with ``CellParams.at_bias`` first, as the engine does.
+    Like every stepper, it takes a cell pinned at the run's bias
+    (``CellParams.at_bias``), as the engine passes it.
     """
     if port == "data":
         last = state.last_clock_fs
@@ -291,7 +301,7 @@ def storage_step(cell: str, params: CellParams, state: CellState, port: str, t: 
     return (), violations
 
 
-def merger_step(cell: str, params: CellParams, state: CellState, port: str, t: int) -> Step:
+def merger_step(cell: str, params: PinnedCell, state: CellState, port: str, t: int) -> Step:
     """Forward a pulse from either merger input to the output.
 
     Pulses on opposite inputs closer than the minimum separation record an
@@ -309,7 +319,7 @@ def merger_step(cell: str, params: CellParams, state: CellState, port: str, t: i
     return emitted, ()
 
 
-def fanout_step(cell: str, params: CellParams, state: CellState, port: str, t: int) -> Step:
+def fanout_step(cell: str, params: PinnedCell, state: CellState, port: str, t: int) -> Step:
     """Ideal passive fan-out: one input pulse, one pulse on each output."""
     if port != _FANOUT_INPUT:
         raise ValueError(f"fanout has no port {port!r}")
@@ -317,16 +327,11 @@ def fanout_step(cell: str, params: CellParams, state: CellState, port: str, t: i
     return (("out_a", t_out), ("out_b", t_out)), ()
 
 
-def _out1_delay(params: CellParams) -> int:
-    out1 = params.prop_delay_out1_fs
-    return params.prop_delay_fs if out1 is None else out1
-
-
 # Per-pulse port lookups, resolved from the tables once (a CellKind key
 # costs a Python-level hash).  Storage clock -> (kind, output, delay getter);
 # clock names differ between the storage kinds.
 _RELEASES = {
-    clock: (kind, out, _out1_delay if i else attrgetter("prop_delay_fs"))
+    clock: (kind, out, attrgetter("prop_delay_out1_fs" if i else "prop_delay_fs"))
     for kind in (CellKind.DRO, CellKind.DRO2R)
     for i, (clock, out) in enumerate(zip(INPUT_PORTS[kind][1:], OUTPUT_PORTS[kind]))
 }
@@ -347,11 +352,6 @@ def stepper_for(kind: CellKind) -> Callable[..., Step]:
         return _STEPPERS[kind]
     except KeyError:
         raise ValueError(f"cell kind {kind} does not process pulses") from None
-
-
-def step_cell(cell: str, params: CellParams, state: CellState, port: str, t: int) -> Step:
-    """Dispatch one input pulse to the right behavioral step function."""
-    return stepper_for(params.kind)(cell, params, state, port, t)
 
 
 # --- default cell set ------------------------------------------------------

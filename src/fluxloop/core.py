@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Any, Mapping
@@ -90,6 +89,8 @@ def exact_ratio(value: float | int | str | Fraction) -> Fraction:
 
 
 def _ratio(value: Any, field_name: str, what: str = "ratio") -> Fraction:
+    if isinstance(value, bool):  # JSON true/false decode to bool, an int subclass
+        raise ConfigError(field_name, "expected a ratio, got a boolean")
     try:
         return exact_ratio(value)
     except (ValueError, ZeroDivisionError):  # a malformed string, or a float that is NaN or infinite
@@ -160,7 +161,15 @@ def parse_frequency(value: Any, field_name: str = "frequency") -> int:
     return hz
 
 
-class PulseEvent(namedtuple("PulseEvent", "time_fs line")):
+def validated_record(typename: str, field_names: str) -> type:
+    """A namedtuple base whose ``_make``, and so ``_replace``, builds through
+    the subclass's validating constructor rather than ``tuple.__new__``."""
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, fields: cls(*fields))
+    return base
+
+
+class PulseEvent(validated_record("PulseEvent", "time_fs line")):
     """A single SFQ pulse: a bare timestamp on a named signal line.
 
     A tuple ``(time_fs, line)``: pulses order by time, then line, and equal
@@ -177,7 +186,7 @@ class PulseEvent(namedtuple("PulseEvent", "time_fs line")):
         return tuple.__new__(cls, (time_fs, line))
 
 
-class BiasPoint(namedtuple("BiasPoint", "ratio")):
+class BiasPoint(validated_record("BiasPoint", "ratio")):
     """A bias supply level as a fraction of nominal (1.0 = nominal)."""
 
     __slots__ = ()
@@ -202,71 +211,62 @@ class BiasPoint(namedtuple("BiasPoint", "ratio")):
 NOMINAL_BIAS = BiasPoint(Fraction(1))
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(validated_record(
+    "SimConfig", "frequency_hz num_addresses bias header_intervals phase_read phase_write phase_data loop_delay_fs "
+    "retiming_guard_fs loop_jitter_fs cell_overrides max_events search_ceiling_hz",
+)):
     """Validated run configuration shared by every module.
 
-    ``cell_overrides`` holds normalized per-cell parameter overrides
-    (durations already in fs, curve knots as exact ratios); the cell layer
-    merges them over its defaults.  They are a read-only copy (lists as
-    tuples), so ``frozen_overrides``, their hashable equal, is computed once.
+    A tuple, varied by ``cfg._replace(...)``, which validates like the
+    constructor.  ``cell_overrides`` holds normalized per-cell overrides
+    (durations in fs, curve knots as exact ratios) that the cell layer merges
+    over its defaults: a read-only copy (lists as tuples), so their hashable
+    equal ``frozen_overrides`` is computed once, into the instance dict.
     """
 
-    frequency_hz: int
-    num_addresses: int
-    bias: BiasPoint = NOMINAL_BIAS
-    header_intervals: int = 1
-    phase_read: Fraction = Fraction(1, 5)
-    phase_write: Fraction = Fraction(1, 2)
-    phase_data: Fraction = Fraction(1, 2)
-    loop_delay_fs: int | None = None
-    retiming_guard_fs: int = 2000
-    loop_jitter_fs: tuple[int, ...] = ()
-    cell_overrides: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
-    max_events: int = 10_000_000
-    search_ceiling_hz: int = 10**12
-
-    def __post_init__(self) -> None:
-        if self.frequency_hz <= 0:
-            raise ConfigError("frequency", "must be positive")
-        if self.num_addresses < 1:
-            raise ConfigError("num_addresses", "must be at least 1")
-        if self.header_intervals < 1:
-            raise ConfigError("header_intervals", "must be at least 1")
-        if not (0 <= self.phase_read < self.phase_write < 1):
-            raise ConfigError("phase_read/phase_write", "need 0 <= phase_read < phase_write < 1")
-        if not (0 <= self.phase_data < 1):
-            raise ConfigError("phase_data", "must lie in [0, 1)")
-        if self.loop_delay_fs is not None and self.loop_delay_fs <= 0:
-            raise ConfigError("loop_delay", "must be positive when given")
-        if self.retiming_guard_fs < 0:
-            raise ConfigError("retiming_guard", "must be non-negative")
-        if self.max_events < 1:
-            raise ConfigError("max_events", "must be positive")
-        if self.search_ceiling_hz <= 0:
-            raise ConfigError("search_ceiling", "must be positive")
-        for name in self.cell_overrides:
-            if name not in CELL_NAMES:
-                raise ConfigError(f"cells.{name}", f"unknown cell (valid: {', '.join(CELL_NAMES)})")
-        overrides = {name: MappingProxyType({k: _freeze(v) for k, v in o.items()}) for name, o in self.cell_overrides.items()}
-        object.__setattr__(self, "cell_overrides", MappingProxyType(overrides))
-        object.__setattr__(self, "frozen_overrides", _freeze(overrides))
+    def __new__(
+        cls, frequency_hz: int, num_addresses: int, bias: BiasPoint = NOMINAL_BIAS, header_intervals: int = 1,
+        phase_read: Fraction = Fraction(1, 5), phase_write: Fraction = Fraction(1, 2),
+        phase_data: Fraction = Fraction(1, 2), loop_delay_fs: int | None = None, retiming_guard_fs: int = 2000,
+        loop_jitter_fs: tuple[int, ...] = (), cell_overrides: Mapping[str, Mapping[str, Any]] = MappingProxyType({}),
+        max_events: int = 10_000_000, search_ceiling_hz: int = 10**12,
+    ) -> "SimConfig":
+        for failed, field_name, problem in (
+            (frequency_hz <= 0, "frequency", "must be positive"),
+            (num_addresses < 1, "num_addresses", "must be at least 1"),
+            (header_intervals < 1, "header_intervals", "must be at least 1"),
+            (not 0 <= phase_read < phase_write < 1, "phase_read/phase_write", "need 0 <= phase_read < phase_write < 1"),
+            (not 0 <= phase_data < 1, "phase_data", "must lie in [0, 1)"),
+            (loop_delay_fs is not None and loop_delay_fs <= 0, "loop_delay", "must be positive when given"),
+            (retiming_guard_fs < 0, "retiming_guard", "must be non-negative"),
+            (max_events < 1, "max_events", "must be positive"),
+            (search_ceiling_hz <= 0, "search_ceiling", "must be positive"),
+            *((name not in CELL_NAMES, f"cells.{name}", f"unknown cell (valid: {', '.join(CELL_NAMES)})")
+              for name in cell_overrides),
+        ):
+            if failed:
+                raise ConfigError(field_name, problem)
+        overrides = {name: MappingProxyType({k: _freeze(v) for k, v in o.items()}) for name, o in cell_overrides.items()}
+        fields = (frequency_hz, num_addresses, bias, header_intervals, phase_read, phase_write, phase_data, loop_delay_fs,
+                  retiming_guard_fs, tuple(loop_jitter_fs), MappingProxyType(overrides), max_events, search_ceiling_hz)
+        cfg = tuple.__new__(cls, fields)
+        cfg.frozen_overrides = _freeze(overrides)
+        return cfg
 
     def __reduce__(self) -> tuple:
         """Pickle through the constructor, the read-only overrides as plain dicts."""
         plain = {name: dict(o) for name, o in self.cell_overrides.items()}
-        return type(self), tuple(plain if f.name == "cell_overrides" else getattr(self, f.name) for f in fields(self))
+        return type(self), tuple(plain if name == "cell_overrides" else value for name, value in zip(self._fields, self))
 
     def with_bias(self, bias: BiasPoint) -> "SimConfig":
-        return replace(self, bias=bias)
+        return self._replace(bias=bias)
 
     def with_frequency(self, frequency_hz: int) -> "SimConfig":
-        """``replace(self, frequency_hz=frequency_hz)`` that checks only the new
-        frequency: every other field was validated when this config was made."""
+        """``_replace(frequency_hz=...)`` that checks only the new frequency and shares ``frozen_overrides``."""
         if frequency_hz <= 0:
             raise ConfigError("frequency", "must be positive")
-        copy = object.__new__(type(self))
-        copy.__dict__.update(self.__dict__, frequency_hz=frequency_hz)
+        copy = tuple.__new__(type(self), (frequency_hz, *self[1:]))
+        copy.frozen_overrides = self.frozen_overrides
         return copy
 
 
@@ -353,8 +353,8 @@ def parse_config(text: str) -> SimConfig:
     }
     if "bias" in doc:
         try:
-            kwargs["bias"] = BiasPoint(exact_ratio(doc["bias"]))
-        except (ValueError, ZeroDivisionError):
+            kwargs["bias"] = BiasPoint(_ratio(doc["bias"], "bias", "bias ratio"))
+        except ValueError:
             raise ConfigError("bias", f"invalid bias ratio {doc['bias']!r}") from None
     if "header_intervals" in doc:
         kwargs["header_intervals"] = _integer(doc, "header_intervals")

@@ -18,8 +18,9 @@ each against its printed figure.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from typing import Mapping, NamedTuple, Sequence
+
+from .core import validated_record
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
 
@@ -27,9 +28,9 @@ SPEED_OF_LIGHT = 2.998e8  # m/s
 TABLE_FREQUENCIES_GHZ = (20, 50, 75, 100)
 
 
-class LineSpec(
-    namedtuple("LineSpec", "name linewidth_nm spacing_nm capacitance_ff_per_um inductance_ph_per_um layers speed_factor_override")
-):
+class LineSpec(validated_record(
+    "LineSpec", "name linewidth_nm spacing_nm capacitance_ff_per_um inductance_ph_per_um layers speed_factor_override",
+)):
     """Geometry and per-length electricals of one delay-line technology.
 
     Capacitance and inductance are per unit length in the units the tables
@@ -40,14 +41,8 @@ class LineSpec(
     __slots__ = ()
 
     def __new__(
-        cls,
-        name: str,
-        linewidth_nm: float,
-        spacing_nm: float,
-        capacitance_ff_per_um: float,
-        inductance_ph_per_um: float,
-        layers: int = 1,
-        speed_factor_override: float | None = None,
+        cls, name: str, linewidth_nm: float, spacing_nm: float, capacitance_ff_per_um: float,
+        inductance_ph_per_um: float, layers: int = 1, speed_factor_override: float | None = None,
     ) -> "LineSpec":
         if min(linewidth_nm, spacing_nm) <= 0:
             raise ValueError("linewidth and spacing must be positive")

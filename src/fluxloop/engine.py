@@ -18,7 +18,6 @@ bias) triple produce bit-identical traces.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from heapq import heappop, heappush
@@ -27,12 +26,13 @@ from operator import eq
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
-from .core import BiasPoint, FluxloopError, PulseEvent, format_ratio
+from .core import BiasPoint, FluxloopError, PulseEvent, format_ratio, validated_record
 from .cells import (
     INPUT_PORTS,
     OUTPUT_PORTS,
     CellParams,
     CellState,
+    PinnedCell,
     TimingViolation,
     ViolationKind,
     stepper_for,
@@ -71,7 +71,7 @@ class Connection(NamedTuple):
     is_loop: bool = False
 
 
-class Netlist(namedtuple("Netlist", "cells connections external_inputs observed")):
+class Netlist(validated_record("Netlist", "cells connections external_inputs observed")):
     """Cells wired by connections.
 
     ``cells`` is a read-only copy of the mapping given, since one netlist may
@@ -144,11 +144,11 @@ class PinnedNetlist:
     """A netlist's cells at one bias: constant delays, and the t=0
     ELECTRICAL violations of cells whose range excludes the bias."""
 
-    # A slotted class, not a dataclass or NamedTuple: defining one of those
-    # costs 0.3-1.3 ms of every CLI start.
+    # A slotted class, like PinnedCell: cheaper than a NamedTuple to define
+    # at every CLI start.
     __slots__ = ("cells", "violations", "zero_delay")
 
-    def __init__(self, cells: Mapping[str, CellParams], violations: tuple[TimingViolation, ...], zero_delay: bool) -> None:
+    def __init__(self, cells: Mapping[str, PinnedCell], violations: tuple[TimingViolation, ...], zero_delay: bool) -> None:
         self.cells = cells
         self.violations = violations
         #: a zero pinned delay can emit at the current instant (see run_until)

@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections import namedtuple
-from dataclasses import fields
 from functools import lru_cache, partial
 from typing import Any, Callable, Mapping, NamedTuple
 
-from .cells import CellParams, _cell_set, _freeze, default_cell_params
-from .core import BiasPoint, ConfigError, InfeasibleFrequencyError, PulseEvent, SimConfig, interval_duration, trip_duration
+from .cells import CellParams, PinnedCell, _cell_set, default_cell_params
+from .core import (
+    BiasPoint, ConfigError, InfeasibleFrequencyError, PulseEvent, SimConfig, interval_duration, trip_duration,
+    validated_record,
+)
 from .engine import Connection, Netlist, PinnedNetlist, RunawayQueueError, Trace, run_until, schedule
 
 #: The externally driven lines.
@@ -44,7 +45,7 @@ INPUT_LINES = (
 OBSERVED_LINES = INPUT_LINES + ("loop_data_in", "loop_data_out", "read_data")
 
 
-class TripOp(namedtuple("TripOp", "write reads")):
+class TripOp(validated_record("TripOp", "write reads")):
     """One trip's worth of operations: at most one write, as an (address,
     bit) pair, and any set of reads."""
 
@@ -174,7 +175,7 @@ def _phase_instants(cfg: SimConfig, interval: int) -> tuple[int, int, int]:
     )
 
 
-def source_path_delays(cells: Mapping[str, CellParams]) -> tuple[int, int]:
+def source_path_delays(cells: Mapping[str, CellParams | PinnedCell]) -> tuple[int, int]:
     """Merged-path delay (to loop_data_in / read clock) from each source.
 
     Returns (write-sourced, recirculation-sourced) totals of the cells'
@@ -194,7 +195,8 @@ def required_loop_delay(cfg: SimConfig) -> int:
     later, so the loop absorbs a full trip minus the controller's nominal
     re-timing budget.
     """
-    return _loop_delay(_retiming_budget(_cell_set(cfg.frozen_overrides)), cfg, trip_duration(cfg))
+    budget = _retiming_budget(_cell_set(cfg.frozen_overrides)) + cfg.retiming_guard_fs
+    return _loop_delay(budget, trip_duration(cfg), cfg.frequency_hz)
 
 
 def _retiming_budget(cells: Mapping[str, CellParams]) -> int:
@@ -202,59 +204,41 @@ def _retiming_budget(cells: Mapping[str, CellParams]) -> int:
     return source_path_delays(cells)[1] + cells["recirc_dro2r"].setup_fs
 
 
-def _loop_delay(budget: int, cfg: SimConfig, trip: int) -> int:
-    budget += cfg.retiming_guard_fs
+def _loop_delay(budget: int, trip: int, frequency_hz: int) -> int:
+    """What a trip leaves for the loop after the re-timing budget, guard included."""
     if budget >= trip:
         raise InfeasibleFrequencyError(
-            f"controller re-timing budget {budget} fs does not fit in a "
-            f"{trip} fs trip at {cfg.frequency_hz} Hz"
+            f"controller re-timing budget {budget} fs does not fit in a {trip} fs trip at {frequency_hz} Hz"
         )
     return trip - budget
-
-
-#: SimConfig fields a run reads but the compiled controller does not.
-_RUN_FIELDS = frozenset({"bias", "max_events", "search_ceiling_hz"})
-#: The compiled fields but the cell overrides, which key by ``SimConfig.frozen_overrides``.
-_COMPILED_FIELDS = tuple(f.name for f in fields(SimConfig) if f.name not in _RUN_FIELDS | {"cell_overrides"})
-
-
-class _BiasFree:
-    """A config that hashes and compares on every field but ``_RUN_FIELDS``."""
-
-    __slots__ = ("cfg", "key")
-
-    def __init__(self, cfg: SimConfig) -> None:
-        self.cfg = cfg
-        self.key = (cfg.frozen_overrides, *(_freeze(getattr(cfg, name)) for name in _COMPILED_FIELDS))
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _BiasFree) and self.key == other.key
 
 
 def build_controller(cfg: SimConfig) -> Netlist:
     """Assemble the controller netlist plus the storage-loop connection.
 
-    Compiled (built and validated) once per bias-free configuration: configs
-    that differ only in bias, event cap or search ceiling share one netlist,
-    from a bounded cache.
+    Compiled (built and validated) once per value of what it reads: the
+    cell overrides, the frequency, the trip the frequency, address count and
+    header intervals make, the loop delay, the re-timing guard and the loop
+    jitter.  Configs that differ only in another field (bias, phases, event
+    cap, search ceiling) share one netlist, from a bounded cache.
     """
-    return _compile(_BiasFree(cfg))
+    return _compile(
+        cfg.frozen_overrides, cfg.frequency_hz, trip_duration(cfg), cfg.loop_delay_fs, cfg.retiming_guard_fs,
+        cfg.loop_jitter_fs,
+    )
 
 
 @lru_cache(maxsize=64)
-def _compile(config: _BiasFree) -> Netlist:
-    cfg = config.cfg
+def _compile(
+    frozen_overrides: tuple, frequency_hz: int, trip: int, loop_delay: int | None, guard: int, jitter: tuple[int, ...]
+) -> Netlist:
     # the cell set default_cell_params serves, read without a per-call copy
-    cells = _cell_set(cfg.frozen_overrides)
-    trip = trip_duration(cfg)
-    loop_delay = cfg.loop_delay_fs if cfg.loop_delay_fs is not None else _loop_delay(_retiming_budget(cells), cfg, trip)
-    offsets = tuple((t * trip, off) for t, off in enumerate(cfg.loop_jitter_fs))
+    cells = _cell_set(frozen_overrides)
+    if loop_delay is None:
+        loop_delay = _loop_delay(_retiming_budget(cells) + guard, trip, frequency_hz)
+    offsets = tuple((t * trip, off) for t, off in enumerate(jitter))
     if offsets:
-        offsets += ((len(cfg.loop_jitter_fs) * trip, 0),)
-
+        offsets += ((len(jitter) * trip, 0),)
     connections = (
         Connection("write_data", "write_dro.data"),
         Connection("write_address", "write_dro.clock"),

@@ -192,7 +192,9 @@ def sta(
     interval = interval_duration(cfg)
     header = cfg.header_intervals * interval
     trip = header + cfg.num_addresses * interval
-    loop_delay = cfg.loop_delay_fs if cfg.loop_delay_fs is not None else _loop_delay(budget, cfg, trip)
+    loop_delay = cfg.loop_delay_fs
+    if loop_delay is None:
+        loop_delay = _loop_delay(budget + cfg.retiming_guard_fs, trip, cfg.frequency_hz)
     ph_read, ph_write, ph_data = _phase_instants(cfg, interval)
     read_gap = interval + ph_read - ph_write - path_max  # the loop race
     slack_fs = (  # in _SLACK_ROWS order
@@ -240,9 +242,7 @@ def max_frequency(cfg: SimConfig, step_hz: int = 10**9) -> int:
             continue
         if report.all_met:
             return freq
-    raise InfeasibleFrequencyError(
-        f"no feasible frequency found at or below {ceiling} Hz"
-    )
+    raise InfeasibleFrequencyError(f"no feasible frequency found at or below {ceiling} Hz")
 
 
 # --- empirical bias margins -------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import replace
 
 import _oracle
 import pytest
@@ -189,7 +188,7 @@ def test_loop_jitter_retiming_window():
         trip_idx = rng.randint(0, 3)
         offsets = [0, 0, 0, 0]
         offsets[trip_idx] = jitter
-        result = run_program(program, replace(cfg, loop_jitter_fs=tuple(offsets)))
+        result = run_program(program, cfg._replace(loop_jitter_fs=tuple(offsets)))
         assert result.passed, (jitter, trip_idx)
         assert result.trace.pulses_on("loop_data_in") == reference.trace.pulses_on("loop_data_in")
         cases += 1
@@ -202,7 +201,7 @@ def test_loop_jitter_retiming_window():
         trip_idx = rng.randint(0, 2)
         offsets = [0, 0, 0, 0]
         offsets[trip_idx] = jitter
-        result = run_program(program, replace(cfg, loop_jitter_fs=tuple(offsets)))
+        result = run_program(program, cfg._replace(loop_jitter_fs=tuple(offsets)))
         assert not result.passed, (jitter, trip_idx)
         kinds = {v.kind.value for v in result.trace.violations}
         assert kinds & {"SETUP", "HOLD"}, (jitter, trip_idx, kinds)

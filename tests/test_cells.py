@@ -17,10 +17,10 @@ from fluxloop.cells import (
     CellKind,
     CellParams,
     CellState,
+    PinnedCell,
     delay_at_bias,
     fanout_step,
     merger_step,
-    step_cell,
     stepper_for,
     storage_step,
 )
@@ -141,25 +141,27 @@ def test_operating_range_intersects_both_models():
 
 
 DRO = CellParams(kind=CellKind.DRO, prop_delay_fs=5000, setup_fs=2000, hold_fs=1000)
+#: Steppers take a cell pinned at the run's bias.
+PINNED_DRO = DRO.at_bias(NOM)
 
 
 class TestDro:
     def test_store_then_release(self):
         state = CellState()
-        out, v = storage_step("d", DRO, state, "data", 0)
+        out, v = storage_step("d", PINNED_DRO, state, "data", 0)
         assert out == () and v == ()
         # second data pulse on a full cell is absorbed
-        out, v = storage_step("d", DRO, state, "data", 3000)
+        out, v = storage_step("d", PINNED_DRO, state, "data", 3000)
         assert out == () and v == ()
-        out, v = storage_step("d", DRO, state, "clock", 20000)
+        out, v = storage_step("d", PINNED_DRO, state, "clock", 20000)
         assert out == (("out", 25000),) and v == ()
         # cell is now empty: another clock releases nothing
-        out, v = storage_step("d", DRO, state, "clock", 40000)
+        out, v = storage_step("d", PINNED_DRO, state, "clock", 40000)
         assert out == () and v == ()
 
     def test_clock_on_empty_cell(self):
         state = CellState()
-        out, v = storage_step("d", DRO, state, "clock", 100)
+        out, v = storage_step("d", PINNED_DRO, state, "clock", 100)
         assert out == () and v == ()
 
     @pytest.mark.parametrize(
@@ -168,8 +170,8 @@ class TestDro:
     )
     def test_setup_boundary_is_strict(self, gap, ok):
         state = CellState()
-        storage_step("d", DRO, state, "data", 10000)
-        out, v = storage_step("d", DRO, state, "clock", 10000 + gap)
+        storage_step("d", PINNED_DRO, state, "data", 10000)
+        out, v = storage_step("d", PINNED_DRO, state, "clock", 10000 + gap)
         assert out == (("out", 10000 + gap + 5000),)
         if ok:
             assert v == ()
@@ -183,8 +185,8 @@ class TestDro:
     @pytest.mark.parametrize("gap, ok", [(1000, True), (999, False)])
     def test_hold_boundary_is_strict(self, gap, ok):
         state = CellState()
-        storage_step("d", DRO, state, "clock", 5000)
-        out, v = storage_step("d", DRO, state, "data", 5000 + gap)
+        storage_step("d", PINNED_DRO, state, "clock", 5000)
+        out, v = storage_step("d", PINNED_DRO, state, "data", 5000 + gap)
         assert out == ()
         if ok:
             assert v == ()
@@ -195,13 +197,13 @@ class TestDro:
 
     def test_hold_clean_example(self):
         state = CellState()
-        storage_step("d", DRO, state, "clock", 5000)
-        out, v = storage_step("d", DRO, state, "data", 8000)
+        storage_step("d", PINNED_DRO, state, "clock", 5000)
+        out, v = storage_step("d", PINNED_DRO, state, "data", 8000)
         assert out == () and v == ()
 
     def test_unknown_port(self):
         with pytest.raises(ValueError, match="DRO has no port"):
-            storage_step("d", DRO, CellState(), "clk2", 0)
+            storage_step("d", PINNED_DRO, CellState(), "clk2", 0)
 
 
 # --- DRO2R -----------------------------------------------------------------
@@ -213,7 +215,7 @@ DRO2R = CellParams(
     setup_fs=2000,
     hold_fs=1000,
     prop_delay_out1_fs=6000,
-)
+).at_bias(NOM)
 
 
 class TestDro2r:
@@ -248,7 +250,7 @@ class TestDro2r:
 
 
 def test_merger_forwards_each_input():
-    params = CellParams(kind=CellKind.MERGER, prop_delay_fs=1500, min_separation_fs=2000)
+    params = CellParams(kind=CellKind.MERGER, prop_delay_fs=1500, min_separation_fs=2000).at_bias(NOM)
     state = CellState()
     out, v = merger_step("m", params, state, "in0", 0)
     assert out == (("out", 1500),) and v == ()
@@ -257,7 +259,7 @@ def test_merger_forwards_each_input():
 
 
 def test_merger_collision_is_electrical_but_both_forward():
-    params = CellParams(kind=CellKind.MERGER, prop_delay_fs=1500, min_separation_fs=2000)
+    params = CellParams(kind=CellKind.MERGER, prop_delay_fs=1500, min_separation_fs=2000).at_bias(NOM)
     state = CellState()
     out0, v0 = merger_step("m", params, state, "in0", 0)
     out1, v1 = merger_step("m", params, state, "in1", 1000)
@@ -274,13 +276,13 @@ def test_merger_collision_is_electrical_but_both_forward():
 
 
 def test_merger_unknown_port():
-    params = CellParams(kind=CellKind.MERGER, prop_delay_fs=1500)
+    params = CellParams(kind=CellKind.MERGER, prop_delay_fs=1500).at_bias(NOM)
     with pytest.raises(ValueError, match="merger has no port"):
         merger_step("m", params, CellState(), "in2", 0)
 
 
 def test_fanout_duplicates_pulse():
-    params = CellParams(kind=CellKind.FANOUT, prop_delay_fs=500)
+    params = CellParams(kind=CellKind.FANOUT, prop_delay_fs=500).at_bias(NOM)
     out, v = fanout_step("f", params, CellState(), "in", 100)
     assert out == (("out_a", 600), ("out_b", 600)) and v == ()
     with pytest.raises(ValueError, match="fanout has no port"):
@@ -289,7 +291,7 @@ def test_fanout_duplicates_pulse():
 
 @pytest.mark.parametrize("kind", list(CellKind))
 def test_steppers_accept_and_emit_exactly_the_table_ports(kind):
-    params = CellParams(kind=kind, prop_delay_fs=500)
+    params = CellParams(kind=kind, prop_delay_fs=500).at_bias(NOM)
     known = {port for table in (INPUT_PORTS, OUTPUT_PORTS) for ports in table.values() for port in ports}
     for port in sorted(known):
         if port in INPUT_PORTS[kind]:
@@ -300,8 +302,8 @@ def test_steppers_accept_and_emit_exactly_the_table_ports(kind):
                 stepper_for(kind)("c", params, CellState(stored=True), port, 0)
 
 
-def test_step_cell_dispatch():
-    out, v = step_cell("d", DRO, CellState(), "data", 0)
+def test_stepper_for_dispatches_on_the_kind():
+    out, v = stepper_for(PINNED_DRO.kind)("d", PINNED_DRO, CellState(), "data", 0)
     assert out == () and v == ()
 
 
@@ -404,11 +406,12 @@ class TestAtBias:
         cells = default_cell_params({"recirc_dro2r": {"prop_delay_out1": 4000}})
         for params in cells.values():
             pinned = params.at_bias(b)
-            assert pinned.delay_model is None and pinned.delay_model_out1 is None
-            assert pinned.delay(b) == params.delay(b)
-            assert pinned.delay_out1(b) == params.delay_out1(b)
-            # the pinned delay no longer depends on the bias passed in
-            assert pinned.delay(NOM) == params.delay(b)
+            assert type(pinned) is PinnedCell
+            assert not hasattr(pinned, "delay_model") and not hasattr(pinned, "delay_model_out1")
+            assert pinned.prop_delay_fs == params.delay(b)
+            assert pinned.prop_delay_out1_fs == params.delay_out1(b)
+            # the pinned delays are constants: no bias can be passed in
+            assert not hasattr(pinned, "delay") and not hasattr(pinned, "delay_out1")
             assert (pinned.kind, pinned.setup_fs, pinned.hold_fs, pinned.min_separation_fs) == (
                 params.kind,
                 params.setup_fs,
@@ -418,8 +421,8 @@ class TestAtBias:
 
     def test_constant_delay_cell_pins_to_itself(self):
         pinned = DRO.at_bias(bias("0.8"))
-        assert pinned.delay(NOM) == DRO.prop_delay_fs
-        assert pinned.delay_out1(NOM) == DRO.delay_out1(NOM)
+        assert pinned.prop_delay_fs == DRO.prop_delay_fs
+        assert pinned.prop_delay_out1_fs == DRO.delay_out1(NOM)
 
     def test_out_of_range_bias_is_refused(self):
         with pytest.raises(BiasRangeError):

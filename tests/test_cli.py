@@ -454,6 +454,27 @@ def test_non_finite_numbers_are_refused_naming_the_field(tmp_path, write_program
     assert captured.out == ""
 
 
+#: A JSON boolean in each ratio field, as (config fields, field named).
+BOOLEAN_RATIOS = [
+    ({"bias": True}, "bias"),
+    ({"phase_read": False}, "phase_read"),
+    ({"phase_write": True}, "phase_write"),
+    ({"phase_data": False}, "phase_data"),
+    ({"cells": {"merger": {"bias_curve": [[0.76, 1.39], [True, 1], [1.24, 0.59]]}}}, "cells.merger.bias_curve[1]"),
+    ({"cells": {"merger": {"bias_curve": [[0.76, 1.39], [1, True], [1.24, 0.59]]}}}, "cells.merger.bias_curve[1]"),
+    ({"cells": {"merger": {"operating_range": [False, True]}}}, "cells.merger.operating_range"),
+]
+
+
+@pytest.mark.parametrize("fields, field", BOOLEAN_RATIOS, ids=[json.dumps(fields) for fields, _ in BOOLEAN_RATIOS])
+def test_booleans_are_refused_as_ratios_naming_the_field(write_config, capsys, fields, field):
+    code = main(["sta", "--config", write_config(**fields)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err == f"error: {field}: expected a ratio, got a boolean\n"
+    assert captured.out == ""
+
+
 class _ClosedPipe:
     """A stdout whose reader has gone: writing (or, buffered, flushing) fails."""
 

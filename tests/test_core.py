@@ -5,7 +5,6 @@ from __future__ import annotations
 import copy
 import json
 import pickle
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -179,7 +178,7 @@ class TestWithFrequency:
             cell_overrides={"merger": {"prop_delay": 2000}},
             max_events=5000,
         )
-        moved, replaced = cfg.with_frequency(ghz * GHZ), replace(cfg, frequency_hz=ghz * GHZ)
+        moved, replaced = cfg.with_frequency(ghz * GHZ), cfg._replace(frequency_hz=ghz * GHZ)
         assert type(moved) is SimConfig
         assert moved == replaced and vars(moved) == vars(replaced)
         assert cfg.frequency_hz == 100 * GHZ  # the original is untouched
@@ -191,7 +190,7 @@ class TestWithFrequency:
 
     @pytest.mark.parametrize("hz", [0, -1, -100 * GHZ])
     def test_refuses_a_non_positive_frequency(self, cfg100, hz):
-        for make in (cfg100.with_frequency, lambda f: replace(cfg100, frequency_hz=f)):
+        for make in (cfg100.with_frequency, lambda f: cfg100._replace(frequency_hz=f)):
             with pytest.raises(ConfigError) as info:
                 make(hz)
             assert (info.value.field, info.value.message) == ("frequency", "must be positive")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import replace
 import random
 from functools import lru_cache
 
@@ -67,8 +66,8 @@ def _artifacts() -> dict[str, str]:
     off_nominal = run_program(program, cfg.with_bias(BiasPoint.of("0.80"))).trace
     out_of_range = run_program(program, cfg.with_bias(BiasPoint.of("1.30"))).trace
     jitter_rng = random.Random(7)
-    jitter_cfg = replace(
-        cfg, loop_jitter_fs=tuple(jitter_rng.randint(-4000, 4000) for _ in range(40))
+    jitter_cfg = cfg._replace(
+        loop_jitter_fs=tuple(jitter_rng.randint(-4000, 4000) for _ in range(40))
     )
     jitter = run_program(program, jitter_cfg).trace
 
@@ -117,7 +116,7 @@ def _artifacts() -> dict[str, str]:
     sta_asymmetric = (
         sta_to_text(sta(asymmetric, "0.9", "1.1"))
         + sta_to_text(sta(asymmetric.with_frequency(100 * GHZ), "0.8", "1.0"))
-        + sta_to_text(sta(replace(asymmetric, loop_delay_fs=70_000), "0.95", "1.2"))
+        + sta_to_text(sta(asymmetric._replace(loop_delay_fs=70_000), "0.95", "1.2"))
         + f"max feasible frequency: {max_frequency(asymmetric) / GHZ:g} GHz\n"
     )
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -133,17 +133,21 @@ class TestControllerNetlist:
     def test_compiled_once_per_bias_free_config(self, cfg100):
         net = build_controller(cfg100)
         assert build_controller(cfg100.with_bias(BiasPoint.of("0.8"))) is net
-        assert build_controller(replace(cfg100, max_events=5, search_ceiling_hz=GHZ)) is net
+        assert build_controller(cfg100._replace(max_events=5, search_ceiling_hz=GHZ)) is net
+        # the netlist reads no phase
+        assert build_controller(cfg100._replace(phase_read=Fraction(1, 10), phase_data=Fraction(0))) is net
         # equal overrides held in distinct objects compile alike
         tuned = {"merger": {"prop_delay": 1000}}
-        assert build_controller(replace(cfg100, cell_overrides=tuned)) is build_controller(
-            replace(cfg100, cell_overrides={"merger": {"prop_delay": 1000}})
+        assert build_controller(cfg100._replace(cell_overrides=tuned)) is build_controller(
+            cfg100._replace(cell_overrides={"merger": {"prop_delay": 1000}})
         )
         for changed in (
             cfg100.with_frequency(50 * GHZ),
-            replace(cfg100, retiming_guard_fs=1000),
-            replace(cfg100, loop_jitter_fs=(100,)),
-            replace(cfg100, cell_overrides=tuned),
+            cfg100._replace(num_addresses=4),
+            cfg100._replace(header_intervals=2),
+            cfg100._replace(retiming_guard_fs=1000),
+            cfg100._replace(loop_jitter_fs=(100,)),
+            cfg100._replace(cell_overrides=tuned),
         ):
             assert build_controller(changed) is not net
 
@@ -154,12 +158,12 @@ class TestControllerNetlist:
         assert build_controller(cfg100).cells["merger"].kind.value == "MERGER"
 
     def test_explicit_loop_delay_wins(self, cfg100):
-        cfg = replace(cfg100, loop_delay_fs=25000)
+        cfg = cfg100._replace(loop_delay_fs=25000)
         loops = [c for c in build_controller(cfg).connections if c.is_loop]
         assert loops[0].delay_fs == 25000
 
     def test_jitter_offsets_become_a_schedule(self, cfg100):
-        cfg = replace(cfg100, loop_jitter_fs=(500, -500))
+        cfg = cfg100._replace(loop_jitter_fs=(500, -500))
         loops = [c for c in build_controller(cfg).connections if c.is_loop]
         # one entry per trip plus the terminating return-to-zero entry
         assert loops[0].offset_schedule == ((0, 500), (40000, -500), (80000, 0))
@@ -222,12 +226,12 @@ class TestStimulus:
         monkeypatch.setattr(memory, "phase_instants", lambda cfg: timed.append(cfg) or phase_instants(cfg))
         program = scenario_write_read(address=1, trips=2)  # 2 trips x 2 x 3 addresses + one write of a 1
         with pytest.raises(RunawayQueueError, match="stimulus of 13 pulses exceeds the bound of 12 events"):
-            stimulus_for(program, replace(cfg100, max_events=12))
+            stimulus_for(program, cfg100._replace(max_events=12))
         assert timed == []
-        assert len(stimulus_for(program, replace(cfg100, max_events=13))) == 13
+        assert len(stimulus_for(program, cfg100._replace(max_events=13))) == 13
         # a bad address is still reported first
         with pytest.raises(ConfigError, match="address 3 out of range"):
-            stimulus_for(MemoryProgram(trips=(TripOp(reads=(3,)),)), replace(cfg100, max_events=1))
+            stimulus_for(MemoryProgram(trips=(TripOp(reads=(3,)),)), cfg100._replace(max_events=1))
 
 
 class TestRunProgram:
@@ -272,12 +276,12 @@ class TestRunProgram:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7])
     def test_default_suite_refuses_a_sweep_over_the_event_bound(self, cfg100, n):
-        cfg = replace(cfg100, num_addresses=n)
+        cfg = cfg100._replace(num_addresses=n)
         size = len(stimulus_for(scenario_address_sweep(n), cfg))
         assert size == 2 * n * (n + 1) + n
-        default_margin_suite(replace(cfg, max_events=size))
+        default_margin_suite(cfg._replace(max_events=size))
         with pytest.raises(RunawayQueueError, match=f"stimulus of {size} pulses exceeds the bound of {size - 1}"):
-            default_margin_suite(replace(cfg, max_events=size - 1))
+            default_margin_suite(cfg._replace(max_events=size - 1))
 
     def test_stale_bit_is_replaced_not_merged(self, cfg100):
         # writing address 2 then reading everything: addresses 0 and 1 must
@@ -346,14 +350,14 @@ class TestJitter:
         ],
     )
     def test_boundaries_are_exact(self, cfg100, jitter, kinds):
-        cfg = replace(cfg100, loop_jitter_fs=(jitter,))
+        cfg = cfg100._replace(loop_jitter_fs=(jitter,))
         result = run_program(scenario_write_read(address=1, trips=3), cfg)
         assert {v.kind.value for v in result.trace.violations} == kinds
 
     def test_in_window_jitter_is_fully_retimed(self, cfg100):
         reference = run_program(scenario_write_read(address=1, trips=3), cfg100)
         for jitter in (-4000, -1500, 1, 2000):
-            cfg = replace(cfg100, loop_jitter_fs=(jitter,))
+            cfg = cfg100._replace(loop_jitter_fs=(jitter,))
             result = run_program(scenario_write_read(address=1, trips=3), cfg)
             assert result.passed
             # the re-timing clock swallows the error: downstream times match

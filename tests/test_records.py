@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,8 @@ import fluxloop
 from fluxloop import (
     BiasDelayModel,
     BiasPoint,
+    CellKind,
+    CellParams,
     ConfigError,
     Connection,
     JitterWindow,
@@ -25,6 +28,7 @@ from fluxloop import (
     MemoryProgram,
     MemoryResult,
     Netlist,
+    PulseEvent,
     SimConfig,
     Trace,
     TimingViolation,
@@ -40,18 +44,25 @@ SRC = str(Path(fluxloop.__file__).resolve().parents[1])
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_importing_the_cli_defines_only_two_dataclasses():
-    # each @dataclass execs generated source at import; the records are tuples
+def test_importing_the_cli_loads_no_dataclass_machinery_and_runs_pinned_cells():
+    # dataclasses imports inspect, ast, dis and tokenize; every record is a tuple or a slotted class
     script = (
-        "import sys, fluxloop, fluxloop.cli\n"
+        "import sys, fluxloop.cli\n"
+        "print(sorted(name for name in ('dataclasses', 'inspect') if name in sys.modules))\n"
         "print(sorted({f'{v.__module__}.{v.__name__}' for m, mod in list(sys.modules.items())"
         " if m.split('.')[0] == 'fluxloop' for v in vars(mod).values()"
-        " if isinstance(v, type) and '__dataclass_fields__' in vars(v)}))"
+        " if isinstance(v, type) and '__dataclass_fields__' in vars(v)}))\n"
+        "from fractions import Fraction\n"
+        "from fluxloop import BiasPoint, SimConfig, build_controller\n"
+        "from fluxloop.cells import PinnedCell\n"
+        "net = build_controller(SimConfig(frequency_hz=10**11, num_addresses=3))\n"
+        "pinned = [net.at_bias(BiasPoint(Fraction(r, 100))).cells for r in (50, 90, 100, 124)]\n"
+        "print(sorted({type(cell).__name__ for cells in pinned for cell in cells.values()}), len(pinned[0]))"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert child.returncode == 0, child.stderr
-    assert child.stdout == "['fluxloop.cells.CellParams', 'fluxloop.core.SimConfig']\n"
+    assert child.stdout == "[]\n[]\n['PinnedCell'] 5\n"
 
 
 CFG = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
@@ -63,6 +74,12 @@ SPEC = {"name": "x", "linewidth_nm": 15, "spacing_nm": 120, "capacitance_ff_per_
 #: Every record type, as (type, the fields given by keyword, the defaults of the others).
 RECORDS = [
     (BiasPoint, {"ratio": Fraction(9, 10)}, {}),
+    (SimConfig, {"frequency_hz": 10**11, "num_addresses": 3},
+     {"bias": BiasPoint(Fraction(1)), "header_intervals": 1, "phase_read": Fraction(1, 5), "phase_write": Fraction(1, 2),
+      "phase_data": Fraction(1, 2), "loop_delay_fs": None, "retiming_guard_fs": 2000, "loop_jitter_fs": (),
+      "cell_overrides": {}, "max_events": 10_000_000, "search_ceiling_hz": 10**12}),
+    (CellParams, {"kind": CellKind.DRO2R, "prop_delay_fs": 15, "delay_model": BiasDelayModel(KNOTS, Fraction(4, 5), Fraction(6, 5))},
+     {"setup_fs": 0, "hold_fs": 0, "prop_delay_out1_fs": None, "delay_model_out1": None, "min_separation_fs": 0}),
     (TimingViolation, {"cell": "merger", "kind": ViolationKind.HOLD, "time_fs": 5, "detail": "d"}, {}),
     (BiasDelayModel, {"points": KNOTS, "range_lo": Fraction(4, 5), "range_hi": Fraction(6, 5)}, {}),
     (Connection, {"src": "a", "dst": "b"}, {"delay_fs": 0, "offset_schedule": (), "is_loop": False}),
@@ -85,7 +102,7 @@ RECORDS = [
     (DensityReport, {"rows": (), "factors": ()}, {}),
 ]
 #: Records holding a mapping, which hash no more than they did as dataclasses.
-UNHASHABLE = (Netlist, PreparedRun, MemoryResult)
+UNHASHABLE = (SimConfig, Netlist, PreparedRun, MemoryResult)
 
 
 @pytest.mark.parametrize("record, given, defaults", RECORDS, ids=[record.__name__ for record, _, _ in RECORDS])
@@ -127,10 +144,46 @@ REFUSALS = [
     (lambda: LineSpec(**{**SPEC, "spacing_nm": 0}), ValueError, "linewidth and spacing must be positive"),
     (lambda: LineSpec(**{**SPEC, "capacitance_ff_per_um": -1}), ValueError, "capacitance and inductance must be positive"),
     (lambda: LineSpec(**SPEC, layers=0), ValueError, "layers must be at least 1"),
+    # pinned, a negative delay on a second output would emit before its clock
+    (lambda: CellParams(CellKind.DRO2R, prop_delay_out1_fs=-1), ValueError, "propagation delay must be non-negative"),
+    # _make, and _replace through it, build through the checks of the constructor
+    (lambda: BiasPoint._make([-1]), ValueError, "bias ratio must be positive"),
+    (lambda: BiasPoint(Fraction(1))._replace(ratio=Fraction(0)), ValueError, "bias ratio must be positive"),
+    (lambda: PulseEvent._make((-1, "x")), ValueError, "pulse time must be non-negative, got -1"),
+    (lambda: PulseEvent(0, "x")._replace(time_fs=-2), ValueError, "pulse time must be non-negative, got -2"),
+    (lambda: BiasDelayModel._make((KNOTS[:1], Fraction(4, 5), Fraction(6, 5))), ValueError,
+     "delay model needs at least two knots"),
+    (lambda: BiasDelayModel(KNOTS, Fraction(4, 5), Fraction(6, 5))._replace(range_lo=Fraction(1, 2)), ValueError,
+     "knots must span the operating range"),
+    (lambda: Netlist._make(({"a.b": NET.cells["merger"]}, (), frozenset(), ())), NetlistError,
+     "cell name 'a.b' must not contain '.'"),
+    (lambda: NET._replace(cells={"a.b": NET.cells["merger"]}), NetlistError, "cell name 'a.b' must not contain '.'"),
+    (lambda: TripOp._make(((0, 1), (3, 3))), ConfigError, "reads[1]: duplicate read address within a trip"),
+    (lambda: TripOp()._replace(write=(0, 5)), ConfigError, "write.bit: bit must be 0 or 1"),
+    (lambda: LineSpec._make(tuple(SPEC.values()) + (0, None)), ValueError, "layers must be at least 1"),
+    (lambda: LineSpec(**SPEC)._replace(linewidth_nm=-1), ValueError, "linewidth and spacing must be positive"),
+    (lambda: SimConfig._make((0, 3)), ConfigError, "frequency: must be positive"),
+    (lambda: CFG._replace(num_addresses=0), ConfigError, "num_addresses: must be at least 1"),
+    (lambda: CFG._replace(cell_overrides={"nope": {}}), ConfigError,
+     "cells.nope: unknown cell (valid: write_dro, recirc_dro2r, merger, fanout, read_dro2r)"),
+    (lambda: CellParams._make((CellKind.DRO, -1)), ValueError, "propagation delay must be non-negative"),
+    (lambda: NET.cells["merger"]._replace(hold_fs=-1), ValueError, "setup and hold times must be non-negative"),
+    (lambda: NET.cells["merger"]._replace(prop_delay_fs=1), ValueError,
+     "nominal delay 1 fs disagrees with the delay model at bias 1.0 (1500 fs)"),
 ]
 
 
-@pytest.mark.parametrize("make, error, message", REFUSALS, ids=[message for _, _, message in REFUSALS])
+def _refusal_ids(rows: list) -> list[str]:
+    """Each row's message, a repeat numbered by its occurrence."""
+    seen: Counter = Counter()
+    ids = []
+    for _, _, message in rows:
+        seen[message] += 1
+        ids.append(message if seen[message] == 1 else f"{message} #{seen[message]}")
+    return ids
+
+
+@pytest.mark.parametrize("make, error, message", REFUSALS, ids=_refusal_ids(REFUSALS))
 def test_validating_records_keep_their_error_text(make, error, message):
     with pytest.raises(error) as info:
         make()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -165,7 +164,7 @@ class TestSta:
         assert report.worst().constraint == "read_hold"
 
     def test_explicit_loop_delay_shifts_the_recirc_races(self, cfg100):
-        report = sta(replace(cfg100, loop_delay_fs=20000))
+        report = sta(cfg100._replace(loop_delay_fs=20000))
         by_name = {r.constraint: r.slack_fs for r in report.slacks}
         assert by_name["recirc_setup"] == 12000
         assert by_name["recirc_hold"] == -6000
@@ -220,17 +219,17 @@ class TestMaxFrequency:
         assert max_frequency(cfg100, step_hz=5 * GHZ) == 100 * GHZ
 
     def test_doubled_cells_halve_the_rating(self, cfg100):
-        cfg = replace(cfg100, cell_overrides=DOUBLED, retiming_guard_fs=4000)
+        cfg = cfg100._replace(cell_overrides=DOUBLED, retiming_guard_fs=4000)
         assert max_frequency(cfg) == 50 * GHZ
 
     def test_unconstrained_cells_hit_the_search_ceiling(self, cfg100):
-        cfg = replace(cfg100, cell_overrides=ZEROED, retiming_guard_fs=0)
+        cfg = cfg100._replace(cell_overrides=ZEROED, retiming_guard_fs=0)
         assert max_frequency(cfg) == 10**12
         # the guard alone then caps the recirculation hold race at 500 GHz
-        assert max_frequency(replace(cfg100, cell_overrides=ZEROED)) == 500 * GHZ
+        assert max_frequency(cfg100._replace(cell_overrides=ZEROED)) == 500 * GHZ
 
     def test_raises_when_no_grid_point_fits(self, cfg100):
-        cfg = replace(cfg100, search_ceiling_hz=500 * GHZ)
+        cfg = cfg100._replace(search_ceiling_hz=500 * GHZ)
         with pytest.raises(InfeasibleFrequencyError, match="no feasible frequency"):
             max_frequency(cfg, step_hz=400 * GHZ)
 
@@ -253,13 +252,13 @@ class TestBiasMargin:
 
     def test_nominal_violation_reports_zero_margin(self, cfg100):
         # a loop 25 ps short lands bits against the re-timing clock edge
-        broken = replace(cfg100, loop_delay_fs=5000)
+        broken = cfg100._replace(loop_delay_fs=5000)
         assert bias_margin(broken) == MarginReport(100 * GHZ, 0, 0, "SETUP", "SETUP")
 
     def test_clean_aliasing_is_caught_by_the_read_oracle(self, cfg100):
         # a loop exactly one interval short re-times cleanly into the wrong
         # slot: no violation fires, only the decoded reads betray it
-        aliased = replace(cfg100, loop_delay_fs=20000)
+        aliased = cfg100._replace(loop_delay_fs=20000)
         assert bias_margin(aliased) == MarginReport(100 * GHZ, 0, 0, "WRONG_READ", "WRONG_READ")
 
     def test_margin_cap(self, cfg100):
@@ -281,7 +280,7 @@ class TestBiasMargin:
 
         monkeypatch.setattr(memory, "stimulus_for", spy)
         with pytest.raises(RunawayQueueError, match="stimulus of 27 pulses exceeds the bound of 26 events"):
-            bias_margin(replace(cfg100, max_events=26))
+            bias_margin(cfg100._replace(max_events=26))
         assert built == []
         bias_margin(cfg100)  # the spy sees each stimulus built
         assert len(built) == 3
@@ -311,7 +310,7 @@ class TestBiasMargin:
         with pytest.raises(RunawayQueueError, match="exceeds the bound"):
             bias_margin(cfg)
         assert calls == {"oracle": 0, "sweep": sweeps}
-        bias_margin(replace(cfg, max_events=10_000))
+        bias_margin(cfg._replace(max_events=10_000))
         assert calls == {"oracle": 3, "sweep": sweeps + 1}
 
 
@@ -613,7 +612,7 @@ class TestOverridesKey:
         assert cfg.frozen_overrides == key == cells._freeze(cfg.cell_overrides)
         assert sta(cfg) == report
         # a config with other overrides gets its own key
-        changed = replace(cfg, cell_overrides={"read_dro2r": {"setup": 5000}})
+        changed = cfg._replace(cell_overrides={"read_dro2r": {"setup": 5000}})
         assert changed.frozen_overrides == (("read_dro2r", (("setup", 5000),)),)
         assert sta(changed).slacks != report.slacks
 
