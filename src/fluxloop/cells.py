@@ -21,7 +21,9 @@ from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
-from .core import BiasPoint, ConfigError, FluxloopError, _freeze, format_ratio, round_half_up, validated_record
+from .core import (
+    NOMINAL_BIAS, BiasPoint, ConfigError, FluxloopError, _freeze, format_ratio, round_half_up, validated_record,
+)
 
 #: Default delay-vs-bias curve, as multipliers of the nominal delay.  The
 #: shape is convex and strictly decreasing (cells slow down when starved of
@@ -90,7 +92,7 @@ class BiasDelayModel(validated_record("BiasDelayModel", "points range_lo range_h
     operating range ``[range_lo, range_hi]``.
     """
 
-    # no __slots__: the instance dict holds the cached hash
+    __slots__ = ()
 
     def __new__(cls, points: tuple[tuple[Fraction, int], ...], range_lo: Fraction, range_hi: Fraction) -> "BiasDelayModel":
         if len(points) < 2:
@@ -107,15 +109,6 @@ class BiasDelayModel(validated_record("BiasDelayModel", "points range_lo range_h
             raise ValueError("knots must span the operating range")
         return tuple.__new__(cls, (points, range_lo, range_hi))
 
-    # Every delay lookup hashes its model to key the interpolation cache;
-    # hash the Fraction knots once per model, not once per lookup.
-    @cached_property
-    def _hash(self) -> int:
-        return tuple.__hash__(self)
-
-    def __hash__(self) -> int:
-        return self._hash
-
     @classmethod
     def scaled(
         cls,
@@ -128,33 +121,29 @@ class BiasDelayModel(validated_record("BiasDelayModel", "points range_lo range_h
         return cls(points=points, range_lo=operating_range[0], range_hi=operating_range[1])
 
 
-# Sized above a margin sweep's working set: at most 101 bias ratios on each
-# of the three delay models of the default cell set.  The range check is
-# cached with the delay (an out-of-range call raises and caches nothing).
-@lru_cache(maxsize=512)
-def _interpolate(model: BiasDelayModel, ratio: Fraction) -> int:
+def delay_at_bias(model: BiasDelayModel, bias: BiasPoint) -> int:
+    """Propagation delay (fs) at a bias point: exact at knots, linear between
+    them, rounded half up once.  The only code that evaluates a model.
+
+    Raises ``BiasRangeError`` outside the electrical operating range.
+    """
+    ratio = bias.ratio
     if not (model.range_lo <= ratio <= model.range_hi):
         raise BiasRangeError(
             f"bias {format_ratio(ratio)} outside operating range "
             f"[{format_ratio(model.range_lo)}, {format_ratio(model.range_hi)}]"
         )
-    points = model.points
-    if ratio <= points[0][0]:
-        return points[0][1]
-    for (r0, d0), (r1, d1) in zip(points, points[1:]):
-        if ratio <= r1:
-            # exact rational interpolation; round once at the end
-            exact = d0 + (d1 - d0) * (ratio - r0) / (r1 - r0)
-            return round_half_up(exact)
-    return points[-1][1]
-
-
-def delay_at_bias(model: BiasDelayModel, bias: BiasPoint) -> int:
-    """Propagation delay (fs) at a bias point; exact at knots.
-
-    Raises ``BiasRangeError`` outside the electrical operating range.
-    """
-    return _interpolate(model, bias.ratio)
+    # In integers over each knot's numerator and denominator: the knots span
+    # the range, so some segment ends at or above the ratio.
+    p, q = ratio.as_integer_ratio()
+    for (r0, d0), (r1, d1) in zip(model.points, model.points[1:]):
+        a1, b1 = r1.as_integer_ratio()
+        if p * b1 <= a1 * q:
+            a0, b0 = r0.as_integer_ratio()
+            # d0 + (d1 - d0) * (ratio - r0) / (r1 - r0) as d0 + num / den, den > 0
+            num = (d1 - d0) * (p * b0 - a0 * q) * b1
+            den = q * (a1 * b0 - a0 * b1)
+            return d0 + (2 * num + den) // (2 * den)
 
 
 class CellParams(validated_record(
@@ -176,28 +165,18 @@ class CellParams(validated_record(
         if prop_delay_fs < 0 or (prop_delay_out1_fs or 0) < 0:
             raise ValueError("propagation delay must be non-negative")
         if delay_model is not None:
-            nominal = _interpolate(delay_model, Fraction(1))
+            nominal = delay_at_bias(delay_model, NOMINAL_BIAS)
             if nominal != prop_delay_fs:
                 raise ValueError(
                     f"nominal delay {prop_delay_fs} fs disagrees with the delay model at bias 1.0 ({nominal} fs)"
                 )
         if delay_model_out1 is not None and prop_delay_out1_fs is not None:
-            nominal1 = _interpolate(delay_model_out1, Fraction(1))
+            nominal1 = delay_at_bias(delay_model_out1, NOMINAL_BIAS)
             if nominal1 != prop_delay_out1_fs:
                 raise ValueError("out1 nominal delay disagrees with its delay model at bias 1.0")
         return tuple.__new__(cls, (
             kind, prop_delay_fs, setup_fs, hold_fs, delay_model, prop_delay_out1_fs, delay_model_out1, min_separation_fs,
         ))
-
-    def delay(self, bias: BiasPoint) -> int:
-        if self.delay_model is None:
-            return self.prop_delay_fs
-        return delay_at_bias(self.delay_model, bias)
-
-    def delay_out1(self, bias: BiasPoint) -> int:
-        if self.delay_model_out1 is None:
-            return self.prop_delay_out1_fs if self.prop_delay_out1_fs is not None else self.delay(bias)
-        return delay_at_bias(self.delay_model_out1, bias)
 
     def operating_range(self) -> tuple[Fraction, Fraction] | None:
         """Intersection of the electrical ranges of all delay models, if any."""
@@ -211,19 +190,16 @@ class CellParams(validated_record(
             return None
         return (max(model.range_lo for model in models), min(model.range_hi for model in models))
 
-    def clamped_bias(self, bias: BiasPoint) -> BiasPoint:
-        """The bias this cell actually operates at (range edges saturate)."""
-        rng = self._operating_range
-        if rng is None or rng[0] <= bias.ratio <= rng[1]:
-            return bias
-        return BiasPoint(rng[0] if bias.ratio < rng[0] else rng[1])
-
     def at_bias(self, bias: BiasPoint) -> "PinnedCell":
-        """This cell at ``bias`` (which must be in range): its delays there as
-        constants, with setup, hold and minimum separation kept."""
-        return PinnedCell(
-            self.kind, self.delay(bias), self.delay_out1(bias), self.setup_fs, self.hold_fs, self.min_separation_fs
-        )
+        """This cell at ``bias``: its delays there as constants, with setup,
+        hold and minimum separation kept.  The one way to read a cell's
+        delays; a bias outside a model's range raises ``BiasRangeError``."""
+        delay = self.prop_delay_fs if self.delay_model is None else delay_at_bias(self.delay_model, bias)
+        if self.delay_model_out1 is not None:
+            delay1 = delay_at_bias(self.delay_model_out1, bias)
+        else:
+            delay1 = delay if self.prop_delay_out1_fs is None else self.prop_delay_out1_fs
+        return PinnedCell(self.kind, delay, delay1, self.setup_fs, self.hold_fs, self.min_separation_fs)
 
 
 class PinnedCell:
@@ -288,7 +264,7 @@ def storage_step(cell: str, params: PinnedCell, state: CellState, port: str, t: 
     release = _RELEASES.get(port)
     if release is None or release[0] is not params.kind:
         raise ValueError(f"{params.kind.value} has no port {port!r}")
-    _, out, delay = release
+    _, out, delay_of = release
     last = state.last_data_fs
     violations = ()
     if last is not None and 0 <= t - last < params.setup_fs:
@@ -297,7 +273,7 @@ def storage_step(cell: str, params: PinnedCell, state: CellState, port: str, t: 
     state.last_clock_fs = t
     if state.stored:
         state.stored = False
-        return ((out, t + delay(params)),), violations
+        return ((out, t + delay_of(params)),), violations
     return (), violations
 
 

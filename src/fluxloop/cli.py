@@ -74,8 +74,11 @@ def _read(path: str, what: str) -> str:
         raise ConfigError(what, f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _write(path: str, text: str) -> None:
-    Path(path).write_text(text)
+def _write(path: str, text: str, what: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(what, f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _ratio_option(raw: str | None, option: str) -> Fraction | None:
@@ -93,6 +96,14 @@ def _parse_freq_list(raw: str) -> list[int]:
     if not freqs:
         raise ConfigError("freqs", "expected a comma-separated frequency list")
     return freqs
+
+
+def _freqs_ghz(raw: str) -> list[float]:
+    """``--freqs`` in GHz, as the density tables take them."""
+    try:
+        return [f / 1e9 for f in _parse_freq_list(raw)]
+    except OverflowError:
+        raise ConfigError("freqs", "frequency too large for a float") from None
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -118,9 +129,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.trace is not None:
         suffix = Path(args.trace).suffix.lower()
         if suffix == ".csv":
-            _write(args.trace, trace_to_csv(result.trace))
+            _write(args.trace, trace_to_csv(result.trace), "trace")
         elif suffix == ".vcd":
-            _write(args.trace, trace_to_vcd(result.trace))
+            _write(args.trace, trace_to_vcd(result.trace), "trace")
         else:
             raise ConfigError("trace", f"unsupported trace format {suffix!r} (use .csv or .vcd)")
 
@@ -161,7 +172,7 @@ def _cmd_margins(args: argparse.Namespace) -> int:
         reports = margin_sweep(cfg, freqs)
     sys.stdout.write(margins_to_text(reports))
     if args.out is not None:
-        _write(args.out, margins_to_csv(reports))
+        _write(args.out, margins_to_csv(reports), "out")
     return EXIT_OK
 
 
@@ -169,11 +180,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
     if args.all:
         if args.layers is not None:
             raise ConfigError("layers", "--layers applies to a single --preset")
-        if args.freqs is None:
-            report = reproduce_published()
-        else:
-            freqs = [f / 1e9 for f in _parse_freq_list(args.freqs)]
-            report = build_report(frequencies_ghz=freqs)
+        report = reproduce_published() if args.freqs is None else build_report(frequencies_ghz=_freqs_ghz(args.freqs))
     else:
         try:
             spec = resolve_preset(args.preset)
@@ -183,16 +190,12 @@ def _cmd_density(args: argparse.Namespace) -> int:
             if args.layers < 1:
                 raise ConfigError("layers", f"--layers must be at least 1, got {args.layers}")
             spec = stacked_spec(spec.name, args.layers)
-        freqs = (
-            list(TABLE_FREQUENCIES_GHZ)
-            if args.freqs is None
-            else [f / 1e9 for f in _parse_freq_list(args.freqs)]
-        )
+        freqs = list(TABLE_FREQUENCIES_GHZ) if args.freqs is None else _freqs_ghz(args.freqs)
         report = build_report(specs=[spec], frequencies_ghz=freqs)
 
     rendered = report_to_csv(report) if args.format == "csv" else report_to_text(report)
     if args.out is not None:
-        _write(args.out, rendered)
+        _write(args.out, rendered, "out")
     else:
         sys.stdout.write(rendered)
     if not report.all_ok:
@@ -226,7 +229,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     rows = characterize_cell(args.cell, cfg, ratios)
     rendered = characterization_to_csv(rows)
     if args.out is not None:
-        _write(args.out, rendered)
+        _write(args.out, rendered, "out")
     else:
         sys.stdout.write(rendered)
     return EXIT_OK

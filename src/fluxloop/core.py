@@ -106,10 +106,13 @@ def _freeze(value: Any) -> Any:
 
 def _ratio_to_json(value: Fraction) -> float | str:
     # Prefer a plain number when it survives the float round-trip exactly;
-    # fall back to a "num/den" string for ratios like 1/3.
-    as_float = float(value)
-    if Fraction(repr(as_float)) == value:
-        return as_float
+    # fall back to a "num/den" string for ratios like 1/3 or 10**400.
+    try:
+        as_float = float(value)
+        if Fraction(repr(as_float)) == value:
+            return as_float
+    except OverflowError:  # beyond a float's range
+        pass
     return f"{value.numerator}/{value.denominator}"
 
 

@@ -162,10 +162,12 @@ def _pin(cells: Mapping[str, CellParams], ratio: Fraction) -> PinnedNetlist:
     for name in sorted(cells):
         params = cells[name]
         rng = params.operating_range()
+        at = bias
         if rng is not None and not (rng[0] <= ratio <= rng[1]):
             detail = f"bias {format_ratio(ratio)} outside operating range [{format_ratio(rng[0])}, {format_ratio(rng[1])}]"
             violations.append(TimingViolation(name, ViolationKind.ELECTRICAL, 0, detail))
-        pinned[name] = params.at_bias(params.clamped_bias(bias))
+            at = BiasPoint(rng[0] if ratio < rng[0] else rng[1])  # the cell runs saturated at the range edge
+        pinned[name] = params.at_bias(at)
     return PinnedNetlist(
         cells=MappingProxyType(pinned),
         violations=tuple(violations),

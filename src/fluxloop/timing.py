@@ -19,7 +19,9 @@ from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .cells import INPUT_PORTS, OUTPUT_PORTS, BiasRangeError, _cell_set, default_cell_params
-from .core import BiasPoint, InfeasibleFrequencyError, PulseEvent, SimConfig, exact_ratio, format_ratio, interval_duration
+from .core import (
+    BiasPoint, ConfigError, InfeasibleFrequencyError, PulseEvent, SimConfig, exact_ratio, format_ratio, interval_duration,
+)
 from .engine import Connection, Netlist, run_until, schedule
 from .memory import (
     MemoryProgram, MemoryResult, _check_stimulus_size, _loop_delay, _phase_instants, _retiming_budget,
@@ -75,7 +77,8 @@ def characterize_cell(
                 f"bias {format_ratio(ratio)} outside {cell} operating range "
                 f"[{format_ratio(rng[0])}, {format_ratio(rng[1])}]"
             )
-        trace = run_until(prepared, clock_at + params.delay(BiasPoint(ratio)) + 10_000, BiasPoint(ratio))
+        bias = BiasPoint(ratio)
+        trace = run_until(prepared, clock_at + params.at_bias(bias).prop_delay_fs + 10_000, bias)
         out = trace.pulses_on("cout")
         if len(out) != 1 or trace.failed:
             raise RuntimeError(f"characterization run for {cell} did not produce a clean pulse")
@@ -228,13 +231,25 @@ def sta_to_text(report: StaReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Most grid points one ``max_frequency`` scan may visit (each is an sta call).
+MAX_SCAN_POINTS = 10_000
+
+
 def max_frequency(cfg: SimConfig, step_hz: int = 10**9) -> int:
     """Largest frequency on a step_hz grid whose slacks are all non-negative.
 
     Scans downward from the configured search ceiling, so pathological cell
-    sets whose constraints never bind resolve to the ceiling itself.
+    sets whose constraints never bind resolve to the ceiling itself.  A
+    ceiling that leaves no grid point, or more than ``MAX_SCAN_POINTS``, is a
+    config error.
     """
-    ceiling = (cfg.search_ceiling_hz // step_hz) * step_hz
+    points = cfg.search_ceiling_hz // step_hz
+    if not points:
+        raise ConfigError("search_ceiling", f"{cfg.search_ceiling_hz} Hz is below the {step_hz} Hz scan step")
+    if points > MAX_SCAN_POINTS:
+        grid = f"{points} points on the {step_hz} Hz scan grid (at most {MAX_SCAN_POINTS})"
+        raise ConfigError("search_ceiling", f"{cfg.search_ceiling_hz} Hz puts {grid}")
+    ceiling = points * step_hz
     for freq in range(ceiling, 0, -step_hz):
         try:
             report = sta(cfg.with_frequency(freq))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -25,12 +26,25 @@ from fluxloop.cells import (
     storage_step,
 )
 from fluxloop.core import BiasPoint
+from fluxloop.engine import Netlist
 
 NOM = BiasPoint.nominal()
 
 
 def bias(value) -> BiasPoint:
     return BiasPoint.of(value)
+
+
+def pinned_alone(params: CellParams, value) -> tuple[tuple[int, int], int]:
+    """The (prop, out1) delays ``params`` runs at in a one-cell netlist run at
+    bias ``value``, and how many ELECTRICAL violations that pin records."""
+    pins = Netlist(cells={"c": params}, connections=(), external_inputs=frozenset(), observed=()).at_bias(bias(value))
+    assert all(v.kind == ViolationKind.ELECTRICAL for v in pins.violations)
+    return delays(pins.cells["c"]), len(pins.violations)
+
+
+def delays(pinned: PinnedCell) -> tuple[int, int]:
+    return pinned.prop_delay_fs, pinned.prop_delay_out1_fs
 
 
 # --- delay model -----------------------------------------------------------
@@ -66,9 +80,9 @@ class TestBiasDelayModel:
 
     def test_clamp(self):
         cell = CellParams(kind=CellKind.DRO, prop_delay_fs=3000, delay_model=self.MODEL)
-        assert cell.clamped_bias(bias("0.5")).ratio == Fraction("0.76")
-        assert cell.clamped_bias(bias("1.5")).ratio == Fraction("1.24")
-        assert cell.clamped_bias(bias("0.9")).ratio == Fraction("0.9")
+        assert pinned_alone(cell, "0.5") == ((4170, 4170), 1)  # run at the 0.76 edge
+        assert pinned_alone(cell, "1.5") == ((1770, 1770), 1)  # run at the 1.24 edge
+        assert pinned_alone(cell, "0.9") == (delays(cell.at_bias(bias("0.9"))), 0)
 
     @given(
         st.fractions(
@@ -111,6 +125,68 @@ class TestBiasDelayModel:
             )
 
 
+def reference_delay(model: BiasDelayModel, ratio: Fraction) -> int:
+    """The delay curve in Fractions: the exact interpolant, rounded half up."""
+    for (r0, d0), (r1, d1) in zip(model.points, model.points[1:]):
+        if ratio <= r1:
+            return math.floor(d0 + (d1 - d0) * (ratio - r0) / (r1 - r0) + Fraction(1, 2))
+    raise AssertionError("ratio beyond the last knot")
+
+
+@st.composite
+def ratios_in(draw, lo: Fraction, hi: Fraction, open_: bool = False) -> Fraction:
+    """A ratio in [lo, hi] (in (lo, hi) if ``open_``) over a drawn denominator
+    (a multiple of both edges' denominators, so the range is never empty)."""
+    den = 2 * lo.denominator * hi.denominator * draw(st.integers(1, 10**9))
+    return Fraction(draw(st.integers(int(lo * den) + open_, int(hi * den) - open_)), den)
+
+
+def knot_ratios(lo: int, hi: int, size: int) -> st.SearchStrategy:
+    between = ratios_in(Fraction(lo), Fraction(hi), open_=True)
+    return st.lists(between, min_size=size, max_size=size, unique=True).map(sorted)
+
+
+@st.composite
+def drawn_models(draw) -> BiasDelayModel:
+    """2-6 knots with arbitrary denominators, strictly decreasing int delays,
+    and an operating range from a knot below 1 to a knot above it."""
+    below = draw(knot_ratios(0, 1, draw(st.integers(1, 3))))
+    above = draw(knot_ratios(1, 4, draw(st.integers(1, 2))))
+    ratios = below + ([Fraction(1)] if draw(st.booleans()) else []) + above
+    delays = sorted(draw(st.lists(st.integers(0, 10**7), min_size=len(ratios), max_size=len(ratios), unique=True)))
+    return BiasDelayModel(
+        points=tuple(zip(ratios, reversed(delays))),
+        range_lo=draw(st.sampled_from(below)),
+        range_hi=draw(st.sampled_from(above)),
+    )
+
+
+class TestIntegerInterpolation:
+    """``delay_at_bias`` works in integers; it must equal the Fraction curve."""
+
+    @given(st.data())
+    def test_equals_the_fraction_reference_in_range(self, data):
+        model = data.draw(drawn_models())
+        lo, hi = model.range_lo, model.range_hi
+        ratio = data.draw(st.one_of(
+            st.sampled_from([lo, hi] + [r for r, _ in model.points if lo <= r <= hi]),
+            ratios_in(lo, hi),
+        ))
+        assert delay_at_bias(model, BiasPoint(ratio)) == reference_delay(model, ratio)
+
+    @given(st.data())
+    def test_half_fs_ties_round_up(self, data):
+        model = data.draw(drawn_models())
+        inside = [i for i, (r, _) in enumerate(model.points) if model.range_lo <= r <= model.range_hi]
+        i = data.draw(st.sampled_from(inside[:-1]))
+        (r0, d0), (r1, d1) = model.points[i], model.points[i + 1]
+        # the ratio where the exact delay is d0 - m - 1/2
+        m = data.draw(st.integers(0, d0 - d1 - 1))
+        ratio = r0 + (m + Fraction(1, 2)) * (r1 - r0) / (d0 - d1)
+        assert d0 + (d1 - d0) * (ratio - r0) / (r1 - r0) == d0 - m - Fraction(1, 2)
+        assert delay_at_bias(model, BiasPoint(ratio)) == reference_delay(model, ratio) == d0 - m
+
+
 def test_cell_params_rejects_nominal_model_mismatch():
     with pytest.raises(ValueError, match="disagrees with the"):
         CellParams(kind=CellKind.DRO, prop_delay_fs=2999, delay_model=BiasDelayModel.scaled(3000))
@@ -130,11 +206,14 @@ def test_operating_range_intersects_both_models():
         delay_model_out1=narrow,
     )
     assert params.operating_range() == (Fraction("0.9"), Fraction("1.1"))
-    assert params.clamped_bias(bias("0.8")).ratio == Fraction("0.9")
-    assert params.clamped_bias(bias("1.0")).ratio == Fraction(1)
+    # both models saturate at the narrower model's edge
+    assert pinned_alone(params, "0.8") == (delays(params.at_bias(bias("0.9"))), 1)
+    assert pinned_alone(params, "1.0") == ((3000, 2000), 0)
+    with pytest.raises(BiasRangeError):
+        params.at_bias(bias("0.8"))
     no_model = CellParams(kind=CellKind.DRO, prop_delay_fs=100)
     assert no_model.operating_range() is None
-    assert no_model.clamped_bias(bias("0.5")).ratio == Fraction("0.5")
+    assert pinned_alone(no_model, "0.5") == ((100, 100), 0)
 
 
 # --- DRO -------------------------------------------------------------------
@@ -338,7 +417,7 @@ class TestDefaultCellParams:
         rd = cells["read_dro2r"]
         assert rd.setup_fs == 4000
         assert rd.prop_delay_fs == 6000
-        assert rd.delay(bias("1.24")) == 3540  # 6000 * 0.59
+        assert rd.at_bias(bias("1.24")).prop_delay_fs == 3540  # 6000 * 0.59
         # untouched cells keep their defaults
         assert cells["write_dro"].setup_fs == 2000
 
@@ -346,7 +425,7 @@ class TestDefaultCellParams:
         cells = default_cell_params({"fanout": {"prop_delay": 0}})
         f = cells["fanout"]
         assert f.delay_model is None
-        assert f.delay(bias("0.76")) == 0
+        assert f.at_bias(bias("0.76")).prop_delay_fs == 0
         assert f.operating_range() is None
 
     def test_custom_curve_override(self):
@@ -355,8 +434,8 @@ class TestDefaultCellParams:
             {"merger": {"bias_curve": curve, "operating_range": (Fraction("0.5"), Fraction("1.5"))}}
         )
         m = cells["merger"]
-        assert m.delay(bias("0.5")) == 3000
-        assert m.delay(bias("1.5")) == 750
+        assert m.at_bias(bias("0.5")).prop_delay_fs == 3000
+        assert m.at_bias(bias("1.5")).prop_delay_fs == 750
         assert m.operating_range() == (Fraction("0.5"), Fraction("1.5"))
 
     def test_each_call_returns_a_fresh_dict(self):
@@ -392,7 +471,7 @@ class TestDefaultCellParams:
         }
         m = default_cell_params({"merger": as_lists})["merger"]
         assert m == default_cell_params({"merger": as_tuples})["merger"]
-        assert m.delay(bias("0.5")) == 3000
+        assert m.at_bias(bias("0.5")).prop_delay_fs == 3000
         assert m.operating_range() == (Fraction("0.5"), Fraction("1.5"))
 
 
@@ -408,8 +487,12 @@ class TestAtBias:
             pinned = params.at_bias(b)
             assert type(pinned) is PinnedCell
             assert not hasattr(pinned, "delay_model") and not hasattr(pinned, "delay_model_out1")
-            assert pinned.prop_delay_fs == params.delay(b)
-            assert pinned.prop_delay_out1_fs == params.delay_out1(b)
+            curve = delay_at_bias(params.delay_model, b)
+            assert pinned.prop_delay_fs == curve
+            # a second output follows its own model, else the first output's curve
+            assert pinned.prop_delay_out1_fs == (
+                delay_at_bias(params.delay_model_out1, b) if params.delay_model_out1 is not None else curve
+            )
             # the pinned delays are constants: no bias can be passed in
             assert not hasattr(pinned, "delay") and not hasattr(pinned, "delay_out1")
             assert (pinned.kind, pinned.setup_fs, pinned.hold_fs, pinned.min_separation_fs) == (
@@ -422,7 +505,7 @@ class TestAtBias:
     def test_constant_delay_cell_pins_to_itself(self):
         pinned = DRO.at_bias(bias("0.8"))
         assert pinned.prop_delay_fs == DRO.prop_delay_fs
-        assert pinned.prop_delay_out1_fs == DRO.delay_out1(NOM)
+        assert pinned.prop_delay_out1_fs == DRO.prop_delay_fs
 
     def test_out_of_range_bias_is_refused(self):
         with pytest.raises(BiasRangeError):

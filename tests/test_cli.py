@@ -176,6 +176,18 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert err == f"error: --bias: expected a positive ratio, got {value!r}\n"
 
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_a_bias_beyond_a_float_fails_electrically(self, write_config, write_program, capsys, via_config):
+        config, bias = (write_config(bias="1e400"), []) if via_config else (write_config(), ["--bias", "1e400"])
+        code = main(["simulate", "--config", config, "--program", write_program(WRITE_READ), *bias])
+        captured = capsys.readouterr()
+        assert code == EXIT_RUN_FAILED
+        assert (
+            f"violation: ELECTRICAL write_dro at 0 fs: bias {10**400}/1 outside operating range [0.76, 1.24]\n"
+            in captured.out
+        )
+        assert "Traceback" not in captured.out + captured.err
+
     def test_deterministic_trace_bytes(self, write_config, write_program, tmp_path, capsys):
         config, program = write_config(), write_program(WRITE_READ)
         paths = [tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "a.vcd", tmp_path / "b.vcd"]
@@ -229,6 +241,29 @@ class TestSta:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "exceeds" in err
+
+    @pytest.mark.parametrize(
+        "bias, args, window",
+        [
+            (None, ["--bias-hi", "1e400"], f"[1.0, {10**400}/1]"),
+            ("1e400", [], f"[{10**400}/1, {10**400}/1]"),
+            ("1e400", ["--find-max"], f"[{10**400}/1, {10**400}/1]"),
+        ],
+    )
+    def test_a_window_beyond_a_float_is_refused(self, write_config, capsys, bias, args, window):
+        config = write_config(**({"bias": bias} if bias else {}))
+        code = main(["sta", "--config", config, *args])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == f"error: bias window {window} exceeds write_dro operating range [0.76, 1.24]\n"
+        assert captured.out == ""
+
+    def test_find_max_under_a_ceiling_below_the_scan_step(self, write_config, capsys):
+        code = main(["sta", "--config", write_config(search_ceiling="1Hz"), "--find-max"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == "error: search_ceiling: 1 Hz is below the 1000000000 Hz scan step\n"
+        assert captured.out == ""
 
     def test_find_max(self, write_config, capsys):
         code = main(["sta", "--config", write_config(frequency="42GHz"), "--find-max"])
@@ -304,6 +339,14 @@ class TestDensity:
         assert code == EXIT_OK
         assert "nb-stripline-250,10.0,4," in out
         assert "nb-stripline-250,100.0,4," in out
+
+    @pytest.mark.parametrize("which", [["--all"], ["--preset", "nb-stripline-250"]])
+    def test_a_frequency_too_large_for_a_float(self, capsys, which):
+        code = main(["density", *which, "--freqs", "1e400GHz"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == "error: freqs: frequency too large for a float\n"
+        assert captured.out == ""
 
     def test_unknown_preset(self, capsys):
         code = main(["density", "--preset", "ybco"])
@@ -527,6 +570,37 @@ class TestClosedStdout:
             os.close(writer)
         assert child.returncode == EXIT_BROKEN_PIPE
         assert child.stderr == b""
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["simulate", "--config", "{config}", "--program", "{program}", "--trace", "{missing}.csv"], "trace"),
+        (["simulate", "--config", "{config}", "--program", "{program}", "--trace", "{missing}.vcd"], "trace"),
+        (["margins", "--config", "{config}", "--freqs", "100GHz", "--out", "{missing}.csv"], "out"),
+        (["density", "--all", "--out", "{missing}.txt"], "out"),
+        (["density", "--preset", "nbn-nanowire-15", "--out", "{missing}.txt"], "out"),
+        (["characterize", "--config", "{config}", "--cell", "merger", "--out", "{missing}.csv"], "out"),
+    ],
+)
+def test_an_unwritable_output_path_exits_2_naming_the_option(write_config, write_program, tmp_path, capsys, args, field):
+    missing = tmp_path / "no-such-dir" / "result"
+    paths = {"config": write_config(), "program": write_program(WRITE_READ), "missing": missing}
+    code = main([arg.format(**paths) for arg in args])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"error: {field}: cannot write {missing}.")
+    assert err.endswith(": No such file or directory\n")
+
+
+def test_find_max_past_the_scan_cap_is_refused(write_config, capsys):
+    code = main(["sta", "--config", write_config(search_ceiling="1e20Hz"), "--find-max"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err == (
+        f"error: search_ceiling: {10**20} Hz puts {10**11} points on the 1000000000 Hz scan grid (at most 10000)\n"
+    )
+    assert captured.out == ""
 
 
 class TestParser:

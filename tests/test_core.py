@@ -65,6 +65,8 @@ def test_format_ratio():
     assert format_ratio(Fraction(87, 100)) == "0.87"
     assert format_ratio(Fraction(1)) == "1.0"
     assert format_ratio(Fraction(1, 3)) == "1/3"
+    # beyond a float's range: the num/den string, not an OverflowError
+    assert format_ratio(Fraction(10**400)) == f"{10**400}/1"
 
 
 @pytest.mark.parametrize(
@@ -348,4 +350,11 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(doc))
         again = parse_config(serialize_config(cfg))
         assert again == cfg
+
+    def test_round_trip_of_a_bias_beyond_a_float(self):
+        cfg = parse_config('{"frequency": "100GHz", "num_addresses": 3, "bias": "1e400"}')
+        assert cfg.bias.ratio == 10**400
+        text = serialize_config(cfg)
+        assert json.loads(text)["bias"] == f"{10**400}/1"
+        assert parse_config(text) == cfg
 

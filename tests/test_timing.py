@@ -21,7 +21,7 @@ from fluxloop import (
     sta,
 )
 from fluxloop import cells, core, memory, timing
-from fluxloop.cells import _interpolate, default_cell_params, delay_at_bias
+from fluxloop.cells import default_cell_params, delay_at_bias
 from fluxloop.core import BiasPoint, exact_ratio, format_ratio, interval_duration, round_half_up
 from fluxloop.engine import RunawayQueueError
 from fluxloop.memory import build_controller, default_margin_suite, scenario_write_read, source_path_delays
@@ -85,11 +85,11 @@ class TestCharacterization:
         delays = [d for _, d in characterize_cell("read_dro2r", cfg100, ratios)]
         assert all(b < a for a, b in zip(delays, delays[1:]))
 
-    def test_long_sweep_keeps_the_delay_cache_bounded(self, cfg100):
+    def test_long_sweep_measures_every_ratio(self, cfg100):
         ratios = [Fraction("0.76") + Fraction(i, 10_000) for i in range(4800)]
-        assert len(characterize_cell("read_dro2r", cfg100, ratios)) == 4800
-        info = _interpolate.cache_info()
-        assert info.currsize <= info.maxsize
+        rows = characterize_cell("read_dro2r", cfg100, ratios)
+        assert [ratio for ratio, _ in rows] == ratios
+        assert all(b <= a for (_, a), (_, b) in zip(rows, rows[1:]))
 
     def test_out_of_range_bias_refused(self, cfg100):
         with pytest.raises(BiasRangeError, match="outside write_dro operating range"):
@@ -227,6 +227,20 @@ class TestMaxFrequency:
         assert max_frequency(cfg) == 10**12
         # the guard alone then caps the recirculation hold race at 500 GHz
         assert max_frequency(cfg100._replace(cell_overrides=ZEROED)) == 500 * GHZ
+
+    def test_a_ceiling_below_one_step_is_a_config_error(self, cfg100):
+        with pytest.raises(ConfigError, match=r"^search_ceiling: 1 Hz is below the 1000000000 Hz scan step$"):
+            max_frequency(cfg100._replace(search_ceiling_hz=1))
+        with pytest.raises(ConfigError, match="search_ceiling: 4000000000 Hz is below the 5000000000 Hz scan step"):
+            max_frequency(cfg100._replace(search_ceiling_hz=4 * GHZ), step_hz=5 * GHZ)
+        assert max_frequency(cfg100._replace(search_ceiling_hz=GHZ)) == GHZ
+
+    def test_a_ceiling_past_the_scan_cap_is_a_config_error(self, cfg100):
+        cap = timing.MAX_SCAN_POINTS
+        message = rf"^search_ceiling: {(cap + 1) * GHZ} Hz puts {cap + 1} points on the {GHZ} Hz scan grid \(at most {cap}\)$"
+        with pytest.raises(ConfigError, match=message):
+            max_frequency(cfg100._replace(search_ceiling_hz=(cap + 1) * GHZ))
+        assert max_frequency(cfg100._replace(search_ceiling_hz=cap * GHZ)) == 100 * GHZ
 
     def test_raises_when_no_grid_point_fits(self, cfg100):
         cfg = cfg100._replace(search_ceiling_hz=500 * GHZ)
@@ -546,7 +560,7 @@ class TestCaches:
             cfg = cfg100.with_frequency(ghz * GHZ)
             sta(cfg)
             bias_margin(cfg, suite, max_pct=1)
-        caches = (memory._compile, cells._cell_set, cells._interpolate, timing._window_cells, build_controller(cfg)._pinned)
+        caches = (memory._compile, cells._cell_set, timing._window_cells, build_controller(cfg)._pinned)
         for cache in caches:
             info = cache.cache_info()
             assert 0 < info.currsize <= info.maxsize
@@ -559,7 +573,7 @@ class TestCaches:
 
         warm = render()
         assert render() == warm
-        for cache in (memory._compile, cells._cell_set, cells._interpolate, timing._window_cells):
+        for cache in (memory._compile, cells._cell_set, timing._window_cells):
             cache.cache_clear()
         assert render() == warm
 
