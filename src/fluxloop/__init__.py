@@ -53,12 +53,10 @@ from .engine import (
     trace_to_vcd,
 )
 from .memory import (
-    JitterWindow,
     MemoryProgram,
     MemoryResult,
     TripOp,
     build_controller,
-    jitter_tolerance,
     oracle,
     parse_program,
     pulse_spacing,
@@ -71,10 +69,12 @@ from .memory import (
     stimulus_for,
 )
 from .timing import (
+    JitterWindow,
     MarginReport,
     StaReport,
     bias_margin,
     characterize_cell,
+    jitter_tolerance,
     margin_sweep,
     max_frequency,
     sta,

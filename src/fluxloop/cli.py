@@ -17,8 +17,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
+from typing import ContextManager, TextIO
 
 from .cells import default_cell_params
 from .core import (
@@ -74,11 +76,29 @@ def _read(path: str, what: str) -> str:
         raise ConfigError(what, f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _write(path: str, text: str, what: str) -> None:
+def _cannot_write(path: str, what: str, exc: OSError) -> ConfigError:
+    return ConfigError(what, f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _open(path: str | None, what: str) -> ContextManager[TextIO | None]:
+    """The output file at ``path`` (None when not given), created or truncated
+    as a shell redirection does.  A command opens it before its work, so an
+    unwritable path is refused before the run, not after it."""
+    if path is None:
+        return nullcontext()
     try:
-        Path(path).write_text(text)
+        return open(path, "w")
     except OSError as exc:
-        raise ConfigError(what, f"cannot write {path}: {exc.strerror or exc}") from None
+        raise _cannot_write(path, what, exc) from None
+
+
+def _write(file: TextIO, text: str, what: str) -> None:
+    """Write ``text`` to a file from ``_open`` and close it, so a failed flush surfaces here."""
+    try:
+        with file:
+            file.write(text)
+    except OSError as exc:
+        raise _cannot_write(file.name, what, exc) from None
 
 
 def _ratio_option(raw: str | None, option: str) -> Fraction | None:
@@ -111,8 +131,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     program = parse_program(_read(args.program, "program"))
     if args.bias is not None:
         cfg = cfg.with_bias(BiasPoint(_ratio_option(args.bias, "--bias")))
+    suffix = Path(args.trace or "").suffix.lower()
+    if args.trace is not None and suffix not in (".csv", ".vcd"):
+        raise ConfigError("trace", f"unsupported trace format {suffix!r} (use .csv or .vcd)")
 
-    result = run_program(program, cfg)
+    with _open(args.trace, "trace") as trace_file:
+        result = run_program(program, cfg)
+        if trace_file is not None:
+            export = trace_to_csv if suffix == ".csv" else trace_to_vcd
+            _write(trace_file, export(result.trace), "trace")
 
     out = [f"frequency {cfg.frequency_hz / 1e9:g} GHz, {cfg.num_addresses} addresses, bias {cfg.bias}"]
     expected = oracle(program, cfg.num_addresses)
@@ -125,15 +152,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         out.append(f"trip {trip}: addr {addr} -> {bit}{note}")
     out += [f"violation: {v.kind.value} {v.cell} at {v.time_fs} fs: {v.detail}" for v in result.trace.violations]
     sys.stdout.write("\n".join(out) + "\n")
-
-    if args.trace is not None:
-        suffix = Path(args.trace).suffix.lower()
-        if suffix == ".csv":
-            _write(args.trace, trace_to_csv(result.trace), "trace")
-        elif suffix == ".vcd":
-            _write(args.trace, trace_to_vcd(result.trace), "trace")
-        else:
-            raise ConfigError("trace", f"unsupported trace format {suffix!r} (use .csv or .vcd)")
 
     ok = result.passed and mismatches == 0
     print(f"result: {'PASS' if ok else 'FAIL'}")
@@ -166,21 +184,22 @@ def _cmd_sta(args: argparse.Namespace) -> int:
 def _cmd_margins(args: argparse.Namespace) -> int:
     cfg = parse_config(_read(args.config, "config"))
     freqs = _parse_freq_list(args.freqs)
-    if len(freqs) == 1:
-        reports = (bias_margin(cfg.with_frequency(freqs[0])),)
-    else:
-        reports = margin_sweep(cfg, freqs)
+    with _open(args.out, "out") as out:
+        if len(freqs) == 1:
+            reports = (bias_margin(cfg.with_frequency(freqs[0])),)
+        else:
+            reports = margin_sweep(cfg, freqs)
+        if out is not None:
+            _write(out, margins_to_csv(reports), "out")
     sys.stdout.write(margins_to_text(reports))
-    if args.out is not None:
-        _write(args.out, margins_to_csv(reports), "out")
     return EXIT_OK
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
+    specs = None  # every preset
     if args.all:
         if args.layers is not None:
             raise ConfigError("layers", "--layers applies to a single --preset")
-        report = reproduce_published() if args.freqs is None else build_report(frequencies_ghz=_freqs_ghz(args.freqs))
     else:
         try:
             spec = resolve_preset(args.preset)
@@ -190,17 +209,17 @@ def _cmd_density(args: argparse.Namespace) -> int:
             if args.layers < 1:
                 raise ConfigError("layers", f"--layers must be at least 1, got {args.layers}")
             spec = stacked_spec(spec.name, args.layers)
-        freqs = list(TABLE_FREQUENCIES_GHZ) if args.freqs is None else _freqs_ghz(args.freqs)
-        report = build_report(specs=[spec], frequencies_ghz=freqs)
+        specs = [spec]
+    freqs = TABLE_FREQUENCIES_GHZ if args.freqs is None else _freqs_ghz(args.freqs)
 
-    rendered = report_to_csv(report) if args.format == "csv" else report_to_text(report)
-    if args.out is not None:
-        _write(args.out, rendered, "out")
-    else:
-        sys.stdout.write(rendered)
-    if not report.all_ok:
-        return EXIT_RUN_FAILED
-    return EXIT_OK
+    with _open(args.out, "out") as out:
+        report = reproduce_published() if args.all and args.freqs is None else build_report(specs, freqs)
+        rendered = report_to_csv(report) if args.format == "csv" else report_to_text(report)
+        if out is None:
+            sys.stdout.write(rendered)
+        else:
+            _write(out, rendered, "out")
+    return EXIT_OK if report.all_ok else EXIT_RUN_FAILED
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
@@ -226,12 +245,12 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
         raise ConfigError("--step", f"sweep of {points} points exceeds the cap of {MAX_SWEEP_POINTS}")
     ratios = [lo + i * step for i in range(points)]
 
-    rows = characterize_cell(args.cell, cfg, ratios)
-    rendered = characterization_to_csv(rows)
-    if args.out is not None:
-        _write(args.out, rendered, "out")
-    else:
-        sys.stdout.write(rendered)
+    with _open(args.out, "out") as out:
+        rendered = characterization_to_csv(characterize_cell(args.cell, cfg, ratios))
+        if out is None:
+            sys.stdout.write(rendered)
+        else:
+            _write(out, rendered, "out")
     return EXIT_OK
 
 

@@ -72,14 +72,11 @@ def speed_factor(spec: LineSpec) -> float:
     return velocity_mps(spec) / SPEED_OF_LIGHT
 
 
-def density_mbit_per_cm2(spec: LineSpec, frequency_hz: float, layers: int | None = None) -> float:
+def density_mbit_per_cm2(spec: LineSpec, frequency_hz: float) -> float:
     """Areal storage density in Mbit/cm^2 at the given drive frequency."""
     if frequency_hz <= 0:
         raise ValueError("frequency must be positive")
-    n = spec.layers if layers is None else layers
-    if n < 1:
-        raise ValueError("layers must be at least 1")
-    bits_per_m2 = frequency_hz * n / (spec.pitch_m * velocity_mps(spec))
+    bits_per_m2 = frequency_hz * spec.layers / (spec.pitch_m * velocity_mps(spec))
     return bits_per_m2 * 1e-10  # bits/m^2 -> Mbit/cm^2
 
 
@@ -90,35 +87,37 @@ def inductance_from_sheet(sheet_ph_per_square: float, linewidth_um: float) -> fl
     return sheet_ph_per_square / linewidth_um
 
 
-#: Literature line technologies, slowest-last.  Nb striplines are ordinary
+#: Literature line technologies, slowest-last, one row each: the spec, its
+#: shorthand alias (or None), and the printed v/c and density table
+#: (Mbit/cm^2 at ``TABLE_FREQUENCIES_GHZ``), kept as printed so each cell's
+#: rounding quantum is recoverable.  Nb striplines are ordinary
 #: magnetically-dominated lines; the MoN/NbTiN/NbN entries ride kinetic
 #: inductance (sheet values of roughly 8, 49 and 82 pH/sq divided by the
 #: linewidth).  The 120 nm Nb line carries its measured v/c, which the
 #: sqrt(LC) estimate misses by a few tenths of a percent of c.
-PRESETS: Mapping[str, LineSpec] = {
-    spec.name: spec
-    for spec in (
-        LineSpec("nb-stripline-250", 250, 250, 0.25, 0.50, layers=4),
-        LineSpec("nb-stripline-120", 120, 120, 0.19, 0.65, layers=4, speed_factor_override=0.296),
-        LineSpec("mon-microstrip-250", 250, 250, 0.16, 32.0, layers=1),
-        LineSpec("mon-microstrip-120", 120, 120, 0.14, 66.70, layers=1),
-        LineSpec("mon-stripline-120", 120, 120, 0.19, 66.70, layers=4),
-        LineSpec("nbtin-stripline-100", 100, 120, 0.17, 490.5, layers=4),
-        LineSpec("nbn-nanowire-40", 40, 120, 0.044, 2050.0, layers=4),
-        LineSpec("nbn-nanowire-15", 15, 120, 0.04, 5467.0, layers=4),
-    )
-}
+_PRESET_TABLE: tuple[tuple[LineSpec, str | None, str, tuple[str, str, str, str]], ...] = (
+    (LineSpec("nb-stripline-250", 250, 250, 0.25, 0.50, layers=4),
+     "nb-250nm", "0.298", ("0.2", "0.4", "0.7", "0.9")),
+    (LineSpec("nb-stripline-120", 120, 120, 0.19, 0.65, layers=4, speed_factor_override=0.296),
+     "nb-120nm", "0.296", ("0.4", "0.9", "1.4", "1.9")),
+    (LineSpec("mon-microstrip-250", 250, 250, 0.16, 32.0, layers=1),
+     "mon-250nm", "0.047", ("0.3", "0.7", "1.1", "1.4")),
+    (LineSpec("mon-microstrip-120", 120, 120, 0.14, 66.70, layers=1),
+     "mon-120nm", "0.034", ("0.8", "2.0", "3.0", "4.0")),
+    (LineSpec("mon-stripline-120", 120, 120, 0.19, 66.70, layers=4),
+     None, "0.029", ("3.2", "8.1", "12.1", "19.0")),
+    (LineSpec("nbtin-stripline-100", 100, 120, 0.17, 490.5, layers=4),
+     "nbtin-100nm", "0.011", ("10.7", "26.6", "40.0", "53.3")),
+    (LineSpec("nbn-nanowire-40", 40, 120, 0.044, 2050.0, layers=4),
+     "nbn-40nm", "0.011", ("15.1", "37.7", "56.6", "75.4")),
+    (LineSpec("nbn-nanowire-15", 15, 120, 0.04, 5467.0, layers=4),
+     "nbn-15nm", "0.007", ("28.1", "70.1", "105.2", "140.3")),
+)
+
+PRESETS: Mapping[str, LineSpec] = {spec.name: spec for spec, *_ in _PRESET_TABLE}
 
 #: Shorthand spellings accepted anywhere a preset name is taken.
-PRESET_ALIASES: Mapping[str, str] = {
-    "nb-250nm": "nb-stripline-250",
-    "nb-120nm": "nb-stripline-120",
-    "mon-250nm": "mon-microstrip-250",
-    "mon-120nm": "mon-microstrip-120",
-    "nbtin-100nm": "nbtin-stripline-100",
-    "nbn-40nm": "nbn-nanowire-40",
-    "nbn-15nm": "nbn-nanowire-15",
-}
+PRESET_ALIASES: Mapping[str, str] = {alias: spec.name for spec, alias, *_ in _PRESET_TABLE if alias is not None}
 
 
 def resolve_preset(name: str) -> LineSpec:
@@ -131,30 +130,6 @@ def resolve_preset(name: str) -> LineSpec:
             f"unknown preset {name!r}; valid names: {', '.join(PRESETS)}"
         ) from None
 
-
-_PUBLISHED_SPEED_FACTORS: Mapping[str, str] = {
-    "nb-stripline-250": "0.298",
-    "nb-stripline-120": "0.296",
-    "mon-microstrip-250": "0.047",
-    "mon-microstrip-120": "0.034",
-    "mon-stripline-120": "0.029",
-    "nbtin-stripline-100": "0.011",
-    "nbn-nanowire-40": "0.011",
-    "nbn-nanowire-15": "0.007",
-}
-
-#: Printed density table (Mbit/cm^2) at 20/50/75/100 GHz, kept as printed
-#: so each cell's rounding quantum is recoverable.
-_PUBLISHED_DENSITIES: Mapping[str, tuple[str, str, str, str]] = {
-    "nb-stripline-250": ("0.2", "0.4", "0.7", "0.9"),
-    "nb-stripline-120": ("0.4", "0.9", "1.4", "1.9"),
-    "mon-microstrip-250": ("0.3", "0.7", "1.1", "1.4"),
-    "mon-microstrip-120": ("0.8", "2.0", "3.0", "4.0"),
-    "mon-stripline-120": ("3.2", "8.1", "12.1", "19.0"),
-    "nbtin-stripline-100": ("10.7", "26.6", "40.0", "53.3"),
-    "nbn-nanowire-40": ("15.1", "37.7", "56.6", "75.4"),
-    "nbn-nanowire-15": ("28.1", "70.1", "105.2", "140.3"),
-}
 
 #: 100-layer stacking projection printed alongside the table.
 _PUBLISHED_STACKED: Mapping[str, tuple[int, tuple[str, str, str, str]]] = {
@@ -177,7 +152,11 @@ def _printed_value(printed: str) -> tuple[float, float]:
     return float(bare), 0.5 * 10.0**-decimals
 
 
-def published_tolerance(printed: str, relative: float = 0.05) -> tuple[float, float]:
+#: Relative band a computed cell may sit from its printed figure.
+_RELATIVE_TOLERANCE = 0.05
+
+
+def published_tolerance(printed: str) -> tuple[float, float]:
     """(value, allowed absolute deviation) for one printed table cell.
 
     The printed figures are rounded to their last digit, so the rounding
@@ -185,7 +164,7 @@ def published_tolerance(printed: str, relative: float = 0.05) -> tuple[float, fl
     against e.g. a printed "0.2" would be unmeetably tight.
     """
     value, quantum = _printed_value(printed)
-    return value, relative * value + quantum
+    return value, _RELATIVE_TOLERANCE * value + quantum
 
 
 class DensityRow(NamedTuple):
@@ -215,39 +194,32 @@ class DensityReport(NamedTuple):
         )
 
 
+def _row(spec: LineSpec, freq_ghz: float, printed: str | None = None) -> DensityRow:
+    """One density cell, checked against its printed figure when one is given
+    (unless the cell is flagged inconsistent)."""
+    computed = density_mbit_per_cm2(spec, freq_ghz * 1e9)
+    if printed is None:
+        return DensityRow(spec.name, freq_ghz, spec.layers, computed, None, None)
+    value, allowed = published_tolerance(printed)
+    checked = (spec.name, freq_ghz) not in INCONSISTENT_CELLS
+    within = abs(computed - value) <= allowed if checked else None
+    return DensityRow(spec.name, freq_ghz, spec.layers, computed, value, within)
+
+
 def reproduce_published(factor_tolerance: float = 0.001) -> DensityReport:
     """Re-derive the full published table and verify every anchored cell."""
     rows: list[DensityRow] = []
     factors: list[FactorRow] = []
-    for name, spec in PRESETS.items():
-        pub_factor, _ = _printed_value(_PUBLISHED_SPEED_FACTORS[name])
-        computed_factor = speed_factor(spec)
-        factors.append(
-            FactorRow(
-                preset=name,
-                computed=computed_factor,
-                published=pub_factor,
-                within_tolerance=abs(computed_factor - pub_factor) <= factor_tolerance,
-            )
-        )
-        printed_rows = [(spec.layers, _PUBLISHED_DENSITIES[name])]
-        if name in _PUBLISHED_STACKED:
-            printed_rows.append(_PUBLISHED_STACKED[name])
-        for layers, printed_row in printed_rows:
-            for freq_ghz, printed in zip(TABLE_FREQUENCIES_GHZ, printed_row):
-                computed = density_mbit_per_cm2(spec, freq_ghz * 1e9, layers=layers)
-                value, allowed = published_tolerance(printed)
-                flagged = (name, freq_ghz) in INCONSISTENT_CELLS
-                rows.append(
-                    DensityRow(
-                        preset=name,
-                        frequency_ghz=freq_ghz,
-                        layers=layers,
-                        computed=computed,
-                        published=value,
-                        within_tolerance=None if flagged else abs(computed - value) <= allowed,
-                    )
-                )
+    for spec, _, printed_factor, printed_row in _PRESET_TABLE:
+        published, _ = _printed_value(printed_factor)
+        computed = speed_factor(spec)
+        factors.append(FactorRow(spec.name, computed, published, abs(computed - published) <= factor_tolerance))
+        printed_rows = [(spec, printed_row)]
+        if spec.name in _PUBLISHED_STACKED:
+            layers, stacked_row = _PUBLISHED_STACKED[spec.name]
+            printed_rows.append((stacked_spec(spec.name, layers), stacked_row))
+        for row_spec, printed in printed_rows:
+            rows += (_row(row_spec, freq, cell) for freq, cell in zip(TABLE_FREQUENCIES_GHZ, printed))
     return DensityReport(rows=tuple(rows), factors=tuple(factors))
 
 
@@ -257,27 +229,14 @@ def build_report(
 ) -> DensityReport:
     """Density rows for arbitrary specs/frequencies, without anchors."""
     specs = list(PRESETS.values()) if specs is None else list(specs)
-    rows = [
-        DensityRow(
-            preset=spec.name,
-            frequency_ghz=freq,
-            layers=spec.layers,
-            computed=density_mbit_per_cm2(spec, freq * 1e9),
-            published=None,
-            within_tolerance=None,
-        )
-        for spec in specs
-        for freq in frequencies_ghz
-    ]
-    factors = [
-        FactorRow(spec.name, speed_factor(spec), float("nan"), True) for spec in specs
-    ]
+    rows = [_row(spec, freq) for spec in specs for freq in frequencies_ghz]
+    factors = [FactorRow(spec.name, speed_factor(spec), float("nan"), True) for spec in specs]
     return DensityReport(rows=tuple(rows), factors=tuple(factors))
 
 
 def stacked_spec(name: str, layers: int) -> LineSpec:
     """A preset re-labeled for an n-layer stacking projection."""
-    return LineSpec(**{**PRESETS[name]._asdict(), "layers": layers})
+    return PRESETS[name]._replace(layers=layers)
 
 
 # --- rendering ---------------------------------------------------------------

@@ -25,7 +25,10 @@ from bisect import bisect_left
 from functools import lru_cache, partial
 from typing import Any, Callable, Mapping, NamedTuple
 
-from .cells import CellParams, PinnedCell, _cell_set, default_cell_params
+from .cells import (
+    CellParams, PinnedCell, _cell_set,
+    default_cell_params,  # unused here; perfbench's tracer and self-test expect memory.default_cell_params
+)
 from .core import (
     BiasPoint, ConfigError, InfeasibleFrequencyError, PulseEvent, SimConfig, interval_duration, trip_duration,
     validated_record,
@@ -434,47 +437,4 @@ def default_margin_suite(cfg: SimConfig) -> tuple[MemoryProgram, ...]:
         scenario_write_read(address=address),
         scenario_overwrite(address=address),
         scenario_address_sweep(n),
-    )
-
-
-# --- loop jitter ------------------------------------------------------------
-
-class JitterWindow(NamedTuple):
-    """Tolerated per-trip loop-delay error, and where excess is detectable.
-
-    Within [lo_fs, hi_fs] the re-timing clock fully absorbs the error:
-    loop_data_in times are unchanged.  In the adjacent detectable bands a
-    SETUP or HOLD violation is guaranteed at the re-timing cell.  Beyond
-    those bands the bit aliases into a neighboring interval slot, which no
-    local timing check can see — inherent to any delay-line store.
-    """
-
-    lo_fs: int
-    hi_fs: int
-    detect_below: tuple[int, int]
-    detect_above: tuple[int, int]
-
-
-def jitter_tolerance(cfg: SimConfig) -> JitterWindow:
-    """Compute the re-timing tolerance window at nominal bias.
-
-    The recirculated bit arrives (setup + guard) before its re-timing
-    clock, so positive jitter up to the guard keeps the setup check whole;
-    negative jitter is bounded by the hold check against the previous
-    interval's clock.
-    """
-    retimer = default_cell_params(cfg.cell_overrides)["recirc_dro2r"]
-    setup, hold, guard = retimer.setup_fs, retimer.hold_fs, cfg.retiming_guard_fs
-    hi = guard
-    lo = -(interval_duration(cfg) - setup - guard - hold)
-    if lo > 0:
-        raise InfeasibleFrequencyError(
-            "no re-timing slack at this frequency: the interval is shorter "
-            "than the cell's setup/hold budget plus guard"
-        )
-    return JitterWindow(
-        lo_fs=lo,
-        hi_fs=hi,
-        detect_below=(lo - setup - hold + 1, lo - 1),
-        detect_above=(hi + 1, hi + setup + hold - 1),
     )

@@ -231,6 +231,49 @@ def sta_to_text(report: StaReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+class JitterWindow(NamedTuple):
+    """Tolerated per-trip loop-delay error, and where excess is detectable.
+
+    Within [lo_fs, hi_fs] the re-timing clock fully absorbs the error:
+    loop_data_in times are unchanged.  In the adjacent detectable bands a
+    SETUP or HOLD violation is guaranteed at the re-timing cell, whichever
+    source (fresh write or recirculation) the bit came from.  Beyond those
+    bands the bit aliases into a neighboring interval slot, which no local
+    timing check can see — inherent to any delay-line store.  A band whose
+    first edge exceeds its last is empty: the two sources' arrivals spread
+    across the whole setup + hold band.
+    """
+
+    lo_fs: int
+    hi_fs: int
+    detect_below: tuple[int, int]
+    detect_above: tuple[int, int]
+
+
+def jitter_tolerance(cfg: SimConfig) -> JitterWindow:
+    """The re-timing tolerance window at nominal bias, read off ``sta``'s recirculation rows.
+
+    A loop error shifts the bit's arrival at ``recirc_dro2r``: the
+    recirc_setup slack bounds a late shift, the recirc_hold slack an early
+    one.  Both rows are taken at the extreme of the two sources' arrivals
+    (loop_data_in's window), so both sources violate only once the shift
+    passes the window by that spread, and until it passes the cell's
+    setup + hold band, beyond which the bit reaches the neighboring clock.
+    """
+    report = sta(cfg, 1, 1)
+    setup_slack, hold_slack = report.slack_fs[2:4]  # recirc_setup, recirc_hold in _SLACK_ROWS order
+    lo, hi = -hold_slack, setup_slack
+    if not lo <= 0 <= hi:
+        raise InfeasibleFrequencyError(
+            "no re-timing slack at this frequency: with no jitter at all, recirc_setup or recirc_hold already fails"
+        )
+    earliest, latest = report.window_fs[2]  # loop_data_in in _WINDOW_NODES order
+    spread = latest - earliest
+    retimer = _cell_set(cfg.frozen_overrides)["recirc_dro2r"]
+    band = retimer.setup_fs + retimer.hold_fs
+    return JitterWindow(lo, hi, (lo - band + 1, lo - spread - 1), (hi + spread + 1, hi + band - 1))
+
+
 #: Most grid points one ``max_frequency`` scan may visit (each is an sta call).
 MAX_SCAN_POINTS = 10_000
 

@@ -92,9 +92,10 @@ class TestSimulate:
                 str(tmp_path / "run.txt"),
             ]
         )
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
         assert code == EXIT_CONFIG
-        assert "unsupported trace format" in err
+        assert "unsupported trace format" in captured.err
+        assert captured.out == ""
 
     def test_missing_config_file(self, write_program, capsys):
         code = main(["simulate", "--config", "/nonexistent.json", "--program", write_program(WRITE_READ)])
@@ -587,10 +588,31 @@ def test_an_unwritable_output_path_exits_2_naming_the_option(write_config, write
     missing = tmp_path / "no-such-dir" / "result"
     paths = {"config": write_config(), "program": write_program(WRITE_READ), "missing": missing}
     code = main([arg.format(**paths) for arg in args])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert code == EXIT_CONFIG
-    assert err.startswith(f"error: {field}: cannot write {missing}.")
-    assert err.endswith(": No such file or directory\n")
+    assert captured.err.startswith(f"error: {field}: cannot write {missing}.")
+    assert captured.err.endswith(": No such file or directory\n")
+    assert captured.out == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses every write")
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["simulate", "--config", "{config}", "--program", "{program}", "--trace", "{full}"], "trace"),
+        (["margins", "--config", "{config}", "--freqs", "100GHz", "--out", "{full}"], "out"),
+        (["density", "--all", "--out", "{full}"], "out"),
+        (["characterize", "--config", "{config}", "--cell", "merger", "--out", "{full}"], "out"),
+    ],
+)
+def test_a_write_that_fails_after_the_open_exits_2(write_config, write_program, tmp_path, capsys, args, field):
+    # the open succeeds; the write, or the flush at close, fails for want of space
+    full = tmp_path / "full.vcd"
+    full.symlink_to("/dev/full")
+    paths = {"config": write_config(), "program": write_program(WRITE_READ), "full": full}
+    code = main([arg.format(**paths) for arg in args])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {field}: cannot write {full}: No space left on device\n"
 
 
 def test_find_max_past_the_scan_cap_is_refused(write_config, capsys):

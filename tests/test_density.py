@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -101,11 +102,11 @@ class TestDensity:
         spec = PRESETS["nbn-nanowire-15"]
         d = density_mbit_per_cm2(spec, 50e9)
         assert density_mbit_per_cm2(spec, 100e9) == pytest.approx(2 * d)
-        assert density_mbit_per_cm2(spec, 50e9, layers=8) == pytest.approx(2 * d)
+        assert density_mbit_per_cm2(spec._replace(layers=8), 50e9) == pytest.approx(2 * d)
 
     def test_single_layer_baseline(self):
         # one layer of the fast Nb line barely clears a fifth of a Mbit/cm^2
-        assert density_mbit_per_cm2(PRESETS["nb-stripline-250"], 100e9, layers=1) == pytest.approx(
+        assert density_mbit_per_cm2(PRESETS["nb-stripline-250"]._replace(layers=1), 100e9) == pytest.approx(
             0.2236, abs=5e-5
         )
 
@@ -120,7 +121,7 @@ class TestDensity:
         with pytest.raises(ValueError, match="frequency"):
             density_mbit_per_cm2(spec, 0)
         with pytest.raises(ValueError, match="layers"):
-            density_mbit_per_cm2(spec, 1e9, layers=0)
+            density_mbit_per_cm2(spec._replace(layers=0), 1e9)
 
 
 def test_inductance_from_sheet():
@@ -209,3 +210,23 @@ class TestRendering:
         text = report_to_text(reproduce_published())
         assert "verified 33/33 published cells (3 flagged-inconsistent cells reported unchecked)" in text
         assert "MISMATCH" not in text
+
+
+def test_readme_preset_table_agrees_with_the_presets():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Density presets\n", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+    assert [row[0] for row in rows] == list(PRESETS)
+    alias_of = {canonical: alias for alias, canonical in PRESET_ALIASES.items()}
+    for name, alias, pitch, inductance, capacitance, layers, factor in rows:
+        spec = PRESETS[name]
+        assert alias == alias_of.get(name, "—"), name
+        assert pitch == f"{spec.linewidth_nm:g} + {spec.spacing_nm:g}", name
+        assert (float(inductance), float(capacitance)) == (spec.inductance_ph_per_um, spec.capacitance_ff_per_um), name
+        assert int(layers) == spec.layers, name
+        pinned = "*" if spec.speed_factor_override is not None else ""
+        assert factor == f"{speed_factor(spec):.3f}{pinned}", name

@@ -1,8 +1,8 @@
 """Byte-identity gate: exported artifacts of fixed runs, pinned by sha256.
 
-Traces, margin tables and STA reports must not change under a refactor or a
-speed-up; a changed digest here is a behaviour change and needs its own
-justification.  Each artifact is rendered from a fixed, seeded input, so the
+Traces, margin tables, STA reports and density tables must not change under
+a refactor or a speed-up; a changed digest here is a behaviour change and
+needs its own justification.  Each artifact is rendered from a fixed, seeded input, so the
 digests hold on every platform.
 """
 
@@ -27,6 +27,7 @@ from fluxloop import (
     trace_to_csv,
     trace_to_vcd,
 )
+from fluxloop.cli import main
 from fluxloop.timing import margin_sweep, margins_to_csv, sta_to_text
 
 GHZ = 10**9
@@ -42,6 +43,14 @@ GOLDEN_SHA256 = {
     "margins.csv": "b41556381c57f24597634aadca9d0b573ff2dac87e52c0b29cab3859a4a0f68e",
     "sta.txt": "b25c7160e67e902ae266484accfc4705eb13984ebacdd0566b704944304acc77",
     "sta_asymmetric.txt": "8c476617fefe2cf4582d0c7702a846231b116c1fe246a18df6bc3accbb989e4f",
+}
+
+#: ``fluxloop density`` stdout, by command line.
+DENSITY_SHA256 = {
+    "density --all": "ef2b6e6cfb794325ff0502bcc4a28781866809aa2d858a767bc50f238cbd3a39",
+    "density --all --format csv": "5ab964a8c1c11594cf6c8c7f04416133f1f38d1033007477051bfe312e5b1966",
+    "density --preset nbn-15nm --layers 100 --format csv": "548035ba818dea2c36975c42345e998a2f2d16afed4adc5ad67c7253b9ebf194",
+    "density --all --freqs 10GHz,30GHz": "cbbfaf2f3c14446cf4b465b9558bb39ad1335c4a191138848c47ffd48c177042",
 }
 
 
@@ -148,3 +157,10 @@ def test_fixtures_exercise_the_failure_paths():
 def test_artifact_is_byte_identical(name):
     digest = hashlib.sha256(_artifacts()[name].encode()).hexdigest()
     assert digest == GOLDEN_SHA256[name], f"{name} changed"
+
+
+@pytest.mark.parametrize("command", sorted(DENSITY_SHA256))
+def test_density_output_is_byte_identical(command, capsys):
+    assert main(command.split()) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == DENSITY_SHA256[command], f"{command} changed"

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fluxloop import (
@@ -16,8 +16,11 @@ from fluxloop import (
     SimConfig,
     bias_margin,
     characterize_cell,
+    jitter_tolerance,
     margin_sweep,
     max_frequency,
+    required_loop_delay,
+    run_program,
     sta,
 )
 from fluxloop import cells, core, memory, timing
@@ -425,6 +428,57 @@ class TestStaAgreesWithSimulationOnDrawnCells:
                 assert wider is None
             else:
                 assert wider, (sign, pct, limiter)
+
+
+class TestJitterToleranceAgreesWithSimulation:
+    """On drawn write/recirculation path delays and loop delays, the window
+    ``jitter_tolerance`` reads off ``sta`` is exactly what simulation shows,
+    with the error on the trip that writes the bit (a fresh bit) and on the
+    next trip (a recirculated bit)."""
+
+    PROGRAM = scenario_write_read(address=1, trips=4)
+
+    def runs(self, cfg: SimConfig, jitter: int) -> list:
+        return [
+            run_program(self.PROGRAM, cfg._replace(loop_jitter_fs=offsets))
+            for offsets in ((jitter, 0, 0, 0), (0, jitter, 0, 0))
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        # below 2 ps a fresh bit reaches read_dro2r inside its setup window whatever the jitter
+        write_prop=st.integers(2000, 6000),
+        recirc_prop=st.integers(2000, 6000),
+        loop_shift=st.none() | st.integers(-2000, 2000),
+        ghz=st.sampled_from((20, 50, 100)),
+        data=st.data(),
+    )
+    @example(write_prop=4000, recirc_prop=3000, loop_shift=None, ghz=100, data=None)
+    @example(write_prop=2000, recirc_prop=3000, loop_shift=None, ghz=100, data=None)
+    @example(write_prop=3000, recirc_prop=3000, loop_shift=1000, ghz=100, data=None)
+    def test_window_and_detect_bands(self, write_prop, recirc_prop, loop_shift, ghz, data):
+        overrides = {"write_dro": {"prop_delay": write_prop}, "recirc_dro2r": {"prop_delay": recirc_prop}}
+        cfg = SimConfig(frequency_hz=ghz * GHZ, num_addresses=3, cell_overrides=overrides)
+        try:
+            if loop_shift is not None:
+                cfg = cfg._replace(loop_delay_fs=required_loop_delay(cfg) + loop_shift)
+            window = jitter_tolerance(cfg)
+        except InfeasibleFrequencyError:
+            assume(False)
+        reference = run_program(self.PROGRAM, cfg).trace.pulses_on("loop_data_in")
+
+        for jitter in (window.lo_fs, window.hi_fs, (window.lo_fs + window.hi_fs) // 2):
+            for result in self.runs(cfg, jitter):
+                assert result.passed, jitter
+                assert result.trace.pulses_on("loop_data_in") == reference, jitter
+        for jitter in (window.lo_fs - 1, window.hi_fs + 1):
+            assert not all(result.passed for result in self.runs(cfg, jitter)), jitter
+        for first, last in (window.detect_below, window.detect_above):
+            if first > last:  # the sources' spread fills the setup + hold band
+                continue
+            points = (first, last) if data is None else (data.draw(st.integers(first, last), label="jitter"),)
+            for jitter in points:
+                assert not any(result.passed for result in self.runs(cfg, jitter)), jitter
 
 
 def reference_sta(cfg: SimConfig, bias_lo=None, bias_hi=None) -> tuple:
