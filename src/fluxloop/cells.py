@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from operator import attrgetter
+from functools import lru_cache
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .core import (
@@ -146,23 +145,20 @@ def delay_at_bias(model: BiasDelayModel, bias: BiasPoint) -> int:
             return d0 + (2 * num + den) // (2 * den)
 
 
-class CellParams(validated_record(
-    "CellParams", "kind prop_delay_fs setup_fs hold_fs delay_model prop_delay_out1_fs delay_model_out1 min_separation_fs",
-)):
-    """Static parameters of one cell instance: nominal delays and the bias
-    models they follow.  Steppers read a cell pinned at one bias
-    (:meth:`at_bias`), never these."""
+class CellParams(validated_record("CellParams", "kind prop_delay_fs setup_fs hold_fs delay_model min_separation_fs")):
+    """Static parameters of one cell instance: its nominal delay, used on every
+    output, and the bias model it follows.  Steppers read a cell pinned at one
+    bias (:meth:`at_bias`), never these."""
 
-    # no __slots__: the instance dict holds the cached operating range
+    __slots__ = ()
 
     def __new__(
         cls, kind: CellKind, prop_delay_fs: int = 0, setup_fs: int = 0, hold_fs: int = 0,
-        delay_model: BiasDelayModel | None = None, prop_delay_out1_fs: int | None = None,
-        delay_model_out1: BiasDelayModel | None = None, min_separation_fs: int = 0,
+        delay_model: BiasDelayModel | None = None, min_separation_fs: int = 0,
     ) -> "CellParams":
         if setup_fs < 0 or hold_fs < 0:
             raise ValueError("setup and hold times must be non-negative")
-        if prop_delay_fs < 0 or (prop_delay_out1_fs or 0) < 0:
+        if prop_delay_fs < 0:
             raise ValueError("propagation delay must be non-negative")
         if delay_model is not None:
             nominal = delay_at_bias(delay_model, NOMINAL_BIAS)
@@ -170,52 +166,30 @@ class CellParams(validated_record(
                 raise ValueError(
                     f"nominal delay {prop_delay_fs} fs disagrees with the delay model at bias 1.0 ({nominal} fs)"
                 )
-        if delay_model_out1 is not None and prop_delay_out1_fs is not None:
-            nominal1 = delay_at_bias(delay_model_out1, NOMINAL_BIAS)
-            if nominal1 != prop_delay_out1_fs:
-                raise ValueError("out1 nominal delay disagrees with its delay model at bias 1.0")
-        return tuple.__new__(cls, (
-            kind, prop_delay_fs, setup_fs, hold_fs, delay_model, prop_delay_out1_fs, delay_model_out1, min_separation_fs,
-        ))
+        return tuple.__new__(cls, (kind, prop_delay_fs, setup_fs, hold_fs, delay_model, min_separation_fs))
 
     def operating_range(self) -> tuple[Fraction, Fraction] | None:
-        """Intersection of the electrical ranges of all delay models, if any."""
-        return self._operating_range
-
-    # Every clamp and window check reads the range; intersect it once.
-    @cached_property
-    def _operating_range(self) -> tuple[Fraction, Fraction] | None:
-        models = [model for model in (self.delay_model, self.delay_model_out1) if model is not None]
-        if not models:
-            return None
-        return (max(model.range_lo for model in models), min(model.range_hi for model in models))
+        """The delay model's electrical range, if the cell has a model."""
+        model = self.delay_model
+        return None if model is None else (model.range_lo, model.range_hi)
 
     def at_bias(self, bias: BiasPoint) -> "PinnedCell":
-        """This cell at ``bias``: its delays there as constants, with setup,
+        """This cell at ``bias``: its delay there as a constant, with setup,
         hold and minimum separation kept.  The one way to read a cell's
-        delays; a bias outside a model's range raises ``BiasRangeError``."""
+        delay; a bias outside the model's range raises ``BiasRangeError``."""
         delay = self.prop_delay_fs if self.delay_model is None else delay_at_bias(self.delay_model, bias)
-        if self.delay_model_out1 is not None:
-            delay1 = delay_at_bias(self.delay_model_out1, bias)
-        else:
-            delay1 = delay if self.prop_delay_out1_fs is None else self.prop_delay_out1_fs
-        return PinnedCell(self.kind, delay, delay1, self.setup_fs, self.hold_fs, self.min_separation_fs)
+        return PinnedCell(self.kind, delay, self.setup_fs, self.hold_fs, self.min_separation_fs)
 
 
 class PinnedCell:
     """One cell at one bias: the constants a stepper reads on every pulse, as
-    slot reads (faster than namedtuple getters).  ``prop_delay_out1_fs`` is
-    always an int: a second output's own delay, else ``prop_delay_fs``."""
+    slot reads (faster than namedtuple getters)."""
 
-    __slots__ = ("kind", "prop_delay_fs", "prop_delay_out1_fs", "setup_fs", "hold_fs", "min_separation_fs")
+    __slots__ = ("kind", "prop_delay_fs", "setup_fs", "hold_fs", "min_separation_fs")
 
-    def __init__(
-        self, kind: CellKind, prop_delay_fs: int, prop_delay_out1_fs: int, setup_fs: int, hold_fs: int,
-        min_separation_fs: int,
-    ) -> None:
+    def __init__(self, kind: CellKind, prop_delay_fs: int, setup_fs: int, hold_fs: int, min_separation_fs: int) -> None:
         self.kind = kind
         self.prop_delay_fs = prop_delay_fs
-        self.prop_delay_out1_fs = prop_delay_out1_fs
         self.setup_fs = setup_fs
         self.hold_fs = hold_fs
         self.min_separation_fs = min_separation_fs
@@ -244,9 +218,9 @@ def storage_step(cell: str, params: PinnedCell, state: CellState, port: str, t: 
 
     Data on an empty cell stores; data on a full cell is ignored (a storage
     loop holds at most one flux quantum).  A clock on a full cell releases
-    the stored pulse on that clock's output after its propagation delay; a
-    clock on an empty cell is a no-op.  A DRO2R's two clock/output pairs
-    share one loop, so whichever clock arrives first claims the pulse.
+    the stored pulse on that clock's output after the cell's one propagation
+    delay; a clock on an empty cell is a no-op.  A DRO2R's two clock/output
+    pairs share one loop, so whichever clock arrives first claims the pulse.
     Data within the hold window after a clock records HOLD; a clock within
     the setup window after data records SETUP.
 
@@ -261,10 +235,9 @@ def storage_step(cell: str, params: PinnedCell, state: CellState, port: str, t: 
             detail = f"data {t - last} fs after clock (hold {params.hold_fs} fs)"
             return (), (TimingViolation(cell, ViolationKind.HOLD, t, detail),)
         return (), ()
-    release = _RELEASES.get(port)
-    if release is None or release[0] is not params.kind:
+    kind, out = _RELEASES.get(port, (None, None))
+    if kind is not params.kind:
         raise ValueError(f"{params.kind.value} has no port {port!r}")
-    _, out, delay_of = release
     last = state.last_data_fs
     violations = ()
     if last is not None and 0 <= t - last < params.setup_fs:
@@ -273,7 +246,7 @@ def storage_step(cell: str, params: PinnedCell, state: CellState, port: str, t: 
     state.last_clock_fs = t
     if state.stored:
         state.stored = False
-        return ((out, t + delay_of(params)),), violations
+        return ((out, t + params.prop_delay_fs),), violations
     return (), violations
 
 
@@ -304,12 +277,12 @@ def fanout_step(cell: str, params: PinnedCell, state: CellState, port: str, t: i
 
 
 # Per-pulse port lookups, resolved from the tables once (a CellKind key
-# costs a Python-level hash).  Storage clock -> (kind, output, delay getter);
-# clock names differ between the storage kinds.
+# costs a Python-level hash).  Storage clock -> (kind, output); clock names
+# differ between the storage kinds.
 _RELEASES = {
-    clock: (kind, out, attrgetter("prop_delay_out1_fs" if i else "prop_delay_fs"))
+    clock: (kind, out)
     for kind in (CellKind.DRO, CellKind.DRO2R)
-    for i, (clock, out) in enumerate(zip(INPUT_PORTS[kind][1:], OUTPUT_PORTS[kind]))
+    for clock, out in zip(INPUT_PORTS[kind][1:], OUTPUT_PORTS[kind])
 }
 _MERGER_PEERS = dict(zip(INPUT_PORTS[CellKind.MERGER], reversed(INPUT_PORTS[CellKind.MERGER])))
 (_FANOUT_INPUT,) = INPUT_PORTS[CellKind.FANOUT]
@@ -374,23 +347,12 @@ def _cell_set(frozen_overrides: tuple) -> dict[str, CellParams]:
     for name, (kind, nominal, setup, hold) in _DEFAULT_TIMINGS.items():
         o = cell_overrides.get(name, {})
         prop = o.get("prop_delay", nominal)
-        # a zero nominal cannot carry a strictly-decreasing curve; such
-        # degenerate cells get a constant (bias-independent) delay instead
-        params = dict(
-            kind=kind,
-            prop_delay_fs=prop,
-            setup_fs=o.get("setup", setup),
-            hold_fs=o.get("hold", hold),
-        )
+        separation = o.get("min_separation", DEFAULT_MERGER_MIN_SEPARATION_FS) if kind == CellKind.MERGER else 0
         try:
-            params["delay_model"] = _model(prop, o) if prop > 0 else None
-            if kind == CellKind.DRO2R:
-                prop1 = o.get("prop_delay_out1", o.get("prop_delay", nominal))
-                params["prop_delay_out1_fs"] = prop1
-                params["delay_model_out1"] = _model(prop1, o) if prop1 > 0 else None
-            if kind == CellKind.MERGER:
-                params["min_separation_fs"] = o.get("min_separation", DEFAULT_MERGER_MIN_SEPARATION_FS)
-            out[name] = CellParams(**params)
+            # a zero nominal cannot carry a strictly-decreasing curve; such
+            # degenerate cells get a constant (bias-independent) delay instead
+            model = _model(prop, o) if prop > 0 else None
+            out[name] = CellParams(kind, prop, o.get("setup", setup), o.get("hold", hold), model, separation)
         except ValueError as exc:
             raise ConfigError(f"cells.{name}.{_blamed_override(o)}", str(exc)) from None
     return out
@@ -400,7 +362,7 @@ def _cell_set(frozen_overrides: tuple) -> dict[str, CellParams]:
 #: curve (its shape, 1.0 knot or span), the range the default curve must
 #: span, a nominal delay too short to keep the scaled knots apart, and a
 #: negative setup or hold (refused by config parsing, not by a SimConfig).
-_BLAME_ORDER = ("bias_curve", "operating_range", "prop_delay", "prop_delay_out1", "setup", "hold")
+_BLAME_ORDER = ("bias_curve", "operating_range", "prop_delay", "setup", "hold")
 
 
 def _blamed_override(overrides: Mapping[str, Any]) -> str:

@@ -185,7 +185,7 @@ def _cmd_margins(args: argparse.Namespace) -> int:
     cfg = parse_config(_read(args.config, "config"))
     freqs = _parse_freq_list(args.freqs)
     with _open(args.out, "out") as out:
-        if len(freqs) == 1:
+        if len(set(freqs)) == 1:  # one frequency, however often given: its infeasibility is an error
             reports = (bias_margin(cfg.with_frequency(freqs[0])),)
         else:
             reports = margin_sweep(cfg, freqs)

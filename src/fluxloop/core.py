@@ -19,19 +19,24 @@ from typing import Any, Mapping
 
 FS_PER_SECOND = 10**15
 
-#: Cell instance names of the controller, fixed by its topology.
-CELL_NAMES = ("write_dro", "recirc_dro2r", "merger", "fanout", "read_dro2r")
+_CLOCKED_CELL_KEYS = ("prop_delay", "setup", "hold", "bias_curve", "operating_range")
 
-#: Per-cell override keys accepted in a configuration document.
-CELL_OVERRIDE_KEYS = (
-    "prop_delay",
-    "prop_delay_out1",
-    "setup",
-    "hold",
-    "min_separation",
-    "bias_curve",
-    "operating_range",
-)
+#: The overrides each controller cell reads, by cell instance name (fixed by
+#: the topology); a configuration document may set no other.  Only a merger
+#: checks a separation, and a merger or a fan-out checks no setup or hold.
+CELL_OVERRIDES: dict[str, tuple[str, ...]] = {
+    "write_dro": _CLOCKED_CELL_KEYS,
+    "recirc_dro2r": _CLOCKED_CELL_KEYS,
+    "merger": ("prop_delay", "min_separation", "bias_curve", "operating_range"),
+    "fanout": ("prop_delay", "bias_curve", "operating_range"),
+    "read_dro2r": _CLOCKED_CELL_KEYS,
+}
+
+#: Cell instance names of the controller.
+CELL_NAMES = tuple(CELL_OVERRIDES)
+
+#: Every override key some cell reads.
+CELL_OVERRIDE_KEYS = tuple(dict.fromkeys(key for keys in CELL_OVERRIDES.values() for key in keys))
 
 #: quantity -> (suffix units, unit of a bare number, hint for an unknown unit)
 _QUANTITIES: dict[str, tuple[dict[str, int], str, str]] = {
@@ -300,14 +305,15 @@ def _parse_cell_overrides(raw: Any) -> dict[str, dict[str, Any]]:
         raise ConfigError("cells", "expected an object of per-cell overrides")
     out: dict[str, dict[str, Any]] = {}
     for name, overrides in raw.items():
+        valid = CELL_OVERRIDES.get(name, CELL_OVERRIDE_KEYS)  # SimConfig names an unknown cell
         if not isinstance(overrides, dict):
             raise ConfigError(f"cells.{name}", "expected an object of parameter overrides")
         entry: dict[str, Any] = {}
         for key, value in overrides.items():
             qualified = f"cells.{name}.{key}"
-            if key not in CELL_OVERRIDE_KEYS:
-                raise ConfigError(qualified, f"unknown parameter (valid: {', '.join(CELL_OVERRIDE_KEYS)})")
-            if key in ("prop_delay", "prop_delay_out1", "setup", "hold", "min_separation"):
+            if key not in valid:
+                raise ConfigError(qualified, f"unknown parameter (valid: {', '.join(valid)})")
+            if key in ("prop_delay", "setup", "hold", "min_separation"):
                 entry[key] = parse_duration(value, qualified)
             elif key == "bias_curve":
                 entry[key] = _parse_curve(value, qualified)

@@ -171,7 +171,7 @@ def _pin(cells: Mapping[str, CellParams], ratio: Fraction) -> PinnedNetlist:
     return PinnedNetlist(
         cells=MappingProxyType(pinned),
         violations=tuple(violations),
-        zero_delay=any(p.prop_delay_fs == 0 or p.prop_delay_out1_fs == 0 for p in pinned.values()),
+        zero_delay=any(p.prop_delay_fs == 0 for p in pinned.values()),
     )
 
 

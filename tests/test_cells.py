@@ -35,16 +35,12 @@ def bias(value) -> BiasPoint:
     return BiasPoint.of(value)
 
 
-def pinned_alone(params: CellParams, value) -> tuple[tuple[int, int], int]:
-    """The (prop, out1) delays ``params`` runs at in a one-cell netlist run at
-    bias ``value``, and how many ELECTRICAL violations that pin records."""
+def pinned_alone(params: CellParams, value) -> tuple[int, int]:
+    """The delay ``params`` runs at in a one-cell netlist run at bias
+    ``value``, and how many ELECTRICAL violations that pin records."""
     pins = Netlist(cells={"c": params}, connections=(), external_inputs=frozenset(), observed=()).at_bias(bias(value))
     assert all(v.kind == ViolationKind.ELECTRICAL for v in pins.violations)
-    return delays(pins.cells["c"]), len(pins.violations)
-
-
-def delays(pinned: PinnedCell) -> tuple[int, int]:
-    return pinned.prop_delay_fs, pinned.prop_delay_out1_fs
+    return pins.cells["c"].prop_delay_fs, len(pins.violations)
 
 
 # --- delay model -----------------------------------------------------------
@@ -80,9 +76,9 @@ class TestBiasDelayModel:
 
     def test_clamp(self):
         cell = CellParams(kind=CellKind.DRO, prop_delay_fs=3000, delay_model=self.MODEL)
-        assert pinned_alone(cell, "0.5") == ((4170, 4170), 1)  # run at the 0.76 edge
-        assert pinned_alone(cell, "1.5") == ((1770, 1770), 1)  # run at the 1.24 edge
-        assert pinned_alone(cell, "0.9") == (delays(cell.at_bias(bias("0.9"))), 0)
+        assert pinned_alone(cell, "0.5") == (4170, 1)  # run at the 0.76 edge
+        assert pinned_alone(cell, "1.5") == (1770, 1)  # run at the 1.24 edge
+        assert pinned_alone(cell, "0.9") == (cell.at_bias(bias("0.9")).prop_delay_fs, 0)
 
     @given(
         st.fractions(
@@ -192,28 +188,22 @@ def test_cell_params_rejects_nominal_model_mismatch():
         CellParams(kind=CellKind.DRO, prop_delay_fs=2999, delay_model=BiasDelayModel.scaled(3000))
 
 
-def test_operating_range_intersects_both_models():
+def test_operating_range_is_the_models_range():
     narrow = BiasDelayModel.scaled(
         2000,
         operating_range=(Fraction("0.9"), Fraction("1.1")),
         curve=((Fraction("0.9"), Fraction("1.2")), (Fraction("1.1"), Fraction("0.8"))),
     )
-    params = CellParams(
-        kind=CellKind.DRO2R,
-        prop_delay_fs=3000,
-        delay_model=BiasDelayModel.scaled(3000),
-        prop_delay_out1_fs=2000,
-        delay_model_out1=narrow,
-    )
+    params = CellParams(kind=CellKind.DRO2R, prop_delay_fs=2000, delay_model=narrow)
     assert params.operating_range() == (Fraction("0.9"), Fraction("1.1"))
-    # both models saturate at the narrower model's edge
-    assert pinned_alone(params, "0.8") == (delays(params.at_bias(bias("0.9"))), 1)
-    assert pinned_alone(params, "1.0") == ((3000, 2000), 0)
+    # the delay saturates at the model's edge
+    assert pinned_alone(params, "0.8") == (2400, 1)
+    assert pinned_alone(params, "1.0") == (2000, 0)
     with pytest.raises(BiasRangeError):
         params.at_bias(bias("0.8"))
     no_model = CellParams(kind=CellKind.DRO, prop_delay_fs=100)
     assert no_model.operating_range() is None
-    assert pinned_alone(no_model, "0.5") == ((100, 100), 0)
+    assert pinned_alone(no_model, "0.5") == (100, 0)
 
 
 # --- DRO -------------------------------------------------------------------
@@ -293,7 +283,6 @@ DRO2R = CellParams(
     prop_delay_fs=5000,
     setup_fs=2000,
     hold_fs=1000,
-    prop_delay_out1_fs=6000,
 ).at_bias(NOM)
 
 
@@ -304,11 +293,11 @@ class TestDro2r:
         out, v = storage_step("r", DRO2R, state, "clock0", 10000)
         assert out == (("out0", 15000),) and v == ()
 
-    def test_clock1_takes_out1_with_its_own_delay(self):
+    def test_clock1_takes_out1_with_the_same_delay(self):
         state = CellState()
         storage_step("r", DRO2R, state, "data", 0)
         out, v = storage_step("r", DRO2R, state, "clock1", 15000)
-        assert out == (("out1", 21000),) and v == ()
+        assert out == (("out1", 20000),) and v == ()
         # the shared loop is now empty, so the other clock gets nothing
         out, v = storage_step("r", DRO2R, state, "clock0", 30000)
         assert out == () and v == ()
@@ -317,7 +306,7 @@ class TestDro2r:
         state = CellState()
         storage_step("r", DRO2R, state, "data", 0)
         out, v = storage_step("r", DRO2R, state, "clock1", 500)
-        assert out == (("out1", 6500),)
+        assert out == (("out1", 5500),)
         assert v[0].detail == "clock1 500 fs after data (setup 2000 fs)"
 
     def test_unknown_port(self):
@@ -396,7 +385,7 @@ class TestDefaultCellParams:
         wd = cells["write_dro"]
         assert (wd.kind, wd.prop_delay_fs, wd.setup_fs, wd.hold_fs) == (CellKind.DRO, 3000, 2000, 1000)
         rc = cells["recirc_dro2r"]
-        assert (rc.kind, rc.prop_delay_fs, rc.prop_delay_out1_fs) == (CellKind.DRO2R, 3000, 3000)
+        assert (rc.kind, rc.prop_delay_fs) == (CellKind.DRO2R, 3000)
         assert (rc.setup_fs, rc.hold_fs) == (3000, 1000)
         assert cells["merger"].min_separation_fs == 2000
         assert cells["fanout"].prop_delay_fs == 500
@@ -482,18 +471,15 @@ class TestAtBias:
     @pytest.mark.parametrize("ratio", ["0.76", "0.87", "0.9", "1", "1.13", "1.24", Fraction(97, 93)])
     def test_pinned_delays_equal_the_curve_at_that_bias(self, ratio):
         b = bias(ratio)
-        cells = default_cell_params({"recirc_dro2r": {"prop_delay_out1": 4000}})
+        cells = default_cell_params({"recirc_dro2r": {"prop_delay": 4000}})
         for params in cells.values():
             pinned = params.at_bias(b)
             assert type(pinned) is PinnedCell
-            assert not hasattr(pinned, "delay_model") and not hasattr(pinned, "delay_model_out1")
-            curve = delay_at_bias(params.delay_model, b)
-            assert pinned.prop_delay_fs == curve
-            # a second output follows its own model, else the first output's curve
-            assert pinned.prop_delay_out1_fs == (
-                delay_at_bias(params.delay_model_out1, b) if params.delay_model_out1 is not None else curve
-            )
-            # the pinned delays are constants: no bias can be passed in
+            assert not hasattr(pinned, "delay_model")
+            assert pinned.prop_delay_fs == delay_at_bias(params.delay_model, b)
+            # one delay, used on every output
+            assert not hasattr(pinned, "prop_delay_out1_fs")
+            # the pinned delay is a constant: no bias can be passed in
             assert not hasattr(pinned, "delay") and not hasattr(pinned, "delay_out1")
             assert (pinned.kind, pinned.setup_fs, pinned.hold_fs, pinned.min_separation_fs) == (
                 params.kind,
@@ -505,7 +491,6 @@ class TestAtBias:
     def test_constant_delay_cell_pins_to_itself(self):
         pinned = DRO.at_bias(bias("0.8"))
         assert pinned.prop_delay_fs == DRO.prop_delay_fs
-        assert pinned.prop_delay_out1_fs == DRO.prop_delay_fs
 
     def test_out_of_range_bias_is_refused(self):
         with pytest.raises(BiasRangeError):

@@ -8,15 +8,20 @@ import os
 import re
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import fluxloop
-from fluxloop import cli
+from fluxloop import (
+    FluxloopError, cli, default_cell_params, parse_config, run_program, scenario_address_sweep, sta, trace_to_csv,
+)
 from fluxloop.cli import (
     EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_RUN_FAILED, MAX_SWEEP_POINTS, main,
 )
+from fluxloop.core import CELL_NAMES, CELL_OVERRIDE_KEYS, CELL_OVERRIDES
+from fluxloop.timing import margin_sweep, margins_to_csv, sta_to_text
 
 WRITE_READ = [
     {"write": {"addr": 1, "bit": 1}, "reads": [1]},
@@ -305,6 +310,19 @@ class TestMargins:
             "500000000000,,,INFEASIBLE,INFEASIBLE\n"
         )
 
+    def test_a_repeated_frequency_is_one_frequency(self, write_config, capsys):
+        config = write_config()
+        runs = {}
+        for freqs in ("1THz", "1THz,1THz", "100GHz", "100GHz,100GHz"):
+            code = main(["margins", "--config", config, "--freqs", freqs])
+            runs[freqs] = code, capsys.readouterr()
+        # an infeasible frequency is an error however often it is given
+        assert runs["1THz"] == runs["1THz,1THz"]
+        code, captured = runs["1THz"]
+        assert code == EXIT_INFEASIBLE and captured.out == "" and captured.err.startswith("error: ")
+        assert runs["100GHz"] == runs["100GHz,100GHz"]
+        assert runs["100GHz"][0] == EXIT_OK
+
     def test_empty_frequency_list(self, write_config, capsys):
         code = main(["margins", "--config", write_config(), "--freqs", " "])
         err = capsys.readouterr().err
@@ -458,6 +476,57 @@ def test_refused_cell_override_names_the_field(write_config, write_program, caps
     captured = capsys.readouterr()
     assert code == EXIT_CONFIG
     assert captured.err == f"error: cells.merger.{field}: {message}\n"
+    assert captured.out == ""
+
+
+#: The value each cell override is changed to; a duration not listed here
+#: becomes the cell's default plus 500 fs.
+CHANGED_OVERRIDES = {
+    "prop_delay_out1": "3.5ps",
+    "min_separation": "12ps",
+    "bias_curve": [[0.7, 1.5], [1, 1], [1.3, 0.6]],
+    "operating_range": [0.9, 1.1],
+}
+#: Every (cell, key) pair a config could name: the keys some cell reads, plus
+#: the retired second-output delay.
+OVERRIDE_PAIRS = [(cell, key) for cell in CELL_NAMES for key in (*CELL_OVERRIDE_KEYS, "prop_delay_out1")]
+
+
+def _changed(cell: str, key: str):
+    return CHANGED_OVERRIDES.get(key) or getattr(default_cell_params()[cell], f"{key}_fs") + 500
+
+
+@lru_cache(maxsize=None)
+def _outputs(cells_json: str = "{}") -> tuple[str, ...]:
+    """The STA report on [0.87, 1.13], the margins at 50 and 100 GHz and the
+    address-sweep trace of a 100 GHz 3-address config with these cells."""
+    cfg = parse_config(f'{{"frequency": "100GHz", "num_addresses": 3, "cells": {cells_json}}}')
+    renders = (
+        lambda: sta_to_text(sta(cfg, "0.87", "1.13")),
+        lambda: margins_to_csv(margin_sweep(cfg, [50 * 10**9, 100 * 10**9])),
+        lambda: trace_to_csv(run_program(scenario_address_sweep(3), cfg).trace),
+    )
+    outputs = []
+    for render in renders:
+        try:
+            outputs.append(render())
+        except FluxloopError as exc:
+            outputs.append(f"error: {exc}")
+    return tuple(outputs)
+
+
+@pytest.mark.parametrize("cell, key", OVERRIDE_PAIRS, ids=[f"{cell}.{key}" for cell, key in OVERRIDE_PAIRS])
+def test_every_accepted_cell_override_moves_an_output(write_config, capsys, cell, key):
+    cells = {cell: {key: _changed(cell, key)}}
+    if key in CELL_OVERRIDES[cell]:
+        assert _outputs(json.dumps(cells)) != _outputs()
+        return
+    # a key the cell does not read would change nothing, so it is refused
+    code = main(["sta", "--config", write_config(cells=cells)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    valid = ", ".join(CELL_OVERRIDES[cell])
+    assert captured.err == f"error: cells.{cell}.{key}: unknown parameter (valid: {valid})\n"
     assert captured.out == ""
 
 

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fluxloop import SimConfig, serialize_config
 from fluxloop.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_RUN_FAILED, main
-from fluxloop.core import CELL_NAMES, CELL_OVERRIDE_KEYS
+from fluxloop.core import CELL_NAMES, CELL_OVERRIDE_KEYS, CELL_OVERRIDES
 from fluxloop.density import PRESETS
 
 #: 141 (a closed stdout) is left to ``TestClosedStdout``; argparse refuses
@@ -53,15 +53,26 @@ durations = mostly(
 )
 frequencies = mostly(frequency_texts | st.integers(10**9, 2 * 10**12), odd_frequency_texts | st.floats() | junk)
 counts = mostly(st.integers(1, 4), st.integers(-1, 0) | junk)  # num_addresses (at most 4), header_intervals
-overrides = st.dictionaries(
-    st.sampled_from(CELL_OVERRIDE_KEYS),
-    st.one_of(
-        durations,
-        st.sampled_from([[["0.8", 1.3], [1, 1], ["1.2", 0.7]], ["0.8", "1.2"], ["0.9", "1.1"]]),
-        st.lists(st.lists(ratios, max_size=3), max_size=4),  # a bias_curve
-        st.lists(ratios, max_size=3),  # an operating_range
+override_values = st.one_of(
+    durations,
+    st.sampled_from([[["0.8", 1.3], [1, 1], ["1.2", 0.7]], ["0.8", "1.2"], ["0.9", "1.1"]]),
+    st.lists(st.lists(ratios, max_size=3), max_size=4),  # a bias_curve
+    st.lists(ratios, max_size=3),  # an operating_range
+)
+
+
+def overrides(keys: tuple[str, ...]) -> st.SearchStrategy:
+    return st.dictionaries(st.sampled_from(keys), override_values, max_size=3)
+
+
+#: Up to two cells, each with keys it reads; the odd draw gives a cell any key.
+cell_overrides = mostly(
+    st.lists(st.sampled_from(CELL_NAMES), unique=True, max_size=2).flatmap(
+        lambda names: st.fixed_dictionaries({name: overrides(CELL_OVERRIDES[name]) for name in names})
     ),
-    max_size=3,
+    st.dictionaries(st.sampled_from(CELL_NAMES), overrides(CELL_OVERRIDE_KEYS), max_size=2)
+    | st.just({"bogus": {}})
+    | junk,
 )
 
 #: One value strategy per field ``core.parse_config`` reads.
@@ -76,7 +87,7 @@ CONFIG_VALUES = {
     "loop_delay": durations,
     "retiming_guard": durations,
     "loop_jitter": mostly(st.lists(durations, max_size=3), junk),
-    "cells": mostly(st.dictionaries(st.sampled_from(CELL_NAMES), overrides, max_size=2), st.just({"bogus": {}}) | junk),
+    "cells": cell_overrides,
     "max_events": mostly(st.integers(1, 5000), st.integers(-1, 0) | junk),
     "search_ceiling": frequencies,
 }

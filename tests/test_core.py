@@ -5,7 +5,9 @@ from __future__ import annotations
 import copy
 import json
 import pickle
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,6 +22,7 @@ from fluxloop import (
     trip_duration,
 )
 from fluxloop.core import (
+    CELL_OVERRIDES,
     FS_PER_SECOND,
     NOMINAL_BIAS,
     BiasPoint,
@@ -332,6 +335,24 @@ class TestParseConfig:
         doc = {"frequency": "100GHz", "num_addresses": 3, "cells": {"merger": {"speed": 3}}}
         with pytest.raises(ConfigError, match="cells.merger.speed"):
             parse_config(json.dumps(doc))
+
+    def test_a_library_config_may_set_a_key_the_parser_refuses(self):
+        doc = {"frequency": "100GHz", "num_addresses": 3, "cells": {"fanout": {"hold": "1ps"}}}
+        with pytest.raises(ConfigError, match=r"^cells\.fanout\.hold: unknown parameter"):
+            parse_config(json.dumps(doc))
+        cfg = SimConfig(frequency_hz=100 * GHZ, num_addresses=3, cell_overrides={"fanout": {"hold": 1000}})
+        assert cfg.cell_overrides["fanout"]["hold"] == 1000
+
+    def test_an_unknown_cell_is_named_whatever_its_keys(self):
+        for overrides in ({}, {"prop_delay": 1}):
+            doc = {"frequency": "100GHz", "num_addresses": 3, "cells": {"bogus": overrides}}
+            with pytest.raises(ConfigError, match=r"^cells\.bogus: unknown cell \(valid: write_dro, "):
+                parse_config(json.dumps(doc))
+
+    def test_readme_override_table_agrees_with_the_parser(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `(\w+)` +\| (`[^|]*`) +\|$", readme, re.M)
+        assert {cell: tuple(re.findall(r"`(\w+)`", keys)) for cell, keys in rows} == CELL_OVERRIDES
 
     def test_round_trip(self):
         doc = {

@@ -91,7 +91,7 @@ def _artifacts() -> dict[str, str]:
                         "bias_curve": [[0.7, 1.5], [1.0, 1.0], [1.3, 0.6]],
                         "operating_range": [0.7, 1.3],
                     },
-                    "read_dro2r": {"setup": "6ps", "prop_delay_out1": "2ps"},
+                    "read_dro2r": {"setup": "6ps"},
                 },
             }
         )
@@ -111,7 +111,7 @@ def _artifacts() -> dict[str, str]:
                 "num_addresses": 5,
                 "cells": {
                     "write_dro": {"prop_delay": "4ps"},
-                    "recirc_dro2r": {"prop_delay": "2.5ps", "prop_delay_out1": "3.5ps"},
+                    "recirc_dro2r": {"prop_delay": "2.5ps"},
                     "merger": {
                         "bias_curve": [[0.7, 1.5], [1.0, 1.0], [1.3, 0.6]],
                         "operating_range": [0.7, 1.3],

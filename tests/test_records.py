@@ -79,7 +79,7 @@ RECORDS = [
       "phase_data": Fraction(1, 2), "loop_delay_fs": None, "retiming_guard_fs": 2000, "loop_jitter_fs": (),
       "cell_overrides": {}, "max_events": 10_000_000, "search_ceiling_hz": 10**12}),
     (CellParams, {"kind": CellKind.DRO2R, "prop_delay_fs": 15, "delay_model": BiasDelayModel(KNOTS, Fraction(4, 5), Fraction(6, 5))},
-     {"setup_fs": 0, "hold_fs": 0, "prop_delay_out1_fs": None, "delay_model_out1": None, "min_separation_fs": 0}),
+     {"setup_fs": 0, "hold_fs": 0, "min_separation_fs": 0}),
     (TimingViolation, {"cell": "merger", "kind": ViolationKind.HOLD, "time_fs": 5, "detail": "d"}, {}),
     (BiasDelayModel, {"points": KNOTS, "range_lo": Fraction(4, 5), "range_hi": Fraction(6, 5)}, {}),
     (Connection, {"src": "a", "dst": "b"}, {"delay_fs": 0, "offset_schedule": (), "is_loop": False}),
@@ -144,8 +144,8 @@ REFUSALS = [
     (lambda: LineSpec(**{**SPEC, "spacing_nm": 0}), ValueError, "linewidth and spacing must be positive"),
     (lambda: LineSpec(**{**SPEC, "capacitance_ff_per_um": -1}), ValueError, "capacitance and inductance must be positive"),
     (lambda: LineSpec(**SPEC, layers=0), ValueError, "layers must be at least 1"),
-    # pinned, a negative delay on a second output would emit before its clock
-    (lambda: CellParams(CellKind.DRO2R, prop_delay_out1_fs=-1), ValueError, "propagation delay must be non-negative"),
+    # pinned, a negative delay would emit before its clock
+    (lambda: CellParams(CellKind.DRO2R, prop_delay_fs=-1), ValueError, "propagation delay must be non-negative"),
     # _make, and _replace through it, build through the checks of the constructor
     (lambda: BiasPoint._make([-1]), ValueError, "bias ratio must be positive"),
     (lambda: BiasPoint(Fraction(1))._replace(ratio=Fraction(0)), ValueError, "bias ratio must be positive"),

@@ -41,10 +41,10 @@ GHZ = 10**9
 #: to shift the whole design point from 100 GHz to exactly 50 GHz).
 DOUBLED = {
     "write_dro": {"prop_delay": 6000, "setup": 4000, "hold": 2000},
-    "recirc_dro2r": {"prop_delay": 6000, "prop_delay_out1": 6000, "setup": 6000, "hold": 2000},
+    "recirc_dro2r": {"prop_delay": 6000, "setup": 6000, "hold": 2000},
     "merger": {"prop_delay": 3000, "min_separation": 4000},
     "fanout": {"prop_delay": 1000},
-    "read_dro2r": {"prop_delay": 6000, "prop_delay_out1": 6000, "setup": 14000, "hold": 2000},
+    "read_dro2r": {"prop_delay": 6000, "setup": 14000, "hold": 2000},
 }
 
 ZEROED = {
