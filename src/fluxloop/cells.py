@@ -21,7 +21,8 @@ from functools import lru_cache
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .core import (
-    NOMINAL_BIAS, BiasPoint, ConfigError, FluxloopError, _freeze, format_ratio, round_half_up, validated_record,
+    CELLS, NOMINAL_BIAS, BiasPoint, CellKind, ConfigError, FluxloopError, _freeze, format_ratio,
+    normalize_cell_overrides, round_half_up, validated_record,
 )
 
 #: Default delay-vs-bias curve, as multipliers of the nominal delay.  The
@@ -36,15 +37,6 @@ DEFAULT_BIAS_CURVE: tuple[tuple[Fraction, Fraction], ...] = (
 )
 
 DEFAULT_OPERATING_RANGE: tuple[Fraction, Fraction] = (Fraction("0.76"), Fraction("1.24"))
-
-DEFAULT_MERGER_MIN_SEPARATION_FS = 2000
-
-
-class CellKind(enum.Enum):
-    DRO = "DRO"
-    DRO2R = "DRO2R"
-    MERGER = "MERGER"
-    FANOUT = "FANOUT"
 
 
 #: Each cell kind's input and output ports: the one definition that netlists
@@ -160,6 +152,8 @@ class CellParams(validated_record("CellParams", "kind prop_delay_fs setup_fs hol
             raise ValueError("setup and hold times must be non-negative")
         if prop_delay_fs < 0:
             raise ValueError("propagation delay must be non-negative")
+        if min_separation_fs < 0:
+            raise ValueError("minimum separation must be non-negative")
         if delay_model is not None:
             nominal = delay_at_bias(delay_model, NOMINAL_BIAS)
             if nominal != prop_delay_fs:
@@ -305,54 +299,35 @@ def stepper_for(kind: CellKind) -> Callable[..., Step]:
 
 # --- default cell set ------------------------------------------------------
 
-def _model(nominal_fs: int, overrides: Mapping[str, Any]) -> BiasDelayModel:
-    curve = overrides.get("bias_curve", DEFAULT_BIAS_CURVE)
-    operating_range = overrides.get("operating_range", DEFAULT_OPERATING_RANGE)
-    return BiasDelayModel.scaled(nominal_fs, curve, operating_range)
-
-
-#: (kind, nominal prop fs, setup fs, hold fs) per controller cell.  The
-#: read cell's setup + prop budget (10 ps) is the documented logic-path
-#: figure that pins the design's maximum frequency at 100 GHz.
-_DEFAULT_TIMINGS: dict[str, tuple[CellKind, int, int, int]] = {
-    "write_dro": (CellKind.DRO, 3000, 2000, 1000),
-    "recirc_dro2r": (CellKind.DRO2R, 3000, 3000, 1000),
-    "merger": (CellKind.MERGER, 1500, 0, 0),
-    "fanout": (CellKind.FANOUT, 500, 0, 0),
-    "read_dro2r": (CellKind.DRO2R, 3000, 7000, 1000),
-}
-
-
 def default_cell_params(cell_overrides: Mapping[str, Mapping[str, Any]] | None = None) -> dict[str, CellParams]:
-    """The calibrated default cell set, with per-instance overrides applied.
-
-    Overrides use the normalized form produced by config parsing: durations
-    in fs, ``bias_curve`` as (ratio, multiplier) knots, ``operating_range``
-    as a ratio pair (lists are accepted wherever tuples are).
+    """The controller's cells (``core.CELLS``) with per-instance overrides
+    applied, checked and normalized as a ``SimConfig``'s are.
 
     The cell set is built once per distinct overrides value (equal overrides
     held in distinct objects share one entry of a bounded cache).  Each call
     returns a new dict, so callers may add or replace entries freely; the
     frozen ``CellParams`` inside are shared between calls.
     """
-    return dict(_cell_set(_freeze(cell_overrides or {})))
+    return dict(_cell_set(_freeze(normalize_cell_overrides(cell_overrides or {}))))
 
 
 @lru_cache(maxsize=64)
 def _cell_set(frozen_overrides: tuple) -> dict[str, CellParams]:
-    """The cell set of one overrides value; a delay model the overrides make
-    invalid raises ``ConfigError`` naming the override at fault."""
-    cell_overrides = {name: dict(o) for name, o in frozen_overrides}
+    """The cell set of one normalized overrides value; a delay model the
+    overrides make invalid raises ``ConfigError`` naming the override at fault."""
+    cell_overrides = dict(frozen_overrides)
     out: dict[str, CellParams] = {}
-    for name, (kind, nominal, setup, hold) in _DEFAULT_TIMINGS.items():
-        o = cell_overrides.get(name, {})
-        prop = o.get("prop_delay", nominal)
-        separation = o.get("min_separation", DEFAULT_MERGER_MIN_SEPARATION_FS) if kind == CellKind.MERGER else 0
+    for name, (kind, nominal) in CELLS.items():
+        o = dict(cell_overrides.get(name, ()))
+        fs = {f"{key}_fs": o.get(key, value) for key, value in nominal.items()}
+        prop = fs["prop_delay_fs"]
         try:
             # a zero nominal cannot carry a strictly-decreasing curve; such
             # degenerate cells get a constant (bias-independent) delay instead
-            model = _model(prop, o) if prop > 0 else None
-            out[name] = CellParams(kind, prop, o.get("setup", setup), o.get("hold", hold), model, separation)
+            model = BiasDelayModel.scaled(
+                prop, o.get("bias_curve", DEFAULT_BIAS_CURVE), o.get("operating_range", DEFAULT_OPERATING_RANGE)
+            ) if prop > 0 else None
+            out[name] = CellParams(kind, delay_model=model, **fs)
         except ValueError as exc:
             raise ConfigError(f"cells.{name}.{_blamed_override(o)}", str(exc)) from None
     return out
@@ -360,9 +335,9 @@ def _cell_set(frozen_overrides: tuple) -> dict[str, CellParams]:
 
 #: Overrides a refused cell may be blamed on, most likely culprit first: the
 #: curve (its shape, 1.0 knot or span), the range the default curve must
-#: span, a nominal delay too short to keep the scaled knots apart, and a
-#: negative setup or hold (refused by config parsing, not by a SimConfig).
-_BLAME_ORDER = ("bias_curve", "operating_range", "prop_delay", "setup", "hold")
+#: span, and a nominal delay too short to keep the scaled knots apart.  (A
+#: negative duration never gets here: ``normalize_cell_overrides`` refuses it.)
+_BLAME_ORDER = ("bias_curve", "operating_range", "prop_delay")
 
 
 def _blamed_override(overrides: Mapping[str, Any]) -> str:

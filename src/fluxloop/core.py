@@ -10,6 +10,7 @@ becomes a timestamp.
 
 from __future__ import annotations
 
+import enum
 import json
 import re
 from collections import namedtuple
@@ -19,24 +20,29 @@ from typing import Any, Mapping
 
 FS_PER_SECOND = 10**15
 
-_CLOCKED_CELL_KEYS = ("prop_delay", "setup", "hold", "bias_curve", "operating_range")
 
-#: The overrides each controller cell reads, by cell instance name (fixed by
-#: the topology); a configuration document may set no other.  Only a merger
-#: checks a separation, and a merger or a fan-out checks no setup or hold.
-CELL_OVERRIDES: dict[str, tuple[str, ...]] = {
-    "write_dro": _CLOCKED_CELL_KEYS,
-    "recirc_dro2r": _CLOCKED_CELL_KEYS,
-    "merger": ("prop_delay", "min_separation", "bias_curve", "operating_range"),
-    "fanout": ("prop_delay", "bias_curve", "operating_range"),
-    "read_dro2r": _CLOCKED_CELL_KEYS,
+class CellKind(enum.Enum):
+    DRO = "DRO"
+    DRO2R = "DRO2R"
+    MERGER = "MERGER"
+    FANOUT = "FANOUT"
+
+
+#: The controller's cells by instance name (fixed by the topology): kind and
+#: nominal durations in fs, keyed by the override that sets each.  A cell reads
+#: those overrides, ``bias_curve`` and ``operating_range``, and no other.  The
+#: read cell's setup + prop budget (10 ps) pins the maximum frequency at 100 GHz.
+CELLS: dict[str, tuple[CellKind, dict[str, int]]] = {
+    "write_dro": (CellKind.DRO, {"prop_delay": 3000, "setup": 2000, "hold": 1000}),
+    "recirc_dro2r": (CellKind.DRO2R, {"prop_delay": 3000, "setup": 3000, "hold": 1000}),
+    "merger": (CellKind.MERGER, {"prop_delay": 1500, "min_separation": 2000}),
+    "fanout": (CellKind.FANOUT, {"prop_delay": 500}),
+    "read_dro2r": (CellKind.DRO2R, {"prop_delay": 3000, "setup": 7000, "hold": 1000}),
 }
 
-#: Cell instance names of the controller.
-CELL_NAMES = tuple(CELL_OVERRIDES)
-
-#: Every override key some cell reads.
-CELL_OVERRIDE_KEYS = tuple(dict.fromkeys(key for keys in CELL_OVERRIDES.values() for key in keys))
+#: The overrides each cell reads, and the controller's cell names.
+CELL_OVERRIDES = {name: (*nominal, "bias_curve", "operating_range") for name, (_, nominal) in CELLS.items()}
+CELL_NAMES = tuple(CELLS)
 
 #: quantity -> (suffix units, unit of a bare number, hint for an unknown unit)
 _QUANTITIES: dict[str, tuple[dict[str, int], str, str]] = {
@@ -102,11 +108,9 @@ def _ratio(value: Any, field_name: str, what: str = "ratio") -> Fraction:
         raise ConfigError(field_name, f"invalid {what} {value!r}") from None
 
 
-def _freeze(value: Any) -> Any:
-    """A hashable equal of an override value: mappings and lists become tuples."""
-    if isinstance(value, Mapping):
-        return tuple(sorted((key, _freeze(item)) for key, item in value.items()))
-    return tuple(map(_freeze, value)) if isinstance(value, (list, tuple)) else value
+def _freeze(overrides: Mapping[str, Mapping[str, Any]]) -> tuple:
+    """The hashable equal of normalized overrides: (cell, ((key, value), ...)) pairs, each level sorted."""
+    return tuple(sorted((name, tuple(sorted(o.items()))) for name, o in overrides.items()))
 
 
 def _ratio_to_json(value: Fraction) -> float | str:
@@ -226,10 +230,10 @@ class SimConfig(validated_record(
     """Validated run configuration shared by every module.
 
     A tuple, varied by ``cfg._replace(...)``, which validates like the
-    constructor.  ``cell_overrides`` holds normalized per-cell overrides
-    (durations in fs, curve knots as exact ratios) that the cell layer merges
-    over its defaults: a read-only copy (lists as tuples), so their hashable
-    equal ``frozen_overrides`` is computed once, into the instance dict.
+    constructor.  ``cell_overrides`` holds per-cell overrides, as
+    ``normalize_cell_overrides`` checks and normalizes them, that the cell
+    layer merges over ``CELLS``: a read-only copy, so their hashable equal
+    ``frozen_overrides`` is computed once, into the instance dict.
     """
 
     def __new__(
@@ -249,12 +253,10 @@ class SimConfig(validated_record(
             (retiming_guard_fs < 0, "retiming_guard", "must be non-negative"),
             (max_events < 1, "max_events", "must be positive"),
             (search_ceiling_hz <= 0, "search_ceiling", "must be positive"),
-            *((name not in CELL_NAMES, f"cells.{name}", f"unknown cell (valid: {', '.join(CELL_NAMES)})")
-              for name in cell_overrides),
         ):
             if failed:
                 raise ConfigError(field_name, problem)
-        overrides = {name: MappingProxyType({k: _freeze(v) for k, v in o.items()}) for name, o in cell_overrides.items()}
+        overrides = {name: MappingProxyType(o) for name, o in normalize_cell_overrides(cell_overrides).items()}
         fields = (frequency_hz, num_addresses, bias, header_intervals, phase_read, phase_write, phase_data, loop_delay_fs,
                   retiming_guard_fs, tuple(loop_jitter_fs), MappingProxyType(overrides), max_events, search_ceiling_hz)
         cfg = tuple.__new__(cls, fields)
@@ -290,38 +292,41 @@ def trip_duration(cfg: SimConfig) -> int:
 
 
 def _parse_curve(raw: Any, field_name: str) -> tuple[tuple[Fraction, Fraction], ...]:
-    if not isinstance(raw, list) or not raw:
+    if not isinstance(raw, (list, tuple)) or not raw:
         raise ConfigError(field_name, "expected a non-empty list of [ratio, multiplier] pairs")
     knots = []
     for i, pair in enumerate(raw):
-        if not isinstance(pair, list) or len(pair) != 2:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ConfigError(f"{field_name}[{i}]", "expected a [ratio, multiplier] pair")
         knots.append(tuple(_ratio(item, f"{field_name}[{i}]") for item in pair))
     return tuple(knots)
 
 
-def _parse_cell_overrides(raw: Any) -> dict[str, dict[str, Any]]:
-    if not isinstance(raw, dict):
+def _parse_range(raw: Any, field_name: str) -> tuple[Fraction, Fraction]:
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+        raise ConfigError(field_name, "expected [low, high] bias ratios")
+    return tuple(_ratio(item, field_name) for item in raw)
+
+
+def normalize_cell_overrides(raw: Any) -> dict[str, dict[str, Any]]:
+    """Per-cell overrides checked against ``CELLS`` and normalized (durations in
+    fs, exact ratios, tuples), alike from a document or a library ``SimConfig``."""
+    if not isinstance(raw, Mapping):
         raise ConfigError("cells", "expected an object of per-cell overrides")
     out: dict[str, dict[str, Any]] = {}
     for name, overrides in raw.items():
-        valid = CELL_OVERRIDES.get(name, CELL_OVERRIDE_KEYS)  # SimConfig names an unknown cell
-        if not isinstance(overrides, dict):
+        if name not in CELLS:
+            raise ConfigError(f"cells.{name}", f"unknown cell (valid: {', '.join(CELL_NAMES)})")
+        if not isinstance(overrides, Mapping):
             raise ConfigError(f"cells.{name}", "expected an object of parameter overrides")
-        entry: dict[str, Any] = {}
+        valid = CELL_OVERRIDES[name]
+        out[name] = entry = {}
         for key, value in overrides.items():
             qualified = f"cells.{name}.{key}"
             if key not in valid:
                 raise ConfigError(qualified, f"unknown parameter (valid: {', '.join(valid)})")
-            if key in ("prop_delay", "setup", "hold", "min_separation"):
-                entry[key] = parse_duration(value, qualified)
-            elif key == "bias_curve":
-                entry[key] = _parse_curve(value, qualified)
-            else:  # operating_range
-                if not isinstance(value, list) or len(value) != 2:
-                    raise ConfigError(qualified, "expected [low, high] bias ratios")
-                entry[key] = tuple(_ratio(item, qualified) for item in value)
-        out[name] = entry
+            parse = {"bias_curve": _parse_curve, "operating_range": _parse_range}.get(key, parse_duration)
+            entry[key] = parse(value, qualified)
     return out
 
 
@@ -382,7 +387,7 @@ def parse_config(text: str) -> SimConfig:
             parse_duration(item, f"loop_jitter[{i}]", allow_negative=True) for i, item in enumerate(raw)
         )
     if "cells" in doc:
-        kwargs["cell_overrides"] = _parse_cell_overrides(doc["cells"])
+        kwargs["cell_overrides"] = doc["cells"]
     if "max_events" in doc:
         kwargs["max_events"] = _integer(doc, "max_events")
     if "search_ceiling" in doc:

@@ -20,7 +20,7 @@ from fluxloop import (
 from fluxloop.cli import (
     EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_RUN_FAILED, MAX_SWEEP_POINTS, main,
 )
-from fluxloop.core import CELL_NAMES, CELL_OVERRIDE_KEYS, CELL_OVERRIDES
+from fluxloop.core import CELL_NAMES, CELL_OVERRIDES
 from fluxloop.timing import margin_sweep, margins_to_csv, sta_to_text
 
 WRITE_READ = [
@@ -489,7 +489,8 @@ CHANGED_OVERRIDES = {
 }
 #: Every (cell, key) pair a config could name: the keys some cell reads, plus
 #: the retired second-output delay.
-OVERRIDE_PAIRS = [(cell, key) for cell in CELL_NAMES for key in (*CELL_OVERRIDE_KEYS, "prop_delay_out1")]
+ALL_KEYS = tuple(dict.fromkeys(key for keys in CELL_OVERRIDES.values() for key in keys))
+OVERRIDE_PAIRS = [(cell, key) for cell in CELL_NAMES for key in (*ALL_KEYS, "prop_delay_out1")]
 
 
 def _changed(cell: str, key: str):

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fluxloop import SimConfig, serialize_config
 from fluxloop.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_RUN_FAILED, main
-from fluxloop.core import CELL_NAMES, CELL_OVERRIDE_KEYS, CELL_OVERRIDES
+from fluxloop.core import CELL_NAMES, CELL_OVERRIDES
 from fluxloop.density import PRESETS
 
 #: 141 (a closed stdout) is left to ``TestClosedStdout``; argparse refuses
@@ -66,11 +66,12 @@ def overrides(keys: tuple[str, ...]) -> st.SearchStrategy:
 
 
 #: Up to two cells, each with keys it reads; the odd draw gives a cell any key.
+ALL_KEYS = tuple(dict.fromkeys(key for keys in CELL_OVERRIDES.values() for key in keys))
 cell_overrides = mostly(
     st.lists(st.sampled_from(CELL_NAMES), unique=True, max_size=2).flatmap(
         lambda names: st.fixed_dictionaries({name: overrides(CELL_OVERRIDES[name]) for name in names})
     ),
-    st.dictionaries(st.sampled_from(CELL_NAMES), overrides(CELL_OVERRIDE_KEYS), max_size=2)
+    st.dictionaries(st.sampled_from(CELL_NAMES), overrides(ALL_KEYS), max_size=2)
     | st.just({"bogus": {}})
     | junk,
 )

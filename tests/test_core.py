@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fluxloop import (
@@ -23,6 +23,7 @@ from fluxloop import (
 )
 from fluxloop.core import (
     CELL_OVERRIDES,
+    CELLS,
     FS_PER_SECOND,
     NOMINAL_BIAS,
     BiasPoint,
@@ -336,12 +337,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="cells.merger.speed"):
             parse_config(json.dumps(doc))
 
-    def test_a_library_config_may_set_a_key_the_parser_refuses(self):
+    def test_a_library_config_refuses_a_key_the_parser_refuses(self):
         doc = {"frequency": "100GHz", "num_addresses": 3, "cells": {"fanout": {"hold": "1ps"}}}
-        with pytest.raises(ConfigError, match=r"^cells\.fanout\.hold: unknown parameter"):
+        with pytest.raises(ConfigError, match=r"^cells\.fanout\.hold: unknown parameter") as parsed:
             parse_config(json.dumps(doc))
-        cfg = SimConfig(frequency_hz=100 * GHZ, num_addresses=3, cell_overrides={"fanout": {"hold": 1000}})
-        assert cfg.cell_overrides["fanout"]["hold"] == 1000
+        with pytest.raises(ConfigError) as built:
+            SimConfig(frequency_hz=100 * GHZ, num_addresses=3, cell_overrides={"fanout": {"hold": 1000}})
+        assert str(built.value) == str(parsed.value)
 
     def test_an_unknown_cell_is_named_whatever_its_keys(self):
         for overrides in ({}, {"prop_delay": 1}):
@@ -353,6 +355,10 @@ class TestParseConfig:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         rows = re.findall(r"^\| `(\w+)` +\| (`[^|]*`) +\|$", readme, re.M)
         assert {cell: tuple(re.findall(r"`(\w+)`", keys)) for cell, keys in rows} == CELL_OVERRIDES
+
+    def test_the_cell_table_is_the_controller(self, cfg100):
+        kinds = {name: cell.kind for name, cell in build_controller(cfg100).cells.items()}
+        assert kinds == {name: kind for name, (kind, _) in CELLS.items()}
 
     def test_round_trip(self):
         doc = {
@@ -379,3 +385,78 @@ class TestParseConfig:
         assert json.loads(text)["bias"] == f"{10**400}/1"
         assert parse_config(text) == cfg
 
+
+# --- a library config and a document are one input ---------------------------
+
+_ratios = st.fractions(0, 2, max_denominator=1000) | st.floats(0, 2) | st.integers(0, 2)
+_pairs = st.tuples(_ratios, _ratios) | st.lists(_ratios, min_size=2, max_size=2)
+#: Every accepted form of each override: int fs, ratios as Fraction, float or
+#: int, sequences as lists or tuples.
+_ACCEPTED = {
+    "bias_curve": st.lists(_pairs, min_size=1, max_size=4).flatmap(lambda knots: st.sampled_from((knots, tuple(knots)))),
+    "operating_range": _pairs,
+}
+_table_overrides = st.fixed_dictionaries({}, optional={
+    name: st.fixed_dictionaries({}, optional={key: _ACCEPTED.get(key, st.integers(0, 10**6)) for key in keys})
+    for name, keys in CELL_OVERRIDES.items()
+})
+_ALL_KEYS = tuple(dict.fromkeys(key for keys in CELL_OVERRIDES.values() for key in keys))
+
+
+def _library_and_document(cells: dict) -> tuple[ConfigError, ConfigError | None]:
+    """The errors a library ``SimConfig`` and a document raise on these cells
+    (None for the document when a value is no JSON value)."""
+    with pytest.raises(ConfigError) as built:
+        SimConfig(frequency_hz=100 * GHZ, num_addresses=3, cell_overrides=cells)
+    try:
+        text = json.dumps({"frequency": "100GHz", "num_addresses": 3, "cells": cells})
+    except TypeError:  # a Fraction
+        return built.value, None
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(text)
+    return built.value, parsed.value
+
+
+@settings(max_examples=150)
+@given(overrides=_table_overrides)
+# floats given for a range are written back as exact ratios
+@example(overrides={"merger": {"operating_range": (0.8, 1.2)}})
+def test_a_library_config_round_trips_through_its_document(overrides):
+    cfg = SimConfig(frequency_hz=100 * GHZ, num_addresses=3, cell_overrides=overrides)
+    again = parse_config(serialize_config(cfg))
+    assert again == cfg and again.frozen_overrides == cfg.frozen_overrides
+    assert pickle.loads(pickle.dumps(cfg)) == cfg and cfg._replace() == cfg
+
+
+@given(
+    cell=st.sampled_from(tuple(CELL_OVERRIDES)) | st.just("bogus") | st.text(max_size=3),
+    key=st.sampled_from((*_ALL_KEYS, "prop_delay_out1")) | st.text(max_size=3),
+    value=st.integers(-5, 5) | st.text(max_size=3) | st.lists(st.integers(0, 2), max_size=2),
+)
+# an override the cell does not read
+@example(cell="fanout", key="hold", value=1000)
+# an unknown cell is named, not its key or its value
+@example(cell="bogus", key="speed", value=1)
+@example(cell="bogus", key="prop_delay", value="x")
+def test_an_override_outside_the_table_is_refused_alike(cell, key, value):
+    assume(key not in CELL_OVERRIDES.get(cell, ()))
+    built, parsed = _library_and_document({cell: {key: value}})
+    assert str(built) == str(parsed)
+    assert built.field == (f"cells.{cell}.{key}" if cell in CELL_OVERRIDES else f"cells.{cell}")
+
+
+@given(
+    pair=st.sampled_from([(cell, key) for cell, keys in CELL_OVERRIDES.items() for key in keys]),
+    value=st.integers(max_value=-1) | st.booleans() | st.sampled_from(["x", "3 s", None, [], [1], ["x", 1], [[1]]]),
+)
+# a negative hold is named, not the prop_delay beside it
+@example(pair=("write_dro", "hold"), value=-5)
+# a negative separation would turn the merger's collision check off
+@example(pair=("merger", "min_separation"), value=-5)
+# a duration is a count of fs or a string, not a Fraction
+@example(pair=("merger", "prop_delay"), value=Fraction(3, 2))
+def test_a_malformed_override_is_refused_when_built(pair, value):
+    cell, key = pair
+    built, parsed = _library_and_document({cell: {"prop_delay": 3000, key: value}})
+    assert re.fullmatch(rf"cells\.{cell}\.{key}(\[\d+\])?", built.field)
+    assert parsed is None or str(built) == str(parsed)

@@ -146,6 +146,9 @@ REFUSALS = [
     (lambda: LineSpec(**SPEC, layers=0), ValueError, "layers must be at least 1"),
     # pinned, a negative delay would emit before its clock
     (lambda: CellParams(CellKind.DRO2R, prop_delay_fs=-1), ValueError, "propagation delay must be non-negative"),
+    # a merger with a negative separation would never record a collision
+    (lambda: CellParams(CellKind.MERGER, 1500, min_separation_fs=-5), ValueError,
+     "minimum separation must be non-negative"),
     # _make, and _replace through it, build through the checks of the constructor
     (lambda: BiasPoint._make([-1]), ValueError, "bias ratio must be positive"),
     (lambda: BiasPoint(Fraction(1))._replace(ratio=Fraction(0)), ValueError, "bias ratio must be positive"),

@@ -25,7 +25,7 @@ from fluxloop import (
 )
 from fluxloop import cells, core, memory, timing
 from fluxloop.cells import default_cell_params, delay_at_bias
-from fluxloop.core import BiasPoint, exact_ratio, format_ratio, interval_duration, round_half_up
+from fluxloop.core import CELL_OVERRIDES, BiasPoint, exact_ratio, format_ratio, interval_duration, round_half_up
 from fluxloop.engine import RunawayQueueError
 from fluxloop.memory import build_controller, default_margin_suite, scenario_write_read, source_path_delays
 from fluxloop.timing import (
@@ -47,10 +47,9 @@ DOUBLED = {
     "read_dro2r": {"prop_delay": 6000, "setup": 14000, "hold": 2000},
 }
 
-ZEROED = {
-    name: {"prop_delay": 0, "setup": 0, "hold": 0}
-    for name in ("write_dro", "recirc_dro2r", "merger", "fanout", "read_dro2r")
-}
+#: Overrides that zero every duration but the merger's separation; merger and
+#: fan-out read no setup or hold, and theirs are 0 already.
+ZEROED = {name: {key: 0 for key in ("prop_delay", "setup", "hold") if key in keys} for name, keys in CELL_OVERRIDES.items()}
 
 
 class TestCharacterization:
@@ -362,12 +361,17 @@ class TestStaAgreesWithSimulation:
                 assert wider.worst().constraint.endswith("_" + limiter.lower())
 
 
-#: Per-cell overrides of the timing figures that sta and the simulator share.
-_drawn_overrides = st.dictionaries(
-    st.sampled_from(("write_dro", "recirc_dro2r", "merger", "fanout", "read_dro2r")),
-    st.dictionaries(st.sampled_from(("prop_delay", "setup", "hold")), st.integers(0, 8000), min_size=1),
-    min_size=1,
-    max_size=3,
+#: Per-cell overrides of the timing figures that sta and the simulator share,
+#: each drawn cell setting only those of them it reads.
+_drawn_overrides = st.lists(st.sampled_from(tuple(CELL_OVERRIDES)), min_size=1, max_size=3, unique=True).flatmap(
+    lambda names: st.fixed_dictionaries({
+        name: st.dictionaries(
+            st.sampled_from([key for key in ("prop_delay", "setup", "hold") if key in CELL_OVERRIDES[name]]),
+            st.integers(0, 8000),
+            min_size=1,
+        )
+        for name in names
+    })
 )
 
 
@@ -580,11 +584,15 @@ class TestStaMatchesReference:
         overrides={"merger": {"prop_delay": 2000}}, hz=100 * GHZ, edges=(Fraction("0.87"), Fraction("1.13")), loop_delay=None
     )
     @example(overrides={"read_dro2r": {"setup": 9000}}, hz=1000 * GHZ, edges=(None, None), loop_delay=None)
-    @example(overrides={"fanout": {"hold": 10}}, hz=100 * GHZ, edges=(Fraction("1.1"), Fraction("0.9")), loop_delay=5)
-    @example(overrides={"fanout": {"hold": 10}}, hz=100 * GHZ, edges=(Fraction("0.5"), Fraction("1.13")), loop_delay=None)
+    @example(overrides={"fanout": {"prop_delay": 500}}, hz=100 * GHZ, edges=(Fraction("1.1"), Fraction("0.9")), loop_delay=5)
+    @example(
+        overrides={"fanout": {"prop_delay": 500}}, hz=100 * GHZ, edges=(Fraction("0.5"), Fraction("1.13")), loop_delay=None
+    )
     @example(overrides={"merger": {"prop_delay": 1}}, hz=100 * GHZ, edges=(None, None), loop_delay=None)
     # read_setup and read_hold tie at -50 fs: worst() breaks the tie by name
-    @example(overrides={"fanout": {"hold": 0}}, hz=100 * GHZ, edges=(Fraction("0.86"), Fraction("1.14")), loop_delay=None)
+    @example(
+        overrides={"fanout": {"prop_delay": 500}}, hz=100 * GHZ, edges=(Fraction("0.86"), Fraction("1.14")), loop_delay=None
+    )
     def test_same_report_or_same_error(self, overrides, hz, edges, loop_delay):
         cfg = SimConfig(frequency_hz=hz, num_addresses=3, cell_overrides=overrides, loop_delay_fs=loop_delay)
         try:
