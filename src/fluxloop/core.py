@@ -281,9 +281,18 @@ class SimConfig(validated_record(
 
 
 def interval_duration(cfg: SimConfig) -> int:
-    """Duration of one address interval in fs (1/frequency, round half up)."""
+    """Duration of one address interval in fs (1/frequency, round half up).
+
+    A frequency above 2·10¹⁵ Hz, whose interval rounds to 0 fs, raises
+    ``InfeasibleFrequencyError``.
+    """
     # round_half_up(Fraction(FS_PER_SECOND, f)) in integer arithmetic
-    return (2 * FS_PER_SECOND + cfg.frequency_hz) // (2 * cfg.frequency_hz)
+    interval = (2 * FS_PER_SECOND + cfg.frequency_hz) // (2 * cfg.frequency_hz)
+    if not interval:
+        raise InfeasibleFrequencyError(
+            f"frequency {cfg.frequency_hz} Hz gives an address interval of 0 fs, below the 1 fs time resolution"
+        )
+    return interval
 
 
 def trip_duration(cfg: SimConfig) -> int:

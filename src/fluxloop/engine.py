@@ -18,24 +18,18 @@ bias) triple produce bit-identical traces.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from heapq import heappop, heappush
-from itertools import compress, cycle
+from itertools import compress, cycle, repeat
 from operator import eq
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .core import BiasPoint, FluxloopError, PulseEvent, format_ratio, validated_record
 from .cells import (
-    INPUT_PORTS,
-    OUTPUT_PORTS,
-    CellParams,
-    CellState,
-    PinnedCell,
-    TimingViolation,
-    ViolationKind,
-    stepper_for,
+    INPUT_PORTS, OUTPUT_PORTS, CellParams, CellState, PinnedCell, TimingViolation, ViolationKind, stepper_for,
 )
 
 
@@ -82,13 +76,8 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
 
     # no __slots__: the instance dict holds the cached wiring and pinned cells
 
-    def __new__(
-        cls,
-        cells: Mapping[str, CellParams],
-        connections: tuple[Connection, ...],
-        external_inputs: frozenset[str],
-        observed: tuple[str, ...],
-    ) -> "Netlist":
+    def __new__(cls, cells: Mapping[str, CellParams], connections: tuple[Connection, ...],
+                external_inputs: frozenset[str], observed: tuple[str, ...]) -> "Netlist":
         net = tuple.__new__(cls, (MappingProxyType(dict(cells)), connections, external_inputs, observed))
         _validate(net)
         return net
@@ -130,6 +119,11 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
         inputs = {line: rank[line] for line in self.external_inputs}
         return lines, inputs, routes, frozenset(rank[line] for line in driven & self.external_inputs)
 
+    @property
+    def lines(self) -> tuple[str, ...]:
+        """Every line a pulse can land on, by name: the table kernel keys rank lines in."""
+        return self._wiring[0]
+
     # Bounded: a margin search visits at most 101 ratios per netlist.
     @cached_property
     def _pinned(self) -> Callable[[Fraction], "PinnedNetlist"]:
@@ -157,8 +151,7 @@ class PinnedNetlist:
 
 def _pin(cells: Mapping[str, CellParams], ratio: Fraction) -> PinnedNetlist:
     bias = BiasPoint(ratio)
-    violations = []
-    pinned = {}
+    violations, pinned = [], {}
     for name in sorted(cells):
         params = cells[name]
         rng = params.operating_range()
@@ -168,11 +161,7 @@ def _pin(cells: Mapping[str, CellParams], ratio: Fraction) -> PinnedNetlist:
             violations.append(TimingViolation(name, ViolationKind.ELECTRICAL, 0, detail))
             at = BiasPoint(rng[0] if ratio < rng[0] else rng[1])  # the cell runs saturated at the range edge
         pinned[name] = params.at_bias(at)
-    return PinnedNetlist(
-        cells=MappingProxyType(pinned),
-        violations=tuple(violations),
-        zero_delay=any(p.prop_delay_fs == 0 for p in pinned.values()),
-    )
+    return PinnedNetlist(MappingProxyType(pinned), tuple(violations), any(p.prop_delay_fs == 0 for p in pinned.values()))
 
 
 def _is_port(endpoint: str) -> bool:
@@ -245,18 +234,31 @@ def _validate(net: Netlist) -> None:
             visit(node)
 
 
-class Trace(NamedTuple):
+class Trace(namedtuple("Trace", "keys lines violations observed t_end_fs bias")):
     """Everything one run produced: pulses on observed lines + violations.
 
-    ``events`` are in strictly increasing ``(time_fs, line)`` order: at most
-    one pulse per line and instant, time ascending, ties by line name.
+    ``keys`` holds each pulse as the kernel keys it: ``t * len(lines) + r``
+    for a pulse at t on ``lines[r]``, ``lines`` being the netlist's sorted
+    line table (:attr:`Netlist.lines`).  The keys ascend, so the pulses come
+    in strictly increasing ``(time_fs, line)`` order: at most one pulse per
+    line and instant.  ``events`` is the same pulses as ``PulseEvent``s,
+    derived on first read and kept; :meth:`from_events` builds a trace by hand.
     """
 
-    events: tuple[PulseEvent, ...]
-    violations: tuple[TimingViolation, ...]
-    observed: tuple[str, ...]
-    t_end_fs: int
-    bias: BiasPoint
+    # no __slots__: the instance dict keeps ``events`` once derived
+
+    @cached_property
+    def events(self) -> tuple[PulseEvent, ...]:
+        lines = self.lines
+        return tuple([tuple.__new__(PulseEvent, (t, lines[r])) for t, r in map(divmod, self.keys, repeat(len(lines)))])
+
+    @classmethod
+    def from_events(cls, events: Iterable[PulseEvent], violations: Iterable[TimingViolation], observed: tuple[str, ...],
+                    t_end_fs: int, bias: BiasPoint) -> "Trace":
+        """A trace built by hand from ``PulseEvent``s on observed lines."""
+        lines = tuple(sorted(observed))
+        keys = sorted(t * len(lines) + lines.index(line) for t, line in events)
+        return cls(tuple(keys), lines, tuple(violations), tuple(observed), t_end_fs, bias)
 
     @property
     def failed(self) -> bool:
@@ -265,31 +267,36 @@ class Trace(NamedTuple):
     def pulses_on(self, line: str) -> tuple[int, ...]:
         if line not in self.observed:
             raise UnknownLineError(f"line {line!r} is not observed by this trace")
-        return tuple([t for t, on in self.events if on == line])
+        n = len(self.lines)
+        rank = self.lines.index(line) if line in self.lines else None  # an observed line nothing drives
+        return tuple([k // n for k in self.keys if k % n == rank])
 
 
-class PreparedRun(NamedTuple):
-    """What ``schedule`` makes: a netlist, its sorted stimulus and each pulse's key."""
+class PreparedRun(validated_record("PreparedRun", "netlist keys")):
+    """A netlist and its stimulus as kernel keys on its external inputs
+    (see :class:`Trace`), sorted here; a duplicate pulse is refused.
+    ``schedule`` makes one from ``PulseEvent``s."""
 
-    netlist: Netlist
-    stimulus: tuple[PulseEvent, ...] = ()
-    keys: tuple[int, ...] = ()
+    __slots__ = ()
+
+    def __new__(cls, netlist: Netlist, keys: Iterable[int] = ()) -> "PreparedRun":
+        keys = sorted(keys)
+        # sorted, so a duplicate sits just before its equal
+        duplicate = next(compress(keys, map(eq, keys, keys[1:])), None)
+        if duplicate is not None:
+            t, rank = divmod(duplicate, len(netlist.lines))
+            raise DuplicatePulseError(f"duplicate pulse on {netlist.lines[rank]!r} at {t} fs")
+        return tuple.__new__(cls, (netlist, tuple(keys)))
 
 
-def schedule(netlist: Netlist, stimulus: list[PulseEvent]) -> PreparedRun:
+def schedule(netlist: Netlist, stimulus: Iterable[PulseEvent]) -> PreparedRun:
     """Load stimulus, rejecting pulses on undeclared lines and duplicates."""
-    lines, inputs, _, _ = netlist._wiring
-    n = len(lines)
-    ordered = tuple(sorted(stimulus))
+    inputs, n = netlist._wiring[1], len(netlist.lines)
     try:
-        keys = tuple([t * n + inputs[line] for t, line in ordered])
+        keys = [t * n + inputs[line] for t, line in stimulus]
     except KeyError as exc:
         raise UnknownLineError(f"line {exc.args[0]!r} is not a declared external input") from None
-    # sorted, so a duplicate sits just before its equal
-    duplicate = next(compress(ordered, map(eq, keys, keys[1:])), None)
-    if duplicate is not None:
-        raise DuplicatePulseError(f"duplicate pulse on {duplicate.line!r} at {duplicate.time_fs} fs")
-    return PreparedRun(netlist, ordered, keys)
+    return PreparedRun(netlist, keys)
 
 
 def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events: int = 10_000_000) -> Trace:
@@ -306,7 +313,7 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
     """
     if t_end_fs < 0:
         raise ValueError("t_end must be non-negative")
-    stimulus = prepared.stimulus
+    stimulus = prepared.keys
     if len(stimulus) > max_events:
         raise RunawayQueueError(f"stimulus of {len(stimulus)} pulses exceeds the bound of {max_events} events")
     net = prepared.netlist
@@ -323,35 +330,31 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
     # drives): an emission onto one merges into it, and the emitting cell
     # reports any collision.  With no zero delay every emission lands after
     # the current instant, so popped keys are discarded; with one they stay.
-    queued = {key for key in prepared.keys if key % n in contested} if contested else set()
+    queued = {key for key in stimulus if key % n in contested} if contested else set()
     prune = not pins.zero_delay
     heap: list[int] = []
     room = max_events - len(stimulus)  # a push may overflow only the heap's share
     end = t_end_fs * n  # above every key before t_end, at or below every other
-    walk = prepared.keys[: bisect_left(prepared.keys, end)] + (end,)
+    walk = stimulus[: bisect_left(stimulus, end)] + (end,)
     i = 0
     following = walk[0]
-    recorded: list[PulseEvent] = []
+    recorded: list[int] = []
 
     while True:
         if heap and heap[0] < following:
             key = heappop(heap)
             if prune:
                 queued.discard(key)
-            t, rank = divmod(key, n)
-            observed, consumers, taps = routes[rank]
-            if observed:
-                # every delay is non-negative and the stimulus is validated
-                recorded.append(tuple.__new__(PulseEvent, (t, lines[rank])))
         elif following < end:
-            t, rank = divmod(following, n)
-            observed, consumers, taps = routes[rank]
-            if observed:
-                recorded.append(stimulus[i])
+            key = following
             i += 1
             following = walk[i]
         else:
             break
+        t, rank = divmod(key, n)
+        observed, consumers, taps = routes[rank]
+        if observed:
+            recorded.append(key)
         for stepper, cell, params, state, port, outs in consumers:
             emissions, cell_violations = stepper(cell, params, state, port, t)
             if cell_violations:
@@ -384,14 +387,15 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
         # a zero-delay emission can land at the current instant on a line
         # that sorts before the one just popped
         recorded.sort()
-    return Trace(tuple(recorded), tuple(violations), net.observed, t_end_fs, bias)
+    return Trace(tuple(recorded), lines, tuple(violations), net.observed, t_end_fs, bias)
 
 
 def query_pulses(trace: Trace, line: str, t0: int, t1: int) -> tuple[int, ...]:
     """Pulse timestamps on ``line`` within the half-open window [t0, t1)."""
     if t0 >= t1:
         raise ValueError("query window must satisfy t0 < t1")
-    return tuple(t for t in trace.pulses_on(line) if t0 <= t < t1)
+    times = trace.pulses_on(line)  # in time order
+    return times[bisect_left(times, t0):bisect_left(times, t1)]
 
 
 # --- export ----------------------------------------------------------------
@@ -403,19 +407,19 @@ def trace_to_csv(trace: Trace) -> str:
     kind as the detail prefix.  Rows are sorted by time, pulses before
     violations at equal times.
     """
-    events = trace.events
-    pulse_rows = {line: f",{line},pulse," for line in trace.observed}
+    keys, n = trace.keys, len(trace.lines)
+    pulse_rows = [f",{line},pulse," for line in trace.lines]
     out = ["time_fs,line,kind,detail"]
     done = 0
     for time_fs, cell, detail in sorted((v.time_fs, v.cell, f"{v.kind.value}: {v.detail}") for v in trace.violations):
-        # events are (time, line)-ordered: the pulses up to this instant first
-        upto = bisect_left(events, (time_fs + 1,))
-        out += [f"{t}{pulse_rows[line]}" for t, line in events[done:upto]]
+        # keys are (time, line)-ordered: the pulses up to this instant first
+        upto = bisect_left(keys, (time_fs + 1) * n)
+        out += [f"{k // n}{pulse_rows[k % n]}" for k in keys[done:upto]]
         done = upto
         if "," in detail or '"' in detail:
             detail = '"' + detail.replace('"', '""') + '"'
         out.append(f"{time_fs},{cell},violation,{detail}")
-    out += [f"{t}{pulse_rows[line]}" for t, line in events[done:]]
+    out += [f"{k // n}{pulse_rows[k % n]}" for k in keys[done:]]
     return "\n".join(out) + "\n"
 
 
@@ -427,20 +431,21 @@ def trace_to_vcd(trace: Trace) -> str:
     out = ["$timescale 1fs $end", "$scope module fluxloop $end"]
     out += [f"$var wire 1 {ids[line]} {line} $end" for line in trace.observed]
     out += ["$upscope $end", "$enddefinitions $end", "#0"]
-    # events are (time, line)-ordered: the t=0 pulses set the initial levels,
-    # and each later pulse toggles its line
-    events = trace.events
-    start = bisect_left(events, (1,))
-    high = {line for _, line in events[:start]}
+    # keys are (time, line)-ordered and a t=0 pulse's key is its line's rank:
+    # the t=0 pulses set the initial levels, and each later pulse toggles its line
+    keys, lines, n = trace.keys, trace.lines, len(trace.lines)
+    start = bisect_left(keys, n)
+    high = {lines[rank] for rank in keys[:start]}
     out += [f"{int(line in high)}{ids[line]}" for line in trace.observed]
-    toggle = {
-        line: cycle((f"{int(line not in high)}{ids[line]}", f"{int(line in high)}{ids[line]}")).__next__
-        for line in trace.observed
-    }
+    toggle = [
+        cycle((f"{int(line not in high)}{ids[line]}", f"{int(line in high)}{ids[line]}")).__next__ if line in ids else None
+        for line in lines
+    ]
     t_prev = 0
-    for t, line in events[start:]:
+    for key in keys[start:]:
+        t = key // n
         if t != t_prev:
             t_prev = t
             out.append(f"#{t}")
-        out.append(toggle[line]())
+        out.append(toggle[key % n]())
     return "\n".join(out) + "\n"

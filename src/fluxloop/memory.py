@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from functools import lru_cache, partial
+from functools import lru_cache
+from itertools import repeat
 from typing import Any, Callable, Mapping, NamedTuple
 
 from .cells import (
@@ -33,16 +34,10 @@ from .core import (
     BiasPoint, ConfigError, InfeasibleFrequencyError, PulseEvent, SimConfig, interval_duration, trip_duration,
     validated_record,
 )
-from .engine import Connection, Netlist, PinnedNetlist, RunawayQueueError, Trace, run_until, schedule
+from .engine import Connection, Netlist, PinnedNetlist, PreparedRun, RunawayQueueError, Trace, run_until
 
 #: The externally driven lines.
-INPUT_LINES = (
-    "write_data",
-    "write_address",
-    "not_write_address",
-    "read_address",
-    "not_read_address",
-)
+INPUT_LINES = ("write_data", "write_address", "not_write_address", "read_address", "not_read_address")
 
 #: The signals recorded in every trace (the memory's observable surface).
 OBSERVED_LINES = INPUT_LINES + ("loop_data_in", "loop_data_out", "read_data")
@@ -89,9 +84,7 @@ class MemoryResult(NamedTuple):
         by_trip: dict[int, list[tuple[int, int]]] = {}
         for (trip, addr), bit in sorted(self.reads.items()):
             by_trip.setdefault(trip, []).append((addr, bit))
-        if not by_trip:
-            return []
-        return [by_trip.get(t, []) for t in range(max(by_trip) + 1)]
+        return [by_trip.get(t, []) for t in range(max(by_trip, default=-1) + 1)]
 
 
 def parse_program(text: str) -> MemoryProgram:
@@ -138,24 +131,17 @@ def _not_an_integer(field_name: str, value: Any) -> ConfigError:
 
 
 def serialize_program(program: MemoryProgram) -> str:
-    doc = {
-        "trips": [
-            {
-                "write": None if t.write is None else {"addr": t.write[0], "bit": t.write[1]},
-                "reads": list(t.reads),
-            }
-            for t in program.trips
-        ]
-    }
-    return json.dumps(doc, indent=2)
+    trips = [
+        {"write": None if t.write is None else {"addr": t.write[0], "bit": t.write[1]}, "reads": list(t.reads)}
+        for t in program.trips
+    ]
+    return json.dumps({"trips": trips}, indent=2)
 
 
 def _check_program(program: MemoryProgram, num_addresses: int) -> None:
     top = program.max_address()
     if top >= num_addresses:
-        raise ConfigError(
-            "program", f"address {top} out of range for num_addresses={num_addresses}"
-        )
+        raise ConfigError("program", f"address {top} out of range for num_addresses={num_addresses}")
 
 
 # --- timing helpers ---------------------------------------------------------
@@ -225,10 +211,8 @@ def build_controller(cfg: SimConfig) -> Netlist:
     jitter.  Configs that differ only in another field (bias, phases, event
     cap, search ceiling) share one netlist, from a bounded cache.
     """
-    return _compile(
-        cfg.frozen_overrides, cfg.frequency_hz, trip_duration(cfg), cfg.loop_delay_fs, cfg.retiming_guard_fs,
-        cfg.loop_jitter_fs,
-    )
+    return _compile(cfg.frozen_overrides, cfg.frequency_hz, trip_duration(cfg), cfg.loop_delay_fs, cfg.retiming_guard_fs,
+                    cfg.loop_jitter_fs)
 
 
 @lru_cache(maxsize=64)
@@ -264,12 +248,7 @@ def _compile(
         Connection("read_dro2r.out0", "read_data"),
         Connection("read_dro2r.out1", "read_discard"),
     )
-    return Netlist(
-        cells=cells,
-        connections=connections,
-        external_inputs=frozenset(INPUT_LINES),
-        observed=OBSERVED_LINES,
-    )
+    return Netlist(cells, connections, frozenset(INPUT_LINES), OBSERVED_LINES)
 
 
 def _check_stimulus_size(program: MemoryProgram, cfg: SimConfig) -> None:
@@ -284,39 +263,55 @@ def _check_pulse_count(size: int, cfg: SimConfig) -> None:
         raise RunawayQueueError(f"stimulus of {size} pulses exceeds the bound of {cfg.max_events} events")
 
 
-def stimulus_for(program: MemoryProgram, cfg: SimConfig) -> list[PulseEvent]:
-    """Temporally-encoded differential stimulus for a program.
+def _stimulus_keys(program: MemoryProgram, cfg: SimConfig, lines: tuple[str, ...]) -> list[int]:
+    """The program's stimulus as unsorted kernel keys ``t * len(lines) + r``
+    for a pulse at t on ``lines[r]`` (see ``engine.Trace``), from a program
+    already checked against the config.
 
     In every address interval exactly one of each complement pair fires;
-    write_data appears in the header only for trips writing a 1.  Pulses
-    come in time order (each interval's read before its write, as
-    ``phase_read < phase_write``), so the sort in ``schedule`` only has to
-    order pulses whose phases round to the same instant.  A program whose
-    stimulus alone exceeds ``cfg.max_events`` raises ``RunawayQueueError``
-    before any pulse is made.
+    write_data appears in the header only for trips writing a 1.
     """
+    if not program.trips:  # the size check bounds the quiet row below only through the trips
+        return []
+    n, rank = len(lines), lines.index
+    interval = interval_duration(cfg)
+    trip = trip_duration(cfg) * n
+    ph_read, ph_write, ph_data = phase_instants(cfg)
+    # a trip that writes and reads nothing, from its start: a read or a write
+    # moves the key of its interval's complement pulse onto the true line
+    quiet = []
+    for k in range(cfg.num_addresses):
+        slot = (cfg.header_intervals + k) * interval
+        quiet += ((slot + ph_read) * n + rank("not_read_address"), (slot + ph_write) * n + rank("not_write_address"))
+    to_read = rank("read_address") - rank("not_read_address")
+    to_write = rank("write_address") - rank("not_write_address")
+    data = ph_data * n + rank("write_data")
+    keys: list[int] = []
+    for t, op in enumerate(program.trips):
+        start = t * trip
+        row = [start + key for key in quiet]
+        for k in op.reads:
+            row[2 * k] += to_read
+        if op.write is not None:
+            row[2 * op.write[0] + 1] += to_write
+            if op.write[1] == 1:
+                keys.append(start + data)
+        keys += row
+    return keys
+
+
+def stimulus_for(program: MemoryProgram, cfg: SimConfig) -> list[PulseEvent]:
+    """The program's stimulus as ``PulseEvent``s in ``(time_fs, line)`` order:
+    the pulses of the keys ``prepare_program`` runs.  A program whose stimulus
+    alone exceeds ``cfg.max_events`` raises ``RunawayQueueError`` before any
+    pulse is made."""
     _check_program(program, cfg.num_addresses)
     _check_stimulus_size(program, cfg)
-    interval = interval_duration(cfg)
-    trip = trip_duration(cfg)
-    ph_read, ph_write, ph_data = phase_instants(cfg)
-    header = cfg.header_intervals * interval
-
+    lines = tuple(sorted(INPUT_LINES))
+    keys = sorted(_stimulus_keys(program, cfg, lines))
     # every instant is non-negative (SimConfig keeps the phases in [0, 1)),
     # so the pulses are made without PulseEvent's per-pulse check
-    pulse = partial(tuple.__new__, PulseEvent)
-    pulses: list[PulseEvent] = []
-    for t, op in enumerate(program.trips):
-        trip_start = t * trip
-        written, bit = op.write if op.write is not None else (None, 0)
-        if bit == 1:
-            pulses.append(pulse((trip_start + ph_data, "write_data")))
-        reads = set(op.reads)
-        for k in range(cfg.num_addresses):
-            slot = trip_start + header + k * interval
-            pulses.append(pulse((slot + ph_read, "read_address" if k in reads else "not_read_address")))
-            pulses.append(pulse((slot + ph_write, "write_address" if k == written else "not_write_address")))
-    return pulses
+    return [tuple.__new__(PulseEvent, (t, lines[r])) for t, r in map(divmod, keys, repeat(len(lines)))]
 
 
 def read_window_offset(pins: PinnedNetlist) -> int:
@@ -337,17 +332,17 @@ def prepare_program(program: MemoryProgram, cfg: SimConfig) -> Callable[..., Mem
     A read of address k in trip t reports 1 iff a read_data pulse lands in
     the one-interval window opening at that interval's release offset.
     """
-    stimulus = stimulus_for(program, cfg)  # checks the program before the controller compiles
-    prepared = schedule(build_controller(cfg), stimulus)
+    _check_program(program, cfg.num_addresses)  # the program and its size before the controller compiles
+    _check_stimulus_size(program, cfg)
+    net = build_controller(cfg)
+    prepared = PreparedRun(net, _stimulus_keys(program, cfg, net.lines))
     interval = interval_duration(cfg)
     trip = trip_duration(cfg)
     t_end = (len(program.trips) + 2) * trip
     _, ph_write, _ = phase_instants(cfg)
     first = cfg.header_intervals * interval + ph_write
     # (trip, address, write instant of that read's interval), one per read
-    read_slots = tuple(
-        (t, k, t * trip + first + k * interval) for t, op in enumerate(program.trips) for k in op.reads
-    )
+    read_slots = tuple((t, k, t * trip + first + k * interval) for t, op in enumerate(program.trips) for k in op.reads)
 
     def run(bias: BiasPoint, max_events: int = 10_000_000) -> MemoryResult:
         trace = run_until(prepared, t_end, bias, max_events)

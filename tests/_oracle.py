@@ -3,7 +3,8 @@
 Everything here is deliberately written along different routes than the
 package (decimal arithmetic instead of Fraction, per-centimeter unit
 chains instead of SI, closed-form pass/fail inequalities instead of event
-simulation) so that a shared bug cannot silently agree with itself.  The
+simulation, trace exports rendered from ``Trace.events`` instead of kernel
+keys) so that a shared bug cannot silently agree with itself.  The
 numeric literals frozen into the test suite were produced by these
 functions and cross-checked by hand before being committed.
 """
@@ -11,7 +12,11 @@ functions and cross-checked by hand before being committed.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import cycle
+
+from fluxloop import FluxloopError
 
 C_LIGHT = 2.998e8  # m/s
 
@@ -124,3 +129,48 @@ def density_mbit_cm2(
 def spacing_m(speed_factor: float, frequency_ghz: float) -> float:
     cm_per_s = speed_factor * C_LIGHT * 100.0
     return cm_per_s / (frequency_ghz * 1e9) / 100.0
+
+
+def trace_to_csv(trace) -> str:
+    """``engine.trace_to_csv`` rendered from the trace's ``PulseEvent``s."""
+    events = trace.events
+    pulse_rows = {line: f",{line},pulse," for line in trace.observed}
+    out = ["time_fs,line,kind,detail"]
+    done = 0
+    for time_fs, cell, detail in sorted((v.time_fs, v.cell, f"{v.kind.value}: {v.detail}") for v in trace.violations):
+        # events are (time, line)-ordered: the pulses up to this instant first
+        upto = bisect_left(events, (time_fs + 1,))
+        out += [f"{t}{pulse_rows[line]}" for t, line in events[done:upto]]
+        done = upto
+        if "," in detail or '"' in detail:
+            detail = '"' + detail.replace('"', '""') + '"'
+        out.append(f"{time_fs},{cell},violation,{detail}")
+    out += [f"{t}{pulse_rows[line]}" for t, line in events[done:]]
+    return "\n".join(out) + "\n"
+
+
+def trace_to_vcd(trace) -> str:
+    """``engine.trace_to_vcd`` rendered from the trace's ``PulseEvent``s."""
+    if len(trace.observed) > 94:
+        raise FluxloopError("too many observed lines for single-character VCD ids")
+    ids = {line: chr(33 + i) for i, line in enumerate(trace.observed)}
+    out = ["$timescale 1fs $end", "$scope module fluxloop $end"]
+    out += [f"$var wire 1 {ids[line]} {line} $end" for line in trace.observed]
+    out += ["$upscope $end", "$enddefinitions $end", "#0"]
+    # events are (time, line)-ordered: the t=0 pulses set the initial levels,
+    # and each later pulse toggles its line
+    events = trace.events
+    start = bisect_left(events, (1,))
+    high = {line for _, line in events[:start]}
+    out += [f"{int(line in high)}{ids[line]}" for line in trace.observed]
+    toggle = {
+        line: cycle((f"{int(line not in high)}{ids[line]}", f"{int(line in high)}{ids[line]}")).__next__
+        for line in trace.observed
+    }
+    t_prev = 0
+    for t, line in events[start:]:
+        if t != t_prev:
+            t_prev = t
+            out.append(f"#{t}")
+        out.append(toggle[line]())
+    return "\n".join(out) + "\n"

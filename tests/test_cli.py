@@ -124,6 +124,14 @@ class TestSimulate:
         assert code == EXIT_INFEASIBLE
         assert "does not fit" in err
 
+    def test_an_interval_below_1_fs_is_infeasible_not_a_duplicate_pulse(self, write_config, write_program, capsys):
+        config = write_config(frequency="3000THz", loop_delay="1fs")
+        message = "error: frequency 3000000000000000 Hz gives an address interval of 0 fs, below the 1 fs time resolution\n"
+        for argv in (["simulate", "--config", config, "--program", write_program(WRITE_READ)], ["sta", "--config", config]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (EXIT_INFEASIBLE, "", message)
+
     @pytest.mark.parametrize(
         "trips, field",
         [
@@ -309,6 +317,12 @@ class TestMargins:
             "200000000000,0,0,SETUP,SETUP\n"
             "500000000000,,,INFEASIBLE,INFEASIBLE\n"
         )
+
+    def test_an_interval_below_1_fs_marks_its_row_infeasible(self, write_config, capsys):
+        code = main(["margins", "--config", write_config(loop_delay="1fs"), "--freqs", "3000THz,100GHz"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == f"{3e6:>8g} {'--':>6} {'--':>6}  infeasible"
 
     def test_a_repeated_frequency_is_one_frequency(self, write_config, capsys):
         config = write_config()

@@ -181,8 +181,9 @@ WORKING_PROGRAM = json.dumps({"trips": [{"write": {"addr": 1, "bit": 1}, "reads"
 
 
 # One example per defect found so far: a bias too large for a float, a
-# density frequency too large for one, an unwritable output path, and a
-# search ceiling whose 1 GHz grid had 10^11 points.
+# density frequency too large for one, an unwritable output path, a search
+# ceiling whose 1 GHz grid had 10^11 points, and a frequency whose address
+# interval rounds to 0 fs.
 @settings(max_examples=200, deadline=None)
 @given(argv=argument_lists, config=config_texts, program=program_texts)
 @example(argv=["simulate", "--config", CONFIG, "--program", PROGRAM, "--bias", "1e400"],
@@ -192,6 +193,9 @@ WORKING_PROGRAM = json.dumps({"trips": [{"write": {"addr": 1, "bit": 1}, "reads"
          config=WORKING_CONFIG, program=WORKING_PROGRAM)
 @example(argv=["sta", "--config", CONFIG, "--find-max"],
          config=json.dumps({"frequency": "100GHz", "num_addresses": 3, "search_ceiling": "1e20Hz"}),
+         program=WORKING_PROGRAM)
+@example(argv=["margins", "--config", CONFIG, "--freqs", "3000THz,100GHz"],
+         config=json.dumps({"frequency": "3000THz", "num_addresses": 3, "loop_delay": "1fs"}),
          program=WORKING_PROGRAM)
 def test_the_cli_never_shows_a_traceback(tmp_path_factory, argv, config, program):
     directory = tmp_path_factory.mktemp("cli")

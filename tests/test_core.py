@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from fluxloop import (
     ConfigError,
+    InfeasibleFrequencyError,
     SimConfig,
     interval_duration,
     parse_config,
@@ -133,6 +134,13 @@ def test_parse_frequency_rejects_garbage():
 def test_interval_duration(freq_ghz, interval_fs):
     cfg = SimConfig(frequency_hz=freq_ghz * GHZ, num_addresses=3)
     assert interval_duration(cfg) == interval_fs
+
+
+def test_an_interval_that_rounds_to_0_fs_is_infeasible():
+    # 2·10¹⁵ Hz is the last frequency whose interval rounds half up to 1 fs
+    assert interval_duration(SimConfig(frequency_hz=2 * 10**15, num_addresses=3)) == 1
+    with pytest.raises(InfeasibleFrequencyError, match=r"^frequency 2000000000000001 Hz gives an address interval of 0 fs"):
+        interval_duration(SimConfig(frequency_hz=2 * 10**15 + 1, num_addresses=3))
 
 
 def test_trip_duration(cfg100):

@@ -10,7 +10,8 @@ from heapq import heappop, heappush
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fluxloop import FluxloopError, SimConfig, build_controller, cells, scenario_write_read, stimulus_for
+import _oracle
+from fluxloop import FluxloopError, SimConfig, build_controller, cells, run_program, scenario_write_read, stimulus_for
 from fluxloop.cells import BiasDelayModel, CellKind, CellParams, CellState, TimingViolation, ViolationKind, stepper_for
 from fluxloop.core import CELL_NAMES, NOMINAL_BIAS, BiasPoint, PulseEvent, trip_duration
 from fluxloop.engine import (
@@ -147,7 +148,8 @@ class TestSchedule:
 
     def test_sorts_stimulus(self):
         prepared = schedule(dro_netlist(), [PulseEvent(10, "din"), PulseEvent(2, "clk")])
-        assert prepared.stimulus == (PulseEvent(2, "clk"), PulseEvent(10, "din"))
+        # keyed t * 3 + rank over the sorted lines clk, din, out
+        assert prepared.keys == (2 * 3 + 0, 10 * 3 + 1)
 
 
 class TestRunUntil:
@@ -595,6 +597,79 @@ class TestKernelMatchesReference:
         self.check(build_controller(cfg), stimulus, (len(trips) + 2) * trip_duration(cfg), BiasPoint.of(ratio))
 
 
+dro_runs = st.builds(lambda p, s, h, stimulus, t_end: (dro_net(p, s, h), stimulus, t_end, NOMINAL_BIAS),
+                     delays, delays, delays, stimuli(("din", "clk")), instants)
+fanout_runs = st.builds(lambda f, m, stimulus, t_end: (fanout_net(f, m), stimulus, t_end, NOMINAL_BIAS),
+                        delays, delays, stimuli(("a", "p", "z")), instants)
+loop_runs = st.builds(
+    lambda p, s, loop, jitter, stimulus, t_end: (loop_net(p, s, loop, jitter), stimulus, t_end, NOMINAL_BIAS),
+    delays,
+    delays,
+    st.integers(1, 8).map(lambda k: 1000 * k),
+    st.lists(st.tuples(instants, st.integers(-1, 2).map(lambda k: 400 * k)), max_size=3),
+    stimuli(("x", "clk")),
+    instants,
+)
+
+
+def _controller_run(trips: list[TripOp], ratio: str) -> tuple:
+    cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
+    stimulus = stimulus_for(MemoryProgram(tuple(trips)), cfg)
+    return build_controller(cfg), stimulus, (len(trips) + 2) * trip_duration(cfg), BiasPoint.of(ratio)
+
+
+controller_runs = st.builds(
+    _controller_run,
+    st.lists(
+        st.builds(TripOp, st.none() | st.tuples(st.integers(0, 2), st.integers(0, 1)), st.sets(st.integers(0, 2)).map(tuple)),
+        min_size=1,
+        max_size=4,
+    ),
+    st.sampled_from(["0.5", "0.9", "1", "1.1"]),
+)
+
+
+#: Zero delays (the trace sorted at the end) with a merger violation.
+ZERO_DELAY_RUN = (fanout_net(0, 0), [(0, "z"), (500, "p"), (500, "z")], 2000, NOMINAL_BIAS)
+
+
+def _traced(net: Netlist, stimulus: list[tuple[int, str]], t_end: int, bias: BiasPoint) -> Trace:
+    return run_until(schedule(net, [PulseEvent(t, line) for t, line in stimulus]), t_end, bias)
+
+
+class TestExportsMatchReference:
+    """The key-based exports against ``_oracle``'s renderers of ``Trace.events``,
+    on kernel traces drawn as ``TestKernelMatchesReference`` draws them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dro_runs | fanout_runs | loop_runs | controller_runs)
+    # and a controller run whose cells all fail electrically at t=0
+    @example(ZERO_DELAY_RUN)
+    @example(_controller_run([TripOp(write=(1, 1), reads=(1,)), TripOp(reads=(0, 1))], "0.5"))
+    def test_exports_match_the_event_renderers(self, drawn):
+        trace = _traced(*drawn)
+        assert trace_to_csv(trace) == _oracle.trace_to_csv(trace)
+        assert trace_to_vcd(trace) == _oracle.trace_to_vcd(trace)
+
+    def test_the_zero_delay_example_runs_into_a_violation(self):
+        net, _, _, bias = ZERO_DELAY_RUN
+        assert net.at_bias(bias).zero_delay and _traced(*ZERO_DELAY_RUN).violations
+
+
+def test_the_simulate_path_derives_no_events():
+    cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
+    program = MemoryProgram((TripOp(write=(1, 1), reads=(1, 2)), TripOp(write=(2, 1), reads=(1,)), TripOp(reads=(2,))))
+    result = run_program(program, cfg)
+    trace = result.trace
+    trace_to_vcd(trace)
+    trace_to_csv(trace)
+    assert result.reads == {(0, 1): 1, (0, 2): 0, (1, 1): 1, (2, 2): 1}
+    assert "events" not in vars(trace)
+    reference = reference_run(build_controller(cfg), stimulus_for(program, cfg), trace.t_end_fs, cfg.bias)
+    assert (trace.events, trace.violations) == reference
+    assert "events" in vars(trace) and trace.events is trace.events
+
+
 class TestPulseEvent:
     def test_equality_and_hash_follow_the_fields(self):
         a = PulseEvent(10, "x")
@@ -665,7 +740,7 @@ class TestTraceQueries:
 
 
 class TestExports:
-    TRACE = Trace(
+    TRACE = Trace.from_events(
         events=(PulseEvent(0, "a"), PulseEvent(1500, "b")),
         violations=(
             TimingViolation("m", ViolationKind.ELECTRICAL, 1500, "inputs 1000 fs apart (min separation 2000 fs)"),
@@ -686,7 +761,7 @@ class TestExports:
         )
 
     def test_trace_to_vcd(self):
-        trace = Trace(
+        trace = Trace.from_events(
             events=(PulseEvent(0, "a"), PulseEvent(1500, "b"), PulseEvent(2000, "a")),
             violations=(),
             observed=("a", "b"),
@@ -710,7 +785,7 @@ class TestExports:
         )
 
     def test_vcd_line_budget(self):
-        trace = Trace(
+        trace = Trace.from_events(
             events=(),
             violations=(),
             observed=tuple(f"l{i}" for i in range(95)),

@@ -37,7 +37,7 @@ from fluxloop import (
     build_controller,
 )
 from fluxloop.density import DensityReport, DensityRow, FactorRow
-from fluxloop.engine import NetlistError, PreparedRun
+from fluxloop.engine import DuplicatePulseError, NetlistError, PreparedRun
 from fluxloop.timing import ArrivalWindow, SlackRow
 
 SRC = str(Path(fluxloop.__file__).resolve().parents[1])
@@ -68,7 +68,7 @@ def test_importing_the_cli_loads_no_dataclass_machinery_and_runs_pinned_cells():
 CFG = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
 NET = build_controller(CFG)
 KNOTS = ((Fraction(3, 4), 20), (Fraction(5, 4), 10))
-TRACE_FIELDS = {"events": (), "violations": (), "observed": ("read_data",), "t_end_fs": 10, "bias": BiasPoint(Fraction(1))}
+TRACE_FIELDS = {"keys": (), "lines": ("read_data",), "violations": (), "observed": ("read_data",), "t_end_fs": 10, "bias": BiasPoint(Fraction(1))}
 SPEC = {"name": "x", "linewidth_nm": 15, "spacing_nm": 120, "capacitance_ff_per_um": 0.04, "inductance_ph_per_um": 5467.0}
 
 #: Every record type, as (type, the fields given by keyword, the defaults of the others).
@@ -86,7 +86,7 @@ RECORDS = [
     (Netlist, {"cells": dict(NET.cells), "connections": NET.connections, "external_inputs": NET.external_inputs,
                "observed": NET.observed}, {}),
     (Trace, TRACE_FIELDS, {}),
-    (PreparedRun, {"netlist": NET}, {"stimulus": (), "keys": ()}),
+    (PreparedRun, {"netlist": NET}, {"keys": ()}),
     (TripOp, {}, {"write": None, "reads": ()}),
     (MemoryProgram, {"trips": (TripOp(write=(0, 1)),)}, {}),
     (MemoryResult, {"reads": {(0, 1): 1}, "trace": Trace(**TRACE_FIELDS), "passed": True}, {}),
@@ -161,6 +161,9 @@ REFUSALS = [
     (lambda: Netlist._make(({"a.b": NET.cells["merger"]}, (), frozenset(), ())), NetlistError,
      "cell name 'a.b' must not contain '.'"),
     (lambda: NET._replace(cells={"a.b": NET.cells["merger"]}), NetlistError, "cell name 'a.b' must not contain '.'"),
+    # 14 lines, of which not_read_address has rank 3
+    (lambda: PreparedRun(NET, [5 * 14 + 3, 3, 5 * 14 + 3]), DuplicatePulseError, "duplicate pulse on 'not_read_address' at 5 fs"),
+    (lambda: PreparedRun(NET)._replace(keys=(3, 3)), DuplicatePulseError, "duplicate pulse on 'not_read_address' at 0 fs"),
     (lambda: TripOp._make(((0, 1), (3, 3))), ConfigError, "reads[1]: duplicate read address within a trip"),
     (lambda: TripOp()._replace(write=(0, 5)), ConfigError, "write.bit: bit must be 0 or 1"),
     (lambda: LineSpec._make(tuple(SPEC.values()) + (0, None)), ValueError, "layers must be at least 1"),

@@ -288,13 +288,13 @@ class TestBiasMargin:
     def test_every_scenario_is_sized_before_any_stimulus_is_built(self, cfg100, monkeypatch):
         # the default suite's stimuli are 19, 25 and 27 pulses: only the last is over
         built = []
-        stimulus_for = memory.stimulus_for
+        stimulus_keys = memory._stimulus_keys
 
-        def spy(program, cfg):
+        def spy(program, cfg, lines):
             built.append(program)
-            return stimulus_for(program, cfg)
+            return stimulus_keys(program, cfg, lines)
 
-        monkeypatch.setattr(memory, "stimulus_for", spy)
+        monkeypatch.setattr(memory, "_stimulus_keys", spy)
         with pytest.raises(RunawayQueueError, match="stimulus of 27 pulses exceeds the bound of 26 events"):
             bias_margin(cfg100._replace(max_events=26))
         assert built == []
