@@ -40,9 +40,9 @@ DEFAULT_OPERATING_RANGE: tuple[Fraction, Fraction] = (Fraction("0.76"), Fraction
 
 
 #: Each cell kind's input and output ports: the one definition that netlists
-#: are validated against and the steppers check arrivals against.  A
+#: are validated against and ``stepper_for`` resolves arrivals against.  A
 #: storage kind lists ``data`` first, then its clocks, whose releases leave
-#: on the outputs in the same order.
+#: on the outputs in the same order (``RELEASES``).
 INPUT_PORTS: dict[CellKind, tuple[str, ...]] = {
     CellKind.DRO: ("data", "clock"),
     CellKind.DRO2R: ("data", "clock0", "clock1"),
@@ -55,6 +55,14 @@ OUTPUT_PORTS: dict[CellKind, tuple[str, ...]] = {
     CellKind.DRO2R: ("out0", "out1"),
     CellKind.MERGER: ("out",),
     CellKind.FANOUT: ("out_a", "out_b"),
+}
+
+#: The outputs a pulse into each input port releases on, per kind: a storage
+#: kind's data none and each clock its own output, a passive cell every output.
+RELEASES: dict[CellKind, dict[str, tuple[str, ...]]] = {
+    kind: dict(zip(ins, [()] + [(out,) for out in OUTPUT_PORTS[kind]])) if ins[0] == "data"
+    else dict.fromkeys(ins, OUTPUT_PORTS[kind])
+    for kind, ins in INPUT_PORTS.items()
 }
 
 
@@ -202,99 +210,75 @@ class CellState:
         self.last_in_fs: dict[str, int] = {}
 
 
-#: What a stepper returns: (emissions as (output port, time), violations).
-#: Both are tuples, and an empty one is the shared ``()``.
-Step = tuple[tuple[tuple[str, int], ...], tuple[TimingViolation, ...]]
+#: A stepper: ``step(cell, pinned, state, port, t, violations)``, with the cell
+#: pinned at the run's bias (``CellParams.at_bias``), appends any violation to
+#: the run's list and returns True iff the cell releases a pulse at
+#: ``t + pinned.prop_delay_fs`` on each output ``RELEASES[kind][port]`` names.
+Stepper = Callable[[str, PinnedCell, CellState, str, int, list], bool]
 
 
-def storage_step(cell: str, params: PinnedCell, state: CellState, port: str, t: int) -> Step:
-    """Advance a storage cell (DRO or DRO2R) by one input pulse.
+def store_step(cell: str, params: PinnedCell, state: CellState, port: str, t: int, violations: list) -> bool:
+    """Data into a storage cell (DRO or DRO2R), never a release: data on an
+    empty cell stores, data on a full cell is ignored (a storage loop holds at
+    most one flux quantum), and data within the hold window after a clock
+    records HOLD."""
+    last = state.last_clock_fs
+    state.stored = True
+    state.last_data_fs = t
+    if last is not None and 0 <= t - last < params.hold_fs:
+        detail = f"data {t - last} fs after clock (hold {params.hold_fs} fs)"
+        violations.append(TimingViolation(cell, ViolationKind.HOLD, t, detail))
+    return False
 
-    Data on an empty cell stores; data on a full cell is ignored (a storage
-    loop holds at most one flux quantum).  A clock on a full cell releases
-    the stored pulse on that clock's output after the cell's one propagation
-    delay; a clock on an empty cell is a no-op.  A DRO2R's two clock/output
-    pairs share one loop, so whichever clock arrives first claims the pulse.
-    Data within the hold window after a clock records HOLD; a clock within
-    the setup window after data records SETUP.
 
-    Like every stepper, it takes a cell pinned at the run's bias
-    (``CellParams.at_bias``), as the engine passes it.
-    """
-    if port == "data":
-        last = state.last_clock_fs
-        state.stored = True
-        state.last_data_fs = t
-        if last is not None and 0 <= t - last < params.hold_fs:
-            detail = f"data {t - last} fs after clock (hold {params.hold_fs} fs)"
-            return (), (TimingViolation(cell, ViolationKind.HOLD, t, detail),)
-        return (), ()
-    kind, out = _RELEASES.get(port, (None, None))
-    if kind is not params.kind:
-        raise ValueError(f"{params.kind.value} has no port {port!r}")
+def release_step(cell: str, params: PinnedCell, state: CellState, port: str, t: int, violations: list) -> bool:
+    """A clock into a storage cell: a full cell releases on that clock's
+    output, an empty one releases nothing.  A DRO2R's two clock/output pairs
+    share one loop, so whichever clock arrives first claims the pulse.  A
+    clock within the setup window after data records SETUP."""
     last = state.last_data_fs
-    violations = ()
     if last is not None and 0 <= t - last < params.setup_fs:
         detail = f"{port} {t - last} fs after data (setup {params.setup_fs} fs)"
-        violations = (TimingViolation(cell, ViolationKind.SETUP, t, detail),)
+        violations.append(TimingViolation(cell, ViolationKind.SETUP, t, detail))
     state.last_clock_fs = t
-    if state.stored:
-        state.stored = False
-        return ((out, t + params.prop_delay_fs),), violations
-    return (), violations
+    released = state.stored
+    state.stored = False
+    return released
 
 
-def merger_step(cell: str, params: PinnedCell, state: CellState, port: str, t: int) -> Step:
-    """Forward a pulse from either merger input to the output.
-
-    Pulses on opposite inputs closer than the minimum separation record an
-    ELECTRICAL collision (both pulses are still forwarded).
-    """
-    other = _MERGER_PEERS.get(port)
-    if other is None:
-        raise ValueError(f"merger has no port {port!r}")
-    last = state.last_in_fs.get(other)
+def merger_step(cell: str, params: PinnedCell, state: CellState, port: str, t: int, violations: list) -> bool:
+    """Forward a pulse from either merger input to the output.  Pulses on
+    opposite inputs closer than the minimum separation record an ELECTRICAL
+    collision (both pulses are still forwarded)."""
+    last = state.last_in_fs.get(_MERGER_PEERS[port])
     state.last_in_fs[port] = t
-    emitted = (("out", t + params.prop_delay_fs),)
     if last is not None and 0 <= t - last < params.min_separation_fs:
         detail = f"inputs {t - last} fs apart (min separation {params.min_separation_fs} fs)"
-        return emitted, (TimingViolation(cell, ViolationKind.ELECTRICAL, t, detail),)
-    return emitted, ()
+        violations.append(TimingViolation(cell, ViolationKind.ELECTRICAL, t, detail))
+    return True
 
 
-def fanout_step(cell: str, params: PinnedCell, state: CellState, port: str, t: int) -> Step:
+def fanout_step(cell: str, params: PinnedCell, state: CellState, port: str, t: int, violations: list) -> bool:
     """Ideal passive fan-out: one input pulse, one pulse on each output."""
-    if port != _FANOUT_INPUT:
-        raise ValueError(f"fanout has no port {port!r}")
-    t_out = t + params.prop_delay_fs
-    return (("out_a", t_out), ("out_b", t_out)), ()
+    return True
 
 
-# Per-pulse port lookups, resolved from the tables once (a CellKind key
-# costs a Python-level hash).  Storage clock -> (kind, output); clock names
-# differ between the storage kinds.
-_RELEASES = {
-    clock: (kind, out)
-    for kind in (CellKind.DRO, CellKind.DRO2R)
-    for clock, out in zip(INPUT_PORTS[kind][1:], OUTPUT_PORTS[kind])
-}
 _MERGER_PEERS = dict(zip(INPUT_PORTS[CellKind.MERGER], reversed(INPUT_PORTS[CellKind.MERGER])))
-(_FANOUT_INPUT,) = INPUT_PORTS[CellKind.FANOUT]
 
-_STEPPERS = {
-    CellKind.DRO: storage_step,
-    CellKind.DRO2R: storage_step,
-    CellKind.MERGER: merger_step,
-    CellKind.FANOUT: fanout_step,
-}
+#: Each kind's clock (or only) stepper; a storage kind's data goes to ``store_step``.
+_STEPPERS = {CellKind.DRO: release_step, CellKind.DRO2R: release_step,
+             CellKind.MERGER: merger_step, CellKind.FANOUT: fanout_step}
 
 
-def stepper_for(kind: CellKind) -> Callable[..., Step]:
-    """The behavioral step function of a cell kind."""
-    try:
-        return _STEPPERS[kind]
-    except KeyError:
-        raise ValueError(f"cell kind {kind} does not process pulses") from None
+def stepper_for(kind: CellKind, port: str) -> Stepper:
+    """The step function of a pulse into ``port`` of a ``kind`` cell,
+    resolved once per netlist, so a stepper checks neither port nor kind."""
+    if kind not in _STEPPERS:
+        raise ValueError(f"cell kind {kind} does not process pulses")
+    ports = INPUT_PORTS[kind]
+    if port not in ports:  # a storage kind is named by its kind, a passive cell by name
+        raise ValueError(f"{kind.value if ports[0] == 'data' else kind.value.lower()} has no port {port!r}")
+    return store_step if port == "data" else _STEPPERS[kind]
 
 
 # --- default cell set ------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .core import BiasPoint, FluxloopError, PulseEvent, format_ratio, validated_record
 from .cells import (
-    INPUT_PORTS, OUTPUT_PORTS, CellParams, CellState, PinnedCell, TimingViolation, ViolationKind, stepper_for,
+    INPUT_PORTS, OUTPUT_PORTS, RELEASES, CellParams, CellState, PinnedCell, TimingViolation, ViolationKind, stepper_for,
 )
 
 
@@ -71,7 +71,8 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
     ``cells`` is a read-only copy of the mapping given, since one netlist may
     serve many callers (``memory.build_controller`` memoizes).  The wiring is
     resolved once per netlist and each bias's pinned cells once per bias
-    (:meth:`at_bias`), so a run only builds fresh cell states.
+    (:meth:`at_bias`), so a run only builds its per-slot tables and fresh
+    cell states.
     """
 
     # no __slots__: the instance dict holds the cached wiring and pinned cells
@@ -92,8 +93,10 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
         rank there; each rank's route; the ranks of the inputs a cell or tap
         also drives).  The kernel keys a pulse at t on the line of rank r as
         ``t * len(lines) + r``, so int order is (time, line) order.  A route
-        is (observed?, its consumers as (stepper, cell, port, output port ->
-        rank), its taps as (delay, offset schedule, destination rank))."""
+        is (observed?, its consumers as (stepper, cell, port, the cell's slot
+        in name order, the ranks of the lines its release lands on), its taps
+        as (delay, offset schedule, destination rank)).  An output nothing
+        drives is dropped."""
         driven = {conn.dst for conn in self.connections if not _is_port(conn.dst)}
         lines = tuple(sorted(driven | self.external_inputs))
         rank = {line: r for r, line in enumerate(lines)}
@@ -108,14 +111,15 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
                 outs[cell][port] = rank[conn.dst]
             else:
                 taps.setdefault(conn.src, []).append((conn.delay_fs, conn.offset_schedule, rank[conn.dst]))
-        routes = tuple(
-            (
-                line in self.observed,
-                tuple((stepper_for(self.cells[c].kind), c, p, outs[c]) for c, p in sorted(ports_on.get(line, ()))),
-                tuple(taps.get(line, ())),
-            )
-            for line in lines
-        )
+        slot = {name: i for i, name in enumerate(_slot_order(self.cells))}
+
+        def consumer(cell: str, port: str) -> tuple:
+            kind, driven_outs = self.cells[cell].kind, outs[cell]
+            targets = tuple(driven_outs[out] for out in RELEASES[kind][port] if out in driven_outs)
+            return stepper_for(kind, port), cell, port, slot[cell], targets
+
+        consumers = {line: tuple(consumer(c, p) for c, p in sorted(ports)) for line, ports in ports_on.items()}
+        routes = tuple((line in self.observed, consumers.get(line, ()), tuple(taps.get(line, ()))) for line in lines)
         inputs = {line: rank[line] for line in self.external_inputs}
         return lines, inputs, routes, frozenset(rank[line] for line in driven & self.external_inputs)
 
@@ -126,17 +130,19 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
 
     # Bounded: a margin search visits at most 101 ratios per netlist.
     @cached_property
-    def _pinned(self) -> Callable[[Fraction], "PinnedNetlist"]:
+    def _pinned(self) -> Callable[[int, int], "PinnedNetlist"]:
         return lru_cache(maxsize=128)(partial(_pin, self.cells))
 
     def at_bias(self, bias: BiasPoint) -> "PinnedNetlist":
-        """Every cell pinned at the bias it runs at (cached per bias ratio)."""
-        return self._pinned(bias.ratio)
+        """Every cell pinned at the bias it runs at (cached per bias ratio,
+        keyed on its integers: a hit hashes no Fraction)."""
+        return self._pinned(*bias.ratio.as_integer_ratio())
 
 
 class PinnedNetlist:
     """A netlist's cells at one bias: constant delays, and the t=0
-    ELECTRICAL violations of cells whose range excludes the bias."""
+    ELECTRICAL violations of cells whose range excludes the bias.  It holds
+    no run state: a run brings its own."""
 
     # A slotted class, like PinnedCell: cheaper than a NamedTuple to define
     # at every CLI start.
@@ -149,10 +155,17 @@ class PinnedNetlist:
         self.zero_delay = zero_delay
 
 
-def _pin(cells: Mapping[str, CellParams], ratio: Fraction) -> PinnedNetlist:
+def _slot_order(cells: Mapping[str, CellParams]) -> list[str]:
+    """The cells' names in slot order: the order ``_pin`` pins them in (so
+    ELECTRICAL violations come in name order) and ``_wiring``'s slots index."""
+    return sorted(cells)
+
+
+def _pin(cells: Mapping[str, CellParams], num: int, den: int) -> PinnedNetlist:
+    ratio = Fraction(num, den)
     bias = BiasPoint(ratio)
     violations, pinned = [], {}
-    for name in sorted(cells):
+    for name in _slot_order(cells):
         params = cells[name]
         rng = params.operating_range()
         at = bias
@@ -255,9 +268,14 @@ class Trace(namedtuple("Trace", "keys lines violations observed t_end_fs bias"))
     @classmethod
     def from_events(cls, events: Iterable[PulseEvent], violations: Iterable[TimingViolation], observed: tuple[str, ...],
                     t_end_fs: int, bias: BiasPoint) -> "Trace":
-        """A trace built by hand from ``PulseEvent``s on observed lines."""
+        """A trace built by hand from ``PulseEvent``s on observed lines; a
+        pulse on any other line raises ``UnknownLineError``."""
         lines = tuple(sorted(observed))
-        keys = sorted(t * len(lines) + lines.index(line) for t, line in events)
+        rank = {line: r for r, line in enumerate(lines)}
+        try:
+            keys = sorted(t * len(lines) + rank[line] for t, line in events)
+        except KeyError as exc:
+            raise UnknownLineError(f"line {exc.args[0]!r} is not observed by this trace") from None
         return cls(tuple(keys), lines, tuple(violations), tuple(observed), t_end_fs, bias)
 
     @property
@@ -320,11 +338,11 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
     lines, _, routes, contested = net._wiring
     n = len(lines)
     pins = net.at_bias(bias)
-    states = {name: CellState() for name in net.cells}
-    routes = [
-        (observed, [(step, cell, pins.cells[cell], states[cell], port, outs) for step, cell, port, outs in entries], taps)
-        for observed, entries, taps in routes
-    ]
+    # per run, not per pin (a kept copy per bias costs memory, not time):
+    # the pinned cells by slot, each one's delay times n, and fresh states
+    slots = tuple(pins.cells.values())
+    delays_n = [pinned.prop_delay_fs * n for pinned in slots]
+    states = [CellState() for _ in slots]
     violations = list(pins.violations)
     # keys of the emitted pulses (and of stimulus on lines a cell or tap also
     # drives): an emission onto one merges into it, and the emitting cell
@@ -355,17 +373,13 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
         observed, consumers, taps = routes[rank]
         if observed:
             recorded.append(key)
-        for stepper, cell, params, state, port, outs in consumers:
-            emissions, cell_violations = stepper(cell, params, state, port, t)
-            if cell_violations:
-                violations.extend(cell_violations)
-            for out_port, t_out in emissions:
-                target = outs.get(out_port)
-                if target is not None:
-                    key = t_out * n + target
-                    if key not in queued:
-                        queued.add(key)
-                        heappush(heap, key)
+        for step, cell, port, slot, targets in consumers:
+            if step(cell, slots[slot], states[slot], port, t, violations):
+                for target in targets:
+                    emitted = key - rank + delays_n[slot] + target
+                    if emitted not in queued:
+                        queued.add(emitted)
+                        heappush(heap, emitted)
                         if len(heap) - i > room:
                             raise RunawayQueueError(f"event queue exceeded {max_events} events — runaway feedback")
         for delay, offsets, dst in taps:

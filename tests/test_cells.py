@@ -19,11 +19,13 @@ from fluxloop.cells import (
     CellParams,
     CellState,
     PinnedCell,
+    RELEASES,
     delay_at_bias,
     fanout_step,
     merger_step,
+    release_step,
     stepper_for,
-    storage_step,
+    store_step,
 )
 from fluxloop.core import BiasPoint
 from fluxloop.engine import Netlist
@@ -206,7 +208,18 @@ def test_operating_range_is_the_models_range():
     assert pinned_alone(no_model, "0.5") == (100, 0)
 
 
-# --- DRO -------------------------------------------------------------------
+# --- steppers ----------------------------------------------------------------
+
+
+def step(cell: str, params: PinnedCell, state: CellState, port: str, t: int) -> tuple[tuple, tuple]:
+    """One pulse through the stepper ``stepper_for`` resolves, as (the
+    pulses released, as (output port, time), on the outputs ``RELEASES``
+    names; the violations the stepper appended)."""
+    violations = []
+    released = stepper_for(params.kind, port)(cell, params, state, port, t, violations)
+    assert type(released) is bool
+    out = tuple((name, t + params.prop_delay_fs) for name in RELEASES[params.kind][port]) if released else ()
+    return out, tuple(violations)
 
 
 DRO = CellParams(kind=CellKind.DRO, prop_delay_fs=5000, setup_fs=2000, hold_fs=1000)
@@ -217,20 +230,23 @@ PINNED_DRO = DRO.at_bias(NOM)
 class TestDro:
     def test_store_then_release(self):
         state = CellState()
-        out, v = storage_step("d", PINNED_DRO, state, "data", 0)
+        out, v = step("d", PINNED_DRO, state, "data", 0)
         assert out == () and v == ()
         # second data pulse on a full cell is absorbed
-        out, v = storage_step("d", PINNED_DRO, state, "data", 3000)
+        out, v = step("d", PINNED_DRO, state, "data", 3000)
         assert out == () and v == ()
-        out, v = storage_step("d", PINNED_DRO, state, "clock", 20000)
+        violations = []
+        assert store_step("d", PINNED_DRO, state, "data", 3000, violations) is False
+        assert violations == []
+        out, v = step("d", PINNED_DRO, state, "clock", 20000)
         assert out == (("out", 25000),) and v == ()
         # cell is now empty: another clock releases nothing
-        out, v = storage_step("d", PINNED_DRO, state, "clock", 40000)
+        out, v = step("d", PINNED_DRO, state, "clock", 40000)
         assert out == () and v == ()
 
     def test_clock_on_empty_cell(self):
         state = CellState()
-        out, v = storage_step("d", PINNED_DRO, state, "clock", 100)
+        out, v = step("d", PINNED_DRO, state, "clock", 100)
         assert out == () and v == ()
 
     @pytest.mark.parametrize(
@@ -239,8 +255,8 @@ class TestDro:
     )
     def test_setup_boundary_is_strict(self, gap, ok):
         state = CellState()
-        storage_step("d", PINNED_DRO, state, "data", 10000)
-        out, v = storage_step("d", PINNED_DRO, state, "clock", 10000 + gap)
+        step("d", PINNED_DRO, state, "data", 10000)
+        out, v = step("d", PINNED_DRO, state, "clock", 10000 + gap)
         assert out == (("out", 10000 + gap + 5000),)
         if ok:
             assert v == ()
@@ -254,8 +270,8 @@ class TestDro:
     @pytest.mark.parametrize("gap, ok", [(1000, True), (999, False)])
     def test_hold_boundary_is_strict(self, gap, ok):
         state = CellState()
-        storage_step("d", PINNED_DRO, state, "clock", 5000)
-        out, v = storage_step("d", PINNED_DRO, state, "data", 5000 + gap)
+        step("d", PINNED_DRO, state, "clock", 5000)
+        out, v = step("d", PINNED_DRO, state, "data", 5000 + gap)
         assert out == ()
         if ok:
             assert v == ()
@@ -266,13 +282,13 @@ class TestDro:
 
     def test_hold_clean_example(self):
         state = CellState()
-        storage_step("d", PINNED_DRO, state, "clock", 5000)
-        out, v = storage_step("d", PINNED_DRO, state, "data", 8000)
+        step("d", PINNED_DRO, state, "clock", 5000)
+        out, v = step("d", PINNED_DRO, state, "data", 8000)
         assert out == () and v == ()
 
     def test_unknown_port(self):
-        with pytest.raises(ValueError, match="DRO has no port"):
-            storage_step("d", PINNED_DRO, CellState(), "clk2", 0)
+        with pytest.raises(ValueError, match="DRO has no port 'clk2'"):
+            stepper_for(CellKind.DRO, "clk2")
 
 
 # --- DRO2R -----------------------------------------------------------------
@@ -289,29 +305,29 @@ DRO2R = CellParams(
 class TestDro2r:
     def test_clock0_takes_out0(self):
         state = CellState()
-        storage_step("r", DRO2R, state, "data", 0)
-        out, v = storage_step("r", DRO2R, state, "clock0", 10000)
+        step("r", DRO2R, state, "data", 0)
+        out, v = step("r", DRO2R, state, "clock0", 10000)
         assert out == (("out0", 15000),) and v == ()
 
     def test_clock1_takes_out1_with_the_same_delay(self):
         state = CellState()
-        storage_step("r", DRO2R, state, "data", 0)
-        out, v = storage_step("r", DRO2R, state, "clock1", 15000)
+        step("r", DRO2R, state, "data", 0)
+        out, v = step("r", DRO2R, state, "clock1", 15000)
         assert out == (("out1", 20000),) and v == ()
         # the shared loop is now empty, so the other clock gets nothing
-        out, v = storage_step("r", DRO2R, state, "clock0", 30000)
+        out, v = step("r", DRO2R, state, "clock0", 30000)
         assert out == () and v == ()
 
     def test_setup_checked_on_both_clocks(self):
         state = CellState()
-        storage_step("r", DRO2R, state, "data", 0)
-        out, v = storage_step("r", DRO2R, state, "clock1", 500)
+        step("r", DRO2R, state, "data", 0)
+        out, v = step("r", DRO2R, state, "clock1", 500)
         assert out == (("out1", 5500),)
         assert v[0].detail == "clock1 500 fs after data (setup 2000 fs)"
 
     def test_unknown_port(self):
-        with pytest.raises(ValueError, match="DRO2R has no port"):
-            storage_step("r", DRO2R, CellState(), "clock", 0)
+        with pytest.raises(ValueError, match="DRO2R has no port 'clock'"):
+            stepper_for(CellKind.DRO2R, "clock")
 
 
 # --- merger / fanout ---------------------------------------------------------
@@ -320,17 +336,17 @@ class TestDro2r:
 def test_merger_forwards_each_input():
     params = CellParams(kind=CellKind.MERGER, prop_delay_fs=1500, min_separation_fs=2000).at_bias(NOM)
     state = CellState()
-    out, v = merger_step("m", params, state, "in0", 0)
+    out, v = step("m", params, state, "in0", 0)
     assert out == (("out", 1500),) and v == ()
-    out, v = merger_step("m", params, state, "in1", 10000)
+    out, v = step("m", params, state, "in1", 10000)
     assert out == (("out", 11500),) and v == ()
 
 
 def test_merger_collision_is_electrical_but_both_forward():
     params = CellParams(kind=CellKind.MERGER, prop_delay_fs=1500, min_separation_fs=2000).at_bias(NOM)
     state = CellState()
-    out0, v0 = merger_step("m", params, state, "in0", 0)
-    out1, v1 = merger_step("m", params, state, "in1", 1000)
+    out0, v0 = step("m", params, state, "in0", 0)
+    out1, v1 = step("m", params, state, "in1", 1000)
     assert out0 == (("out", 1500),) and v0 == ()
     assert out1 == (("out", 2500),)
     assert [(x.kind, x.time_fs, x.detail) for x in v1] == [
@@ -338,23 +354,50 @@ def test_merger_collision_is_electrical_but_both_forward():
     ]
     # same-port repeats do not collide
     fresh = CellState()
-    merger_step("m", params, fresh, "in1", 0)
-    out2, v2 = merger_step("m", params, fresh, "in1", 500)
+    step("m", params, fresh, "in1", 0)
+    out2, v2 = step("m", params, fresh, "in1", 500)
     assert out2 == (("out", 2000),) and v2 == ()
 
 
 def test_merger_unknown_port():
-    params = CellParams(kind=CellKind.MERGER, prop_delay_fs=1500).at_bias(NOM)
-    with pytest.raises(ValueError, match="merger has no port"):
-        merger_step("m", params, CellState(), "in2", 0)
+    with pytest.raises(ValueError, match="merger has no port 'in2'"):
+        stepper_for(CellKind.MERGER, "in2")
 
 
 def test_fanout_duplicates_pulse():
     params = CellParams(kind=CellKind.FANOUT, prop_delay_fs=500).at_bias(NOM)
-    out, v = fanout_step("f", params, CellState(), "in", 100)
+    out, v = step("f", params, CellState(), "in", 100)
     assert out == (("out_a", 600), ("out_b", 600)) and v == ()
-    with pytest.raises(ValueError, match="fanout has no port"):
-        fanout_step("f", params, CellState(), "out", 0)
+    with pytest.raises(ValueError, match="fanout has no port 'out'"):
+        stepper_for(CellKind.FANOUT, "out")
+
+
+def test_steppers_append_to_the_runs_violations_in_order():
+    params = CellParams(kind=CellKind.MERGER, prop_delay_fs=1500, min_separation_fs=2000).at_bias(NOM)
+    state, violations = CellState(), ["earlier"]
+    stepper_for(CellKind.MERGER, "in0")("m", params, state, "in0", 0, violations)
+    assert violations == ["earlier"]
+    assert stepper_for(CellKind.MERGER, "in1")("m", params, state, "in1", 700, violations) is True
+    stepper_for(CellKind.MERGER, "in0")("m", params, state, "in0", 900, violations)
+    assert violations[0] == "earlier"
+    assert [(v.time_fs, v.detail) for v in violations[1:]] == [
+        (700, "inputs 700 fs apart (min separation 2000 fs)"),
+        (900, "inputs 200 fs apart (min separation 2000 fs)"),
+    ]
+
+
+def test_releases_agree_with_the_port_tables():
+    assert RELEASES == {
+        CellKind.DRO: {"data": (), "clock": ("out",)},
+        CellKind.DRO2R: {"data": (), "clock0": ("out0",), "clock1": ("out1",)},
+        CellKind.MERGER: {"in0": ("out",), "in1": ("out",)},
+        CellKind.FANOUT: {"in": ("out_a", "out_b")},
+    }
+    for kind, ins in INPUT_PORTS.items():
+        # every input has an entry, and every output is released on by some input
+        assert tuple(RELEASES[kind]) == ins
+        assert {out for port in ins for out in RELEASES[kind][port]} == set(OUTPUT_PORTS[kind])
+    assert RELEASES.keys() == OUTPUT_PORTS.keys()
 
 
 @pytest.mark.parametrize("kind", list(CellKind))
@@ -363,16 +406,24 @@ def test_steppers_accept_and_emit_exactly_the_table_ports(kind):
     known = {port for table in (INPUT_PORTS, OUTPUT_PORTS) for ports in table.values() for port in ports}
     for port in sorted(known):
         if port in INPUT_PORTS[kind]:
-            out, _ = stepper_for(kind)("c", params, CellState(stored=True), port, 0)
-            assert {name for name, _ in out} <= set(OUTPUT_PORTS[kind])
+            released = stepper_for(kind, port)("c", params, CellState(stored=True), port, 0, [])
+            # a full storage cell releases on a clock, not on data; a passive cell always forwards
+            assert released is (RELEASES[kind][port] != ())
         else:
             with pytest.raises(ValueError, match="has no port"):
-                stepper_for(kind)("c", params, CellState(stored=True), port, 0)
+                stepper_for(kind, port)
 
 
 def test_stepper_for_dispatches_on_the_kind():
-    out, v = stepper_for(PINNED_DRO.kind)("d", PINNED_DRO, CellState(), "data", 0)
+    out, v = step("d", PINNED_DRO, CellState(), "data", 0)
     assert out == () and v == ()
+    assert stepper_for(PINNED_DRO.kind, "data") is store_step
+    assert stepper_for(CellKind.DRO2R, "data") is store_step
+    assert stepper_for(CellKind.DRO, "clock") is stepper_for(CellKind.DRO2R, "clock1") is release_step
+    assert stepper_for(CellKind.MERGER, "in1") is merger_step
+    assert stepper_for(CellKind.FANOUT, "in") is fanout_step
+    with pytest.raises(ValueError, match="does not process pulses"):
+        stepper_for("XOR", "in")  # type: ignore[arg-type]
 
 
 # --- default cell set --------------------------------------------------------

@@ -273,6 +273,20 @@ class TestRunUntil:
         info = net._pinned.cache_info()
         assert 0 < info.currsize <= info.maxsize
 
+    def test_the_per_bias_pins_hold_no_run_state(self):
+        # one controller netlist, its pins reused across interleaved biases
+        # (0.5 is outside every cell's range), against a fresh netlist per run
+        cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
+        net = build_controller(cfg)
+        stimulus = stimulus_for(scenario_write_read(1, 3), cfg)
+        t_end = 5 * trip_duration(cfg)
+        for ratio in ("0.9", "1.0", "1.1", "0.5", "1.0", "0.9", "0.5", "1.1", "0.9"):
+            fresh = Netlist(net.cells, net.connections, net.external_inputs, net.observed)
+            trace = run_until(schedule(net, stimulus), t_end, BiasPoint.of(ratio))
+            assert trace == run_until(schedule(fresh, stimulus), t_end, BiasPoint.of(ratio))
+            assert trace.events
+        assert net._pinned.cache_info().hits >= 5
+
 
 class TestNetlistCells:
     def test_cells_are_read_only(self):
@@ -459,6 +473,14 @@ class TestStimulusMerge:
         assert all(type(e) is PulseEvent for e in trace.events)
 
 
+#: the outputs a release from each input port lands on, written out here
+#: (not read from ``cells.RELEASES``) so the reference shares no table with the kernel
+REFERENCE_RELEASES = {
+    "data": (), "clock": ("out",), "clock0": ("out0",), "clock1": ("out1",),
+    "in0": ("out",), "in1": ("out",), "in": ("out_a", "out_b"),
+}
+
+
 def reference_run(net: Netlist, stimulus: list[tuple[int, str]], t_end: int, bias: BiasPoint) -> tuple[tuple, tuple]:
     """The kernel's contract, written naively: one heap of (t, line) keys
     holding every pulse, and every key ever queued remembered."""
@@ -478,12 +500,11 @@ def reference_run(net: Netlist, stimulus: list[tuple[int, str]], t_end: int, bia
         if line in net.observed:
             events.append((t, line))
         for cell, port in sorted(c.dst.split(".") for c in net.connections if c.src == line and "." in c.dst):
-            emitted, found = stepper_for(net.cells[cell].kind)(cell, pins.cells[cell], states[cell], port, t)
-            violations += found
-            for out, t_out in emitted:
-                for c in net.connections:
-                    if c.src == f"{cell}.{out}":
-                        push((t_out, c.dst))
+            if stepper_for(net.cells[cell].kind, port)(cell, pins.cells[cell], states[cell], port, t, violations):
+                for out in REFERENCE_RELEASES[port]:
+                    for c in net.connections:
+                        if c.src == f"{cell}.{out}":
+                            push((t + pins.cells[cell].prop_delay_fs, c.dst))
         for c in net.connections:
             if c.src == line and "." not in c.dst:
                 extra = [offset for start, offset in c.offset_schedule if start <= t]
@@ -737,6 +758,10 @@ class TestTraceQueries:
     def test_reruns_are_identical(self):
         pulses = [(0, "din"), (20000, "clk"), (30000, "din"), (50000, "clk")]
         assert run(dro_netlist(), pulses) == run(dro_netlist(), pulses)
+
+    def test_a_hand_built_trace_refuses_a_pulse_on_an_unobserved_line(self):
+        with pytest.raises(UnknownLineError, match="line 'c' is not observed"):
+            Trace.from_events((PulseEvent(0, "a"), PulseEvent(10, "c")), (), ("a", "b"), 100, NOMINAL_BIAS)
 
 
 class TestExports:
