@@ -88,15 +88,14 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
         return type(self), (dict(self.cells), self.connections, self.external_inputs, self.observed)
 
     @cached_property
-    def _wiring(self) -> tuple[tuple[str, ...], dict[str, int], tuple[tuple, ...], frozenset[int]]:
+    def _wiring(self) -> tuple[tuple[str, ...], dict[str, int], tuple[tuple, ...]]:
         """(every line a pulse can land on, by name; each external input's
-        rank there; each rank's route; the ranks of the inputs a cell or tap
-        also drives).  The kernel keys a pulse at t on the line of rank r as
-        ``t * len(lines) + r``, so int order is (time, line) order.  A route
-        is (observed?, its consumers as (stepper, cell, port, the cell's slot
-        in name order, the ranks of the lines its release lands on), its taps
-        as (delay, offset schedule, destination rank)).  An output nothing
-        drives is dropped."""
+        rank there; each rank's route).  The kernel keys a pulse at t on the
+        line of rank r as ``t * len(lines) + r``, so int order is (time, line)
+        order.  A route is (observed?, its consumers as (stepper, cell, port,
+        the cell's slot in name order, the ranks of the lines its release
+        lands on), its taps as (delay, offset schedule, destination rank)).
+        An output nothing drives is dropped."""
         driven = {conn.dst for conn in self.connections if not _is_port(conn.dst)}
         lines = tuple(sorted(driven | self.external_inputs))
         rank = {line: r for r, line in enumerate(lines)}
@@ -120,8 +119,7 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
 
         consumers = {line: tuple(consumer(c, p) for c, p in sorted(ports)) for line, ports in ports_on.items()}
         routes = tuple((line in self.observed, consumers.get(line, ()), tuple(taps.get(line, ()))) for line in lines)
-        inputs = {line: rank[line] for line in self.external_inputs}
-        return lines, inputs, routes, frozenset(rank[line] for line in driven & self.external_inputs)
+        return lines, {line: rank[line] for line in self.external_inputs}, routes
 
     @property
     def lines(self) -> tuple[str, ...]:
@@ -191,7 +189,7 @@ def _validate(net: Netlist) -> None:
         if "." in name:
             raise NetlistError(f"cell name {name!r} must not contain '.'")
 
-    input_drivers: dict[tuple[str, str], str] = {}
+    wired: set[str] = set()  # the cell ports joined to a line so far: each joins one
     for conn in net.connections:
         for endpoint in (conn.src, conn.dst):
             if _is_port(endpoint):
@@ -210,13 +208,16 @@ def _validate(net: Netlist) -> None:
                 raise NetlistError(f"{conn.dst} is not an input port")
             if conn.delay_fs != 0 or conn.offset_schedule:
                 raise NetlistError(f"{conn.src} -> {conn.dst}: line-to-port wiring must have zero delay")
-            if (cell, port) in input_drivers:
+            if conn.dst in wired:
                 raise NetlistError(f"input port {conn.dst} has more than one driver")
-            input_drivers[(cell, port)] = conn.src
+            wired.add(conn.dst)
         elif _is_port(conn.src):
             cell, port = _split_port(conn.src)
             if port not in OUTPUT_PORTS[net.cells[cell].kind]:
                 raise NetlistError(f"{conn.src} is not an output port")
+            if conn.src in wired:
+                raise NetlistError(f"output port {conn.src} drives more than one line")
+            wired.add(conn.src)
         elif conn.delay_fs <= 0 and not conn.is_loop:
             raise NetlistError(f"line tap {conn.src} -> {conn.dst} needs a positive delay")
         starts = [s for s, _ in conn.offset_schedule]
@@ -325,9 +326,11 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
     the nearest range edge, so the trace remains collectible while the run
     is marked failed.
 
-    The sorted stimulus is walked in place, merged with a heap of the pulses
-    cells and taps emit.  ``max_events`` bounds the pending pulses: the heap
-    plus the stimulus not yet walked.
+    The sorted stimulus is walked in place and merged with a heap of the
+    pulses cells and taps emit; a pulse equal to one processed merges into
+    it.  ``max_events`` bounds the pending pulses: the heap (where a release
+    equal to a pending pulse waits until it pops and merges) plus the
+    stimulus not yet walked.
     """
     if t_end_fs < 0:
         raise ValueError("t_end must be non-negative")
@@ -335,7 +338,7 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
     if len(stimulus) > max_events:
         raise RunawayQueueError(f"stimulus of {len(stimulus)} pulses exceeds the bound of {max_events} events")
     net = prepared.netlist
-    lines, _, routes, contested = net._wiring
+    lines, _, routes = net._wiring
     n = len(lines)
     pins = net.at_bias(bias)
     # per run, not per pin (a kept copy per bias costs memory, not time):
@@ -344,14 +347,13 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
     delays_n = [pinned.prop_delay_fs * n for pinned in slots]
     states = [CellState() for _ in slots]
     violations = list(pins.violations)
-    # keys of the emitted pulses (and of stimulus on lines a cell or tap also
-    # drives): an emission onto one merges into it, and the emitting cell
-    # reports any collision.  With no zero delay every emission lands after
-    # the current instant, so popped keys are discarded; with one they stay.
-    queued = {key for key in stimulus if key % n in contested} if contested else set()
-    prune = not pins.zero_delay
+    # with no zero delay every push lands after the current key, so a
+    # duplicate pops right after its equal (the walk wins a tie); a zero delay
+    # can land one at the current instant below it, so then keep each processed key
+    processed = set() if pins.zero_delay else None
+    last = -1
     heap: list[int] = []
-    room = max_events - len(stimulus)  # a push may overflow only the heap's share
+    room = max_events - len(stimulus)  # the heap may outgrow the stimulus walked by this much
     end = t_end_fs * n  # above every key before t_end, at or below every other
     walk = stimulus[: bisect_left(stimulus, end)] + (end,)
     i = 0
@@ -359,16 +361,23 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
     recorded: list[int] = []
 
     while True:
+        if len(heap) - i > room:  # only a push adds a pending pulse: this follows the key that overflowed
+            raise RunawayQueueError(f"event queue exceeded {max_events} events — runaway feedback")
         if heap and heap[0] < following:
             key = heappop(heap)
-            if prune:
-                queued.discard(key)
         elif following < end:
             key = following
             i += 1
             following = walk[i]
         else:
             break
+        if key == last:
+            continue
+        last = key
+        if processed is not None:
+            if key in processed:
+                continue
+            processed.add(key)
         t, rank = divmod(key, n)
         observed, consumers, taps = routes[rank]
         if observed:
@@ -376,12 +385,7 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
         for step, cell, port, slot, targets in consumers:
             if step(cell, slots[slot], states[slot], port, t, violations):
                 for target in targets:
-                    emitted = key - rank + delays_n[slot] + target
-                    if emitted not in queued:
-                        queued.add(emitted)
-                        heappush(heap, emitted)
-                        if len(heap) - i > room:
-                            raise RunawayQueueError(f"event queue exceeded {max_events} events — runaway feedback")
+                    heappush(heap, key - rank + delays_n[slot] + target)
         for delay, offsets, dst in taps:
             arrival = t + delay
             if offsets:  # the offset of the last entry starting at or before t
@@ -390,16 +394,9 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
             if arrival <= t:
                 detail = f"effective delay must stay positive (got {arrival - t} fs at t={t})"
                 raise FluxloopError(f"tap {lines[rank]} -> {lines[dst]}: {detail}")
-            key = arrival * n + dst
-            if key not in queued:
-                queued.add(key)
-                heappush(heap, key)
-                if len(heap) - i > room:
-                    raise RunawayQueueError(f"event queue exceeded {max_events} events — runaway feedback")
+            heappush(heap, arrival * n + dst)
 
-    if pins.zero_delay:
-        # a zero-delay emission can land at the current instant on a line
-        # that sorts before the one just popped
+    if processed is not None:  # a zero-delay release may sort before the key that made it
         recorded.sort()
     return Trace(tuple(recorded), lines, tuple(violations), net.observed, t_end_fs, bias)
 

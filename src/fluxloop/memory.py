@@ -323,11 +323,11 @@ def read_window_offset(pins: PinnedNetlist) -> int:
     return min(source_path_delays(pins.cells)) + pins.cells["read_dro2r"].prop_delay_fs
 
 
-def prepare_program(program: MemoryProgram, cfg: SimConfig) -> Callable[..., MemoryResult]:
+def prepare_program(program: MemoryProgram, cfg: SimConfig) -> Callable[[BiasPoint], MemoryResult]:
     """Everything of a run that does not depend on bias (the controller, the
     scheduled stimulus, the end time and each read's decode slot), as a
-    function ``run(bias, max_events=10_000_000)`` that simulates at ``bias``
-    and decodes the reads from the read_data line.
+    function ``run(bias)`` that simulates at ``bias``, bounded by
+    ``cfg.max_events``, and decodes the reads from the read_data line.
 
     A read of address k in trip t reports 1 iff a read_data pulse lands in
     the one-interval window opening at that interval's release offset.
@@ -344,8 +344,8 @@ def prepare_program(program: MemoryProgram, cfg: SimConfig) -> Callable[..., Mem
     # (trip, address, write instant of that read's interval), one per read
     read_slots = tuple((t, k, t * trip + first + k * interval) for t, op in enumerate(program.trips) for k in op.reads)
 
-    def run(bias: BiasPoint, max_events: int = 10_000_000) -> MemoryResult:
-        trace = run_until(prepared, t_end, bias, max_events)
+    def run(bias: BiasPoint) -> MemoryResult:
+        trace = run_until(prepared, t_end, bias, cfg.max_events)
         offset = read_window_offset(prepared.netlist.at_bias(bias))
         read_times = trace.pulses_on("read_data")  # in time order
         reads: dict[tuple[int, int], int] = {}
@@ -361,7 +361,7 @@ def prepare_program(program: MemoryProgram, cfg: SimConfig) -> Callable[..., Mem
 def run_program(program: MemoryProgram, cfg: SimConfig) -> MemoryResult:
     """Simulate a program at the config's bias and decode its reads
     (see :func:`prepare_program`)."""
-    return prepare_program(program, cfg)(cfg.bias, cfg.max_events)
+    return prepare_program(program, cfg)(cfg.bias)
 
 
 def oracle(program: MemoryProgram, num_addresses: int) -> dict[tuple[int, int], int]:

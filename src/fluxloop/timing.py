@@ -323,10 +323,9 @@ class MarginReport(NamedTuple):
 
 
 def _suite_failure(
-    scenarios: Sequence[Callable[..., MemoryResult]],
+    scenarios: Sequence[Callable[[BiasPoint], MemoryResult]],
     expected: Sequence[dict[tuple[int, int], int]],
     bias: BiasPoint,
-    max_events: int,
 ) -> str | None:
     """First failure cause across the suite at this bias, else None.
 
@@ -337,7 +336,7 @@ def _suite_failure(
     violations = []
     wrong = False
     for scenario, want in zip(scenarios, expected):
-        result = scenario(bias, max_events)
+        result = scenario(bias)
         violations.extend(result.trace.violations)
         wrong = wrong or result.reads != want
     if violations:
@@ -366,7 +365,7 @@ def bias_margin(
     prepared = [prepare_program(p, cfg) for p in scenarios]
 
     def failure(ratio: Fraction) -> str | None:
-        return _suite_failure(prepared, expected, BiasPoint(ratio), cfg.max_events)
+        return _suite_failure(prepared, expected, BiasPoint(ratio))
 
     nominal_failure = failure(Fraction(1))
     if nominal_failure is not None:

@@ -93,6 +93,15 @@ class TestNetlistValidation:
                 observed=(),
             )
 
+    def test_single_line_per_output(self):
+        with pytest.raises(NetlistError, match="^output port f.out_a drives more than one line$"):
+            Netlist(
+                cells={"f": FANOUT},
+                connections=(Connection("z", "f.in"), Connection("f.out_a", "a"), Connection("f.out_a", "b")),
+                external_inputs=frozenset({"z"}),
+                observed=("a", "b"),
+            )
+
     def test_tap_needs_positive_delay(self):
         with pytest.raises(NetlistError, match="needs a positive delay"):
             Netlist(cells={}, connections=(Connection("a", "b"),), external_inputs=frozenset(), observed=())
@@ -467,6 +476,32 @@ class TestStimulusMerge:
             run(net, [(0, "z"), (10000, "z")], max_events=2)
         assert run(net, [(0, "z"), (10000, "z")], max_events=3).pulses_on("a") == (500, 10500)
 
+    def test_a_release_equal_to_a_pending_pulse_counts_until_it_merges(self):
+        # a fanout drives x and y, and each of two mergers takes both and
+        # drives q: after y pops, four releases onto q at 1000 are pending
+        merger = CellParams(kind=CellKind.MERGER, prop_delay_fs=500, min_separation_fs=2000)
+        net = Netlist(
+            cells={"f": FANOUT, "m1": merger, "m2": merger},
+            connections=(
+                Connection("z", "f.in"),
+                Connection("f.out_a", "x"),
+                Connection("f.out_b", "y"),
+                Connection("x", "m1.in0"),
+                Connection("y", "m1.in1"),
+                Connection("x", "m2.in0"),
+                Connection("y", "m2.in1"),
+                Connection("m1.out", "q"),
+                Connection("m2.out", "q"),
+            ),
+            external_inputs=frozenset({"z"}),
+            observed=("q",),
+        )
+        with pytest.raises(RunawayQueueError, match="event queue exceeded 3 events"):
+            run(net, [(0, "z")], max_events=3)
+        trace = run(net, [(0, "z")], max_events=4)
+        assert trace.pulses_on("q") == (1000,)
+        assert [(v.cell, v.kind) for v in trace.violations] == [("m1", ViolationKind.ELECTRICAL), ("m2", ViolationKind.ELECTRICAL)]
+
     def test_recorded_pulses_are_pulse_events(self):
         trace = run(dro_netlist(), [(0, "din"), (20000, "clk")])
         assert trace.events == ((0, "din"), (20000, "clk"), (25000, "out"))
@@ -583,6 +618,8 @@ class TestKernelMatchesReference:
     @given(delays, delays, stimuli(("a", "p", "z")), instants)
     # the merger's a is processed before the fanout emits onto it again
     @example(0, 0, [(500, "p"), (500, "z")], 1000)
+    # three releases from t=0 and a stimulus pulse land on a at 500
+    @example(500, 500, [(0, "p"), (0, "z"), (500, "a")], 2000)
     def test_zero_delay_fanout_onto_a_contested_line(self, fanout, merger, stimulus, t_end):
         self.check(fanout_net(fanout, merger), stimulus, t_end)
 
