@@ -17,10 +17,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import ContextManager, TextIO
+from typing import Iterator, TextIO
 
 from .cells import default_cell_params
 from .core import (
@@ -43,7 +43,7 @@ from .density import (
     resolve_preset,
     stacked_spec,
 )
-from .engine import RunawayQueueError, trace_to_csv, trace_to_vcd
+from .engine import RunawayQueueError, write_csv, write_vcd
 from .memory import oracle, parse_program, run_program
 from .timing import (
     _window_cells,
@@ -76,29 +76,21 @@ def _read(path: str, what: str) -> str:
         raise ConfigError(what, f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _cannot_write(path: str, what: str, exc: OSError) -> ConfigError:
-    return ConfigError(what, f"cannot write {path}: {exc.strerror or exc}")
-
-
-def _open(path: str | None, what: str) -> ContextManager[TextIO | None]:
+@contextmanager
+def _open(path: str | None, what: str) -> Iterator[TextIO | None]:
     """The output file at ``path`` (None when not given), created or truncated
-    as a shell redirection does.  A command opens it before its work, so an
-    unwritable path is refused before the run, not after it."""
+    as a shell redirection does and closed when the block ends.  A command
+    opens it before its work, so an unwritable path is refused before the
+    run, not after it.  An OSError in the block (a write, or the flush at
+    close) is refused as a failed write to it, like the open."""
     if path is None:
-        return nullcontext()
+        yield None
+        return
     try:
-        return open(path, "w")
+        with open(path, "w") as file:
+            yield file
     except OSError as exc:
-        raise _cannot_write(path, what, exc) from None
-
-
-def _write(file: TextIO, text: str, what: str) -> None:
-    """Write ``text`` to a file from ``_open`` and close it, so a failed flush surfaces here."""
-    try:
-        with file:
-            file.write(text)
-    except OSError as exc:
-        raise _cannot_write(file.name, what, exc) from None
+        raise ConfigError(what, f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _ratio_option(raw: str | None, option: str) -> Fraction | None:
@@ -138,8 +130,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     with _open(args.trace, "trace") as trace_file:
         result = run_program(program, cfg)
         if trace_file is not None:
-            export = trace_to_csv if suffix == ".csv" else trace_to_vcd
-            _write(trace_file, export(result.trace), "trace")
+            (write_csv if suffix == ".csv" else write_vcd)(result.trace, trace_file)
 
     out = [f"frequency {cfg.frequency_hz / 1e9:g} GHz, {cfg.num_addresses} addresses, bias {cfg.bias}"]
     expected = oracle(program, cfg.num_addresses)
@@ -190,7 +181,7 @@ def _cmd_margins(args: argparse.Namespace) -> int:
         else:
             reports = margin_sweep(cfg, freqs)
         if out is not None:
-            _write(out, margins_to_csv(reports), "out")
+            out.write(margins_to_csv(reports))
     sys.stdout.write(margins_to_text(reports))
     return EXIT_OK
 
@@ -215,10 +206,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
     with _open(args.out, "out") as out:
         report = reproduce_published() if args.all and args.freqs is None else build_report(specs, freqs)
         rendered = report_to_csv(report) if args.format == "csv" else report_to_text(report)
-        if out is None:
-            sys.stdout.write(rendered)
-        else:
-            _write(out, rendered, "out")
+        (out or sys.stdout).write(rendered)
     return EXIT_OK if report.all_ok else EXIT_RUN_FAILED
 
 
@@ -247,10 +235,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
     with _open(args.out, "out") as out:
         rendered = characterization_to_csv(characterize_cell(args.cell, cfg, ratios))
-        if out is None:
-            sys.stdout.write(rendered)
-        else:
-            _write(out, rendered, "out")
+        (out or sys.stdout).write(rendered)
     return EXIT_OK
 
 

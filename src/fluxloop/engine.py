@@ -22,10 +22,11 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from heapq import heappop, heappush
+from io import StringIO
 from itertools import compress, cycle, repeat
 from operator import eq
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple, TextIO
 
 from .core import BiasPoint, FluxloopError, PulseEvent, format_ratio, validated_record
 from .cells import (
@@ -349,8 +350,9 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
     violations = list(pins.violations)
     # with no zero delay every push lands after the current key, so a
     # duplicate pops right after its equal (the walk wins a tie); a zero delay
-    # can land one at the current instant below it, so then keep each processed key
+    # can land one at the current instant below it, so then keep the instant's processed keys
     processed = set() if pins.zero_delay else None
+    instant = 0
     last = -1
     heap: list[int] = []
     room = max_events - len(stimulus)  # the heap may outgrow the stimulus walked by this much
@@ -374,11 +376,14 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
         if key == last:
             continue
         last = key
+        t, rank = divmod(key, n)
         if processed is not None:
-            if key in processed:
+            if t != instant:  # no release lands before the current instant: earlier keys cannot recur
+                instant = t
+                processed.clear()
+            elif key in processed:
                 continue
             processed.add(key)
-        t, rank = divmod(key, n)
         observed, consumers, taps = routes[rank]
         if observed:
             recorded.append(key)
@@ -411,52 +416,81 @@ def query_pulses(trace: Trace, line: str, t0: int, t1: int) -> tuple[int, ...]:
 
 # --- export ----------------------------------------------------------------
 
-def trace_to_csv(trace: Trace) -> str:
-    """Render a trace as CSV rows (time_fs, line, kind, detail).
+#: Pulses an exporter renders per ``file.write``.  A chunk's strings take
+#: ~100 bytes a pulse, so an export holds ~50 KB however long the trace.
+EXPORT_CHUNK = 512
+
+
+def write_csv(trace: Trace, file: TextIO) -> None:
+    """Write a trace to ``file`` as CSV rows (time_fs, line, kind, detail),
+    rendered and written ``EXPORT_CHUNK`` pulses at a time.
 
     Violation rows carry the cell name in the line column and the violation
     kind as the detail prefix.  Rows are sorted by time, pulses before
     violations at equal times.
     """
     keys, n = trace.keys, len(trace.lines)
-    pulse_rows = [f",{line},pulse," for line in trace.lines]
-    out = ["time_fs,line,kind,detail"]
-    done = 0
-    for time_fs, cell, detail in sorted((v.time_fs, v.cell, f"{v.kind.value}: {v.detail}") for v in trace.violations):
-        # keys are (time, line)-ordered: the pulses up to this instant first
-        upto = bisect_left(keys, (time_fs + 1) * n)
-        out += [f"{k // n}{pulse_rows[k % n]}" for k in keys[done:upto]]
-        done = upto
-        if "," in detail or '"' in detail:
-            detail = '"' + detail.replace('"', '""') + '"'
-        out.append(f"{time_fs},{cell},violation,{detail}")
-    out += [f"{k // n}{pulse_rows[k % n]}" for k in keys[done:]]
-    return "\n".join(out) + "\n"
+    pulse_rows = [f",{line},pulse,\n" for line in trace.lines]
+    violations = sorted((v.time_fs, v.cell, f"{v.kind.value}: {v.detail}") for v in trace.violations)
+    # keys are (time, line)-ordered: a violation follows the pulses up to its instant
+    cuts = [bisect_left(keys, (time_fs + 1) * n) for time_fs, _, _ in violations]
+    file.write("time_fs,line,kind,detail\n")
+    v = 0  # the violations written so far
+    for lo in range(0, len(keys) or 1, EXPORT_CHUNK):  # one pass when there are no pulses
+        hi = min(lo + EXPORT_CHUNK, len(keys))
+        out, done = [], lo
+        while v < len(violations) and cuts[v] <= hi:
+            out += [f"{k // n}{pulse_rows[k % n]}" for k in keys[done:cuts[v]]]
+            done = cuts[v]
+            time_fs, cell, detail = violations[v]
+            if "," in detail or '"' in detail:
+                detail = '"' + detail.replace('"', '""') + '"'
+            out.append(f"{time_fs},{cell},violation,{detail}\n")
+            v += 1
+        out += [f"{k // n}{pulse_rows[k % n]}" for k in keys[done:hi]]
+        file.write("".join(out))
 
 
-def trace_to_vcd(trace: Trace) -> str:
-    """Render a trace as a VCD document (1 fs timescale, toggle per pulse)."""
+def write_vcd(trace: Trace, file: TextIO) -> None:
+    """Write a trace to ``file`` as a VCD document (1 fs timescale, toggle per
+    pulse), rendered and written ``EXPORT_CHUNK`` pulses at a time."""
     if len(trace.observed) > 94:
         raise FluxloopError("too many observed lines for single-character VCD ids")
     ids = {line: chr(33 + i) for i, line in enumerate(trace.observed)}
-    out = ["$timescale 1fs $end", "$scope module fluxloop $end"]
-    out += [f"$var wire 1 {ids[line]} {line} $end" for line in trace.observed]
-    out += ["$upscope $end", "$enddefinitions $end", "#0"]
     # keys are (time, line)-ordered and a t=0 pulse's key is its line's rank:
     # the t=0 pulses set the initial levels, and each later pulse toggles its line
     keys, lines, n = trace.keys, trace.lines, len(trace.lines)
     start = bisect_left(keys, n)
     high = {lines[rank] for rank in keys[:start]}
+    out = ["$timescale 1fs $end", "$scope module fluxloop $end"]
+    out += [f"$var wire 1 {ids[line]} {line} $end" for line in trace.observed]
+    out += ["$upscope $end", "$enddefinitions $end", "#0"]
     out += [f"{int(line in high)}{ids[line]}" for line in trace.observed]
+    file.write("\n".join(out) + "\n")
     toggle = [
-        cycle((f"{int(line not in high)}{ids[line]}", f"{int(line in high)}{ids[line]}")).__next__ if line in ids else None
+        cycle((f"{int(line not in high)}{ids[line]}\n", f"{int(line in high)}{ids[line]}\n")).__next__
+        if line in ids else None
         for line in lines
     ]
     t_prev = 0
-    for key in keys[start:]:
-        t = key // n
-        if t != t_prev:
-            t_prev = t
-            out.append(f"#{t}")
-        out.append(toggle[key % n]())
-    return "\n".join(out) + "\n"
+    for lo in range(start, len(keys), EXPORT_CHUNK):
+        out = []
+        for key in keys[lo:lo + EXPORT_CHUNK]:
+            t = key // n
+            if t != t_prev:
+                t_prev = t
+                out.append(f"#{t}\n")
+            out.append(toggle[key % n]())
+        file.write("".join(out))
+
+
+def trace_to_csv(trace: Trace) -> str:
+    """The document :func:`write_csv` writes, as a string."""
+    write_csv(trace, file := StringIO())
+    return file.getvalue()
+
+
+def trace_to_vcd(trace: Trace) -> str:
+    """The document :func:`write_vcd` writes, as a string."""
+    write_vcd(trace, file := StringIO())
+    return file.getvalue()

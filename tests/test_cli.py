@@ -21,6 +21,8 @@ from fluxloop.cli import (
     EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_RUN_FAILED, MAX_SWEEP_POINTS, main,
 )
 from fluxloop.core import CELL_NAMES, CELL_OVERRIDES
+from fluxloop.engine import EXPORT_CHUNK
+from fluxloop.memory import parse_program
 from fluxloop.timing import margin_sweep, margins_to_csv, sta_to_text
 
 WRITE_READ = [
@@ -679,24 +681,42 @@ def test_an_unwritable_output_path_exits_2_naming_the_option(write_config, write
     assert captured.out == ""
 
 
+#: A 100-trip program on 64 addresses: its trace spans several export chunks.
+LONG = [{"write": {"addr": trip % 64, "bit": 1}, "reads": list(range(trip % 4, 64, 4))} for trip in range(100)]
+SIMULATE_LONG = ["simulate", "--config", "{config64}", "--program", "{long}", "--trace"]
+
+
+def test_the_long_program_spans_several_export_chunks():
+    program = parse_program(json.dumps({"trips": LONG}))
+    trace = run_program(program, parse_config('{"frequency": "100GHz", "num_addresses": 64}')).trace
+    assert len(trace.keys) > 4 * EXPORT_CHUNK
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses every write")
 @pytest.mark.parametrize(
     "args, field",
     [
-        (["simulate", "--config", "{config}", "--program", "{program}", "--trace", "{full}"], "trace"),
-        (["margins", "--config", "{config}", "--freqs", "100GHz", "--out", "{full}"], "out"),
-        (["density", "--all", "--out", "{full}"], "out"),
-        (["characterize", "--config", "{config}", "--cell", "merger", "--out", "{full}"], "out"),
+        (["simulate", "--config", "{config}", "--program", "{program}", "--trace", "{full}.vcd"], "trace"),
+        (["simulate", "--config", "{config}", "--program", "{program}", "--trace", "{full}.csv"], "trace"),
+        ([*SIMULATE_LONG, "{full}.vcd"], "trace"),
+        ([*SIMULATE_LONG, "{full}.csv"], "trace"),
+        (["margins", "--config", "{config}", "--freqs", "100GHz", "--out", "{full}.csv"], "out"),
+        (["density", "--all", "--out", "{full}.txt"], "out"),
+        (["characterize", "--config", "{config}", "--cell", "merger", "--out", "{full}.csv"], "out"),
     ],
 )
 def test_a_write_that_fails_after_the_open_exits_2(write_config, write_program, tmp_path, capsys, args, field):
-    # the open succeeds; the write, or the flush at close, fails for want of space
-    full = tmp_path / "full.vcd"
-    full.symlink_to("/dev/full")
-    paths = {"config": write_config(), "program": write_program(WRITE_READ), "full": full}
-    code = main([arg.format(**paths) for arg in args])
+    # the open succeeds; a write, or the flush at close, fails for want of space
+    full = tmp_path / "full"
+    for suffix in (".vcd", ".csv", ".txt"):
+        full.with_suffix(suffix).symlink_to("/dev/full")
+    (config64 := tmp_path / "config64.json").write_text('{"frequency": "100GHz", "num_addresses": 64}')
+    (long := tmp_path / "long.json").write_text(json.dumps({"trips": LONG}))
+    paths = {"config": write_config(), "program": write_program(WRITE_READ), "full": full, "config64": config64, "long": long}
+    argv = [arg.format(**paths) for arg in args]
+    code = main(argv)
     assert code == EXIT_CONFIG
-    assert capsys.readouterr().err == f"error: {field}: cannot write {full}: No space left on device\n"
+    assert capsys.readouterr().err == f"error: {field}: cannot write {argv[-1]}: No space left on device\n"
 
 
 def test_find_max_past_the_scan_cap_is_refused(write_config, capsys):

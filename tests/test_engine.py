@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import copy
+import io
 import pickle
+import random
+import tracemalloc
 from fractions import Fraction
 from heapq import heappop, heappush
 
@@ -15,6 +18,7 @@ from fluxloop import FluxloopError, SimConfig, build_controller, cells, run_prog
 from fluxloop.cells import BiasDelayModel, CellKind, CellParams, CellState, TimingViolation, ViolationKind, stepper_for
 from fluxloop.core import CELL_NAMES, NOMINAL_BIAS, BiasPoint, PulseEvent, trip_duration
 from fluxloop.engine import (
+    EXPORT_CHUNK,
     Connection,
     DuplicatePulseError,
     Netlist,
@@ -27,6 +31,8 @@ from fluxloop.engine import (
     schedule,
     trace_to_csv,
     trace_to_vcd,
+    write_csv,
+    write_vcd,
 )
 from fluxloop.memory import MemoryProgram, TripOp
 
@@ -856,3 +862,109 @@ class TestExports:
         )
         with pytest.raises(FluxloopError, match="too many observed lines"):
             trace_to_vcd(trace)
+
+
+def _chunked_trace() -> Trace:
+    """Pulses 10 fs apart on ``a`` over three export chunks and more, with a
+    ``b`` pulse sharing an instant across each of the VCD's first two chunk
+    boundaries and a violation on each of the CSV's."""
+    shared = (EXPORT_CHUNK, 2 * EXPORT_CHUNK)  # the VCD's chunks start after the one t=0 pulse
+    events = [PulseEvent(10 * i, "a") for i in range(3 * EXPORT_CHUNK + 5) if i - 1 not in shared]
+    events += [PulseEvent(10 * i, "b") for i in shared]
+    boundaries = [10 * (i - 1) for i in shared]  # the last instant of each of the CSV's first two chunks
+    violations = [
+        TimingViolation("m", ViolationKind.ELECTRICAL, 0, "bias 3/2 outside operating range [1/2, 6/5]"),
+        *(TimingViolation("d", ViolationKind.SETUP, t, f'data 1 fs "late" at {t}') for t in boundaries),
+        TimingViolation("d", ViolationKind.HOLD, 10 * EXPORT_CHUNK, "clock 2 fs apart"),
+        TimingViolation("m", ViolationKind.ELECTRICAL, 10**9, "after every pulse"),
+    ]
+    return Trace.from_events(events, violations, ("a", "b"), 10**9, NOMINAL_BIAS)
+
+
+class _Writes(io.StringIO):
+    """A text file that keeps each write's length."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sizes: list[int] = []
+
+    def write(self, text: str) -> int:
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+class TestStreamedExports:
+    """``write_csv``/``write_vcd`` render and write ``EXPORT_CHUNK`` pulses at a time."""
+
+    def test_the_chunked_trace_straddles_the_chunk_boundaries(self):
+        keys, n = _chunked_trace().keys, 2
+        assert len(keys) > 3 * EXPORT_CHUNK
+        for boundary in (EXPORT_CHUNK, 2 * EXPORT_CHUNK):
+            # the VCD's chunks start at key 1: the keys either side of its boundary share an instant
+            assert keys[boundary] // n == keys[boundary + 1] // n
+            # a violation at the instant that ends a CSV chunk is written on its boundary
+            assert keys[boundary - 1] // n < keys[boundary] // n
+
+    @pytest.mark.parametrize("write, render", [(write_csv, _oracle.trace_to_csv), (write_vcd, _oracle.trace_to_vcd)])
+    def test_writers_match_the_oracle_across_chunks(self, write, render):
+        trace = _chunked_trace()
+        file = _Writes()
+        write(trace, file)
+        assert file.getvalue() == render(trace)
+        # the header, then one write per chunk of pulses
+        assert len(file.sizes) == 1 + -(-len(trace.keys) // EXPORT_CHUNK)
+
+    def test_a_csv_of_violations_alone_is_written(self):
+        trace = Trace.from_events((), TestExports.TRACE.violations, ("a",), 10**4, NOMINAL_BIAS)
+        write_csv(trace, file := io.StringIO())
+        assert file.getvalue() == _oracle.trace_to_csv(trace)
+
+    def test_the_vcd_line_budget_is_refused_before_a_write(self):
+        trace = Trace.from_events((), (), tuple(f"l{i}" for i in range(95)), 0, NOMINAL_BIAS)
+        file = _Writes()
+        with pytest.raises(FluxloopError, match="too many observed lines"):
+            write_vcd(trace, file)
+        assert file.sizes == []
+
+    def test_writing_a_long_trace_holds_a_fraction_of_its_document(self, tmp_path):
+        # the store_stream workload's shape: 64 addresses, 200 trips of one write and 16 reads
+        rng = random.Random(1)
+        trips = tuple(TripOp((rng.randrange(64), rng.randrange(2)), tuple(sorted(rng.sample(range(64), 16))))
+                      for _ in range(200))
+        trace = run_program(MemoryProgram(trips), SimConfig(frequency_hz=100 * 10**9, num_addresses=64)).trace
+        for write, export in ((write_vcd, trace_to_vcd), (write_csv, trace_to_csv)):
+            size = len(export(trace))
+            with open(tmp_path / "trace", "w") as file:
+                tracemalloc.start()
+                try:
+                    write(trace, file)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak < size / 4, (write.__name__, peak, size)
+
+
+def _run_peak(prop_delay_fs: int, pulses: int) -> int:
+    """tracemalloc's peak over one run of a fanout fed ``pulses`` stimulus pulses."""
+    net = Netlist(
+        cells={"f": CellParams(kind=CellKind.FANOUT, prop_delay_fs=prop_delay_fs)},
+        connections=(Connection("z", "f.in"), Connection("f.out_a", "a"), Connection("f.out_b", "b")),
+        external_inputs=frozenset({"z"}),
+        observed=("a", "b", "z"),
+    )
+    prepared = schedule(net, [PulseEvent(10 * i, "z") for i in range(pulses)])
+    tracemalloc.start()
+    try:
+        trace = run_until(prepared, 10 * pulses, NOMINAL_BIAS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.keys) == 3 * pulses and net.at_bias(NOMINAL_BIAS).zero_delay == (prop_delay_fs == 0)
+    return peak
+
+
+def test_a_zero_delay_run_keeps_only_the_current_instants_keys():
+    # a zero-delay release lands at the current instant, never earlier, so the keys of past
+    # instants are dropped; kept, they cost ~5 MB here (tracemalloc slows the run ~50x, hence 30k)
+    zero, one = _run_peak(0, 30_000), _run_peak(1, 30_000)
+    assert zero < one + 2**20, (zero, one)
