@@ -1,16 +1,25 @@
 """Pulse-level behavioral models of the controller's cells.
 
-Each cell is a tiny state machine over timestamped SFQ pulses:
+Each cell is a tiny state machine over timestamped SFQ pulses, which the
+event kernel (``engine.run_until``) applies inline, one transition per
+arrival:
 
-* DRO   — stores one flux quantum until a clock pulse releases it.
-* DRO2R — a DRO with two clock/output port pairs sharing one storage loop.
-* MERGER — forwards pulses from either input to its single output.
-* FANOUT — ideal passive one-to-two splitter.
+* store (DRO/DRO2R data) — the storage loop takes the flux quantum (data on
+  a full cell is absorbed: a loop holds at most one); data within the hold
+  window after a clock records HOLD.
+* release (DRO/DRO2R clock) — a full cell releases on that clock's output
+  and empties; an empty one releases nothing.  A DRO2R's two clock/output
+  pairs share one loop, so whichever clock arrives first claims the pulse.
+  A clock within the setup window after data records SETUP.
+* merge (MERGER) — a pulse on either input is forwarded; pulses on opposite
+  inputs closer than the minimum separation record an ELECTRICAL collision
+  (both are still forwarded).
+* pass (FANOUT) — an ideal passive splitter: one pulse on each output.
 
 Propagation delays depend on the bias supply through a piecewise-linear,
-strictly decreasing delay-vs-bias curve.  Setup/hold windows are checked on
-every arrival; violations are recorded (they mark a run as failed) but never
-halt processing, so margin sweeps can classify the failure kind.
+strictly decreasing delay-vs-bias curve.  Violations are recorded (they
+mark a run as failed) but never halt processing, so margin sweeps can
+classify the failure kind.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .core import (
     CELLS, NOMINAL_BIAS, BiasPoint, CellKind, ConfigError, FluxloopError, _freeze, format_ratio,
@@ -40,7 +49,7 @@ DEFAULT_OPERATING_RANGE: tuple[Fraction, Fraction] = (Fraction("0.76"), Fraction
 
 
 #: Each cell kind's input and output ports: the one definition that netlists
-#: are validated against and ``stepper_for`` resolves arrivals against.  A
+#: are validated against and the engine resolves arrivals against.  A
 #: storage kind lists ``data`` first, then its clocks, whose releases leave
 #: on the outputs in the same order (``RELEASES``).
 INPUT_PORTS: dict[CellKind, tuple[str, ...]] = {
@@ -147,8 +156,8 @@ def delay_at_bias(model: BiasDelayModel, bias: BiasPoint) -> int:
 
 class CellParams(validated_record("CellParams", "kind prop_delay_fs setup_fs hold_fs delay_model min_separation_fs")):
     """Static parameters of one cell instance: its nominal delay, used on every
-    output, and the bias model it follows.  Steppers read a cell pinned at one
-    bias (:meth:`at_bias`), never these."""
+    output, and the bias model it follows.  A run reads each cell pinned at
+    one bias (:meth:`at_bias`)."""
 
     __slots__ = ()
 
@@ -184,8 +193,8 @@ class CellParams(validated_record("CellParams", "kind prop_delay_fs setup_fs hol
 
 
 class PinnedCell:
-    """One cell at one bias: the constants a stepper reads on every pulse, as
-    slot reads (faster than namedtuple getters)."""
+    """One cell at one bias: its delay there as a constant, with the timing
+    windows kept, as slot reads (faster than namedtuple getters)."""
 
     __slots__ = ("kind", "prop_delay_fs", "setup_fs", "hold_fs", "min_separation_fs")
 
@@ -195,90 +204,6 @@ class PinnedCell:
         self.setup_fs = setup_fs
         self.hold_fs = hold_fs
         self.min_separation_fs = min_separation_fs
-
-
-class CellState:
-    """Mutable per-run state of one cell."""
-
-    __slots__ = ("stored", "last_data_fs", "last_clock_fs", "last_in_fs")
-
-    def __init__(self, stored: bool = False, last_data_fs: int | None = None, last_clock_fs: int | None = None) -> None:
-        self.stored = stored
-        self.last_data_fs = last_data_fs
-        self.last_clock_fs = last_clock_fs
-        #: merger bookkeeping: last arrival per input port
-        self.last_in_fs: dict[str, int] = {}
-
-
-#: A stepper: ``step(cell, pinned, state, port, t, violations)``, with the cell
-#: pinned at the run's bias (``CellParams.at_bias``), appends any violation to
-#: the run's list and returns True iff the cell releases a pulse at
-#: ``t + pinned.prop_delay_fs`` on each output ``RELEASES[kind][port]`` names.
-Stepper = Callable[[str, PinnedCell, CellState, str, int, list], bool]
-
-
-def store_step(cell: str, params: PinnedCell, state: CellState, port: str, t: int, violations: list) -> bool:
-    """Data into a storage cell (DRO or DRO2R), never a release: data on an
-    empty cell stores, data on a full cell is ignored (a storage loop holds at
-    most one flux quantum), and data within the hold window after a clock
-    records HOLD."""
-    last = state.last_clock_fs
-    state.stored = True
-    state.last_data_fs = t
-    if last is not None and 0 <= t - last < params.hold_fs:
-        detail = f"data {t - last} fs after clock (hold {params.hold_fs} fs)"
-        violations.append(TimingViolation(cell, ViolationKind.HOLD, t, detail))
-    return False
-
-
-def release_step(cell: str, params: PinnedCell, state: CellState, port: str, t: int, violations: list) -> bool:
-    """A clock into a storage cell: a full cell releases on that clock's
-    output, an empty one releases nothing.  A DRO2R's two clock/output pairs
-    share one loop, so whichever clock arrives first claims the pulse.  A
-    clock within the setup window after data records SETUP."""
-    last = state.last_data_fs
-    if last is not None and 0 <= t - last < params.setup_fs:
-        detail = f"{port} {t - last} fs after data (setup {params.setup_fs} fs)"
-        violations.append(TimingViolation(cell, ViolationKind.SETUP, t, detail))
-    state.last_clock_fs = t
-    released = state.stored
-    state.stored = False
-    return released
-
-
-def merger_step(cell: str, params: PinnedCell, state: CellState, port: str, t: int, violations: list) -> bool:
-    """Forward a pulse from either merger input to the output.  Pulses on
-    opposite inputs closer than the minimum separation record an ELECTRICAL
-    collision (both pulses are still forwarded)."""
-    last = state.last_in_fs.get(_MERGER_PEERS[port])
-    state.last_in_fs[port] = t
-    if last is not None and 0 <= t - last < params.min_separation_fs:
-        detail = f"inputs {t - last} fs apart (min separation {params.min_separation_fs} fs)"
-        violations.append(TimingViolation(cell, ViolationKind.ELECTRICAL, t, detail))
-    return True
-
-
-def fanout_step(cell: str, params: PinnedCell, state: CellState, port: str, t: int, violations: list) -> bool:
-    """Ideal passive fan-out: one input pulse, one pulse on each output."""
-    return True
-
-
-_MERGER_PEERS = dict(zip(INPUT_PORTS[CellKind.MERGER], reversed(INPUT_PORTS[CellKind.MERGER])))
-
-#: Each kind's clock (or only) stepper; a storage kind's data goes to ``store_step``.
-_STEPPERS = {CellKind.DRO: release_step, CellKind.DRO2R: release_step,
-             CellKind.MERGER: merger_step, CellKind.FANOUT: fanout_step}
-
-
-def stepper_for(kind: CellKind, port: str) -> Stepper:
-    """The step function of a pulse into ``port`` of a ``kind`` cell,
-    resolved once per netlist, so a stepper checks neither port nor kind."""
-    if kind not in _STEPPERS:
-        raise ValueError(f"cell kind {kind} does not process pulses")
-    ports = INPUT_PORTS[kind]
-    if port not in ports:  # a storage kind is named by its kind, a passive cell by name
-        raise ValueError(f"{kind.value if ports[0] == 'data' else kind.value.lower()} has no port {port!r}")
-    return store_step if port == "data" else _STEPPERS[kind]
 
 
 # --- default cell set ------------------------------------------------------

@@ -18,6 +18,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
+from itertools import islice
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, TextIO
@@ -28,6 +29,7 @@ from .core import (
     ConfigError,
     FluxloopError,
     InfeasibleFrequencyError,
+    SimConfig,
     exact_ratio,
     format_ratio,
     parse_config,
@@ -43,8 +45,8 @@ from .density import (
     resolve_preset,
     stacked_spec,
 )
-from .engine import RunawayQueueError, write_csv, write_vcd
-from .memory import oracle, parse_program, run_program
+from .engine import EXPORT_CHUNK, RunawayQueueError, write_csv, write_vcd
+from .memory import MemoryProgram, MemoryResult, oracle_reads, parse_program, run_program
 from .timing import (
     _window_cells,
     characterization_to_csv,
@@ -132,21 +134,33 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if trace_file is not None:
             (write_csv if suffix == ".csv" else write_vcd)(result.trace, trace_file)
 
-    out = [f"frequency {cfg.frequency_hz / 1e9:g} GHz, {cfg.num_addresses} addresses, bias {cfg.bias}"]
-    expected = oracle(program, cfg.num_addresses)
-    mismatches = 0
-    for (trip, addr), bit in sorted(result.reads.items()):
-        note = ""
-        if expected[(trip, addr)] != bit:
-            note = f"  (expected {expected[(trip, addr)]})"
-            mismatches += 1
-        out.append(f"trip {trip}: addr {addr} -> {bit}{note}")
-    out += [f"violation: {v.kind.value} {v.cell} at {v.time_fs} fs: {v.detail}" for v in result.trace.violations]
-    sys.stdout.write("\n".join(out) + "\n")
-
-    ok = result.passed and mismatches == 0
+    ok = _report(cfg, program, result)
     print(f"result: {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_RUN_FAILED
+
+
+def _report(cfg: SimConfig, program: MemoryProgram, result: MemoryResult) -> bool:
+    """Write ``simulate``'s report but its ``result:`` line to stdout, one
+    line per read (noting a read the oracle disagrees with) and one per
+    violation, ``EXPORT_CHUNK`` lines per write; whether the run passed."""
+    sys.stdout.write(f"frequency {cfg.frequency_hz / 1e9:g} GHz, {cfg.num_addresses} addresses, bias {cfg.bias}\n")
+    mismatches = 0
+
+    def read_lines() -> Iterator[str]:
+        nonlocal mismatches
+        for trip, addr, expected in oracle_reads(program, cfg.num_addresses):
+            bit = result.reads[trip, addr]
+            if bit == expected:
+                yield f"trip {trip}: addr {addr} -> {bit}\n"
+            else:
+                mismatches += 1
+                yield f"trip {trip}: addr {addr} -> {bit}  (expected {expected})\n"
+
+    violation_lines = (f"violation: {v.kind.value} {v.cell} at {v.time_fs} fs: {v.detail}\n" for v in result.trace.violations)
+    for lines in (read_lines(), violation_lines):
+        while chunk := "".join(islice(lines, EXPORT_CHUNK)):
+            sys.stdout.write(chunk)
+    return result.passed and mismatches == 0
 
 
 def _cmd_sta(args: argparse.Namespace) -> int:

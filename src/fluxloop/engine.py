@@ -29,9 +29,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, TextIO
 
 from .core import BiasPoint, FluxloopError, PulseEvent, format_ratio, validated_record
-from .cells import (
-    INPUT_PORTS, OUTPUT_PORTS, RELEASES, CellParams, CellState, PinnedCell, TimingViolation, ViolationKind, stepper_for,
-)
+from .cells import INPUT_PORTS, OUTPUT_PORTS, RELEASES, CellKind, CellParams, PinnedCell, TimingViolation, ViolationKind
 
 
 class NetlistError(FluxloopError):
@@ -89,14 +87,20 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
         return type(self), (dict(self.cells), self.connections, self.external_inputs, self.observed)
 
     @cached_property
-    def _wiring(self) -> tuple[tuple[str, ...], dict[str, int], tuple[tuple, ...]]:
+    def _wiring(self) -> tuple[tuple[str, ...], dict[str, int], tuple[tuple, ...], tuple[tuple, ...], tuple]:
         """(every line a pulse can land on, by name; each external input's
-        rank there; each rank's route).  The kernel keys a pulse at t on the
-        line of rank r as ``t * len(lines) + r``, so int order is (time, line)
-        order.  A route is (observed?, its consumers as (stepper, cell, port,
-        the cell's slot in name order, the ranks of the lines its release
-        lands on), its taps as (delay, offset schedule, destination rank)).
-        An output nothing drives is dropped."""
+        rank there; each rank's route as wired; the same folded; the folds).
+        The kernel keys a pulse at t on the line of rank r as
+        ``t * len(lines) + r``, so int order is (time, line) order.  A route
+        is (observed?, its consumers as (``_transition``, targets), its taps as
+        (delay, offset schedule, destination rank)).  A target is (delay
+        entry, destination rank minus this line's): a release lands at
+        ``key + delays[entry] + offset``, a run's delays being each cell's
+        times the line count by slot, then each fold's (driver, fanout) sum.
+        Folded, a release onto a dead line (unobserved, untapped, read by no
+        cell) is dropped, and one onto a fanout-only line (internal,
+        unobserved, untapped, read by one FANOUT alone) lands on the fanout's
+        outputs after both delays.  An output nothing drives is dropped."""
         driven = {conn.dst for conn in self.connections if not _is_port(conn.dst)}
         lines = tuple(sorted(driven | self.external_inputs))
         rank = {line: r for r, line in enumerate(lines)}
@@ -112,15 +116,36 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
             else:
                 taps.setdefault(conn.src, []).append((conn.delay_fs, conn.offset_schedule, rank[conn.dst]))
         slot = {name: i for i, name in enumerate(_slot_order(self.cells))}
+        dead, fanout_of = set(), {}  # by rank: the dead lines, and each fanout-only line's (fanout, port)
+        for line in set(lines) - set(self.observed) - taps.keys():
+            ports = ports_on.get(line, ())
+            if not ports:
+                dead.add(rank[line])
+            elif len(ports) == 1 and line not in self.external_inputs and self.cells[ports[0][0]].kind is CellKind.FANOUT:
+                fanout_of[rank[line]] = ports[0]
+        folds: dict[tuple[int, int], int] = {}  # (driver slot, fanout slot) -> its delay entry
 
-        def consumer(cell: str, port: str) -> tuple:
-            kind, driven_outs = self.cells[cell].kind, outs[cell]
-            targets = tuple(driven_outs[out] for out in RELEASES[kind][port] if out in driven_outs)
-            return stepper_for(kind, port), cell, port, slot[cell], targets
+        def released(cell: str, port: str) -> list[int]:
+            return [outs[cell][out] for out in RELEASES[self.cells[cell].kind][port] if out in outs[cell]]
 
-        consumers = {line: tuple(consumer(c, p) for c, p in sorted(ports)) for line, ports in ports_on.items()}
-        routes = tuple((line in self.observed, consumers.get(line, ()), tuple(taps.get(line, ()))) for line in lines)
-        return lines, {line: rank[line] for line in self.external_inputs}, routes
+        def targets(cell: str, port: str, here: int, fold: bool) -> tuple[tuple[int, int], ...]:
+            out = []
+            for dst in released(cell, port):
+                if fold and dst in fanout_of:
+                    fanout, fanout_port = fanout_of[dst]
+                    entry = folds.setdefault((slot[cell], slot[fanout]), len(self.cells) + len(folds))
+                    out += [(entry, r - here) for r in released(fanout, fanout_port) if r not in dead]
+                elif not (fold and dst in dead):
+                    out.append((slot[cell], dst - here))
+            return tuple(out)
+
+        def route(line: str, fold: bool) -> tuple:
+            consumers = tuple((*_transition(cell, self.cells[cell], port, slot[cell]), targets(cell, port, rank[line], fold))
+                              for cell, port in sorted(ports_on.get(line, ())))
+            return line in self.observed, consumers, tuple(taps.get(line, ()))
+
+        routes, folded = (tuple(route(line, fold) for line in lines) for fold in (False, True))
+        return lines, {line: rank[line] for line in self.external_inputs}, routes, folded, tuple(folds)
 
     @property
     def lines(self) -> tuple[str, ...]:
@@ -160,6 +185,34 @@ def _slot_order(cells: Mapping[str, CellParams]) -> list[str]:
     return sorted(cells)
 
 
+#: The transition an arrival applies (see ``cells``), as a consumer's first field.
+_PASS, _MERGE, _STORE, _RELEASE = range(4)
+
+#: A ``last`` entry before the first arrival it records: no window reaches back to it.
+_NEVER = float("-inf")
+
+
+def _transition(cell: str, params: CellParams, port: str, slot: int) -> tuple:
+    """What a pulse into ``port`` of ``cell`` applies: (transition, the cell's
+    slot, the entries of a run's ``last`` table it sets and checks (a cell
+    has two: data and clock, or in0 and in1), its window (no window varies
+    with bias), and a violation's (cell, kind, text around the gap))."""
+    kind = params.kind
+    if kind is CellKind.FANOUT:
+        return _PASS, slot, 0, 0, 0, None
+    first = port == INPUT_PORTS[kind][0]  # data, or in0
+    mine, peer = 2 * slot + (not first), 2 * slot + first
+    if kind is CellKind.MERGER:
+        separation = params.min_separation_fs
+        return _MERGE, slot, mine, peer, separation, (
+            cell, ViolationKind.ELECTRICAL, "inputs ", f" fs apart (min separation {separation} fs)")
+    if first:
+        return _STORE, slot, mine, peer, params.hold_fs, (
+            cell, ViolationKind.HOLD, "data ", f" fs after clock (hold {params.hold_fs} fs)")
+    return _RELEASE, slot, mine, peer, params.setup_fs, (
+        cell, ViolationKind.SETUP, f"{port} ", f" fs after data (setup {params.setup_fs} fs)")
+
+
 def _pin(cells: Mapping[str, CellParams], num: int, den: int) -> PinnedNetlist:
     ratio = Fraction(num, den)
     bias = BiasPoint(ratio)
@@ -186,9 +239,11 @@ def _split_port(endpoint: str) -> tuple[str, str]:
 
 
 def _validate(net: Netlist) -> None:
-    for name in net.cells:
+    for name, params in net.cells.items():
         if "." in name:
             raise NetlistError(f"cell name {name!r} must not contain '.'")
+        if params.kind not in INPUT_PORTS:
+            raise NetlistError(f"cell {name!r}: kind {params.kind!r} does not process pulses")
 
     wired: set[str] = set()  # the cell ports joined to a line so far: each joins one
     for conn in net.connections:
@@ -329,9 +384,13 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
 
     The sorted stimulus is walked in place and merged with a heap of the
     pulses cells and taps emit; a pulse equal to one processed merges into
-    it.  ``max_events`` bounds the pending pulses: the heap (where a release
-    equal to a pending pulse waits until it pops and merges) plus the
-    stimulus not yet walked.
+    it.  Each arrival applies its cell's transition (see ``cells``) inline.
+    With no zero pinned delay the run takes the folded routes, which drop or
+    fold the releases no run can see (``Netlist._wiring``); a zero delay
+    keeps the routes as wired.
+    ``max_events`` bounds the pending pulses on lines a run can see: the
+    heap (where a release equal to a pending pulse waits until it pops and
+    merges) plus the stimulus not yet walked.
     """
     if t_end_fs < 0:
         raise ValueError("t_end must be non-negative")
@@ -339,21 +398,23 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
     if len(stimulus) > max_events:
         raise RunawayQueueError(f"stimulus of {len(stimulus)} pulses exceeds the bound of {max_events} events")
     net = prepared.netlist
-    lines, _, routes = net._wiring
+    lines, _, routes, folded, folds = net._wiring
     n = len(lines)
     pins = net.at_bias(bias)
     # per run, not per pin (a kept copy per bias costs memory, not time):
-    # the pinned cells by slot, each one's delay times n, and fresh states
-    slots = tuple(pins.cells.values())
-    delays_n = [pinned.prop_delay_fs * n for pinned in slots]
-    states = [CellState() for _ in slots]
+    # each cell's delay times n by slot, then each fold's, and fresh cell states
+    delays = [pinned.prop_delay_fs * n for pinned in pins.cells.values()]
+    delays += [delays[driver] + delays[fanout] for driver, fanout in folds]
+    stored = [False] * len(pins.cells)
+    last = [_NEVER] * (2 * len(pins.cells))  # each cell's last data and clock, or in0 and in1
     violations = list(pins.violations)
     # with no zero delay every push lands after the current key, so a
-    # duplicate pops right after its equal (the walk wins a tie); a zero delay
-    # can land one at the current instant below it, so then keep the instant's processed keys
+    # duplicate pops right after its equal (the walk wins a tie), and a fold
+    # cannot reorder keys; a zero delay can land one at the current instant
+    # below it, so then keep the instant's processed keys and the wired routes
     processed = set() if pins.zero_delay else None
-    instant = 0
-    last = -1
+    routes = folded if processed is None else routes
+    instant, latest = 0, -1
     heap: list[int] = []
     room = max_events - len(stimulus)  # the heap may outgrow the stimulus walked by this much
     end = t_end_fs * n  # above every key before t_end, at or below every other
@@ -373,9 +434,9 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
             following = walk[i]
         else:
             break
-        if key == last:
+        if key == latest:
             continue
-        last = key
+        latest = key
         t, rank = divmod(key, n)
         if processed is not None:
             if t != instant:  # no release lands before the current instant: earlier keys cannot recur
@@ -387,10 +448,22 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
         observed, consumers, taps = routes[rank]
         if observed:
             recorded.append(key)
-        for step, cell, port, slot, targets in consumers:
-            if step(cell, slots[slot], states[slot], port, t, violations):
-                for target in targets:
-                    heappush(heap, key - rank + delays_n[slot] + target)
+        for op, slot, mine, peer, window, blame, targets in consumers:
+            if op:  # all but a pass check a window: time never runs back, so the gap is >= 0
+                gap = t - last[peer]
+                last[mine] = t
+                if gap < window:
+                    cell, kind, before, after = blame
+                    violations.append(TimingViolation(cell, kind, t, f"{before}{gap}{after}"))
+                if op == _STORE:  # data releases nothing
+                    stored[slot] = True
+                    continue
+                if op == _RELEASE:
+                    if not stored[slot]:
+                        continue
+                    stored[slot] = False
+            for entry, offset in targets:
+                heappush(heap, key + delays[entry] + offset)
         for delay, offsets, dst in taps:
             arrival = t + delay
             if offsets:  # the offset of the last entry starting at or before t

@@ -24,7 +24,7 @@ import json
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import repeat
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 from .cells import (
     CellParams, PinnedCell, _cell_set,
@@ -366,16 +366,20 @@ def run_program(program: MemoryProgram, cfg: SimConfig) -> MemoryResult:
 
 def oracle(program: MemoryProgram, num_addresses: int) -> dict[tuple[int, int], int]:
     """Abstract-array reference semantics: writes apply before same-trip reads."""
+    return {(t, k): bit for t, k, bit in oracle_reads(program, num_addresses)}
+
+
+def oracle_reads(program: MemoryProgram, num_addresses: int) -> Iterator[tuple[int, int, int]]:
+    """:func:`oracle`'s reads one at a time, as (trip, address, bit) in
+    (trip, address) order."""
     _check_program(program, num_addresses)
     bits = [0] * num_addresses
-    expected: dict[tuple[int, int], int] = {}
     for t, op in enumerate(program.trips):
         if op.write is not None:
             addr, bit = op.write
             bits[addr] = bit
-        for k in op.reads:
-            expected[(t, k)] = bits[k]
-    return expected
+        for k in sorted(op.reads):
+            yield t, k, bits[k]
 
 
 def pulse_spacing(velocity_mps: float, frequency_hz: float) -> float:

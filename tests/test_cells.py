@@ -17,18 +17,12 @@ from fluxloop.cells import (
     BiasDelayModel,
     CellKind,
     CellParams,
-    CellState,
     PinnedCell,
     RELEASES,
     delay_at_bias,
-    fanout_step,
-    merger_step,
-    release_step,
-    stepper_for,
-    store_step,
 )
-from fluxloop.core import BiasPoint
-from fluxloop.engine import Netlist
+from fluxloop.core import BiasPoint, PulseEvent
+from fluxloop.engine import Connection, Netlist, NetlistError, run_until, schedule
 
 NOM = BiasPoint.nominal()
 
@@ -208,45 +202,44 @@ def test_operating_range_is_the_models_range():
     assert pinned_alone(no_model, "0.5") == (100, 0)
 
 
-# --- steppers ----------------------------------------------------------------
+# --- cell transitions, through the kernel -----------------------------------------
 
 
-def step(cell: str, params: PinnedCell, state: CellState, port: str, t: int) -> tuple[tuple, tuple]:
-    """One pulse through the stepper ``stepper_for`` resolves, as (the
-    pulses released, as (output port, time), on the outputs ``RELEASES``
-    names; the violations the stepper appended)."""
-    violations = []
-    released = stepper_for(params.kind, port)(cell, params, state, port, t, violations)
-    assert type(released) is bool
-    out = tuple((name, t + params.prop_delay_fs) for name in RELEASES[params.kind][port]) if released else ()
-    return out, tuple(violations)
+def alone(params: CellParams, cell: str) -> Netlist:
+    """``params`` alone, wired as ``characterize_cell`` wires a cell: each
+    input port from an external line and each output onto an observed line.
+    The input lines sort in port order (data first), so pulses at one
+    instant arrive in that order."""
+    ins, outs = INPUT_PORTS[params.kind], OUTPUT_PORTS[params.kind]
+    connections = [Connection(f"i{i}_{port}", f"{cell}.{port}") for i, port in enumerate(ins)]
+    connections += [Connection(f"{cell}.{out}", f"o_{out}") for out in outs]
+    return Netlist({cell: params}, tuple(connections), frozenset(f"i{i}_{port}" for i, port in enumerate(ins)),
+                   tuple(f"o_{out}" for out in outs))
+
+
+def steps(cell: str, params: CellParams, pulses: list[tuple[str, int]], at: BiasPoint = NOM) -> tuple[tuple, tuple]:
+    """``pulses`` as (input port, time) into ``params`` alone, run through the
+    kernel: (the pulses released, as (output port, time) in time order; the
+    run's violations)."""
+    net = alone(params, cell)
+    line = {port: f"i{i}_{port}" for i, port in enumerate(INPUT_PORTS[params.kind])}
+    trace = run_until(schedule(net, [PulseEvent(t, line[port]) for port, t in pulses]), 10**6, at)
+    return tuple((name.removeprefix("o_"), t) for t, name in trace.events), trace.violations
 
 
 DRO = CellParams(kind=CellKind.DRO, prop_delay_fs=5000, setup_fs=2000, hold_fs=1000)
-#: Steppers take a cell pinned at the run's bias.
-PINNED_DRO = DRO.at_bias(NOM)
 
 
 class TestDro:
     def test_store_then_release(self):
-        state = CellState()
-        out, v = step("d", PINNED_DRO, state, "data", 0)
-        assert out == () and v == ()
-        # second data pulse on a full cell is absorbed
-        out, v = step("d", PINNED_DRO, state, "data", 3000)
-        assert out == () and v == ()
-        violations = []
-        assert store_step("d", PINNED_DRO, state, "data", 3000, violations) is False
-        assert violations == []
-        out, v = step("d", PINNED_DRO, state, "clock", 20000)
+        # a second data pulse on a full cell is absorbed; the release empties
+        # the cell, so the next clock releases nothing
+        out, v = steps("d", DRO, [("data", 0), ("data", 3000), ("clock", 20000), ("clock", 40000)])
         assert out == (("out", 25000),) and v == ()
-        # cell is now empty: another clock releases nothing
-        out, v = step("d", PINNED_DRO, state, "clock", 40000)
-        assert out == () and v == ()
+        assert steps("d", DRO, [("data", 0), ("data", 3000)]) == ((), ())
 
     def test_clock_on_empty_cell(self):
-        state = CellState()
-        out, v = step("d", PINNED_DRO, state, "clock", 100)
+        out, v = steps("d", DRO, [("clock", 100)])
         assert out == () and v == ()
 
     @pytest.mark.parametrize(
@@ -254,9 +247,7 @@ class TestDro:
         [(2000, True), (1999, False), (0, False)],
     )
     def test_setup_boundary_is_strict(self, gap, ok):
-        state = CellState()
-        step("d", PINNED_DRO, state, "data", 10000)
-        out, v = step("d", PINNED_DRO, state, "clock", 10000 + gap)
+        out, v = steps("d", DRO, [("data", 10000), ("clock", 10000 + gap)])
         assert out == (("out", 10000 + gap + 5000),)
         if ok:
             assert v == ()
@@ -269,26 +260,22 @@ class TestDro:
 
     @pytest.mark.parametrize("gap, ok", [(1000, True), (999, False)])
     def test_hold_boundary_is_strict(self, gap, ok):
-        state = CellState()
-        step("d", PINNED_DRO, state, "clock", 5000)
-        out, v = step("d", PINNED_DRO, state, "data", 5000 + gap)
+        out, v = steps("d", DRO, [("clock", 5000), ("data", 5000 + gap)])
         assert out == ()
         if ok:
             assert v == ()
         else:
-            assert [(x.kind, x.detail) for x in v] == [
-                (ViolationKind.HOLD, f"data {gap} fs after clock (hold 1000 fs)")
+            assert [(x.kind, x.time_fs, x.detail) for x in v] == [
+                (ViolationKind.HOLD, 5000 + gap, f"data {gap} fs after clock (hold 1000 fs)")
             ]
 
     def test_hold_clean_example(self):
-        state = CellState()
-        step("d", PINNED_DRO, state, "clock", 5000)
-        out, v = step("d", PINNED_DRO, state, "data", 8000)
+        out, v = steps("d", DRO, [("clock", 5000), ("data", 8000)])
         assert out == () and v == ()
 
     def test_unknown_port(self):
-        with pytest.raises(ValueError, match="DRO has no port 'clk2'"):
-            stepper_for(CellKind.DRO, "clk2")
+        with pytest.raises(NetlistError, match=r"\(DRO\) has no port 'clk2'"):
+            Netlist({"d": DRO}, (Connection("x", "d.clk2"),), frozenset({"x"}), ())
 
 
 # --- DRO2R -----------------------------------------------------------------
@@ -299,90 +286,78 @@ DRO2R = CellParams(
     prop_delay_fs=5000,
     setup_fs=2000,
     hold_fs=1000,
-).at_bias(NOM)
+)
 
 
 class TestDro2r:
     def test_clock0_takes_out0(self):
-        state = CellState()
-        step("r", DRO2R, state, "data", 0)
-        out, v = step("r", DRO2R, state, "clock0", 10000)
+        out, v = steps("r", DRO2R, [("data", 0), ("clock0", 10000)])
         assert out == (("out0", 15000),) and v == ()
 
     def test_clock1_takes_out1_with_the_same_delay(self):
-        state = CellState()
-        step("r", DRO2R, state, "data", 0)
-        out, v = step("r", DRO2R, state, "clock1", 15000)
+        # the shared loop is empty after clock1, so the other clock gets nothing
+        out, v = steps("r", DRO2R, [("data", 0), ("clock1", 15000), ("clock0", 30000)])
         assert out == (("out1", 20000),) and v == ()
-        # the shared loop is now empty, so the other clock gets nothing
-        out, v = step("r", DRO2R, state, "clock0", 30000)
-        assert out == () and v == ()
 
     def test_setup_checked_on_both_clocks(self):
-        state = CellState()
-        step("r", DRO2R, state, "data", 0)
-        out, v = step("r", DRO2R, state, "clock1", 500)
+        out, v = steps("r", DRO2R, [("data", 0), ("clock1", 500)])
         assert out == (("out1", 5500),)
-        assert v[0].detail == "clock1 500 fs after data (setup 2000 fs)"
+        assert [(x.kind, x.time_fs, x.detail) for x in v] == [
+            (ViolationKind.SETUP, 500, "clock1 500 fs after data (setup 2000 fs)")
+        ]
+        out, v = steps("r", DRO2R, [("data", 0), ("clock0", 700)])
+        assert out == (("out0", 5700),) and v[0].detail == "clock0 700 fs after data (setup 2000 fs)"
 
     def test_unknown_port(self):
-        with pytest.raises(ValueError, match="DRO2R has no port 'clock'"):
-            stepper_for(CellKind.DRO2R, "clock")
+        with pytest.raises(NetlistError, match=r"\(DRO2R\) has no port 'clock'"):
+            Netlist({"r": DRO2R}, (Connection("x", "r.clock"),), frozenset({"x"}), ())
 
 
 # --- merger / fanout ---------------------------------------------------------
 
 
+MERGER = CellParams(kind=CellKind.MERGER, prop_delay_fs=1500, min_separation_fs=2000)
+
+
 def test_merger_forwards_each_input():
-    params = CellParams(kind=CellKind.MERGER, prop_delay_fs=1500, min_separation_fs=2000).at_bias(NOM)
-    state = CellState()
-    out, v = step("m", params, state, "in0", 0)
-    assert out == (("out", 1500),) and v == ()
-    out, v = step("m", params, state, "in1", 10000)
-    assert out == (("out", 11500),) and v == ()
+    out, v = steps("m", MERGER, [("in0", 0), ("in1", 10000)])
+    assert out == (("out", 1500), ("out", 11500)) and v == ()
 
 
 def test_merger_collision_is_electrical_but_both_forward():
-    params = CellParams(kind=CellKind.MERGER, prop_delay_fs=1500, min_separation_fs=2000).at_bias(NOM)
-    state = CellState()
-    out0, v0 = step("m", params, state, "in0", 0)
-    out1, v1 = step("m", params, state, "in1", 1000)
-    assert out0 == (("out", 1500),) and v0 == ()
-    assert out1 == (("out", 2500),)
-    assert [(x.kind, x.time_fs, x.detail) for x in v1] == [
+    out, v = steps("m", MERGER, [("in0", 0), ("in1", 1000)])
+    assert out == (("out", 1500), ("out", 2500))
+    assert [(x.kind, x.time_fs, x.detail) for x in v] == [
         (ViolationKind.ELECTRICAL, 1000, "inputs 1000 fs apart (min separation 2000 fs)")
     ]
     # same-port repeats do not collide
-    fresh = CellState()
-    step("m", params, fresh, "in1", 0)
-    out2, v2 = step("m", params, fresh, "in1", 500)
-    assert out2 == (("out", 2000),) and v2 == ()
+    out, v = steps("m", MERGER, [("in1", 0), ("in1", 500)])
+    assert out == (("out", 1500), ("out", 2000)) and v == ()
 
 
 def test_merger_unknown_port():
-    with pytest.raises(ValueError, match="merger has no port 'in2'"):
-        stepper_for(CellKind.MERGER, "in2")
+    with pytest.raises(NetlistError, match=r"\(MERGER\) has no port 'in2'"):
+        Netlist({"m": MERGER}, (Connection("x", "m.in2"),), frozenset({"x"}), ())
 
 
 def test_fanout_duplicates_pulse():
-    params = CellParams(kind=CellKind.FANOUT, prop_delay_fs=500).at_bias(NOM)
-    out, v = step("f", params, CellState(), "in", 100)
+    out, v = steps("f", CellParams(kind=CellKind.FANOUT, prop_delay_fs=500), [("in", 100)])
     assert out == (("out_a", 600), ("out_b", 600)) and v == ()
-    with pytest.raises(ValueError, match="fanout has no port 'out'"):
-        stepper_for(CellKind.FANOUT, "out")
+    with pytest.raises(NetlistError, match=r"\(FANOUT\) has no port 'out'"):
+        Netlist({"f": CellParams(kind=CellKind.FANOUT)}, (Connection("x", "f.out"),), frozenset({"x"}), ())
 
 
-def test_steppers_append_to_the_runs_violations_in_order():
-    params = CellParams(kind=CellKind.MERGER, prop_delay_fs=1500, min_separation_fs=2000).at_bias(NOM)
-    state, violations = CellState(), ["earlier"]
-    stepper_for(CellKind.MERGER, "in0")("m", params, state, "in0", 0, violations)
-    assert violations == ["earlier"]
-    assert stepper_for(CellKind.MERGER, "in1")("m", params, state, "in1", 700, violations) is True
-    stepper_for(CellKind.MERGER, "in0")("m", params, state, "in0", 900, violations)
-    assert violations[0] == "earlier"
-    assert [(v.time_fs, v.detail) for v in violations[1:]] == [
-        (700, "inputs 700 fs apart (min separation 2000 fs)"),
-        (900, "inputs 200 fs apart (min separation 2000 fs)"),
+def test_violations_follow_the_runs_earlier_ones_in_order():
+    # the merger's range excludes the bias: its ELECTRICAL violation at t=0 comes first
+    narrow = BiasDelayModel.scaled(1500, operating_range=(Fraction("0.9"), Fraction("1.1")),
+                                   curve=((Fraction("0.9"), Fraction("1.2")), (Fraction("1.1"), Fraction("0.8"))))
+    merger = MERGER._replace(delay_model=narrow)
+    out, v = steps("m", merger, [("in0", 0), ("in1", 700), ("in0", 900)], at=bias("0.8"))
+    assert out == (("out", 1800), ("out", 2500), ("out", 2700))
+    assert [(x.kind, x.time_fs, x.detail) for x in v] == [
+        (ViolationKind.ELECTRICAL, 0, "bias 0.8 outside operating range [0.9, 1.1]"),
+        (ViolationKind.ELECTRICAL, 700, "inputs 700 fs apart (min separation 2000 fs)"),
+        (ViolationKind.ELECTRICAL, 900, "inputs 200 fs apart (min separation 2000 fs)"),
     ]
 
 
@@ -401,29 +376,30 @@ def test_releases_agree_with_the_port_tables():
 
 
 @pytest.mark.parametrize("kind", list(CellKind))
-def test_steppers_accept_and_emit_exactly_the_table_ports(kind):
-    params = CellParams(kind=kind, prop_delay_fs=500).at_bias(NOM)
+def test_cells_accept_and_release_on_exactly_the_table_ports(kind):
+    params = CellParams(kind=kind, prop_delay_fs=500)
     known = {port for table in (INPUT_PORTS, OUTPUT_PORTS) for ports in table.values() for port in ports}
     for port in sorted(known):
         if port in INPUT_PORTS[kind]:
-            released = stepper_for(kind, port)("c", params, CellState(stored=True), port, 0, [])
             # a full storage cell releases on a clock, not on data; a passive cell always forwards
-            assert released is (RELEASES[kind][port] != ())
+            stored = [("data", 0)] if "data" in INPUT_PORTS[kind] and port != "data" else []
+            out, v = steps("c", params, stored + [(port, 1000)])
+            assert out == tuple((name, 1500) for name in RELEASES[kind][port]) and v == ()
         else:
-            with pytest.raises(ValueError, match="has no port"):
-                stepper_for(kind, port)
+            with pytest.raises(NetlistError, match="has no port|is not an input port"):
+                Netlist({"c": params}, (Connection("x", f"c.{port}"),), frozenset({"x"}), ())
 
 
-def test_stepper_for_dispatches_on_the_kind():
-    out, v = step("d", PINNED_DRO, CellState(), "data", 0)
-    assert out == () and v == ()
-    assert stepper_for(PINNED_DRO.kind, "data") is store_step
-    assert stepper_for(CellKind.DRO2R, "data") is store_step
-    assert stepper_for(CellKind.DRO, "clock") is stepper_for(CellKind.DRO2R, "clock1") is release_step
-    assert stepper_for(CellKind.MERGER, "in1") is merger_step
-    assert stepper_for(CellKind.FANOUT, "in") is fanout_step
-    with pytest.raises(ValueError, match="does not process pulses"):
-        stepper_for("XOR", "in")  # type: ignore[arg-type]
+def test_each_kind_applies_its_own_transition():
+    # data stores (no release) on both storage kinds; either kind's clock releases a stored pulse
+    assert steps("d", DRO, [("data", 0)]) == ((), ())
+    assert steps("r", DRO2R, [("data", 0)]) == ((), ())
+    assert steps("d", DRO, [("data", 0), ("clock", 5000)])[0] == (("out", 10000),)
+    assert steps("r", DRO2R, [("data", 0), ("clock1", 5000)])[0] == (("out1", 10000),)
+    assert steps("m", MERGER, [("in1", 0)])[0] == (("out", 1500),)
+    assert steps("f", CellParams(kind=CellKind.FANOUT), [("in", 0)])[0] == (("out_a", 0), ("out_b", 0))
+    with pytest.raises(NetlistError, match="^cell 'x': kind 'XOR' does not process pulses$"):
+        Netlist({"x": CellParams(kind="XOR")}, (), frozenset(), ())  # type: ignore[arg-type]
 
 
 # --- default cell set --------------------------------------------------------

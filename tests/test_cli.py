@@ -5,9 +5,11 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from fluxloop.cli import (
 )
 from fluxloop.core import CELL_NAMES, CELL_OVERRIDES
 from fluxloop.engine import EXPORT_CHUNK
-from fluxloop.memory import parse_program
+from fluxloop.memory import MemoryProgram, TripOp, parse_program
 from fluxloop.timing import margin_sweep, margins_to_csv, sta_to_text
 
 WRITE_READ = [
@@ -690,6 +692,87 @@ def test_the_long_program_spans_several_export_chunks():
     program = parse_program(json.dumps({"trips": LONG}))
     trace = run_program(program, parse_config('{"frequency": "100GHz", "num_addresses": 64}')).trace
     assert len(trace.keys) > 4 * EXPORT_CHUNK
+
+
+class _Writes(io.StringIO):
+    """A stdout that keeps each write."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return super().write(text)
+
+
+def _old_report(program, cfg, result) -> str:
+    """simulate's report but its result line, built whole from the oracle's dict."""
+    expected = fluxloop.oracle(program, cfg.num_addresses)
+    out = [f"frequency {cfg.frequency_hz / 1e9:g} GHz, {cfg.num_addresses} addresses, bias {cfg.bias}"]
+    for (trip, addr), bit in sorted(result.reads.items()):
+        note = f"  (expected {expected[(trip, addr)]})" if expected[(trip, addr)] != bit else ""
+        out.append(f"trip {trip}: addr {addr} -> {bit}{note}")
+    out += [f"violation: {v.kind.value} {v.cell} at {v.time_fs} fs: {v.detail}" for v in result.trace.violations]
+    return "\n".join(out) + "\n"
+
+
+class TestStreamedReport:
+    """simulate writes its report ``EXPORT_CHUNK`` lines at a time."""
+
+    @pytest.mark.parametrize("doc", [
+        {"frequency": "100GHz", "num_addresses": 64},
+        # every bit aliases into the previous slot, and every cell fails electrically
+        {"frequency": "100GHz", "num_addresses": 64, "loop_delay": 20000, "bias": "0.5"},
+    ])
+    def test_the_report_is_the_whole_report_in_chunks(self, tmp_path, monkeypatch, doc):
+        (config := tmp_path / "config.json").write_text(json.dumps(doc))
+        (long := tmp_path / "long.json").write_text(json.dumps({"trips": LONG}))
+        program, cfg = parse_program(long.read_text()), parse_config(config.read_text())
+        result = run_program(program, cfg)
+        monkeypatch.setattr(sys, "stdout", file := _Writes())
+        code = main(["simulate", "--config", str(config), "--program", str(long)])
+        passed = result.passed and result.reads == fluxloop.oracle(program, cfg.num_addresses)
+        assert code == (EXIT_OK if passed else EXIT_RUN_FAILED)
+        assert file.getvalue() == _old_report(program, cfg, result) + f"result: {'PASS' if passed else 'FAIL'}\n"
+        reads, violations = len(result.reads), len(result.trace.violations)
+        assert reads > 3 * EXPORT_CHUNK and (passed or violations)
+        # the header, then the reads and the violations in chunks, then the result line
+        report = file.writes[:file.writes.index(f"result: {'PASS' if passed else 'FAIL'}")]
+        assert len(report) == 1 + -(-reads // EXPORT_CHUNK) + -(-violations // EXPORT_CHUNK)
+
+    def test_a_closed_stdout_exits_quietly(self, tmp_path, capsys, monkeypatch):
+        (config := tmp_path / "config.json").write_text('{"frequency": "100GHz", "num_addresses": 64}')
+        (long := tmp_path / "long.json").write_text(json.dumps({"trips": LONG}))
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe("write"))
+        assert main(["simulate", "--config", str(config), "--program", str(long)]) == EXIT_BROKEN_PIPE
+        assert capsys.readouterr().err == ""
+
+    def test_the_report_of_a_long_program_holds_a_fraction_of_its_text(self, monkeypatch):
+        # the store_stream workload's shape over 2,000 trips: 64 addresses, one write and 16 reads a trip
+        rng = random.Random(1)
+        trips = tuple(TripOp((rng.randrange(64), rng.randrange(2)), tuple(sorted(rng.sample(range(64), 16))))
+                      for _ in range(2000))
+        program, cfg = MemoryProgram(trips), parse_config('{"frequency": "100GHz", "num_addresses": 64}')
+        result = run_program(program, cfg)
+        monkeypatch.setattr(sys, "stdout", sink := _Sink())
+        tracemalloc.start()
+        try:
+            assert cli._report(cfg, program, result)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 700_000 and peak < sink.size / 4, (peak, sink.size)
+
+
+class _Sink:
+    """A stdout that counts what is written and keeps none of it."""
+
+    size = 0
+
+    def write(self, text: str) -> int:
+        self.size += len(text)
+        return len(text)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses every write")

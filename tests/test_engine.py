@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import _oracle
-from fluxloop import FluxloopError, SimConfig, build_controller, cells, run_program, scenario_write_read, stimulus_for
-from fluxloop.cells import BiasDelayModel, CellKind, CellParams, CellState, TimingViolation, ViolationKind, stepper_for
+from fluxloop import FluxloopError, SimConfig, build_controller, cells, engine, run_program, scenario_write_read, stimulus_for
+from fluxloop.cells import BiasDelayModel, CellKind, CellParams, TimingViolation, ViolationKind
 from fluxloop.core import CELL_NAMES, NOMINAL_BIAS, BiasPoint, PulseEvent, trip_duration
 from fluxloop.engine import (
     EXPORT_CHUNK,
@@ -522,6 +522,60 @@ REFERENCE_RELEASES = {
 }
 
 
+# The reference's own cell transitions, written from the cells' description
+# and sharing no code with the kernel's: each takes the cell pinned at the
+# run's bias, appends any violation and says whether the cell releases.
+
+
+class CellState:
+    """One cell's state in the reference run."""
+
+    def __init__(self) -> None:
+        self.stored = False
+        self.last_data_fs: int | None = None
+        self.last_clock_fs: int | None = None
+        self.last_in_fs: dict[str, int] = {}  # a merger's last arrival per input
+
+
+def store_step(cell: str, params, state: CellState, port: str, t: int, violations: list) -> bool:
+    last = state.last_clock_fs
+    state.stored = True
+    state.last_data_fs = t
+    if last is not None and 0 <= t - last < params.hold_fs:
+        violations.append(TimingViolation(cell, ViolationKind.HOLD, t, f"data {t - last} fs after clock (hold {params.hold_fs} fs)"))
+    return False
+
+
+def release_step(cell: str, params, state: CellState, port: str, t: int, violations: list) -> bool:
+    last = state.last_data_fs
+    if last is not None and 0 <= t - last < params.setup_fs:
+        violations.append(TimingViolation(cell, ViolationKind.SETUP, t, f"{port} {t - last} fs after data (setup {params.setup_fs} fs)"))
+    state.last_clock_fs = t
+    released, state.stored = state.stored, False
+    return released
+
+
+def merger_step(cell: str, params, state: CellState, port: str, t: int, violations: list) -> bool:
+    last = state.last_in_fs.get({"in0": "in1", "in1": "in0"}[port])
+    state.last_in_fs[port] = t
+    if last is not None and 0 <= t - last < params.min_separation_fs:
+        detail = f"inputs {t - last} fs apart (min separation {params.min_separation_fs} fs)"
+        violations.append(TimingViolation(cell, ViolationKind.ELECTRICAL, t, detail))
+    return True
+
+
+def fanout_step(cell: str, params, state: CellState, port: str, t: int, violations: list) -> bool:
+    return True
+
+
+def reference_step(kind: CellKind, port: str):
+    if kind is CellKind.MERGER:
+        return merger_step
+    if kind is CellKind.FANOUT:
+        return fanout_step
+    return store_step if port == "data" else release_step
+
+
 def reference_run(net: Netlist, stimulus: list[tuple[int, str]], t_end: int, bias: BiasPoint) -> tuple[tuple, tuple]:
     """The kernel's contract, written naively: one heap of (t, line) keys
     holding every pulse, and every key ever queued remembered."""
@@ -541,7 +595,7 @@ def reference_run(net: Netlist, stimulus: list[tuple[int, str]], t_end: int, bia
         if line in net.observed:
             events.append((t, line))
         for cell, port in sorted(c.dst.split(".") for c in net.connections if c.src == line and "." in c.dst):
-            if stepper_for(net.cells[cell].kind, port)(cell, pins.cells[cell], states[cell], port, t, violations):
+            if reference_step(net.cells[cell].kind, port)(cell, pins.cells[cell], states[cell], port, t, violations):
                 for out in REFERENCE_RELEASES[port]:
                     for c in net.connections:
                         if c.src == f"{cell}.{out}":
@@ -607,6 +661,62 @@ def loop_net(prop: int, setup: int, loop: int, jitter: list[tuple[int, int]]) ->
     )
 
 
+#: What a fold netlist's fanout output lands on: a line seen in the trace, one
+#: a tap reads (to an observed line that feeds the merger back), or one nothing sees.
+FANOUT_ROLES = ("observed", "tapped", "dead")
+
+
+def fold_net(dro: int, merger: int, fanout: int, role_a: str, role_b: str) -> Netlist:
+    # d and m both release onto mid, an internal, unobserved, untapped line only f reads
+    connections = [
+        Connection("din", "d.data"),
+        Connection("clk", "d.clock"),
+        Connection("p", "m.in0"),
+        Connection("c", "m.in1"),
+        Connection("d.out", "mid"),
+        Connection("m.out", "mid"),
+        Connection("mid", "f.in"),
+        Connection("f.out_a", "xa"),
+        Connection("f.out_b", "xb"),
+    ]
+    roles = {"xa": role_a, "xb": role_b}
+    connections += [Connection(line, "c", delay_fs=250, is_loop=True) for line, role in roles.items() if role == "tapped"]
+    return Netlist(
+        cells={
+            "d": CellParams(kind=CellKind.DRO, prop_delay_fs=dro, setup_fs=1000, hold_fs=500),
+            "m": CellParams(kind=CellKind.MERGER, prop_delay_fs=merger, min_separation_fs=1000),
+            "f": CellParams(kind=CellKind.FANOUT, prop_delay_fs=fanout),
+        },
+        connections=tuple(connections),
+        external_inputs=frozenset({"din", "clk", "p"}),
+        observed=("c", "clk", "din", "p") + tuple(line for line, role in roles.items() if role == "observed"),
+    )
+
+
+def fanout_loop(first: int, second: int, third: int) -> Netlist:
+    # each fanout's input line but the first is fanout-only, and the third
+    # fanout drives the second's input again: folds chain and cycle
+    def fanout(delay: int) -> CellParams:
+        return CellParams(kind=CellKind.FANOUT, prop_delay_fs=delay)
+
+    return Netlist(
+        cells={"f1": fanout(first), "f2": fanout(second), "f3": fanout(third)},
+        connections=(
+            Connection("z", "f1.in"),
+            Connection("f1.out_a", "l1"),
+            Connection("f1.out_b", "b"),
+            Connection("l1", "f2.in"),
+            Connection("f2.out_a", "l2"),
+            Connection("f2.out_b", "c"),
+            Connection("l2", "f3.in"),
+            Connection("f3.out_a", "a"),
+            Connection("f3.out_b", "l1", is_loop=True),
+        ),
+        external_inputs=frozenset({"z"}),
+        observed=("a", "b", "c", "z"),
+    )
+
+
 class TestKernelMatchesReference:
     """run_until against the naive kernel above, on drawn delays and stimuli."""
 
@@ -641,6 +751,21 @@ class TestKernelMatchesReference:
     def test_jittered_tap_loop(self, prop, setup, loop, jitter, stimulus, t_end):
         self.check(loop_net(prop, setup, loop, jitter), stimulus, t_end)
 
+    @settings(max_examples=60, deadline=None)
+    @given(delays, delays, delays, st.sampled_from(FANOUT_ROLES), st.sampled_from(FANOUT_ROLES),
+           stimuli(("din", "clk", "p")), instants)
+    # folded: d's release and a merger collision; the fanout feeds the merger back through c
+    @example(500, 1000, 500, "tapped", "observed", [(0, "din"), (500, "clk"), (1500, "p")], 8000)
+    # zero delays keep the wired routes
+    @example(0, 0, 0, "tapped", "dead", [(0, "din"), (0, "p"), (500, "clk"), (500, "p")], 4000)
+    def test_fold_of_a_fanout_only_line(self, dro, merger, fanout, role_a, role_b, stimulus, t_end):
+        self.check(fold_net(dro, merger, fanout, role_a, role_b), stimulus, t_end)
+
+    @settings(max_examples=30, deadline=None)
+    @given(delays, delays, delays, stimuli(("z",)), st.integers(0, 8).map(lambda k: 500 * k))
+    def test_folds_through_a_fanout_chain_and_cycle(self, first, second, third, stimulus, t_end):
+        self.check(fanout_loop(first, second, third), stimulus, t_end)
+
     @settings(max_examples=25, deadline=None)
     @given(
         st.dictionaries(st.sampled_from(sorted(CELL_NAMES)), delays.map(lambda d: {"prop_delay": d}), max_size=3),
@@ -659,6 +784,68 @@ class TestKernelMatchesReference:
         cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3, cell_overrides=overrides)
         stimulus = stimulus_for(MemoryProgram(tuple(trips)), cfg)
         self.check(build_controller(cfg), stimulus, (len(trips) + 2) * trip_duration(cfg), BiasPoint.of(ratio))
+
+
+def _queued_lines(monkeypatch, net: Netlist, stimulus, t_end: int, bias: BiasPoint) -> set[str]:
+    """The lines of every key a run pushes onto its heap."""
+    pushed = []
+
+    def recording(heap: list[int], key: int) -> None:
+        pushed.append(key)
+        heappush(heap, key)
+
+    monkeypatch.setattr(engine, "heappush", recording)
+    run_until(schedule(net, stimulus), t_end, bias)
+    return {net.lines[key % len(net.lines)] for key in pushed}
+
+
+#: The controller's lines no run can see: one only the fanout reads, and two nothing reads.
+UNSEEN = {"merged", "read_discard", "recirc_discard"}
+
+
+@pytest.mark.parametrize("overrides, queued", [({}, set()), ({"fanout": {"prop_delay": 0}}, UNSEEN)])
+def test_a_controller_run_queues_no_pulse_it_cannot_see(monkeypatch, overrides, queued):
+    cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3, cell_overrides=overrides)
+    # an overwritten 1 leaves on recirc_discard, and a 0 read before an unread address on read_discard
+    program = MemoryProgram((TripOp(write=(1, 1), reads=(0,)), TripOp(write=(1, 1), reads=(1,)), TripOp(reads=(0, 1))))
+    net = build_controller(cfg)
+    assert net.at_bias(cfg.bias).zero_delay == bool(overrides)
+    lines = _queued_lines(monkeypatch, net, stimulus_for(program, cfg), 5 * trip_duration(cfg), cfg.bias)
+    # a zero delay keeps the wired routes: the fanout's input and both discard lines are queued
+    assert lines & UNSEEN == queued and {"loop_data_in", "read_clock", "read_data"} <= lines
+
+
+def fanout_tree(root: int) -> Netlist:
+    """A fanout whose two outputs are fanout-only lines: one fanout drives
+    two observed lines, the other one observed line and a dead one."""
+    cell = CellParams(kind=CellKind.FANOUT, prop_delay_fs=500)
+    return Netlist(
+        cells={"f1": cell._replace(prop_delay_fs=root), "f2": cell, "f3": cell},
+        connections=(
+            Connection("z", "f1.in"),
+            Connection("f1.out_a", "m1"),
+            Connection("f1.out_b", "m2"),
+            Connection("m1", "f2.in"),
+            Connection("m2", "f3.in"),
+            Connection("f2.out_a", "a"),
+            Connection("f2.out_b", "b"),
+            Connection("f3.out_a", "c"),
+            Connection("f3.out_b", "dead"),
+        ),
+        external_inputs=frozenset({"z"}),
+        observed=("a", "b", "c", "z"),
+    )
+
+
+@pytest.mark.parametrize("root, bound", [(500, 3), (0, 4)])
+def test_max_events_counts_the_pulses_a_run_can_see(root, bound):
+    # folded, z's pulse queues a, b and c at once; a zero delay keeps the
+    # wired routes, where m2 waits beside a and b, and then c beside the dead line
+    net = fanout_tree(root)
+    trace = run(net, [(0, "z")], max_events=bound)
+    assert trace.events == ((0, "z"), (root + 500, "a"), (root + 500, "b"), (root + 500, "c"))
+    with pytest.raises(RunawayQueueError, match=f"^event queue exceeded {bound - 1} events"):
+        run(net, [(0, "z")], max_events=bound - 1)
 
 
 dro_runs = st.builds(lambda p, s, h, stimulus, t_end: (dro_net(p, s, h), stimulus, t_end, NOMINAL_BIAS),
