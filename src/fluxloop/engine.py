@@ -13,15 +13,20 @@ emits onto the lines wired to its outputs.  Two connection shapes exist:
 Events at equal timestamps are ordered by line name, and at most one pulse
 exists per line and instant, so reruns of an identical (netlist, stimulus,
 bias) triple produce bit-identical traces.
+
+The run loop is Python source generated per wiring shape, compiled at the
+shape's first run and kept in ``linecache`` as ``<fluxloop kernel ...>``,
+so a traceback shows the generated line (``_kernel``).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import zlib
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from heapq import heappop, heappush
+from heapq import heappop, heappush  # what the generated kernels push and pop with, read here at each run
 from io import StringIO
 from itertools import compress, cycle, repeat
 from operator import eq
@@ -69,12 +74,9 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
 
     ``cells`` is a read-only copy of the mapping given, since one netlist may
     serve many callers (``memory.build_controller`` memoizes).  The wiring is
-    resolved once per netlist and each bias's pinned cells once per bias
-    (:meth:`at_bias`), so a run only builds its per-slot tables and fresh
-    cell states.
+    resolved once per netlist, its kernels found at their first run and the
+    cells pinned once per bias (:meth:`at_bias`), all in the instance dict.
     """
-
-    # no __slots__: the instance dict holds the cached wiring and pinned cells
 
     def __new__(cls, cells: Mapping[str, CellParams], connections: tuple[Connection, ...],
                 external_inputs: frozenset[str], observed: tuple[str, ...]) -> "Netlist":
@@ -87,34 +89,32 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
         return type(self), (dict(self.cells), self.connections, self.external_inputs, self.observed)
 
     @cached_property
-    def _wiring(self) -> tuple[tuple[str, ...], dict[str, int], tuple[tuple, ...], tuple[tuple, ...], tuple]:
-        """(every line a pulse can land on, by name; each external input's
-        rank there; each rank's route as wired; the same folded; the folds).
-        The kernel keys a pulse at t on the line of rank r as
-        ``t * len(lines) + r``, so int order is (time, line) order.  A route
-        is (observed?, its consumers as (``_transition``, targets), its taps as
-        (delay, offset schedule, destination rank)).  A target is (delay
-        entry, destination rank minus this line's): a release lands at
-        ``key + delays[entry] + offset``, a run's delays being each cell's
-        times the line count by slot, then each fold's (driver, fanout) sum.
-        Folded, a release onto a dead line (unobserved, untapped, read by no
-        cell) is dropped, and one onto a fanout-only line (internal,
-        unobserved, untapped, read by one FANOUT alone) lands on the fanout's
-        outputs after both delays.  An output nothing drives is dropped."""
+    def _wiring(self) -> tuple[tuple[str, ...], dict[str, int], tuple]:
+        """(every line a pulse can land on, by name, a pulse at t on rank r
+        keyed ``t * len(lines) + r`` so int order is (time, line) order; each
+        external input's rank; the wiring shapes as wired and folded, each
+        (wired?, per rank (observed?, consumers, taps))).  A consumer is
+        (transition, port, slot, its and its peer's ``last`` entries, targets),
+        a target (slots, rank offset): a release lands after those cells'
+        delays; a tap is (connection index, rank, scheduled?).  Folded, a
+        release onto a dead line (unobserved, untapped, read by no cell) is
+        dropped, and one onto a fanout-only line (internal, unobserved,
+        untapped, read by one FANOUT alone) lands on the fanout's outputs
+        after both delays.  An output nothing drives is dropped."""
         driven = {conn.dst for conn in self.connections if not _is_port(conn.dst)}
         lines = tuple(sorted(driven | self.external_inputs))
         rank = {line: r for r, line in enumerate(lines)}
         ports_on: dict[str, list[tuple[str, str]]] = {}
-        taps: dict[str, list[tuple]] = {}
+        taps: dict[str, list[tuple[int, int, bool]]] = {}
         outs: dict[str, dict[str, int]] = {name: {} for name in self.cells}
-        for conn in self.connections:
+        for index, conn in enumerate(self.connections):
             if _is_port(conn.dst):
                 ports_on.setdefault(conn.src, []).append(_split_port(conn.dst))
             elif _is_port(conn.src):
                 cell, port = _split_port(conn.src)
                 outs[cell][port] = rank[conn.dst]
             else:
-                taps.setdefault(conn.src, []).append((conn.delay_fs, conn.offset_schedule, rank[conn.dst]))
+                taps.setdefault(conn.src, []).append((index, rank[conn.dst], bool(conn.offset_schedule)))
         slot = {name: i for i, name in enumerate(_slot_order(self.cells))}
         dead, fanout_of = set(), {}  # by rank: the dead lines, and each fanout-only line's (fanout, port)
         for line in set(lines) - set(self.observed) - taps.keys():
@@ -123,29 +123,42 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
                 dead.add(rank[line])
             elif len(ports) == 1 and line not in self.external_inputs and self.cells[ports[0][0]].kind is CellKind.FANOUT:
                 fanout_of[rank[line]] = ports[0]
-        folds: dict[tuple[int, int], int] = {}  # (driver slot, fanout slot) -> its delay entry
+
+        def consumer(cell: str, port: str) -> tuple:
+            # the transition (see ``cells``) and its check: the window's field (none varies with bias),
+            # the violation's kind and its detail given the gap and the window
+            kind, s = self.cells[cell].kind, slot[cell]
+            first = port == INPUT_PORTS[kind][0]  # data or in0: a cell's two ``last`` entries are its inputs'
+            op, check = (
+                ("pass", None) if kind is CellKind.FANOUT
+                else ("merge", ("min_separation_fs", "ELECTRICAL", "inputs %d fs apart (min separation %d fs)")) if kind is CellKind.MERGER
+                else ("store", ("hold_fs", "HOLD", "data %d fs after clock (hold %d fs)")) if first
+                else ("release", ("setup_fs", "SETUP", f"{port} %d fs after data (setup %d fs)")))
+            return op, check, s, 2 * s + (not first), 2 * s + first
 
         def released(cell: str, port: str) -> list[int]:
             return [outs[cell][out] for out in RELEASES[self.cells[cell].kind][port] if out in outs[cell]]
 
-        def targets(cell: str, port: str, here: int, fold: bool) -> tuple[tuple[int, int], ...]:
+        def targets(cell: str, port: str, here: int, fold: bool) -> tuple[tuple[tuple[int, ...], int], ...]:
             out = []
             for dst in released(cell, port):
                 if fold and dst in fanout_of:
                     fanout, fanout_port = fanout_of[dst]
-                    entry = folds.setdefault((slot[cell], slot[fanout]), len(self.cells) + len(folds))
-                    out += [(entry, r - here) for r in released(fanout, fanout_port) if r not in dead]
+                    out += [((slot[cell], slot[fanout]), r - here) for r in released(fanout, fanout_port) if r not in dead]
                 elif not (fold and dst in dead):
-                    out.append((slot[cell], dst - here))
+                    out.append(((slot[cell],), dst - here))
             return tuple(out)
 
         def route(line: str, fold: bool) -> tuple:
-            consumers = tuple((*_transition(cell, self.cells[cell], port, slot[cell]), targets(cell, port, rank[line], fold))
-                              for cell, port in sorted(ports_on.get(line, ())))
+            consumers = tuple((*consumer(cell, port), targets(cell, port, rank[line], fold)) for cell, port in sorted(ports_on.get(line, ())))
             return line in self.observed, consumers, tuple(taps.get(line, ()))
 
-        routes, folded = (tuple(route(line, fold) for line in lines) for fold in (False, True))
-        return lines, {line: rank[line] for line in self.external_inputs}, routes, folded, tuple(folds)
+        shapes = tuple((not fold, tuple(route(line, fold) for line in lines)) for fold in (False, True))
+        return lines, {line: rank[line] for line in self.external_inputs}, shapes
+
+    # compiled, or taken from the bounded cache of shapes, at a route table's first run
+    _wired_kernel = cached_property(lambda self: _kernel(*self._wiring[2][0]))
+    _folded_kernel = cached_property(lambda self: _kernel(*self._wiring[2][1]))
 
     @property
     def lines(self) -> tuple[str, ...]:
@@ -181,36 +194,98 @@ class PinnedNetlist:
 
 def _slot_order(cells: Mapping[str, CellParams]) -> list[str]:
     """The cells' names in slot order: the order ``_pin`` pins them in (so
-    ELECTRICAL violations come in name order) and ``_wiring``'s slots index."""
+    ELECTRICAL violations come in name order), which the kernel's slots index."""
     return sorted(cells)
 
 
-#: The transition an arrival applies (see ``cells``), as a consumer's first field.
-_PASS, _MERGE, _STORE, _RELEASE = range(4)
+#: The kernel around its per-shape prologue (arguments unpacked, per-run locals) and rank dispatch.
+_KERNEL = """\
+def kernel(walk, end, room, max_events, cells, connections, violations):
+{prologue}
+    heap, recorded, i, latest, following = [], [], 0, -1, walk[0]
+    push, pop, record = heappush, heappop, recorded.append
+    while True:
+        if len(heap) - i > room:  # only a push adds a pending pulse: this follows the key that overflowed
+            raise RunawayQueueError(f"event queue exceeded {{max_events}} events — runaway feedback")
+        if heap and heap[0] < following:
+            key = pop(heap)
+        elif following < end:
+            key, i = following, i + 1
+            following = walk[i]
+        else:
+            break
+        if key == latest:
+            continue
+        latest = key
+        rank = key % n
+        now = key - rank
+{dispatch}
+{sort}    return recorded
+"""
 
-#: A ``last`` entry before the first arrival it records: no window reaches back to it.
-_NEVER = float("-inf")
+
+@lru_cache(maxsize=32)
+def _kernel(wired: bool, routes: tuple) -> Callable[..., list[int]]:
+    """A shape's kernel (see ``Netlist._wiring``), compiled with the globals
+    where a run finds ``heappush`` and ``heappop``: a branch per rank, in keys
+    (``now`` is the time times ``n``).  Locals by slot: ``C``/``P`` a cell's
+    name and pins, ``S`` its stored pulse; ``L``/``W`` a ``last`` entry and its
+    window, ``T`` a target's delay plus offset, ``Q``/``D``/``X``/``K`` a tap's
+    connection, delay, schedule and delay plus offset."""
+    import linecache  # a run compiles, an import does not
+    n = len(routes)
+    sums: dict[tuple[tuple[int, ...], int], str] = {}  # (slots, offset) -> its T local
+    slots, windows, prologue, branches = set(), {}, [], []
+    for r, (observed, consumers, taps) in enumerate(routes):
+        body = ["record(key)"] if observed else []
+        for op, check, slot, mine, peer, targets in consumers:
+            slots.add(slot)
+            pushes = [f"push(heap, key + {sums.setdefault(target, 'T%d' % len(sums))})" for target in targets]
+            if check:  # time never runs back, so the gap is >= 0
+                field, kind, detail = check
+                windows[mine] = f"W{mine} = P{slot}.{field} * n"
+                body += [f"gap = now - L{peer}", f"L{mine} = now", f"if gap < W{mine}:",
+                         f'    violations.append(TimingViolation(C{slot}, ViolationKind.{kind}, now // n, "{detail}" % (gap // n, P{slot}.{field})))']
+            if op == "store":  # data releases nothing
+                body.append(f"S{slot} = True")
+            elif op == "release":
+                body += [f"if S{slot}:", f"    S{slot} = False", *_indent(pushes)]
+            else:
+                body += pushes
+        for j, dst, scheduled in taps:  # a schedule adds the offset of its last entry starting at or before t
+            prologue += [f"Q{j} = connections[{j}]", f"D{j}, X{j} = Q{j}.delay_fs, Q{j}.offset_schedule", f"K{j} = D{j} * n + {dst - r}"]
+            delay, shift = (f"D{j} + offset", f"K{j} + offset * n") if scheduled else (f"D{j}", f"K{j}")
+            body += [f"entry = bisect_left(X{j}, (now // n + 1,))", f"offset = X{j}[entry - 1][1] if entry else 0"] if scheduled else []
+            body += [f"if {delay} <= 0:", f'    raise FluxloopError("tap %s -> %s: effective delay must stay positive (got %d fs at t=%d)"'
+                     f' % (Q{j}.src, Q{j}.dst, {delay}, now // n))', f"push(heap, key + {shift})"]
+        branches.append(body or ["pass"])
+
+    def dispatch(lo: int, hi: int) -> list[str]:  # a balanced tree over the ranks in [lo, hi)
+        if hi - lo == 1:
+            return branches[lo]
+        mid = (lo + hi) // 2
+        left, right = dispatch(lo, mid), dispatch(mid, hi)
+        return ["pass"] if left == right == ["pass"] else [f"if rank < {mid}:", *_indent(left), "else:", *_indent(right)]
+
+    for (cells, offset), name in sums.items():  # a fold's delay is its driver's plus its fanout's
+        prologue.append(f"{name} = ({' + '.join(f'P{slot}.prop_delay_fs' for slot in cells)}) * n {'-' if offset < 0 else '+'} {abs(offset)}")
+    prologue += [" = ".join([*(f"L{2 * slot} = L{2 * slot + 1}" for slot in sorted(slots)), 'float("-inf")']),  # no window reaches -inf
+                 " = ".join([*(f"S{slot}" for slot in sorted(slots)), "False"])]
+    prologue += ["processed, instant = set(), 0"] if wired else []
+    unpack = [f"C{slot}, P{slot} = cells[{slot}]" for slot in sorted(slots)] + list(windows.values())
+    loop = ["if now != instant:  # no release lands before the current instant: earlier keys cannot recur",
+            "    instant = now", "    processed.clear()", "elif key in processed:", "    continue", "processed.add(key)"] if wired else []
+    source = _KERNEL.format(prologue="\n".join(_indent([f"n = {n}", *unpack, *prologue])),
+                            dispatch="\n".join(_indent(_indent(loop + (dispatch(0, n) if n else ["pass"])))),
+                            sort="    recorded.sort()  # a zero-delay release may sort before the key that made it\n" if wired else "")
+    name = f"<fluxloop kernel {zlib.crc32(source.encode()):08x}>"
+    linecache.cache[name] = (len(source), None, source.splitlines(True), name)  # no mtime: checkcache keeps it
+    exec(compile(source, name, "exec"), globals(), namespace := {})
+    return namespace["kernel"]
 
 
-def _transition(cell: str, params: CellParams, port: str, slot: int) -> tuple:
-    """What a pulse into ``port`` of ``cell`` applies: (transition, the cell's
-    slot, the entries of a run's ``last`` table it sets and checks (a cell
-    has two: data and clock, or in0 and in1), its window (no window varies
-    with bias), and a violation's (cell, kind, text around the gap))."""
-    kind = params.kind
-    if kind is CellKind.FANOUT:
-        return _PASS, slot, 0, 0, 0, None
-    first = port == INPUT_PORTS[kind][0]  # data, or in0
-    mine, peer = 2 * slot + (not first), 2 * slot + first
-    if kind is CellKind.MERGER:
-        separation = params.min_separation_fs
-        return _MERGE, slot, mine, peer, separation, (
-            cell, ViolationKind.ELECTRICAL, "inputs ", f" fs apart (min separation {separation} fs)")
-    if first:
-        return _STORE, slot, mine, peer, params.hold_fs, (
-            cell, ViolationKind.HOLD, "data ", f" fs after clock (hold {params.hold_fs} fs)")
-    return _RELEASE, slot, mine, peer, params.setup_fs, (
-        cell, ViolationKind.SETUP, f"{port} ", f" fs after data (setup {params.setup_fs} fs)")
+def _indent(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]
 
 
 def _pin(cells: Mapping[str, CellParams], num: int, den: int) -> PinnedNetlist:
@@ -246,16 +321,15 @@ def _validate(net: Netlist) -> None:
             raise NetlistError(f"cell {name!r}: kind {params.kind!r} does not process pulses")
 
     wired: set[str] = set()  # the cell ports joined to a line so far: each joins one
+    adjacency: dict[str, set[str]] = {}  # the cells and lines each cell or line drives
     for conn in net.connections:
-        for endpoint in (conn.src, conn.dst):
-            if _is_port(endpoint):
-                cell, port = _split_port(endpoint)
-                if cell not in net.cells:
-                    raise NetlistError(f"connection endpoint {endpoint!r} references unknown cell")
-                kind = net.cells[cell].kind
-                valid = INPUT_PORTS.get(kind, ()) + OUTPUT_PORTS.get(kind, ())
-                if port not in valid:
-                    raise NetlistError(f"cell {cell!r} ({kind.value}) has no port {port!r}")
+        for endpoint in filter(_is_port, (conn.src, conn.dst)):
+            cell, port = _split_port(endpoint)
+            if cell not in net.cells:
+                raise NetlistError(f"connection endpoint {endpoint!r} references unknown cell")
+            kind = net.cells[cell].kind
+            if port not in INPUT_PORTS.get(kind, ()) + OUTPUT_PORTS.get(kind, ()):
+                raise NetlistError(f"cell {cell!r} ({kind.value}) has no port {port!r}")
         if _is_port(conn.src) and _is_port(conn.dst):
             raise NetlistError(f"{conn.src} -> {conn.dst}: cell ports must connect through a line")
         if _is_port(conn.dst):
@@ -279,15 +353,9 @@ def _validate(net: Netlist) -> None:
         starts = [s for s, _ in conn.offset_schedule]
         if starts != sorted(starts):
             raise NetlistError(f"{conn.src} -> {conn.dst}: offset schedule must be sorted by start time")
+        if not conn.is_loop:  # the only permitted cycle is through connections marked as the loop
+            adjacency.setdefault(_split_port(conn.src)[0], set()).add(_split_port(conn.dst)[0])
 
-    # the only permitted cycle is through connections marked as the loop
-    adjacency: dict[str, set[str]] = {}
-    for conn in net.connections:
-        if conn.is_loop:
-            continue
-        src = _split_port(conn.src)[0] if _is_port(conn.src) else conn.src
-        dst = _split_port(conn.dst)[0] if _is_port(conn.dst) else conn.dst
-        adjacency.setdefault(src, set()).add(dst)
     state: dict[str, int] = {}  # 1 = on stack, 2 = done
 
     def visit(node: str) -> None:
@@ -387,7 +455,8 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
     it.  Each arrival applies its cell's transition (see ``cells``) inline.
     With no zero pinned delay the run takes the folded routes, which drop or
     fold the releases no run can see (``Netlist._wiring``); a zero delay
-    keeps the routes as wired.
+    keeps the routes as wired.  Either way the loop is the kernel generated
+    for the routes' wiring shape, compiled at its first run (``_kernel``).
     ``max_events`` bounds the pending pulses on lines a run can see: the
     heap (where a release equal to a pending pulse waits until it pops and
     merges) plus the stimulus not yet walked.
@@ -398,85 +467,16 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
     if len(stimulus) > max_events:
         raise RunawayQueueError(f"stimulus of {len(stimulus)} pulses exceeds the bound of {max_events} events")
     net = prepared.netlist
-    lines, _, routes, folded, folds = net._wiring
-    n = len(lines)
     pins = net.at_bias(bias)
-    # per run, not per pin (a kept copy per bias costs memory, not time):
-    # each cell's delay times n by slot, then each fold's, and fresh cell states
-    delays = [pinned.prop_delay_fs * n for pinned in pins.cells.values()]
-    delays += [delays[driver] + delays[fanout] for driver, fanout in folds]
-    stored = [False] * len(pins.cells)
-    last = [_NEVER] * (2 * len(pins.cells))  # each cell's last data and clock, or in0 and in1
-    violations = list(pins.violations)
-    # with no zero delay every push lands after the current key, so a
-    # duplicate pops right after its equal (the walk wins a tie), and a fold
-    # cannot reorder keys; a zero delay can land one at the current instant
-    # below it, so then keep the instant's processed keys and the wired routes
-    processed = set() if pins.zero_delay else None
-    routes = folded if processed is None else routes
-    instant, latest = 0, -1
-    heap: list[int] = []
-    room = max_events - len(stimulus)  # the heap may outgrow the stimulus walked by this much
-    end = t_end_fs * n  # above every key before t_end, at or below every other
+    # with no zero delay every push lands after the current key, so a duplicate pops right after its
+    # equal (the walk wins a tie) and a fold cannot reorder keys; the wired kernel allows for a zero delay
+    kernel = net._wired_kernel if pins.zero_delay else net._folded_kernel
+    end = t_end_fs * len(net.lines)  # above every key before t_end, at or below every other
     walk = stimulus[: bisect_left(stimulus, end)] + (end,)
-    i = 0
-    following = walk[0]
-    recorded: list[int] = []
-
-    while True:
-        if len(heap) - i > room:  # only a push adds a pending pulse: this follows the key that overflowed
-            raise RunawayQueueError(f"event queue exceeded {max_events} events — runaway feedback")
-        if heap and heap[0] < following:
-            key = heappop(heap)
-        elif following < end:
-            key = following
-            i += 1
-            following = walk[i]
-        else:
-            break
-        if key == latest:
-            continue
-        latest = key
-        t, rank = divmod(key, n)
-        if processed is not None:
-            if t != instant:  # no release lands before the current instant: earlier keys cannot recur
-                instant = t
-                processed.clear()
-            elif key in processed:
-                continue
-            processed.add(key)
-        observed, consumers, taps = routes[rank]
-        if observed:
-            recorded.append(key)
-        for op, slot, mine, peer, window, blame, targets in consumers:
-            if op:  # all but a pass check a window: time never runs back, so the gap is >= 0
-                gap = t - last[peer]
-                last[mine] = t
-                if gap < window:
-                    cell, kind, before, after = blame
-                    violations.append(TimingViolation(cell, kind, t, f"{before}{gap}{after}"))
-                if op == _STORE:  # data releases nothing
-                    stored[slot] = True
-                    continue
-                if op == _RELEASE:
-                    if not stored[slot]:
-                        continue
-                    stored[slot] = False
-            for entry, offset in targets:
-                heappush(heap, key + delays[entry] + offset)
-        for delay, offsets, dst in taps:
-            arrival = t + delay
-            if offsets:  # the offset of the last entry starting at or before t
-                entry = bisect_right(offsets, (t, float("inf"))) - 1
-                arrival += offsets[entry][1] if entry >= 0 else 0
-            if arrival <= t:
-                detail = f"effective delay must stay positive (got {arrival - t} fs at t={t})"
-                raise FluxloopError(f"tap {lines[rank]} -> {lines[dst]}: {detail}")
-            heappush(heap, arrival * n + dst)
-
-    if processed is not None:  # a zero-delay release may sort before the key that made it
-        recorded.sort()
-    return Trace(tuple(recorded), lines, tuple(violations), net.observed, t_end_fs, bias)
+    violations = list(pins.violations)
+    # room: the heap may outgrow the stimulus walked by this much
+    recorded = kernel(walk, end, max_events - len(stimulus), max_events, tuple(pins.cells.items()), net.connections, violations)
+    return Trace(tuple(recorded), net.lines, tuple(violations), net.observed, t_end_fs, bias)
 
 
 def query_pulses(trace: Trace, line: str, t0: int, t1: int) -> tuple[int, ...]:

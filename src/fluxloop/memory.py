@@ -341,18 +341,18 @@ def prepare_program(program: MemoryProgram, cfg: SimConfig) -> Callable[[BiasPoi
     t_end = (len(program.trips) + 2) * trip
     _, ph_write, _ = phase_instants(cfg)
     first = cfg.header_intervals * interval + ph_write
+    n, r = len(net.lines), net.lines.index("read_data")  # a read_data pulse at t is keyed t * n + r
     # (trip, address, write instant of that read's interval), one per read
     read_slots = tuple((t, k, t * trip + first + k * interval) for t, op in enumerate(program.trips) for k in op.reads)
 
     def run(bias: BiasPoint) -> MemoryResult:
         trace = run_until(prepared, t_end, bias, cfg.max_events)
-        offset = read_window_offset(prepared.netlist.at_bias(bias))
-        read_times = trace.pulses_on("read_data")  # in time order
-        reads: dict[tuple[int, int], int] = {}
-        for t, k, write_at in read_slots:
-            w0 = write_at + offset
-            i = bisect_left(read_times, w0)
-            reads[(t, k)] = 1 if i < len(read_times) and read_times[i] < w0 + interval else 0
+        offset, keys, reads = read_window_offset(prepared.netlist.at_bias(bias)), trace.keys, {}
+        for t, k, write_at in read_slots:  # walk the window's keys, in (time, line) order, from its first read_data key
+            i, stop = bisect_left(keys, (write_at + offset) * n + r), (write_at + offset + interval) * n
+            while i < len(keys) and keys[i] < stop and keys[i] % n != r:
+                i += 1
+            reads[(t, k)] = 1 if i < len(keys) and keys[i] < stop else 0
         return MemoryResult(reads=reads, trace=trace, passed=not trace.failed)
 
     return run

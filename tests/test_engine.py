@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import copy
 import io
+import linecache
 import pickle
 import random
+import traceback
 import tracemalloc
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -330,10 +332,11 @@ class TestNetlistCells:
             return run_until(schedule(net, stimulus), 5 * trip_duration(cfg), cfg.bias)
 
         net = build_controller(cfg)
-        original = write_read(net)  # the wiring and the nominal pins are cached now
+        original = write_read(net)  # the wiring, the nominal pins and the folded kernel are cached now
+        assert "_folded_kernel" in vars(net)
         for again in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
             assert again == net and again is not net
-            assert "_wiring" not in vars(again) and "_pinned" not in vars(again)
+            assert {"_wiring", "_pinned", "_folded_kernel", "_wired_kernel"}.isdisjoint(vars(again))
             with pytest.raises(TypeError):
                 again.cells["merger"] = FANOUT  # type: ignore[index]
             assert write_read(again) == original
@@ -379,8 +382,13 @@ class TestTaps:
             external_inputs=frozenset({"a"}),
             observed=("b",),
         )
-        with pytest.raises(FluxloopError, match="effective delay must stay positive"):
+        with pytest.raises(FluxloopError, match="effective delay must stay positive") as caught:
             run(net, [(10, "a")])
+        # raised in the generated kernel, whose traceback shows the generated line
+        frame = traceback.extract_tb(caught.value.__traceback__)[-1]
+        assert frame.filename.startswith("<fluxloop kernel ") and frame.name == "kernel"
+        assert frame.line.startswith('raise FluxloopError("tap %s -> %s: effective delay must stay positive')
+        assert linecache.getline(frame.filename, frame.lineno).strip() == frame.line
 
     @pytest.mark.parametrize("line, dst", [("a", "b"), ("w", "v")])
     def test_refused_tap_names_its_own_lines(self, line, dst):

@@ -23,7 +23,7 @@ from fluxloop import (
     run_program,
     sta,
 )
-from fluxloop import cells, core, memory, timing
+from fluxloop import cells, core, engine, memory, timing
 from fluxloop.cells import default_cell_params, delay_at_bias
 from fluxloop.core import CELL_OVERRIDES, BiasPoint, exact_ratio, format_ratio, interval_duration, round_half_up
 from fluxloop.engine import RunawayQueueError
@@ -622,10 +622,19 @@ class TestCaches:
             cfg = cfg100.with_frequency(ghz * GHZ)
             sta(cfg)
             bias_margin(cfg, suite, max_pct=1)
-        caches = (memory._compile, cells._cell_set, timing._window_cells, build_controller(cfg)._pinned)
+        caches = (memory._compile, cells._cell_set, timing._window_cells, build_controller(cfg)._pinned, engine._kernel)
         for cache in caches:
             info = cache.cache_info()
             assert 0 < info.currsize <= info.maxsize
+
+    def test_a_margin_sweep_compiles_one_kernel(self, cfg100):
+        # netlists that differ only in frequency share a wiring shape, and no
+        # default cell reaches a zero delay, so every run takes the folded routes
+        memory._compile.cache_clear()
+        engine._kernel.cache_clear()
+        margin_sweep(cfg100, [20 * GHZ, 50 * GHZ, 75 * GHZ, 100 * GHZ])
+        info = engine._kernel.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
     def test_sweep_is_the_same_on_warm_and_cleared_caches(self, cfg100):
         freqs = [50 * GHZ, 100 * GHZ, 500 * GHZ]
