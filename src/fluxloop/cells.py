@@ -97,7 +97,8 @@ class BiasDelayModel(validated_record("BiasDelayModel", "points range_lo range_h
 
     ``points`` are (bias ratio, delay fs) knots, strictly increasing in
     ratio and strictly decreasing in delay.  The knots must span the
-    operating range ``[range_lo, range_hi]``.
+    operating range ``[range_lo, range_hi]``, and the delay at ``range_hi``
+    (the least in range) must be non-negative.
     """
 
     __slots__ = ()
@@ -115,7 +116,10 @@ class BiasDelayModel(validated_record("BiasDelayModel", "points range_lo range_h
             raise ValueError("operating range must bracket the nominal ratio 1.0")
         if ratios[0] > range_lo or ratios[-1] < range_hi:
             raise ValueError("knots must span the operating range")
-        return tuple.__new__(cls, (points, range_lo, range_hi))
+        model = tuple.__new__(cls, (points, range_lo, range_hi))
+        if (least := delay_at_bias(model, BiasPoint(range_hi))) < 0:  # delays fall with bias: the least in range
+            raise ValueError(f"delay at the range's high edge {format_ratio(range_hi)} is {least} fs; it must be non-negative")
+        return model
 
     @classmethod
     def scaled(

@@ -380,45 +380,25 @@ class Trace(namedtuple("Trace", "keys lines violations observed t_end_fs bias"))
     line table (:attr:`Netlist.lines`).  The keys ascend, so the pulses come
     in strictly increasing ``(time_fs, line)`` order: at most one pulse per
     line and instant.  ``events`` is the same pulses as ``PulseEvent``s,
-    derived on first read and kept; :meth:`from_events` builds a trace by hand.
+    derived at each read.
     """
 
-    # no __slots__: the instance dict keeps ``events`` once derived
+    __slots__ = ()
 
-    @cached_property
+    @property
     def events(self) -> tuple[PulseEvent, ...]:
         lines = self.lines
         return tuple([tuple.__new__(PulseEvent, (t, lines[r])) for t, r in map(divmod, self.keys, repeat(len(lines)))])
-
-    @classmethod
-    def from_events(cls, events: Iterable[PulseEvent], violations: Iterable[TimingViolation], observed: tuple[str, ...],
-                    t_end_fs: int, bias: BiasPoint) -> "Trace":
-        """A trace built by hand from ``PulseEvent``s on observed lines; a
-        pulse on any other line raises ``UnknownLineError``."""
-        lines = tuple(sorted(observed))
-        rank = {line: r for r, line in enumerate(lines)}
-        try:
-            keys = sorted(t * len(lines) + rank[line] for t, line in events)
-        except KeyError as exc:
-            raise UnknownLineError(f"line {exc.args[0]!r} is not observed by this trace") from None
-        return cls(tuple(keys), lines, tuple(violations), tuple(observed), t_end_fs, bias)
 
     @property
     def failed(self) -> bool:
         return bool(self.violations)
 
-    def pulses_on(self, line: str) -> tuple[int, ...]:
-        if line not in self.observed:
-            raise UnknownLineError(f"line {line!r} is not observed by this trace")
-        n = len(self.lines)
-        rank = self.lines.index(line) if line in self.lines else None  # an observed line nothing drives
-        return tuple([k // n for k in self.keys if k % n == rank])
-
 
 class PreparedRun(validated_record("PreparedRun", "netlist keys")):
     """A netlist and its stimulus as kernel keys on its external inputs
     (see :class:`Trace`), sorted here; a duplicate pulse is refused.
-    ``schedule`` makes one from ``PulseEvent``s."""
+    ``schedule`` makes one from ``(time_fs, line)`` pairs."""
 
     __slots__ = ()
 
@@ -432,7 +412,7 @@ class PreparedRun(validated_record("PreparedRun", "netlist keys")):
         return tuple.__new__(cls, (netlist, tuple(keys)))
 
 
-def schedule(netlist: Netlist, stimulus: Iterable[PulseEvent]) -> PreparedRun:
+def schedule(netlist: Netlist, stimulus: Iterable[tuple[int, str]]) -> PreparedRun:
     """Load stimulus, rejecting pulses on undeclared lines and duplicates."""
     inputs, n = netlist._wiring[1], len(netlist.lines)
     try:
@@ -477,14 +457,6 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
     # room: the heap may outgrow the stimulus walked by this much
     recorded = kernel(walk, end, max_events - len(stimulus), max_events, tuple(pins.cells.items()), net.connections, violations)
     return Trace(tuple(recorded), net.lines, tuple(violations), net.observed, t_end_fs, bias)
-
-
-def query_pulses(trace: Trace, line: str, t0: int, t1: int) -> tuple[int, ...]:
-    """Pulse timestamps on ``line`` within the half-open window [t0, t1)."""
-    if t0 >= t1:
-        raise ValueError("query window must satisfy t0 < t1")
-    times = trace.pulses_on(line)  # in time order
-    return times[bisect_left(times, t0):bisect_left(times, t1)]
 
 
 # --- export ----------------------------------------------------------------

@@ -373,13 +373,13 @@ def oracle_reads(program: MemoryProgram, num_addresses: int) -> Iterator[tuple[i
     """:func:`oracle`'s reads one at a time, as (trip, address, bit) in
     (trip, address) order."""
     _check_program(program, num_addresses)
-    bits = [0] * num_addresses
+    bits = {}  # the written bits alone: the address count is not bounded by the program
     for t, op in enumerate(program.trips):
         if op.write is not None:
             addr, bit = op.write
             bits[addr] = bit
         for k in sorted(op.reads):
-            yield t, k, bits[k]
+            yield t, k, bits.get(k, 0)
 
 
 def pulse_spacing(velocity_mps: float, frequency_hz: float) -> float:

@@ -3,10 +3,11 @@
 Everything here is deliberately written along different routes than the
 package (decimal arithmetic instead of Fraction, per-centimeter unit
 chains instead of SI, closed-form pass/fail inequalities instead of event
-simulation, trace exports rendered from ``Trace.events`` instead of kernel
-keys) so that a shared bug cannot silently agree with itself.  The
-numeric literals frozen into the test suite were produced by these
-functions and cross-checked by hand before being committed.
+simulation, trace exports and per-line pulse times read from
+``Trace.events`` instead of kernel keys) so that a shared bug cannot
+silently agree with itself.  The numeric literals frozen into the test
+suite were produced by these functions and cross-checked by hand before
+being committed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from bisect import bisect_left
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import cycle
 
-from fluxloop import FluxloopError
+from fluxloop import FluxloopError, Trace
+from fluxloop.engine import UnknownLineError
 
 C_LIGHT = 2.998e8  # m/s
 
@@ -174,3 +176,19 @@ def trace_to_vcd(trace) -> str:
             out.append(f"#{t}")
         out.append(toggle[line]())
     return "\n".join(out) + "\n"
+
+
+def pulses_on(trace, line: str) -> tuple[int, ...]:
+    """The times of ``trace``'s pulses on ``line``, read from its ``PulseEvent``s;
+    a line the trace does not observe raises ``UnknownLineError``."""
+    if line not in trace.observed:
+        raise UnknownLineError(f"line {line!r} is not observed by this trace")
+    return tuple(t for t, on in trace.events if on == line)
+
+
+def trace_of(events, violations, observed: tuple[str, ...], t_end_fs: int, bias) -> Trace:
+    """A ``Trace`` built by hand from ``(time_fs, line)`` pulses on observed
+    lines, keyed over the observed lines alone, sorted by name."""
+    lines = tuple(sorted(observed))
+    keys = sorted(t * len(lines) + lines.index(line) for t, line in events)
+    return Trace(tuple(keys), lines, tuple(violations), tuple(observed), t_end_fs, bias)

@@ -34,6 +34,12 @@ WRITE_READ = [
 ]
 
 
+def _child_env() -> dict[str, str]:
+    """The environment in which a ``python -m fluxloop`` child imports this checkout."""
+    src = str(Path(fluxloop.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestSimulate:
     def test_pass_run(self, write_config, write_program, capsys):
         code = main(["simulate", "--config", write_config(), "--program", write_program(WRITE_READ)])
@@ -473,6 +479,11 @@ REFUSED_CELL_OVERRIDES = [
     ({"operating_range": [1.1, 1.2]}, "operating_range", "operating range must bracket the nominal ratio 1.0"),
     ({"operating_range": [0.5, 1.5]}, "operating_range", "knots must span the operating range"),
     ({"prop_delay": "1fs"}, "prop_delay", "knot delays must be strictly decreasing"),
+    (
+        {"bias_curve": [[0.5, 2], [1, 1], [1.5, -1]], "operating_range": [0.5, 1.5]},
+        "bias_curve",
+        "delay at the range's high edge 1.5 is -1500 fs; it must be non-negative",
+    ),
 ]
 
 
@@ -495,6 +506,76 @@ def test_refused_cell_override_names_the_field(write_config, write_program, caps
     assert code == EXIT_CONFIG
     assert captured.err == f"error: cells.merger.{field}: {message}\n"
     assert captured.out == ""
+
+
+#: A write then a read of every address: a write_dro that emitted before its
+#: clock would misread trip 1.
+WRITE_READ_ALL = [{"write": {"addr": 1, "bit": 1}, "reads": [1]}, {"reads": [0, 1, 2]}]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--program", "PROGRAM"],
+        ["sta"],
+        ["characterize", "--cell", "write_dro", "--lo", "1.4", "--hi", "1.5", "--step", "0.05"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_a_curve_whose_delay_turns_negative_in_range_is_refused(write_config, write_program, capsys, command):
+    # accepted, write_dro would pin at -2400 fs at bias 1.45
+    curve = {"bias_curve": [[0.5, 2], [1, 1], [1.5, -1]], "operating_range": [0.5, 1.5]}
+    config = write_config(bias=1.45, cells={"write_dro": curve})
+    argv = [write_program(WRITE_READ_ALL) if arg == "PROGRAM" else arg for arg in command]
+    code = main([argv[0], "--config", config, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err == (
+        "error: cells.write_dro.bias_curve: delay at the range's high edge 1.5 is -3000 fs; it must be non-negative\n"
+    )
+    assert captured.out == ""
+
+
+def test_a_curve_negative_only_past_its_range_still_runs(write_config, write_program, capsys):
+    config = write_config(cells={"write_dro": {"bias_curve": [[0.5, 2], [1, 1], [2, -1]]}})
+    assert main(["simulate", "--config", config, "--program", write_program(WRITE_READ_ALL)]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("trip 1: addr 0 -> 0\ntrip 1: addr 1 -> 1\ntrip 1: addr 2 -> 0\nresult: PASS\n")
+    argv = ["characterize", "--config", config, "--cell", "write_dro", "--lo", "1.2", "--hi", "1.24", "--step", "0.02"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == "bias_ratio,delay_fs\n1.2,1800\n1.22,1680\n1.24,1560\n"
+
+
+def test_an_empty_program_over_many_addresses_holds_no_slot_per_address(write_config, write_program, capsys):
+    # the oracle keeps the written bits alone: a slot per address would take 80 MB here
+    program = write_program([])
+    # a first run compiles the kernel and loads what a run loads lazily
+    assert main(["simulate", "--config", write_config(), "--program", program]) == EXIT_OK
+    capsys.readouterr()
+    config = write_config(num_addresses=10**7)
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--config", config, "--program", program])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == "frequency 100 GHz, 10000000 addresses, bias 1.0\nresult: PASS\n"
+    assert peak < 1_000_000, peak
+
+
+def test_an_empty_program_over_a_billion_addresses_runs_in_bounded_memory(write_config, write_program):
+    # under a 2 GB address-space limit: a slot per address would ask for 8 GB
+    import resource  # POSIX only
+
+    limit = (2 * 2**30, 2 * 2**30)
+    child = subprocess.run(
+        [sys.executable, "-m", "fluxloop", "simulate", "--config", write_config(num_addresses=10**9),
+         "--program", write_program([])],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+    )
+    assert (child.returncode, child.stderr) == (EXIT_OK, "")
+    assert child.stdout == "frequency 100 GHz, 1000000000 addresses, bias 1.0\nresult: PASS\n"
 
 
 #: The value each cell override is changed to; a duration not listed here
@@ -646,14 +727,12 @@ class TestClosedStdout:
 
     def test_a_pipe_closed_before_the_first_write(self, write_config):
         # the pipe has no reader before the child starts, so its first write to stdout fails
-        src = str(Path(fluxloop.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         reader, writer = os.pipe()
         os.close(reader)
         try:
             child = subprocess.run(
                 [sys.executable, "-m", "fluxloop", "sta", "--config", write_config(), "--find-max"],
-                stdout=writer, stderr=subprocess.PIPE, env=env, timeout=60,
+                stdout=writer, stderr=subprocess.PIPE, env=_child_env(), timeout=60,
             )
         finally:
             os.close(writer)
