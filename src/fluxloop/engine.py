@@ -16,7 +16,11 @@ bias) triple produce bit-identical traces.
 
 The run loop is Python source generated per wiring shape, compiled at the
 shape's first run and kept in ``linecache`` as ``<fluxloop kernel ...>``,
-so a traceback shows the generated line (``_kernel``).
+so a traceback shows the generated line (``_kernel``).  With no zero delay
+it has two streams: the stimulus, walked in order, and between its keys a
+heap of the pulses cells and taps emit, each dispatching only the lines it
+carries.  A release whose landing is provably the next key is taken at
+once, inside the body that emitted it, rather than pushed and popped.
 """
 
 from __future__ import annotations
@@ -25,13 +29,13 @@ import zlib
 from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from heapq import heappop, heappush  # what the generated kernels push and pop with, read here at each run
 from io import StringIO
 from itertools import compress, cycle, repeat
 from operator import eq
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, TextIO
+from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, TextIO
 
 from .core import BiasPoint, FluxloopError, PulseEvent, format_ratio, validated_record
 from .cells import INPUT_PORTS, OUTPUT_PORTS, RELEASES, CellKind, CellParams, PinnedCell, TimingViolation, ViolationKind
@@ -74,8 +78,9 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
 
     ``cells`` is a read-only copy of the mapping given, since one netlist may
     serve many callers (``memory.build_controller`` memoizes).  The wiring is
-    resolved once per netlist, its kernels found at their first run and the
-    cells pinned once per bias (:meth:`at_bias`), all in the instance dict.
+    resolved once per netlist and its kernels found at their first run, both
+    in the instance dict; the cells are pinned once per bias for every netlist
+    with equal cells (:meth:`at_bias`).
     """
 
     def __new__(cls, cells: Mapping[str, CellParams], connections: tuple[Connection, ...],
@@ -93,10 +98,11 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
         """(every line a pulse can land on, by name, a pulse at t on rank r
         keyed ``t * len(lines) + r`` so int order is (time, line) order; each
         external input's rank; the wiring shapes as wired and folded, each
-        (wired?, per rank (observed?, consumers, taps))).  A consumer is
-        (transition, port, slot, its and its peer's ``last`` entries, targets),
-        a target (slots, rank offset): a release lands after those cells'
-        delays; a tap is (connection index, rank, scheduled?).  Folded, a
+        (wired?, the external inputs' ranks, per rank (observed?, consumers,
+        taps))).  A consumer is (transition, window check, slot, its and its
+        peer's ``last`` entries, targets), a target (slots, rank offset): a
+        release lands after those cells' delays; a tap is (connection index,
+        rank, checked?: it has a schedule or a non-positive delay).  Folded, a
         release onto a dead line (unobserved, untapped, read by no cell) is
         dropped, and one onto a fanout-only line (internal, unobserved,
         untapped, read by one FANOUT alone) lands on the fanout's outputs
@@ -114,7 +120,7 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
                 cell, port = _split_port(conn.src)
                 outs[cell][port] = rank[conn.dst]
             else:
-                taps.setdefault(conn.src, []).append((index, rank[conn.dst], bool(conn.offset_schedule)))
+                taps.setdefault(conn.src, []).append((index, rank[conn.dst], bool(conn.offset_schedule) or conn.delay_fs <= 0))
         slot = {name: i for i, name in enumerate(_slot_order(self.cells))}
         dead, fanout_of = set(), {}  # by rank: the dead lines, and each fanout-only line's (fanout, port)
         for line in set(lines) - set(self.observed) - taps.keys():
@@ -153,7 +159,8 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
             consumers = tuple((*consumer(cell, port), targets(cell, port, rank[line], fold)) for cell, port in sorted(ports_on.get(line, ())))
             return line in self.observed, consumers, tuple(taps.get(line, ()))
 
-        shapes = tuple((not fold, tuple(route(line, fold) for line in lines)) for fold in (False, True))
+        inputs = tuple(sorted(rank[line] for line in self.external_inputs))
+        shapes = tuple((not fold, inputs, tuple(route(line, fold) for line in lines)) for fold in (False, True))
         return lines, {line: rank[line] for line in self.external_inputs}, shapes
 
     # compiled, or taken from the bounded cache of shapes, at a route table's first run
@@ -165,15 +172,17 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
         """Every line a pulse can land on, by name: the table kernel keys rank lines in."""
         return self._wiring[0]
 
-    # Bounded: a margin search visits at most 101 ratios per netlist.
     @cached_property
-    def _pinned(self) -> Callable[[int, int], "PinnedNetlist"]:
-        return lru_cache(maxsize=128)(partial(_pin, self.cells))
+    def _cell_set(self) -> frozenset:
+        """The cells as one value, hashed once (a frozenset keeps its hash):
+        the key on which netlists with equal cells share their pins."""
+        return frozenset(self.cells.items())
 
     def at_bias(self, bias: BiasPoint) -> "PinnedNetlist":
-        """Every cell pinned at the bias it runs at (cached per bias ratio,
-        keyed on its integers: a hit hashes no Fraction)."""
-        return self._pinned(*bias.ratio.as_integer_ratio())
+        """Every cell pinned at the bias it runs at, from the pins of every
+        netlist with equal cells (cached per cell set and bias ratio, keyed on
+        the ratio's integers: a hit hashes no Fraction)."""
+        return _pin(self._cell_set, *bias.ratio.as_integer_ratio())
 
 
 class PinnedNetlist:
@@ -198,15 +207,17 @@ def _slot_order(cells: Mapping[str, CellParams]) -> list[str]:
     return sorted(cells)
 
 
-#: The kernel around its per-shape prologue (arguments unpacked, per-run locals) and rank dispatch.
-_KERNEL = """\
-def kernel(walk, end, room, max_events, cells, connections, violations):
+#: The wired kernel (a zero pinned delay can emit at the current instant):
+#: one loop merges the stimulus and the heap and dispatches every key on its rank.
+_WIRED = """\
+def kernel(walk, end, room, max_events, cells, connections, flagged):
 {prologue}
     heap, recorded, i, latest, following = [], [], 0, -1, walk[0]
-    push, pop, record = heappush, heappop, recorded.append
+    push, pop, record, late = heappush, heappop, recorded.append, flagged.append
+    processed, instant = set(), 0
     while True:
         if len(heap) - i > room:  # only a push adds a pending pulse: this follows the key that overflowed
-            raise RunawayQueueError(f"event queue exceeded {{max_events}} events — runaway feedback")
+            _overflow(max_events)
         if heap and heap[0] < following:
             key = pop(heap)
         elif following < end:
@@ -219,77 +230,181 @@ def kernel(walk, end, room, max_events, cells, connections, violations):
         latest = key
         rank = key % n
         now = key - rank
-{dispatch}
-{sort}    return recorded
+        if now != instant:  # no release lands before the current instant: earlier keys cannot recur
+            instant = now
+            processed.clear()
+        elif key in processed:
+            continue
+        processed.add(key)
+{queued}
+    recorded.sort()  # a zero-delay release may sort before the key that made it
+    return recorded
+"""
+
+#: The folded kernel: the stimulus walked in order and, before each walk key,
+#: the heap drained of the keys below it.  ``end`` closes the walk (its rank
+#: is 0) and sits in the heap, so ``heap[0]`` always exists.
+_FOLDED = """\
+def kernel(walk, end, room, max_events, cells, connections, flagged):
+{prologue}
+    heap, recorded, latest = [end], [], -1
+    push, pop, record, late = heappush, heappop, recorded.append, flagged.append
+    for i, w in enumerate(walk, 1):  # i: the walk keys taken once w is
+        while heap[0] < w:  # the walk wins a tie
+            key = pop(heap)
+            if key == latest:
+                continue
+            latest = key
+{queued}
+        key = latest = w
+{walked}
+    return recorded
 """
 
 
+#: How deep the folded kernel takes a chain of landings inside the body that
+#: emits it.  Each level repeats the body of a rank it lands on, so the cap
+#: keeps a kernel's source linear in its route table.
+INLINE_DEPTH = 2
+
+
 @lru_cache(maxsize=32)
-def _kernel(wired: bool, routes: tuple) -> Callable[..., list[int]]:
+def _kernel(wired: bool, inputs: tuple[int, ...], routes: tuple) -> tuple[Callable[..., list[int]], tuple]:
     """A shape's kernel (see ``Netlist._wiring``), compiled with the globals
-    where a run finds ``heappush`` and ``heappop``: a branch per rank, in keys
-    (``now`` is the time times ``n``).  Locals by slot: ``C``/``P`` a cell's
-    name and pins, ``S`` its stored pulse; ``L``/``W`` a ``last`` entry and its
-    window, ``T`` a target's delay plus offset, ``Q``/``D``/``X``/``K`` a tap's
-    connection, delay, schedule and delay plus offset."""
+    where a run finds ``heappush`` and ``heappop``, and its window checks by
+    the index it flags them with: (slot, window field, kind, detail).
+
+    A body per landing rank, in keys; locals by slot: ``P`` a cell's pins,
+    ``S`` its stored pulse; ``L``/``W`` a ``last`` entry (a time times ``n``)
+    and its window; ``T`` a target's delay plus rank offset; ``K`` a plain
+    tap's delay plus rank offset, ``Q``/``D``/``X`` a checked tap's
+    connection, delay and schedule.
+
+    Folded, a release that ends its line's body (one consumer, no tap) is
+    taken at once, inside that body, when its key is below every pending key
+    (the heap's least and the next walk key), up to ``INLINE_DEPTH`` deep;
+    otherwise it is pushed.  Such a release's landings share one delay sum
+    (else all are pushed), so rank offset order is their time order: the
+    first is the one taken, once the others are pushed.  The bound on pending
+    pulses is checked only where one key adds two or more, counting a landing
+    about to be taken."""
     import linecache  # a run compiles, an import does not
     n = len(routes)
     sums: dict[tuple[tuple[int, ...], int], str] = {}  # (slots, offset) -> its T local
-    slots, windows, prologue, branches = set(), {}, [], []
-    for r, (observed, consumers, taps) in enumerate(routes):
-        body = ["record(key)"] if observed else []
+    slots, stored, entries, windows, taps, checks = set(), set(), set(), {}, {}, {}
+
+    def pending(taking: int, stream: tuple[str, int]) -> list[str]:
+        # the heap less its sentinel end, the stimulus not taken (i - 1 keys are
+        # taken while the heap drains, i once w is) and a landing being taken
+        extra = taking + stream[1]
+        return [f"if len(heap) - i{f' + {extra}' if extra > 0 else f' - {-extra}' if extra else ''} > room:",
+                "    _overflow(max_events)"]
+
+    def delay(target: tuple[tuple[int, ...], int]) -> str:
+        slots.update(target[0])
+        return sums.setdefault(target, "T%d" % len(sums))
+
+    def landing(r: int, stream: tuple[str, int] | None, depth: int = 0) -> list[str]:
+        # the body of ``key`` landing on rank r; ``stream``: the next walk key and the
+        # count's correction (None in the wired kernel, which checks at its loop head)
+        observed, consumers, route_taps = routes[r]
+        out = ["record(key)"] if observed else []
+        if stream and any(check for _, check, *_ in consumers):
+            out.append(f"now = key - {r}")
+        emitted, chained = len(route_taps), False
         for op, check, slot, mine, peer, targets in consumers:
             slots.add(slot)
-            pushes = [f"push(heap, key + {sums.setdefault(target, 'T%d' % len(sums))})" for target in targets]
             if check:  # time never runs back, so the gap is >= 0
-                field, kind, detail = check
-                windows[mine] = f"W{mine} = P{slot}.{field} * n"
-                body += [f"gap = now - L{peer}", f"L{mine} = now", f"if gap < W{mine}:",
-                         f'    violations.append(TimingViolation(C{slot}, ViolationKind.{kind}, now // n, "{detail}" % (gap // n, P{slot}.{field})))']
+                entries.update((mine, peer))
+                windows[mine] = f"W{mine} = P{slot}.{check[0]} * n"
+                flag = checks.setdefault((slot, *check), len(checks))
+                out += [f"if now - L{peer} < W{mine}:", f"    late(({flag}, now, L{peer}))", f"L{mine} = now"]
             if op == "store":  # data releases nothing
-                body.append(f"S{slot} = True")
-            elif op == "release":
-                body += [f"if S{slot}:", f"    S{slot} = False", *_indent(pushes)]
+                stored.add(slot)
+                out.append(f"S{slot} = True")
+                continue
+            emitted += len(targets)
+            chained = (stream is not None and len(consumers) == 1 and not route_taps and depth < INLINE_DEPTH
+                       and len({cells for cells, _ in targets}) == 1)
+            if chained:  # one delay sum: the least rank offset lands first
+                first, *rest = sorted(targets, key=lambda target: target[1])
+                pushes = [f"push(heap, key + {delay(target)})" for target in rest] + (pending(1, stream) if rest else [])
+                pushes += [f"key += {delay(first)}", f"if key < heap[0] and key < {stream[0]}:",
+                           *_indent(landing(r + first[1], stream, depth + 1)), "else:", "    push(heap, key)"]
             else:
-                body += pushes
-        for j, dst, scheduled in taps:  # a schedule adds the offset of its last entry starting at or before t
-            prologue += [f"Q{j} = connections[{j}]", f"D{j}, X{j} = Q{j}.delay_fs, Q{j}.offset_schedule", f"K{j} = D{j} * n + {dst - r}"]
-            delay, shift = (f"D{j} + offset", f"K{j} + offset * n") if scheduled else (f"D{j}", f"K{j}")
-            body += [f"entry = bisect_left(X{j}, (now // n + 1,))", f"offset = X{j}[entry - 1][1] if entry else 0"] if scheduled else []
-            body += [f"if {delay} <= 0:", f'    raise FluxloopError("tap %s -> %s: effective delay must stay positive (got %d fs at t=%d)"'
-                     f' % (Q{j}.src, Q{j}.dst, {delay}, now // n))', f"push(heap, key + {shift})"]
-        branches.append(body or ["pass"])
+                pushes = [f"push(heap, key + {delay(target)})" for target in targets]
+            if op == "release":
+                stored.add(slot)
+                pushes = [f"if S{slot}:", f"    S{slot} = False", *_indent(pushes)]
+            out += pushes
+        for j, dst, checked in route_taps:  # a schedule adds the offset of its last entry starting at or before t
+            if checked:
+                taps[j] = [f"Q{j} = connections[{j}]", f"D{j}, X{j} = Q{j}.delay_fs, Q{j}.offset_schedule"]
+                out += [f"entry = bisect_left(X{j}, (key // n + 1,))", f"delay = D{j} + (X{j}[entry - 1][1] if entry else 0)",
+                        "if delay <= 0:",
+                        f'    raise FluxloopError("tap %s -> %s: effective delay must stay positive (got %d fs at t=%d)"'
+                        f" % (Q{j}.src, Q{j}.dst, delay, key // n))", f"push(heap, key + delay * n + {dst - r})"]
+            else:
+                taps[j] = [f"K{j} = connections[{j}].delay_fs * n + {dst - r}"]
+                out.append(f"push(heap, key + K{j})")
+        if stream and emitted > 1 and not chained:
+            out += pending(0, stream)
+        return out
 
-    def dispatch(lo: int, hi: int) -> list[str]:  # a balanced tree over the ranks in [lo, hi)
-        if hi - lo == 1:
-            return branches[lo]
-        mid = (lo + hi) // 2
-        left, right = dispatch(lo, mid), dispatch(mid, hi)
-        return ["pass"] if left == right == ["pass"] else [f"if rank < {mid}:", *_indent(left), "else:", *_indent(right)]
+    def dispatch(leaves: list[tuple[int, list[str]]]) -> list[str]:  # a balanced tree over ranks ascending
+        if len(leaves) == 1:
+            return leaves[0][1] or ["pass"]
+        mid = len(leaves) // 2
+        left, right = dispatch(leaves[:mid]), dispatch(leaves[mid:])
+        return left if left == right else [f"if rank < {leaves[mid][0]}:", *_indent(left), "else:", *_indent(right)]
 
+    def tree(leaves: list[tuple[int, list[str]]], indent: int) -> str:
+        lines = (["rank = key % n"] if len(leaves) > 1 else []) + (dispatch(leaves) if leaves else ["pass"])
+        return "\n".join(" " * indent + line for line in lines)
+
+    if wired:
+        template, parts = _WIRED, {"queued": tree([(r, landing(r, None)) for r in range(n)], 8)}
+    else:  # the heap carries releases' and taps' landings, the walk the external inputs and, at rank 0, end
+        landed = {r + offset for r, (_, consumers, _) in enumerate(routes) for *_, targets in consumers for _, offset in targets}
+        landed |= {dst for _, _, route_taps in routes for _, dst, _ in route_taps}
+        walked = {r: landing(r, ("walk[i]", -1)) for r in inputs}
+        walked[0] = ["if key == end:", "    break", *walked[0]] if 0 in walked else ["break"]
+        template, parts = _FOLDED, {"queued": tree([(r, landing(r, ("w", 0))) for r in sorted(landed)], 12),
+                                    "walked": tree(sorted(walked.items()), 8)}
+    prologue = [f"P{slot} = cells[{slot}][1]" for slot in sorted(slots)] + list(windows.values())
+    prologue += [line for j in sorted(taps) for line in taps[j]]
     for (cells, offset), name in sums.items():  # a fold's delay is its driver's plus its fanout's
         prologue.append(f"{name} = ({' + '.join(f'P{slot}.prop_delay_fs' for slot in cells)}) * n {'-' if offset < 0 else '+'} {abs(offset)}")
-    prologue += [" = ".join([*(f"L{2 * slot} = L{2 * slot + 1}" for slot in sorted(slots)), 'float("-inf")']),  # no window reaches -inf
-                 " = ".join([*(f"S{slot}" for slot in sorted(slots)), "False"])]
-    prologue += ["processed, instant = set(), 0"] if wired else []
-    unpack = [f"C{slot}, P{slot} = cells[{slot}]" for slot in sorted(slots)] + list(windows.values())
-    loop = ["if now != instant:  # no release lands before the current instant: earlier keys cannot recur",
-            "    instant = now", "    processed.clear()", "elif key in processed:", "    continue", "processed.add(key)"] if wired else []
-    source = _KERNEL.format(prologue="\n".join(_indent([f"n = {n}", *unpack, *prologue])),
-                            dispatch="\n".join(_indent(_indent(loop + (dispatch(0, n) if n else ["pass"])))),
-                            sort="    recorded.sort()  # a zero-delay release may sort before the key that made it\n" if wired else "")
+    # no window reaches -inf; a slot's S is its stored pulse
+    prologue += [" = ".join([*(f"L{entry}" for entry in sorted(entries)), 'float("-inf")'])] if entries else []
+    prologue += [" = ".join([*(f"S{slot}" for slot in sorted(stored)), "False"])] if stored else []
+    source = template.format(prologue="\n".join(_indent([f"n = {n}", *prologue])), **parts)
     name = f"<fluxloop kernel {zlib.crc32(source.encode()):08x}>"
     linecache.cache[name] = (len(source), None, source.splitlines(True), name)  # no mtime: checkcache keeps it
     exec(compile(source, name, "exec"), globals(), namespace := {})
-    return namespace["kernel"]
+    return namespace["kernel"], tuple(checks)
+
+
+def _overflow(max_events: int) -> NoReturn:
+    """The generated kernels' one raise of a queue past its bound."""
+    raise RunawayQueueError(f"event queue exceeded {max_events} events — runaway feedback")
+
+
+def _violation(cells: tuple[tuple[str, PinnedCell], ...], check: tuple[int, str, str, str], t: int, last: int) -> TimingViolation:
+    """The violation a kernel flagged at t, a gap after ``last``, given its check."""
+    slot, field, kind, detail = check
+    cell, pinned = cells[slot]
+    return TimingViolation(cell, ViolationKind[kind], t, detail % (t - last, getattr(pinned, field)))
 
 
 def _indent(lines: list[str]) -> list[str]:
     return ["    " + line for line in lines]
 
 
-def _pin(cells: Mapping[str, CellParams], num: int, den: int) -> PinnedNetlist:
-    ratio = Fraction(num, den)
+# Bounded: a margin search visits at most 101 ratios per cell set, and a sweep's netlists share one.
+@lru_cache(maxsize=256)
+def _pin(cell_set: frozenset, num: int, den: int) -> PinnedNetlist:
+    cells, ratio = dict(cell_set), Fraction(num, den)
     bias = BiasPoint(ratio)
     violations, pinned = [], {}
     for name in _slot_order(cells):
@@ -434,12 +549,21 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
     pulses cells and taps emit; a pulse equal to one processed merges into
     it.  Each arrival applies its cell's transition (see ``cells``) inline.
     With no zero pinned delay the run takes the folded routes, which drop or
-    fold the releases no run can see (``Netlist._wiring``); a zero delay
-    keeps the routes as wired.  Either way the loop is the kernel generated
-    for the routes' wiring shape, compiled at its first run (``_kernel``).
+    fold the releases no run can see (``Netlist._wiring``), and two streams:
+    a ``for`` loop over the stimulus drains the heap of the keys below each
+    walk key (the walk wins a tie).  There a release that ends its line's
+    body lands at once when its key is below both the heap's least and the
+    next walk key, since no other pulse can come first; a tap's landing is
+    always queued.  A zero delay keeps the routes as wired and one merged
+    loop.  Either way the kernel is generated for the routes' wiring shape
+    and compiled at its first run (``_kernel``).
+
     ``max_events`` bounds the pending pulses on lines a run can see: the
     heap (where a release equal to a pending pulse waits until it pops and
-    merges) plus the stimulus not yet walked.
+    merges), the stimulus not yet walked and a landing about to be taken at
+    once, as if it had been pushed.  The count is checked where one key adds
+    two or more pulses, so a run raises for the same stimulus and bound
+    whether its landings are pushed or taken at once.
     """
     if t_end_fs < 0:
         raise ValueError("t_end must be non-negative")
@@ -450,13 +574,17 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
     pins = net.at_bias(bias)
     # with no zero delay every push lands after the current key, so a duplicate pops right after its
     # equal (the walk wins a tie) and a fold cannot reorder keys; the wired kernel allows for a zero delay
-    kernel = net._wired_kernel if pins.zero_delay else net._folded_kernel
-    end = t_end_fs * len(net.lines)  # above every key before t_end, at or below every other
+    kernel, checks = net._wired_kernel if pins.zero_delay else net._folded_kernel
+    n = len(net.lines)
+    end = t_end_fs * n  # above every key before t_end, at or below every other
     walk = stimulus[: bisect_left(stimulus, end)] + (end,)
-    violations = list(pins.violations)
+    cells, flagged = tuple(pins.cells.items()), []
     # room: the heap may outgrow the stimulus walked by this much
-    recorded = kernel(walk, end, max_events - len(stimulus), max_events, tuple(pins.cells.items()), net.connections, violations)
-    return Trace(tuple(recorded), net.lines, tuple(violations), net.observed, t_end_fs, bias)
+    recorded = kernel(walk, end, max_events - len(stimulus), max_events, cells, net.connections, flagged)
+    violations = pins.violations
+    if flagged:  # (the check's index, its instant, the peer entry's last instant), times n
+        violations += tuple(_violation(cells, checks[index], now // n, last // n) for index, now, last in flagged)
+    return Trace(tuple(recorded), net.lines, violations, net.observed, t_end_fs, bias)
 
 
 # --- export ----------------------------------------------------------------

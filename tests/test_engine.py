@@ -259,9 +259,8 @@ class TestRunUntil:
 
     def test_delay_curves_are_evaluated_per_run_not_per_event(self, monkeypatch):
         cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
-        controller = build_controller(cfg)
-        # a netlist of its own, so no earlier run has pinned a bias on it
-        net = Netlist(controller.cells, controller.connections, controller.external_inputs, controller.observed)
+        net = build_controller(cfg)
+        engine._pin.cache_clear()  # netlists with equal cells share pins: forget every bias pinned so far
         lookups = []
         original = cells.delay_at_bias
         monkeypatch.setattr(cells, "delay_at_bias", lambda model, b: lookups.append(b) or original(model, b))
@@ -275,8 +274,10 @@ class TestRunUntil:
 
         # the first run at each bias pins the cells; more trips add no lookup
         assert count(1, "0.9") == count(8, "0.95") > 0
-        # a bias already pinned on this netlist is looked up no more
+        # a bias already pinned on these cells is looked up no more, on any netlist that has them
         assert count(8, "0.9") == 0
+        net = Netlist(net.cells, net.connections, net.external_inputs, net.observed)
+        assert count(8, "0.95") == 0
 
     def test_repeat_runs_at_one_bias_give_equal_traces(self):
         cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
@@ -290,22 +291,26 @@ class TestRunUntil:
         prepared = schedule(net, [PulseEvent(0, "din"), PulseEvent(20000, "clk")])
         for i in range(200):
             run_until(prepared, 40000, BiasPoint(Fraction(50 + i, 100)))
-        info = net._pinned.cache_info()
+        info = engine._pin.cache_info()
         assert 0 < info.currsize <= info.maxsize
 
     def test_the_per_bias_pins_hold_no_run_state(self):
         # one controller netlist, its pins reused across interleaved biases
-        # (0.5 is outside every cell's range), against a fresh netlist per run
+        # (0.5 is outside every cell's range), against pins made afresh for each run
         cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
         net = build_controller(cfg)
         stimulus = stimulus_for(scenario_write_read(1, 3), cfg)
         t_end = 5 * trip_duration(cfg)
-        for ratio in ("0.9", "1.0", "1.1", "0.5", "1.0", "0.9", "0.5", "1.1", "0.9"):
-            fresh = Netlist(net.cells, net.connections, net.external_inputs, net.observed)
+        ratios = ("0.9", "1.0", "1.1", "0.5", "1.0", "0.9", "0.5", "1.1", "0.9")
+        fresh = []
+        for ratio in ratios:
+            engine._pin.cache_clear()
+            fresh.append(run_until(schedule(net, stimulus), t_end, BiasPoint.of(ratio)))
+        engine._pin.cache_clear()
+        for ratio, want in zip(ratios, fresh):
             trace = run_until(schedule(net, stimulus), t_end, BiasPoint.of(ratio))
-            assert trace == run_until(schedule(fresh, stimulus), t_end, BiasPoint.of(ratio))
-            assert trace.events
-        assert net._pinned.cache_info().hits >= 5
+            assert trace == want and trace.events
+        assert engine._pin.cache_info().hits >= 5
 
 
 class TestNetlistCells:
@@ -335,11 +340,11 @@ class TestNetlistCells:
             return run_until(schedule(net, stimulus), 5 * trip_duration(cfg), cfg.bias)
 
         net = build_controller(cfg)
-        original = write_read(net)  # the wiring, the nominal pins and the folded kernel are cached now
-        assert "_folded_kernel" in vars(net)
+        original = write_read(net)  # the wiring, the cell set pins are keyed on and the folded kernel are cached now
+        assert {"_wiring", "_cell_set", "_folded_kernel"} <= vars(net).keys()
         for again in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
             assert again == net and again is not net
-            assert {"_wiring", "_pinned", "_folded_kernel", "_wired_kernel"}.isdisjoint(vars(again))
+            assert {"_wiring", "_cell_set", "_folded_kernel", "_wired_kernel"}.isdisjoint(vars(again))
             with pytest.raises(TypeError):
                 again.cells["merger"] = FANOUT  # type: ignore[index]
             assert write_read(again) == original
@@ -747,6 +752,10 @@ class TestKernelMatchesReference:
     @example(0, 0, [(500, "p"), (500, "z")], 1000)
     # three releases from t=0 and a stimulus pulse land on a at 500
     @example(500, 500, [(0, "p"), (0, "z"), (500, "a")], 2000)
+    # p's release lands on a at 500, equal to the next walk key: it is pushed, and merges after the walk's
+    @example(500, 500, [(0, "p"), (500, "a")], 2000)
+    # p's release lands on a at 1500, equal to the heap's least (z's fanout landing): it is pushed, and merges
+    @example(1500, 500, [(0, "z"), (1000, "p")], 4000)
     def test_zero_delay_fanout_onto_a_contested_line(self, fanout, merger, stimulus, t_end):
         self.check(fanout_net(fanout, merger), stimulus, t_end)
 
@@ -767,6 +776,9 @@ class TestKernelMatchesReference:
            stimuli(("din", "clk", "p")), instants)
     # folded: d's release and a merger collision; the fanout feeds the merger back through c
     @example(500, 1000, 500, "tapped", "observed", [(0, "din"), (500, "clk"), (1500, "p")], 8000)
+    # d's fold lands on xa and xb at 1500: xa, the first, is taken at once and its tap's landing on c
+    # is one xb's push repeats; xb pops first, then both c landings merge, and c's merger fold repeats it
+    @example(500, 1000, 500, "tapped", "tapped", [(0, "din"), (500, "clk")], 8000)
     # zero delays keep the wired routes
     @example(0, 0, 0, "tapped", "dead", [(0, "din"), (0, "p"), (500, "clk"), (500, "p")], 4000)
     def test_fold_of_a_fanout_only_line(self, dro, merger, fanout, role_a, role_b, stimulus, t_end):
@@ -858,8 +870,9 @@ def test_a_controller_run_queues_no_pulse_it_cannot_see(monkeypatch, overrides, 
     net = build_controller(cfg)
     assert net.at_bias(cfg.bias).zero_delay == bool(overrides)
     lines = _queued_lines(monkeypatch, net, stimulus_for(program, cfg), 5 * trip_duration(cfg), cfg.bias)
-    # a zero delay keeps the wired routes: the fanout's input and both discard lines are queued
-    assert lines & UNSEEN == queued and {"loop_data_in", "read_clock", "read_data"} <= lines
+    # a zero delay keeps the wired routes: the fanout's input and both discard lines are queued;
+    # a landing may be taken without a push, but a tap's (the loop's) is always queued
+    assert lines & UNSEEN == queued and "loop_data_out" in lines
 
 
 def fanout_tree(root: int) -> Netlist:
@@ -893,6 +906,129 @@ def test_max_events_counts_the_pulses_a_run_can_see(root, bound):
     assert trace.events == ((0, "z"), (root + 500, "a"), (root + 500, "b"), (root + 500, "c"))
     with pytest.raises(RunawayQueueError, match=f"^event queue exceeded {bound - 1} events"):
         run(net, [(0, "z")], max_events=bound - 1)
+
+
+def feedback_net(merger: int, fanout: int, tap_a: int, tap_b: int, seen: bool) -> Netlist:
+    """A merger whose output a fanout splits onto a and b, each tapped back
+    into the merger's second input f: a pulse on f comes back twice, or once
+    when the taps' delays are equal.  x and f are external inputs; mid, the
+    merger's output, is folded away unless ``seen``."""
+    return Netlist(
+        cells={
+            "m": CellParams(kind=CellKind.MERGER, prop_delay_fs=merger, min_separation_fs=1000),
+            "s": CellParams(kind=CellKind.FANOUT, prop_delay_fs=fanout),
+        },
+        connections=(
+            Connection("x", "m.in0"),
+            Connection("f", "m.in1"),
+            Connection("m.out", "mid"),
+            Connection("mid", "s.in"),
+            Connection("s.out_a", "a"),
+            Connection("s.out_b", "b"),
+            Connection("a", "f", delay_fs=tap_a, is_loop=True),
+            Connection("b", "f", delay_fs=tap_b, is_loop=True),
+        ),
+        external_inputs=frozenset({"x", "f"}),
+        observed=("a", "b", "f", "x") + (("mid",) * seen),
+    )
+
+
+def pending_high_water(net: Netlist, stimulus: list[tuple[int, str]], t_end: int, cap: int) -> int:
+    """The most pulses pending at a loop head of the kernel's contract, for a
+    ``feedback_net``, written naively: one heap of (t, line) keys keeping every
+    push, duplicates too (a key equal to one processed is dropped as it pops),
+    plus the stimulus not yet taken.  With no zero delay the merger lands on
+    the fanout's outputs unless mid is observed.  Stops once past ``cap``."""
+    merger, fanout = net.cells["m"].prop_delay_fs, net.cells["s"].prop_delay_fs
+    fold = merger > 0 and fanout > 0 and "mid" not in net.observed
+    taps = {c.src: c.delay_fs for c in net.connections if c.is_loop}
+    walk, heap, done, taken, mark = sorted(stimulus), [], set(), 0, 0
+    while mark <= cap:
+        mark = max(mark, len(heap) + len(walk) - taken)
+        following = walk[taken] if taken < len(walk) and walk[taken][0] < t_end else None
+        if heap and heap[0][0] < t_end and (following is None or heap[0] < following):
+            key = heappop(heap)
+        elif following is not None:
+            key, taken = following, taken + 1
+        else:
+            break
+        if key in done:
+            continue
+        done.add(key)
+        t, line = key
+        if line in ("x", "f"):
+            landings = [(t + merger + fanout, "a"), (t + merger + fanout, "b")] if fold else [(t + merger, "mid")]
+        elif line == "mid":
+            landings = [(t + fanout, "a"), (t + fanout, "b")]
+        else:
+            landings = [(t + taps[line], "f")]
+        for landing in landings:
+            heappush(heap, landing)
+    return mark
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([0, 500, 1000]), st.sampled_from([0, 500, 1000]), delays.filter(bool), delays.filter(bool), st.booleans(),
+       stimuli(("f", "x")), st.integers(0, 30).map(lambda k: 500 * k))
+# folded: x's landing on a at 1000 is taken at once, beside b's push; the taps' equal delays merge their pulses on f
+@example(500, 500, 1500, 1500, False, [(0, "x")], 6000)
+# x's two landings are pending at once, b's pushed and a's about to be taken: the mark is 2 though the heap holds 1
+@example(500, 500, 500, 1000, False, [(0, "x")], 500)
+def test_max_events_is_exceeded_exactly_past_the_pending_high_water_mark(merger, fanout, tap_a, tap_b, seen, stimulus, t_end):
+    # landings taken at once are never pushed, yet they count as pending until taken
+    net = feedback_net(merger, fanout, tap_a, tap_b, seen)
+    cap = 40
+    mark = pending_high_water(net, stimulus, t_end, cap)
+    for bound in (mark - 1, mark) if mark <= cap else (cap,):
+        try:
+            run(net, stimulus, t_end=t_end, max_events=bound)
+        except RunawayQueueError:
+            assert bound < mark
+        else:
+            assert bound >= mark
+
+
+def _kernel_source(net: Netlist) -> list[str]:
+    kernel, _ = net._folded_kernel
+    return linecache.getlines(kernel.__code__.co_filename)
+
+
+def diamonds(levels: int) -> Netlist:
+    """``levels`` fanout/merger levels: each level's fanout splits its input
+    line in two and its merger joins them onto the next level's input, so a
+    pulse's releases chain through every level."""
+    cells, connections = {}, []
+    for k in range(levels):
+        cells[f"f{k:02d}"] = CellParams(kind=CellKind.FANOUT, prop_delay_fs=500)
+        cells[f"m{k:02d}"] = CellParams(kind=CellKind.MERGER, prop_delay_fs=1000, min_separation_fs=100)
+        connections += [
+            Connection(f"l{k:02d}", f"f{k:02d}.in"),
+            Connection(f"f{k:02d}.out_a", f"u{k:02d}"),
+            Connection(f"f{k:02d}.out_b", f"v{k:02d}"),
+            Connection(f"u{k:02d}", f"m{k:02d}.in0"),
+            Connection(f"v{k:02d}", f"m{k:02d}.in1"),
+            Connection(f"m{k:02d}.out", f"l{k + 1:02d}"),
+        ]
+    return Netlist(cells, tuple(connections), frozenset({"l00"}), (f"l{levels:02d}",))
+
+
+def test_kernel_source_stays_linear_in_the_route_table():
+    # each level's merger lands on the next level's two inputs, whose bodies land on the next and so on:
+    # taken at once without a cap, every level would repeat the bodies of all the levels after it
+    lines = {}
+    for levels in (6, 12, 18):
+        net = diamonds(levels)
+        trace = run(net, [(0, "l00")], t_end=10**6)
+        assert _oracle.pulses_on(trace, f"l{levels:02d}") == (1500 * levels,)
+        lines[levels] = len(_kernel_source(net))
+        assert lines[levels] <= 24 * len(net.lines)
+    # six more levels add no more source than the six before them
+    assert lines[18] - lines[12] <= lines[12] - lines[6]
+
+
+def test_the_controller_kernel_keeps_its_line_budget():
+    net = build_controller(SimConfig(frequency_hz=100 * 10**9, num_addresses=3))
+    assert len(_kernel_source(net)) <= 170
 
 
 dro_runs = st.builds(lambda p, s, h, stimulus, t_end: (dro_net(p, s, h), stimulus, t_end, NOMINAL_BIAS),

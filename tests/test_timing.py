@@ -623,10 +623,18 @@ class TestCaches:
             cfg = cfg100.with_frequency(ghz * GHZ)
             sta(cfg)
             bias_margin(cfg, suite, max_pct=1)
-        caches = (memory._compile, cells._cell_set, timing._window_cells, build_controller(cfg)._pinned, engine._kernel)
-        for cache in caches:
+        for cache in (memory._compile, cells._cell_set, timing._window_cells, engine._pin, engine._kernel):
             info = cache.cache_info()
             assert 0 < info.currsize <= info.maxsize
+
+    def test_netlists_with_equal_cells_share_their_pins(self, cfg100):
+        # a sweep's netlists differ only in frequency: each bias ratio is pinned once for all of them
+        engine._pin.cache_clear()
+        margin_sweep(cfg100, [20 * GHZ, 50 * GHZ, 75 * GHZ, 100 * GHZ])
+        info = engine._pin.cache_info()
+        assert info.misses == info.currsize and info.hits > info.misses
+        nets = [build_controller(cfg100.with_frequency(ghz * GHZ)) for ghz in (20, 100)]
+        assert nets[0] != nets[1] and nets[0].at_bias(cfg100.bias) is nets[1].at_bias(cfg100.bias)
 
     def test_a_margin_sweep_compiles_one_kernel(self, cfg100):
         # netlists that differ only in frequency share a wiring shape, and no
