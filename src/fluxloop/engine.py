@@ -14,13 +14,13 @@ Events at equal timestamps are ordered by line name, and at most one pulse
 exists per line and instant, so reruns of an identical (netlist, stimulus,
 bias) triple produce bit-identical traces.
 
-The run loop is Python source generated per wiring shape, compiled at the
-shape's first run and kept in ``linecache`` as ``<fluxloop kernel ...>``,
-so a traceback shows the generated line (``_kernel``).  With no zero delay
-it has two streams: the stimulus, walked in order, and between its keys a
-heap of the pulses cells and taps emit, each dispatching only the lines it
-carries.  A release whose landing is provably the next key is taken at
-once, inside the body that emitted it, rather than pushed and popped.
+The run loop is Python source generated per wiring shape from one template,
+compiled at the shape's first run and kept in ``linecache`` as
+``<fluxloop kernel ...>`` while it lives, so a traceback shows the generated
+line (``_kernel``).  It has two streams: the stimulus, walked in order, and
+between its keys a heap of the pulses cells and taps emit, each dispatching
+only the lines it carries.  With no zero delay a release whose landing is
+provably the next key is taken at once, inside the body that emitted it.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from itertools import compress, cycle, repeat
 from operator import eq
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, TextIO
+from weakref import finalize
 
 from .core import BiasPoint, FluxloopError, PulseEvent, format_ratio, validated_record
 from .cells import INPUT_PORTS, OUTPUT_PORTS, RELEASES, CellKind, CellParams, PinnedCell, TimingViolation, ViolationKind
@@ -97,16 +98,17 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
     def _wiring(self) -> tuple[tuple[str, ...], dict[str, int], tuple]:
         """(every line a pulse can land on, by name, a pulse at t on rank r
         keyed ``t * len(lines) + r`` so int order is (time, line) order; each
-        external input's rank; the wiring shapes as wired and folded, each
-        (wired?, the external inputs' ranks, per rank (observed?, consumers,
-        taps))).  A consumer is (transition, window check, slot, its and its
-        peer's ``last`` entries, targets), a target (slots, rank offset): a
-        release lands after those cells' delays; a tap is (connection index,
-        rank, checked?: it has a schedule or a non-positive delay).  Folded, a
-        release onto a dead line (unobserved, untapped, read by no cell) is
-        dropped, and one onto a fanout-only line (internal, unobserved,
-        untapped, read by one FANOUT alone) lands on the fanout's outputs
-        after both delays.  An output nothing drives is dropped."""
+        external input's rank; the wiring shapes as wired (for a zero delay)
+        and folded, each (wired?, the external inputs' ranks, per rank
+        (observed?, consumers, taps))).  A consumer is (transition, window
+        check, slot, its and its peer's ``last`` entries, targets), a target
+        (slots, rank offset): a release lands after those cells' delays; a tap
+        is (connection index, rank, checked?: it has a schedule or a
+        non-positive delay).  Folded, a release onto a dead line (unobserved,
+        untapped, read by no cell) is dropped, and one onto a fanout-only line
+        (internal, unobserved, untapped, read by one FANOUT alone) lands on
+        the fanout's outputs after both delays.  An output nothing drives is
+        dropped."""
         driven = {conn.dst for conn in self.connections if not _is_port(conn.dst)}
         lines = tuple(sorted(driven | self.external_inputs))
         rank = {line: r for r, line in enumerate(lines)}
@@ -197,7 +199,8 @@ class PinnedNetlist:
     def __init__(self, cells: Mapping[str, PinnedCell], violations: tuple[TimingViolation, ...], zero_delay: bool) -> None:
         self.cells = cells
         self.violations = violations
-        #: a zero pinned delay can emit at the current instant (see run_until)
+        #: a zero pinned delay can emit at the current instant: the run takes
+        #: the wired routes and their kernel (see run_until)
         self.zero_delay = zero_delay
 
 
@@ -207,44 +210,10 @@ def _slot_order(cells: Mapping[str, CellParams]) -> list[str]:
     return sorted(cells)
 
 
-#: The wired kernel (a zero pinned delay can emit at the current instant):
-#: one loop merges the stimulus and the heap and dispatches every key on its rank.
-_WIRED = """\
-def kernel(walk, end, room, max_events, cells, connections, flagged):
-{prologue}
-    heap, recorded, i, latest, following = [], [], 0, -1, walk[0]
-    push, pop, record, late = heappush, heappop, recorded.append, flagged.append
-    processed, instant = set(), 0
-    while True:
-        if len(heap) - i > room:  # only a push adds a pending pulse: this follows the key that overflowed
-            _overflow(max_events)
-        if heap and heap[0] < following:
-            key = pop(heap)
-        elif following < end:
-            key, i = following, i + 1
-            following = walk[i]
-        else:
-            break
-        if key == latest:
-            continue
-        latest = key
-        rank = key % n
-        now = key - rank
-        if now != instant:  # no release lands before the current instant: earlier keys cannot recur
-            instant = now
-            processed.clear()
-        elif key in processed:
-            continue
-        processed.add(key)
-{queued}
-    recorded.sort()  # a zero-delay release may sort before the key that made it
-    return recorded
-"""
-
-#: The folded kernel: the stimulus walked in order and, before each walk key,
-#: the heap drained of the keys below it.  ``end`` closes the walk (its rank
-#: is 0) and sits in the heap, so ``heap[0]`` always exists.
-_FOLDED = """\
+#: The kernel: the stimulus walked in order and, before each walk key, the
+#: heap drained of the keys below it.  ``end`` closes the walk (its rank is 0)
+#: and sits in the heap, so ``heap[0]`` always exists.
+_KERNEL = """\
 def kernel(walk, end, room, max_events, cells, connections, flagged):
 {prologue}
     heap, recorded, latest = [end], [], -1
@@ -285,9 +254,11 @@ def _kernel(wired: bool, inputs: tuple[int, ...], routes: tuple) -> tuple[Callab
     (the heap's least and the next walk key), up to ``INLINE_DEPTH`` deep;
     otherwise it is pushed.  Such a release's landings share one delay sum
     (else all are pushed), so rank offset order is their time order: the
-    first is the one taken, once the others are pushed.  The bound on pending
-    pulses is checked only where one key adds two or more, counting a landing
-    about to be taken."""
+    first is the one taken, once the others are pushed.  Wired, every landing
+    is pushed, both streams skip a key processed at its instant, and the
+    recorded keys are sorted at the end.  The bound on pending pulses is
+    checked only where one key adds two or more, counting a landing about
+    to be taken."""
     import linecache  # a run compiles, an import does not
     n = len(routes)
     sums: dict[tuple[tuple[int, ...], int], str] = {}  # (slots, offset) -> its T local
@@ -304,12 +275,11 @@ def _kernel(wired: bool, inputs: tuple[int, ...], routes: tuple) -> tuple[Callab
         slots.update(target[0])
         return sums.setdefault(target, "T%d" % len(sums))
 
-    def landing(r: int, stream: tuple[str, int] | None, depth: int = 0) -> list[str]:
-        # the body of ``key`` landing on rank r; ``stream``: the next walk key and the
-        # count's correction (None in the wired kernel, which checks at its loop head)
+    def landing(r: int, stream: tuple[str, int], depth: int = 0) -> list[str]:
+        # the body of ``key`` landing on rank r; ``stream``: the next walk key and the count's correction
         observed, consumers, route_taps = routes[r]
         out = ["record(key)"] if observed else []
-        if stream and any(check for _, check, *_ in consumers):
+        if any(check for _, check, *_ in consumers):
             out.append(f"now = key - {r}")
         emitted, chained = len(route_taps), False
         for op, check, slot, mine, peer, targets in consumers:
@@ -324,7 +294,7 @@ def _kernel(wired: bool, inputs: tuple[int, ...], routes: tuple) -> tuple[Callab
                 out.append(f"S{slot} = True")
                 continue
             emitted += len(targets)
-            chained = (stream is not None and len(consumers) == 1 and not route_taps and depth < INLINE_DEPTH
+            chained = (not wired and len(consumers) == 1 and not route_taps and depth < INLINE_DEPTH
                        and len({cells for cells, _ in targets}) == 1)
             if chained:  # one delay sum: the least rank offset lands first
                 first, *rest = sorted(targets, key=lambda target: target[1])
@@ -347,7 +317,7 @@ def _kernel(wired: bool, inputs: tuple[int, ...], routes: tuple) -> tuple[Callab
             else:
                 taps[j] = [f"K{j} = connections[{j}].delay_fs * n + {dst - r}"]
                 out.append(f"push(heap, key + K{j})")
-        if stream and emitted > 1 and not chained:
+        if emitted > 1 and not chained:
             out += pending(0, stream)
         return out
 
@@ -359,18 +329,19 @@ def _kernel(wired: bool, inputs: tuple[int, ...], routes: tuple) -> tuple[Callab
         return left if left == right else [f"if rank < {leaves[mid][0]}:", *_indent(left), "else:", *_indent(right)]
 
     def tree(leaves: list[tuple[int, list[str]]], indent: int) -> str:
-        lines = (["rank = key % n"] if len(leaves) > 1 else []) + (dispatch(leaves) if leaves else ["pass"])
+        # wired, each stream processes a key once per instant: no release lands before the current instant
+        guard = ["if key >= later:", "    later = key - key % n + n", "    processed.clear()",
+                 "elif key in processed:", "    continue", "processed.add(key)"] if wired else []
+        lines = guard + (["rank = key % n"] if len(leaves) > 1 else []) + (dispatch(leaves) if leaves else ["pass"])
         return "\n".join(" " * indent + line for line in lines)
 
-    if wired:
-        template, parts = _WIRED, {"queued": tree([(r, landing(r, None)) for r in range(n)], 8)}
-    else:  # the heap carries releases' and taps' landings, the walk the external inputs and, at rank 0, end
-        landed = {r + offset for r, (_, consumers, _) in enumerate(routes) for *_, targets in consumers for _, offset in targets}
-        landed |= {dst for _, _, route_taps in routes for _, dst, _ in route_taps}
-        walked = {r: landing(r, ("walk[i]", -1)) for r in inputs}
-        walked[0] = ["if key == end:", "    break", *walked[0]] if 0 in walked else ["break"]
-        template, parts = _FOLDED, {"queued": tree([(r, landing(r, ("w", 0))) for r in sorted(landed)], 12),
-                                    "walked": tree(sorted(walked.items()), 8)}
+    # the heap carries releases' and taps' landings, the walk the external inputs and, at rank 0, end
+    landed = {r + offset for r, (_, consumers, _) in enumerate(routes) for *_, targets in consumers for _, offset in targets}
+    landed |= {dst for _, _, route_taps in routes for _, dst, _ in route_taps}
+    walked = {r: landing(r, ("walk[i]", -1)) for r in inputs}
+    ending = ["recorded.sort()", "break"] if wired else ["break"]  # wired, a release may sort before its cause
+    walked[0] = ["if key == end:", *_indent(ending), *walked[0]] if 0 in walked else ending
+    parts = {"queued": tree([(r, landing(r, ("w", 0))) for r in sorted(landed)], 12), "walked": tree(sorted(walked.items()), 8)}
     prologue = [f"P{slot} = cells[{slot}][1]" for slot in sorted(slots)] + list(windows.values())
     prologue += [line for j in sorted(taps) for line in taps[j]]
     for (cells, offset), name in sums.items():  # a fold's delay is its driver's plus its fanout's
@@ -378,11 +349,19 @@ def _kernel(wired: bool, inputs: tuple[int, ...], routes: tuple) -> tuple[Callab
     # no window reaches -inf; a slot's S is its stored pulse
     prologue += [" = ".join([*(f"L{entry}" for entry in sorted(entries)), 'float("-inf")'])] if entries else []
     prologue += [" = ".join([*(f"S{slot}" for slot in sorted(stored)), "False"])] if stored else []
-    source = template.format(prologue="\n".join(_indent([f"n = {n}", *prologue])), **parts)
+    prologue += ["processed, later = set(), 0"] if wired else []  # keys below ``later`` are at the current instant
+    source = _KERNEL.format(prologue="\n".join(_indent([f"n = {n}", *prologue])), **parts)
     name = f"<fluxloop kernel {zlib.crc32(source.encode()):08x}>"
-    linecache.cache[name] = (len(source), None, source.splitlines(True), name)  # no mtime: checkcache keeps it
+    cached = linecache.cache[name] = (len(source), None, source.splitlines(True), name)  # no mtime: checkcache keeps it
     exec(compile(source, name, "exec"), globals(), namespace := {})
-    return namespace["kernel"], tuple(checks)
+    finalize(kernel := namespace["kernel"], _forget, linecache.cache, name, cached)
+    return kernel, tuple(checks)
+
+
+def _forget(cache: dict, name: str, cached: tuple) -> None:
+    """Drop a collected kernel's source, unless a later compile of that source holds its name."""
+    if cache.get(name) is cached:
+        del cache[name]
 
 
 def _overflow(max_events: int) -> NoReturn:
@@ -548,15 +527,16 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
     The sorted stimulus is walked in place and merged with a heap of the
     pulses cells and taps emit; a pulse equal to one processed merges into
     it.  Each arrival applies its cell's transition (see ``cells``) inline.
-    With no zero pinned delay the run takes the folded routes, which drop or
-    fold the releases no run can see (``Netlist._wiring``), and two streams:
-    a ``for`` loop over the stimulus drains the heap of the keys below each
-    walk key (the walk wins a tie).  There a release that ends its line's
-    body lands at once when its key is below both the heap's least and the
-    next walk key, since no other pulse can come first; a tap's landing is
-    always queued.  A zero delay keeps the routes as wired and one merged
-    loop.  Either way the kernel is generated for the routes' wiring shape
-    and compiled at its first run (``_kernel``).
+    A ``for`` loop over the stimulus drains the heap of the keys below each
+    walk key (the walk wins a tie).  With no zero pinned delay the run takes
+    the folded routes, which drop or fold the releases no run can see
+    (``Netlist._wiring``), and a release that ends its line's body lands at
+    once when its key is below both the heap's least and the next walk key,
+    since no other pulse can come first; a tap's landing is always queued.
+    A zero delay keeps the routes as wired and queues every landing, since
+    one may sort before the key that made it: a key processed at its instant
+    is skipped, and the recorded keys are sorted at the end.  Each kernel is
+    generated from one template for its routes' shape (``_kernel``).
 
     ``max_events`` bounds the pending pulses on lines a run can see: the
     heap (where a release equal to a pending pulse waits until it pops and
@@ -573,7 +553,7 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
     net = prepared.netlist
     pins = net.at_bias(bias)
     # with no zero delay every push lands after the current key, so a duplicate pops right after its
-    # equal (the walk wins a tie) and a fold cannot reorder keys; the wired kernel allows for a zero delay
+    # equal (the walk wins a tie) and a fold cannot reorder keys; the wired kernel allows for one
     kernel, checks = net._wired_kernel if pins.zero_delay else net._folded_kernel
     n = len(net.lines)
     end = t_end_fs * n  # above every key before t_end, at or below every other

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import gc
 import io
 import linecache
 import pickle
@@ -988,18 +989,19 @@ def test_max_events_is_exceeded_exactly_past_the_pending_high_water_mark(merger,
             assert bound >= mark
 
 
-def _kernel_source(net: Netlist) -> list[str]:
-    kernel, _ = net._folded_kernel
+def _kernel_source(net: Netlist, bias: BiasPoint = NOMINAL_BIAS) -> list[str]:
+    """The source of the kernel a run at ``bias`` takes: wired for a zero delay, else folded."""
+    kernel, _ = net._wired_kernel if net.at_bias(bias).zero_delay else net._folded_kernel
     return linecache.getlines(kernel.__code__.co_filename)
 
 
-def diamonds(levels: int) -> Netlist:
+def diamonds(levels: int, fanout: int = 500) -> Netlist:
     """``levels`` fanout/merger levels: each level's fanout splits its input
     line in two and its merger joins them onto the next level's input, so a
     pulse's releases chain through every level."""
     cells, connections = {}, []
     for k in range(levels):
-        cells[f"f{k:02d}"] = CellParams(kind=CellKind.FANOUT, prop_delay_fs=500)
+        cells[f"f{k:02d}"] = CellParams(kind=CellKind.FANOUT, prop_delay_fs=fanout)
         cells[f"m{k:02d}"] = CellParams(kind=CellKind.MERGER, prop_delay_fs=1000, min_separation_fs=100)
         connections += [
             Connection(f"l{k:02d}", f"f{k:02d}.in"),
@@ -1015,20 +1017,43 @@ def diamonds(levels: int) -> Netlist:
 def test_kernel_source_stays_linear_in_the_route_table():
     # each level's merger lands on the next level's two inputs, whose bodies land on the next and so on:
     # taken at once without a cap, every level would repeat the bodies of all the levels after it
-    lines = {}
-    for levels in (6, 12, 18):
-        net = diamonds(levels)
-        trace = run(net, [(0, "l00")], t_end=10**6)
-        assert _oracle.pulses_on(trace, f"l{levels:02d}") == (1500 * levels,)
-        lines[levels] = len(_kernel_source(net))
-        assert lines[levels] <= 24 * len(net.lines)
-    # six more levels add no more source than the six before them
-    assert lines[18] - lines[12] <= lines[12] - lines[6]
+    # (a zero fanout delay takes the wired kernel, which takes no landing at once)
+    for fanout in (500, 0):
+        lines = {}
+        for levels in (6, 12, 18):
+            net = diamonds(levels, fanout)
+            assert net.at_bias(NOMINAL_BIAS).zero_delay == (fanout == 0)
+            trace = run(net, [(0, "l00")], t_end=10**6)
+            assert _oracle.pulses_on(trace, f"l{levels:02d}") == ((1000 + fanout) * levels,)
+            lines[levels] = len(_kernel_source(net))
+            assert lines[levels] <= 24 * len(net.lines)
+        # six more levels add no more source than the six before them
+        assert lines[18] - lines[12] <= lines[12] - lines[6]
 
 
 def test_the_controller_kernel_keeps_its_line_budget():
-    net = build_controller(SimConfig(frequency_hz=100 * 10**9, num_addresses=3))
-    assert len(_kernel_source(net)) <= 170
+    # folded, and wired for a zero fanout delay
+    for overrides in ({}, {"fanout": {"prop_delay": 0}}):
+        cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3, cell_overrides=overrides)
+        net = build_controller(cfg)
+        assert net.at_bias(cfg.bias).zero_delay == bool(overrides)
+        assert len(_kernel_source(net, cfg.bias)) <= 170
+
+
+def test_an_evicted_kernel_takes_its_source_out_of_linecache():
+    # more shapes than the kernel cache holds (a fan of 1 to 40 taps); each netlist is dropped once it has run
+    names = []
+    for taps in range(1, 41):
+        net = Netlist({}, tuple(Connection("a", f"b{j:02d}", delay_fs=100) for j in range(taps)), frozenset({"a"}), ("a",))
+        run(net, [(0, "a")])
+        names.append(net._folded_kernel[0].__code__.co_filename)
+    del net
+    gc.collect()
+    assert len(set(names)) == 40
+    assert sum(name in linecache.cache for name in names) <= 32
+    engine._kernel.cache_clear()
+    gc.collect()
+    assert not any(name in linecache.cache for name in names)
 
 
 dro_runs = st.builds(lambda p, s, h, stimulus, t_end: (dro_net(p, s, h), stimulus, t_end, NOMINAL_BIAS),
