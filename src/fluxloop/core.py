@@ -16,7 +16,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 FS_PER_SECOND = 10**15
 
@@ -317,6 +317,14 @@ def _parse_range(raw: Any, field_name: str) -> tuple[Fraction, Fraction]:
     return tuple(_ratio(item, field_name) for item in raw)
 
 
+#: Each cell override's (parse(value, field), write(value)) by key; a duration otherwise.
+_DURATION_CODEC = (parse_duration, lambda fs: fs)
+_OVERRIDE_CODECS = {
+    "bias_curve": (_parse_curve, lambda knots: [list(map(_ratio_to_json, knot)) for knot in knots]),
+    "operating_range": (_parse_range, lambda edges: list(map(_ratio_to_json, edges))),
+}
+
+
 def normalize_cell_overrides(raw: Any) -> dict[str, dict[str, Any]]:
     """Per-cell overrides checked against ``CELLS`` and normalized (durations in
     fs, exact ratios, tuples), alike from a document or a library ``SimConfig``."""
@@ -334,16 +342,54 @@ def normalize_cell_overrides(raw: Any) -> dict[str, dict[str, Any]]:
             qualified = f"cells.{name}.{key}"
             if key not in valid:
                 raise ConfigError(qualified, f"unknown parameter (valid: {', '.join(valid)})")
-            parse = {"bias_curve": _parse_curve, "operating_range": _parse_range}.get(key, parse_duration)
-            entry[key] = parse(value, qualified)
+            entry[key] = _OVERRIDE_CODECS.get(key, _DURATION_CODEC)[0](value, qualified)
     return out
 
 
-def _integer(doc: dict[str, Any], key: str) -> int:
-    value = doc[key]
+def _integer(value: Any, key: str) -> int:
     if type(value) is not int:  # JSON true/false decode to bool, an int subclass
         raise ConfigError(key, "expected an integer")
     return value
+
+
+def _bias(value: Any, key: str) -> BiasPoint:
+    try:
+        return BiasPoint(_ratio(value, key, "bias ratio"))
+    except ValueError:
+        raise ConfigError(key, f"invalid bias ratio {value!r}") from None
+
+
+def _loop_jitter(value: Any, key: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(key, "expected a list of per-trip offsets")
+    return tuple(parse_duration(item, f"{key}[{i}]", allow_negative=True) for i, item in enumerate(value))
+
+
+def _same(value: Any, *_: Any) -> Any:
+    return value
+
+
+#: The document's fields in check order: key -> (SimConfig field, parse(value,
+#: key), write(value)).  A null ``loop_delay`` is its default; ``cells`` is
+#: checked by ``SimConfig`` itself, after the other fields.
+CONFIG_FIELDS: dict[str, tuple[str, Callable[[Any, str], Any], Callable[[Any], Any]]] = {
+    "frequency": ("frequency_hz", parse_frequency, _same),
+    "num_addresses": ("num_addresses", _integer, _same),
+    "bias": ("bias", _bias, lambda bias: _ratio_to_json(bias.ratio)),
+    "header_intervals": ("header_intervals", _integer, _same),
+    "phase_read": ("phase_read", _ratio, _ratio_to_json),
+    "phase_write": ("phase_write", _ratio, _ratio_to_json),
+    "phase_data": ("phase_data", _ratio, _ratio_to_json),
+    "loop_delay": ("loop_delay_fs", lambda value, key: None if value is None else parse_duration(value, key), _same),
+    "retiming_guard": ("retiming_guard_fs", parse_duration, _same),
+    "loop_jitter": ("loop_jitter_fs", _loop_jitter, list),
+    "cells": ("cell_overrides", _same, lambda overrides: {
+        name: {key: _OVERRIDE_CODECS.get(key, _DURATION_CODEC)[1](value) for key, value in o.items()}
+        for name, o in overrides.items()
+    }),
+    "max_events": ("max_events", _integer, _same),
+    "search_ceiling": ("search_ceiling_hz", parse_frequency, _same),
+}
 
 
 def parse_config(text: str) -> SimConfig:
@@ -358,78 +404,18 @@ def parse_config(text: str) -> SimConfig:
         raise ConfigError("<document>", f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("<document>", "top level must be an object")
-
-    known = {
-        "frequency", "num_addresses", "bias", "header_intervals", "phase_read", "phase_write", "phase_data",
-        "loop_delay", "retiming_guard", "loop_jitter", "cells", "max_events", "search_ceiling",
-    }
     for key in doc:
-        if key not in known:
+        if key not in CONFIG_FIELDS:
             raise ConfigError(key, "unknown configuration field")
-
     for key in ("frequency", "num_addresses"):
         if key not in doc:
             raise ConfigError(key, "required field is missing")
-    kwargs: dict[str, Any] = {
-        "frequency_hz": parse_frequency(doc["frequency"], "frequency"),
-        "num_addresses": _integer(doc, "num_addresses"),
-    }
-    if "bias" in doc:
-        try:
-            kwargs["bias"] = BiasPoint(_ratio(doc["bias"], "bias", "bias ratio"))
-        except ValueError:
-            raise ConfigError("bias", f"invalid bias ratio {doc['bias']!r}") from None
-    if "header_intervals" in doc:
-        kwargs["header_intervals"] = _integer(doc, "header_intervals")
-    for phase_key in ("phase_read", "phase_write", "phase_data"):
-        if phase_key in doc:
-            kwargs[phase_key] = _ratio(doc[phase_key], phase_key)
-    if "loop_delay" in doc and doc["loop_delay"] is not None:
-        kwargs["loop_delay_fs"] = parse_duration(doc["loop_delay"], "loop_delay")
-    if "retiming_guard" in doc:
-        kwargs["retiming_guard_fs"] = parse_duration(doc["retiming_guard"], "retiming_guard")
-    if "loop_jitter" in doc:
-        raw = doc["loop_jitter"]
-        if not isinstance(raw, list):
-            raise ConfigError("loop_jitter", "expected a list of per-trip offsets")
-        kwargs["loop_jitter_fs"] = tuple(
-            parse_duration(item, f"loop_jitter[{i}]", allow_negative=True) for i, item in enumerate(raw)
-        )
-    if "cells" in doc:
-        kwargs["cell_overrides"] = doc["cells"]
-    if "max_events" in doc:
-        kwargs["max_events"] = _integer(doc, "max_events")
-    if "search_ceiling" in doc:
-        kwargs["search_ceiling_hz"] = parse_frequency(doc["search_ceiling"], "search_ceiling")
-
-    return SimConfig(**kwargs)
-
-
-def _override_to_json(key: str, value: Any) -> Any:
-    if key == "bias_curve":
-        return [list(map(_ratio_to_json, knot)) for knot in value]
-    return list(map(_ratio_to_json, value)) if key == "operating_range" else value
+    return SimConfig(**{field: parse(doc[key], key) for key, (field, parse, _) in CONFIG_FIELDS.items() if key in doc})
 
 
 def serialize_config(cfg: SimConfig) -> str:
     """Serialize a config to JSON such that parse_config round-trips it."""
-    doc: dict[str, Any] = {
-        "frequency": cfg.frequency_hz,
-        "num_addresses": cfg.num_addresses,
-        "bias": _ratio_to_json(cfg.bias.ratio),
-        "header_intervals": cfg.header_intervals,
-        "phase_read": _ratio_to_json(cfg.phase_read),
-        "phase_write": _ratio_to_json(cfg.phase_write),
-        "phase_data": _ratio_to_json(cfg.phase_data),
-        "loop_delay": cfg.loop_delay_fs,
-        "retiming_guard": cfg.retiming_guard_fs,
-        "loop_jitter": list(cfg.loop_jitter_fs),
-        "max_events": cfg.max_events,
-        "search_ceiling": cfg.search_ceiling_hz,
-    }
-    if cfg.cell_overrides:
-        doc["cells"] = {
-            name: {key: _override_to_json(key, value) for key, value in overrides.items()}
-            for name, overrides in cfg.cell_overrides.items()
-        }
+    doc = {key: write(getattr(cfg, field)) for key, (field, _, write) in CONFIG_FIELDS.items()}
+    if not cfg.cell_overrides:  # no overrides: the field is left out
+        del doc["cells"]
     return json.dumps(doc, indent=2, sort_keys=True)

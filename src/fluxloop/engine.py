@@ -38,8 +38,8 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, TextIO
 from weakref import finalize
 
-from .core import BiasPoint, FluxloopError, PulseEvent, format_ratio, validated_record
-from .cells import INPUT_PORTS, OUTPUT_PORTS, RELEASES, CellKind, CellParams, PinnedCell, TimingViolation, ViolationKind
+from .core import BiasPoint, FluxloopError, PulseEvent, validated_record
+from .cells import INPUT_PORTS, OUTPUT_PORTS, RELEASES, BiasRangeError, CellKind, CellParams, PinnedCell, TimingViolation, ViolationKind
 
 
 class NetlistError(FluxloopError):
@@ -388,13 +388,12 @@ def _pin(cell_set: frozenset, num: int, den: int) -> PinnedNetlist:
     violations, pinned = [], {}
     for name in _slot_order(cells):
         params = cells[name]
-        rng = params.operating_range()
-        at = bias
-        if rng is not None and not (rng[0] <= ratio <= rng[1]):
-            detail = f"bias {format_ratio(ratio)} outside operating range [{format_ratio(rng[0])}, {format_ratio(rng[1])}]"
-            violations.append(TimingViolation(name, ViolationKind.ELECTRICAL, 0, detail))
-            at = BiasPoint(rng[0] if ratio < rng[0] else rng[1])  # the cell runs saturated at the range edge
-        pinned[name] = params.at_bias(at)
+        try:
+            pinned[name] = params.at_bias(bias)
+        except BiasRangeError as exc:
+            violations.append(TimingViolation(name, ViolationKind.ELECTRICAL, 0, str(exc)))
+            lo, hi = params.operating_range()
+            pinned[name] = params.at_bias(BiasPoint(lo if ratio < lo else hi))  # the cell runs saturated at the range edge
     return PinnedNetlist(MappingProxyType(pinned), tuple(violations), any(p.prop_delay_fs == 0 for p in pinned.values()))
 
 
@@ -415,7 +414,7 @@ def _validate(net: Netlist) -> None:
             raise NetlistError(f"cell {name!r}: kind {params.kind!r} does not process pulses")
 
     wired: set[str] = set()  # the cell ports joined to a line so far: each joins one
-    adjacency: dict[str, set[str]] = {}  # the cells and lines each cell or line drives
+    adjacency: dict[tuple[str, bool], list[tuple[str, bool]]] = {}  # (name, is a cell?) -> the nodes it drives
     for conn in net.connections:
         for endpoint in filter(_is_port, (conn.src, conn.dst)):
             cell, port = _split_port(endpoint)
@@ -448,22 +447,14 @@ def _validate(net: Netlist) -> None:
         if starts != sorted(starts):
             raise NetlistError(f"{conn.src} -> {conn.dst}: offset schedule must be sorted by start time")
         if not conn.is_loop:  # the only permitted cycle is through connections marked as the loop
-            adjacency.setdefault(_split_port(conn.src)[0], set()).add(_split_port(conn.dst)[0])
-
-    state: dict[str, int] = {}  # 1 = on stack, 2 = done
-
-    def visit(node: str) -> None:
-        state[node] = 1
-        for nxt in sorted(adjacency.get(node, ())):
-            if state.get(nxt) == 1:
-                raise NetlistError(f"combinational cycle through {nxt!r}; only the storage loop may cycle")
-            if state.get(nxt) is None:
-                visit(nxt)
-        state[node] = 2
-
-    for node in sorted(adjacency):
-        if state.get(node) is None:
-            visit(node)
+            src, dst = ((_split_port(end)[0], _is_port(end)) for end in (conn.src, conn.dst))
+            adjacency.setdefault(src, []).append(dst)
+    import graphlib  # a netlist's check needs it, an import does not
+    try:  # each node drives the nodes it lists: the reverse of graphlib's sense, with the same cycles
+        graphlib.TopologicalSorter(adjacency).prepare()
+    except graphlib.CycleError as exc:
+        node = min(name for name, _ in exc.args[1])
+        raise NetlistError(f"combinational cycle through {node!r}; only the storage loop may cycle") from None
 
 
 class Trace(namedtuple("Trace", "keys lines violations observed t_end_fs bias")):

@@ -206,23 +206,18 @@ def build_controller(cfg: SimConfig) -> Netlist:
     """Assemble the controller netlist plus the storage-loop connection.
 
     Compiled (built and validated) once per value of what it reads: the
-    cell overrides, the frequency, the trip the frequency, address count and
-    header intervals make, the loop delay, the re-timing guard and the loop
-    jitter.  Configs that differ only in another field (bias, phases, event
-    cap, search ceiling) share one netlist, from a bounded cache.
+    cell overrides, the trip (the frequency, address count and header
+    intervals make), the loop delay (given, or ``required_loop_delay``) and
+    the loop jitter.  Configs that differ only in another field (bias,
+    phases, event cap, search ceiling) share one netlist, from a bounded cache.
     """
-    return _compile(cfg.frozen_overrides, cfg.frequency_hz, trip_duration(cfg), cfg.loop_delay_fs, cfg.retiming_guard_fs,
-                    cfg.loop_jitter_fs)
+    loop_delay = required_loop_delay(cfg) if cfg.loop_delay_fs is None else cfg.loop_delay_fs
+    return _compile(cfg.frozen_overrides, trip_duration(cfg), loop_delay, cfg.loop_jitter_fs)
 
 
 @lru_cache(maxsize=64)
-def _compile(
-    frozen_overrides: tuple, frequency_hz: int, trip: int, loop_delay: int | None, guard: int, jitter: tuple[int, ...]
-) -> Netlist:
-    # the cell set default_cell_params serves, read without a per-call copy
-    cells = _cell_set(frozen_overrides)
-    if loop_delay is None:
-        loop_delay = _loop_delay(_retiming_budget(cells) + guard, trip, frequency_hz)
+def _compile(frozen_overrides: tuple, trip: int, loop_delay: int, jitter: tuple[int, ...]) -> Netlist:
+    cells = _cell_set(frozen_overrides)  # the cell set default_cell_params serves, read without a per-call copy
     offsets = tuple((t * trip, off) for t, off in enumerate(jitter))
     if offsets:
         offsets += ((len(jitter) * trip, 0),)

@@ -688,6 +688,26 @@ def test_booleans_are_refused_as_ratios_naming_the_field(write_config, capsys, f
     assert captured.out == ""
 
 
+#: A value of the wrong shape in a field, as (config fields, the error it exits with).
+WRONG_SHAPES = [
+    ({"cells": []}, "cells: expected an object of per-cell overrides"),
+    ({"cells": {"merger": 5}}, "cells.merger: expected an object of parameter overrides"),
+    ({"num_addresses": 3.0}, "num_addresses: expected an integer"),
+    ({"header_intervals": 1.5}, "header_intervals: expected an integer"),
+    ({"max_events": "5"}, "max_events: expected an integer"),
+    ({"loop_jitter": "300fs"}, "loop_jitter: expected a list of per-trip offsets"),
+]
+
+
+@pytest.mark.parametrize("fields, error", WRONG_SHAPES, ids=[json.dumps(fields) for fields, _ in WRONG_SHAPES])
+def test_a_wrongly_shaped_field_is_refused_by_name(write_config, capsys, fields, error):
+    code = main(["sta", "--config", write_config(**fields)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err == f"error: {error}\n"
+    assert captured.out == ""
+
+
 class _ClosedPipe:
     """A stdout whose reader has gone: writing (or, buffered, flushing) fails."""
 

@@ -25,6 +25,7 @@ from fluxloop import (
 from fluxloop.core import (
     CELL_OVERRIDES,
     CELLS,
+    CONFIG_FIELDS,
     FS_PER_SECOND,
     NOMINAL_BIAS,
     BiasPoint,
@@ -363,6 +364,13 @@ class TestParseConfig:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         rows = re.findall(r"^\| `(\w+)` +\| (`[^|]*`) +\|$", readme, re.M)
         assert {cell: tuple(re.findall(r"`(\w+)`", keys)) for cell, keys in rows} == CELL_OVERRIDES
+
+    def test_readme_configuration_table_is_the_field_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        assert re.findall(r"^\| `(\w+)` +\|[^|]+\|[^|]+\|$", section, re.M) == list(CONFIG_FIELDS)
+        # in SimConfig's own field order
+        assert [field for field, _, _ in CONFIG_FIELDS.values()] == list(SimConfig._fields)
 
     def test_the_cell_table_is_the_controller(self, cfg100):
         kinds = {name: cell.kind for name, cell in build_controller(cfg100).cells.items()}

@@ -21,6 +21,9 @@ from fluxloop.density import (
     INCONSISTENT_CELLS,
     PRESET_ALIASES,
     SPEED_OF_LIGHT,
+    DensityReport,
+    DensityRow,
+    FactorRow,
     build_report,
     published_tolerance,
     report_to_csv,
@@ -211,6 +214,23 @@ class TestRendering:
         assert "verified 33/33 published cells (3 flagged-inconsistent cells reported unchecked)" in text
         assert "MISMATCH" not in text
 
+
+    def test_text_names_each_mismatch(self):
+        report = DensityReport(
+            rows=(
+                DensityRow("nb-stripline-250", 20, 4, 0.178885, 0.2, False),
+                DensityRow("nb-stripline-250", 100, 4, 0.894427, 0.9, True),
+            ),
+            factors=(FactorRow("nb-stripline-250", 0.2983413, 0.31, False),),
+        )
+        assert report_to_text(report) == (
+            "preset            layers      v/c     20 GHz    100 GHz\n"
+            "nb-stripline-250       4   0.2983      0.179      0.894\n"
+            "\n"
+            "verified 1/2 published cells\n"
+            "  MISMATCH nb-stripline-250 @ 20 GHz: computed 0.179 vs published 0.2\n"
+            "  MISMATCH nb-stripline-250 v/c: computed 0.2983 vs published 0.31\n"
+        )
 
 def test_readme_preset_table_agrees_with_the_presets():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -140,6 +140,32 @@ class TestNetlistValidation:
                 observed=(),
             )
 
+    def test_a_long_fanout_chain_builds_runs_and_refuses_a_cycle_at_its_far_end(self):
+        # the cycle check walks a 2,000-cell chain without recursing per node
+        size = 2000
+        names = [f"f{i:04d}" for i in range(size)]
+        lines = ["x", *(f"l{i:04d}" for i in range(1, size)), "y"]
+        chain = tuple(
+            conn for i, name in enumerate(names)
+            for conn in (Connection(lines[i], f"{name}.in"), Connection(f"{name}.out_a", lines[i + 1]))
+        )
+        net = Netlist({name: FANOUT for name in names}, chain, frozenset({"x"}), ("x", "y"))
+        trace = run_until(schedule(net, [PulseEvent(0, "x")]), size * 500 + 1, NOMINAL_BIAS)
+        assert trace.events == ((0, "x"), (size * 500, "y"))
+        # y feeds l1990 back: the cycle f1990 -> l1991 -> ... -> y -> l1990, named by its least node
+        closed = chain + (Connection("y", lines[size - 10], delay_fs=100),)
+        with pytest.raises(NetlistError, match="^combinational cycle through 'f1990'; only the storage loop may cycle$"):
+            Netlist({name: FANOUT for name in names}, closed, frozenset({"x"}), ("x", "y"))
+
+    def test_a_line_named_like_its_cell_is_no_cycle(self):
+        net = Netlist(
+            cells={"d": DRO},
+            connections=(Connection("x", "d.data"), Connection("c", "d.clock"), Connection("d.out", "d")),
+            external_inputs=frozenset({"x", "c"}),
+            observed=("d",),
+        )
+        assert _oracle.pulses_on(run(net, [(0, "x"), (20000, "c")]), "d") == (25000,)
+
     def test_loop_marked_cycle_is_allowed(self):
         net = Netlist(
             cells={"d": DRO},
@@ -185,6 +211,10 @@ class TestRunUntil:
         assert _oracle.pulses_on(trace, "out") == ()
         trace = run(net, [(0, "din"), (20000, "clk")], t_end=25001)
         assert _oracle.pulses_on(trace, "out") == (25000,)
+
+    def test_t_end_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="^t_end must be non-negative$"):
+            run_until(schedule(dro_netlist(), [PulseEvent(0, "din")]), -1, NOMINAL_BIAS)
 
     def test_coincident_pulses_on_a_line_merge(self):
         # both merger inputs fire at t=0; the outputs land on one line at
@@ -789,6 +819,32 @@ class TestKernelMatchesReference:
     @given(delays, delays, delays, stimuli(("z",)), st.integers(0, 8).map(lambda k: 500 * k))
     def test_folds_through_a_fanout_chain_and_cycle(self, first, second, third, stimulus, t_end):
         self.check(fanout_loop(first, second, third), stimulus, t_end)
+
+    def test_zero_delay_runs_keep_the_wired_routes(self):
+        # folded, z (fanout-only) would land g's release on a beside b at 0, and a sorts
+        # first: d would store, then b clock it out onto y.  Wired, b clocks the empty d
+        # before f, reading z, emits onto a: no y
+        zero = CellParams(kind=CellKind.FANOUT, prop_delay_fs=0)
+        net = Netlist(
+            cells={"g": zero, "f": zero, "d": CellParams(kind=CellKind.DRO, prop_delay_fs=100, setup_fs=0, hold_fs=0)},
+            connections=(
+                Connection("x", "g.in"),
+                Connection("g.out_a", "z"),
+                Connection("g.out_b", "b"),
+                Connection("z", "f.in"),
+                Connection("f.out_a", "a"),
+                Connection("f.out_b", "o"),
+                Connection("a", "d.data"),
+                Connection("b", "d.clock"),
+                Connection("d.out", "y"),
+            ),
+            external_inputs=frozenset({"x"}),
+            observed=("a", "b", "o", "x", "y"),
+        )
+        self.check(net, [(0, "x")], 1000)
+        assert run_until(schedule(net, [PulseEvent(0, "x")]), 1000, NOMINAL_BIAS).events == (
+            (0, "a"), (0, "b"), (0, "o"), (0, "x"),
+        )
 
     @settings(max_examples=25, deadline=None)
     @given(

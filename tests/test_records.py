@@ -45,10 +45,11 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_importing_the_cli_loads_no_dataclass_machinery_and_runs_pinned_cells():
-    # dataclasses imports inspect, ast, dis and tokenize; every record is a tuple or a slotted class
+    # dataclasses imports inspect, ast, dis and tokenize; every record is a tuple or a slotted class.
+    # graphlib loads at the first netlist check, not at import
     script = (
         "import sys, fluxloop.cli\n"
-        "print(sorted(name for name in ('dataclasses', 'inspect') if name in sys.modules))\n"
+        "print(sorted(name for name in ('dataclasses', 'inspect', 'graphlib') if name in sys.modules))\n"
         "print(sorted({f'{v.__module__}.{v.__name__}' for m, mod in list(sys.modules.items())"
         " if m.split('.')[0] == 'fluxloop' for v in vars(mod).values()"
         " if isinstance(v, type) and '__dataclass_fields__' in vars(v)}))\n"
