@@ -188,26 +188,16 @@ class CellParams(validated_record("CellParams", "kind prop_delay_fs setup_fs hol
         model = self.delay_model
         return None if model is None else (model.range_lo, model.range_hi)
 
-    def at_bias(self, bias: BiasPoint) -> "PinnedCell":
-        """This cell at ``bias``: its delay there as a constant, with setup,
-        hold and minimum separation kept.  The one way to read a cell's
+    def at_bias(self, bias: BiasPoint) -> CellParams:
+        """This cell at ``bias``: a constant-delay cell (no delay model) with
+        its delay there, and setup, hold and minimum separation kept; the
+        cell itself when it has no model.  The one way to read a cell's
         delay; a bias outside the model's range raises ``BiasRangeError``."""
-        delay = self.prop_delay_fs if self.delay_model is None else delay_at_bias(self.delay_model, bias)
-        return PinnedCell(self.kind, delay, self.setup_fs, self.hold_fs, self.min_separation_fs)
-
-
-class PinnedCell:
-    """One cell at one bias: its delay there as a constant, with the timing
-    windows kept, as slot reads (faster than namedtuple getters)."""
-
-    __slots__ = ("kind", "prop_delay_fs", "setup_fs", "hold_fs", "min_separation_fs")
-
-    def __init__(self, kind: CellKind, prop_delay_fs: int, setup_fs: int, hold_fs: int, min_separation_fs: int) -> None:
-        self.kind = kind
-        self.prop_delay_fs = prop_delay_fs
-        self.setup_fs = setup_fs
-        self.hold_fs = hold_fs
-        self.min_separation_fs = min_separation_fs
+        if self.delay_model is None:
+            return self
+        # checked fields, and a delay the model keeps non-negative: no second check
+        fields = (self.kind, delay_at_bias(self.delay_model, bias), self.setup_fs, self.hold_fs, None, self.min_separation_fs)
+        return tuple.__new__(CellParams, fields)
 
 
 # --- default cell set ------------------------------------------------------

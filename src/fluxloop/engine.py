@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, TextIO
 from weakref import finalize
 
 from .core import BiasPoint, FluxloopError, PulseEvent, validated_record
-from .cells import INPUT_PORTS, OUTPUT_PORTS, RELEASES, BiasRangeError, CellKind, CellParams, PinnedCell, TimingViolation, ViolationKind
+from .cells import INPUT_PORTS, OUTPUT_PORTS, RELEASES, BiasRangeError, CellKind, CellParams, TimingViolation, ViolationKind
 
 
 class NetlistError(FluxloopError):
@@ -192,12 +192,12 @@ class PinnedNetlist:
     ELECTRICAL violations of cells whose range excludes the bias.  It holds
     no run state: a run brings its own."""
 
-    # A slotted class, like PinnedCell: cheaper than a NamedTuple to define
-    # at every CLI start.
-    __slots__ = ("cells", "violations", "zero_delay")
+    # A slotted class: cheaper than a NamedTuple to define at every CLI start.
+    __slots__ = ("cells", "by_slot", "violations", "zero_delay")
 
-    def __init__(self, cells: Mapping[str, PinnedCell], violations: tuple[TimingViolation, ...], zero_delay: bool) -> None:
+    def __init__(self, cells: Mapping[str, CellParams], violations: tuple[TimingViolation, ...], zero_delay: bool) -> None:
         self.cells = cells
+        self.by_slot = tuple(cells.items())  # (name, pin) in slot order, as each run's kernel takes them
         self.violations = violations
         #: a zero pinned delay can emit at the current instant: the run takes
         #: the wired routes and their kernel (see run_until)
@@ -369,7 +369,7 @@ def _overflow(max_events: int) -> NoReturn:
     raise RunawayQueueError(f"event queue exceeded {max_events} events — runaway feedback")
 
 
-def _violation(cells: tuple[tuple[str, PinnedCell], ...], check: tuple[int, str, str, str], t: int, last: int) -> TimingViolation:
+def _violation(cells: tuple[tuple[str, CellParams], ...], check: tuple[int, str, str, str], t: int, last: int) -> TimingViolation:
     """The violation a kernel flagged at t, a gap after ``last``, given its check."""
     slot, field, kind, detail = check
     cell, pinned = cells[slot]
@@ -549,7 +549,7 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
     n = len(net.lines)
     end = t_end_fs * n  # above every key before t_end, at or below every other
     walk = stimulus[: bisect_left(stimulus, end)] + (end,)
-    cells, flagged = tuple(pins.cells.items()), []
+    cells, flagged = pins.by_slot, []
     # room: the heap may outgrow the stimulus walked by this much
     recorded = kernel(walk, end, max_events - len(stimulus), max_events, cells, net.connections, flagged)
     violations = pins.violations

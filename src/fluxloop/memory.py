@@ -26,10 +26,8 @@ from functools import lru_cache
 from itertools import repeat
 from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
-from .cells import (
-    CellParams, PinnedCell, _cell_set,
-    default_cell_params,  # unused here; perfbench's tracer and self-test expect memory.default_cell_params
-)
+from .cells import CellParams, _cell_set
+from .cells import default_cell_params  # unused here; perfbench's tracer and self-test expect memory.default_cell_params
 from .core import (
     BiasPoint, ConfigError, InfeasibleFrequencyError, PulseEvent, SimConfig, interval_duration, trip_duration,
     validated_record,
@@ -164,7 +162,7 @@ def _phase_instants(cfg: SimConfig, interval: int) -> tuple[int, int, int]:
     )
 
 
-def source_path_delays(cells: Mapping[str, CellParams | PinnedCell]) -> tuple[int, int]:
+def source_path_delays(cells: Mapping[str, CellParams]) -> tuple[int, int]:
     """Merged-path delay (to loop_data_in / read clock) from each source.
 
     Returns (write-sourced, recirculation-sourced) totals of the cells'
@@ -218,6 +216,9 @@ def build_controller(cfg: SimConfig) -> Netlist:
 @lru_cache(maxsize=64)
 def _compile(frozen_overrides: tuple, trip: int, loop_delay: int, jitter: tuple[int, ...]) -> Netlist:
     cells = _cell_set(frozen_overrides)  # the cell set default_cell_params serves, read without a per-call copy
+    for t, off in enumerate(jitter):
+        if loop_delay + off <= 0:
+            raise ConfigError(f"loop_jitter[{t}]", f"makes trip {t}'s loop delay {loop_delay + off} fs; it must stay positive")
     offsets = tuple((t * trip, off) for t, off in enumerate(jitter))
     if offsets:
         offsets += ((len(jitter) * trip, 0),)
@@ -309,6 +310,7 @@ def stimulus_for(program: MemoryProgram, cfg: SimConfig) -> list[PulseEvent]:
     return [tuple.__new__(PulseEvent, (t, lines[r])) for t, r in map(divmod, keys, repeat(len(lines)))]
 
 
+@lru_cache(maxsize=256)  # per pinned netlist: the runs of a sweep at one bias share theirs (engine._pin)
 def read_window_offset(pins: PinnedNetlist) -> int:
     """Offset from an interval's write instant to its read_data release.
 
@@ -331,23 +333,24 @@ def prepare_program(program: MemoryProgram, cfg: SimConfig) -> Callable[[BiasPoi
     _check_stimulus_size(program, cfg)
     net = build_controller(cfg)
     prepared = PreparedRun(net, _stimulus_keys(program, cfg, net.lines))
-    interval = interval_duration(cfg)
-    trip = trip_duration(cfg)
+    interval, trip = interval_duration(cfg), trip_duration(cfg)
     t_end = (len(program.trips) + 2) * trip
-    _, ph_write, _ = phase_instants(cfg)
-    first = cfg.header_intervals * interval + ph_write
+    first = cfg.header_intervals * interval + phase_instants(cfg)[1]  # the first address interval's write instant
     n, r = len(net.lines), net.lines.index("read_data")  # a read_data pulse at t is keyed t * n + r
-    # (trip, address, write instant of that read's interval), one per read
-    read_slots = tuple((t, k, t * trip + first + k * interval) for t, op in enumerate(program.trips) for k in op.reads)
+    # each read's (trip, address), and the key of a read_data pulse at that read's interval's write instant
+    slots = tuple((t, k) for t, op in enumerate(program.trips) for k in op.reads)
+    bases = tuple((t * trip + first + k * interval) * n + r for t, k in slots)
+    span = interval * n - r  # a window's first key to the first key of the interval after it
 
     def run(bias: BiasPoint) -> MemoryResult:
         trace = run_until(prepared, t_end, bias, cfg.max_events)
-        offset, keys, reads = read_window_offset(prepared.netlist.at_bias(bias)), trace.keys, {}
-        for t, k, write_at in read_slots:  # walk the window's keys, in (time, line) order, from its first read_data key
-            i, stop = bisect_left(keys, (write_at + offset) * n + r), (write_at + offset + interval) * n
-            while i < len(keys) and keys[i] < stop and keys[i] % n != r:
+        shift, keys, size, reads = read_window_offset(prepared.netlist.at_bias(bias)) * n, trace.keys, len(trace.keys), {}
+        for slot, base in zip(slots, bases):  # walk the window's keys, in (time, line) order, from its first read_data key
+            start = base + shift
+            i, stop = bisect_left(keys, start), start + span
+            while i < size and keys[i] < stop and keys[i] % n != r:
                 i += 1
-            reads[(t, k)] = 1 if i < len(keys) and keys[i] < stop else 0
+            reads[slot] = 1 if i < size and keys[i] < stop else 0
         return MemoryResult(reads=reads, trace=trace, passed=not trace.failed)
 
     return run
@@ -426,9 +429,9 @@ def default_margin_suite(cfg: SimConfig) -> tuple[MemoryProgram, ...]:
     before it is built."""
     n = cfg.num_addresses
     _check_pulse_count(2 * n * (n + 1) + n, cfg)  # n + 1 trips, n writes of a 1
-    address = min(1, n - 1)
-    return (
-        scenario_write_read(address=address),
+    address, every = min(1, n - 1), tuple(range(n))
+    return (  # the write/read trips read every address: a bit that aliases into another is read there
+        MemoryProgram((TripOp(write=(address, 1), reads=every), TripOp(reads=every), TripOp(reads=every))),
         scenario_overwrite(address=address),
         scenario_address_sweep(n),
     )

@@ -187,6 +187,10 @@ def sta(
     checked at nominal bias regardless of the window: they rate the design
     point's frequency, and unlike the setup/hold races they have no
     counterpart event in the pulse-level model that would scale with bias.
+
+    Trip t's loop runs ``loop_jitter_fs[t]`` longer: ``recirc_setup`` loses
+    ``max(0, *loop_jitter_fs)``, ``recirc_hold`` gains ``min(0, *loop_jitter_fs)``,
+    and the recirc_data_next_trip window widens by both.
     """
     lo = exact_ratio(bias_lo) if bias_lo is not None else cfg.bias.ratio
     hi = exact_ratio(bias_hi) if bias_hi is not None else cfg.bias.ratio
@@ -200,18 +204,21 @@ def sta(
         loop_delay = _loop_delay(budget + cfg.retiming_guard_fs, trip, cfg.frequency_hz)
     ph_read, ph_write, ph_data = _phase_instants(cfg, interval)
     read_gap = interval + ph_read - ph_write - path_max  # the loop race
+    late = early = loop_delay  # the longest and shortest loop over the trips (a trip past the jitter list adds 0)
+    if cfg.loop_jitter_fs:
+        late, early = loop_delay + max(0, *cfg.loop_jitter_fs), loop_delay + min(0, *cfg.loop_jitter_fs)
     slack_fs = (  # in _SLACK_ROWS order
         header + ph_write - ph_data - wd_setup,
         interval + ph_data - ph_write - wd_hold,
-        trip - loop_delay - path_max - rc_setup,
-        path_min + loop_delay - (trip - interval) - rc_hold,
+        trip - late - path_max - rc_setup,
+        path_min + early - (trip - interval) - rc_hold,
         interval - rc_setup - rc_prop,
         ph_write + path_min - ph_read - rd_setup,
         read_gap - rd_hold,
         interval - rd_setup - rd_prop,
         read_gap,
     )
-    next_trip = (path_min + loop_delay - trip, path_max + loop_delay - trip)  # recirc_data_next_trip
+    next_trip = (path_min + early - trip, path_max + late - trip)  # recirc_data_next_trip
     return StaReport(cfg.frequency_hz, lo, hi, loop_delay, slack_fs, (*windows, next_trip))
 
 
@@ -260,7 +267,7 @@ def jitter_tolerance(cfg: SimConfig) -> JitterWindow:
     passes the window by that spread, and until it passes the cell's
     setup + hold band, beyond which the bit reaches the neighboring clock.
     """
-    report = sta(cfg, 1, 1)
+    report = sta(cfg._replace(loop_jitter_fs=()), 1, 1)  # the tolerance, not the verdict on cfg's own jitter
     setup_slack, hold_slack = report.slack_fs[2:4]  # recirc_setup, recirc_hold in _SLACK_ROWS order
     lo, hi = -hold_slack, setup_slack
     if not lo <= 0 <= hi:

@@ -17,7 +17,6 @@ from fluxloop.cells import (
     BiasDelayModel,
     CellKind,
     CellParams,
-    PinnedCell,
     RELEASES,
     delay_at_bias,
 )
@@ -501,8 +500,7 @@ class TestAtBias:
         cells = default_cell_params({"recirc_dro2r": {"prop_delay": 4000}})
         for params in cells.values():
             pinned = params.at_bias(b)
-            assert type(pinned) is PinnedCell
-            assert not hasattr(pinned, "delay_model")
+            assert type(pinned) is CellParams and pinned.delay_model is None
             assert pinned.prop_delay_fs == delay_at_bias(params.delay_model, b)
             # one delay, used on every output
             assert not hasattr(pinned, "prop_delay_out1_fs")
@@ -518,6 +516,18 @@ class TestAtBias:
     def test_constant_delay_cell_pins_to_itself(self):
         pinned = DRO.at_bias(bias("0.8"))
         assert pinned.prop_delay_fs == DRO.prop_delay_fs
+
+    def test_a_cell_with_no_model_is_its_own_pin(self):
+        assert DRO.delay_model is None
+        for ratio in ("0.5", "1", "2"):
+            assert DRO.at_bias(bias(ratio)) is DRO
+
+    @pytest.mark.parametrize("first, second", [("0.8", "1.2"), ("1", "0.76"), ("1.24", "1.24")])
+    def test_pinning_is_idempotent(self, first, second):
+        for params in default_cell_params().values():
+            pinned = params.at_bias(bias(first))
+            assert pinned.at_bias(bias(second)) == pinned
+            assert pinned.at_bias(bias(second)) is pinned
 
     def test_out_of_range_bias_is_refused(self):
         with pytest.raises(BiasRangeError):

@@ -183,14 +183,12 @@ class TestSimulate:
         assert main(["simulate", "--config", write_config(max_events=7), "--program", program]) == EXIT_OK
 
     def test_other_refused_input(self, write_config, write_program, capsys):
-        # jitter that cancels the loop delay is refused by the kernel
+        # jitter that cancels the loop delay is refused by name, before any run
         config = write_config(loop_jitter=["-30ps"])
         code = main(["simulate", "--config", config, "--program", write_program(WRITE_READ)])
         captured = capsys.readouterr()
         assert code == EXIT_CONFIG
-        assert captured.err == (
-            "error: tap loop_data_in -> loop_data_out: effective delay must stay positive (got 0 fs at t=30000)\n"
-        )
+        assert captured.err == "error: loop_jitter[0]: makes trip 0's loop delay 0 fs; it must stay positive\n"
 
     @pytest.mark.parametrize("value", ["abc", "0", "1/0"])
     def test_malformed_bias_option(self, write_config, write_program, capsys, value):
@@ -305,6 +303,53 @@ class TestSta:
         assert captured.out == ""
         assert captured.err == "error: bias window [0.5, 1.13] exceeds write_dro operating range [0.76, 1.24]\n"
         assert scans == []
+
+
+#: A config with the loop jitter late by more than the recirc_setup slack (2000 fs) on trip 1.
+LATE_TRIP = {"loop_jitter": ["0fs", "2500fs", "0fs"]}
+#: A config whose loop is 1 fs long: each bit aliases into another address.
+ALIASING = {"loop_delay": "1fs"}
+#: A config whose trip-1 jitter makes the loop's delay -1500 fs.
+NEGATIVE_LOOP = {"loop_delay": "1000fs", "loop_jitter": ["0fs", "-2500fs"]}
+#: A write to address 1 read with every address on each of four trips.
+READ_EVERY_ADDRESS = [{"write": {"addr": 1, "bit": 1}, "reads": [0, 1, 2]}] + [{"reads": [0, 1, 2]}] * 3
+
+
+class TestStaAgreesWithSimulate:
+    def test_a_late_trip_fails_recirc_setup(self, write_config, write_program, capsys):
+        config = write_config(**LATE_TRIP)
+        code = main(["sta", "--config", config])
+        out = capsys.readouterr().out
+        assert code == EXIT_RUN_FAILED
+        assert "recirc_setup   recirc_dro2r       -500\n" in out
+        assert "recirc_data_next_trip  [-5000, -2500]\n" in out
+        assert out.endswith("timing VIOLATED (recirc_setup)\n")
+        code = main(["simulate", "--config", config, "--program", write_program(READ_EVERY_ADDRESS)])
+        out = capsys.readouterr().out
+        assert code == EXIT_RUN_FAILED
+        assert "violation: SETUP recirc_dro2r at 105000 fs: clock0 2500 fs after data (setup 3000 fs)\n" in out
+
+    def test_an_aliasing_loop_fails_every_margin_at_nominal(self, write_config, capsys):
+        config = write_config(**ALIASING)
+        assert main(["sta", "--config", config]) == EXIT_RUN_FAILED
+        assert capsys.readouterr().out.endswith("timing VIOLATED (recirc_hold)\n")
+        code = main(["margins", "--config", config, "--freqs", "20GHz,50GHz,75GHz,100GHz"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert out.splitlines()[1:] == [f"{ghz:>8} {'-0%':>6} {'+0%':>6}  WRONG_READ / WRONG_READ" for ghz in (20, 50, 75, 100)]
+
+    @pytest.mark.parametrize("command", ["simulate", "margins"])
+    def test_a_non_positive_loop_is_refused_by_its_jitter_entry(self, write_config, write_program, capsys, command):
+        config = write_config(**NEGATIVE_LOOP)
+        extra = ["--program", write_program(READ_EVERY_ADDRESS)] if command == "simulate" else ["--freqs", "100GHz"]
+        code = main([command, "--config", config, *extra])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == "error: loop_jitter[1]: makes trip 1's loop delay -1500 fs; it must stay positive\n"
+        assert captured.out == ""
+        # sta reads the same config, and fails its recirc_hold row
+        assert main(["sta", "--config", config]) == EXIT_RUN_FAILED
+        assert capsys.readouterr().out.endswith("timing VIOLATED (recirc_hold)\n")
 
 
 class TestMargins:

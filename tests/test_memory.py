@@ -312,7 +312,9 @@ class TestRunProgram:
     def test_default_margin_suite_composition(self, cfg100):
         suite = default_margin_suite(cfg100)
         assert len(suite) == 3
-        assert suite[0] == scenario_write_read(address=1)
+        # scenario_write_read's trips, each reading every address
+        every = (0, 1, 2)
+        assert suite[0] == MemoryProgram(trips=tuple(op._replace(reads=every) for op in scenario_write_read(address=1).trips))
         assert suite[1] == scenario_overwrite(address=1)
         assert suite[2] == scenario_address_sweep(3)
 
@@ -354,6 +356,17 @@ class TestJitter:
         cfg = cfg100._replace(loop_jitter_fs=(jitter,))
         result = run_program(scenario_write_read(address=1, trips=3), cfg)
         assert {v.kind.value for v in result.trace.violations} == kinds
+
+    @pytest.mark.parametrize("jitter, at", [((0, -31500), 1), ((-30000,), 0), ((5, -29999, -40000), 2)])
+    def test_a_non_positive_loop_is_refused_by_its_jitter_entry(self, cfg100, jitter, at):
+        # the required loop delay is 30000 fs; the first entry that cancels it is named
+        cfg = cfg100._replace(loop_jitter_fs=jitter)
+        with pytest.raises(ConfigError) as caught:
+            build_controller(cfg)
+        assert caught.value.field == f"loop_jitter[{at}]"
+        assert caught.value.message == f"makes trip {at}'s loop delay {30000 + jitter[at]} fs; it must stay positive"
+        with pytest.raises(ConfigError, match=rf"^loop_jitter\[{at}\]: "):
+            run_program(scenario_write_read(address=1, trips=3), cfg)
 
     def test_in_window_jitter_is_fully_retimed(self, cfg100):
         reference = run_program(scenario_write_read(address=1, trips=3), cfg100)

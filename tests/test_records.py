@@ -55,15 +55,15 @@ def test_importing_the_cli_loads_no_dataclass_machinery_and_runs_pinned_cells():
         " if isinstance(v, type) and '__dataclass_fields__' in vars(v)}))\n"
         "from fractions import Fraction\n"
         "from fluxloop import BiasPoint, SimConfig, build_controller\n"
-        "from fluxloop.cells import PinnedCell\n"
         "net = build_controller(SimConfig(frequency_hz=10**11, num_addresses=3))\n"
         "pinned = [net.at_bias(BiasPoint(Fraction(r, 100))).cells for r in (50, 90, 100, 124)]\n"
-        "print(sorted({type(cell).__name__ for cells in pinned for cell in cells.values()}), len(pinned[0]))"
+        "print(sorted({type(cell).__name__ for cells in pinned for cell in cells.values()}),"
+        " {cell.delay_model for cells in pinned for cell in cells.values()}, len(pinned[0]))"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert child.returncode == 0, child.stderr
-    assert child.stdout == "[]\n[]\n['PinnedCell'] 5\n"
+    assert child.stdout == "[]\n[]\n['CellParams'] {None} 5\n"
 
 
 CFG = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)

@@ -173,6 +173,23 @@ class TestSta:
         assert by_name["recirc_hold"] == -6000
         assert report.worst().constraint == "recirc_hold"
 
+    def test_loop_jitter_moves_the_recirc_rows(self, cfg100):
+        # trip 1's loop runs 2500 fs late, past the 2000 fs recirc_setup slack; trip 2's 1500 fs early
+        report = sta(cfg100._replace(loop_jitter_fs=(0, 2500, -1500)))
+        by_name = {r.constraint: r.slack_fs for r in report.slacks}
+        assert (by_name["recirc_setup"], by_name["recirc_hold"]) == (2000 - 2500, 4000 - 1500)
+        assert report.windows[-1] == ("recirc_data_next_trip", -5000 - 1500, -5000 + 2500)
+        assert report.worst().constraint == "recirc_setup"
+        # jitter of one sign moves only its own row
+        assert sta(cfg100._replace(loop_jitter_fs=(300, 0))).slack_fs[2:4] == (1700, 4000)
+        assert sta(cfg100._replace(loop_jitter_fs=(-300,))).slack_fs[2:4] == (2000, 3700)
+
+    def test_jitter_tolerance_reads_the_jitter_free_rows(self, cfg100):
+        jittered = cfg100._replace(loop_jitter_fs=(0, 2500, 0))
+        assert not sta(jittered).all_met
+        assert jitter_tolerance(jittered) == jitter_tolerance(cfg100)
+        assert (jitter_tolerance(jittered).lo_fs, jitter_tolerance(jittered).hi_fs) == (-4000, 2000)
+
     def test_low_frequency_supports_the_full_electrical_range(self):
         cfg = SimConfig(frequency_hz=20 * GHZ, num_addresses=3)
         report = sta(cfg, "0.76", "1.24")
@@ -486,6 +503,64 @@ class TestJitterToleranceAgreesWithSimulation:
                 assert not any(result.passed for result in self.runs(cfg, jitter)), jitter
 
 
+class TestStaPassMeansSimulationPass:
+    """On drawn cells, phases, header, loop delay, loop jitter and frequency,
+    a config whose non-period ``sta`` rows all meet at nominal runs clean in
+    simulation: a drawn program that reads every address on every trip reads
+    as the oracle with no violation, and the default margin suite passes at
+    nominal.  Only this direction holds: the suite and a random program need
+    not exercise the row ``sta`` fails."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        overrides=st.just({}) | _drawn_overrides,
+        ghz=st.integers(20, 100),
+        num_addresses=st.integers(1, 4),
+        header=st.integers(1, 3),
+        # read before write, as the config requires; data anywhere in the interval
+        phases=st.tuples(st.lists(st.integers(0, 99), min_size=2, max_size=2, unique=True).map(sorted), st.integers(0, 99))
+        .map(lambda p: tuple(Fraction(k, 100) for k in (*p[0], p[1]))),
+        # none (the required delay), a shift of the required delay, or a delay in fs
+        loop_delay=st.none() | st.tuples(st.just("shift"), st.integers(-3000, 3000)) | st.tuples(st.just("fs"), st.integers(1, 250_000)),
+        jitter=st.lists(st.integers(-5000, 5000), max_size=4),
+        data=st.data(),
+    )
+    # the loop jitter late by more than the recirc_setup slack: SETUP at recirc_dro2r
+    @example(overrides={}, ghz=100, num_addresses=3, header=1, phases=(Fraction(1, 5), Fraction(1, 2), Fraction(1, 2)),
+             loop_delay=None, jitter=[0, 2500, 0], data=None)
+    # a loop 1 fs long: the bit aliases into another address, which only a read there shows
+    @example(overrides={}, ghz=100, num_addresses=3, header=1, phases=(Fraction(1, 5), Fraction(1, 2), Fraction(1, 2)),
+             loop_delay=("fs", 1), jitter=[], data=None)
+    def test_met_rows_run_clean(self, overrides, ghz, num_addresses, header, phases, loop_delay, jitter, data):
+        phase_read, phase_write, phase_data = phases
+        try:
+            cfg = SimConfig(
+                frequency_hz=ghz * GHZ, num_addresses=num_addresses, header_intervals=header, phase_read=phase_read,
+                phase_write=phase_write, phase_data=phase_data, loop_jitter_fs=tuple(jitter), cell_overrides=overrides,
+            )
+            if loop_delay is not None:
+                kind, value = loop_delay
+                cfg = cfg._replace(loop_delay_fs=value if kind == "fs" else required_loop_delay(cfg) + value)
+            report = sta(cfg, 1, 1)
+            if any(row.slack_fs < 0 for row in report.slacks if not row.constraint.endswith("_period")):
+                return
+            every = tuple(range(num_addresses))
+            trips = len(jitter) + 2
+            if data is None:
+                writes = [(t % num_addresses, 1 - t % 2) for t in range(trips)]
+            else:
+                writes = data.draw(st.lists(st.none() | st.tuples(st.integers(0, num_addresses - 1), st.integers(0, 1)),
+                                            min_size=trips, max_size=trips), label="writes")
+            program = memory.MemoryProgram(tuple(memory.TripOp(write=w, reads=every) for w in writes))
+            result = run_program(program, cfg)
+            margin = bias_margin(cfg, max_pct=0)
+        except (ConfigError, InfeasibleFrequencyError, BiasRangeError):
+            return  # a config the code refuses
+        assert result.trace.violations == ()
+        assert result.reads == memory.oracle(program, num_addresses)
+        assert margin.lower_limiter is None and margin.upper_limiter is None
+
+
 def reference_sta(cfg: SimConfig, bias_lo=None, bias_hi=None) -> tuple:
     """sta written out plainly: every cell pinned and every instant rounded
     through Fractions on each call.  Returns (loop delay, rows, windows) or
@@ -521,12 +596,15 @@ def reference_sta(cfg: SimConfig, bias_lo=None, bias_hi=None) -> tuple:
     ph_read, ph_write, ph_data = (round_half_up(p * interval) for p in phases)
     path_min = min(source_path_delays(at_hi))
     path_max = max(source_path_delays(at_lo))
+    # the recirculated bit's arrival, over every trip's loop (a trip past the jitter list adds 0)
+    next_min = path_min + loop_delay + min((0, *cfg.loop_jitter_fs)) - trip
+    next_max = path_max + loop_delay + max((0, *cfg.loop_jitter_fs)) - trip
     wd, rc, rd = cells["write_dro"], cells["recirc_dro2r"], cells["read_dro2r"]
     rows = [
         ("write_setup", "write_dro", header + ph_write - ph_data - wd.setup_fs),
         ("write_hold", "write_dro", interval + ph_data - ph_write - wd.hold_fs),
-        ("recirc_setup", "recirc_dro2r", trip - loop_delay - path_max - rc.setup_fs),
-        ("recirc_hold", "recirc_dro2r", path_min + loop_delay - (trip - interval) - rc.hold_fs),
+        ("recirc_setup", "recirc_dro2r", -next_max - rc.setup_fs),
+        ("recirc_hold", "recirc_dro2r", next_min + interval - rc.hold_fs),
         ("recirc_period", "recirc_dro2r", interval - rc.setup_fs - rc.prop_delay_fs),
         ("read_setup", "read_dro2r", ph_write + path_min - ph_read - rd.setup_fs),
         ("read_hold", "read_dro2r", interval + ph_read - ph_write - path_max - rd.hold_fs),
@@ -538,7 +616,7 @@ def reference_sta(cfg: SimConfig, bias_lo=None, bias_hi=None) -> tuple:
         ("merger_in1", at_hi["recirc_dro2r"].prop_delay_fs, at_lo["recirc_dro2r"].prop_delay_fs),
         ("loop_data_in", path_min, path_max),
         ("read_data", path_min + at_hi["read_dro2r"].prop_delay_fs, path_max + at_lo["read_dro2r"].prop_delay_fs),
-        ("recirc_data_next_trip", path_min + loop_delay - trip, path_max + loop_delay - trip),
+        ("recirc_data_next_trip", next_min, next_max),
     ]
     return loop_delay, rows, windows
 
@@ -580,22 +658,34 @@ class TestStaMatchesReference:
         # two given edges in order; an edge left to the config bias may still fall out of order
         edges=st.tuples(_drawn_edge, _drawn_edge).map(lambda e: tuple(sorted(e)) if None not in e else e),
         loop_delay=st.none() | st.integers(1, 200_000),
+        jitter=st.lists(st.integers(-8000, 8000), max_size=4),
     )
     @example(
-        overrides={"merger": {"prop_delay": 2000}}, hz=100 * GHZ, edges=(Fraction("0.87"), Fraction("1.13")), loop_delay=None
+        overrides={"merger": {"prop_delay": 2000}}, hz=100 * GHZ, edges=(Fraction("0.87"), Fraction("1.13")), loop_delay=None,
+        jitter=[],
     )
-    @example(overrides={"read_dro2r": {"setup": 9000}}, hz=1000 * GHZ, edges=(None, None), loop_delay=None)
-    @example(overrides={"fanout": {"prop_delay": 500}}, hz=100 * GHZ, edges=(Fraction("1.1"), Fraction("0.9")), loop_delay=5)
+    @example(overrides={"read_dro2r": {"setup": 9000}}, hz=1000 * GHZ, edges=(None, None), loop_delay=None, jitter=[])
     @example(
-        overrides={"fanout": {"prop_delay": 500}}, hz=100 * GHZ, edges=(Fraction("0.5"), Fraction("1.13")), loop_delay=None
+        overrides={"fanout": {"prop_delay": 500}}, hz=100 * GHZ, edges=(Fraction("1.1"), Fraction("0.9")), loop_delay=5, jitter=[]
     )
-    @example(overrides={"merger": {"prop_delay": 1}}, hz=100 * GHZ, edges=(None, None), loop_delay=None)
+    @example(
+        overrides={"fanout": {"prop_delay": 500}}, hz=100 * GHZ, edges=(Fraction("0.5"), Fraction("1.13")), loop_delay=None,
+        jitter=[],
+    )
+    @example(overrides={"merger": {"prop_delay": 1}}, hz=100 * GHZ, edges=(None, None), loop_delay=None, jitter=[])
     # read_setup and read_hold tie at -50 fs: worst() breaks the tie by name
     @example(
-        overrides={"fanout": {"prop_delay": 500}}, hz=100 * GHZ, edges=(Fraction("0.86"), Fraction("1.14")), loop_delay=None
+        overrides={"fanout": {"prop_delay": 500}}, hz=100 * GHZ, edges=(Fraction("0.86"), Fraction("1.14")), loop_delay=None,
+        jitter=[],
     )
-    def test_same_report_or_same_error(self, overrides, hz, edges, loop_delay):
-        cfg = SimConfig(frequency_hz=hz, num_addresses=3, cell_overrides=overrides, loop_delay_fs=loop_delay)
+    # a late and an early trip: recirc_setup and recirc_hold each lose one of them
+    @example(
+        overrides={"fanout": {"prop_delay": 500}}, hz=100 * GHZ, edges=(None, None), loop_delay=None, jitter=[700, -900]
+    )
+    def test_same_report_or_same_error(self, overrides, hz, edges, loop_delay, jitter):
+        cfg = SimConfig(
+            frequency_hz=hz, num_addresses=3, cell_overrides=overrides, loop_delay_fs=loop_delay, loop_jitter_fs=jitter
+        )
         try:
             expected = reference_sta(cfg, *edges)
         except (ConfigError, BiasRangeError, ValueError, InfeasibleFrequencyError) as exc:
@@ -623,7 +713,7 @@ class TestCaches:
             cfg = cfg100.with_frequency(ghz * GHZ)
             sta(cfg)
             bias_margin(cfg, suite, max_pct=1)
-        for cache in (memory._compile, cells._cell_set, timing._window_cells, engine._pin, engine._kernel):
+        for cache in (memory._compile, cells._cell_set, timing._window_cells, engine._pin, engine._kernel, memory.read_window_offset):
             info = cache.cache_info()
             assert 0 < info.currsize <= info.maxsize
 
@@ -653,7 +743,7 @@ class TestCaches:
 
         warm = render()
         assert render() == warm
-        for cache in (memory._compile, cells._cell_set, timing._window_cells):
+        for cache in (memory._compile, cells._cell_set, timing._window_cells, memory.read_window_offset):
             cache.cache_clear()
         assert render() == warm
 
