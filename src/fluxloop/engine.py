@@ -6,9 +6,9 @@ emits onto the lines wired to its outputs.  Two connection shapes exist:
 
 * line -> cell port  — zero-delay wiring (the cell steps synchronously
   when the line pulses);
-* line -> line       — a delayed tap; the storage loop is the one delayed,
-  cyclic connection in the controller.  A tap may carry a piecewise
-  schedule of extra delay offsets (per-trip loop jitter).
+* line -> line       — a delayed tap, the only connection with a delay and
+  the only one that may close a cycle (the storage loop).  It may add a
+  piecewise schedule of offsets (per-trip loop jitter); each keeps it positive.
 
 Events at equal timestamps are ordered by line name, and at most one pulse
 exists per line and instant, so reruns of an identical (netlist, stimulus,
@@ -61,17 +61,16 @@ class RunawayQueueError(FluxloopError):
 class Connection(NamedTuple):
     """One wire: ``src`` -> ``dst``.
 
-    ``src`` is a line name or ``cell.port``; same for ``dst``.  Only
-    line -> line taps may carry a delay; ``offset_schedule`` is a sorted
-    tuple of (start_fs, extra_delay_fs) entries — a pulse entering at time
-    t picks up the offset of the last entry whose start is <= t.
+    ``src`` is a line name or ``cell.port``; same for ``dst``.  Only a
+    line -> line tap carries a delay, positive with any offset of its
+    ``offset_schedule``: sorted (start_fs, extra_delay_fs) entries — a pulse
+    entering at time t picks up the offset of the last entry starting <= t.
     """
 
     src: str
     dst: str
     delay_fs: int = 0
     offset_schedule: tuple[tuple[int, int], ...] = ()
-    is_loop: bool = False
 
 
 class Netlist(validated_record("Netlist", "cells connections external_inputs observed")):
@@ -103,12 +102,11 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
         (observed?, consumers, taps))).  A consumer is (transition, window
         check, slot, its and its peer's ``last`` entries, targets), a target
         (slots, rank offset): a release lands after those cells' delays; a tap
-        is (connection index, rank, checked?: it has a schedule or a
-        non-positive delay).  Folded, a release onto a dead line (unobserved,
-        untapped, read by no cell) is dropped, and one onto a fanout-only line
-        (internal, unobserved, untapped, read by one FANOUT alone) lands on
-        the fanout's outputs after both delays.  An output nothing drives is
-        dropped."""
+        is (connection index, rank, has a schedule?).  Folded, a
+        release onto a dead line (unobserved, untapped, read by no cell) is
+        dropped, and one onto a fanout-only line (internal, unobserved,
+        untapped, read by one FANOUT alone) lands on the fanout's outputs
+        after both delays.  An output nothing drives is dropped."""
         driven = {conn.dst for conn in self.connections if not _is_port(conn.dst)}
         lines = tuple(sorted(driven | self.external_inputs))
         rank = {line: r for r, line in enumerate(lines)}
@@ -122,7 +120,7 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
                 cell, port = _split_port(conn.src)
                 outs[cell][port] = rank[conn.dst]
             else:
-                taps.setdefault(conn.src, []).append((index, rank[conn.dst], bool(conn.offset_schedule) or conn.delay_fs <= 0))
+                taps.setdefault(conn.src, []).append((index, rank[conn.dst], bool(conn.offset_schedule)))
         slot = {name: i for i, name in enumerate(_slot_order(self.cells))}
         dead, fanout_of = set(), {}  # by rank: the dead lines, and each fanout-only line's (fanout, port)
         for line in set(lines) - set(self.observed) - taps.keys():
@@ -246,8 +244,8 @@ def _kernel(wired: bool, inputs: tuple[int, ...], routes: tuple) -> tuple[Callab
     A body per landing rank, in keys; locals by slot: ``P`` a cell's pins,
     ``S`` its stored pulse; ``L``/``W`` a ``last`` entry (a time times ``n``)
     and its window; ``T`` a target's delay plus rank offset; ``K`` a plain
-    tap's delay plus rank offset, ``Q``/``D``/``X`` a checked tap's
-    connection, delay and schedule.
+    tap's delay plus rank offset, ``D``/``X`` a scheduled tap's, and its
+    schedule behind a (-1, 0) entry that every pulse follows.
 
     Folded, a release that ends its line's body (one consumer, no tap) is
     taken at once, inside that body, when its key is below every pending key
@@ -300,20 +298,17 @@ def _kernel(wired: bool, inputs: tuple[int, ...], routes: tuple) -> tuple[Callab
                 first, *rest = sorted(targets, key=lambda target: target[1])
                 pushes = [f"push(heap, key + {delay(target)})" for target in rest] + (pending(1, stream) if rest else [])
                 pushes += [f"key += {delay(first)}", f"if key < heap[0] and key < {stream[0]}:",
-                           *_indent(landing(r + first[1], stream, depth + 1)), "else:", "    push(heap, key)"]
+                           *_indent(landing(r + first[1], stream, depth + 1) or ["pass"]), "else:", "    push(heap, key)"]
             else:
                 pushes = [f"push(heap, key + {delay(target)})" for target in targets]
             if op == "release":
                 stored.add(slot)
                 pushes = [f"if S{slot}:", f"    S{slot} = False", *_indent(pushes)]
             out += pushes
-        for j, dst, checked in route_taps:  # a schedule adds the offset of its last entry starting at or before t
-            if checked:
-                taps[j] = [f"Q{j} = connections[{j}]", f"D{j}, X{j} = Q{j}.delay_fs, Q{j}.offset_schedule"]
-                out += [f"entry = bisect_left(X{j}, (key // n + 1,))", f"delay = D{j} + (X{j}[entry - 1][1] if entry else 0)",
-                        "if delay <= 0:",
-                        f'    raise FluxloopError("tap %s -> %s: effective delay must stay positive (got %d fs at t=%d)"'
-                        f" % (Q{j}.src, Q{j}.dst, delay, key // n))", f"push(heap, key + delay * n + {dst - r})"]
+        for j, dst, scheduled in route_taps:  # a schedule adds the offset of its last entry starting at or before t
+            if scheduled:
+                taps[j] = [f"D{j}, X{j} = connections[{j}].delay_fs * n + {dst - r}, ((-1, 0), *connections[{j}].offset_schedule)"]
+                out.append(f"push(heap, key + D{j} + X{j}[bisect_left(X{j}, (key // n + 1,)) - 1][1] * n)")
             else:
                 taps[j] = [f"K{j} = connections[{j}].delay_fs * n + {dst - r}"]
                 out.append(f"push(heap, key + K{j})")
@@ -429,8 +424,6 @@ def _validate(net: Netlist) -> None:
             cell, port = _split_port(conn.dst)
             if port not in INPUT_PORTS[net.cells[cell].kind]:
                 raise NetlistError(f"{conn.dst} is not an input port")
-            if conn.delay_fs != 0 or conn.offset_schedule:
-                raise NetlistError(f"{conn.src} -> {conn.dst}: line-to-port wiring must have zero delay")
             if conn.dst in wired:
                 raise NetlistError(f"input port {conn.dst} has more than one driver")
             wired.add(conn.dst)
@@ -441,20 +434,24 @@ def _validate(net: Netlist) -> None:
             if conn.src in wired:
                 raise NetlistError(f"output port {conn.src} drives more than one line")
             wired.add(conn.src)
-        elif conn.delay_fs <= 0 and not conn.is_loop:
-            raise NetlistError(f"line tap {conn.src} -> {conn.dst} needs a positive delay")
-        starts = [s for s, _ in conn.offset_schedule]
-        if starts != sorted(starts):
-            raise NetlistError(f"{conn.src} -> {conn.dst}: offset schedule must be sorted by start time")
-        if not conn.is_loop:  # the only permitted cycle is through connections marked as the loop
-            src, dst = ((_split_port(end)[0], _is_port(end)) for end in (conn.src, conn.dst))
-            adjacency.setdefault(src, []).append(dst)
+        else:  # a tap: every delay it can give is positive, so a cycle through it is no combinational one
+            starts = [s for s, _ in conn.offset_schedule]
+            if starts != sorted(starts):
+                raise NetlistError(f"{conn.src} -> {conn.dst}: offset schedule must be sorted by start time")
+            least = min([conn.delay_fs] + [conn.delay_fs + offset for _, offset in conn.offset_schedule])
+            if least <= 0:
+                raise NetlistError(f"line tap {conn.src} -> {conn.dst} needs a positive delay (got {least} fs)")
+            continue
+        if conn.delay_fs != 0 or conn.offset_schedule:
+            raise NetlistError(f"{conn.src} -> {conn.dst}: wiring to or from a cell port must have zero delay and no schedule")
+        src, dst = ((_split_port(end)[0], _is_port(end)) for end in (conn.src, conn.dst))
+        adjacency.setdefault(src, []).append(dst)
     import graphlib  # a netlist's check needs it, an import does not
     try:  # each node drives the nodes it lists: the reverse of graphlib's sense, with the same cycles
         graphlib.TopologicalSorter(adjacency).prepare()
     except graphlib.CycleError as exc:
         node = min(name for name, _ in exc.args[1])
-        raise NetlistError(f"combinational cycle through {node!r}; only the storage loop may cycle") from None
+        raise NetlistError(f"combinational cycle through {node!r}; only a delayed tap may close a cycle") from None
 
 
 class Trace(namedtuple("Trace", "keys lines violations observed t_end_fs bias")):

@@ -210,15 +210,18 @@ def build_controller(cfg: SimConfig) -> Netlist:
     phases, event cap, search ceiling) share one netlist, from a bounded cache.
     """
     loop_delay = required_loop_delay(cfg) if cfg.loop_delay_fs is None else cfg.loop_delay_fs
+    for t, off in enumerate(cfg.loop_jitter_fs):
+        if loop_delay + off <= 0:  # a given loop delay is at fault, a derived one its frequency
+            fault = f"makes trip {t}'s loop delay {loop_delay + off} fs; it must stay positive"
+            if cfg.loop_delay_fs is None:
+                raise InfeasibleFrequencyError(f"loop_jitter[{t}]: at {cfg.frequency_hz} Hz it {fault}")
+            raise ConfigError(f"loop_jitter[{t}]", fault)
     return _compile(cfg.frozen_overrides, trip_duration(cfg), loop_delay, cfg.loop_jitter_fs)
 
 
 @lru_cache(maxsize=64)
 def _compile(frozen_overrides: tuple, trip: int, loop_delay: int, jitter: tuple[int, ...]) -> Netlist:
     cells = _cell_set(frozen_overrides)  # the cell set default_cell_params serves, read without a per-call copy
-    for t, off in enumerate(jitter):
-        if loop_delay + off <= 0:
-            raise ConfigError(f"loop_jitter[{t}]", f"makes trip {t}'s loop delay {loop_delay + off} fs; it must stay positive")
     offsets = tuple((t * trip, off) for t, off in enumerate(jitter))
     if offsets:
         offsets += ((len(jitter) * trip, 0),)
@@ -238,7 +241,7 @@ def _compile(frozen_overrides: tuple, trip: int, loop_delay: int, jitter: tuple[
         Connection("fanout.out_a", "loop_data_in"),
         Connection("fanout.out_b", "read_clock"),
         Connection("read_clock", "read_dro2r.clock0"),
-        Connection("loop_data_in", "loop_data_out", delay_fs=loop_delay, offset_schedule=offsets, is_loop=True),
+        Connection("loop_data_in", "loop_data_out", delay_fs=loop_delay, offset_schedule=offsets),
         Connection("read_address", "read_dro2r.data"),
         Connection("not_read_address", "read_dro2r.clock1"),
         Connection("read_dro2r.out0", "read_data"),

@@ -183,12 +183,15 @@ class TestSimulate:
         assert main(["simulate", "--config", write_config(max_events=7), "--program", program]) == EXIT_OK
 
     def test_other_refused_input(self, write_config, write_program, capsys):
-        # jitter that cancels the loop delay is refused by name, before any run
+        # jitter that cancels the loop delay derived at 100 GHz is refused by name, before any run:
+        # the frequency is at fault
         config = write_config(loop_jitter=["-30ps"])
         code = main(["simulate", "--config", config, "--program", write_program(WRITE_READ)])
         captured = capsys.readouterr()
-        assert code == EXIT_CONFIG
-        assert captured.err == "error: loop_jitter[0]: makes trip 0's loop delay 0 fs; it must stay positive\n"
+        assert code == EXIT_INFEASIBLE
+        assert captured.err == (
+            "error: loop_jitter[0]: at 100000000000 Hz it makes trip 0's loop delay 0 fs; it must stay positive\n"
+        )
 
     @pytest.mark.parametrize("value", ["abc", "0", "1/0"])
     def test_malformed_bias_option(self, write_config, write_program, capsys, value):
@@ -378,6 +381,18 @@ class TestMargins:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert out.splitlines()[-1] == f"{3e6:>8g} {'--':>6} {'--':>6}  infeasible"
+
+    def test_a_frequency_whose_derived_loop_the_jitter_cancels_is_marked_infeasible(self, write_config, capsys):
+        # the derived loop is 30000 fs at 100 GHz and shorter at 120 GHz, where -25000 fs cancels it
+        config = write_config(loop_jitter=["-25000fs"])
+        code = main(["margins", "--config", config, "--freqs", "100GHz,120GHz"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert out.splitlines()[1:] == [f"{100:>8} {'-0%':>6} {'+0%':>6}  SETUP / SETUP", f"{120:>8} {'--':>6} {'--':>6}  infeasible"]
+        code = main(["margins", "--config", config, "--freqs", "120GHz"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INFEASIBLE and captured.out == ""
+        assert captured.err.startswith("error: loop_jitter[0]: at 120000000000 Hz it makes trip 0's loop delay -")
 
     def test_a_repeated_frequency_is_one_frequency(self, write_config, capsys):
         config = write_config()

@@ -96,6 +96,16 @@ class TestNetlistValidation:
                 observed=(),
             )
 
+    @pytest.mark.parametrize("wiring", [{"delay_fs": 500}, {"offset_schedule": ((0, 500),)}])
+    def test_cell_output_wiring_carries_no_delay(self, wiring):
+        with pytest.raises(NetlistError, match="^d.out -> y: wiring to or from a cell port must have zero delay and no schedule$"):
+            Netlist(
+                cells={"d": DRO},
+                connections=(Connection("x", "d.data"), Connection("c", "d.clock"), Connection("d.out", "y", **wiring)),
+                external_inputs=frozenset({"x", "c"}),
+                observed=("y",),
+            )
+
     def test_single_driver_per_input(self):
         with pytest.raises(NetlistError, match="more than one driver"):
             Netlist(
@@ -115,7 +125,7 @@ class TestNetlistValidation:
             )
 
     def test_tap_needs_positive_delay(self):
-        with pytest.raises(NetlistError, match="needs a positive delay"):
+        with pytest.raises(NetlistError, match=r"^line tap a -> b needs a positive delay \(got 0 fs\)$"):
             Netlist(cells={}, connections=(Connection("a", "b"),), external_inputs=frozenset(), observed=())
 
     def test_offset_schedule_must_be_sorted(self):
@@ -128,14 +138,11 @@ class TestNetlistValidation:
             )
 
     def test_cycle_detection(self):
-        with pytest.raises(NetlistError, match="only the storage loop may cycle"):
+        # d's output drives its own data line through port wiring alone
+        with pytest.raises(NetlistError, match="^combinational cycle through 'd'; only a delayed tap may close a cycle$"):
             Netlist(
                 cells={"d": DRO},
-                connections=(
-                    Connection("x", "d.data"),
-                    Connection("d.out", "y"),
-                    Connection("y", "x", delay_fs=100),
-                ),
+                connections=(Connection("x", "d.data"), Connection("d.out", "x")),
                 external_inputs=frozenset(),
                 observed=(),
             )
@@ -152,10 +159,13 @@ class TestNetlistValidation:
         net = Netlist({name: FANOUT for name in names}, chain, frozenset({"x"}), ("x", "y"))
         trace = run_until(schedule(net, [PulseEvent(0, "x")]), size * 500 + 1, NOMINAL_BIAS)
         assert trace.events == ((0, "x"), (size * 500, "y"))
-        # y feeds l1990 back: the cycle f1990 -> l1991 -> ... -> y -> l1990, named by its least node
-        closed = chain + (Connection("y", lines[size - 10], delay_fs=100),)
-        with pytest.raises(NetlistError, match="^combinational cycle through 'f1990'; only the storage loop may cycle$"):
+        # the last fanout's second output feeds l1990 back: the cycle f1990 -> l1991 -> ... -> f1999 -> l1990,
+        # named by its least node
+        closed = chain + (Connection(f"{names[-1]}.out_b", lines[size - 10]),)
+        with pytest.raises(NetlistError, match="^combinational cycle through 'f1990'; only a delayed tap may close a cycle$"):
             Netlist({name: FANOUT for name in names}, closed, frozenset({"x"}), ("x", "y"))
+        # closed through a tap instead, the same cycle is accepted
+        Netlist({name: FANOUT for name in names}, chain + (Connection("y", lines[size - 10], delay_fs=100),), frozenset({"x"}), ("x", "y"))
 
     def test_a_line_named_like_its_cell_is_no_cycle(self):
         net = Netlist(
@@ -166,18 +176,21 @@ class TestNetlistValidation:
         )
         assert _oracle.pulses_on(run(net, [(0, "x"), (20000, "c")]), "d") == (25000,)
 
-    def test_loop_marked_cycle_is_allowed(self):
+    def test_tap_closed_cycle_is_allowed(self):
+        # each clock releases the stored bit onto y, and the tap stores it again 100 fs later
         net = Netlist(
             cells={"d": DRO},
             connections=(
                 Connection("x", "d.data"),
+                Connection("clk", "d.clock"),
                 Connection("d.out", "y"),
-                Connection("y", "x", delay_fs=100, is_loop=True),
+                Connection("y", "x", delay_fs=100),
             ),
-            external_inputs=frozenset({"x"}),
+            external_inputs=frozenset({"x", "clk"}),
             observed=("x", "y"),
         )
-        assert net.connections[-1].is_loop
+        trace = run(net, [(0, "x"), (20000, "clk"), (40000, "clk")], t_end=50000)
+        assert trace.events == ((0, "x"), (25000, "y"), (25100, "x"), (45000, "y"), (45100, "x"))
 
     def test_dotted_cell_name_rejected(self):
         with pytest.raises(NetlistError, match="must not contain"):
@@ -415,36 +428,29 @@ class TestTaps:
         assert _oracle.pulses_on(trace, "b") == (110,)
 
     def test_nonpositive_effective_delay_refused(self):
-        net = Netlist(
-            cells={},
-            connections=(Connection("a", "b", delay_fs=100, offset_schedule=((0, -100),), is_loop=True),),
-            external_inputs=frozenset({"a"}),
-            observed=("b",),
-        )
-        with pytest.raises(FluxloopError, match="effective delay must stay positive") as caught:
-            run(net, [(10, "a")])
-        # raised in the generated kernel, whose traceback shows the generated line
-        frame = traceback.extract_tb(caught.value.__traceback__)[-1]
-        assert frame.filename.startswith("<fluxloop kernel ") and frame.name == "kernel"
-        assert frame.line.startswith('raise FluxloopError("tap %s -> %s: effective delay must stay positive')
-        assert linecache.getline(frame.filename, frame.lineno).strip() == frame.line
+        # refused when the netlist is built, before any pulse
+        with pytest.raises(NetlistError, match=r"^line tap a -> b needs a positive delay \(got 0 fs\)$"):
+            Netlist(
+                cells={},
+                connections=(Connection("a", "b", delay_fs=100, offset_schedule=((0, -100),)),),
+                external_inputs=frozenset({"a"}),
+                observed=("b",),
+            )
 
     @pytest.mark.parametrize("line, dst", [("a", "b"), ("w", "v")])
     def test_refused_tap_names_its_own_lines(self, line, dst):
-        # a is walked from the stimulus and w popped from the heap, each after
-        # pulses on other lines, so a stale line name would show
-        net = Netlist(
-            cells={},
-            connections=(
-                Connection("z", "w", delay_fs=10),
-                Connection("a", "b", delay_fs=100, offset_schedule=((50, -100 if line == "a" else 0),), is_loop=True),
-                Connection("w", "v", delay_fs=100, offset_schedule=((50, -100 if line == "w" else 0),), is_loop=True),
-            ),
-            external_inputs=frozenset({"a", "z"}),
-            observed=("b", "v"),
-        )
-        with pytest.raises(FluxloopError, match=f"^tap {line} -> {dst}: effective delay must stay positive"):
-            run(net, [(0, "z"), (20, "z"), (60, "a"), (70, "z")])
+        # one of three taps has an entry that cancels its delay, and the error names that one
+        with pytest.raises(NetlistError, match=rf"^line tap {line} -> {dst} needs a positive delay \(got -20 fs\)$"):
+            Netlist(
+                cells={},
+                connections=(
+                    Connection("z", "w", delay_fs=10),
+                    Connection("a", "b", delay_fs=100, offset_schedule=((0, 5), (50, -120 if line == "a" else 0))),
+                    Connection("w", "v", delay_fs=100, offset_schedule=((0, 5), (50, -120 if line == "w" else 0))),
+                ),
+                external_inputs=frozenset({"a", "z"}),
+                observed=("b", "v"),
+            )
 
     def test_runaway_feedback_is_bounded(self):
         # a fanout whose outputs both re-enter its input at slightly
@@ -455,14 +461,19 @@ class TestTaps:
                 Connection("x", "f.in"),
                 Connection("f.out_a", "la"),
                 Connection("f.out_b", "lb"),
-                Connection("la", "x", delay_fs=100, is_loop=True),
-                Connection("lb", "x", delay_fs=101, is_loop=True),
+                Connection("la", "x", delay_fs=100),
+                Connection("lb", "x", delay_fs=101),
             ),
             external_inputs=frozenset({"x"}),
             observed=("x",),
         )
-        with pytest.raises(RunawayQueueError, match="runaway feedback"):
+        with pytest.raises(RunawayQueueError, match="runaway feedback") as caught:
             run(net, [(0, "x")], max_events=1000)
+        # raised from the generated kernel, whose traceback shows the generated line
+        frame = traceback.extract_tb(caught.value.__traceback__)[-2]
+        assert frame.filename.startswith("<fluxloop kernel ") and frame.name == "kernel"
+        assert frame.line == "_overflow(max_events)"
+        assert linecache.getline(frame.filename, frame.lineno).strip() == frame.line
 
 
 class TestStimulusMerge:
@@ -701,7 +712,7 @@ def loop_net(prop: int, setup: int, loop: int, jitter: list[tuple[int, int]]) ->
             Connection("x", "d.data"),
             Connection("clk", "d.clock"),
             Connection("d.out", "y"),
-            Connection("y", "x", delay_fs=loop, offset_schedule=tuple(sorted(jitter)), is_loop=True),
+            Connection("y", "x", delay_fs=loop, offset_schedule=tuple(sorted(jitter))),
         ),
         external_inputs=frozenset({"x", "clk"}),
         observed=("clk", "x", "y"),
@@ -727,7 +738,7 @@ def fold_net(dro: int, merger: int, fanout: int, role_a: str, role_b: str) -> Ne
         Connection("f.out_b", "xb"),
     ]
     roles = {"xa": role_a, "xb": role_b}
-    connections += [Connection(line, "c", delay_fs=250, is_loop=True) for line, role in roles.items() if role == "tapped"]
+    connections += [Connection(line, "c", delay_fs=250) for line, role in roles.items() if role == "tapped"]
     return Netlist(
         cells={
             "d": CellParams(kind=CellKind.DRO, prop_delay_fs=dro, setup_fs=1000, hold_fs=500),
@@ -742,7 +753,7 @@ def fold_net(dro: int, merger: int, fanout: int, role_a: str, role_b: str) -> Ne
 
 def fanout_loop(first: int, second: int, third: int) -> Netlist:
     # each fanout's input line but the first is fanout-only, and the third
-    # fanout drives the second's input again: folds chain and cycle
+    # fanout drives the second's input again through a tap: folds chain and cycle
     def fanout(delay: int) -> CellParams:
         return CellParams(kind=CellKind.FANOUT, prop_delay_fs=delay)
 
@@ -757,11 +768,45 @@ def fanout_loop(first: int, second: int, third: int) -> Netlist:
             Connection("f2.out_b", "c"),
             Connection("l2", "f3.in"),
             Connection("f3.out_a", "a"),
-            Connection("f3.out_b", "l1", is_loop=True),
+            Connection("f3.out_b", "l3"),
+            Connection("l3", "l1", delay_fs=250),
         ),
         external_inputs=frozenset({"z"}),
         observed=("a", "b", "c", "z"),
     )
+
+
+#: The lines a drawn netlist (``drawn_netlists``) joins its cells and taps through.
+DRAWN_LINES = ("a", "b", "c", "d", "e")
+
+
+@st.composite
+def drawn_netlists(draw) -> tuple:
+    """The fields of a small netlist over every cell kind, with a stimulus and
+    an end: each cell port wired to a drawn line or left open; zero and
+    positive delays on cells and taps; taps with drawn offset schedules; and
+    perhaps one port wiring spoiled by a delay or a schedule.  The netlist may
+    be refused (a zero tap delay, an offset that cancels one, a spoiled
+    wiring, a cycle of port wiring alone)."""
+    params, connections = {}, []
+    for k in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(list(CellKind)))
+        params[f"c{k}"] = CellParams(kind=kind, prop_delay_fs=draw(delays), setup_fs=draw(delays), hold_fs=draw(delays),
+                                     min_separation_fs=draw(delays))
+        for port in cells.INPUT_PORTS[kind] + cells.OUTPUT_PORTS[kind]:
+            line = draw(st.none() | st.sampled_from(DRAWN_LINES))
+            if line is not None:
+                ends = (line, f"c{k}.{port}") if port in cells.INPUT_PORTS[kind] else (f"c{k}.{port}", line)
+                connections.append(Connection(*ends))
+    spoiled = draw(st.none() | st.tuples(st.integers(0, 12), st.sampled_from([{"delay_fs": 500}, {"offset_schedule": ((0, 500),)}])))
+    if spoiled is not None and spoiled[0] < len(connections):
+        connections[spoiled[0]] = connections[spoiled[0]]._replace(**spoiled[1])
+    offsets = st.lists(st.tuples(instants, st.integers(-2, 2).map(lambda k: 500 * k)), max_size=2).map(lambda o: tuple(sorted(o)))
+    for _ in range(draw(st.integers(0, 3))):
+        connections.append(Connection(draw(st.sampled_from(DRAWN_LINES)), draw(st.sampled_from(DRAWN_LINES)), draw(delays), draw(offsets)))
+    inputs = draw(st.sets(st.sampled_from(DRAWN_LINES), min_size=1))
+    observed = tuple(sorted(draw(st.sets(st.sampled_from(DRAWN_LINES)))))
+    return params, tuple(connections), frozenset(inputs), observed, draw(stimuli(tuple(sorted(inputs)))), draw(instants)
 
 
 class TestKernelMatchesReference:
@@ -819,6 +864,27 @@ class TestKernelMatchesReference:
     @given(delays, delays, delays, stimuli(("z",)), st.integers(0, 8).map(lambda k: 500 * k))
     def test_folds_through_a_fanout_chain_and_cycle(self, first, second, third, stimulus, t_end):
         self.check(fanout_loop(first, second, third), stimulus, t_end)
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn_netlists())
+    # a scheduled tap whose second entry cancels its delay: refused when built, not part way through a run
+    @example(({}, (Connection("a", "b", 500, ((0, 0), (1000, -500))),), frozenset({"a"}), ("b",), [(0, "a"), (1000, "a")], 4000))
+    # a fanout whose output re-enters its input through a tap, with a zero delay (the wired routes) and without
+    @example(({"f": FANOUT}, (Connection("a", "f.in"), Connection("f.out_a", "b"), Connection("b", "a", 1000)),
+              frozenset({"a"}), ("a", "b"), [(0, "a"), (700, "a")], 6000))
+    @example(({"f": FANOUT._replace(prop_delay_fs=0)}, (Connection("a", "f.in"), Connection("f.out_a", "b"), Connection("b", "a", 1000)),
+              frozenset({"a"}), ("a", "b"), [(0, "a"), (700, "a")], 6000))
+    # folded, c1's release is taken at once on d, whose one reader drives nothing: a landing with an empty body
+    @example(({"c0": FANOUT, "c1": CellParams(kind=CellKind.DRO2R, prop_delay_fs=1000, setup_fs=2000)},
+              (Connection("d", "c0.in"), Connection("a", "c1.data"), Connection("b", "c1.clock1"), Connection("c1.out1", "d")),
+              frozenset({"a", "b", "d"}), ("b",), [(0, "a"), (5000, "b")], 10000))
+    def test_any_accepted_netlist(self, drawn):
+        *fields, stimulus, t_end = drawn
+        try:
+            net = Netlist(*fields)
+        except NetlistError:
+            assume(False)
+        self.check(net, stimulus, t_end)
 
     def test_zero_delay_runs_keep_the_wired_routes(self):
         # folded, z (fanout-only) would land g's release on a beside b at 0, and a sorts
@@ -982,8 +1048,8 @@ def feedback_net(merger: int, fanout: int, tap_a: int, tap_b: int, seen: bool) -
             Connection("mid", "s.in"),
             Connection("s.out_a", "a"),
             Connection("s.out_b", "b"),
-            Connection("a", "f", delay_fs=tap_a, is_loop=True),
-            Connection("b", "f", delay_fs=tap_b, is_loop=True),
+            Connection("a", "f", delay_fs=tap_a),
+            Connection("b", "f", delay_fs=tap_b),
         ),
         external_inputs=frozenset({"x", "f"}),
         observed=("a", "b", "f", "x") + (("mid",) * seen),
@@ -998,7 +1064,7 @@ def pending_high_water(net: Netlist, stimulus: list[tuple[int, str]], t_end: int
     the fanout's outputs unless mid is observed.  Stops once past ``cap``."""
     merger, fanout = net.cells["m"].prop_delay_fs, net.cells["s"].prop_delay_fs
     fold = merger > 0 and fanout > 0 and "mid" not in net.observed
-    taps = {c.src: c.delay_fs for c in net.connections if c.is_loop}
+    taps = {c.src: c.delay_fs for c in net.connections if "." not in c.src + c.dst}  # no port end: a tap
     walk, heap, done, taken, mark = sorted(stimulus), [], set(), 0, 0
     while mark <= cap:
         mark = max(mark, len(heap) + len(walk) - taken)

@@ -41,6 +41,11 @@ from fluxloop.memory import (
 GHZ = 10**9
 
 
+def loop_taps(net) -> list:
+    """The netlist's line -> line taps: its connections with no cell port end."""
+    return [c for c in net.connections if "." not in c.src + c.dst]
+
+
 class TestProgramModel:
     def test_trip_op_validation(self):
         with pytest.raises(ConfigError, match="bit must be 0 or 1"):
@@ -125,7 +130,7 @@ class TestControllerNetlist:
         net = build_controller(cfg100)
         assert set(net.cells) == {"write_dro", "recirc_dro2r", "merger", "fanout", "read_dro2r"}
         assert len(net.connections) == 20
-        loops = [c for c in net.connections if c.is_loop]
+        loops = loop_taps(net)
         assert len(loops) == 1
         assert (loops[0].src, loops[0].dst, loops[0].delay_fs) == ("loop_data_in", "loop_data_out", 30000)
         assert net.external_inputs == frozenset(INPUT_LINES)
@@ -160,12 +165,12 @@ class TestControllerNetlist:
 
     def test_explicit_loop_delay_wins(self, cfg100):
         cfg = cfg100._replace(loop_delay_fs=25000)
-        loops = [c for c in build_controller(cfg).connections if c.is_loop]
+        loops = loop_taps(build_controller(cfg))
         assert loops[0].delay_fs == 25000
 
     def test_jitter_offsets_become_a_schedule(self, cfg100):
         cfg = cfg100._replace(loop_jitter_fs=(500, -500))
-        loops = [c for c in build_controller(cfg).connections if c.is_loop]
+        loops = loop_taps(build_controller(cfg))
         # one entry per trip plus the terminating return-to-zero entry
         assert loops[0].offset_schedule == ((0, 500), (40000, -500), (80000, 0))
 
@@ -359,14 +364,24 @@ class TestJitter:
 
     @pytest.mark.parametrize("jitter, at", [((0, -31500), 1), ((-30000,), 0), ((5, -29999, -40000), 2)])
     def test_a_non_positive_loop_is_refused_by_its_jitter_entry(self, cfg100, jitter, at):
-        # the required loop delay is 30000 fs; the first entry that cancels it is named
+        # the derived loop delay is 30000 fs at 100 GHz: the frequency is at fault, and the first
+        # entry that cancels its loop is named
         cfg = cfg100._replace(loop_jitter_fs=jitter)
+        message = f"loop_jitter[{at}]: at {100 * GHZ} Hz it makes trip {at}'s loop delay {30000 + jitter[at]} fs; it must stay positive"
+        with pytest.raises(InfeasibleFrequencyError) as caught:
+            build_controller(cfg)
+        assert str(caught.value) == message
+        with pytest.raises(InfeasibleFrequencyError, match=rf"^loop_jitter\[{at}\]: "):
+            run_program(scenario_write_read(address=1, trips=3), cfg)
+        # a lower frequency derives a longer loop, which the same jitter leaves positive
+        assert build_controller(cfg.with_frequency(50 * GHZ))
+
+    def test_a_given_loop_cancelled_by_its_jitter_is_a_config_error(self, cfg100):
+        cfg = cfg100._replace(loop_delay_fs=1000, loop_jitter_fs=(0, -2500))
         with pytest.raises(ConfigError) as caught:
             build_controller(cfg)
-        assert caught.value.field == f"loop_jitter[{at}]"
-        assert caught.value.message == f"makes trip {at}'s loop delay {30000 + jitter[at]} fs; it must stay positive"
-        with pytest.raises(ConfigError, match=rf"^loop_jitter\[{at}\]: "):
-            run_program(scenario_write_read(address=1, trips=3), cfg)
+        assert caught.value.field == "loop_jitter[1]"
+        assert caught.value.message == "makes trip 1's loop delay -1500 fs; it must stay positive"
 
     def test_in_window_jitter_is_fully_retimed(self, cfg100):
         reference = run_program(scenario_write_read(address=1, trips=3), cfg100)

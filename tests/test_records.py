@@ -83,7 +83,7 @@ RECORDS = [
      {"setup_fs": 0, "hold_fs": 0, "min_separation_fs": 0}),
     (TimingViolation, {"cell": "merger", "kind": ViolationKind.HOLD, "time_fs": 5, "detail": "d"}, {}),
     (BiasDelayModel, {"points": KNOTS, "range_lo": Fraction(4, 5), "range_hi": Fraction(6, 5)}, {}),
-    (Connection, {"src": "a", "dst": "b"}, {"delay_fs": 0, "offset_schedule": (), "is_loop": False}),
+    (Connection, {"src": "a", "dst": "b"}, {"delay_fs": 0, "offset_schedule": ()}),
     (Netlist, {"cells": dict(NET.cells), "connections": NET.connections, "external_inputs": NET.external_inputs,
                "observed": NET.observed}, {}),
     (Trace, TRACE_FIELDS, {}),
