@@ -23,7 +23,6 @@ from .core import (
     ConfigError,
     FluxloopError,
     InfeasibleFrequencyError,
-    PulseEvent,
     SimConfig,
     interval_duration,
     parse_config,
@@ -100,7 +99,6 @@ __all__ = [
     "MemoryResult",
     "Netlist",
     "PRESETS",
-    "PulseEvent",
     "SimConfig",
     "StaReport",
     "Trace",

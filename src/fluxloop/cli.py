@@ -73,9 +73,9 @@ MAX_SWEEP_POINTS = 10_000
 
 def _read(path: str, what: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(what, f"cannot read {path}: {exc.strerror or exc}") from None
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # a UnicodeDecodeError has no strerror
+        raise ConfigError(what, f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 @contextmanager

@@ -181,23 +181,6 @@ def validated_record(typename: str, field_names: str) -> type:
     return base
 
 
-class PulseEvent(validated_record("PulseEvent", "time_fs line")):
-    """A single SFQ pulse: a bare timestamp on a named signal line.
-
-    A tuple ``(time_fs, line)``: pulses order by time, then line, and equal
-    the plain tuple of their fields.  The constructor refuses a negative
-    time; the event kernel wraps pairs it has proved valid with
-    ``tuple.__new__(PulseEvent, (t, line))`` instead.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, time_fs: int, line: str) -> "PulseEvent":
-        if time_fs < 0:
-            raise ValueError(f"pulse time must be non-negative, got {time_fs}")
-        return tuple.__new__(cls, (time_fs, line))
-
-
 class BiasPoint(validated_record("BiasPoint", "ratio")):
     """A bias supply level as a fraction of nominal (1.0 = nominal)."""
 
@@ -392,16 +375,22 @@ CONFIG_FIELDS: dict[str, tuple[str, Callable[[Any, str], Any], Callable[[Any], A
 }
 
 
+def load_json(text: str, document: str) -> Any:
+    """``text`` decoded as JSON.  Malformed text, or nesting deeper than the
+    decoder can recurse, raises ``ConfigError`` on ``document``."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ConfigError(document, f"invalid JSON: {exc}") from None
+
+
 def parse_config(text: str) -> SimConfig:
     """Parse and validate a JSON configuration document.
 
     Missing optional fields take the documented defaults; every error
     names the offending field.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("<document>", f"invalid JSON: {exc}") from None
+    doc = load_json(text, "<document>")
     if not isinstance(doc, dict):
         raise ConfigError("<document>", "top level must be an object")
     for key in doc:

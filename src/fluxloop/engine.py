@@ -38,7 +38,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, TextIO
 from weakref import finalize
 
-from .core import BiasPoint, FluxloopError, PulseEvent, validated_record
+from .core import BiasPoint, FluxloopError, validated_record
 from .cells import INPUT_PORTS, OUTPUT_PORTS, RELEASES, BiasRangeError, CellKind, CellParams, TimingViolation, ViolationKind
 
 
@@ -402,6 +402,12 @@ def _split_port(endpoint: str) -> tuple[str, str]:
 
 
 def _validate(net: Netlist) -> None:
+    # a trace's CSV and VCD carry cell and line names unquoted, one field or word each
+    lines = {end for conn in net.connections for end in (conn.src, conn.dst) if not _is_port(end)}
+    for what, names in (("cell", net.cells), ("line", sorted(lines.union(net.external_inputs, net.observed)))):
+        for name in names:
+            if not name or not name.isprintable() or any(c in name for c in ' ,"'):
+                raise NetlistError(f"{what} name {name!r} must be non-empty and printable, with no space, comma or double quote")
     for name, params in net.cells.items():
         if "." in name:
             raise NetlistError(f"cell name {name!r} must not contain '.'")
@@ -461,16 +467,16 @@ class Trace(namedtuple("Trace", "keys lines violations observed t_end_fs bias"))
     for a pulse at t on ``lines[r]``, ``lines`` being the netlist's sorted
     line table (:attr:`Netlist.lines`).  The keys ascend, so the pulses come
     in strictly increasing ``(time_fs, line)`` order: at most one pulse per
-    line and instant.  ``events`` is the same pulses as ``PulseEvent``s,
-    derived at each read.
+    line and instant.  ``events`` is the same pulses as ``(time_fs, line)``
+    pairs, derived at each read.
     """
 
     __slots__ = ()
 
     @property
-    def events(self) -> tuple[PulseEvent, ...]:
+    def events(self) -> tuple[tuple[int, str], ...]:
         lines = self.lines
-        return tuple([tuple.__new__(PulseEvent, (t, lines[r])) for t, r in map(divmod, self.keys, repeat(len(lines)))])
+        return tuple([(t, lines[r]) for t, r in map(divmod, self.keys, repeat(len(lines)))])
 
     @property
     def failed(self) -> bool:
@@ -479,18 +485,27 @@ class Trace(namedtuple("Trace", "keys lines violations observed t_end_fs bias"))
 
 class PreparedRun(validated_record("PreparedRun", "netlist keys")):
     """A netlist and its stimulus as kernel keys on its external inputs
-    (see :class:`Trace`), sorted here; a duplicate pulse is refused.
-    ``schedule`` makes one from ``(time_fs, line)`` pairs."""
+    (see :class:`Trace`), sorted here.  A pulse at a negative time, on a line
+    that is no external input, or equal to another is refused.  ``schedule``
+    makes one from ``(time_fs, line)`` pairs."""
 
     __slots__ = ()
 
     def __new__(cls, netlist: Netlist, keys: Iterable[int] = ()) -> "PreparedRun":
-        keys = sorted(keys)
+        keys, lines, n = sorted(keys), netlist.lines, len(netlist.lines)
+        if keys and not n:  # no line, so no external input
+            raise UnknownLineError("the netlist declares no external input")
+        if keys and keys[0] < 0:
+            t, rank = divmod(keys[0], n)
+            raise ValueError(f"pulse time must be non-negative, got {t} fs on {lines[rank]!r}")
+        off_inputs = {key % n for key in keys}.difference(netlist._wiring[1].values())
+        if off_inputs:
+            raise UnknownLineError(f"line {lines[min(off_inputs)]!r} is not a declared external input")
         # sorted, so a duplicate sits just before its equal
         duplicate = next(compress(keys, map(eq, keys, keys[1:])), None)
         if duplicate is not None:
-            t, rank = divmod(duplicate, len(netlist.lines))
-            raise DuplicatePulseError(f"duplicate pulse on {netlist.lines[rank]!r} at {t} fs")
+            t, rank = divmod(duplicate, n)
+            raise DuplicatePulseError(f"duplicate pulse on {lines[rank]!r} at {t} fs")
         return tuple.__new__(cls, (netlist, tuple(keys)))
 
 

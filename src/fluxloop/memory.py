@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterator, Mapping, NamedTuple
 from .cells import CellParams, _cell_set
 from .cells import default_cell_params  # unused here; perfbench's tracer and self-test expect memory.default_cell_params
 from .core import (
-    BiasPoint, ConfigError, InfeasibleFrequencyError, PulseEvent, SimConfig, interval_duration, trip_duration,
+    BiasPoint, ConfigError, InfeasibleFrequencyError, SimConfig, interval_duration, load_json, trip_duration,
     validated_record,
 )
 from .engine import Connection, Netlist, PinnedNetlist, PreparedRun, RunawayQueueError, Trace, run_until
@@ -87,10 +87,7 @@ class MemoryResult(NamedTuple):
 
 def parse_program(text: str) -> MemoryProgram:
     """Parse a program document: {"trips": [{"write": {"addr", "bit"}|null, "reads": [...]}]}."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("<program>", f"invalid JSON: {exc}") from None
+    doc = load_json(text, "<program>")
     if not isinstance(doc, dict) or "trips" not in doc:
         raise ConfigError("trips", "program document must contain a 'trips' list")
     raw_trips = doc["trips"]
@@ -299,8 +296,8 @@ def _stimulus_keys(program: MemoryProgram, cfg: SimConfig, lines: tuple[str, ...
     return keys
 
 
-def stimulus_for(program: MemoryProgram, cfg: SimConfig) -> list[PulseEvent]:
-    """The program's stimulus as ``PulseEvent``s in ``(time_fs, line)`` order:
+def stimulus_for(program: MemoryProgram, cfg: SimConfig) -> list[tuple[int, str]]:
+    """The program's stimulus as ``(time_fs, line)`` pairs, in that order:
     the pulses of the keys ``prepare_program`` runs.  A program whose stimulus
     alone exceeds ``cfg.max_events`` raises ``RunawayQueueError`` before any
     pulse is made."""
@@ -308,9 +305,7 @@ def stimulus_for(program: MemoryProgram, cfg: SimConfig) -> list[PulseEvent]:
     _check_stimulus_size(program, cfg)
     lines = tuple(sorted(INPUT_LINES))
     keys = sorted(_stimulus_keys(program, cfg, lines))
-    # every instant is non-negative (SimConfig keeps the phases in [0, 1)),
-    # so the pulses are made without PulseEvent's per-pulse check
-    return [tuple.__new__(PulseEvent, (t, lines[r])) for t, r in map(divmod, keys, repeat(len(lines)))]
+    return [(t, lines[r]) for t, r in map(divmod, keys, repeat(len(lines)))]
 
 
 @lru_cache(maxsize=256)  # per pinned netlist: the runs of a sweep at one bias share theirs (engine._pin)

@@ -134,7 +134,7 @@ def spacing_m(speed_factor: float, frequency_ghz: float) -> float:
 
 
 def trace_to_csv(trace) -> str:
-    """``engine.trace_to_csv`` rendered from the trace's ``PulseEvent``s."""
+    """``engine.trace_to_csv`` rendered from the trace's ``(time_fs, line)`` events."""
     events = trace.events
     pulse_rows = {line: f",{line},pulse," for line in trace.observed}
     out = ["time_fs,line,kind,detail"]
@@ -152,7 +152,7 @@ def trace_to_csv(trace) -> str:
 
 
 def trace_to_vcd(trace) -> str:
-    """``engine.trace_to_vcd`` rendered from the trace's ``PulseEvent``s."""
+    """``engine.trace_to_vcd`` rendered from the trace's ``(time_fs, line)`` events."""
     if len(trace.observed) > 94:
         raise FluxloopError("too many observed lines for single-character VCD ids")
     ids = {line: chr(33 + i) for i, line in enumerate(trace.observed)}
@@ -179,7 +179,7 @@ def trace_to_vcd(trace) -> str:
 
 
 def pulses_on(trace, line: str) -> tuple[int, ...]:
-    """The times of ``trace``'s pulses on ``line``, read from its ``PulseEvent``s;
+    """The times of ``trace``'s pulses on ``line``, read from its ``(time_fs, line)`` events;
     a line the trace does not observe raises ``UnknownLineError``."""
     if line not in trace.observed:
         raise UnknownLineError(f"line {line!r} is not observed by this trace")

@@ -20,7 +20,7 @@ from fluxloop.cells import (
     RELEASES,
     delay_at_bias,
 )
-from fluxloop.core import BiasPoint, PulseEvent
+from fluxloop.core import BiasPoint
 from fluxloop.engine import Connection, Netlist, NetlistError, run_until, schedule
 
 NOM = BiasPoint.nominal()
@@ -222,7 +222,7 @@ def steps(cell: str, params: CellParams, pulses: list[tuple[str, int]], at: Bias
     run's violations)."""
     net = alone(params, cell)
     line = {port: f"i{i}_{port}" for i, port in enumerate(INPUT_PORTS[params.kind])}
-    trace = run_until(schedule(net, [PulseEvent(t, line[port]) for port, t in pulses]), 10**6, at)
+    trace = run_until(schedule(net, [(t, line[port]) for port, t in pulses]), 10**6, at)
     return tuple((name.removeprefix("o_"), t) for t, name in trace.events), trace.violations
 
 

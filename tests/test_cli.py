@@ -118,6 +118,27 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert err.startswith("error: config: cannot read /nonexistent.json")
 
+    @pytest.mark.parametrize("document, content, error", [
+        ("config", b'\xff\xfe{"frequency": 1}',
+         "error: config: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"),
+        ("config", b"[" * 200_000, "error: <document>: invalid JSON: maximum recursion depth exceeded"),
+        ("program", b'{"trips": [\xff]}',
+         "error: program: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte\n"),
+        ("program", b"[" * 200_000, "error: <program>: invalid JSON: maximum recursion depth exceeded"),
+    ], ids=["undecodable-config", "over-deep-config", "undecodable-program", "over-deep-program"])
+    def test_an_undecodable_or_over_deep_document_is_refused(self, tmp_path, write_config, write_program, capsys,
+                                                             document, content, error):
+        path = tmp_path / "document.json"
+        path.write_bytes(content)
+        commands = ([["sta", "--config", str(path)], ["simulate", "--config", str(path), "--program", write_program([])]]
+                    if document == "config" else [["simulate", "--config", write_config(), "--program", str(path)]])
+        for args in commands:
+            code = main(args)
+            captured = capsys.readouterr()
+            assert code == EXIT_CONFIG
+            assert captured.err.startswith(error.format(path=path)) and "Traceback" not in captured.err
+            assert captured.out == ""
+
     def test_invalid_config_field(self, tmp_path, write_program, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"frequency": "100GHz"}))

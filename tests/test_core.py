@@ -29,7 +29,6 @@ from fluxloop.core import (
     FS_PER_SECOND,
     NOMINAL_BIAS,
     BiasPoint,
-    PulseEvent,
     exact_ratio,
     format_ratio,
     parse_duration,
@@ -245,15 +244,6 @@ class TestReadOnlyOverrides:
         cfg = SimConfig(frequency_hz=100 * GHZ, num_addresses=3, cell_overrides=self.OVERRIDES)
         again = parse_config(serialize_config(cfg))
         assert again == cfg and again.frozen_overrides == cfg.frozen_overrides
-
-
-def test_pulse_event_ordering_and_validation():
-    a = PulseEvent(10, "x")
-    b = PulseEvent(10, "y")
-    c = PulseEvent(5, "z")
-    assert sorted([b, a, c]) == [c, a, b]
-    with pytest.raises(ValueError):
-        PulseEvent(-1, "x")
 
 
 def test_bias_point():

@@ -23,13 +23,14 @@ from fluxloop import (
     serialize_program, stimulus_for,
 )
 from fluxloop.cells import BiasDelayModel, CellKind, CellParams, TimingViolation, ViolationKind
-from fluxloop.core import CELL_NAMES, NOMINAL_BIAS, BiasPoint, PulseEvent, trip_duration
+from fluxloop.core import CELL_NAMES, NOMINAL_BIAS, BiasPoint, trip_duration
 from fluxloop.engine import (
     EXPORT_CHUNK,
     Connection,
     DuplicatePulseError,
     Netlist,
     NetlistError,
+    PreparedRun,
     RunawayQueueError,
     Trace,
     UnknownLineError,
@@ -61,7 +62,7 @@ def dro_netlist() -> Netlist:
 
 
 def run(net: Netlist, pulses: list[tuple[int, str]], t_end: int = 10**6, **kw) -> Trace:
-    prepared = schedule(net, [PulseEvent(t, line) for t, line in pulses])
+    prepared = schedule(net, pulses)
     return run_until(prepared, t_end, kw.pop("bias", NOMINAL_BIAS), **kw)
 
 
@@ -157,7 +158,7 @@ class TestNetlistValidation:
             for conn in (Connection(lines[i], f"{name}.in"), Connection(f"{name}.out_a", lines[i + 1]))
         )
         net = Netlist({name: FANOUT for name in names}, chain, frozenset({"x"}), ("x", "y"))
-        trace = run_until(schedule(net, [PulseEvent(0, "x")]), size * 500 + 1, NOMINAL_BIAS)
+        trace = run_until(schedule(net, [(0, "x")]), size * 500 + 1, NOMINAL_BIAS)
         assert trace.events == ((0, "x"), (size * 500, "y"))
         # the last fanout's second output feeds l1990 back: the cycle f1990 -> l1991 -> ... -> f1999 -> l1990,
         # named by its least node
@@ -196,18 +197,75 @@ class TestNetlistValidation:
         with pytest.raises(NetlistError, match="must not contain"):
             Netlist(cells={"a.b": DRO}, connections=(), external_inputs=frozenset(), observed=())
 
+    @pytest.mark.parametrize("what, name", [
+        ("line", "in put"), ("line", "a,b"), ("line", 'q"x'), ("line", "q\ny"), ("line", "tab\t"), ("line", ""),
+        ("cell", "f f"), ("cell", "f,g"), ("cell", ""), ("cell", "f\x00"),
+    ])
+    def test_a_name_no_trace_format_can_carry_is_refused(self, what, name):
+        # a CSV row takes a name as one unquoted field, a VCD $var as one word
+        cell, z = (name, "z") if what == "cell" else ("f", name)
+        with pytest.raises(NetlistError) as info:
+            Netlist(
+                cells={cell: FANOUT},
+                connections=(Connection(z, f"{cell}.in"), Connection(f"{cell}.out_a", "a")),
+                external_inputs=frozenset({z}),
+                observed=("a",),
+            )
+        assert str(info.value) == f"{what} name {name!r} must be non-empty and printable, with no space, comma or double quote"
+
+    @pytest.mark.parametrize("field", ["connections", "external_inputs", "observed"])
+    def test_a_line_name_is_checked_wherever_it_appears(self, field):
+        net = dro_netlist()
+        bad = {"connections": net.connections + (Connection("out", "d x", delay_fs=10),),
+               "external_inputs": net.external_inputs | {"d x"}, "observed": net.observed + ("d x",)}[field]
+        with pytest.raises(NetlistError, match="^line name 'd x' must be non-empty"):
+            net._replace(**{field: bad})
+
 
 class TestSchedule:
     def test_rejects_unknown_line(self):
         with pytest.raises(UnknownLineError, match="not a declared external input"):
-            schedule(dro_netlist(), [PulseEvent(0, "mystery")])
+            schedule(dro_netlist(), [(0, "mystery")])
 
     def test_rejects_duplicates(self):
         with pytest.raises(DuplicatePulseError, match="duplicate pulse on 'din' at 5 fs"):
-            schedule(dro_netlist(), [PulseEvent(5, "din"), PulseEvent(5, "din")])
+            schedule(dro_netlist(), [(5, "din"), (5, "din")])
+
+    def test_rejects_a_negative_time(self):
+        net = Netlist(cells={}, connections=(), external_inputs=frozenset({"x"}), observed=("x",))
+        with pytest.raises(ValueError) as info:
+            schedule(net, [(0, "x"), (-5000, "x")])
+        assert str(info.value) == "pulse time must be non-negative, got -5000 fs on 'x'"
+
+    def test_a_raw_key_at_a_negative_time_is_refused(self):
+        # keyed t * 3 + rank over the sorted lines clk, din, out: -20 is din (rank 1) at -7 fs
+        net = dro_netlist()
+        with pytest.raises(ValueError) as info:
+            PreparedRun(net, [3, -7 * 3 + 1])
+        assert str(info.value) == "pulse time must be non-negative, got -7 fs on 'din'"
+
+    def test_a_key_off_the_single_input_is_refused(self):
+        # lines a, b, z: the kernel walks a key below z's rank as the end of the run,
+        # so a key on a at 200 fs would end it before z's releases land at 600 fs
+        net = Netlist(
+            cells={"f": FANOUT},
+            connections=(Connection("z", "f.in"), Connection("f.out_a", "a"), Connection("f.out_b", "b")),
+            external_inputs=frozenset({"z"}),
+            observed=("a", "b", "z"),
+        )
+        assert PreparedRun(net, [100 * 3 + 2]).keys == (302,)
+        with pytest.raises(UnknownLineError) as info:
+            PreparedRun(net, [100 * 3 + 2, 200 * 3 + 0])
+        assert str(info.value) == "line 'a' is not a declared external input"
+
+    def test_a_key_on_a_netlist_with_no_line_is_refused(self):
+        net = Netlist(cells={}, connections=(), external_inputs=frozenset(), observed=())
+        assert PreparedRun(net).keys == ()
+        with pytest.raises(UnknownLineError, match="^the netlist declares no external input$"):
+            PreparedRun(net, [0])
 
     def test_sorts_stimulus(self):
-        prepared = schedule(dro_netlist(), [PulseEvent(10, "din"), PulseEvent(2, "clk")])
+        prepared = schedule(dro_netlist(), [(10, "din"), (2, "clk")])
         # keyed t * 3 + rank over the sorted lines clk, din, out
         assert prepared.keys == (2 * 3 + 0, 10 * 3 + 1)
 
@@ -227,7 +285,7 @@ class TestRunUntil:
 
     def test_t_end_must_be_non_negative(self):
         with pytest.raises(ValueError, match="^t_end must be non-negative$"):
-            run_until(schedule(dro_netlist(), [PulseEvent(0, "din")]), -1, NOMINAL_BIAS)
+            run_until(schedule(dro_netlist(), [(0, "din")]), -1, NOMINAL_BIAS)
 
     def test_coincident_pulses_on_a_line_merge(self):
         # both merger inputs fire at t=0; the outputs land on one line at
@@ -332,7 +390,7 @@ class TestRunUntil:
 
     def test_pin_cache_stays_bounded(self):
         net = dro_netlist()
-        prepared = schedule(net, [PulseEvent(0, "din"), PulseEvent(20000, "clk")])
+        prepared = schedule(net, [(0, "din"), (20000, "clk")])
         for i in range(200):
             run_until(prepared, 40000, BiasPoint(Fraction(50 + i, 100)))
         info = engine._pin.cache_info()
@@ -493,7 +551,7 @@ class TestStimulusMerge:
             observed=("x", "y"),
         )
         trace = run(net, [(0, "din"), (20000, "clk"), (10000, "x"), (25000, "x")])
-        assert [(e.time_fs, e.line) for e in trace.events] == [(10000, "x"), (11000, "y"), (25000, "x"), (26000, "y")]
+        assert list(trace.events) == [(10000, "x"), (11000, "y"), (25000, "x"), (26000, "y")]
         assert not trace.violations
 
     def test_emission_onto_a_processed_stimulus_pulse_is_dropped(self):
@@ -511,7 +569,7 @@ class TestStimulusMerge:
             observed=("a", "b", "c", "z"),
         )
         trace = run(net, [(100, "a"), (100, "z"), (300, "z")])
-        assert [(e.time_fs, e.line) for e in trace.events] == [
+        assert list(trace.events) == [
             (100, "a"), (100, "b"), (100, "z"), (150, "c"), (300, "a"), (300, "b"), (300, "z"), (350, "c"),
         ]
         assert trace_to_vcd(trace).endswith(
@@ -569,7 +627,7 @@ class TestStimulusMerge:
     def test_recorded_pulses_are_pulse_events(self):
         trace = run(dro_netlist(), [(0, "din"), (20000, "clk")])
         assert trace.events == ((0, "din"), (20000, "clk"), (25000, "out"))
-        assert all(type(e) is PulseEvent for e in trace.events)
+        assert all(type(e) is tuple and type(e[0]) is int and type(e[1]) is str for e in trace.events)
 
 
 #: the outputs a release from each input port lands on, written out here
@@ -814,7 +872,7 @@ class TestKernelMatchesReference:
 
     @staticmethod
     def check(net: Netlist, stimulus: list[tuple[int, str]], t_end: int, bias: BiasPoint = NOMINAL_BIAS) -> None:
-        trace = run_until(schedule(net, [PulseEvent(t, line) for t, line in stimulus]), t_end, bias)
+        trace = run_until(schedule(net, stimulus), t_end, bias)
         assert (trace.events, trace.violations) == reference_run(net, stimulus, t_end, bias)
 
     @settings(max_examples=40)
@@ -908,7 +966,7 @@ class TestKernelMatchesReference:
             observed=("a", "b", "o", "x", "y"),
         )
         self.check(net, [(0, "x")], 1000)
-        assert run_until(schedule(net, [PulseEvent(0, "x")]), 1000, NOMINAL_BIAS).events == (
+        assert run_until(schedule(net, [(0, "x")]), 1000, NOMINAL_BIAS).events == (
             (0, "a"), (0, "b"), (0, "o"), (0, "x"),
         )
 
@@ -1215,7 +1273,7 @@ ZERO_DELAY_RUN = (fanout_net(0, 0), [(0, "z"), (500, "p"), (500, "z")], 2000, NO
 
 
 def _traced(net: Netlist, stimulus: list[tuple[int, str]], t_end: int, bias: BiasPoint) -> Trace:
-    return run_until(schedule(net, [PulseEvent(t, line) for t, line in stimulus]), t_end, bias)
+    return run_until(schedule(net, stimulus), t_end, bias)
 
 
 class TestExportsMatchReference:
@@ -1260,37 +1318,6 @@ def test_the_simulate_path_derives_no_events(suffix, tmp_path, monkeypatch):
     assert trace.events == trace.events and trace.events is not trace.events
 
 
-class TestPulseEvent:
-    def test_equality_and_hash_follow_the_fields(self):
-        a = PulseEvent(10, "x")
-        assert a == PulseEvent(10, "x") and hash(a) == hash(PulseEvent(10, "x"))
-        assert a != PulseEvent(10, "y") and a != PulseEvent(11, "x")
-        assert a == (10, "x") and hash(a) == hash((10, "x"))
-        assert len({a, PulseEvent(10, "x"), PulseEvent(11, "x")}) == 2
-        assert (a.time_fs, a.line) == (10, "x")
-
-    def test_is_immutable(self):
-        a = PulseEvent(10, "x")
-        with pytest.raises(AttributeError):
-            a.time_fs = 5  # type: ignore[misc]
-        with pytest.raises(AttributeError):
-            a.note = "extra"  # type: ignore[attr-defined]
-        with pytest.raises(TypeError):
-            a[0] = 5  # type: ignore[index]
-
-    def test_orders_by_time_then_line(self):
-        pulses = [PulseEvent(5, "b"), PulseEvent(7, "a"), PulseEvent(5, "a"), PulseEvent(0, "z")]
-        assert sorted(pulses) == [PulseEvent(0, "z"), PulseEvent(5, "a"), PulseEvent(5, "b"), PulseEvent(7, "a")]
-        assert PulseEvent(5, "b") < PulseEvent(7, "a") and PulseEvent(5, "a") <= PulseEvent(5, "a")
-        assert max(pulses) == PulseEvent(7, "a")
-
-    def test_pickles_through_the_validating_constructor(self):
-        a = PulseEvent(10, "x")
-        again = pickle.loads(pickle.dumps(a))
-        assert again == a and type(again) is PulseEvent
-        assert repr(a) == "PulseEvent(time_fs=10, line='x')"
-
-
 class TestTraceQueries:
     def test_a_lines_pulses_read_from_the_events_are_its_keys(self):
         trace = run(dro_netlist(), [(0, "din"), (20000, "clk"), (30000, "din"), (50000, "clk")])
@@ -1317,7 +1344,7 @@ class TestTraceQueries:
             observed=("a", "b", "z"),
         )
         trace = run(net, [(100, "z"), (300, "z")])
-        assert [(e.time_fs, e.line) for e in trace.events] == [
+        assert list(trace.events) == [
             (100, "a"), (100, "b"), (100, "z"), (300, "a"), (300, "b"), (300, "z"),
         ]
         assert trace_to_vcd(trace).endswith('#0\n0!\n0"\n0#\n#100\n1!\n1"\n1#\n#300\n0!\n0"\n0#\n')
@@ -1466,7 +1493,7 @@ def _run_peak(prop_delay_fs: int, pulses: int) -> int:
         external_inputs=frozenset({"z"}),
         observed=("a", "b", "z"),
     )
-    prepared = schedule(net, [PulseEvent(10 * i, "z") for i in range(pulses)])
+    prepared = schedule(net, [(10 * i, "z") for i in range(pulses)])
     tracemalloc.start()
     try:
         trace = run_until(prepared, 10 * pulses, NOMINAL_BIAS)

@@ -28,7 +28,7 @@ from fluxloop import (
 )
 from fluxloop import memory
 from fluxloop.core import BiasPoint
-from fluxloop.engine import RunawayQueueError
+from fluxloop.engine import PreparedRun, RunawayQueueError, UnknownLineError, schedule
 from fluxloop.memory import (
     INPUT_LINES,
     OBSERVED_LINES,
@@ -176,6 +176,16 @@ class TestControllerNetlist:
 
 
 class TestStimulus:
+    def test_a_key_off_the_controllers_inputs_is_refused(self, cfg100):
+        # loop_data_out ranks below every input: the kernel would take a walk key on it for the end of the run
+        net = build_controller(cfg100)
+        n, stimulus = len(net.lines), stimulus_for(scenario_write_read(address=1, trips=3), cfg100)
+        keys = [t * n + net.lines.index(line) for t, line in stimulus]
+        assert PreparedRun(net, keys) == schedule(net, stimulus)
+        with pytest.raises(UnknownLineError) as info:
+            PreparedRun(net, keys + [1000 * n + net.lines.index("loop_data_out")])
+        assert str(info.value) == "line 'loop_data_out' is not a declared external input"
+
     def test_phase_instants(self, cfg100):
         assert phase_instants(cfg100) == (2000, 5000, 5000)
         cfg75 = SimConfig(frequency_hz=75 * GHZ, num_addresses=3)
@@ -184,8 +194,8 @@ class TestStimulus:
     def test_golden_write_read_stimulus(self, cfg100):
         pulses = stimulus_for(scenario_write_read(address=1, trips=3), cfg100)
         by_line: dict[str, list[int]] = {}
-        for p in pulses:
-            by_line.setdefault(p.line, []).append(p.time_fs)
+        for time_fs, line in pulses:
+            by_line.setdefault(line, []).append(time_fs)
         assert by_line["write_data"] == [5000]
         assert by_line["write_address"] == [25000]
         assert by_line["not_write_address"] == [15000, 35000, 55000, 65000, 75000, 95000, 105000, 115000]
@@ -211,16 +221,16 @@ class TestStimulus:
         for t in range(len(program.trips)):
             for k in range(cfg100.num_addresses):
                 slot = t * 40000 + 10000 + k * 10000
-                w = [p for p in pulses if p.time_fs == slot + 5000 and p.line in ("write_address", "not_write_address")]
-                r = [p for p in pulses if p.time_fs == slot + 2000 and p.line in ("read_address", "not_read_address")]
+                w = [(t, line) for t, line in pulses if t == slot + 5000 and line in ("write_address", "not_write_address")]
+                r = [(t, line) for t, line in pulses if t == slot + 2000 and line in ("read_address", "not_read_address")]
                 assert len(w) == 1 and len(r) == 1
 
     def test_zero_write_sends_no_data_pulse(self, cfg100):
         program = MemoryProgram(trips=(TripOp(write=(1, 0)),))
         pulses = stimulus_for(program, cfg100)
-        assert all(p.line != "write_data" for p in pulses)
+        assert all(line != "write_data" for _, line in pulses)
         # the address interval still fires write_address to clear the slot
-        assert any(p.line == "write_address" and p.time_fs == 25000 for p in pulses)
+        assert (25000, "write_address") in pulses
 
     def test_out_of_range_address_refused(self, cfg100):
         with pytest.raises(ConfigError, match="address 3 out of range for num_addresses=3"):

@@ -28,7 +28,6 @@ from fluxloop import (
     MemoryProgram,
     MemoryResult,
     Netlist,
-    PulseEvent,
     SimConfig,
     Trace,
     TimingViolation,
@@ -37,7 +36,7 @@ from fluxloop import (
     build_controller,
 )
 from fluxloop.density import DensityReport, DensityRow, FactorRow
-from fluxloop.engine import DuplicatePulseError, NetlistError, PreparedRun
+from fluxloop.engine import DuplicatePulseError, NetlistError, PreparedRun, UnknownLineError
 from fluxloop.timing import ArrivalWindow, SlackRow
 
 SRC = str(Path(fluxloop.__file__).resolve().parents[1])
@@ -153,8 +152,6 @@ REFUSALS = [
     # _make, and _replace through it, build through the checks of the constructor
     (lambda: BiasPoint._make([-1]), ValueError, "bias ratio must be positive"),
     (lambda: BiasPoint(Fraction(1))._replace(ratio=Fraction(0)), ValueError, "bias ratio must be positive"),
-    (lambda: PulseEvent._make((-1, "x")), ValueError, "pulse time must be non-negative, got -1"),
-    (lambda: PulseEvent(0, "x")._replace(time_fs=-2), ValueError, "pulse time must be non-negative, got -2"),
     (lambda: BiasDelayModel._make((KNOTS[:1], Fraction(4, 5), Fraction(6, 5))), ValueError,
      "delay model needs at least two knots"),
     (lambda: BiasDelayModel(KNOTS, Fraction(4, 5), Fraction(6, 5))._replace(range_lo=Fraction(1, 2)), ValueError,
@@ -162,9 +159,11 @@ REFUSALS = [
     (lambda: Netlist._make(({"a.b": NET.cells["merger"]}, (), frozenset(), ())), NetlistError,
      "cell name 'a.b' must not contain '.'"),
     (lambda: NET._replace(cells={"a.b": NET.cells["merger"]}), NetlistError, "cell name 'a.b' must not contain '.'"),
-    # 14 lines, of which not_read_address has rank 3
+    # 14 lines, of which not_read_address has rank 3 and read_data, no input, rank 7
     (lambda: PreparedRun(NET, [5 * 14 + 3, 3, 5 * 14 + 3]), DuplicatePulseError, "duplicate pulse on 'not_read_address' at 5 fs"),
     (lambda: PreparedRun(NET)._replace(keys=(3, 3)), DuplicatePulseError, "duplicate pulse on 'not_read_address' at 0 fs"),
+    (lambda: PreparedRun(NET, [3, -5 * 14 + 3]), ValueError, "pulse time must be non-negative, got -5 fs on 'not_read_address'"),
+    (lambda: PreparedRun(NET)._replace(keys=(3, 14 + 7)), UnknownLineError, "line 'read_data' is not a declared external input"),
     (lambda: TripOp._make(((0, 1), (3, 3))), ConfigError, "reads[1]: duplicate read address within a trip"),
     (lambda: TripOp()._replace(write=(0, 5)), ConfigError, "write.bit: bit must be 0 or 1"),
     (lambda: LineSpec._make(tuple(SPEC.values()) + (0, None)), ValueError, "layers must be at least 1"),
