@@ -9,7 +9,8 @@ and ``characterize`` sweeps one cell's delay over bias.
 Exit codes classify failures for scripting: 2 config/usage trouble (a
 malformed document or option, a run that exceeds ``max_events``, or any
 other input the simulator refuses), 3 infeasible frequency, 4 a run that
-completed but failed (violations or wrong reads), 141 stdout closed early.
+completed but failed (violations or wrong reads; a ``margins`` row that
+fails at nominal bias), 141 stdout closed early.
 """
 
 from __future__ import annotations
@@ -69,11 +70,19 @@ EXIT_BROKEN_PIPE = 141
 
 #: Most bias points one ``characterize`` sweep may take (each is a simulation).
 MAX_SWEEP_POINTS = 10_000
+#: Most bytes a ``--config`` or ``--program`` document may hold: an endless one (``/dev/zero``) is refused, not read whole.
+MAX_DOCUMENT_BYTES = 64 * 2**20
 
 
 def _read(path: str, what: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as file:
+            data = bytearray()  # read in chunks: a read of n bytes allocates n before it reads one
+            while (room := MAX_DOCUMENT_BYTES + 1 - len(data)) and (chunk := file.read(min(room, 2**16))):
+                data += chunk
+        if len(data) > MAX_DOCUMENT_BYTES:
+            raise ConfigError(what, f"{path} is larger than {MAX_DOCUMENT_BYTES} bytes")
+        return data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:  # a UnicodeDecodeError has no strerror
         raise ConfigError(what, f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
@@ -197,7 +206,8 @@ def _cmd_margins(args: argparse.Namespace) -> int:
         if out is not None:
             out.write(margins_to_csv(reports))
     sys.stdout.write(margins_to_text(reports))
-    return EXIT_OK
+    # a row with no margin failed at nominal bias, unless a sweep marked its frequency infeasible
+    return EXIT_RUN_FAILED if any(r.lower_pct is None and r.lower_limiter != "INFEASIBLE" for r in reports) else EXIT_OK
 
 
 def _cmd_density(args: argparse.Namespace) -> int:

@@ -2,13 +2,13 @@
 
 A netlist joins cell instances through named signal lines.  Pulses are
 events on lines; a cell consumes the lines wired to its input ports and
-emits onto the lines wired to its outputs.  Two connection shapes exist:
-
-* line -> cell port  — zero-delay wiring (the cell steps synchronously
-  when the line pulses);
-* line -> line       — a delayed tap, the only connection with a delay and
-  the only one that may close a cycle (the storage loop).  It may add a
-  piecewise schedule of offsets (per-trip loop jitter); each keeps it positive.
+emits onto the lines wired to its outputs.  A netlist is checked and its
+routes resolved in one walk over its connections when it is built.  Each is
+a zero-delay feed (line -> cell port: the cell steps synchronously when the
+line pulses) or drive (cell port -> line), or a line -> line tap: the only
+connection with a delay and the only one that may close a cycle (the storage
+loop).  A tap may add a piecewise schedule of offsets (per-trip loop
+jitter); each keeps its delay positive.
 
 Events at equal timestamps are ordered by line name, and at most one pulse
 exists per line and instant, so reruns of an identical (netlist, stimulus,
@@ -74,23 +74,21 @@ class Connection(NamedTuple):
 
 
 class Netlist(validated_record("Netlist", "cells connections external_inputs observed")):
-    """Cells wired by connections.
-
-    ``cells`` is a read-only copy of the mapping given, since one netlist may
-    serve many callers (``memory.build_controller`` memoizes).  The wiring is
-    resolved once per netlist and its kernels found at their first run, both
-    in the instance dict; the cells are pinned once per bias for every netlist
-    with equal cells (:meth:`at_bias`).
-    """
+    """Cells wired by connections, checked in the one walk that resolves its
+    routes when it is built.  ``cells`` is a read-only copy of the mapping
+    given, since one netlist may serve many callers (``memory.build_controller``
+    memoizes).  The routes, and the kernels found at their first run, are in
+    the instance dict; the cells are pinned once per bias for every netlist
+    with equal cells (:meth:`at_bias`)."""
 
     def __new__(cls, cells: Mapping[str, CellParams], connections: tuple[Connection, ...],
                 external_inputs: frozenset[str], observed: tuple[str, ...]) -> "Netlist":
         net = tuple.__new__(cls, (MappingProxyType(dict(cells)), connections, external_inputs, observed))
-        _validate(net)
+        net._wiring  # the walk that resolves the routes checks the netlist
         return net
 
     def __reduce__(self) -> tuple:
-        """Pickle and copy through the constructor, leaving the cached wiring and pins behind."""
+        """Pickle and copy through the constructor, leaving the cached kernels and pins behind."""
         return type(self), (dict(self.cells), self.connections, self.external_inputs, self.observed)
 
     @cached_property
@@ -102,25 +100,74 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
         (observed?, consumers, taps))).  A consumer is (transition, window
         check, slot, its and its peer's ``last`` entries, targets), a target
         (slots, rank offset): a release lands after those cells' delays; a tap
-        is (connection index, rank, has a schedule?).  Folded, a
-        release onto a dead line (unobserved, untapped, read by no cell) is
-        dropped, and one onto a fanout-only line (internal, unobserved,
-        untapped, read by one FANOUT alone) lands on the fanout's outputs
-        after both delays.  An output nothing drives is dropped."""
-        driven = {conn.dst for conn in self.connections if not _is_port(conn.dst)}
-        lines = tuple(sorted(driven | self.external_inputs))
-        rank = {line: r for r, line in enumerate(lines)}
-        ports_on: dict[str, list[tuple[str, str]]] = {}
-        taps: dict[str, list[tuple[int, int, bool]]] = {}
-        outs: dict[str, dict[str, int]] = {name: {} for name in self.cells}
+        is (connection index, rank, has a schedule?).  Folded, a release onto
+        a dead line (unobserved, untapped, read by no cell) is dropped, and
+        one onto a fanout-only line (internal, unobserved, untapped, read by
+        one FANOUT alone) lands on the fanout's outputs after both delays.  An
+        output nothing drives is dropped.  The walk that classifies each
+        connection checks it, after the names and cells, before the cycles."""
+        # a trace's CSV and VCD carry cell and line names unquoted, one field or word each
+        names = {end for conn in self.connections for end in (conn.src, conn.dst) if not _is_port(end)}
+        for what, group in (("cell", self.cells), ("line", sorted(names.union(self.external_inputs, self.observed)))):
+            for name in group:
+                if not name or not name.isprintable() or any(c in name for c in ' ,"'):
+                    raise NetlistError(f"{what} name {name!r} must be non-empty and printable, with no space, comma or double quote")
+        for name, params in self.cells.items():
+            if "." in name:
+                raise NetlistError(f"cell name {name!r} must not contain '.'")
+            if params.kind not in INPUT_PORTS:
+                raise NetlistError(f"cell {name!r}: kind {params.kind!r} does not process pulses")
+
+        fed: set[tuple[str, str]] = set()  # the (cell, input port) pairs a line feeds
+        ports_on: dict[str, list[tuple[str, str]]] = {}  # line -> the (cell, input port) pairs it feeds
+        drives: dict[tuple[str, str], str] = {}  # (cell, output port) -> the line it drives
+        taps: dict[str, list[tuple[int, str, bool]]] = {}  # line -> (connection index, line tapped into, scheduled?)
+        adjacency: dict[tuple[str, bool], list[tuple[str, bool]]] = {}  # (name, is a cell?) -> the nodes it drives
         for index, conn in enumerate(self.connections):
-            if _is_port(conn.dst):
-                ports_on.setdefault(conn.src, []).append(_split_port(conn.dst))
-            elif _is_port(conn.src):
-                cell, port = _split_port(conn.src)
-                outs[cell][port] = rank[conn.dst]
-            else:
-                taps.setdefault(conn.src, []).append((index, rank[conn.dst], bool(conn.offset_schedule)))
+            for endpoint in filter(_is_port, (conn.src, conn.dst)):
+                cell, port = _split_port(endpoint)
+                if cell not in self.cells:
+                    raise NetlistError(f"connection endpoint {endpoint!r} references unknown cell")
+                kind = self.cells[cell].kind
+                if port not in INPUT_PORTS[kind] + OUTPUT_PORTS[kind]:
+                    raise NetlistError(f"cell {cell!r} ({kind.value}) has no port {port!r}")
+            if _is_port(conn.src) and _is_port(conn.dst):
+                raise NetlistError(f"{conn.src} -> {conn.dst}: cell ports must connect through a line")
+            if _is_port(conn.dst):  # a feed: cell, port and kind are its one port end's, checked above
+                if port not in INPUT_PORTS[kind]:
+                    raise NetlistError(f"{conn.dst} is not an input port")
+                if (cell, port) in fed:
+                    raise NetlistError(f"input port {conn.dst} has more than one driver")
+                fed.add((cell, port))
+                ports_on.setdefault(conn.src, []).append((cell, port))
+                adjacency.setdefault((conn.src, False), []).append((cell, True))
+            elif _is_port(conn.src):  # a drive, likewise
+                if port not in OUTPUT_PORTS[kind]:
+                    raise NetlistError(f"{conn.src} is not an output port")
+                if (cell, port) in drives:
+                    raise NetlistError(f"output port {conn.src} drives more than one line")
+                drives[cell, port] = conn.dst
+                adjacency.setdefault((cell, True), []).append((conn.dst, False))
+            else:  # a tap: every delay it can give is positive, so a cycle through it is no combinational one
+                starts = [s for s, _ in conn.offset_schedule]
+                if starts != sorted(starts):
+                    raise NetlistError(f"{conn.src} -> {conn.dst}: offset schedule must be sorted by start time")
+                least = min([conn.delay_fs] + [conn.delay_fs + offset for _, offset in conn.offset_schedule])
+                if least <= 0:
+                    raise NetlistError(f"line tap {conn.src} -> {conn.dst} needs a positive delay (got {least} fs)")
+                taps.setdefault(conn.src, []).append((index, conn.dst, bool(conn.offset_schedule)))
+                continue
+            if conn.delay_fs != 0 or conn.offset_schedule:
+                raise NetlistError(f"{conn.src} -> {conn.dst}: wiring to or from a cell port must have zero delay and no schedule")
+        import graphlib  # a netlist's check needs it, an import does not
+        try:  # each node drives the nodes it lists: the reverse of graphlib's sense, with the same cycles
+            graphlib.TopologicalSorter(adjacency).prepare()
+        except graphlib.CycleError as exc:
+            node = min(name for name, _ in exc.args[1])
+            raise NetlistError(f"combinational cycle through {node!r}; only a delayed tap may close a cycle") from None
+
+        lines = tuple(sorted(self.external_inputs.union(drives.values(), (dst for line_taps in taps.values() for _, dst, _ in line_taps))))
+        rank = {line: r for r, line in enumerate(lines)}
         slot = {name: i for i, name in enumerate(_slot_order(self.cells))}
         dead, fanout_of = set(), {}  # by rank: the dead lines, and each fanout-only line's (fanout, port)
         for line in set(lines) - set(self.observed) - taps.keys():
@@ -143,7 +190,7 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
             return op, check, s, 2 * s + (not first), 2 * s + first
 
         def released(cell: str, port: str) -> list[int]:
-            return [outs[cell][out] for out in RELEASES[self.cells[cell].kind][port] if out in outs[cell]]
+            return [rank[drives[cell, out]] for out in RELEASES[self.cells[cell].kind][port] if (cell, out) in drives]
 
         def targets(cell: str, port: str, here: int, fold: bool) -> tuple[tuple[tuple[int, ...], int], ...]:
             out = []
@@ -157,7 +204,7 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
 
         def route(line: str, fold: bool) -> tuple:
             consumers = tuple((*consumer(cell, port), targets(cell, port, rank[line], fold)) for cell, port in sorted(ports_on.get(line, ())))
-            return line in self.observed, consumers, tuple(taps.get(line, ()))
+            return line in self.observed, consumers, tuple((j, rank[dst], scheduled) for j, dst, scheduled in taps.get(line, ()))
 
         inputs = tuple(sorted(rank[line] for line in self.external_inputs))
         shapes = tuple((not fold, inputs, tuple(route(line, fold) for line in lines)) for fold in (False, True))
@@ -399,65 +446,6 @@ def _is_port(endpoint: str) -> bool:
 def _split_port(endpoint: str) -> tuple[str, str]:
     cell, _, port = endpoint.partition(".")
     return cell, port
-
-
-def _validate(net: Netlist) -> None:
-    # a trace's CSV and VCD carry cell and line names unquoted, one field or word each
-    lines = {end for conn in net.connections for end in (conn.src, conn.dst) if not _is_port(end)}
-    for what, names in (("cell", net.cells), ("line", sorted(lines.union(net.external_inputs, net.observed)))):
-        for name in names:
-            if not name or not name.isprintable() or any(c in name for c in ' ,"'):
-                raise NetlistError(f"{what} name {name!r} must be non-empty and printable, with no space, comma or double quote")
-    for name, params in net.cells.items():
-        if "." in name:
-            raise NetlistError(f"cell name {name!r} must not contain '.'")
-        if params.kind not in INPUT_PORTS:
-            raise NetlistError(f"cell {name!r}: kind {params.kind!r} does not process pulses")
-
-    wired: set[str] = set()  # the cell ports joined to a line so far: each joins one
-    adjacency: dict[tuple[str, bool], list[tuple[str, bool]]] = {}  # (name, is a cell?) -> the nodes it drives
-    for conn in net.connections:
-        for endpoint in filter(_is_port, (conn.src, conn.dst)):
-            cell, port = _split_port(endpoint)
-            if cell not in net.cells:
-                raise NetlistError(f"connection endpoint {endpoint!r} references unknown cell")
-            kind = net.cells[cell].kind
-            if port not in INPUT_PORTS.get(kind, ()) + OUTPUT_PORTS.get(kind, ()):
-                raise NetlistError(f"cell {cell!r} ({kind.value}) has no port {port!r}")
-        if _is_port(conn.src) and _is_port(conn.dst):
-            raise NetlistError(f"{conn.src} -> {conn.dst}: cell ports must connect through a line")
-        if _is_port(conn.dst):
-            cell, port = _split_port(conn.dst)
-            if port not in INPUT_PORTS[net.cells[cell].kind]:
-                raise NetlistError(f"{conn.dst} is not an input port")
-            if conn.dst in wired:
-                raise NetlistError(f"input port {conn.dst} has more than one driver")
-            wired.add(conn.dst)
-        elif _is_port(conn.src):
-            cell, port = _split_port(conn.src)
-            if port not in OUTPUT_PORTS[net.cells[cell].kind]:
-                raise NetlistError(f"{conn.src} is not an output port")
-            if conn.src in wired:
-                raise NetlistError(f"output port {conn.src} drives more than one line")
-            wired.add(conn.src)
-        else:  # a tap: every delay it can give is positive, so a cycle through it is no combinational one
-            starts = [s for s, _ in conn.offset_schedule]
-            if starts != sorted(starts):
-                raise NetlistError(f"{conn.src} -> {conn.dst}: offset schedule must be sorted by start time")
-            least = min([conn.delay_fs] + [conn.delay_fs + offset for _, offset in conn.offset_schedule])
-            if least <= 0:
-                raise NetlistError(f"line tap {conn.src} -> {conn.dst} needs a positive delay (got {least} fs)")
-            continue
-        if conn.delay_fs != 0 or conn.offset_schedule:
-            raise NetlistError(f"{conn.src} -> {conn.dst}: wiring to or from a cell port must have zero delay and no schedule")
-        src, dst = ((_split_port(end)[0], _is_port(end)) for end in (conn.src, conn.dst))
-        adjacency.setdefault(src, []).append(dst)
-    import graphlib  # a netlist's check needs it, an import does not
-    try:  # each node drives the nodes it lists: the reverse of graphlib's sense, with the same cycles
-        graphlib.TopologicalSorter(adjacency).prepare()
-    except graphlib.CycleError as exc:
-        node = min(name for name, _ in exc.args[1])
-        raise NetlistError(f"combinational cycle through {node!r}; only a delayed tap may close a cycle") from None
 
 
 class Trace(namedtuple("Trace", "keys lines violations observed t_end_fs bias")):

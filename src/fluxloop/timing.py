@@ -319,7 +319,9 @@ class MarginReport(NamedTuple):
     where every scenario still reads back correctly with a clean trace.
     Limiters name the first failure past the bound: a violation kind, or
     WRONG_READ when decoding broke silently; None means the scan hit its
-    cap without failing.  Infeasible frequencies carry None margins.
+    cap without failing.  A frequency that fails at nominal bias has no
+    window: None margins, with that failure as both limiters.  An
+    infeasible frequency carries None margins and INFEASIBLE limiters.
     """
 
     frequency_hz: int
@@ -376,7 +378,7 @@ def bias_margin(
 
     nominal_failure = failure(Fraction(1))
     if nominal_failure is not None:
-        return MarginReport(cfg.frequency_hz, 0, 0, nominal_failure, nominal_failure)
+        return MarginReport(cfg.frequency_hz, None, None, nominal_failure, nominal_failure)
 
     def bound(sign: int) -> tuple[int, str | None]:
         for pct in range(1, max_pct + 1):
@@ -420,9 +422,7 @@ def margins_to_csv(reports: Sequence[MarginReport]) -> str:
 def margins_to_text(reports: Sequence[MarginReport]) -> str:
     lines = [f"{'freq_GHz':>8} {'lower':>6} {'upper':>6}  limiters"]
     for r in reports:
-        if r.lower_pct is None:
-            lines.append(f"{r.frequency_hz / 1e9:>8g} {'--':>6} {'--':>6}  infeasible")
-            continue
-        lims = f"{r.lower_limiter or '-'} / {r.upper_limiter or '-'}"
-        lines.append(f"{r.frequency_hz / 1e9:>8g} {'-' + str(r.lower_pct) + '%':>6} {'+' + str(r.upper_pct) + '%':>6}  {lims}")
+        lower, upper = ("--", "--") if r.lower_pct is None else (f"-{r.lower_pct}%", f"+{r.upper_pct}%")
+        lims = "infeasible" if r.lower_limiter == "INFEASIBLE" else f"{r.lower_limiter or '-'} / {r.upper_limiter or '-'}"
+        lines.append(f"{r.frequency_hz / 1e9:>8g} {lower:>6} {upper:>6}  {lims}")
     return "\n".join(lines) + "\n"

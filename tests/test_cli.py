@@ -139,6 +139,23 @@ class TestSimulate:
             assert captured.err.startswith(error.format(path=path)) and "Traceback" not in captured.err
             assert captured.out == ""
 
+    @pytest.mark.parametrize("document", ["config", "program"])
+    def test_a_document_past_the_size_bound_is_refused(self, tmp_path, monkeypatch, capsys, document):
+        # the document is padded past one chunk read; the bound is its size, then one byte less
+        config, program = tmp_path / "config.json", tmp_path / "program.json"
+        config.write_text('{"frequency": "100GHz", "num_addresses": 3}' + " " * 150_000 * (document == "config"))
+        program.write_text(json.dumps({"trips": WRITE_READ}) + " " * 150_000 * (document == "program"))
+        path = config if document == "config" else program
+        args = ["simulate", "--config", str(config), "--program", str(program)]
+        monkeypatch.setattr(cli, "MAX_DOCUMENT_BYTES", path.stat().st_size)
+        assert main(args) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "MAX_DOCUMENT_BYTES", path.stat().st_size - 1)
+        assert main(args) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {document}: {path} is larger than {path.stat().st_size - 1} bytes\n"
+        assert captured.out == ""
+
     def test_invalid_config_field(self, tmp_path, write_program, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"frequency": "100GHz"}))
@@ -359,8 +376,8 @@ class TestStaAgreesWithSimulate:
         assert capsys.readouterr().out.endswith("timing VIOLATED (recirc_hold)\n")
         code = main(["margins", "--config", config, "--freqs", "20GHz,50GHz,75GHz,100GHz"])
         out = capsys.readouterr().out
-        assert code == EXIT_OK
-        assert out.splitlines()[1:] == [f"{ghz:>8} {'-0%':>6} {'+0%':>6}  WRONG_READ / WRONG_READ" for ghz in (20, 50, 75, 100)]
+        assert code == EXIT_RUN_FAILED
+        assert out.splitlines()[1:] == [f"{ghz:>8} {'--':>6} {'--':>6}  WRONG_READ / WRONG_READ" for ghz in (20, 50, 75, 100)]
 
     @pytest.mark.parametrize("command", ["simulate", "margins"])
     def test_a_non_positive_loop_is_refused_by_its_jitter_entry(self, write_config, write_program, capsys, command):
@@ -389,27 +406,35 @@ class TestMargins:
             ["margins", "--config", write_config(), "--freqs", "500GHz,100GHz,200GHz", "--out", str(out_path)]
         )
         capsys.readouterr()
-        assert code == EXIT_OK
+        assert code == EXIT_RUN_FAILED  # 200 GHz fails at nominal bias
         assert out_path.read_text() == (
             "frequency_hz,lower_pct,upper_pct,lower_limiter,upper_limiter\n"
             "100000000000,13,13,HOLD,SETUP\n"
-            "200000000000,0,0,SETUP,SETUP\n"
+            "200000000000,,,SETUP,SETUP\n"
             "500000000000,,,INFEASIBLE,INFEASIBLE\n"
         )
+
+    def test_a_row_failing_at_nominal_exits_4_and_a_row_marked_infeasible_does_not(self, write_config, capsys):
+        assert main(["margins", "--config", write_config(**ALIASING), "--freqs", "100GHz"]) == EXIT_RUN_FAILED
+        assert capsys.readouterr().out.splitlines()[1:] == [f"{100:>8} {'--':>6} {'--':>6}  WRONG_READ / WRONG_READ"]
+        assert main(["margins", "--config", write_config(), "--freqs", "100GHz,500GHz"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1:] == [f"{100:>8} {'-13%':>6} {'+13%':>6}  HOLD / SETUP",
+                                                            f"{500:>8} {'--':>6} {'--':>6}  infeasible"]
 
     def test_an_interval_below_1_fs_marks_its_row_infeasible(self, write_config, capsys):
         code = main(["margins", "--config", write_config(loop_delay="1fs"), "--freqs", "3000THz,100GHz"])
         out = capsys.readouterr().out
-        assert code == EXIT_OK
-        assert out.splitlines()[-1] == f"{3e6:>8g} {'--':>6} {'--':>6}  infeasible"
+        assert code == EXIT_RUN_FAILED  # the 1 fs loop aliases every bit at 100 GHz: that row fails at nominal bias
+        assert out.splitlines()[1:] == [f"{100:>8} {'--':>6} {'--':>6}  WRONG_READ / WRONG_READ",
+                                        f"{3e6:>8g} {'--':>6} {'--':>6}  infeasible"]
 
     def test_a_frequency_whose_derived_loop_the_jitter_cancels_is_marked_infeasible(self, write_config, capsys):
         # the derived loop is 30000 fs at 100 GHz and shorter at 120 GHz, where -25000 fs cancels it
         config = write_config(loop_jitter=["-25000fs"])
         code = main(["margins", "--config", config, "--freqs", "100GHz,120GHz"])
         out = capsys.readouterr().out
-        assert code == EXIT_OK
-        assert out.splitlines()[1:] == [f"{100:>8} {'-0%':>6} {'+0%':>6}  SETUP / SETUP", f"{120:>8} {'--':>6} {'--':>6}  infeasible"]
+        assert code == EXIT_RUN_FAILED  # 100 GHz fails at nominal bias; 120 GHz, marked infeasible, alone would exit 0
+        assert out.splitlines()[1:] == [f"{100:>8} {'--':>6} {'--':>6}  SETUP / SETUP", f"{120:>8} {'--':>6} {'--':>6}  infeasible"]
         code = main(["margins", "--config", config, "--freqs", "120GHz"])
         captured = capsys.readouterr()
         assert code == EXIT_INFEASIBLE and captured.out == ""

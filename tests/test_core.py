@@ -391,6 +391,12 @@ class TestParseConfig:
         assert json.loads(text)["bias"] == f"{10**400}/1"
         assert parse_config(text) == cfg
 
+    @pytest.mark.parametrize("bias, shown", [(0, "0"), (-1, "-1"), ('"-1/2"', "'-1/2'")])
+    def test_a_bias_ratio_that_is_not_positive_is_refused(self, bias, shown):
+        with pytest.raises(ConfigError) as info:
+            parse_config(f'{{"frequency": "100GHz", "num_addresses": 3, "bias": {bias}}}')
+        assert str(info.value) == f"bias: invalid bias ratio {shown}"
+
 
 # --- a library config and a document are one input ---------------------------
 

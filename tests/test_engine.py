@@ -221,6 +221,14 @@ class TestNetlistValidation:
         with pytest.raises(NetlistError, match="^line name 'd x' must be non-empty"):
             net._replace(**{field: bad})
 
+    def test_the_first_of_two_faults_is_the_one_raised(self):
+        # the connections are checked in order: an unknown port on the first, a non-positive tap on the second
+        connections = (Connection("x", "d.clk"), Connection("a", "b"))
+        with pytest.raises(NetlistError, match="^cell 'd' \\(DRO\\) has no port 'clk'$"):
+            Netlist(cells={"d": DRO}, connections=connections, external_inputs=frozenset(), observed=())
+        with pytest.raises(NetlistError, match=r"^line tap a -> b needs a positive delay \(got 0 fs\)$"):
+            Netlist(cells={"d": DRO}, connections=connections[::-1], external_inputs=frozenset(), observed=())
+
 
 class TestSchedule:
     def test_rejects_unknown_line(self):
@@ -434,6 +442,11 @@ class TestNetlistCells:
         given["d"] = FANOUT
         assert net.cells["d"] is DRO
 
+    def test_the_wiring_is_resolved_when_the_netlist_is_built(self):
+        net = dro_netlist()
+        assert vars(net).keys() == {"_wiring"}
+        assert net.lines == ("clk", "din", "out")
+
     def test_pickles_and_deep_copies_through_the_constructor(self):
         cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
         stimulus = stimulus_for(scenario_write_read(), cfg)
@@ -442,11 +455,13 @@ class TestNetlistCells:
             return run_until(schedule(net, stimulus), 5 * trip_duration(cfg), cfg.bias)
 
         net = build_controller(cfg)
-        original = write_read(net)  # the wiring, the cell set pins are keyed on and the folded kernel are cached now
+        original = write_read(net)  # the cell set pins are keyed on and the folded kernel are cached now
         assert {"_wiring", "_cell_set", "_folded_kernel"} <= vars(net).keys()
         for again in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
             assert again == net and again is not net
-            assert {"_wiring", "_cell_set", "_folded_kernel", "_wired_kernel"}.isdisjoint(vars(again))
+            # the constructor resolves the wiring again; the cell set and the kernels stay behind
+            assert again._wiring == net._wiring and again._wiring is not net._wiring
+            assert {"_cell_set", "_folded_kernel", "_wired_kernel"}.isdisjoint(vars(again))
             with pytest.raises(TypeError):
                 again.cells["merger"] = FANOUT  # type: ignore[index]
             assert write_read(again) == original

@@ -284,16 +284,16 @@ class TestBiasMargin:
         reversed_suite = tuple(reversed(default_margin_suite(cfg100)))
         assert bias_margin(cfg100, reversed_suite) == bias_margin(cfg100)
 
-    def test_nominal_violation_reports_zero_margin(self, cfg100):
+    def test_nominal_violation_reports_no_margin(self, cfg100):
         # a loop 25 ps short lands bits against the re-timing clock edge
         broken = cfg100._replace(loop_delay_fs=5000)
-        assert bias_margin(broken) == MarginReport(100 * GHZ, 0, 0, "SETUP", "SETUP")
+        assert bias_margin(broken) == MarginReport(100 * GHZ, None, None, "SETUP", "SETUP")
 
     def test_clean_aliasing_is_caught_by_the_read_oracle(self, cfg100):
         # a loop exactly one interval short re-times cleanly into the wrong
         # slot: no violation fires, only the decoded reads betray it
         aliased = cfg100._replace(loop_delay_fs=20000)
-        assert bias_margin(aliased) == MarginReport(100 * GHZ, 0, 0, "WRONG_READ", "WRONG_READ")
+        assert bias_margin(aliased) == MarginReport(100 * GHZ, None, None, "WRONG_READ", "WRONG_READ")
 
     def test_margin_cap(self, cfg100):
         report = bias_margin(SimConfig(frequency_hz=20 * GHZ, num_addresses=3), max_pct=10)
@@ -805,7 +805,7 @@ class TestMarginSweep:
     def test_sweep_sorts_and_marks_infeasible_points(self, cfg100):
         reports = margin_sweep(cfg100, [500 * GHZ, 200 * GHZ])
         assert reports == (
-            MarginReport(200 * GHZ, 0, 0, "SETUP", "SETUP"),
+            MarginReport(200 * GHZ, None, None, "SETUP", "SETUP"),
             MarginReport(500 * GHZ, None, None, "INFEASIBLE", "INFEASIBLE"),
         )
 
@@ -814,7 +814,7 @@ class TestMarginSweep:
         assert margins_to_csv(reports) == (
             "frequency_hz,lower_pct,upper_pct,lower_limiter,upper_limiter\n"
             "100000000000,13,13,HOLD,SETUP\n"
-            "200000000000,0,0,SETUP,SETUP\n"
+            "200000000000,,,SETUP,SETUP\n"
             "500000000000,,,INFEASIBLE,INFEASIBLE\n"
         )
 
@@ -822,6 +822,6 @@ class TestMarginSweep:
         reports = margin_sweep(cfg100, [500 * GHZ, 200 * GHZ])
         assert margins_to_text(reports) == (
             "freq_GHz  lower  upper  limiters\n"
-            "     200    -0%    +0%  SETUP / SETUP\n"
+            "     200     --     --  SETUP / SETUP\n"
             "     500     --     --  infeasible\n"
         )
