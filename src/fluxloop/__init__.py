@@ -9,6 +9,8 @@ analysis (:mod:`fluxloop.timing`) and storage-density estimates for the
 transmission-line medium (:mod:`fluxloop.density`) alongside.
 """
 
+import importlib
+
 from .cells import (
     BiasDelayModel,
     BiasRangeError,
@@ -30,16 +32,6 @@ from .core import (
     parse_frequency,
     serialize_config,
     trip_duration,
-)
-from .density import (
-    LineSpec,
-    PRESETS,
-    density_mbit_per_cm2,
-    inductance_from_sheet,
-    reproduce_published,
-    resolve_preset,
-    speed_factor,
-    velocity_mps,
 )
 from .engine import (
     Connection,
@@ -142,3 +134,20 @@ __all__ = [
     "write_csv",
     "write_vcd",
 ]
+
+#: What :mod:`fluxloop.density` gives this namespace.  Only the ``density``
+#: command needs that module, so it loads at the first read of one of these.
+_DENSITY_NAMES = frozenset({"LineSpec", "PRESETS", "density_mbit_per_cm2", "inductance_from_sheet",
+                            "reproduce_published", "resolve_preset", "speed_factor", "velocity_mps"})
+
+
+def __getattr__(name: str) -> object:
+    if name == "density" or name in _DENSITY_NAMES:
+        # not ``from . import density``: that form reads this attribute first, and so would recurse
+        density = importlib.import_module(f"{__name__}.density")
+        return density if name == "density" else getattr(density, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), "density", *_DENSITY_NAMES})

@@ -25,9 +25,10 @@ classify the failure kind.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Any, Iterable, Mapping
 
 from .core import (
     CELLS, NOMINAL_BIAS, BiasPoint, CellKind, ConfigError, FluxloopError, _freeze, format_ratio,
@@ -85,11 +86,8 @@ class BiasRangeError(FluxloopError):
     """Bias ratio lies outside a cell's electrical operating range."""
 
 
-class TimingViolation(NamedTuple):
-    cell: str
-    kind: ViolationKind
-    time_fs: int
-    detail: str
+class TimingViolation(namedtuple("TimingViolation", "cell kind time_fs detail")):
+    __slots__ = ()
 
 
 class BiasDelayModel(validated_record("BiasDelayModel", "points range_lo range_hi")):

@@ -36,16 +36,6 @@ from .core import (
     parse_config,
     parse_frequency,
 )
-from .density import (
-    PRESETS,
-    TABLE_FREQUENCIES_GHZ,
-    build_report,
-    report_to_csv,
-    report_to_text,
-    reproduce_published,
-    resolve_preset,
-    stacked_spec,
-)
 from .engine import EXPORT_CHUNK, RunawayQueueError, write_csv, write_vcd
 from .memory import MemoryProgram, MemoryResult, oracle_reads, parse_program, run_program
 from .timing import (
@@ -211,6 +201,10 @@ def _cmd_margins(args: argparse.Namespace) -> int:
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
+    from .density import (
+        TABLE_FREQUENCIES_GHZ, build_report, report_to_csv, report_to_text, reproduce_published, resolve_preset, stacked_spec,
+    )
+
     specs = None  # every preset
     if args.all:
         if args.layers is not None:
@@ -263,6 +257,19 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _PresetHelp(argparse.HelpFormatter):
+    """``density``'s help, naming the presets in ``--preset``'s line: the names
+    are read only when the help is printed, so no other command loads
+    :mod:`fluxloop.density`."""
+
+    def _get_help_string(self, action: argparse.Action) -> str | None:
+        if action.dest != "preset":
+            return action.help
+        from .density import PRESETS
+
+        return f"one of: {', '.join(PRESETS)}"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fluxloop",
@@ -295,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the sweep as CSV to this path")
     p.set_defaults(func=_cmd_margins)
 
-    p = sub.add_parser("density", help="delay-line storage density tables")
+    p = sub.add_parser("density", help="delay-line storage density tables", formatter_class=_PresetHelp)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", help=f"one of: {', '.join(PRESETS)}")
+    group.add_argument("--preset", help="one of the presets")
     group.add_argument("--all", action="store_true", help="all presets, verified against published figures")
     p.add_argument("--freqs", help="comma-separated drive frequencies (default 20,50,75,100 GHz)")
     p.add_argument("--layers", type=int, help="stacking-projection layer count (single preset only)")

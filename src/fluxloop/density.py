@@ -18,7 +18,8 @@ each against its printed figure.
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple, Sequence
+from collections import namedtuple
+from typing import Mapping, Sequence
 
 from .core import validated_record
 
@@ -167,25 +168,20 @@ def published_tolerance(printed: str) -> tuple[float, float]:
     return value, _RELATIVE_TOLERANCE * value + quantum
 
 
-class DensityRow(NamedTuple):
-    preset: str
-    frequency_ghz: float
-    layers: int
-    computed: float
-    published: float | None
-    within_tolerance: bool | None  # None: no anchor (unpublished or flagged)
+class DensityRow(namedtuple("DensityRow", "preset frequency_ghz layers computed published within_tolerance")):
+    """One preset's density (Mbit/cm^2) at one drive frequency and layer count,
+    with its published figure (None: unpublished) and verdict (None: no
+    anchor, the figure being unpublished or flagged)."""
+
+    __slots__ = ()
 
 
-class FactorRow(NamedTuple):
-    preset: str
-    computed: float
-    published: float
-    within_tolerance: bool
+class FactorRow(namedtuple("FactorRow", "preset computed published within_tolerance")):
+    __slots__ = ()
 
 
-class DensityReport(NamedTuple):
-    rows: tuple[DensityRow, ...]
-    factors: tuple[FactorRow, ...]
+class DensityReport(namedtuple("DensityReport", "rows factors")):
+    __slots__ = ()
 
     @property
     def all_ok(self) -> bool:

@@ -35,7 +35,7 @@ from io import StringIO
 from itertools import compress, cycle, repeat
 from operator import eq
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, TextIO
+from typing import Callable, Iterable, Mapping, NoReturn, TextIO
 from weakref import finalize
 
 from .core import BiasPoint, FluxloopError, validated_record
@@ -58,19 +58,17 @@ class RunawayQueueError(FluxloopError):
     """Event queue grew past its bound — runaway feedback."""
 
 
-class Connection(NamedTuple):
+class Connection(namedtuple("Connection", "src dst delay_fs offset_schedule", defaults=(0, ()))):
     """One wire: ``src`` -> ``dst``.
 
     ``src`` is a line name or ``cell.port``; same for ``dst``.  Only a
-    line -> line tap carries a delay, positive with any offset of its
-    ``offset_schedule``: sorted (start_fs, extra_delay_fs) entries — a pulse
-    entering at time t picks up the offset of the last entry starting <= t.
+    line -> line tap carries a delay (``delay_fs``, default 0), positive with
+    any offset of its ``offset_schedule`` (default none): sorted (start_fs,
+    extra_delay_fs) entries — a pulse entering at time t picks up the offset
+    of the last entry starting <= t.
     """
 
-    src: str
-    dst: str
-    delay_fs: int = 0
-    offset_schedule: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
 
 class Netlist(validated_record("Netlist", "cells connections external_inputs observed")):

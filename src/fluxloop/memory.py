@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections import namedtuple
 from functools import lru_cache
 from itertools import repeat
-from typing import Any, Callable, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Iterator, Mapping
 
 from .cells import CellParams, _cell_set
 from .cells import default_cell_params  # unused here; perfbench's tracer and self-test expect memory.default_cell_params
@@ -32,7 +33,7 @@ from .core import (
     BiasPoint, ConfigError, InfeasibleFrequencyError, SimConfig, interval_duration, load_json, trip_duration,
     validated_record,
 )
-from .engine import Connection, Netlist, PinnedNetlist, PreparedRun, RunawayQueueError, Trace, run_until
+from .engine import Connection, Netlist, PinnedNetlist, PreparedRun, RunawayQueueError, run_until
 
 #: The externally driven lines.
 INPUT_LINES = ("write_data", "write_address", "not_write_address", "read_address", "not_read_address")
@@ -63,20 +64,20 @@ class TripOp(validated_record("TripOp", "write reads")):
         return tuple.__new__(cls, (write, reads))
 
 
-class MemoryProgram(NamedTuple):
-    trips: tuple[TripOp, ...]
+class MemoryProgram(namedtuple("MemoryProgram", "trips")):
+    __slots__ = ()
 
     def max_address(self) -> int:
         """The highest address any trip writes or reads (-1 for none)."""
         return max((a for op in self.trips for a in (*op.reads, *(op.write or ())[:1])), default=-1)
 
 
-class MemoryResult(NamedTuple):
-    """Decoded reads plus the full trace of one program run."""
+class MemoryResult(namedtuple("MemoryResult", "reads trace passed")):
+    """Decoded reads plus the full trace of one program run: ``reads`` maps
+    (trip, address) to the observed bit, ``trace`` is the run's
+    :class:`~fluxloop.engine.Trace`, and ``passed`` says whether it passed."""
 
-    reads: dict[tuple[int, int], int]  # (trip, address) -> observed bit
-    trace: Trace
-    passed: bool
+    __slots__ = ()
 
     def reads_by_trip(self) -> list[list[tuple[int, int]]]:
         by_trip: dict[int, list[tuple[int, int]]] = {}

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cells import INPUT_PORTS, OUTPUT_PORTS, BiasRangeError, _cell_set, default_cell_params
 from .core import (
@@ -94,19 +94,15 @@ def characterization_to_csv(rows: Sequence[tuple[Fraction, int]]) -> str:
 
 # --- static timing analysis -------------------------------------------------
 
-class SlackRow(NamedTuple):
-    constraint: str
-    cell: str
-    slack_fs: int
+class SlackRow(namedtuple("SlackRow", "constraint cell slack_fs")):
+    __slots__ = ()
 
 
-class ArrivalWindow(NamedTuple):
+class ArrivalWindow(namedtuple("ArrivalWindow", "node earliest_fs latest_fs")):
     """Earliest/latest pulse arrival at a node, relative to the interval's
     write-phase instant (recirc_data_next_trip: to the next trip's)."""
 
-    node: str
-    earliest_fs: int
-    latest_fs: int
+    __slots__ = ()
 
 
 #: (constraint, cell) of each slack in a report, in report order.
@@ -238,7 +234,7 @@ def sta_to_text(report: StaReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-class JitterWindow(NamedTuple):
+class JitterWindow(namedtuple("JitterWindow", "lo_fs hi_fs detect_below detect_above")):
     """Tolerated per-trip loop-delay error, and where excess is detectable.
 
     Within [lo_fs, hi_fs] the re-timing clock fully absorbs the error:
@@ -251,10 +247,7 @@ class JitterWindow(NamedTuple):
     across the whole setup + hold band.
     """
 
-    lo_fs: int
-    hi_fs: int
-    detect_below: tuple[int, int]
-    detect_above: tuple[int, int]
+    __slots__ = ()
 
 
 def jitter_tolerance(cfg: SimConfig) -> JitterWindow:
@@ -312,7 +305,7 @@ def max_frequency(cfg: SimConfig, step_hz: int = 10**9) -> int:
 
 # --- empirical bias margins -------------------------------------------------
 
-class MarginReport(NamedTuple):
+class MarginReport(namedtuple("MarginReport", "frequency_hz lower_pct upper_pct lower_limiter upper_limiter")):
     """Empirical bias window around nominal, in whole percent.
 
     lower_pct/upper_pct are the last consecutive 1% steps in each direction
@@ -324,11 +317,7 @@ class MarginReport(NamedTuple):
     infeasible frequency carries None margins and INFEASIBLE limiters.
     """
 
-    frequency_hz: int
-    lower_pct: int | None
-    upper_pct: int | None
-    lower_limiter: str | None
-    upper_limiter: str | None
+    __slots__ = ()
 
 
 def _suite_failure(

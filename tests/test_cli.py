@@ -23,6 +23,7 @@ from fluxloop.cli import (
     EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_RUN_FAILED, MAX_SWEEP_POINTS, main,
 )
 from fluxloop.core import CELL_NAMES, CELL_OVERRIDES
+from fluxloop.density import PRESETS
 from fluxloop.engine import EXPORT_CHUNK
 from fluxloop.memory import MemoryProgram, TripOp, parse_program
 from fluxloop.timing import margin_sweep, margins_to_csv, sta_to_text
@@ -501,7 +502,14 @@ class TestDensity:
         code = main(["density", "--preset", "ybco"])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
-        assert "unknown preset" in err and "nbn-nanowire-15" in err
+        assert err == f"error: preset: unknown preset 'ybco'; valid names: {', '.join(PRESETS)}\n"
+
+    def test_help_lists_the_presets_in_order(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["density", "--help"])
+        assert info.value.code == EXIT_OK
+        # argparse wraps the line at spaces and after hyphens, adding whitespace alone
+        assert "".join(f"--preset PRESET one of: {', '.join(PRESETS)}".split()) in "".join(capsys.readouterr().out.split())
 
     def test_layers_require_a_single_preset(self, capsys):
         code = main(["density", "--all", "--layers", "100"])

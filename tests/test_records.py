@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -65,6 +67,42 @@ def test_importing_the_cli_loads_no_dataclass_machinery_and_runs_pinned_cells():
     assert child.stdout == "[]\n[]\n['CellParams'] {None} 5\n"
 
 
+#: What ``fluxloop`` re-exports from ``fluxloop.density``.
+DENSITY_NAMES = ("LineSpec", "PRESETS", "density_mbit_per_cm2", "inductance_from_sheet", "reproduce_published",
+                 "resolve_preset", "speed_factor", "velocity_mps")
+
+
+def test_importing_the_cli_defines_no_typing_record_and_loads_density_only_when_read():
+    # typing.NamedTuple gives each record class its own __annotations__; a namedtuple subclass has none
+    script = f"""
+import sys, fluxloop, fluxloop.cli
+
+def typed():
+    return sorted({{f"{{v.__module__}}.{{v.__name__}}" for m, mod in list(sys.modules.items()) if m.split(".")[0] == "fluxloop"
+                   for v in vars(mod).values() if isinstance(v, type) and issubclass(v, tuple) and vars(v).get("__annotations__")}})
+
+print("fluxloop.density" in sys.modules, typed())
+presets = fluxloop.PRESETS
+print("fluxloop.density" in sys.modules, presets is fluxloop.density.PRESETS, typed())
+print(all(getattr(fluxloop, name) is getattr(fluxloop.density, name) for name in {DENSITY_NAMES!r}))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "False []\nTrue True []\nTrue\n"
+
+
+def test_the_package_namespace_still_gives_the_density_names():
+    star: dict = {}
+    exec("from fluxloop import *", star)
+    assert set(fluxloop.__all__) <= star.keys() and set(fluxloop.__all__) <= set(dir(fluxloop))
+    assert {name: star[name] for name in DENSITY_NAMES} == {name: getattr(fluxloop.density, name) for name in DENSITY_NAMES}
+    assert all(getattr(fluxloop, name) is star[name] for name in fluxloop.__all__)
+    assert "density" in dir(fluxloop)
+    with pytest.raises(AttributeError, match="^module 'fluxloop' has no attribute 'no_such_name'$"):
+        fluxloop.no_such_name
+
+
 CFG = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
 NET = build_controller(CFG)
 KNOTS = ((Fraction(3, 4), 20), (Fraction(5, 4), 10))
@@ -122,6 +160,11 @@ def test_record_behaviour(record, given, defaults):
     assert repr(made) == f"{record.__name__}({fields})"
     # the one difference from a dataclass: a record is the tuple of its fields
     assert made == tuple(made) and len(made) == len(record._fields)
+    assert list(made._asdict()) == list(record._fields)
+    if record is Connection:  # the one record whose defaults are the namedtuple's, not its constructor's
+        assert record._field_defaults == defaults
+    for copied in (pickle.loads(pickle.dumps(made)), copy.deepcopy(made)):
+        assert type(copied) is record and copied == made
 
 
 #: Each check of a validating record, as (construction, error type, exact message).
