@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Iterable, Mapping
 
 from .core import (
     CELLS, NOMINAL_BIAS, BiasPoint, CellKind, ConfigError, FluxloopError, _freeze, format_ratio,
@@ -200,7 +200,7 @@ class CellParams(validated_record("CellParams", "kind prop_delay_fs setup_fs hol
 
 # --- default cell set ------------------------------------------------------
 
-def default_cell_params(cell_overrides: Mapping[str, Mapping[str, Any]] | None = None) -> dict[str, CellParams]:
+def default_cell_params(cell_overrides: Mapping[str, Mapping[str, object]] | None = None) -> dict[str, CellParams]:
     """The controller's cells (``core.CELLS``) with per-instance overrides
     applied, checked and normalized as a ``SimConfig``'s are.
 
@@ -241,7 +241,7 @@ def _cell_set(frozen_overrides: tuple) -> dict[str, CellParams]:
 _BLAME_ORDER = ("bias_curve", "operating_range", "prop_delay")
 
 
-def _blamed_override(overrides: Mapping[str, Any]) -> str:
+def _blamed_override(overrides: Mapping[str, object]) -> str:
     lo, hi = overrides.get("operating_range", DEFAULT_OPERATING_RANGE)
     if not lo < 1 < hi:
         return "operating_range"  # at fault whatever else is given

@@ -18,11 +18,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterator
 from contextlib import contextmanager
 from itertools import islice
 from fractions import Fraction
-from pathlib import Path
-from typing import Iterator, TextIO
+from io import TextIOBase
 
 from .cells import default_cell_params
 from .core import (
@@ -31,6 +31,7 @@ from .core import (
     FluxloopError,
     InfeasibleFrequencyError,
     SimConfig,
+    _bounded,
     exact_ratio,
     format_ratio,
     parse_config,
@@ -78,7 +79,7 @@ def _read(path: str, what: str) -> str:
 
 
 @contextmanager
-def _open(path: str | None, what: str) -> Iterator[TextIO | None]:
+def _open(path: str | None, what: str) -> Iterator[TextIOBase | None]:
     """The output file at ``path`` (None when not given), created or truncated
     as a shell redirection does and closed when the block ends.  A command
     opens it before its work, so an unwritable path is refused before the
@@ -99,7 +100,7 @@ def _ratio_option(raw: str | None, option: str) -> Fraction | None:
     if raw is None:
         return None
     try:
-        return BiasPoint(exact_ratio(raw)).ratio
+        return BiasPoint(_bounded(exact_ratio(raw), option)).ratio
     except (ValueError, ZeroDivisionError):
         raise ConfigError(option, f"expected a positive ratio, got {raw!r}") from None
 
@@ -108,15 +109,9 @@ def _parse_freq_list(raw: str) -> list[int]:
     freqs = [parse_frequency(item.strip(), "freqs") for item in raw.split(",") if item.strip()]
     if not freqs:
         raise ConfigError("freqs", "expected a comma-separated frequency list")
+    if max(freqs) > sys.float_info.max:  # the reports print each in GHz, a float
+        raise ConfigError("freqs", "frequency too large for a float")
     return freqs
-
-
-def _freqs_ghz(raw: str) -> list[float]:
-    """``--freqs`` in GHz, as the density tables take them."""
-    try:
-        return [f / 1e9 for f in _parse_freq_list(raw)]
-    except OverflowError:
-        raise ConfigError("freqs", "frequency too large for a float") from None
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -124,7 +119,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     program = parse_program(_read(args.program, "program"))
     if args.bias is not None:
         cfg = cfg.with_bias(BiasPoint(_ratio_option(args.bias, "--bias")))
-    suffix = Path(args.trace or "").suffix.lower()
+    suffix = os.path.splitext(args.trace or "")[1].lower()
     if args.trace is not None and suffix not in (".csv", ".vcd"):
         raise ConfigError("trace", f"unsupported trace format {suffix!r} (use .csv or .vcd)")
 
@@ -217,9 +212,11 @@ def _cmd_density(args: argparse.Namespace) -> int:
         if args.layers is not None:
             if args.layers < 1:
                 raise ConfigError("layers", f"--layers must be at least 1, got {args.layers}")
+            if args.layers > sys.float_info.max:  # the density is a float
+                raise ConfigError("layers", "--layers too large for a float")
             spec = stacked_spec(spec.name, args.layers)
         specs = [spec]
-    freqs = TABLE_FREQUENCIES_GHZ if args.freqs is None else _freqs_ghz(args.freqs)
+    freqs = TABLE_FREQUENCIES_GHZ if args.freqs is None else [f / 1e9 for f in _parse_freq_list(args.freqs)]
 
     with _open(args.out, "out") as out:
         report = reproduce_published() if args.all and args.freqs is None else build_report(specs, freqs)

@@ -14,9 +14,9 @@ import enum
 import json
 import re
 from collections import namedtuple
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Any, Callable, Mapping
 
 FS_PER_SECOND = 10**15
 
@@ -49,6 +49,11 @@ _QUANTITIES: dict[str, tuple[dict[str, int], str, str]] = {
     "duration": ({"fs": 1, "ps": 10**3, "ns": 10**6}, "fs", " (use fs, ps or ns)"),
     "frequency": ({"hz": 1, "khz": 10**3, "mhz": 10**6, "ghz": 10**9, "thz": 10**12}, "hz", ""),
 }
+
+#: Most digits in a parsed number's numerator or denominator: a report prints at most products
+#: of two parsed values, so no printed figure reaches CPython's 4,300-digit int <-> str limit.
+MAX_DIGITS = 1000
+_DIGITS_BOUND = 10**MAX_DIGITS
 
 _UNIT_RE = re.compile(r"^\s*([+-]?[0-9][0-9_]*\.?[0-9]*(?:[eE][+-]?[0-9]+)?)\s*([a-zA-Z]*)\s*$")
 
@@ -99,16 +104,24 @@ def exact_ratio(value: float | int | str | Fraction) -> Fraction:
     return Fraction(str(value).strip())
 
 
-def _ratio(value: Any, field_name: str, what: str = "ratio") -> Fraction:
+def _bounded(value: Fraction | int, field_name: str) -> Fraction | int:
+    """``value``, refused on ``field_name`` if its numerator or denominator has over ``MAX_DIGITS`` digits."""
+    if max(abs(value.numerator), value.denominator) >= _DIGITS_BOUND:
+        raise ConfigError(field_name, f"number has more than {MAX_DIGITS} digits")
+    return value
+
+
+def _ratio(value: object, field_name: str, what: str = "ratio") -> Fraction:
     if isinstance(value, bool):  # JSON true/false decode to bool, an int subclass
         raise ConfigError(field_name, "expected a ratio, got a boolean")
     try:
-        return exact_ratio(value)
+        ratio = exact_ratio(value)
     except (ValueError, ZeroDivisionError):  # a malformed string, or a float that is NaN or infinite
         raise ConfigError(field_name, f"invalid {what} {value!r}") from None
+    return _bounded(ratio, field_name)
 
 
-def _freeze(overrides: Mapping[str, Mapping[str, Any]]) -> tuple:
+def _freeze(overrides: Mapping[str, Mapping[str, object]]) -> tuple:
     """The hashable equal of normalized overrides: (cell, ((key, value), ...)) pairs, each level sorted."""
     return tuple(sorted((name, tuple(sorted(o.items()))) for name, o in overrides.items()))
 
@@ -131,7 +144,7 @@ def format_ratio(value: Fraction) -> str:
     return repr(rendered) if isinstance(rendered, float) else rendered
 
 
-def _parse_quantity(value: Any, field_name: str, what: str) -> int:
+def _parse_quantity(value: object, field_name: str, what: str) -> int:
     """A ``_QUANTITIES`` value as an integer count of its base unit.
 
     Plain numbers are base units; strings may carry a case-insensitive unit
@@ -150,10 +163,10 @@ def _parse_quantity(value: Any, field_name: str, what: str) -> int:
     unit = match.group(2).lower() or bare_unit
     if unit not in units:
         raise ConfigError(field_name, f"unknown {what} unit {match.group(2)!r}{hint}")
-    return round_half_up(Fraction(match.group(1).replace("_", "")) * units[unit])
+    return round_half_up(_ratio(match.group(1).replace("_", ""), field_name, what) * units[unit])
 
 
-def parse_duration(value: Any, field_name: str = "duration", *, allow_negative: bool = False) -> int:
+def parse_duration(value: object, field_name: str = "duration", *, allow_negative: bool = False) -> int:
     """Parse a duration into integer femtoseconds.
 
     Plain numbers are taken as femtoseconds; strings may carry an ``fs``,
@@ -165,7 +178,7 @@ def parse_duration(value: Any, field_name: str = "duration", *, allow_negative: 
     return fs
 
 
-def parse_frequency(value: Any, field_name: str = "frequency") -> int:
+def parse_frequency(value: object, field_name: str = "frequency") -> int:
     """Parse a frequency into integer hertz (suffixes Hz..THz accepted)."""
     hz = _parse_quantity(value, field_name, "frequency")
     if hz <= 0:
@@ -223,7 +236,7 @@ class SimConfig(validated_record(
         cls, frequency_hz: int, num_addresses: int, bias: BiasPoint = NOMINAL_BIAS, header_intervals: int = 1,
         phase_read: Fraction = Fraction(1, 5), phase_write: Fraction = Fraction(1, 2),
         phase_data: Fraction = Fraction(1, 2), loop_delay_fs: int | None = None, retiming_guard_fs: int = 2000,
-        loop_jitter_fs: tuple[int, ...] = (), cell_overrides: Mapping[str, Mapping[str, Any]] = MappingProxyType({}),
+        loop_jitter_fs: tuple[int, ...] = (), cell_overrides: Mapping[str, Mapping[str, object]] = MappingProxyType({}),
         max_events: int = 10_000_000, search_ceiling_hz: int = 10**12,
     ) -> "SimConfig":
         for failed, field_name, problem in (
@@ -283,7 +296,7 @@ def trip_duration(cfg: SimConfig) -> int:
     return (cfg.num_addresses + cfg.header_intervals) * interval_duration(cfg)
 
 
-def _parse_curve(raw: Any, field_name: str) -> tuple[tuple[Fraction, Fraction], ...]:
+def _parse_curve(raw: object, field_name: str) -> tuple[tuple[Fraction, Fraction], ...]:
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ConfigError(field_name, "expected a non-empty list of [ratio, multiplier] pairs")
     knots = []
@@ -294,7 +307,7 @@ def _parse_curve(raw: Any, field_name: str) -> tuple[tuple[Fraction, Fraction], 
     return tuple(knots)
 
 
-def _parse_range(raw: Any, field_name: str) -> tuple[Fraction, Fraction]:
+def _parse_range(raw: object, field_name: str) -> tuple[Fraction, Fraction]:
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise ConfigError(field_name, "expected [low, high] bias ratios")
     return tuple(_ratio(item, field_name) for item in raw)
@@ -308,12 +321,12 @@ _OVERRIDE_CODECS = {
 }
 
 
-def normalize_cell_overrides(raw: Any) -> dict[str, dict[str, Any]]:
+def normalize_cell_overrides(raw: object) -> dict[str, dict[str, object]]:
     """Per-cell overrides checked against ``CELLS`` and normalized (durations in
     fs, exact ratios, tuples), alike from a document or a library ``SimConfig``."""
     if not isinstance(raw, Mapping):
         raise ConfigError("cells", "expected an object of per-cell overrides")
-    out: dict[str, dict[str, Any]] = {}
+    out: dict[str, dict[str, object]] = {}
     for name, overrides in raw.items():
         if name not in CELLS:
             raise ConfigError(f"cells.{name}", f"unknown cell (valid: {', '.join(CELL_NAMES)})")
@@ -329,33 +342,33 @@ def normalize_cell_overrides(raw: Any) -> dict[str, dict[str, Any]]:
     return out
 
 
-def _integer(value: Any, key: str) -> int:
+def _integer(value: object, key: str) -> int:
     if type(value) is not int:  # JSON true/false decode to bool, an int subclass
         raise ConfigError(key, "expected an integer")
-    return value
+    return _bounded(value, key)
 
 
-def _bias(value: Any, key: str) -> BiasPoint:
+def _bias(value: object, key: str) -> BiasPoint:
     try:
         return BiasPoint(_ratio(value, key, "bias ratio"))
     except ValueError:
         raise ConfigError(key, f"invalid bias ratio {value!r}") from None
 
 
-def _loop_jitter(value: Any, key: str) -> tuple[int, ...]:
+def _loop_jitter(value: object, key: str) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise ConfigError(key, "expected a list of per-trip offsets")
     return tuple(parse_duration(item, f"{key}[{i}]", allow_negative=True) for i, item in enumerate(value))
 
 
-def _same(value: Any, *_: Any) -> Any:
+def _same(value: object, *_: object) -> object:
     return value
 
 
 #: The document's fields in check order: key -> (SimConfig field, parse(value,
 #: key), write(value)).  A null ``loop_delay`` is its default; ``cells`` is
 #: checked by ``SimConfig`` itself, after the other fields.
-CONFIG_FIELDS: dict[str, tuple[str, Callable[[Any, str], Any], Callable[[Any], Any]]] = {
+CONFIG_FIELDS: dict[str, tuple[str, Callable[[object, str], object], Callable[[object], object]]] = {
     "frequency": ("frequency_hz", parse_frequency, _same),
     "num_addresses": ("num_addresses", _integer, _same),
     "bias": ("bias", _bias, lambda bias: _ratio_to_json(bias.ratio)),
@@ -375,12 +388,12 @@ CONFIG_FIELDS: dict[str, tuple[str, Callable[[Any, str], Any], Callable[[Any], A
 }
 
 
-def load_json(text: str, document: str) -> Any:
+def load_json(text: str, document: str) -> object:
     """``text`` decoded as JSON.  Malformed text, or nesting deeper than the
     decoder can recurse, raises ``ConfigError`` on ``document``."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or an integer past the int <-> str limit
         raise ConfigError(document, f"invalid JSON: {exc}") from None
 
 

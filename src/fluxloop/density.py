@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .core import validated_record
 

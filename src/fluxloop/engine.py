@@ -28,14 +28,14 @@ from __future__ import annotations
 import zlib
 from bisect import bisect_left
 from collections import namedtuple
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush  # what the generated kernels push and pop with, read here at each run
-from io import StringIO
+from io import StringIO, TextIOBase
 from itertools import compress, cycle, repeat
 from operator import eq
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NoReturn, TextIO
 from weakref import finalize
 
 from .core import BiasPoint, FluxloopError, validated_record
@@ -404,7 +404,7 @@ def _forget(cache: dict, name: str, cached: tuple) -> None:
         del cache[name]
 
 
-def _overflow(max_events: int) -> NoReturn:
+def _overflow(max_events: int):
     """The generated kernels' one raise of a queue past its bound."""
     raise RunawayQueueError(f"event queue exceeded {max_events} events — runaway feedback")
 
@@ -563,7 +563,7 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
 EXPORT_CHUNK = 512
 
 
-def write_csv(trace: Trace, file: TextIO) -> None:
+def write_csv(trace: Trace, file: TextIOBase) -> None:
     """Write a trace to ``file`` as CSV rows (time_fs, line, kind, detail),
     rendered and written ``EXPORT_CHUNK`` pulses at a time.
 
@@ -593,7 +593,7 @@ def write_csv(trace: Trace, file: TextIO) -> None:
         file.write("".join(out))
 
 
-def write_vcd(trace: Trace, file: TextIO) -> None:
+def write_vcd(trace: Trace, file: TextIOBase) -> None:
     """Write a trace to ``file`` as a VCD document (1 fs timescale, toggle per
     pulse), rendered and written ``EXPORT_CHUNK`` pulses at a time."""
     if len(trace.observed) > 94:

@@ -23,9 +23,9 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import namedtuple
+from collections.abc import Callable, Iterator, Mapping
 from functools import lru_cache
 from itertools import repeat
-from typing import Any, Callable, Iterator, Mapping
 
 from .cells import CellParams, _cell_set
 from .cells import default_cell_params  # unused here; perfbench's tracer and self-test expect memory.default_cell_params
@@ -120,7 +120,7 @@ def parse_program(text: str) -> MemoryProgram:
     return MemoryProgram(trips=tuple(trips))
 
 
-def _not_an_integer(field_name: str, value: Any) -> ConfigError:
+def _not_an_integer(field_name: str, value: object) -> ConfigError:
     # JSON numbers decode to int or float, and true/false to bool (an int
     # subclass), so ``type(value) is not int`` rejects exactly the non-integers
     return ConfigError(field_name, f"expected an integer, got {json.dumps(value)}")

@@ -14,9 +14,9 @@ Three complementary views of the same controller:
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
 
 from .cells import INPUT_PORTS, OUTPUT_PORTS, BiasRangeError, _cell_set, default_cell_params
 from .core import (

@@ -43,13 +43,13 @@ def mostly(valid: st.SearchStrategy, odd: st.SearchStrategy) -> st.SearchStrateg
 
 
 ratio_texts = st.sampled_from(["0.76", "0.87", "0.9", "1", "1.13", "1.24", "1/3"])
-odd_ratio_texts = st.sampled_from(["0.5", "1.5", "1e400", "1e-400", "0", "-1", "1/0", "nan", "inf", "abc"])
+odd_ratio_texts = st.sampled_from(["0.5", "1.5", "1e400", "1e5000", "1e-400", "0", "-1", "1/0", "nan", "inf", "abc"])
 frequency_texts = st.sampled_from(["100GHz", "50GHz", "20GHz", "1GHz", "1THz", "10THz", "200 ghz"])
-odd_frequency_texts = st.sampled_from(["1Hz", "0Hz", "-5GHz", "1e400GHz", "1e-400Hz", "1e20Hz", "1 PHz", "x"])
+odd_frequency_texts = st.sampled_from(["1Hz", "0Hz", "-5GHz", "1e400GHz", "1e5000Hz", "1e-400Hz", "1e20Hz", "1 PHz", "x"])
 ratios = mostly(ratio_texts | st.fractions(0, 2, max_denominator=1000).map(float), odd_ratio_texts | st.floats() | junk)
 durations = mostly(
     st.sampled_from(["30ps", "2ps", "500fs", "0", "2.5ps", "1ns"]) | st.integers(0, 50_000),
-    st.sampled_from(["-1ps", "1e400ps", "1e-400ns", "3 s", "abc"]) | st.integers(-10**6, -1) | st.floats() | junk,
+    st.sampled_from(["-1ps", "1e400ps", "1e5000ps", "1e-400ns", "3 s", "abc"]) | st.integers(-10**6, -1) | st.floats() | junk,
 )
 frequencies = mostly(frequency_texts | st.integers(10**9, 2 * 10**12), odd_frequency_texts | st.floats() | junk)
 counts = mostly(st.integers(1, 4), st.integers(-1, 0) | junk)  # num_addresses (at most 4), header_intervals
@@ -128,10 +128,13 @@ program_texts = mostly(
 
 ratio_args = mostly(ratio_texts | st.sampled_from(["0.02", "0.001"]), odd_ratio_texts | st.text(max_size=4))
 frequency_args = mostly(frequency_texts, odd_frequency_texts | st.text(max_size=4))
+frequency_lists = st.lists(frequency_args, min_size=1, max_size=3).map(",".join)
 out_args = st.sampled_from([OUT + ".csv", OUT + ".vcd", OUT + ".txt", OUT, MISSING + ".csv"])
 density_options = (
     ("--freqs", frequency_args),
-    ("--layers", mostly(st.sampled_from(["1", "4", "100"]), st.sampled_from(["0", "-1", "1e3", "1000000000", "x"]))),
+    ("--layers", mostly(
+        st.sampled_from(["1", "4", "100"]), st.sampled_from(["0", "-1", "1e3", "1000000000", "1" + "0" * 400, "x"])
+    )),
     ("--format", mostly(st.sampled_from(["table", "csv"]), st.just("xml"))),
     ("--out", out_args),
 )
@@ -139,7 +142,7 @@ density_options = (
 COMMANDS = (
     ("simulate", (("--config", CONFIG), ("--program", PROGRAM)), (("--trace", out_args), ("--bias", ratio_args))),
     ("sta", (("--config", CONFIG),), (("--bias-lo", ratio_args), ("--bias-hi", ratio_args), ("--find-max", None))),
-    ("margins", (("--config", CONFIG), ("--freqs", frequency_args)), (("--out", out_args),)),
+    ("margins", (("--config", CONFIG), ("--freqs", frequency_lists)), (("--out", out_args),)),
     ("density", (("--all", None),), density_options),
     ("density", (("--preset", mostly(st.sampled_from(sorted(PRESETS)), st.just("bogus"))),), density_options),
     (
@@ -178,12 +181,21 @@ def test_the_drawn_config_fields_are_the_parsed_ones():
 
 WORKING_CONFIG = json.dumps({"frequency": "100GHz", "num_addresses": 3, "max_events": 5000})
 WORKING_PROGRAM = json.dumps({"trips": [{"write": {"addr": 1, "bit": 1}, "reads": [1]}]})
+#: An integer literal of 5,001 digits, past CPython's int <-> str limit.
+BIG_INTEGER = "1" + "0" * 5000
+
+
+def with_field(key: str, value: str) -> str:
+    """The working config with one field set."""
+    return json.dumps({**json.loads(WORKING_CONFIG), key: value})
 
 
 # One example per defect found so far: a bias too large for a float, a
 # density frequency too large for one, an unwritable output path, a search
-# ceiling whose 1 GHz grid had 10^11 points, and a frequency whose address
-# interval rounds to 0 fs.
+# ceiling whose 1 GHz grid had 10^11 points, a frequency whose address
+# interval rounds to 0 fs; numbers past CPython's 4,300-digit int <-> str
+# limit, read or printed; a margins frequency and a density layer count too
+# large for a float.
 @settings(max_examples=200, deadline=None)
 @given(argv=argument_lists, config=config_texts, program=program_texts)
 @example(argv=["simulate", "--config", CONFIG, "--program", PROGRAM, "--bias", "1e400"],
@@ -196,6 +208,23 @@ WORKING_PROGRAM = json.dumps({"trips": [{"write": {"addr": 1, "bit": 1}, "reads"
          program=WORKING_PROGRAM)
 @example(argv=["margins", "--config", CONFIG, "--freqs", "3000THz,100GHz"],
          config=json.dumps({"frequency": "3000THz", "num_addresses": 3, "loop_delay": "1fs"}),
+         program=WORKING_PROGRAM)
+@example(argv=["sta", "--config", CONFIG], config=WORKING_CONFIG.replace(": 3,", f": {BIG_INTEGER},"),
+         program=WORKING_PROGRAM)
+@example(argv=["simulate", "--config", CONFIG, "--program", PROGRAM],
+         config=WORKING_CONFIG, program=WORKING_PROGRAM.replace('"addr": 1', f'"addr": {BIG_INTEGER}'))
+@example(argv=["sta", "--config", CONFIG], config=with_field("frequency", f"{BIG_INTEGER}Hz"), program=WORKING_PROGRAM)
+@example(argv=["margins", "--config", CONFIG, "--freqs", f"{BIG_INTEGER}Hz"], config=WORKING_CONFIG,
+         program=WORKING_PROGRAM)
+@example(argv=["sta", "--config", CONFIG], config=with_field("loop_delay", "1e5000fs"), program=WORKING_PROGRAM)
+@example(argv=["sta", "--config", CONFIG], config=with_field("bias", "1e5000"), program=WORKING_PROGRAM)
+@example(argv=["simulate", "--config", CONFIG, "--program", PROGRAM], config=with_field("bias", "1e5000"),
+         program=WORKING_PROGRAM)
+@example(argv=["sta", "--config", CONFIG, "--bias-hi", "1e5000"], config=WORKING_CONFIG, program=WORKING_PROGRAM)
+@example(argv=["sta", "--config", CONFIG], config=with_field("frequency", "1e5000Hz"), program=WORKING_PROGRAM)
+@example(argv=["margins", "--config", CONFIG, "--freqs", "1e400GHz,20GHz"], config=WORKING_CONFIG,
+         program=WORKING_PROGRAM)
+@example(argv=["density", "--preset", "nbn-15nm", "--layers", "1" + "0" * 400], config=WORKING_CONFIG,
          program=WORKING_PROGRAM)
 def test_the_cli_never_shows_a_traceback(tmp_path_factory, argv, config, program):
     directory = tmp_path_factory.mktemp("cli")

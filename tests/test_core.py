@@ -22,11 +22,13 @@ from fluxloop import (
     serialize_config,
     trip_duration,
 )
+from fluxloop.cli import _ratio_option
 from fluxloop.core import (
     CELL_OVERRIDES,
     CELLS,
     CONFIG_FIELDS,
     FS_PER_SECOND,
+    MAX_DIGITS,
     NOMINAL_BIAS,
     BiasPoint,
     exact_ratio,
@@ -390,6 +392,43 @@ class TestParseConfig:
         text = serialize_config(cfg)
         assert json.loads(text)["bias"] == f"{10**400}/1"
         assert parse_config(text) == cfg
+
+    @pytest.mark.parametrize(
+        "field, at_cap, past_cap",
+        [
+            ("num_addresses", "9" * 1000, "1" + "0" * 1000),  # a JSON integer
+            ("max_events", "-" + "9" * 1000, "-1" + "0" * 1000),
+            ("bias", f'"{"9" * 1000}"', '"1e1000"'),  # a ratio's numerator
+            ("phase_read", '"1e-999"', '"1e-1000"'),  # and its denominator
+            ("frequency", f'"{"9" * 1000}Hz"', f'"1{"0" * 1000}Hz"'),
+            ("frequency", '"1e999THz"', '"1e1000Hz"'),  # the number as written, before its unit
+            ("loop_delay", '"1e-999ns"', '"1e-1000ns"'),
+            ("retiming_guard", f'"{"9" * 1000}fs"', f'"1{"0" * 1000}fs"'),
+        ],
+    )
+    def test_a_number_of_1000_digits_is_taken_and_one_of_1001_refused(self, field, at_cap, past_cap):
+        doc = '{{"frequency": "100GHz", "num_addresses": 3, "{}": {}}}'
+        try:
+            parse_config(doc.format(field, at_cap))
+        except ConfigError as exc:  # a check after the bound's, so the number itself was taken
+            assert "digits" not in exc.message, exc
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc.format(field, past_cap))
+        assert str(info.value) == f"{field}: number has more than {MAX_DIGITS} digits"
+
+    def test_the_bound_holds_on_the_command_line_and_leaves_1e400_alone(self):
+        assert _ratio_option("9" * 1000, "--bias-hi") == 10**1000 - 1
+        with pytest.raises(ConfigError, match=r"^--bias-hi: number has more than 1000 digits$"):
+            _ratio_option("1e1000", "--bias-hi")
+        assert parse_config('{"frequency": "100GHz", "num_addresses": 3, "bias": "1e400"}').bias.ratio == 10**400
+
+    def test_a_number_past_the_int_str_limit_is_invalid(self):
+        # a JSON integer literal fails in the decoder; a number in a string reads as a malformed one
+        with pytest.raises(ConfigError, match=r"^<document>: invalid JSON: Exceeds the limit \(4300 digits\)"):
+            parse_config(f'{{"frequency": "100GHz", "num_addresses": 1{"0" * 5000}}}')
+        for field, what in (("frequency", "frequency"), ("retiming_guard", "duration"), ("bias", "bias ratio")):
+            with pytest.raises(ConfigError, match=rf"^{field}: invalid {what} '10{{5000}}'$"):
+                parse_config(f'{{"frequency": "100GHz", "num_addresses": 3, "{field}": "1{"0" * 5000}"}}')
 
     @pytest.mark.parametrize("bias, shown", [(0, "0"), (-1, "-1"), ('"-1/2"', "'-1/2'")])
     def test_a_bias_ratio_that_is_not_positive_is_refused(self, bias, shown):

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import functools
+import importlib
+import inspect
 import io
 import os
 import pickle
+import pkgutil
 import re
 import subprocess
 import sys
+import typing
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -101,6 +106,55 @@ def test_the_package_namespace_still_gives_the_density_names():
     assert "density" in dir(fluxloop)
     with pytest.raises(AttributeError, match="^module 'fluxloop' has no attribute 'no_such_name'$"):
         fluxloop.no_such_name
+
+
+def test_a_clean_interpreter_running_commands_loads_neither_typing_nor_pathlib(tmp_path):
+    # under -S no site hook preloads them, so whatever loads them is the package's own import or command
+    config, program = tmp_path / "config.json", tmp_path / "program.json"
+    config.write_text('{"frequency": "100GHz", "num_addresses": 3}')
+    program.write_text('{"trips": [{"write": {"addr": 1, "bit": 1}, "reads": [1]}]}')
+    script = (
+        "import contextlib, io, sys, fluxloop, fluxloop.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [fluxloop.cli.main(['simulate', '--config', sys.argv[1], '--program', sys.argv[2]]),"
+        " fluxloop.cli.main(['density', '--all'])]\n"
+        "print(codes, [name for name in ('typing', 'pathlib') if name in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-S", "-c", script, str(config), str(program)],
+                           capture_output=True, text=True, env=env, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[0, 0] []\n"
+
+
+def _defined_functions(namespace: dict, module: str):
+    """The functions and methods defined in ``module``, found from its namespace: through
+    classes, class and static methods, properties, ``cached_property`` and ``lru_cache``."""
+    for value in namespace.values():
+        value = getattr(value, "__func__", value)  # a classmethod or staticmethod
+        if isinstance(value, functools.cached_property):
+            value = value.func
+        if isinstance(value, property):
+            yield from filter(None, (value.fget, value.fset, value.fdel))
+            continue
+        value = getattr(value, "__wrapped__", value)  # an lru_cache
+        if getattr(value, "__module__", None) != module:
+            continue
+        if inspect.isfunction(value):
+            yield value
+        elif isinstance(value, type):
+            yield from _defined_functions(vars(value), module)
+
+
+def test_every_annotation_in_the_package_resolves():
+    # annotations are never evaluated at import, so a name dropped from the imports would pass unseen
+    modules = [fluxloop, *(importlib.import_module(f"fluxloop.{info.name}")
+                           for info in pkgutil.iter_modules(fluxloop.__path__) if info.name != "__main__")]
+    for module in modules:
+        functions = set(_defined_functions(vars(module), module.__name__))
+        assert functions, module.__name__
+        for function in functions:
+            typing.get_type_hints(function)  # raises NameError on a name the module does not define
 
 
 CFG = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
