@@ -31,8 +31,7 @@ from .core import (
     FluxloopError,
     InfeasibleFrequencyError,
     SimConfig,
-    _bounded,
-    exact_ratio,
+    _bounded_ratio,
     format_ratio,
     parse_config,
     parse_frequency,
@@ -100,7 +99,7 @@ def _ratio_option(raw: str | None, option: str) -> Fraction | None:
     if raw is None:
         return None
     try:
-        return BiasPoint(_bounded(exact_ratio(raw), option)).ratio
+        return BiasPoint(_bounded_ratio(raw, option)).ratio
     except (ValueError, ZeroDivisionError):
         raise ConfigError(option, f"expected a positive ratio, got {raw!r}") from None
 
@@ -267,62 +266,72 @@ class _PresetHelp(argparse.HelpFormatter):
         return f"one of: {', '.join(PRESETS)}"
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Given a command, the parser with its subparser alone, whose usage line (printed for an
+    unrecognized argument) still names all five; given none, or any other word, the one with all five."""
     parser = argparse.ArgumentParser(
         prog="fluxloop",
         description="Pulse-level delay-line memory simulator and analysis toolkit.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    names = ("simulate", "sta", "margins", "density", "characterize")
+    wanted, metavar = ((command,), "{%s}" % ",".join(names)) if command in names else (names, None)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("simulate", help="run a program and decode its reads")
-    p.add_argument("--config", required=True, help="JSON run configuration")
-    p.add_argument("--program", required=True, help="JSON program (trips of writes/reads)")
-    p.add_argument("--trace", help="write the trace to this .csv or .vcd file")
-    p.add_argument("--bias", help="override the config bias ratio")
-    p.set_defaults(func=_cmd_simulate)
+    if "simulate" in wanted:
+        p = sub.add_parser("simulate", help="run a program and decode its reads")
+        p.add_argument("--config", required=True, help="JSON run configuration")
+        p.add_argument("--program", required=True, help="JSON program (trips of writes/reads)")
+        p.add_argument("--trace", help="write the trace to this .csv or .vcd file")
+        p.add_argument("--bias", help="override the config bias ratio")
+        p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("sta", help="static timing slacks over a bias window")
-    p.add_argument("--config", required=True)
-    p.add_argument("--bias-lo", help="low edge of the bias window (default: config bias)")
-    p.add_argument("--bias-hi", help="high edge of the bias window")
-    p.add_argument(
-        "--find-max",
-        action="store_true",
-        help="first rate the design: the highest frequency on a 1 GHz grid whose slacks all meet at the config "
-        "bias; --bias-lo/--bias-hi only set the window of the slack report printed at that frequency",
-    )
-    p.set_defaults(func=_cmd_sta)
+    if "sta" in wanted:
+        p = sub.add_parser("sta", help="static timing slacks over a bias window")
+        p.add_argument("--config", required=True)
+        p.add_argument("--bias-lo", help="low edge of the bias window (default: config bias)")
+        p.add_argument("--bias-hi", help="high edge of the bias window")
+        p.add_argument(
+            "--find-max",
+            action="store_true",
+            help="first rate the design: the highest frequency on a 1 GHz grid whose slacks all meet at the config "
+            "bias; --bias-lo/--bias-hi only set the window of the slack report printed at that frequency",
+        )
+        p.set_defaults(func=_cmd_sta)
 
-    p = sub.add_parser("margins", help="empirical bias-margin sweep")
-    p.add_argument("--config", required=True)
-    p.add_argument("--freqs", required=True, help="comma-separated list, e.g. 20GHz,50GHz,100GHz")
-    p.add_argument("--out", help="write the sweep as CSV to this path")
-    p.set_defaults(func=_cmd_margins)
+    if "margins" in wanted:
+        p = sub.add_parser("margins", help="empirical bias-margin sweep")
+        p.add_argument("--config", required=True)
+        p.add_argument("--freqs", required=True, help="comma-separated list, e.g. 20GHz,50GHz,100GHz")
+        p.add_argument("--out", help="write the sweep as CSV to this path")
+        p.set_defaults(func=_cmd_margins)
 
-    p = sub.add_parser("density", help="delay-line storage density tables", formatter_class=_PresetHelp)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", help="one of the presets")
-    group.add_argument("--all", action="store_true", help="all presets, verified against published figures")
-    p.add_argument("--freqs", help="comma-separated drive frequencies (default 20,50,75,100 GHz)")
-    p.add_argument("--layers", type=int, help="stacking-projection layer count (single preset only)")
-    p.add_argument("--format", choices=("table", "csv"), default="table")
-    p.add_argument("--out", help="write the report to this path instead of stdout")
-    p.set_defaults(func=_cmd_density)
+    if "density" in wanted:
+        p = sub.add_parser("density", help="delay-line storage density tables", formatter_class=_PresetHelp)
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--preset", help="one of the presets")
+        group.add_argument("--all", action="store_true", help="all presets, verified against published figures")
+        p.add_argument("--freqs", help="comma-separated drive frequencies (default 20,50,75,100 GHz)")
+        p.add_argument("--layers", type=int, help="stacking-projection layer count (single preset only)")
+        p.add_argument("--format", choices=("table", "csv"), default="table")
+        p.add_argument("--out", help="write the report to this path instead of stdout")
+        p.set_defaults(func=_cmd_density)
 
-    p = sub.add_parser("characterize", help="sweep one cell's delay over bias")
-    p.add_argument("--config", required=True)
-    p.add_argument("--cell", required=True)
-    p.add_argument("--lo", help="sweep start ratio (default: cell range low edge)")
-    p.add_argument("--hi", help="sweep end ratio")
-    p.add_argument("--step", default="0.02", help="sweep step (ratio units)")
-    p.add_argument("--out", help="write the sweep as CSV to this path")
-    p.set_defaults(func=_cmd_characterize)
+    if "characterize" in wanted:
+        p = sub.add_parser("characterize", help="sweep one cell's delay over bias")
+        p.add_argument("--config", required=True)
+        p.add_argument("--cell", required=True)
+        p.add_argument("--lo", help="sweep start ratio (default: cell range low edge)")
+        p.add_argument("--hi", help="sweep end ratio")
+        p.add_argument("--step", default="0.02", help="sweep step (ratio units)")
+        p.add_argument("--out", help="write the sweep as CSV to this path")
+        p.set_defaults(func=_cmd_characterize)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(*argv[:1]).parse_args(argv)
     try:
         code = _run(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

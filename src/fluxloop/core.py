@@ -89,11 +89,17 @@ def round_half_up(value: Fraction | int) -> int:
     return (2 * value.numerator + value.denominator) // (2 * value.denominator)
 
 
+class _PastDigitBound(ValueError):
+    """A decimal string whose exponent alone puts it past ``MAX_DIGITS`` digits."""
+
+
 def exact_ratio(value: float | int | str | Fraction) -> Fraction:
     """Convert a user-supplied ratio to an exact Fraction.
 
     Floats go through their shortest decimal repr, so a config value of
-    0.87 becomes exactly 87/100 rather than the nearest binary float.
+    0.87 becomes exactly 87/100 rather than the nearest binary float.  A
+    string whose exponent exceeds ``MAX_DIGITS`` plus its length is refused
+    before ``Fraction`` computes ``10**exponent``, or read as 0 if its mantissa is.
     """
     if isinstance(value, Fraction):
         return value
@@ -101,7 +107,16 @@ def exact_ratio(value: float | int | str | Fraction) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         return Fraction(repr(value))
-    return Fraction(str(value).strip())
+    text = str(value).strip()
+    head, e, exponent = text.replace("E", "e").rpartition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")  # sized by its digit count before int() reads it
+    if e and digits.isdecimal() and (len(digits) > len(str(bound := MAX_DIGITS + len(text))) or int(digits) > bound):
+        # a nonzero mantissa puts the numerator, or the reduced denominator, past the bound
+        mantissa = Fraction(head + "e" + re.sub(r"\d+", "0", exponent))  # exponent 0: Fraction checks the form
+        if mantissa:
+            raise _PastDigitBound(f"number has more than {MAX_DIGITS} digits")
+        return mantissa
+    return Fraction(text)
 
 
 def _bounded(value: Fraction | int, field_name: str) -> Fraction | int:
@@ -111,14 +126,21 @@ def _bounded(value: Fraction | int, field_name: str) -> Fraction | int:
     return value
 
 
+def _bounded_ratio(value: object, field_name: str) -> Fraction:
+    """``exact_ratio(value)`` within the digit bound, else a ConfigError on ``field_name``; a ValueError if malformed."""
+    try:
+        return _bounded(exact_ratio(value), field_name)
+    except _PastDigitBound as exc:
+        raise ConfigError(field_name, str(exc)) from None
+
+
 def _ratio(value: object, field_name: str, what: str = "ratio") -> Fraction:
     if isinstance(value, bool):  # JSON true/false decode to bool, an int subclass
         raise ConfigError(field_name, "expected a ratio, got a boolean")
     try:
-        ratio = exact_ratio(value)
+        return _bounded_ratio(value, field_name)
     except (ValueError, ZeroDivisionError):  # a malformed string, or a float that is NaN or infinite
         raise ConfigError(field_name, f"invalid {what} {value!r}") from None
-    return _bounded(ratio, field_name)
 
 
 def _freeze(overrides: Mapping[str, Mapping[str, object]]) -> tuple:

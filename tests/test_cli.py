@@ -677,6 +677,28 @@ def test_an_empty_program_over_many_addresses_holds_no_slot_per_address(write_co
     assert peak < 1_000_000, peak
 
 
+def test_a_huge_exponent_on_the_command_line_is_refused_at_once(write_config):
+    # 10**30000000, which Fraction computes before any bound could see it, took tens of seconds
+    child = subprocess.run(
+        [sys.executable, "-m", "fluxloop", "sta", "--config", write_config(), "--bias-hi", "1e30000000"],
+        capture_output=True, text=True, env=_child_env(), timeout=10,
+    )
+    assert (child.returncode, child.stdout) == (EXIT_CONFIG, "")
+    assert child.stderr == "error: --bias-hi: number has more than 1000 digits\n"
+
+
+def test_a_huge_exponent_in_an_option_is_refused_naming_it(write_config, write_program, capsys):
+    config, program = write_config(), write_program(WRITE_READ)
+    for argv, field in (
+        (["simulate", "--config", config, "--program", program, "--bias", "1e-30000000"], "--bias"),
+        (["margins", "--config", config, "--freqs", "20GHz,1e30000000Hz"], "freqs"),
+        (["characterize", "--config", config, "--cell", "write_dro", "--step", "1e30000000"], "--step"),
+    ):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {field}: number has more than 1000 digits\n")
+
+
 def test_an_empty_program_over_a_billion_addresses_runs_in_bounded_memory(write_config, write_program):
     # under a 2 GB address-space limit: a slot per address would ask for 8 GB
     import resource  # POSIX only

@@ -6,6 +6,7 @@ import copy
 import json
 import pickle
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from fluxloop import (
     interval_duration,
     parse_config,
     serialize_config,
+    sta,
     trip_duration,
 )
 from fluxloop.cli import _ratio_option
@@ -421,6 +423,70 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"^--bias-hi: number has more than 1000 digits$"):
             _ratio_option("1e1000", "--bias-hi")
         assert parse_config('{"frequency": "100GHz", "num_addresses": 3, "bias": "1e400"}').bias.ratio == 10**400
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("bias", '"1e-30000000"'),
+            ("bias", f'"1e{"9" * 4000}"'),  # sized by its digit count, not converted
+            ("loop_delay", '"1e30000000fs"'),
+            ("frequency", '"1e30000000Hz"'),
+            ("phase_write", '"-2.5E+999999999"'),
+        ],
+    )
+    def test_a_huge_exponent_is_refused_at_once_naming_the_field(self, field, value):
+        # Fraction would compute 10**exponent first: 10**30000000 takes tens of seconds
+        start = time.perf_counter()
+        with pytest.raises(ConfigError) as info:
+            parse_config(f'{{"frequency": "100GHz", "num_addresses": 3, "{field}": {value}}}')
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == f"{field}: number has more than {MAX_DIGITS} digits"
+
+    def test_a_zero_mantissa_reads_as_0_whatever_its_exponent(self):
+        start = time.perf_counter()
+        cfg = parse_config('{"frequency": "100GHz", "num_addresses": 3, "phase_read": "0e999999999"}')
+        assert cfg.phase_read == 0
+        assert exact_ratio("0.0e-999999999") == exact_ratio("-0E+999999999") == 0
+        assert time.perf_counter() - start < 1
+
+    def test_a_huge_exponent_is_a_value_error_in_the_library(self, cfg100):
+        start = time.perf_counter()
+        calls = (lambda: exact_ratio("1e30000000"), lambda: BiasPoint.of("1e30000000"), lambda: sta(cfg100, "1e30000000"))
+        for call in calls:
+            with pytest.raises(ValueError, match=rf"^number has more than {MAX_DIGITS} digits$"):
+                call()
+        with pytest.raises(ConfigError, match=r"^--bias-hi: number has more than 1000 digits$"):
+            _ratio_option("1e30000000", "--bias-hi")
+        with pytest.raises(ValueError):  # past the bound from 3.11, which reads underscores; malformed before it
+            exact_ratio("-2.5E+1_000_000_000")
+        assert time.perf_counter() - start < 1
+        # a malformed literal stays malformed, however long its exponent
+        for text in ("1/2e999999999", "1e+-999999999", "abce999999999"):
+            with pytest.raises(ValueError, match="^Invalid literal for Fraction"):
+                exact_ratio(text)
+
+    def test_the_exponent_check_leaves_numbers_at_the_cap_alone(self):
+        assert exact_ratio("1e999") == 10**999
+        assert exact_ratio("1e-999") == Fraction(1, 10**999)
+        assert exact_ratio("9" * 1000) == 10**1000 - 1
+        assert exact_ratio("1e400") == 10**400
+
+    @given(  # zeros that the exponent cancels: the value has far fewer digits than the exponent suggests
+        mantissa=st.from_regex(r"[0-9]{1,4}0{0,12}(\.0{0,12}[0-9]{0,4})?", fullmatch=True),
+        sign=st.sampled_from(["", "+", "-"]),
+        exponent=st.integers(min_value=990, max_value=1040),
+    )
+    @example(mantissa="0.000000000001", sign="", exponent=1011)  # 10**999: an exponent past 1000, a value within it
+    @example(mantissa="1000000000000", sign="-", exponent=1011)
+    def test_the_exponent_check_refuses_only_what_the_digit_bound_would(self, mantissa, sign, exponent):
+        text = f"{mantissa}e{sign}{exponent}"
+        exact = Fraction(text)  # small enough here to build
+        try:
+            got = exact_ratio(text)
+        except ValueError:
+            assert max(abs(exact.numerator), exact.denominator) >= 10**MAX_DIGITS, text
+        else:
+            assert got == exact
 
     def test_a_number_past_the_int_str_limit_is_invalid(self):
         # a JSON integer literal fails in the decoder; a number in a string reads as a malformed one

@@ -1,4 +1,5 @@
-"""Byte-identity gate: exported artifacts of fixed runs, pinned by sha256.
+"""Byte-identity gate: exported artifacts of fixed runs, and argparse's own
+help and usage errors, pinned by sha256.
 
 Traces, margin tables, STA reports and density tables must not change under
 a refactor or a speed-up; a changed digest here is a behaviour change and
@@ -8,7 +9,10 @@ digests hold on every platform.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import random
 from functools import lru_cache
@@ -27,7 +31,7 @@ from fluxloop import (
     trace_to_csv,
     trace_to_vcd,
 )
-from fluxloop.cli import main
+from fluxloop.cli import build_parser, main
 from fluxloop.timing import margin_sweep, margins_to_csv, sta_to_text
 
 GHZ = 10**9
@@ -51,6 +55,25 @@ DENSITY_SHA256 = {
     "density --all --format csv": "5ab964a8c1c11594cf6c8c7f04416133f1f38d1033007477051bfe312e5b1966",
     "density --preset nbn-15nm --layers 100 --format csv": "548035ba818dea2c36975c42345e998a2f2d16afed4adc5ad67c7253b9ebf194",
     "density --all --freqs 10GHz,30GHz": "cbbfaf2f3c14446cf4b465b9558bb39ad1335c4a191138848c47ffd48c177042",
+}
+
+
+#: What argparse itself prints, by ``fluxloop`` command line (split at spaces): the exit code, and the
+#: sha256 of stdout, a NUL and stderr, at 80 columns.  The same bytes on CPython 3.10 to 3.13.
+ARGPARSE_SHA256 = {
+    "": (2, "8d25c18e854cc4d69ddeb1b1a04f14369716b47c920e04adacdb59ff2074011f"),
+    "--help": (0, "a69a210b221f5feb427574d080afd021c5174c38246f1c0cd696b30439b5955d"),
+    "bogus": (2, "ab418ac84ade85aa384bc47b290adc81fc016c4bc547813f15674d81a8aba449"),
+    "simulate --help": (0, "f782a99b2645311f9b438908542d1d084c696266d196b80cb904470b14f19551"),
+    "sta --help": (0, "dc056ae83c3ad8d83fc59b0cb4d3d67c0234a5b849dfda649b48fee0c2a4caa8"),
+    "margins --help": (0, "93d66c151466b72061aad1791a6d05ace3d360acfea1bf6889fc0bee9858b7a5"),
+    "density --help": (0, "1c745408fb330b1991f648b5a07d55f2951d977f02be39693841ed4526b37823"),
+    "characterize --help": (0, "09ceb944bafcb3c77a89e029c39475f427ff582ec8757971da708fbe31f6a8da"),
+    "simulate": (2, "0d708f10d1303045f2f69a32011c5880216c5e081fbc32a1071802c92aa3be1a"),
+    "characterize --config": (2, "18b1c0b7c796e8f0ad2c2fee3e2ef45c8a326b813cf2376192b33853b53a421b"),
+    "sta --config c --bogus": (2, "cfa5e1ca0e5a84196c7e951f12d07d4a6772dbb1a22cd4034c01d251c06e6d66"),
+    "margins --config c --freqs 1GHz extra": (2, "29f037b14877c3ae494d60ff70e2e23032d5bac1f98131ec3f4054190ab24c77"),
+    "density --preset a --all": (2, "9b54884b0e53bf9495d44595f08438debc878c652e7c08891203a527ccaf8624"),
 }
 
 
@@ -164,3 +187,33 @@ def test_density_output_is_byte_identical(command, capsys):
     assert main(command.split()) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == DENSITY_SHA256[command], f"{command} changed"
+
+
+def _argparse_exit(parse, argv: list[str]) -> tuple[object, str, str]:
+    """The exit code, stdout and stderr of ``parse(argv)``, which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as info:
+        parse(argv)
+    return info.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", ARGPARSE_SHA256)
+def test_argparse_output_is_byte_identical(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal's width
+    code, out, err = _argparse_exit(main, command.split())
+    assert (code, hashlib.sha256(f"{out}\0{err}".encode()).hexdigest()) == ARGPARSE_SHA256[command], (out, err)
+    # main builds argv[0]'s subparser alone: it prints what the parser with all five prints
+    assert (code, out, err) == _argparse_exit(build_parser().parse_args, command.split())
+
+
+@pytest.mark.parametrize("command", ["simulate", "sta", "margins", "density", "characterize"])
+def test_a_one_command_parser_formats_as_the_full_one(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    one, full = build_parser(command), build_parser()
+    assert one.format_usage() == full.format_usage()  # the usage an unrecognized argument prints
+
+    def subparser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices[command]
+
+    assert subparser(one).format_help() == subparser(full).format_help()
