@@ -12,64 +12,20 @@ transmission-line medium (:mod:`fluxloop.density`) alongside.
 import importlib
 
 from .cells import (
-    BiasDelayModel,
-    BiasRangeError,
-    CellKind,
-    CellParams,
-    TimingViolation,
-    ViolationKind,
-    default_cell_params,
+    BiasDelayModel, BiasRangeError, CellKind, CellParams, TimingViolation, ViolationKind, default_cell_params,
 )
 from .core import (
-    BiasPoint,
-    ConfigError,
-    FluxloopError,
-    InfeasibleFrequencyError,
-    SimConfig,
-    interval_duration,
-    parse_config,
-    parse_duration,
-    parse_frequency,
-    serialize_config,
-    trip_duration,
+    BiasPoint, ConfigError, FluxloopError, InfeasibleFrequencyError, SimConfig, interval_duration, parse_config,
+    parse_duration, parse_frequency, serialize_config, trip_duration,
 )
-from .engine import (
-    Connection,
-    Netlist,
-    Trace,
-    run_until,
-    schedule,
-    trace_to_csv,
-    trace_to_vcd,
-    write_csv,
-    write_vcd,
-)
+from .engine import Connection, Netlist, Trace, run_until, schedule, trace_to_csv, trace_to_vcd, write_csv, write_vcd
 from .memory import (
-    MemoryProgram,
-    MemoryResult,
-    TripOp,
-    build_controller,
-    oracle,
-    parse_program,
-    pulse_spacing,
-    required_loop_delay,
-    run_program,
-    scenario_address_sweep,
-    scenario_overwrite,
-    scenario_write_read,
-    serialize_program,
-    stimulus_for,
+    MemoryProgram, MemoryResult, TripOp, build_controller, oracle, parse_program, pulse_spacing, required_loop_delay,
+    run_program, scenario_address_sweep, scenario_overwrite, scenario_write_read, serialize_program, stimulus_for,
 )
 from .timing import (
-    JitterWindow,
-    MarginReport,
-    StaReport,
-    bias_margin,
-    characterize_cell,
-    jitter_tolerance,
-    margin_sweep,
-    max_frequency,
-    sta,
+    JitterWindow, MarginReport, StaReport, bias_margin, characterize_cell, jitter_tolerance, margin_sweep,
+    max_frequency, sta,
 )
 
 __version__ = "0.1.0"

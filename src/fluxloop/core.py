@@ -55,7 +55,8 @@ _QUANTITIES: dict[str, tuple[dict[str, int], str, str]] = {
 MAX_DIGITS = 1000
 _DIGITS_BOUND = 10**MAX_DIGITS
 
-_UNIT_RE = re.compile(r"^\s*([+-]?[0-9][0-9_]*\.?[0-9]*(?:[eE][+-]?[0-9]+)?)\s*([a-zA-Z]*)\s*$")
+#: A quantity: an integer part that puts ``_`` only between two digits, as a Python literal does, then a unit
+_UNIT_RE = re.compile(r"^\s*([+-]?[0-9](?:_?[0-9])*\.?[0-9]*(?:[eE][+-]?[0-9]+)?)\s*([a-zA-Z]*)\s*$")
 
 
 class FluxloopError(Exception):

@@ -123,7 +123,7 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
         adjacency: dict[tuple[str, bool], list[tuple[str, bool]]] = {}  # (name, is a cell?) -> the nodes it drives
         for index, conn in enumerate(self.connections):
             for endpoint in filter(_is_port, (conn.src, conn.dst)):
-                cell, port = _split_port(endpoint)
+                cell, _, port = endpoint.partition(".")
                 if cell not in self.cells:
                     raise NetlistError(f"connection endpoint {endpoint!r} references unknown cell")
                 kind = self.cells[cell].kind
@@ -208,9 +208,14 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
         shapes = tuple((not fold, inputs, tuple(route(line, fold) for line in lines)) for fold in (False, True))
         return lines, {line: rank[line] for line in self.external_inputs}, shapes
 
+    def _bind(self, shape: tuple) -> tuple[Callable[..., list[int]], tuple]:
+        """A shape's kernel and (its checks, its pins' binder, this netlist's tap constants)."""
+        kernel, (checks, bind_pins, bind_taps) = _kernel(*shape)
+        return kernel, (checks, bind_pins, bind_taps(self.connections))
+
     # compiled, or taken from the bounded cache of shapes, at a route table's first run
-    _wired_kernel = cached_property(lambda self: _kernel(*self._wiring[2][0]))
-    _folded_kernel = cached_property(lambda self: _kernel(*self._wiring[2][1]))
+    _wired_kernel = cached_property(lambda self: self._bind(self._wiring[2][0]))
+    _folded_kernel = cached_property(lambda self: self._bind(self._wiring[2][1]))
 
     @property
     def lines(self) -> tuple[str, ...]:
@@ -236,15 +241,16 @@ class PinnedNetlist:
     no run state: a run brings its own."""
 
     # A slotted class: cheaper than a NamedTuple to define at every CLI start.
-    __slots__ = ("cells", "by_slot", "violations", "zero_delay")
+    __slots__ = ("cells", "violations", "zero_delay", "bound")
 
     def __init__(self, cells: Mapping[str, CellParams], violations: tuple[TimingViolation, ...], zero_delay: bool) -> None:
         self.cells = cells
-        self.by_slot = tuple(cells.items())  # (name, pin) in slot order, as each run's kernel takes them
         self.violations = violations
         #: a zero pinned delay can emit at the current instant: the run takes
         #: the wired routes and their kernel (see run_until)
         self.zero_delay = zero_delay
+        #: (the binder of the last kernel run on these pins, its windows and delay sums)
+        self.bound = None, ()
 
 
 def _slot_order(cells: Mapping[str, CellParams]) -> list[str]:
@@ -257,7 +263,11 @@ def _slot_order(cells: Mapping[str, CellParams]) -> list[str]:
 #: heap drained of the keys below it.  ``end`` closes the walk (its rank is 0)
 #: and sits in the heap, so ``heap[0]`` always exists.
 _KERNEL = """\
-def kernel(walk, end, room, max_events, cells, connections, flagged):
+def bind_pins(cells):  # once per pinned cell set: the windows and delay sums
+    return {pinned}
+def bind_taps(connections):  # once per netlist: the taps' delays and schedules
+    return {tapped}
+def kernel(walk, end, room, max_events, pinned, tapped, flagged):
 {prologue}
     heap, recorded, latest = [end], [], -1
     push, pop, record, late = heappush, heappop, recorded.append, flagged.append
@@ -283,14 +293,17 @@ INLINE_DEPTH = 2
 @lru_cache(maxsize=32)
 def _kernel(wired: bool, inputs: tuple[int, ...], routes: tuple) -> tuple[Callable[..., list[int]], tuple]:
     """A shape's kernel (see ``Netlist._wiring``), compiled with the globals
-    where a run finds ``heappush`` and ``heappop``, and its window checks by
-    the index it flags them with: (slot, window field, kind, detail).
+    where a run finds ``heappush`` and ``heappop``, and (its window checks by
+    the index it flags them with: (slot, window field, kind, detail); the
+    binders of its constants, ``bind_pins(cells by slot)`` and
+    ``bind_taps(connections)``), whose tuples it unpacks in one statement.
 
-    A body per landing rank, in keys; locals by slot: ``P`` a cell's pins,
-    ``S`` its stored pulse; ``L``/``W`` a ``last`` entry (a time times ``n``)
-    and its window; ``T`` a target's delay plus rank offset; ``K`` a plain
-    tap's delay plus rank offset, ``D``/``X`` a scheduled tap's, and its
-    schedule behind a (-1, 0) entry that every pulse follows.
+    A body per landing rank, in keys; locals by slot: ``S`` a cell's stored
+    pulse; ``L``/``W`` a ``last`` entry (a time times ``n``) and its window;
+    ``T`` a target's delay plus rank offset; ``K`` a plain tap's delay plus
+    rank offset, ``D``/``X`` a scheduled tap's, and its schedule behind a
+    (-1, 0) entry that every pulse follows.  ``bind_pins`` gives the ``W``
+    and ``T``, ``bind_taps`` the ``K``, ``D`` and ``X``.
 
     Folded, a release that ends its line's body (one consumer, no tap) is
     taken at once, inside that body, when its key is below every pending key
@@ -305,7 +318,7 @@ def _kernel(wired: bool, inputs: tuple[int, ...], routes: tuple) -> tuple[Callab
     import linecache  # a run compiles, an import does not
     n = len(routes)
     sums: dict[tuple[tuple[int, ...], int], str] = {}  # (slots, offset) -> its T local
-    slots, stored, entries, windows, taps, checks = set(), set(), set(), {}, {}, {}
+    stored, entries, windows, taps, checks = set(), set(), {}, {}, {}
 
     def pending(taking: int, stream: tuple[str, int]) -> list[str]:
         # the heap less its sentinel end, the stimulus not taken (i - 1 keys are
@@ -315,7 +328,6 @@ def _kernel(wired: bool, inputs: tuple[int, ...], routes: tuple) -> tuple[Callab
                 "    _overflow(max_events)"]
 
     def delay(target: tuple[tuple[int, ...], int]) -> str:
-        slots.update(target[0])
         return sums.setdefault(target, "T%d" % len(sums))
 
     def landing(r: int, stream: tuple[str, int], depth: int = 0) -> list[str]:
@@ -326,10 +338,9 @@ def _kernel(wired: bool, inputs: tuple[int, ...], routes: tuple) -> tuple[Callab
             out.append(f"now = key - {r}")
         emitted, chained = len(route_taps), False
         for op, check, slot, mine, peer, targets in consumers:
-            slots.add(slot)
             if check:  # time never runs back, so the gap is >= 0
                 entries.update((mine, peer))
-                windows[mine] = f"W{mine} = P{slot}.{check[0]} * n"
+                windows[f"W{mine}"] = f"cells[{slot}].{check[0]} * {n}"
                 flag = checks.setdefault((slot, *check), len(checks))
                 out += [f"if now - L{peer} < W{mine}:", f"    late(({flag}, now, L{peer}))", f"L{mine} = now"]
             if op == "store":  # data releases nothing
@@ -352,10 +363,11 @@ def _kernel(wired: bool, inputs: tuple[int, ...], routes: tuple) -> tuple[Callab
             out += pushes
         for j, dst, scheduled in route_taps:  # a schedule adds the offset of its last entry starting at or before t
             if scheduled:
-                taps[j] = [f"D{j}, X{j} = connections[{j}].delay_fs * n + {dst - r}, ((-1, 0), *connections[{j}].offset_schedule)"]
+                taps[j] = {f"D{j}": f"connections[{j}].delay_fs * {n} + {dst - r}",
+                           f"X{j}": f"((-1, 0), *connections[{j}].offset_schedule)"}
                 out.append(f"push(heap, key + D{j} + X{j}[bisect_left(X{j}, (key // n + 1,)) - 1][1] * n)")
             else:
-                taps[j] = [f"K{j} = connections[{j}].delay_fs * n + {dst - r}"]
+                taps[j] = {f"K{j}": f"connections[{j}].delay_fs * {n} + {dst - r}"}
                 out.append(f"push(heap, key + K{j})")
         if emitted > 1 and not chained:
             out += pending(0, stream)
@@ -382,20 +394,26 @@ def _kernel(wired: bool, inputs: tuple[int, ...], routes: tuple) -> tuple[Callab
     ending = ["recorded.sort()", "break"] if wired else ["break"]  # wired, a release may sort before its cause
     walked[0] = ["if key == end:", *_indent(ending), *walked[0]] if 0 in walked else ending
     parts = {"queued": tree([(r, landing(r, ("w", 0))) for r in sorted(landed)], 12), "walked": tree(sorted(walked.items()), 8)}
-    prologue = [f"P{slot} = cells[{slot}][1]" for slot in sorted(slots)] + list(windows.values())
-    prologue += [line for j in sorted(taps) for line in taps[j]]
-    for (cells, offset), name in sums.items():  # a fold's delay is its driver's plus its fanout's
-        prologue.append(f"{name} = ({' + '.join(f'P{slot}.prop_delay_fs' for slot in cells)}) * n {'-' if offset < 0 else '+'} {abs(offset)}")
+    pinned = windows | {  # a fold's delay is its driver's plus its fanout's
+        name: f"({' + '.join(f'cells[{slot}].prop_delay_fs' for slot in cells)}) * {n} {'-' if offset < 0 else '+'} {abs(offset)}"
+        for (cells, offset), name in sums.items()}
+    tapped = {name: value for j in sorted(taps) for name, value in taps[j].items()}
+
+    def display(items: Iterable[str]) -> str:  # a tuple display, or an unpacking target
+        return f"({''.join(f'{item}, ' for item in items)[:-1]})"
+
+    prologue = [f"{display(pinned)}, {display(tapped)} = pinned, tapped"]
     # no window reaches -inf; a slot's S is its stored pulse
     prologue += [" = ".join([*(f"L{entry}" for entry in sorted(entries)), 'float("-inf")'])] if entries else []
     prologue += [" = ".join([*(f"S{slot}" for slot in sorted(stored)), "False"])] if stored else []
     prologue += ["processed, later = set(), 0"] if wired else []  # keys below ``later`` are at the current instant
-    source = _KERNEL.format(prologue="\n".join(_indent([f"n = {n}", *prologue])), **parts)
+    source = _KERNEL.format(pinned=display(pinned.values()), tapped=display(tapped.values()),
+                            prologue="\n".join(_indent([f"n = {n}", *prologue])), **parts)
     name = f"<fluxloop kernel {zlib.crc32(source.encode()):08x}>"
     cached = linecache.cache[name] = (len(source), None, source.splitlines(True), name)  # no mtime: checkcache keeps it
     exec(compile(source, name, "exec"), globals(), namespace := {})
     finalize(kernel := namespace["kernel"], _forget, linecache.cache, name, cached)
-    return kernel, tuple(checks)
+    return kernel, (tuple(checks), namespace["bind_pins"], namespace["bind_taps"])
 
 
 def _forget(cache: dict, name: str, cached: tuple) -> None:
@@ -439,11 +457,6 @@ def _pin(cell_set: frozenset, num: int, den: int) -> PinnedNetlist:
 
 def _is_port(endpoint: str) -> bool:
     return "." in endpoint
-
-
-def _split_port(endpoint: str) -> tuple[str, str]:
-    cell, _, port = endpoint.partition(".")
-    return cell, port
 
 
 class Trace(namedtuple("Trace", "keys lines violations observed t_end_fs bias")):
@@ -525,7 +538,11 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
     A zero delay keeps the routes as wired and queues every landing, since
     one may sort before the key that made it: a key processed at its instant
     is skipped, and the recorded keys are sorted at the end.  Each kernel is
-    generated from one template for its routes' shape (``_kernel``).
+    generated from one template for its routes' shape (``_kernel``).  A run
+    sets up only its own state (``last`` entries, stored pulses, heap): the
+    windows and delay sums are bound once per pinned cell set and kernel and
+    kept on the pins (while ``_pin`` keeps them), the taps' delays once per
+    netlist and kernel, kept with the netlist's kernel.
 
     ``max_events`` bounds the pending pulses on lines a run can see: the
     heap (where a release equal to a pending pulse waits until it pops and
@@ -543,17 +560,22 @@ def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events:
     pins = net.at_bias(bias)
     # with no zero delay every push lands after the current key, so a duplicate pops right after its
     # equal (the walk wins a tie) and a fold cannot reorder keys; the wired kernel allows for one
-    kernel, checks = net._wired_kernel if pins.zero_delay else net._folded_kernel
+    kernel, (checks, bind_pins, tapped) = net._wired_kernel if pins.zero_delay else net._folded_kernel
+    bound, pinned = pins.bound
+    if bound is not bind_pins:  # the pins' first run on this kernel, or another kernel ran on them since
+        pinned = bind_pins(tuple(pins.cells.values()))  # in slot order
+        pins.bound = bind_pins, pinned
     n = len(net.lines)
     end = t_end_fs * n  # above every key before t_end, at or below every other
     walk = stimulus[: bisect_left(stimulus, end)] + (end,)
-    cells, flagged = pins.by_slot, []
+    flagged = []
     # room: the heap may outgrow the stimulus walked by this much
-    recorded = kernel(walk, end, max_events - len(stimulus), max_events, cells, net.connections, flagged)
+    recorded = kernel(walk, end, max_events - len(stimulus), max_events, pinned, tapped, flagged)
     violations = pins.violations
     if flagged:  # (the check's index, its instant, the peer entry's last instant), times n
+        cells = tuple(pins.cells.items())  # (name, pin) by slot
         violations += tuple(_violation(cells, checks[index], now // n, last // n) for index, now, last in flagged)
-    return Trace(tuple(recorded), net.lines, violations, net.observed, t_end_fs, bias)
+    return tuple.__new__(Trace, (tuple(recorded), net.lines, violations, net.observed, t_end_fs, bias))  # as Trace(...)
 
 
 # --- export ----------------------------------------------------------------

@@ -343,6 +343,10 @@ def _suite_failure(
     return "WRONG_READ" if wrong else None
 
 
+#: The bias a signed whole percent from nominal, built once for every scan (bounded: a default scan takes 101).
+_step_bias = lru_cache(maxsize=128)(lambda pct: BiasPoint(Fraction(100 + pct, 100)))
+
+
 def bias_margin(
     cfg: SimConfig,
     scenarios: Sequence[MemoryProgram] | None = None,
@@ -362,16 +366,13 @@ def bias_margin(
     expected = [oracle(p, cfg.num_addresses) for p in scenarios]  # checks each program
     prepared = [prepare_program(p, cfg) for p in scenarios]
 
-    def failure(ratio: Fraction) -> str | None:
-        return _suite_failure(prepared, expected, BiasPoint(ratio))
-
-    nominal_failure = failure(Fraction(1))
+    nominal_failure = _suite_failure(prepared, expected, _step_bias(0))
     if nominal_failure is not None:
         return MarginReport(cfg.frequency_hz, None, None, nominal_failure, nominal_failure)
 
     def bound(sign: int) -> tuple[int, str | None]:
         for pct in range(1, max_pct + 1):
-            cause = failure(Fraction(100 + sign * pct, 100))
+            cause = _suite_failure(prepared, expected, _step_bias(sign * pct))
             if cause is not None:
                 return pct - 1, cause
         return max_pct, None

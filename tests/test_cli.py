@@ -276,6 +276,11 @@ class TestSta:
         assert code == EXIT_RUN_FAILED
         assert "timing VIOLATED (read_hold)" in out
 
+    def test_a_misplaced_underscore_in_a_duration_is_refused(self, write_config, capsys):
+        code = main(["sta", "--config", write_config(loop_delay="1__0fs")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: loop_delay: cannot parse duration '1__0fs'\n"
+
     def test_malformed_window_edge(self, write_config, capsys):
         code = main(["sta", "--config", write_config(), "--bias-lo", "low"])
         err = capsys.readouterr().err

@@ -88,10 +88,24 @@ def test_format_ratio():
         ("25 ps", 25000),  # whitespace between magnitude and unit is fine
         ("0.001ns", 1000),
         ("1_000fs", 1000),
+        ("1_0fs", 10),
+        ("1_0.5ps", 10500),
     ],
 )
 def test_parse_duration(raw, expected):
     assert parse_duration(raw) == expected
+
+
+@pytest.mark.parametrize("raw", ["1__0fs", "1_fs", "1_.5ps", "_1fs", "1_", "1_e3fs"])
+def test_an_underscore_stands_only_between_two_digits(raw):
+    # as in a Python number literal: the underscores are not deleted into a number that was never written
+    with pytest.raises(ConfigError) as exc:
+        parse_duration(raw, "loop_delay")
+    assert str(exc.value) == f"loop_delay: cannot parse duration {raw!r}"
+    with pytest.raises(ConfigError) as exc:
+        parse_frequency(raw.replace("fs", "GHz").replace("ps", "GHz"), "frequency")
+    assert exc.value.field == "frequency" and "cannot parse frequency" in exc.value.message
+    assert parse_frequency("1_0GHz") == 10 * GHZ
 
 
 def test_parse_duration_rejects_garbage():

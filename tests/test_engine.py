@@ -19,8 +19,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import _oracle
 from fluxloop import (
-    FluxloopError, SimConfig, build_controller, cells, cli, engine, run_program, scenario_write_read, serialize_config,
-    serialize_program, stimulus_for,
+    FluxloopError, SimConfig, build_controller, cells, cli, engine, memory, run_program, scenario_write_read,
+    serialize_config, serialize_program, stimulus_for,
 )
 from fluxloop.cells import BiasDelayModel, CellKind, CellParams, TimingViolation, ViolationKind
 from fluxloop.core import CELL_NAMES, NOMINAL_BIAS, BiasPoint, trip_duration
@@ -421,6 +421,78 @@ class TestRunUntil:
             trace = run_until(schedule(net, stimulus), t_end, BiasPoint.of(ratio))
             assert trace == want and trace.events
         assert engine._pin.cache_info().hits >= 5
+
+
+def _cold_run(cfg: SimConfig, ratio: str) -> Trace:
+    """A write/read run on a netlist built afresh, with no pins, kernel or bound constants cached."""
+    memory._compile.cache_clear()
+    engine._pin.cache_clear()
+    engine._kernel.cache_clear()
+    net = build_controller(cfg)
+    prepared = schedule(net, stimulus_for(scenario_write_read(1, 3), cfg))
+    return run_until(prepared, 5 * trip_duration(cfg), BiasPoint.of(ratio))
+
+
+class TestBoundConstants:
+    """A run reads the windows and delay sums bound on its pins, and the tap
+    constants bound on its netlist, and gives the trace of a cold run."""
+
+    RATIOS = ("0.9", "1.0", "1.1", "0.9", "0.5", "1.0")
+
+    def alternate(self, cfgs: list[SimConfig]) -> None:
+        """Each config's runs at ``RATIOS``, its netlist alternating with the
+        others' on each bias's pins, against cold runs."""
+        cold = [[_cold_run(cfg, ratio) for ratio in self.RATIOS] for cfg in cfgs]
+        nets = [build_controller(cfg) for cfg in cfgs]
+        for i, ratio in enumerate(self.RATIOS):
+            for cfg, net, want in zip(cfgs, nets, cold):
+                prepared = schedule(net, stimulus_for(scenario_write_read(1, 3), cfg))
+                trace = run_until(prepared, 5 * trip_duration(cfg), BiasPoint.of(ratio))
+                assert trace == want[i] and _oracle.pulses_on(trace, "loop_data_out")
+                assert net.at_bias(BiasPoint.of(ratio)).bound[0] is net._folded_kernel[1][1]
+        assert cold[0][1].events != cold[1][1].events  # at nominal, the loop taps differ
+
+    def test_controllers_sharing_their_pins_run_with_their_own_taps(self):
+        # 20 GHz and 100 GHz: one cell set and one wiring shape, so one pinned netlist per bias
+        # and one kernel, but each its own loop delay, so each its own tap constants
+        cfgs = [SimConfig(frequency_hz=ghz * 10**9, num_addresses=3) for ghz in (20, 100)]
+        self.alternate(cfgs)
+        nets = [build_controller(cfg) for cfg in cfgs]
+        assert nets[0].at_bias(BiasPoint.of("0.9")) is nets[1].at_bias(BiasPoint.of("0.9"))
+        (kernel, (_, bind_pins, taps)), (other, (_, other_bind, other_taps)) = (net._folded_kernel for net in nets)
+        assert (kernel, bind_pins) == (other, other_bind) and taps != other_taps
+
+    def test_a_run_after_the_pins_are_cleared_binds_again(self):
+        cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
+        net = build_controller(cfg)
+        prepared = schedule(net, stimulus_for(scenario_write_read(1, 3), cfg))
+        bias = BiasPoint.of("0.9")
+        first = run_until(prepared, 5 * trip_duration(cfg), bias)
+        pins, (_, bind_pins, _) = net.at_bias(bias), net._folded_kernel[1]
+        assert pins.bound[0] is bind_pins
+        engine._pin.cache_clear()
+        again = run_until(prepared, 5 * trip_duration(cfg), bias)
+        repinned = net.at_bias(bias)
+        assert repinned is not pins and repinned.bound == pins.bound
+        assert again == first == _cold_run(cfg, "0.9")
+
+    def test_pins_shared_by_two_kernels_bind_for_each(self):
+        # loop jitter gives the loop tap a schedule, so a second kernel shape on the same cells
+        plain = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
+        cfgs = [plain, plain._replace(loop_jitter_fs=(300, -300, 500))]
+        self.alternate(cfgs)
+        nets = [build_controller(cfg) for cfg in cfgs]
+        assert nets[0].at_bias(BiasPoint.of("0.9")) is nets[1].at_bias(BiasPoint.of("0.9"))
+        assert nets[0]._folded_kernel[0] is not nets[1]._folded_kernel[0]
+
+    def test_shapes_of_other_line_counts_on_one_pinned_cell_set_read_their_own_windows(self):
+        # an external input that feeds nothing adds a line, so the one DRO's windows are other multiples of the count
+        plain = dro_netlist()
+        wider = Netlist(plain.cells, plain.connections, plain.external_inputs | {"x"}, plain.observed)
+        assert len(wider.lines) == len(plain.lines) + 1 and plain.at_bias(NOMINAL_BIAS) is wider.at_bias(NOMINAL_BIAS)
+        for net in (plain, wider, plain, wider):  # the clock is 1500 fs after data: inside the 2000 fs setup window
+            violations = run(net, [(0, "din"), (1500, "clk")]).violations
+            assert [(v.cell, v.kind, v.time_fs) for v in violations] == [("d", ViolationKind.SETUP, 1500)]
 
 
 class TestNetlistCells:

@@ -28,7 +28,7 @@ from fluxloop import cells, core, engine, memory, timing
 from fluxloop.cells import default_cell_params, delay_at_bias
 from fluxloop.core import CELL_OVERRIDES, BiasPoint, exact_ratio, format_ratio, interval_duration, round_half_up
 from fluxloop.engine import RunawayQueueError
-from fluxloop.memory import build_controller, default_margin_suite, scenario_write_read, source_path_delays
+from fluxloop.memory import build_controller, default_margin_suite, oracle, scenario_write_read, source_path_delays
 from fluxloop.timing import (
     characterization_to_csv,
     margins_to_csv,
@@ -299,6 +299,19 @@ class TestBiasMargin:
         report = bias_margin(SimConfig(frequency_hz=20 * GHZ, num_addresses=3), max_pct=10)
         assert report == MarginReport(20 * GHZ, 10, 10, None, None)
 
+    def test_a_scan_longer_than_the_step_cache_matches_a_fresh_scan(self):
+        # every cell runs over [0.1, 1.9], so the scan takes 72 steps down (SETUP stops it) and 80 up
+        wide = {"operating_range": [0.1, 1.9], "bias_curve": [[0.1, 1.5], [1, 1], [1.9, 0.5]]}
+        wide = {name: wide for name in CELL_OVERRIDES}
+        cfg = SimConfig(frequency_hz=20 * GHZ, num_addresses=3, cell_overrides=wide)
+        want = reference_margin(cfg, 80)
+        assert want == MarginReport(20 * GHZ, 72, 80, "SETUP", None)
+        timing._step_bias.cache_clear()
+        assert bias_margin(cfg, max_pct=80) == want
+        info = timing._step_bias.cache_info()
+        assert info.misses == 1 + 73 + 80 > info.maxsize == info.currsize
+        assert bias_margin(cfg, max_pct=80) == want  # on the steps the cache kept
+
     def test_empty_scenario_list_rejected(self, cfg100):
         with pytest.raises(ValueError, match="at least one scenario"):
             bias_margin(cfg100, ())
@@ -561,6 +574,33 @@ class TestStaPassMeansSimulationPass:
         assert margin.lower_limiter is None and margin.upper_limiter is None
 
 
+def reference_margin(cfg: SimConfig, max_pct: int) -> MarginReport:
+    """``bias_margin``'s scan of the default suite, each step's bias built afresh as
+    ``BiasPoint(Fraction(100 ± p, 100))`` and each scenario run by ``run_program``."""
+    suite = default_margin_suite(cfg)
+
+    def failure(pct: int) -> str | None:
+        results = [run_program(program, cfg.with_bias(BiasPoint(Fraction(100 + pct, 100)))) for program in suite]
+        violations = [v for result in results for v in result.trace.violations]
+        if violations:
+            return min(violations, key=lambda v: (v.time_fs, v.cell, v.kind.value)).kind.value
+        wrong = any(result.reads != oracle(program, cfg.num_addresses) for result, program in zip(results, suite))
+        return "WRONG_READ" if wrong else None
+
+    if (nominal := failure(0)) is not None:
+        return MarginReport(cfg.frequency_hz, None, None, nominal, nominal)
+    bounds = []
+    for sign in (-1, 1):
+        for pct in range(1, max_pct + 1):
+            if (cause := failure(sign * pct)) is not None:
+                bounds.append((pct - 1, cause))
+                break
+        else:
+            bounds.append((max_pct, None))
+    (lower, lower_limiter), (upper, upper_limiter) = bounds
+    return MarginReport(cfg.frequency_hz, lower, upper, lower_limiter, upper_limiter)
+
+
 def reference_sta(cfg: SimConfig, bias_lo=None, bias_hi=None) -> tuple:
     """sta written out plainly: every cell pinned and every instant rounded
     through Fractions on each call.  Returns (loop delay, rows, windows) or
@@ -713,7 +753,8 @@ class TestCaches:
             cfg = cfg100.with_frequency(ghz * GHZ)
             sta(cfg)
             bias_margin(cfg, suite, max_pct=1)
-        for cache in (memory._compile, cells._cell_set, timing._window_cells, engine._pin, engine._kernel, memory.read_window_offset):
+        for cache in (memory._compile, cells._cell_set, timing._window_cells, engine._pin, engine._kernel,
+                      memory.read_window_offset, timing._step_bias):
             info = cache.cache_info()
             assert 0 < info.currsize <= info.maxsize
 
@@ -743,9 +784,20 @@ class TestCaches:
 
         warm = render()
         assert render() == warm
-        for cache in (memory._compile, cells._cell_set, timing._window_cells, memory.read_window_offset):
+        for cache in (memory._compile, cells._cell_set, timing._window_cells, memory.read_window_offset, timing._step_bias):
             cache.cache_clear()
         assert render() == warm
+
+    def test_a_sweep_builds_each_bias_step_once(self, cfg100):
+        # every frequency's scan takes its steps from one cache: a step is built at its first use
+        timing._step_bias.cache_clear()
+        reports = margin_sweep(cfg100, [20 * GHZ, 50 * GHZ, 75 * GHZ, 100 * GHZ])
+        steps = {0}  # each scan's steps: to its bound, and one past it where a limiter stopped it
+        for r in reports:
+            steps |= {-p for p in range(1, r.lower_pct + 1 + (r.lower_limiter is not None))}
+            steps |= set(range(1, r.upper_pct + 1 + (r.upper_limiter is not None)))
+        info = timing._step_bias.cache_info()
+        assert info.misses == info.currsize == len(steps) and info.hits > info.misses
 
 
 class TestOverridesKey:
