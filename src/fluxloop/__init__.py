@@ -15,7 +15,7 @@ from .cells import (
     BiasDelayModel, BiasRangeError, CellKind, CellParams, TimingViolation, ViolationKind, default_cell_params,
 )
 from .core import (
-    BiasPoint, ConfigError, FluxloopError, InfeasibleFrequencyError, SimConfig, interval_duration, parse_config,
+    ConfigError, FluxloopError, InfeasibleFrequencyError, SimConfig, interval_duration, parse_config,
     parse_duration, parse_frequency, serialize_config, trip_duration,
 )
 from .engine import Connection, Netlist, Trace, run_until, schedule, trace_to_csv, trace_to_vcd, write_csv, write_vcd
@@ -32,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiasDelayModel",
-    "BiasPoint",
     "BiasRangeError",
     "CellKind",
     "CellParams",

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .core import (
-    CELLS, NOMINAL_BIAS, BiasPoint, CellKind, ConfigError, FluxloopError, _freeze, format_ratio,
+    CELLS, NOMINAL_BIAS, CellKind, ConfigError, FluxloopError, _freeze, format_ratio,
     normalize_cell_overrides, round_half_up, validated_record,
 )
 
@@ -115,7 +115,7 @@ class BiasDelayModel(validated_record("BiasDelayModel", "points range_lo range_h
         if ratios[0] > range_lo or ratios[-1] < range_hi:
             raise ValueError("knots must span the operating range")
         model = tuple.__new__(cls, (points, range_lo, range_hi))
-        if (least := delay_at_bias(model, BiasPoint(range_hi))) < 0:  # delays fall with bias: the least in range
+        if (least := delay_at_bias(model, range_hi)) < 0:  # delays fall with bias: the least in range
             raise ValueError(f"delay at the range's high edge {format_ratio(range_hi)} is {least} fs; it must be non-negative")
         return model
 
@@ -131,26 +131,26 @@ class BiasDelayModel(validated_record("BiasDelayModel", "points range_lo range_h
         return cls(points=points, range_lo=operating_range[0], range_hi=operating_range[1])
 
 
-def delay_at_bias(model: BiasDelayModel, bias: BiasPoint) -> int:
-    """Propagation delay (fs) at a bias point: exact at knots, linear between
-    them, rounded half up once.  The only code that evaluates a model.
+def delay_at_bias(model: BiasDelayModel, bias: Fraction) -> int:
+    """Propagation delay (fs) at a bias (an exact ratio of nominal): exact at
+    knots, linear between them, rounded half up once.  The only code that
+    evaluates a model.
 
     Raises ``BiasRangeError`` outside the electrical operating range.
     """
-    ratio = bias.ratio
-    if not (model.range_lo <= ratio <= model.range_hi):
+    if not (model.range_lo <= bias <= model.range_hi):
         raise BiasRangeError(
-            f"bias {format_ratio(ratio)} outside operating range "
+            f"bias {format_ratio(bias)} outside operating range "
             f"[{format_ratio(model.range_lo)}, {format_ratio(model.range_hi)}]"
         )
     # In integers over each knot's numerator and denominator: the knots span
-    # the range, so some segment ends at or above the ratio.
-    p, q = ratio.as_integer_ratio()
+    # the range, so some segment ends at or above the bias.
+    p, q = bias.as_integer_ratio()
     for (r0, d0), (r1, d1) in zip(model.points, model.points[1:]):
         a1, b1 = r1.as_integer_ratio()
         if p * b1 <= a1 * q:
             a0, b0 = r0.as_integer_ratio()
-            # d0 + (d1 - d0) * (ratio - r0) / (r1 - r0) as d0 + num / den, den > 0
+            # d0 + (d1 - d0) * (bias - r0) / (r1 - r0) as d0 + num / den, den > 0
             num = (d1 - d0) * (p * b0 - a0 * q) * b1
             den = q * (a1 * b0 - a0 * b1)
             return d0 + (2 * num + den) // (2 * den)
@@ -186,10 +186,10 @@ class CellParams(validated_record("CellParams", "kind prop_delay_fs setup_fs hol
         model = self.delay_model
         return None if model is None else (model.range_lo, model.range_hi)
 
-    def at_bias(self, bias: BiasPoint) -> CellParams:
-        """This cell at ``bias``: a constant-delay cell (no delay model) with
-        its delay there, and setup, hold and minimum separation kept; the
-        cell itself when it has no model.  The one way to read a cell's
+    def at_bias(self, bias: Fraction) -> CellParams:
+        """This cell at ``bias``, a positive ratio: a constant-delay cell (no delay
+        model) with its delay there, and setup, hold and minimum separation kept;
+        the cell itself when it has no model.  The one way to read a cell's
         delay; a bias outside the model's range raises ``BiasRangeError``."""
         if self.delay_model is None:
             return self

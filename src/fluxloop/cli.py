@@ -26,7 +26,6 @@ from io import TextIOBase
 
 from .cells import default_cell_params
 from .core import (
-    BiasPoint,
     ConfigError,
     FluxloopError,
     InfeasibleFrequencyError,
@@ -99,9 +98,11 @@ def _ratio_option(raw: str | None, option: str) -> Fraction | None:
     if raw is None:
         return None
     try:
-        return BiasPoint(_bounded_ratio(raw, option)).ratio
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(option, f"expected a positive ratio, got {raw!r}") from None
+        if (ratio := _bounded_ratio(raw, option)) > 0:
+            return ratio
+    except (ValueError, ZeroDivisionError):  # malformed
+        pass
+    raise ConfigError(option, f"expected a positive ratio, got {raw!r}")
 
 
 def _parse_freq_list(raw: str) -> list[int]:
@@ -117,7 +118,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = parse_config(_read(args.config, "config"))
     program = parse_program(_read(args.program, "program"))
     if args.bias is not None:
-        cfg = cfg.with_bias(BiasPoint(_ratio_option(args.bias, "--bias")))
+        cfg = cfg.with_bias(_ratio_option(args.bias, "--bias"))
     suffix = os.path.splitext(args.trace or "")[1].lower()
     if args.trace is not None and suffix not in (".csv", ".vcd"):
         raise ConfigError("trace", f"unsupported trace format {suffix!r} (use .csv or .vcd)")
@@ -136,7 +137,7 @@ def _report(cfg: SimConfig, program: MemoryProgram, result: MemoryResult) -> boo
     """Write ``simulate``'s report but its ``result:`` line to stdout, one
     line per read (noting a read the oracle disagrees with) and one per
     violation, ``EXPORT_CHUNK`` lines per write; whether the run passed."""
-    sys.stdout.write(f"frequency {cfg.frequency_hz / 1e9:g} GHz, {cfg.num_addresses} addresses, bias {cfg.bias}\n")
+    sys.stdout.write(f"frequency {cfg.frequency_hz / 1e9:g} GHz, {cfg.num_addresses} addresses, bias {format_ratio(cfg.bias)}\n")
     mismatches = 0
 
     def read_lines() -> Iterator[str]:
@@ -159,8 +160,8 @@ def _report(cfg: SimConfig, program: MemoryProgram, result: MemoryResult) -> boo
 def _cmd_sta(args: argparse.Namespace) -> int:
     cfg = parse_config(_read(args.config, "config"))
     bias_lo, bias_hi = _ratio_option(args.bias_lo, "--bias-lo"), _ratio_option(args.bias_hi, "--bias-hi")
-    lo = bias_lo if bias_lo is not None else cfg.bias.ratio
-    hi = bias_hi if bias_hi is not None else cfg.bias.ratio
+    lo = bias_lo if bias_lo is not None else cfg.bias
+    hi = bias_hi if bias_hi is not None else cfg.bias
     if lo > hi:
         raise ConfigError(
             "--bias-lo" if bias_lo is not None else "--bias-hi",

@@ -55,8 +55,9 @@ _QUANTITIES: dict[str, tuple[dict[str, int], str, str]] = {
 MAX_DIGITS = 1000
 _DIGITS_BOUND = 10**MAX_DIGITS
 
-#: A quantity: an integer part that puts ``_`` only between two digits, as a Python literal does, then a unit
-_UNIT_RE = re.compile(r"^\s*([+-]?[0-9](?:_?[0-9])*\.?[0-9]*(?:[eE][+-]?[0-9]+)?)\s*([a-zA-Z]*)\s*$")
+#: A quantity's stripped text: an integer part that puts ``_`` only between two digits, as a Python literal does,
+#: then a unit.  No two parts can take the same character, so a failed match backtracks in linear time.
+_UNIT_RE = re.compile(r"([+-]?[0-9](?:_?[0-9])*(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)\s*([a-zA-Z]*)")
 
 
 class FluxloopError(Exception):
@@ -180,7 +181,7 @@ def _parse_quantity(value: object, field_name: str, what: str) -> int:
         return round_half_up(_ratio(value, field_name, what))
     if not isinstance(value, str):
         raise ConfigError(field_name, f"expected a {what}, got {type(value).__name__}")
-    match = _UNIT_RE.match(value)
+    match = _UNIT_RE.fullmatch(value.strip())
     if not match:
         raise ConfigError(field_name, f"cannot parse {what} {value!r}")
     unit = match.group(2).lower() or bare_unit
@@ -217,29 +218,8 @@ def validated_record(typename: str, field_names: str) -> type:
     return base
 
 
-class BiasPoint(validated_record("BiasPoint", "ratio")):
-    """A bias supply level as a fraction of nominal (1.0 = nominal)."""
-
-    __slots__ = ()
-
-    def __new__(cls, ratio: Fraction) -> "BiasPoint":
-        if ratio <= 0:
-            raise ValueError("bias ratio must be positive")
-        return tuple.__new__(cls, (ratio,))
-
-    @classmethod
-    def of(cls, value: float | int | str | Fraction) -> "BiasPoint":
-        return cls(exact_ratio(value))
-
-    @classmethod
-    def nominal(cls) -> "BiasPoint":
-        return cls(Fraction(1))
-
-    def __str__(self) -> str:
-        return format_ratio(self.ratio)
-
-
-NOMINAL_BIAS = BiasPoint(Fraction(1))
+#: The nominal bias supply: a bias is a positive exact ratio of it.
+NOMINAL_BIAS = Fraction(1)
 
 
 class SimConfig(validated_record(
@@ -256,7 +236,7 @@ class SimConfig(validated_record(
     """
 
     def __new__(
-        cls, frequency_hz: int, num_addresses: int, bias: BiasPoint = NOMINAL_BIAS, header_intervals: int = 1,
+        cls, frequency_hz: int, num_addresses: int, bias: Fraction = NOMINAL_BIAS, header_intervals: int = 1,
         phase_read: Fraction = Fraction(1, 5), phase_write: Fraction = Fraction(1, 2),
         phase_data: Fraction = Fraction(1, 2), loop_delay_fs: int | None = None, retiming_guard_fs: int = 2000,
         loop_jitter_fs: tuple[int, ...] = (), cell_overrides: Mapping[str, Mapping[str, object]] = MappingProxyType({}),
@@ -265,6 +245,7 @@ class SimConfig(validated_record(
         for failed, field_name, problem in (
             (frequency_hz <= 0, "frequency", "must be positive"),
             (num_addresses < 1, "num_addresses", "must be at least 1"),
+            (bias <= 0, "bias", "must be positive"),
             (header_intervals < 1, "header_intervals", "must be at least 1"),
             (not 0 <= phase_read < phase_write < 1, "phase_read/phase_write", "need 0 <= phase_read < phase_write < 1"),
             (not 0 <= phase_data < 1, "phase_data", "must lie in [0, 1)"),
@@ -287,7 +268,7 @@ class SimConfig(validated_record(
         plain = {name: dict(o) for name, o in self.cell_overrides.items()}
         return type(self), tuple(plain if name == "cell_overrides" else value for name, value in zip(self._fields, self))
 
-    def with_bias(self, bias: BiasPoint) -> "SimConfig":
+    def with_bias(self, bias: Fraction) -> "SimConfig":
         return self._replace(bias=bias)
 
     def with_frequency(self, frequency_hz: int) -> "SimConfig":
@@ -371,11 +352,10 @@ def _integer(value: object, key: str) -> int:
     return _bounded(value, key)
 
 
-def _bias(value: object, key: str) -> BiasPoint:
-    try:
-        return BiasPoint(_ratio(value, key, "bias ratio"))
-    except ValueError:
-        raise ConfigError(key, f"invalid bias ratio {value!r}") from None
+def _bias(value: object, key: str) -> Fraction:
+    if (ratio := _ratio(value, key, "bias ratio")) <= 0:
+        raise ConfigError(key, f"invalid bias ratio {value!r}")
+    return ratio
 
 
 def _loop_jitter(value: object, key: str) -> tuple[int, ...]:
@@ -394,7 +374,7 @@ def _same(value: object, *_: object) -> object:
 CONFIG_FIELDS: dict[str, tuple[str, Callable[[object, str], object], Callable[[object], object]]] = {
     "frequency": ("frequency_hz", parse_frequency, _same),
     "num_addresses": ("num_addresses", _integer, _same),
-    "bias": ("bias", _bias, lambda bias: _ratio_to_json(bias.ratio)),
+    "bias": ("bias", _bias, _ratio_to_json),
     "header_intervals": ("header_intervals", _integer, _same),
     "phase_read": ("phase_read", _ratio, _ratio_to_json),
     "phase_write": ("phase_write", _ratio, _ratio_to_json),

@@ -38,7 +38,7 @@ from operator import eq
 from types import MappingProxyType
 from weakref import finalize
 
-from .core import BiasPoint, FluxloopError, validated_record
+from .core import FluxloopError, validated_record
 from .cells import INPUT_PORTS, OUTPUT_PORTS, RELEASES, BiasRangeError, CellKind, CellParams, TimingViolation, ViolationKind
 
 
@@ -228,11 +228,11 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
         the key on which netlists with equal cells share their pins."""
         return frozenset(self.cells.items())
 
-    def at_bias(self, bias: BiasPoint) -> "PinnedNetlist":
-        """Every cell pinned at the bias it runs at, from the pins of every
-        netlist with equal cells (cached per cell set and bias ratio, keyed on
-        the ratio's integers: a hit hashes no Fraction)."""
-        return _pin(self._cell_set, *bias.ratio.as_integer_ratio())
+    def at_bias(self, bias: Fraction) -> "PinnedNetlist":
+        """Every cell pinned at ``bias`` (a positive ratio, else ``ValueError``),
+        from the pins of every netlist with equal cells (cached per cell set and
+        bias, keyed on its integers: a hit hashes no Fraction)."""
+        return _pin(self._cell_set, *bias.as_integer_ratio())
 
 
 class PinnedNetlist:
@@ -298,8 +298,8 @@ def _kernel(wired: bool, inputs: tuple[int, ...], routes: tuple) -> tuple[Callab
     binders of its constants, ``bind_pins(cells by slot)`` and
     ``bind_taps(connections)``), whose tuples it unpacks in one statement.
 
-    A body per landing rank, in keys; locals by slot: ``S`` a cell's stored
-    pulse; ``L``/``W`` a ``last`` entry (a time times ``n``) and its window;
+    A body per landing rank, in keys; locals: ``S`` a slot's stored pulse;
+    ``L`` a ``last`` entry (a time times ``n``); ``W`` a window, one per (slot, field);
     ``T`` a target's delay plus rank offset; ``K`` a plain tap's delay plus
     rank offset, ``D``/``X`` a scheduled tap's, and its schedule behind a
     (-1, 0) entry that every pulse follows.  ``bind_pins`` gives the ``W``
@@ -317,8 +317,8 @@ def _kernel(wired: bool, inputs: tuple[int, ...], routes: tuple) -> tuple[Callab
     to be taken."""
     import linecache  # a run compiles, an import does not
     n = len(routes)
-    sums: dict[tuple[tuple[int, ...], int], str] = {}  # (slots, offset) -> its T local
-    stored, entries, windows, taps, checks = set(), set(), {}, {}, {}
+    sums: dict[tuple[tuple[int, ...], int], str] = {}  # (slots, offset) -> its T local; a fold sums two delays
+    stored, entries, windows, taps, checks = set(), set(), {}, {}, {}  # windows: (slot, field) -> its W local
 
     def pending(taking: int, stream: tuple[str, int]) -> list[str]:
         # the heap less its sentinel end, the stimulus not taken (i - 1 keys are
@@ -340,9 +340,9 @@ def _kernel(wired: bool, inputs: tuple[int, ...], routes: tuple) -> tuple[Callab
         for op, check, slot, mine, peer, targets in consumers:
             if check:  # time never runs back, so the gap is >= 0
                 entries.update((mine, peer))
-                windows[f"W{mine}"] = f"cells[{slot}].{check[0]} * {n}"
+                window = windows.setdefault((slot, check[0]), "W%d" % len(windows))
                 flag = checks.setdefault((slot, *check), len(checks))
-                out += [f"if now - L{peer} < W{mine}:", f"    late(({flag}, now, L{peer}))", f"L{mine} = now"]
+                out += [f"if now - L{peer} < {window}:", f"    late(({flag}, now, L{peer}))", f"L{mine} = now"]
             if op == "store":  # data releases nothing
                 stored.add(slot)
                 out.append(f"S{slot} = True")
@@ -394,7 +394,7 @@ def _kernel(wired: bool, inputs: tuple[int, ...], routes: tuple) -> tuple[Callab
     ending = ["recorded.sort()", "break"] if wired else ["break"]  # wired, a release may sort before its cause
     walked[0] = ["if key == end:", *_indent(ending), *walked[0]] if 0 in walked else ending
     parts = {"queued": tree([(r, landing(r, ("w", 0))) for r in sorted(landed)], 12), "walked": tree(sorted(walked.items()), 8)}
-    pinned = windows | {  # a fold's delay is its driver's plus its fanout's
+    pinned = {name: f"cells[{slot}].{field} * {n}" for (slot, field), name in windows.items()} | {
         name: f"({' + '.join(f'cells[{slot}].prop_delay_fs' for slot in cells)}) * {n} {'-' if offset < 0 else '+'} {abs(offset)}"
         for (cells, offset), name in sums.items()}
     tapped = {name: value for j in sorted(taps) for name, value in taps[j].items()}
@@ -441,8 +441,9 @@ def _indent(lines: list[str]) -> list[str]:
 # Bounded: a margin search visits at most 101 ratios per cell set, and a sweep's netlists share one.
 @lru_cache(maxsize=256)
 def _pin(cell_set: frozenset, num: int, den: int) -> PinnedNetlist:
-    cells, ratio = dict(cell_set), Fraction(num, den)
-    bias = BiasPoint(ratio)
+    if num <= 0:  # a miss: a warm run's bias was checked when it was pinned
+        raise ValueError("bias ratio must be positive")
+    cells, bias = dict(cell_set), Fraction(num, den)
     violations, pinned = [], {}
     for name in _slot_order(cells):
         params = cells[name]
@@ -451,7 +452,7 @@ def _pin(cell_set: frozenset, num: int, den: int) -> PinnedNetlist:
         except BiasRangeError as exc:
             violations.append(TimingViolation(name, ViolationKind.ELECTRICAL, 0, str(exc)))
             lo, hi = params.operating_range()
-            pinned[name] = params.at_bias(BiasPoint(lo if ratio < lo else hi))  # the cell runs saturated at the range edge
+            pinned[name] = params.at_bias(lo if bias < lo else hi)  # the cell runs saturated at the range edge
     return PinnedNetlist(MappingProxyType(pinned), tuple(violations), any(p.prop_delay_fs == 0 for p in pinned.values()))
 
 
@@ -518,13 +519,13 @@ def schedule(netlist: Netlist, stimulus: Iterable[tuple[int, str]]) -> PreparedR
     return PreparedRun(netlist, keys)
 
 
-def run_until(prepared: PreparedRun, t_end_fs: int, bias: BiasPoint, max_events: int = 10_000_000) -> Trace:
-    """Execute all events in [0, t_end_fs) and collect the trace.
+def run_until(prepared: PreparedRun, t_end_fs: int, bias: Fraction, max_events: int = 10_000_000) -> Trace:
+    """Execute all events in [0, t_end_fs) at ``bias`` and collect the trace.
 
-    A bias outside a cell's electrical operating range records one
-    ELECTRICAL violation for that cell at t=0 and evaluates its delays at
-    the nearest range edge, so the trace remains collectible while the run
-    is marked failed.
+    A bias is a positive exact ratio of nominal (else ``ValueError``).  One
+    outside a cell's electrical operating range records one ELECTRICAL
+    violation for that cell at t=0 and evaluates its delays at the nearest
+    range edge, so the trace remains collectible while the run is marked failed.
 
     The sorted stimulus is walked in place and merged with a heap of the
     pulses cells and taps emit; a pulse equal to one processed merges into

@@ -24,14 +24,14 @@ import json
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Mapping
+from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 
 from .cells import CellParams, _cell_set
 from .cells import default_cell_params  # unused here; perfbench's tracer and self-test expect memory.default_cell_params
 from .core import (
-    BiasPoint, ConfigError, InfeasibleFrequencyError, SimConfig, interval_duration, load_json, trip_duration,
-    validated_record,
+    ConfigError, InfeasibleFrequencyError, SimConfig, interval_duration, load_json, trip_duration, validated_record,
 )
 from .engine import Connection, Netlist, PinnedNetlist, PreparedRun, RunawayQueueError, run_until
 
@@ -58,8 +58,9 @@ class TripOp(validated_record("TripOp", "write reads")):
         for j, addr in enumerate(reads):
             if addr < 0:
                 raise ConfigError(f"reads[{j}]", "addresses must be non-negative")
-        if len(set(reads)) != len(reads):
-            j = next(j for j, addr in enumerate(reads) if addr in reads[:j])
+        if len(set(reads)) != len(reads):  # the first repeat, in one pass
+            seen = set()
+            j = next(j for j, addr in enumerate(reads) if addr in seen or seen.add(addr))
             raise ConfigError(f"reads[{j}]", "duplicate read address within a trip")
         return tuple.__new__(cls, (write, reads))
 
@@ -319,7 +320,7 @@ def read_window_offset(pins: PinnedNetlist) -> int:
     return min(source_path_delays(pins.cells)) + pins.cells["read_dro2r"].prop_delay_fs
 
 
-def prepare_program(program: MemoryProgram, cfg: SimConfig) -> Callable[[BiasPoint], MemoryResult]:
+def prepare_program(program: MemoryProgram, cfg: SimConfig) -> Callable[[Fraction], MemoryResult]:
     """Everything of a run that does not depend on bias (the controller, the
     scheduled stimulus, the end time and each read's decode slot), as a
     function ``run(bias)`` that simulates at ``bias``, bounded by
@@ -341,7 +342,7 @@ def prepare_program(program: MemoryProgram, cfg: SimConfig) -> Callable[[BiasPoi
     bases = tuple((t * trip + first + k * interval) * n + r for t, k in slots)
     span = interval * n - r  # a window's first key to the first key of the interval after it
 
-    def run(bias: BiasPoint) -> MemoryResult:
+    def run(bias: Fraction) -> MemoryResult:
         trace = run_until(prepared, t_end, bias, cfg.max_events)
         shift, keys, size, reads = read_window_offset(prepared.netlist.at_bias(bias)) * n, trace.keys, len(trace.keys), {}
         for slot, base in zip(slots, bases):  # walk the window's keys, in (time, line) order, from its first read_data key

@@ -19,9 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cells import INPUT_PORTS, OUTPUT_PORTS, BiasRangeError, _cell_set, default_cell_params
-from .core import (
-    BiasPoint, ConfigError, InfeasibleFrequencyError, SimConfig, exact_ratio, format_ratio, interval_duration,
-)
+from .core import ConfigError, InfeasibleFrequencyError, SimConfig, exact_ratio, format_ratio, interval_duration
 from .engine import Connection, Netlist, run_until, schedule
 from .memory import (
     MemoryProgram, MemoryResult, _check_stimulus_size, _loop_delay, _phase_instants, _retiming_budget,
@@ -77,8 +75,7 @@ def characterize_cell(
                 f"bias {format_ratio(ratio)} outside {cell} operating range "
                 f"[{format_ratio(rng[0])}, {format_ratio(rng[1])}]"
             )
-        bias = BiasPoint(ratio)
-        trace = run_until(prepared, clock_at + params.at_bias(bias).prop_delay_fs + 10_000, bias)
+        trace = run_until(prepared, clock_at + params.at_bias(ratio).prop_delay_fs + 10_000, ratio)
         out = [key // len(trace.lines) for key in trace.keys]  # cout is the one line observed
         if len(out) != 1 or trace.failed:
             raise RuntimeError(f"characterization run for {cell} did not produce a clean pulse")
@@ -153,7 +150,9 @@ def _window_cells(frozen_overrides: tuple, lo_num: int, lo_den: int, hi_num: int
                 f"bias window [{format_ratio(lo)}, {format_ratio(hi)}] exceeds {name} "
                 f"operating range [{format_ratio(rng[0])}, {format_ratio(rng[1])}]"
             )
-    at_lo, at_hi = ({name: p.at_bias(BiasPoint(edge)) for name, p in cells.items()} for edge in (lo, hi))
+    if lo <= 0:
+        raise ValueError("bias ratio must be positive")
+    at_lo, at_hi = ({name: p.at_bias(edge) for name, p in cells.items()} for edge in (lo, hi))
     # Merged-path extremes over both sources (fresh write vs recirculation).
     path_min, path_max = min(source_path_delays(at_hi)), max(source_path_delays(at_lo))
     windows = (
@@ -188,8 +187,8 @@ def sta(
     ``max(0, *loop_jitter_fs)``, ``recirc_hold`` gains ``min(0, *loop_jitter_fs)``,
     and the recirc_data_next_trip window widens by both.
     """
-    lo = exact_ratio(bias_lo) if bias_lo is not None else cfg.bias.ratio
-    hi = exact_ratio(bias_hi) if bias_hi is not None else cfg.bias.ratio
+    lo = exact_ratio(bias_lo) if bias_lo is not None else cfg.bias
+    hi = exact_ratio(bias_hi) if bias_hi is not None else cfg.bias
     (path_min, path_max, budget, (wd_setup, wd_hold, _), (rc_setup, rc_hold, rc_prop), (rd_setup, rd_hold, rd_prop),
      windows) = _window_cells(cfg.frozen_overrides, *lo.as_integer_ratio(), *hi.as_integer_ratio())
     interval = interval_duration(cfg)
@@ -321,9 +320,9 @@ class MarginReport(namedtuple("MarginReport", "frequency_hz lower_pct upper_pct 
 
 
 def _suite_failure(
-    scenarios: Sequence[Callable[[BiasPoint], MemoryResult]],
+    scenarios: Sequence[Callable[[Fraction], MemoryResult]],
     expected: Sequence[dict[tuple[int, int], int]],
-    bias: BiasPoint,
+    bias: Fraction,
 ) -> str | None:
     """First failure cause across the suite at this bias, else None.
 
@@ -344,7 +343,7 @@ def _suite_failure(
 
 
 #: The bias a signed whole percent from nominal, built once for every scan (bounded: a default scan takes 101).
-_step_bias = lru_cache(maxsize=128)(lambda pct: BiasPoint(Fraction(100 + pct, 100)))
+_step_bias = lru_cache(maxsize=128)(lambda pct: Fraction(100 + pct, 100))
 
 
 def bias_margin(

@@ -20,14 +20,14 @@ from fluxloop.cells import (
     RELEASES,
     delay_at_bias,
 )
-from fluxloop.core import BiasPoint
+from fluxloop.core import NOMINAL_BIAS, exact_ratio
 from fluxloop.engine import Connection, Netlist, NetlistError, run_until, schedule
 
-NOM = BiasPoint.nominal()
+NOM = NOMINAL_BIAS
 
 
-def bias(value) -> BiasPoint:
-    return BiasPoint.of(value)
+def bias(value) -> Fraction:
+    return exact_ratio(value)
 
 
 def pinned_alone(params: CellParams, value) -> tuple[int, int]:
@@ -81,7 +81,7 @@ class TestBiasDelayModel:
         )
     )
     def test_delay_bounded_by_knot_extremes(self, ratio):
-        d = delay_at_bias(self.MODEL, BiasPoint(ratio))
+        d = delay_at_bias(self.MODEL, ratio)
         assert 1770 <= d <= 4170
 
     @given(
@@ -90,7 +90,7 @@ class TestBiasDelayModel:
     )
     def test_delay_monotone_nonincreasing_in_bias(self, r1, r2):
         lo, hi = sorted((r1, r2))
-        assert delay_at_bias(self.MODEL, BiasPoint(lo)) >= delay_at_bias(self.MODEL, BiasPoint(hi))
+        assert delay_at_bias(self.MODEL, lo) >= delay_at_bias(self.MODEL, hi)
 
     def test_scaled_rejects_bad_curves(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -163,7 +163,7 @@ class TestIntegerInterpolation:
             st.sampled_from([lo, hi] + [r for r, _ in model.points if lo <= r <= hi]),
             ratios_in(lo, hi),
         ))
-        assert delay_at_bias(model, BiasPoint(ratio)) == reference_delay(model, ratio)
+        assert delay_at_bias(model, ratio) == reference_delay(model, ratio)
 
     @given(st.data())
     def test_half_fs_ties_round_up(self, data):
@@ -175,7 +175,7 @@ class TestIntegerInterpolation:
         m = data.draw(st.integers(0, d0 - d1 - 1))
         ratio = r0 + (m + Fraction(1, 2)) * (r1 - r0) / (d0 - d1)
         assert d0 + (d1 - d0) * (ratio - r0) / (r1 - r0) == d0 - m - Fraction(1, 2)
-        assert delay_at_bias(model, BiasPoint(ratio)) == reference_delay(model, ratio) == d0 - m
+        assert delay_at_bias(model, ratio) == reference_delay(model, ratio) == d0 - m
 
 
 def test_cell_params_rejects_nominal_model_mismatch():
@@ -216,7 +216,7 @@ def alone(params: CellParams, cell: str) -> Netlist:
                    tuple(f"o_{out}" for out in outs))
 
 
-def steps(cell: str, params: CellParams, pulses: list[tuple[str, int]], at: BiasPoint = NOM) -> tuple[tuple, tuple]:
+def steps(cell: str, params: CellParams, pulses: list[tuple[str, int]], at: Fraction = NOM) -> tuple[tuple, tuple]:
     """``pulses`` as (input port, time) into ``params`` alone, run through the
     kernel: (the pulses released, as (output port, time) in time order; the
     run's violations)."""

@@ -22,7 +22,7 @@ from fluxloop import (
 from fluxloop.cli import (
     EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_RUN_FAILED, MAX_SWEEP_POINTS, main,
 )
-from fluxloop.core import CELL_NAMES, CELL_OVERRIDES
+from fluxloop.core import CELL_NAMES, CELL_OVERRIDES, format_ratio
 from fluxloop.density import PRESETS
 from fluxloop.engine import EXPORT_CHUNK
 from fluxloop.memory import MemoryProgram, TripOp, parse_program
@@ -949,7 +949,7 @@ class _Writes(io.StringIO):
 def _old_report(program, cfg, result) -> str:
     """simulate's report but its result line, built whole from the oracle's dict."""
     expected = fluxloop.oracle(program, cfg.num_addresses)
-    out = [f"frequency {cfg.frequency_hz / 1e9:g} GHz, {cfg.num_addresses} addresses, bias {cfg.bias}"]
+    out = [f"frequency {cfg.frequency_hz / 1e9:g} GHz, {cfg.num_addresses} addresses, bias {format_ratio(cfg.bias)}"]
     for (trip, addr), bit in sorted(result.reads.items()):
         note = f"  (expected {expected[(trip, addr)]})" if expected[(trip, addr)] != bit else ""
         out.append(f"trip {trip}: addr {addr} -> {bit}{note}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import copy
 import gc
@@ -9,6 +10,7 @@ import io
 import linecache
 import pickle
 import random
+import re
 import traceback
 import tracemalloc
 from fractions import Fraction
@@ -23,7 +25,7 @@ from fluxloop import (
     serialize_config, serialize_program, stimulus_for,
 )
 from fluxloop.cells import BiasDelayModel, CellKind, CellParams, TimingViolation, ViolationKind
-from fluxloop.core import CELL_NAMES, NOMINAL_BIAS, BiasPoint, trip_duration
+from fluxloop.core import CELL_NAMES, NOMINAL_BIAS, exact_ratio, trip_duration
 from fluxloop.engine import (
     EXPORT_CHUNK,
     Connection,
@@ -346,7 +348,7 @@ class TestRunUntil:
             external_inputs=frozenset({"din", "clk"}),
             observed=("out",),
         )
-        trace = run(net, [(0, "din"), (20000, "clk")], bias=BiasPoint.of(0.5))
+        trace = run(net, [(0, "din"), (20000, "clk")], bias=exact_ratio(0.5))
         assert trace.failed
         v = trace.violations[0]
         assert (v.cell, v.kind, v.time_fs) == ("d", ViolationKind.ELECTRICAL, 0)
@@ -359,13 +361,28 @@ class TestRunUntil:
         cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
         prepared = schedule(build_controller(cfg), stimulus_for(scenario_write_read(1, 3), cfg))
         t_end = 5 * trip_duration(cfg)
-        off = run_until(prepared, t_end, BiasPoint.of(outside))
-        at_edge = run_until(prepared, t_end, BiasPoint.of(edge))
+        off = run_until(prepared, t_end, exact_ratio(outside))
+        at_edge = run_until(prepared, t_end, exact_ratio(edge))
         flagged = [v for v in off.violations if "outside operating range" in v.detail]
         assert [v.cell for v in flagged] == sorted(CELL_NAMES)
         assert all(v.kind == ViolationKind.ELECTRICAL and v.time_fs == 0 for v in flagged)
         assert off.violations[len(flagged):] == at_edge.violations
         assert off.events == at_edge.events
+
+    @pytest.mark.parametrize("ratio", [0, Fraction(-1, 2)])
+    def test_a_bias_that_is_not_positive_is_refused_before_the_run(self, ratio):
+        # the controller's modelled cells would clamp an out-of-range bias, and the DRO's constant delay reads none
+        cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
+        controller = (build_controller(cfg), stimulus_for(scenario_write_read(1, 3), cfg))
+        for net, stimulus in (controller, (dro_netlist(), [(0, "din"), (20000, "clk")])):
+            for refused in (lambda: run_until(schedule(net, stimulus), 10**6, ratio), lambda: net.at_bias(ratio)):
+                with pytest.raises(ValueError, match="^bias ratio must be positive$"):
+                    refused()
+
+    def test_a_bias_is_a_plain_ratio_and_an_int_works(self):
+        pulses = [(0, "din"), (20000, "clk")]
+        assert run(dro_netlist(), pulses, bias=1) == run(dro_netlist(), pulses) == run(dro_netlist(), pulses, bias=Fraction(1))
+        assert run(dro_netlist(), pulses, bias=Fraction(9, 10)).bias == Fraction(9, 10)
 
     def test_delay_curves_are_evaluated_per_run_not_per_event(self, monkeypatch):
         cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
@@ -378,7 +395,7 @@ class TestRunUntil:
         def count(trips: int, ratio: str) -> int:
             prepared = schedule(net, stimulus_for(scenario_write_read(1, trips), cfg))
             lookups.clear()
-            trace = run_until(prepared, (trips + 2) * trip_duration(cfg), BiasPoint.of(ratio))
+            trace = run_until(prepared, (trips + 2) * trip_duration(cfg), exact_ratio(ratio))
             assert trace.events
             return len(lookups)
 
@@ -392,15 +409,15 @@ class TestRunUntil:
     def test_repeat_runs_at_one_bias_give_equal_traces(self):
         cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
         prepared = schedule(build_controller(cfg), stimulus_for(scenario_write_read(1, 3), cfg))
-        first = run_until(prepared, 5 * trip_duration(cfg), BiasPoint.of("0.5"))
-        again = run_until(prepared, 5 * trip_duration(cfg), BiasPoint.of("0.5"))
+        first = run_until(prepared, 5 * trip_duration(cfg), exact_ratio("0.5"))
+        again = run_until(prepared, 5 * trip_duration(cfg), exact_ratio("0.5"))
         assert first == again and first.violations
 
     def test_pin_cache_stays_bounded(self):
         net = dro_netlist()
         prepared = schedule(net, [(0, "din"), (20000, "clk")])
         for i in range(200):
-            run_until(prepared, 40000, BiasPoint(Fraction(50 + i, 100)))
+            run_until(prepared, 40000, Fraction(50 + i, 100))
         info = engine._pin.cache_info()
         assert 0 < info.currsize <= info.maxsize
 
@@ -415,10 +432,10 @@ class TestRunUntil:
         fresh = []
         for ratio in ratios:
             engine._pin.cache_clear()
-            fresh.append(run_until(schedule(net, stimulus), t_end, BiasPoint.of(ratio)))
+            fresh.append(run_until(schedule(net, stimulus), t_end, exact_ratio(ratio)))
         engine._pin.cache_clear()
         for ratio, want in zip(ratios, fresh):
-            trace = run_until(schedule(net, stimulus), t_end, BiasPoint.of(ratio))
+            trace = run_until(schedule(net, stimulus), t_end, exact_ratio(ratio))
             assert trace == want and trace.events
         assert engine._pin.cache_info().hits >= 5
 
@@ -430,7 +447,7 @@ def _cold_run(cfg: SimConfig, ratio: str) -> Trace:
     engine._kernel.cache_clear()
     net = build_controller(cfg)
     prepared = schedule(net, stimulus_for(scenario_write_read(1, 3), cfg))
-    return run_until(prepared, 5 * trip_duration(cfg), BiasPoint.of(ratio))
+    return run_until(prepared, 5 * trip_duration(cfg), exact_ratio(ratio))
 
 
 class TestBoundConstants:
@@ -447,9 +464,9 @@ class TestBoundConstants:
         for i, ratio in enumerate(self.RATIOS):
             for cfg, net, want in zip(cfgs, nets, cold):
                 prepared = schedule(net, stimulus_for(scenario_write_read(1, 3), cfg))
-                trace = run_until(prepared, 5 * trip_duration(cfg), BiasPoint.of(ratio))
+                trace = run_until(prepared, 5 * trip_duration(cfg), exact_ratio(ratio))
                 assert trace == want[i] and _oracle.pulses_on(trace, "loop_data_out")
-                assert net.at_bias(BiasPoint.of(ratio)).bound[0] is net._folded_kernel[1][1]
+                assert net.at_bias(exact_ratio(ratio)).bound[0] is net._folded_kernel[1][1]
         assert cold[0][1].events != cold[1][1].events  # at nominal, the loop taps differ
 
     def test_controllers_sharing_their_pins_run_with_their_own_taps(self):
@@ -458,7 +475,7 @@ class TestBoundConstants:
         cfgs = [SimConfig(frequency_hz=ghz * 10**9, num_addresses=3) for ghz in (20, 100)]
         self.alternate(cfgs)
         nets = [build_controller(cfg) for cfg in cfgs]
-        assert nets[0].at_bias(BiasPoint.of("0.9")) is nets[1].at_bias(BiasPoint.of("0.9"))
+        assert nets[0].at_bias(exact_ratio("0.9")) is nets[1].at_bias(exact_ratio("0.9"))
         (kernel, (_, bind_pins, taps)), (other, (_, other_bind, other_taps)) = (net._folded_kernel for net in nets)
         assert (kernel, bind_pins) == (other, other_bind) and taps != other_taps
 
@@ -466,7 +483,7 @@ class TestBoundConstants:
         cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
         net = build_controller(cfg)
         prepared = schedule(net, stimulus_for(scenario_write_read(1, 3), cfg))
-        bias = BiasPoint.of("0.9")
+        bias = exact_ratio("0.9")
         first = run_until(prepared, 5 * trip_duration(cfg), bias)
         pins, (_, bind_pins, _) = net.at_bias(bias), net._folded_kernel[1]
         assert pins.bound[0] is bind_pins
@@ -482,7 +499,7 @@ class TestBoundConstants:
         cfgs = [plain, plain._replace(loop_jitter_fs=(300, -300, 500))]
         self.alternate(cfgs)
         nets = [build_controller(cfg) for cfg in cfgs]
-        assert nets[0].at_bias(BiasPoint.of("0.9")) is nets[1].at_bias(BiasPoint.of("0.9"))
+        assert nets[0].at_bias(exact_ratio("0.9")) is nets[1].at_bias(exact_ratio("0.9"))
         assert nets[0]._folded_kernel[0] is not nets[1]._folded_kernel[0]
 
     def test_shapes_of_other_line_counts_on_one_pinned_cell_set_read_their_own_windows(self):
@@ -779,7 +796,7 @@ def reference_step(kind: CellKind, port: str):
     return store_step if port == "data" else release_step
 
 
-def reference_run(net: Netlist, stimulus: list[tuple[int, str]], t_end: int, bias: BiasPoint) -> tuple[tuple, tuple]:
+def reference_run(net: Netlist, stimulus: list[tuple[int, str]], t_end: int, bias: Fraction) -> tuple[tuple, tuple]:
     """The kernel's contract, written naively: one heap of (t, line) keys
     holding every pulse, and every key ever queued remembered."""
     pins = net.at_bias(bias)
@@ -958,7 +975,7 @@ class TestKernelMatchesReference:
     """run_until against the naive kernel above, on drawn delays and stimuli."""
 
     @staticmethod
-    def check(net: Netlist, stimulus: list[tuple[int, str]], t_end: int, bias: BiasPoint = NOMINAL_BIAS) -> None:
+    def check(net: Netlist, stimulus: list[tuple[int, str]], t_end: int, bias: Fraction = NOMINAL_BIAS) -> None:
         trace = run_until(schedule(net, stimulus), t_end, bias)
         assert (trace.events, trace.violations) == reference_run(net, stimulus, t_end, bias)
 
@@ -1074,7 +1091,7 @@ class TestKernelMatchesReference:
     def test_stock_controller(self, overrides, trips, ratio):
         cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3, cell_overrides=overrides)
         stimulus = stimulus_for(MemoryProgram(tuple(trips)), cfg)
-        self.check(build_controller(cfg), stimulus, (len(trips) + 2) * trip_duration(cfg), BiasPoint.of(ratio))
+        self.check(build_controller(cfg), stimulus, (len(trips) + 2) * trip_duration(cfg), exact_ratio(ratio))
 
 
 def _curve(lo: int, m_lo: int, hi: int, m_hi: int, reach: int) -> dict:
@@ -1109,11 +1126,11 @@ def test_a_run_on_any_accepted_curve_keeps_its_keys_ascending(overrides, trips, 
     except FluxloopError:  # the curve is refused, or the loop cannot fit the trip
         assume(False)
     stimulus = stimulus_for(MemoryProgram(tuple(trips)), cfg)
-    keys = run_until(schedule(net, stimulus), (len(trips) + 2) * trip_duration(cfg), BiasPoint.of(ratio)).keys
+    keys = run_until(schedule(net, stimulus), (len(trips) + 2) * trip_duration(cfg), exact_ratio(ratio)).keys
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
-def _queued_lines(monkeypatch, net: Netlist, stimulus, t_end: int, bias: BiasPoint) -> set[str]:
+def _queued_lines(monkeypatch, net: Netlist, stimulus, t_end: int, bias: Fraction) -> set[str]:
     """The lines of every key a run pushes onto its heap."""
     pushed = []
 
@@ -1256,7 +1273,7 @@ def test_max_events_is_exceeded_exactly_past_the_pending_high_water_mark(merger,
             assert bound >= mark
 
 
-def _kernel_source(net: Netlist, bias: BiasPoint = NOMINAL_BIAS) -> list[str]:
+def _kernel_source(net: Netlist, bias: Fraction = NOMINAL_BIAS) -> list[str]:
     """The source of the kernel a run at ``bias`` takes: wired for a zero delay, else folded."""
     kernel, _ = net._wired_kernel if net.at_bias(bias).zero_delay else net._folded_kernel
     return linecache.getlines(kernel.__code__.co_filename)
@@ -1307,6 +1324,18 @@ def test_the_controller_kernel_keeps_its_line_budget():
         assert len(_kernel_source(net, cfg.bias)) <= 170
 
 
+def test_the_controller_kernel_binds_each_window_and_delay_sum_once():
+    # the merger's two inputs check one separation, and read_dro2r's two clocks one setup: one W local each
+    for overrides in ({}, {"fanout": {"prop_delay": 0}}):
+        cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3, cell_overrides=overrides)
+        (bind_pins,) = (node for node in ast.walk(ast.parse("".join(_kernel_source(build_controller(cfg)))))
+                        if isinstance(node, ast.FunctionDef) and node.name == "bind_pins")
+        constants = [ast.unparse(item) for item in bind_pins.body[0].value.elts]
+        windows = [c for c in constants if re.fullmatch(r"cells\[\d\]\.\w+ \* 14", c)]  # a delay sum adds a rank offset
+        assert "cells[1].min_separation_fs * 14" in windows
+        assert len(set(constants)) == len(constants) and len(windows) == 7
+
+
 def test_an_evicted_kernel_takes_its_source_out_of_linecache():
     # more shapes than the kernel cache holds (a fan of 1 to 40 taps); each netlist is dropped once it has run
     names = []
@@ -1341,7 +1370,7 @@ loop_runs = st.builds(
 def _controller_run(trips: list[TripOp], ratio: str) -> tuple:
     cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
     stimulus = stimulus_for(MemoryProgram(tuple(trips)), cfg)
-    return build_controller(cfg), stimulus, (len(trips) + 2) * trip_duration(cfg), BiasPoint.of(ratio)
+    return build_controller(cfg), stimulus, (len(trips) + 2) * trip_duration(cfg), exact_ratio(ratio)
 
 
 controller_runs = st.builds(
@@ -1359,7 +1388,7 @@ controller_runs = st.builds(
 ZERO_DELAY_RUN = (fanout_net(0, 0), [(0, "z"), (500, "p"), (500, "z")], 2000, NOMINAL_BIAS)
 
 
-def _traced(net: Netlist, stimulus: list[tuple[int, str]], t_end: int, bias: BiasPoint) -> Trace:
+def _traced(net: Netlist, stimulus: list[tuple[int, str]], t_end: int, bias: Fraction) -> Trace:
     return run_until(schedule(net, stimulus), t_end, bias)
 
 

@@ -20,7 +20,6 @@ from functools import lru_cache
 import pytest
 
 from fluxloop import (
-    BiasPoint,
     MemoryProgram,
     SimConfig,
     TripOp,
@@ -32,6 +31,7 @@ from fluxloop import (
     trace_to_vcd,
 )
 from fluxloop.cli import build_parser, main
+from fluxloop.core import exact_ratio
 from fluxloop.timing import margin_sweep, margins_to_csv, sta_to_text
 
 GHZ = 10**9
@@ -95,8 +95,8 @@ def _artifacts() -> dict[str, str]:
     program = _seeded_program(16, 40, seed=20221)
 
     stream = run_program(program, cfg).trace
-    off_nominal = run_program(program, cfg.with_bias(BiasPoint.of("0.80"))).trace
-    out_of_range = run_program(program, cfg.with_bias(BiasPoint.of("1.30"))).trace
+    off_nominal = run_program(program, cfg.with_bias(exact_ratio("0.80"))).trace
+    out_of_range = run_program(program, cfg.with_bias(exact_ratio("1.30"))).trace
     jitter_rng = random.Random(7)
     jitter_cfg = cfg._replace(
         loop_jitter_fs=tuple(jitter_rng.randint(-4000, 4000) for _ in range(40))

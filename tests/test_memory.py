@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 
 import _oracle
@@ -27,7 +28,7 @@ from fluxloop import (
     serialize_program,
 )
 from fluxloop import memory
-from fluxloop.core import BiasPoint
+from fluxloop.core import exact_ratio
 from fluxloop.engine import PreparedRun, RunawayQueueError, UnknownLineError, schedule
 from fluxloop.memory import (
     INPUT_LINES,
@@ -56,6 +57,15 @@ class TestProgramModel:
             TripOp(reads=(1, 1))
         with pytest.raises(ConfigError, match="addresses must be non-negative"):
             TripOp(reads=(-2,))
+
+    def test_a_long_trip_finds_its_first_repeat_at_once(self):
+        reads = list(range(200_000))
+        reads[150_000] = reads[199_999] = 7  # the first repeat is at 150,000, of the read at 7
+        start = time.perf_counter()
+        with pytest.raises(ConfigError) as exc:
+            parse_program(json.dumps({"trips": [{"reads": reads}]}))
+        assert time.perf_counter() - start < 0.5
+        assert str(exc.value) == "trips[0].reads[150000]: duplicate read address within a trip"
 
     def test_max_address(self):
         program = MemoryProgram(trips=(TripOp(write=(4, 1)), TripOp(reads=(2, 6))))
@@ -138,7 +148,7 @@ class TestControllerNetlist:
 
     def test_compiled_once_per_bias_free_config(self, cfg100):
         net = build_controller(cfg100)
-        assert build_controller(cfg100.with_bias(BiasPoint.of("0.8"))) is net
+        assert build_controller(cfg100.with_bias(exact_ratio("0.8"))) is net
         assert build_controller(cfg100._replace(max_events=5, search_ceiling_hz=GHZ)) is net
         # the netlist reads no phase
         assert build_controller(cfg100._replace(phase_read=Fraction(1, 10), phase_data=Fraction(0))) is net
@@ -264,7 +274,7 @@ class TestRunProgram:
         controller = build_controller(cfg100)
         assert read_window_offset(controller.at_bias(cfg100.bias)) == 8000
         # biased low: every cell slows down
-        assert read_window_offset(controller.at_bias(BiasPoint.of("0.76"))) == 11120  # 8000 * 1.39
+        assert read_window_offset(controller.at_bias(exact_ratio("0.76"))) == 11120  # 8000 * 1.39
 
     def test_golden_overwrite(self, cfg100):
         result = run_program(scenario_overwrite(address=1), cfg100)
@@ -314,7 +324,7 @@ class TestRunProgram:
         assert empty.reads_by_trip() == []
 
     def test_starved_bias_fails_electrically_but_still_decodes(self, cfg100):
-        cfg = cfg100.with_bias(BiasPoint.of(0.5))
+        cfg = cfg100.with_bias(exact_ratio(0.5))
         result = run_program(scenario_write_read(address=1, trips=3), cfg)
         assert not result.passed
         kinds = {v.kind.value for v in result.trace.violations}

@@ -24,7 +24,6 @@ import pytest
 import fluxloop
 from fluxloop import (
     BiasDelayModel,
-    BiasPoint,
     CellKind,
     CellParams,
     ConfigError,
@@ -41,7 +40,10 @@ from fluxloop import (
     TripOp,
     ViolationKind,
     build_controller,
+    run_until,
+    sta,
 )
+from fluxloop.core import CELL_NAMES
 from fluxloop.density import DensityReport, DensityRow, FactorRow
 from fluxloop.engine import DuplicatePulseError, NetlistError, PreparedRun, UnknownLineError
 from fluxloop.timing import ArrivalWindow, SlackRow
@@ -60,9 +62,9 @@ def test_importing_the_cli_loads_no_dataclass_machinery_and_runs_pinned_cells():
         " if m.split('.')[0] == 'fluxloop' for v in vars(mod).values()"
         " if isinstance(v, type) and '__dataclass_fields__' in vars(v)}))\n"
         "from fractions import Fraction\n"
-        "from fluxloop import BiasPoint, SimConfig, build_controller\n"
+        "from fluxloop import SimConfig, build_controller\n"
         "net = build_controller(SimConfig(frequency_hz=10**11, num_addresses=3))\n"
-        "pinned = [net.at_bias(BiasPoint(Fraction(r, 100))).cells for r in (50, 90, 100, 124)]\n"
+        "pinned = [net.at_bias(Fraction(r, 100)).cells for r in (50, 90, 100, 124)]\n"
         "print(sorted({type(cell).__name__ for cells in pinned for cell in cells.values()}),"
         " {cell.delay_model for cells in pinned for cell in cells.values()}, len(pinned[0]))"
     )
@@ -159,15 +161,16 @@ def test_every_annotation_in_the_package_resolves():
 
 CFG = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
 NET = build_controller(CFG)
+#: Every cell at a constant delay: no operating range refuses a bias window first.
+CONSTANT_DELAYS = CFG._replace(cell_overrides={name: {"prop_delay": 0} for name in CELL_NAMES})
 KNOTS = ((Fraction(3, 4), 20), (Fraction(5, 4), 10))
-TRACE_FIELDS = {"keys": (), "lines": ("read_data",), "violations": (), "observed": ("read_data",), "t_end_fs": 10, "bias": BiasPoint(Fraction(1))}
+TRACE_FIELDS = {"keys": (), "lines": ("read_data",), "violations": (), "observed": ("read_data",), "t_end_fs": 10, "bias": Fraction(1)}
 SPEC = {"name": "x", "linewidth_nm": 15, "spacing_nm": 120, "capacitance_ff_per_um": 0.04, "inductance_ph_per_um": 5467.0}
 
 #: Every record type, as (type, the fields given by keyword, the defaults of the others).
 RECORDS = [
-    (BiasPoint, {"ratio": Fraction(9, 10)}, {}),
     (SimConfig, {"frequency_hz": 10**11, "num_addresses": 3},
-     {"bias": BiasPoint(Fraction(1)), "header_intervals": 1, "phase_read": Fraction(1, 5), "phase_write": Fraction(1, 2),
+     {"bias": Fraction(1), "header_intervals": 1, "phase_read": Fraction(1, 5), "phase_write": Fraction(1, 2),
       "phase_data": Fraction(1, 2), "loop_delay_fs": None, "retiming_guard_fs": 2000, "loop_jitter_fs": (),
       "cell_overrides": {}, "max_events": 10_000_000, "search_ceiling_hz": 10**12}),
     (CellParams, {"kind": CellKind.DRO2R, "prop_delay_fs": 15, "delay_model": BiasDelayModel(KNOTS, Fraction(4, 5), Fraction(6, 5))},
@@ -223,7 +226,11 @@ def test_record_behaviour(record, given, defaults):
 
 #: Each check of a validating record, as (construction, error type, exact message).
 REFUSALS = [
-    (lambda: BiasPoint(Fraction(0)), ValueError, "bias ratio must be positive"),
+    # a bias is a plain ratio, checked where it enters: a config, the pins of a run, an sta window
+    (lambda: SimConfig(10**11, 3, bias=0), ConfigError, "bias: must be positive"),
+    (lambda: NET.at_bias(Fraction(0)), ValueError, "bias ratio must be positive"),
+    (lambda: run_until(PreparedRun(NET), 10, -1), ValueError, "bias ratio must be positive"),
+    (lambda: sta(CONSTANT_DELAYS, 0, 1), ValueError, "bias ratio must be positive"),
     (lambda: BiasDelayModel(KNOTS[:1], Fraction(4, 5), Fraction(6, 5)), ValueError, "delay model needs at least two knots"),
     (lambda: BiasDelayModel(KNOTS[::-1], Fraction(4, 5), Fraction(6, 5)), ValueError,
      "knot ratios must be strictly increasing"),
@@ -247,8 +254,7 @@ REFUSALS = [
     (lambda: CellParams(CellKind.MERGER, 1500, min_separation_fs=-5), ValueError,
      "minimum separation must be non-negative"),
     # _make, and _replace through it, build through the checks of the constructor
-    (lambda: BiasPoint._make([-1]), ValueError, "bias ratio must be positive"),
-    (lambda: BiasPoint(Fraction(1))._replace(ratio=Fraction(0)), ValueError, "bias ratio must be positive"),
+    (lambda: CFG._replace(bias=Fraction(-1)), ConfigError, "bias: must be positive"),
     (lambda: BiasDelayModel._make((KNOTS[:1], Fraction(4, 5), Fraction(6, 5))), ValueError,
      "delay model needs at least two knots"),
     (lambda: BiasDelayModel(KNOTS, Fraction(4, 5), Fraction(6, 5))._replace(range_lo=Fraction(1, 2)), ValueError,

@@ -26,7 +26,7 @@ from fluxloop import (
 )
 from fluxloop import cells, core, engine, memory, timing
 from fluxloop.cells import default_cell_params, delay_at_bias
-from fluxloop.core import CELL_OVERRIDES, BiasPoint, exact_ratio, format_ratio, interval_duration, round_half_up
+from fluxloop.core import CELL_OVERRIDES, exact_ratio, format_ratio, interval_duration, round_half_up
 from fluxloop.engine import RunawayQueueError
 from fluxloop.memory import build_controller, default_margin_suite, oracle, scenario_write_read, source_path_delays
 from fluxloop.timing import (
@@ -51,6 +51,38 @@ DOUBLED = {
 #: Overrides that zero every duration but the merger's separation; merger and
 #: fan-out read no setup or hold, and theirs are 0 already.
 ZEROED = {name: {key: 0 for key in ("prop_delay", "setup", "hold") if key in keys} for name, keys in CELL_OVERRIDES.items()}
+
+
+#: Every cell modelled down to a bias of -1, so a window or run at a bias <= 0 passes every range check.
+DOWN_TO_NEGATIVE = {name: {"bias_curve": [[-1, 2], [1, 1], [2, "1/2"]], "operating_range": [-1, 2]} for name in CELL_OVERRIDES}
+
+
+class TestABiasIsAPositiveRatio:
+    def test_a_library_config_takes_a_bare_fraction(self):
+        cfg = SimConfig(frequency_hz=100 * GHZ, num_addresses=3, bias=Fraction(9, 10))
+        assert cfg == core.parse_config('{"frequency": "100GHz", "num_addresses": 3, "bias": 0.9}')
+        report = sta(cfg)
+        assert (report.bias_lo, report.bias_hi) == (Fraction(9, 10), Fraction(9, 10)) and report.all_met
+        program = scenario_write_read(1, 3)
+        result = run_program(program, cfg)
+        assert result.passed and result.reads == oracle(program, 3) and result.trace.bias == Fraction(9, 10)
+
+    @pytest.mark.parametrize("ratio", [0, Fraction(-1, 2)])
+    def test_characterize_runs_no_cell_at_a_bias_that_is_not_positive(self, cfg100, ratio):
+        # a constant-delay cell, and a modelled one whose range takes the bias, reach the run's check
+        for overrides in ({"write_dro": {"prop_delay": 0}}, DOWN_TO_NEGATIVE):
+            with pytest.raises(ValueError, match="^bias ratio must be positive$"):
+                characterize_cell("write_dro", cfg100._replace(cell_overrides=overrides), [ratio])
+        with pytest.raises(BiasRangeError, match="outside write_dro operating range"):  # a range check comes first
+            characterize_cell("write_dro", cfg100, [ratio])
+
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (Fraction(-1, 2), Fraction(-1, 4))])
+    def test_sta_refuses_a_window_that_is_not_positive_after_the_ranges(self, cfg100, lo, hi):
+        for overrides in ({name: {"prop_delay": 0} for name in CELL_OVERRIDES}, DOWN_TO_NEGATIVE):
+            with pytest.raises(ValueError, match="^bias ratio must be positive$"):
+                sta(cfg100._replace(cell_overrides=overrides), lo, hi)
+        with pytest.raises(BiasRangeError, match="exceeds write_dro operating range"):
+            sta(cfg100, lo, hi)
 
 
 class TestCharacterization:
@@ -81,7 +113,7 @@ class TestCharacterization:
         for name in ("recirc_dro2r", "read_dro2r"):
             (ratio, measured), = characterize_cell(name, cfg100, ["0.87"])
             assert measured == 3585
-            assert measured == delay_at_bias(cells[name].delay_model, BiasPoint(ratio))
+            assert measured == delay_at_bias(cells[name].delay_model, ratio)
 
     def test_sweep_is_strictly_decreasing(self, cfg100):
         ratios = [Fraction(76 + 4 * i, 100) for i in range(13)]  # 0.76 .. 1.24
@@ -576,11 +608,11 @@ class TestStaPassMeansSimulationPass:
 
 def reference_margin(cfg: SimConfig, max_pct: int) -> MarginReport:
     """``bias_margin``'s scan of the default suite, each step's bias built afresh as
-    ``BiasPoint(Fraction(100 ± p, 100))`` and each scenario run by ``run_program``."""
+    ``Fraction(100 ± p, 100)`` and each scenario run by ``run_program``."""
     suite = default_margin_suite(cfg)
 
     def failure(pct: int) -> str | None:
-        results = [run_program(program, cfg.with_bias(BiasPoint(Fraction(100 + pct, 100)))) for program in suite]
+        results = [run_program(program, cfg.with_bias(Fraction(100 + pct, 100))) for program in suite]
         violations = [v for result in results for v in result.trace.violations]
         if violations:
             return min(violations, key=lambda v: (v.time_fs, v.cell, v.kind.value)).kind.value
@@ -605,8 +637,8 @@ def reference_sta(cfg: SimConfig, bias_lo=None, bias_hi=None) -> tuple:
     """sta written out plainly: every cell pinned and every instant rounded
     through Fractions on each call.  Returns (loop delay, rows, windows) or
     raises what sta must raise, in the same order."""
-    lo = exact_ratio(bias_lo) if bias_lo is not None else cfg.bias.ratio
-    hi = exact_ratio(bias_hi) if bias_hi is not None else cfg.bias.ratio
+    lo = exact_ratio(bias_lo) if bias_lo is not None else cfg.bias
+    hi = exact_ratio(bias_hi) if bias_hi is not None else cfg.bias
     if lo > hi:
         raise ValueError("bias_lo must not exceed bias_hi")
     cells = default_cell_params(cfg.cell_overrides)
@@ -617,8 +649,8 @@ def reference_sta(cfg: SimConfig, bias_lo=None, bias_hi=None) -> tuple:
                 f"bias window [{format_ratio(lo)}, {format_ratio(hi)}] exceeds {name} "
                 f"operating range [{format_ratio(rng[0])}, {format_ratio(rng[1])}]"
             )
-    at_lo = {name: p.at_bias(BiasPoint(lo)) for name, p in cells.items()}
-    at_hi = {name: p.at_bias(BiasPoint(hi)) for name, p in cells.items()}
+    at_lo = {name: p.at_bias(lo) for name, p in cells.items()}
+    at_hi = {name: p.at_bias(hi) for name, p in cells.items()}
 
     interval = round_half_up(Fraction(10**15, cfg.frequency_hz))
     header = cfg.header_intervals * interval
@@ -741,7 +773,7 @@ class TestStaMatchesReference:
         assert report.all_met == all(slack >= 0 for _, _, slack in want_rows)
         worst = report.worst()
         assert (worst.constraint, worst.cell, worst.slack_fs) == min(want_rows, key=lambda row: (row[2], row[0]))
-        lo, hi = (edge if edge is not None else cfg.bias.ratio for edge in edges)
+        lo, hi = (edge if edge is not None else cfg.bias for edge in edges)
         assert (report.frequency_hz, report.bias_lo, report.bias_hi) == (hz, lo, hi)
         assert sta_to_text(report) == reference_text(cfg, lo, hi, want_loop, want_rows, want_windows)
 
