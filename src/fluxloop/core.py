@@ -67,18 +67,22 @@ class FluxloopError(Exception):
 class ConfigError(FluxloopError):
     """A configuration document is malformed or semantically invalid.
 
-    ``field`` names the offending entry so callers (and the CLI) can point
-    at it without parsing the message.
+    ``field`` names the offending entry, so a caller need not parse the message.
     """
 
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
-        self.field = field_name
-        self.message = message
+        self.field, self.message = field_name, message
 
 
 class InfeasibleFrequencyError(FluxloopError):
-    """The controller cannot close timing at the requested frequency."""
+    """The controller cannot close timing at the requested frequency.
+
+    ``str(exc)`` is the message; ``args`` may be a ``%`` template and its values, formatted only when read.
+    """
+
+    def __str__(self) -> str:
+        return self.args[0] % self.args[1:] if len(self.args) > 1 else super().__str__()
 
 
 def round_half_up(value: Fraction | int) -> int:
@@ -151,8 +155,7 @@ def _freeze(overrides: Mapping[str, Mapping[str, object]]) -> tuple:
 
 
 def _ratio_to_json(value: Fraction) -> float | str:
-    # Prefer a plain number when it survives the float round-trip exactly;
-    # fall back to a "num/den" string for ratios like 1/3 or 10**400.
+    # a plain number when it survives the float round-trip exactly, else "num/den" (1/3, 10**400)
     try:
         as_float = float(value)
         if Fraction(repr(as_float)) == value:
@@ -242,6 +245,8 @@ class SimConfig(validated_record(
         loop_jitter_fs: tuple[int, ...] = (), cell_overrides: Mapping[str, Mapping[str, object]] = MappingProxyType({}),
         max_events: int = 10_000_000, search_ceiling_hz: int = 10**12,
     ) -> "SimConfig":
+        bias, phase_read, phase_write, phase_data = map(  # the config document's rule: a float is its shortest repr
+            _ratio, (bias, phase_read, phase_write, phase_data), ("bias", "phase_read", "phase_write", "phase_data"))
         for failed, field_name, problem in (
             (frequency_hz <= 0, "frequency", "must be positive"),
             (num_addresses < 1, "num_addresses", "must be at least 1"),
@@ -275,7 +280,7 @@ class SimConfig(validated_record(
         """``_replace(frequency_hz=...)`` that checks only the new frequency and shares ``frozen_overrides``."""
         if frequency_hz <= 0:
             raise ConfigError("frequency", "must be positive")
-        copy = tuple.__new__(type(self), (frequency_hz, *self[1:]))
+        copy = tuple.__new__(type(self), (frequency_hz,) + self[1:])
         copy.frozen_overrides = self.frozen_overrides
         return copy
 
@@ -290,8 +295,7 @@ def interval_duration(cfg: SimConfig) -> int:
     interval = (2 * FS_PER_SECOND + cfg.frequency_hz) // (2 * cfg.frequency_hz)
     if not interval:
         raise InfeasibleFrequencyError(
-            f"frequency {cfg.frequency_hz} Hz gives an address interval of 0 fs, below the 1 fs time resolution"
-        )
+            "frequency %s Hz gives an address interval of 0 fs, below the 1 fs time resolution", cfg.frequency_hz)
     return interval
 
 
@@ -409,12 +413,10 @@ def parse_config(text: str) -> SimConfig:
     doc = load_json(text, "<document>")
     if not isinstance(doc, dict):
         raise ConfigError("<document>", "top level must be an object")
-    for key in doc:
-        if key not in CONFIG_FIELDS:
-            raise ConfigError(key, "unknown configuration field")
-    for key in ("frequency", "num_addresses"):
-        if key not in doc:
-            raise ConfigError(key, "required field is missing")
+    if unknown := [key for key in doc if key not in CONFIG_FIELDS]:
+        raise ConfigError(unknown[0], "unknown configuration field")
+    if missing := [key for key in ("frequency", "num_addresses") if key not in doc]:
+        raise ConfigError(missing[0], "required field is missing")
     return SimConfig(**{field: parse(doc[key], key) for key, (field, parse, _) in CONFIG_FIELDS.items() if key in doc})
 
 

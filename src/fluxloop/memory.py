@@ -173,6 +173,10 @@ def source_path_delays(cells: Mapping[str, CellParams]) -> tuple[int, int]:
     return cells["write_dro"].prop_delay_fs + shared, cells["recirc_dro2r"].prop_delay_fs + shared
 
 
+#: A trip too short for the re-timing budget, guard included: (budget, trip, frequency), formatted when read.
+BUDGET_MISS = "controller re-timing budget %s fs does not fit in a %s fs trip at %s Hz"
+
+
 def required_loop_delay(cfg: SimConfig) -> int:
     """Loop delay that re-aligns each bit with its own interval next trip.
 
@@ -182,21 +186,14 @@ def required_loop_delay(cfg: SimConfig) -> int:
     re-timing budget.
     """
     budget = _retiming_budget(_cell_set(cfg.frozen_overrides)) + cfg.retiming_guard_fs
-    return _loop_delay(budget, trip_duration(cfg), cfg.frequency_hz)
+    if budget >= (trip := trip_duration(cfg)):
+        raise InfeasibleFrequencyError(BUDGET_MISS, budget, trip, cfg.frequency_hz)
+    return trip - budget
 
 
 def _retiming_budget(cells: Mapping[str, CellParams]) -> int:
     """The re-timing budget before the guard: the recirculation path plus the re-timing cell's setup."""
     return source_path_delays(cells)[1] + cells["recirc_dro2r"].setup_fs
-
-
-def _loop_delay(budget: int, trip: int, frequency_hz: int) -> int:
-    """What a trip leaves for the loop after the re-timing budget, guard included."""
-    if budget >= trip:
-        raise InfeasibleFrequencyError(
-            f"controller re-timing budget {budget} fs does not fit in a {trip} fs trip at {frequency_hz} Hz"
-        )
-    return trip - budget
 
 
 def build_controller(cfg: SimConfig) -> Netlist:

@@ -22,7 +22,7 @@ from .cells import INPUT_PORTS, OUTPUT_PORTS, BiasRangeError, _cell_set, default
 from .core import ConfigError, InfeasibleFrequencyError, SimConfig, exact_ratio, format_ratio, interval_duration
 from .engine import Connection, Netlist, run_until, schedule
 from .memory import (
-    MemoryProgram, MemoryResult, _check_stimulus_size, _loop_delay, _phase_instants, _retiming_budget,
+    BUDGET_MISS, MemoryProgram, MemoryResult, _check_stimulus_size, _phase_instants, _retiming_budget,
     default_margin_suite, oracle, prepare_program, source_path_delays,
     run_program,  # unused here; perfbench's tracer and self-test expect timing.run_program
 )
@@ -190,13 +190,15 @@ def sta(
     lo = exact_ratio(bias_lo) if bias_lo is not None else cfg.bias
     hi = exact_ratio(bias_hi) if bias_hi is not None else cfg.bias
     (path_min, path_max, budget, (wd_setup, wd_hold, _), (rc_setup, rc_hold, rc_prop), (rd_setup, rd_hold, rd_prop),
-     windows) = _window_cells(cfg.frozen_overrides, *lo.as_integer_ratio(), *hi.as_integer_ratio())
+     windows) = _window_cells(cfg.frozen_overrides, *(edge := lo.as_integer_ratio()),
+                              *(edge if hi is lo else hi.as_integer_ratio()))  # both the config bias: converted once
     interval = interval_duration(cfg)
     header = cfg.header_intervals * interval
     trip = header + cfg.num_addresses * interval
-    loop_delay = cfg.loop_delay_fs
-    if loop_delay is None:
-        loop_delay = _loop_delay(budget + cfg.retiming_guard_fs, trip, cfg.frequency_hz)
+    if (loop_delay := cfg.loop_delay_fs) is None:
+        if (budget := budget + cfg.retiming_guard_fs) >= trip:
+            raise InfeasibleFrequencyError(BUDGET_MISS, budget, trip, cfg.frequency_hz)  # as required_loop_delay
+        loop_delay = trip - budget
     ph_read, ph_write, ph_data = _phase_instants(cfg, interval)
     read_gap = interval + ph_read - ph_write - path_max  # the loop race
     late = early = loop_delay  # the longest and shortest loop over the trips (a trip past the jitter list adds 0)
@@ -214,7 +216,7 @@ def sta(
         read_gap,
     )
     next_trip = (path_min + early - trip, path_max + late - trip)  # recirc_data_next_trip
-    return StaReport(cfg.frequency_hz, lo, hi, loop_delay, slack_fs, (*windows, next_trip))
+    return tuple.__new__(StaReport, (cfg.frequency_hz, lo, hi, loop_delay, slack_fs, (*windows, next_trip)))
 
 
 def sta_to_text(report: StaReport) -> str:
@@ -280,11 +282,13 @@ MAX_SCAN_POINTS = 10_000
 def max_frequency(cfg: SimConfig, step_hz: int = 10**9) -> int:
     """Largest frequency on a step_hz grid whose slacks are all non-negative.
 
-    Scans downward from the configured search ceiling, so pathological cell
-    sets whose constraints never bind resolve to the ceiling itself.  A
-    ceiling that leaves no grid point, or more than ``MAX_SCAN_POINTS``, is a
-    config error.
+    Scans down from the search ceiling, one ``sta`` call per grid point (a
+    miss formats no error text), so cell sets whose constraints never bind
+    resolve to the ceiling.  A non-positive step is a ValueError; a ceiling
+    that leaves no grid point, or more than ``MAX_SCAN_POINTS``, a config error.
     """
+    if step_hz <= 0:
+        raise ValueError(f"step_hz must be positive, got {step_hz}")
     points = cfg.search_ceiling_hz // step_hz
     if not points:
         raise ConfigError("search_ceiling", f"{cfg.search_ceiling_hz} Hz is below the {step_hz} Hz scan step")
@@ -294,11 +298,10 @@ def max_frequency(cfg: SimConfig, step_hz: int = 10**9) -> int:
     ceiling = points * step_hz
     for freq in range(ceiling, 0, -step_hz):
         try:
-            report = sta(cfg.with_frequency(freq))
+            if sta(cfg.with_frequency(freq)).all_met:
+                return freq
         except InfeasibleFrequencyError:
-            continue
-        if report.all_met:
-            return freq
+            pass
     raise InfeasibleFrequencyError(f"no feasible frequency found at or below {ceiling} Hz")
 
 
@@ -397,14 +400,8 @@ def margin_sweep(
 
 
 def margins_to_csv(reports: Sequence[MarginReport]) -> str:
-    def cell(value: int | str | None) -> str:
-        return "" if value is None else str(value)
-
-    lines = ["frequency_hz,lower_pct,upper_pct,lower_limiter,upper_limiter"]
-    lines += [
-        f"{r.frequency_hz},{cell(r.lower_pct)},{cell(r.upper_pct)},{cell(r.lower_limiter)},{cell(r.upper_limiter)}"
-        for r in reports
-    ]
+    lines = [",".join(MarginReport._fields)]
+    lines += [",".join("" if value is None else str(value) for value in r) for r in reports]
     return "\n".join(lines) + "\n"
 
 

@@ -231,6 +231,13 @@ REFUSALS = [
     (lambda: NET.at_bias(Fraction(0)), ValueError, "bias ratio must be positive"),
     (lambda: run_until(PreparedRun(NET), 10, -1), ValueError, "bias ratio must be positive"),
     (lambda: sta(CONSTANT_DELAYS, 0, 1), ValueError, "bias ratio must be positive"),
+    # a library config reads its bias and phases as the config document does: a float is its shortest repr
+    (lambda: SimConfig(10**11, 3, bias=True), ConfigError, "bias: expected a ratio, got a boolean"),
+    (lambda: SimConfig(10**11, 3, bias="0.9x"), ConfigError, "bias: invalid ratio '0.9x'"),
+    (lambda: SimConfig(10**11, 3, bias=float("nan")), ConfigError, "bias: invalid ratio nan"),
+    (lambda: SimConfig(10**11, 3, phase_read="1e5000"), ConfigError, "phase_read: number has more than 1000 digits"),
+    (lambda: SimConfig(10**11, 3, phase_write=[1, 2]), ConfigError, "phase_write: invalid ratio [1, 2]"),
+    (lambda: CFG._replace(phase_data=False), ConfigError, "phase_data: expected a ratio, got a boolean"),
     (lambda: BiasDelayModel(KNOTS[:1], Fraction(4, 5), Fraction(6, 5)), ValueError, "delay model needs at least two knots"),
     (lambda: BiasDelayModel(KNOTS[::-1], Fraction(4, 5), Fraction(6, 5)), ValueError,
      "knot ratios must be strictly increasing"),

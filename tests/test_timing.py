@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 
 import _oracle
@@ -66,6 +67,17 @@ class TestABiasIsAPositiveRatio:
         program = scenario_write_read(1, 3)
         result = run_program(program, cfg)
         assert result.passed and result.reads == oracle(program, 3) and result.trace.bias == Fraction(9, 10)
+
+    def test_a_float_bias_and_phases_are_their_shortest_repr(self):
+        # a float bias once reached sta's window unconverted (AttributeError) and pinned a run at the binary float
+        exact = SimConfig(frequency_hz=100 * GHZ, num_addresses=3, bias=Fraction("0.87"))
+        drawn = SimConfig(frequency_hz=100 * GHZ, num_addresses=3, bias=0.87)
+        assert drawn == exact and type(drawn.bias) is Fraction
+        assert sta(drawn) == sta(exact) and sta_to_text(sta(drawn)) == sta_to_text(sta(exact))
+        assert SimConfig(100 * GHZ, 3, bias="0.9", phase_read=0.2, phase_write=0.5, phase_data=0.5) == \
+            SimConfig(100 * GHZ, 3, bias=Fraction(9, 10))
+        program = scenario_write_read(1, 3)
+        assert run_program(program, SimConfig(100 * GHZ, 3, bias=0.9)).trace.bias == Fraction(9, 10)
 
     @pytest.mark.parametrize("ratio", [0, Fraction(-1, 2)])
     def test_characterize_runs_no_cell_at_a_bias_that_is_not_positive(self, cfg100, ratio):
@@ -298,6 +310,32 @@ class TestMaxFrequency:
         cfg = cfg100._replace(search_ceiling_hz=500 * GHZ)
         with pytest.raises(InfeasibleFrequencyError, match="no feasible frequency"):
             max_frequency(cfg, step_hz=400 * GHZ)
+
+    @pytest.mark.parametrize("step_hz", [0, -GHZ])
+    def test_a_step_that_is_not_positive_is_refused(self, cfg100, step_hz):
+        # 0 divided the ceiling by zero; a negative step scanned no point and reported none feasible
+        with pytest.raises(ValueError, match=rf"^step_hz must be positive, got {step_hz}$"):
+            max_frequency(cfg100, step_hz)
+
+    @settings(max_examples=200, deadline=None)
+    @given(budget=st.integers(1, 10**30), short=st.integers(0, 10**30), hz=st.integers(1, 10**30))
+    def test_the_budget_miss_reads_as_the_formatted_message(self, budget, short, hz):
+        # the miss is raised as a template and its values: the text is built only when read
+        trip = max(1, budget - short)
+        with pytest.raises(InfeasibleFrequencyError) as caught:
+            raise InfeasibleFrequencyError(memory.BUDGET_MISS, budget, trip, hz)
+        message = f"controller re-timing budget {budget} fs does not fit in a {trip} fs trip at {hz} Hz"
+        for exc in (caught.value, pickle.loads(pickle.dumps(caught.value))):
+            assert type(exc) is InfeasibleFrequencyError and str(exc) == message
+
+    def test_sta_and_required_loop_delay_raise_the_same_budget_miss(self):
+        cfg = SimConfig(frequency_hz=10**12, num_addresses=3)
+        message = "controller re-timing budget 10000 fs does not fit in a 4000 fs trip at 1000000000000 Hz"
+        for call in (sta, required_loop_delay):
+            with pytest.raises(InfeasibleFrequencyError) as caught:
+                call(cfg)
+            assert type(caught.value) is InfeasibleFrequencyError and str(caught.value) == message
+            assert f"{caught.value}" == message and caught.value.args[1:] == (10000, 4000, 10**12)
 
 
 class TestBiasMargin:
@@ -776,6 +814,61 @@ class TestStaMatchesReference:
         lo, hi = (edge if edge is not None else cfg.bias for edge in edges)
         assert (report.frequency_hz, report.bias_lo, report.bias_hi) == (hz, lo, hi)
         assert sta_to_text(report) == reference_text(cfg, lo, hi, want_loop, want_rows, want_windows)
+
+
+def reference_max_frequency(cfg: SimConfig, step_hz: int) -> int:
+    """The downward grid scan, one sta call per point, with the scan's messages written out as f-strings."""
+    points = cfg.search_ceiling_hz // step_hz
+    if not points:
+        raise ConfigError("search_ceiling", f"{cfg.search_ceiling_hz} Hz is below the {step_hz} Hz scan step")
+    if points > timing.MAX_SCAN_POINTS:
+        grid = f"{points} points on the {step_hz} Hz scan grid (at most {timing.MAX_SCAN_POINTS})"
+        raise ConfigError("search_ceiling", f"{cfg.search_ceiling_hz} Hz puts {grid}")
+    for freq in range(points * step_hz, 0, -step_hz):
+        try:
+            report = sta(cfg._replace(frequency_hz=freq))
+        except InfeasibleFrequencyError:
+            continue
+        if all(slack >= 0 for slack in report.slack_fs):
+            return freq
+    raise InfeasibleFrequencyError(f"no feasible frequency found at or below {points * step_hz} Hz")
+
+
+class TestMaxFrequencyMatchesReference:
+    """max_frequency against :func:`reference_max_frequency` on drawn cells,
+    phases, header, guard, loop delay, jitter, ceiling and step: the same
+    frequency, or the same error type and text."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        overrides=st.just({}) | _drawn_overrides,
+        phases=st.tuples(st.lists(st.integers(0, 99), min_size=2, max_size=2, unique=True).map(sorted), st.integers(0, 99))
+        .map(lambda p: tuple(Fraction(k, 100) for k in (*p[0], p[1]))),
+        header=st.integers(1, 3),
+        guard=st.integers(0, 8000),
+        loop_delay=st.none() | st.integers(1, 200_000),
+        jitter=st.lists(st.integers(-8000, 8000), max_size=4),
+        # a ceiling that is itself often feasible, up to 2,000 points on the default grid, or one past the scan cap
+        ceiling=st.integers(1, 200 * GHZ) | st.integers(1, 2000 * GHZ) | st.just((timing.MAX_SCAN_POINTS + 1) * GHZ),
+        step=st.sampled_from([GHZ, 7 * GHZ, 50 * GHZ, 999_999_937]),
+    )
+    @example(overrides={}, phases=(Fraction(1, 5), Fraction(1, 2), Fraction(1, 2)), header=1, guard=2000, loop_delay=None,
+             jitter=[], ceiling=10**12, step=GHZ)
+    def test_same_frequency_or_same_error(self, overrides, phases, header, guard, loop_delay, jitter, ceiling, step):
+        phase_read, phase_write, phase_data = phases
+        cfg = SimConfig(
+            frequency_hz=100 * GHZ, num_addresses=3, header_intervals=header, phase_read=phase_read,
+            phase_write=phase_write, phase_data=phase_data, retiming_guard_fs=guard, loop_delay_fs=loop_delay,
+            loop_jitter_fs=jitter, cell_overrides=overrides, search_ceiling_hz=ceiling,
+        )
+        try:
+            expected = reference_max_frequency(cfg, step)
+        except (ConfigError, InfeasibleFrequencyError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                max_frequency(cfg, step)
+            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+            return
+        assert max_frequency(cfg, step) == expected
 
 
 class TestCaches:
