@@ -142,10 +142,13 @@ def _report(cfg: SimConfig, program: MemoryProgram, result: MemoryResult) -> boo
 
     def read_lines() -> Iterator[str]:
         nonlocal mismatches
+        head_trip, tails = None, {}  # a read line is its trip's head plus its address's tail, cached at its first read
         for trip, addr, expected in oracle_reads(program, cfg.num_addresses):
             bit = result.reads[trip, addr]
             if bit == expected:
-                yield f"trip {trip}: addr {addr} -> {bit}\n"
+                if trip != head_trip:
+                    head_trip, head = trip, f"trip {trip}: addr "
+                yield head + (tails.get(addr) or tails.setdefault(addr, (f"{addr} -> 0\n", f"{addr} -> 1\n")))[bit]
             else:
                 mismatches += 1
                 yield f"trip {trip}: addr {addr} -> {bit}  (expected {expected})\n"

@@ -55,9 +55,9 @@ class TripOp(validated_record("TripOp", "write reads")):
                 raise ConfigError("write.addr", "address must be non-negative")
             if bit not in (0, 1):
                 raise ConfigError("write.bit", "bit must be 0 or 1")
-        for j, addr in enumerate(reads):
-            if addr < 0:
-                raise ConfigError(f"reads[{j}]", "addresses must be non-negative")
+        if reads and min(reads) < 0:  # a C-level pass; the walk names the first negative
+            j = next(j for j, addr in enumerate(reads) if addr < 0)
+            raise ConfigError(f"reads[{j}]", "addresses must be non-negative")
         if len(set(reads)) != len(reads):  # the first repeat, in one pass
             seen = set()
             j = next(j for j, addr in enumerate(reads) if addr in seen or seen.add(addr))
@@ -111,9 +111,9 @@ def parse_program(text: str) -> MemoryProgram:
         reads = raw.get("reads", [])
         if not isinstance(reads, list):
             raise ConfigError(f"trips[{i}].reads", "expected a list of addresses")
-        for j, value in enumerate(reads):
-            if type(value) is not int:
-                raise _not_an_integer(f"trips[{i}].reads[{j}]", value)
+        if not {int}.issuperset(map(type, reads)):  # a C-level pass; the walk names the first non-integer
+            j = next(j for j, value in enumerate(reads) if type(value) is not int)
+            raise _not_an_integer(f"trips[{i}].reads[{j}]", reads[j])
         try:
             trips.append(TripOp(write=write, reads=tuple(reads)))
         except ConfigError as exc:
@@ -258,19 +258,21 @@ def _check_pulse_count(size: int, cfg: SimConfig) -> None:
         raise RunawayQueueError(f"stimulus of {size} pulses exceeds the bound of {cfg.max_events} events")
 
 
-def _stimulus_keys(program: MemoryProgram, cfg: SimConfig, lines: tuple[str, ...]) -> list[int]:
-    """The program's stimulus as unsorted kernel keys ``t * len(lines) + r``
-    for a pulse at t on ``lines[r]`` (see ``engine.Trace``), from a program
-    already checked against the config.
+def _stimulus_keys(program: MemoryProgram, cfg: SimConfig, lines: tuple[str, ...]) -> tuple[int, ...]:
+    """A checked program's stimulus as kernel keys ``t * len(lines) + r`` for
+    a pulse at t on ``lines[r]`` (see ``engine.Trace``), sorted once, in place.
 
     In every address interval exactly one of each complement pair fires;
-    write_data appears in the header only for trips writing a 1.
+    write_data appears in the header only for trips writing a 1.  So the keys
+    pass ``PreparedRun``'s checks unrun: each rank is an input's, and each
+    line pulses at most once per trip (write_data) or per in-range address
+    interval (a pair; ``TripOp`` keeps reads distinct), at one phase offset
+    in [0, interval] past its start, so no key is negative or repeated.
     """
     if not program.trips:  # the size check bounds the quiet row below only through the trips
-        return []
+        return ()
     n, rank = len(lines), lines.index
-    interval = interval_duration(cfg)
-    trip = trip_duration(cfg) * n
+    interval, trip = interval_duration(cfg), trip_duration(cfg) * n
     ph_read, ph_write, ph_data = phase_instants(cfg)
     # a trip that writes and reads nothing, from its start: a read or a write
     # moves the key of its interval's complement pulse onto the true line
@@ -278,13 +280,12 @@ def _stimulus_keys(program: MemoryProgram, cfg: SimConfig, lines: tuple[str, ...
     for k in range(cfg.num_addresses):
         slot = (cfg.header_intervals + k) * interval
         quiet += ((slot + ph_read) * n + rank("not_read_address"), (slot + ph_write) * n + rank("not_write_address"))
-    to_read = rank("read_address") - rank("not_read_address")
-    to_write = rank("write_address") - rank("not_write_address")
+    to_read, to_write = rank("read_address") - rank("not_read_address"), rank("write_address") - rank("not_write_address")
     data = ph_data * n + rank("write_data")
     keys: list[int] = []
     for t, op in enumerate(program.trips):
         start = t * trip
-        row = [start + key for key in quiet]
+        row = list(map(start.__add__, quiet))
         for k in op.reads:
             row[2 * k] += to_read
         if op.write is not None:
@@ -292,19 +293,18 @@ def _stimulus_keys(program: MemoryProgram, cfg: SimConfig, lines: tuple[str, ...
             if op.write[1] == 1:
                 keys.append(start + data)
         keys += row
-    return keys
+    keys.sort()
+    return tuple(keys)
 
 
 def stimulus_for(program: MemoryProgram, cfg: SimConfig) -> list[tuple[int, str]]:
-    """The program's stimulus as ``(time_fs, line)`` pairs, in that order:
-    the pulses of the keys ``prepare_program`` runs.  A program whose stimulus
-    alone exceeds ``cfg.max_events`` raises ``RunawayQueueError`` before any
-    pulse is made."""
+    """The program's stimulus as ``(time_fs, line)`` pairs, in that order: the pulses
+    ``prepare_program`` runs.  One over ``cfg.max_events`` raises ``RunawayQueueError``
+    before any pulse is made."""
     _check_program(program, cfg.num_addresses)
     _check_stimulus_size(program, cfg)
     lines = tuple(sorted(INPUT_LINES))
-    keys = sorted(_stimulus_keys(program, cfg, lines))
-    return [(t, lines[r]) for t, r in map(divmod, keys, repeat(len(lines)))]
+    return [(t, lines[r]) for t, r in map(divmod, _stimulus_keys(program, cfg, lines), repeat(len(lines)))]
 
 
 @lru_cache(maxsize=256)  # per pinned netlist: the runs of a sweep at one bias share theirs (engine._pin)
@@ -329,7 +329,7 @@ def prepare_program(program: MemoryProgram, cfg: SimConfig) -> Callable[[Fractio
     _check_program(program, cfg.num_addresses)  # the program and its size before the controller compiles
     _check_stimulus_size(program, cfg)
     net = build_controller(cfg)
-    prepared = PreparedRun(net, _stimulus_keys(program, cfg, net.lines))
+    prepared = tuple.__new__(PreparedRun, (net, _stimulus_keys(program, cfg, net.lines)))  # unchecked: see _stimulus_keys
     interval, trip = interval_duration(cfg), trip_duration(cfg)
     t_end = (len(program.trips) + 2) * trip
     first = cfg.header_intervals * interval + phase_instants(cfg)[1]  # the first address interval's write instant

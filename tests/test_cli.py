@@ -14,6 +14,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fluxloop
 from fluxloop import (
@@ -260,6 +261,30 @@ class TestSimulate:
         capsys.readouterr()
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert paths[2].read_bytes() == paths[3].read_bytes()
+
+
+#: Reads on every address of a 3-address memory, with a rewrite of a 1.
+ROUTES_PROGRAM = [
+    {"write": {"addr": 1, "bit": 1}, "reads": [0, 1]},
+    {"write": {"addr": 1, "bit": 1}, "reads": [1, 2]},
+    {"write": {"addr": 2, "bit": 1}, "reads": [0, 1, 2]},
+]
+
+
+@pytest.mark.parametrize("extra", [
+    {},
+    {"cells": {"fanout": {"prop_delay": "0fs"}}},
+    {"loop_jitter": ["300fs", "-300fs", "500fs"]},
+], ids=["folded", "wired", "jittered"])
+def test_folded_wired_and_jittered_routes_read_what_the_oracle_reads(write_config, write_program, capsys, extra):
+    # the default controller's run takes the folded routes, a zero fanout delay the routes as
+    # wired, and loop jitter a kernel with the loop tap's offset schedule
+    program = write_program(ROUTES_PROGRAM)
+    assert main(["simulate", "--config", write_config(**extra), "--program", program]) == EXIT_OK
+    report = capsys.readouterr().out
+    expected = fluxloop.oracle(parse_program(Path(program).read_text()), 3)
+    reads = [f"trip {t}: addr {a} -> {b}" for (t, a), b in sorted(expected.items())]
+    assert report.splitlines()[1:] == reads + ["result: PASS"], report
 
 
 class TestSta:
@@ -955,6 +980,37 @@ def _old_report(program, cfg, result) -> str:
         out.append(f"trip {trip}: addr {addr} -> {bit}{note}")
     out += [f"violation: {v.kind.value} {v.cell} at {v.time_fs} fs: {v.detail}" for v in result.trace.violations]
     return "\n".join(out) + "\n"
+
+
+@st.composite
+def reported_runs(draw):
+    """A run of a drawn program, on a passing or a failing config, and a set of its reads to flip."""
+    n = draw(st.integers(1, 12))
+    doc = draw(st.sampled_from([{}, {"loop_delay": 20000, "bias": "0.5"}]))  # the second aliases and fails electrically
+    cfg = parse_config(json.dumps({"frequency": "100GHz", "num_addresses": n, **doc}))
+    writes = st.none() | st.tuples(st.integers(0, n - 1), st.integers(0, 1))
+    trips = draw(st.lists(st.builds(TripOp, writes, st.lists(st.integers(0, n - 1), unique=True).map(tuple)), max_size=8))
+    program = MemoryProgram(tuple(trips))
+    result = run_program(program, cfg)
+    flips = draw(st.sets(st.sampled_from(sorted(result.reads)))) if result.reads else set()
+    return cfg, program, result, flips
+
+
+@settings(max_examples=60)
+@given(reported_runs())
+def test_the_report_reads_as_one_f_string_per_line(run):
+    cfg, program, result, flips = run
+    expected = fluxloop.oracle(program, cfg.num_addresses)
+    for reads in (result.reads, {slot: bit ^ (slot in flips) for slot, bit in result.reads.items()}):
+        shown, mismatches = result._replace(reads=reads), sum(bit != expected[slot] for slot, bit in reads.items())
+        stdout, sys.stdout = sys.stdout, io.StringIO()
+        try:
+            verdict = cli._report(cfg, program, shown)
+            got = sys.stdout.getvalue()
+        finally:
+            sys.stdout = stdout
+        assert got == _old_report(program, cfg, shown)
+        assert (got.count("  (expected "), verdict) == (mismatches, result.passed and mismatches == 0)
 
 
 class TestStreamedReport:

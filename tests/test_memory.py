@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 import time
+import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import _oracle
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from fluxloop import (
     ConfigError,
@@ -420,3 +424,121 @@ def test_pulse_spacing():
     assert pulse_spacing(0.007 * 2.998e8, 100e9) == pytest.approx(2.0986e-5)
     with pytest.raises(ValueError):
         pulse_spacing(0.0, 100e9)
+
+
+#: A phase in [0, 1): drawn freely, or one just under 1, whose instant may round up to a whole interval.
+phases = st.one_of(
+    st.fractions(0, 1, max_denominator=10**4).filter(lambda p: p < 1),
+    st.sampled_from([Fraction(0), Fraction(1, 2), *(1 - Fraction(1, 10**k) for k in (3, 4, 6, 7))]),
+)
+
+
+@st.composite
+def trusted_builds(draw):
+    """A config (1-8 addresses, 1-3 header intervals, 20 GHz-1 THz, phases
+    whose instants may coincide or sit a whole interval in) and a program of
+    0-6 trips, each with any write and any read set, in any order."""
+    n = draw(st.integers(1, 8))
+    read = draw(phases)
+    write = draw(st.one_of(phases, st.just(read + Fraction(1, 10**6)), st.just(read + Fraction(1, 10**3))))
+    assume(read < write < 1)
+    data = draw(st.one_of(phases, st.just(read), st.just(write)))
+    cfg = SimConfig(
+        frequency_hz=draw(st.integers(20 * GHZ, 1000 * GHZ)), num_addresses=n,
+        header_intervals=draw(st.integers(1, 3)), phase_read=read, phase_write=write, phase_data=data,
+        loop_delay_fs=10**6,  # any positive loop: the stimulus does not read it, and every frequency builds
+    )
+    writes = st.none() | st.tuples(st.integers(0, n - 1), st.integers(0, 1))
+    reads = st.lists(st.integers(0, n - 1), unique=True).map(tuple)
+    trips = draw(st.lists(st.builds(TripOp, writes, reads), max_size=6))
+    return cfg, MemoryProgram(tuple(trips))
+
+
+def _reference_stimulus(program: MemoryProgram, cfg: SimConfig) -> list[tuple[int, str]]:
+    """The program's pulses, written out per trip and address interval, with
+    instants rounded half up in decimal (not the package's integer route)."""
+    interval = _oracle.interval_fs(cfg.frequency_hz)
+    trip = (cfg.header_intervals + cfg.num_addresses) * interval
+    read, write, data = (_oracle.rhu(Decimal(p.numerator) * interval / p.denominator)
+                         for p in (cfg.phase_read, cfg.phase_write, cfg.phase_data))
+    pulses = []
+    for t, op in enumerate(program.trips):
+        if op.write is not None and op.write[1] == 1:
+            pulses.append((t * trip + data, "write_data"))
+        for k in range(cfg.num_addresses):
+            slot = t * trip + (cfg.header_intervals + k) * interval
+            pulses.append((slot + read, "read_address" if k in op.reads else "not_read_address"))
+            written = op.write is not None and op.write[0] == k
+            pulses.append((slot + write, "write_address" if written else "not_write_address"))
+    return pulses
+
+
+class _Prepared(Exception):
+    """Carries the ``PreparedRun`` a run was handed, so the run stops there."""
+
+
+@given(trusted_builds())
+def test_the_trusted_stimulus_is_what_the_checked_constructor_builds(build):
+    cfg, program = build
+    net = build_controller(cfg)
+
+    def capture(prepared, *args):
+        raise _Prepared(prepared)
+
+    with mock.patch.object(memory, "run_until", capture), pytest.raises(_Prepared) as caught:
+        memory.prepare_program(program, cfg)(cfg.bias)
+    trusted, reference = caught.value.args[0], _reference_stimulus(program, cfg)
+    assert type(trusted) is PreparedRun and type(trusted.keys) is tuple
+    assert trusted == PreparedRun(net, list(memory._stimulus_keys(program, cfg, net.lines))[::-1])
+    assert trusted == schedule(net, reference)
+    assert all(a < b for a, b in zip(trusted.keys, trusted.keys[1:]))
+    assert stimulus_for(program, cfg) == sorted(reference)
+
+
+def _old_read_checks(reads: list) -> tuple[str, str] | None:
+    """The first read a trip refuses, as each read was checked one at a time: (field, message)."""
+    for j, value in enumerate(reads):
+        if type(value) is not int:
+            return f"trips[0].reads[{j}]", f"expected an integer, got {json.dumps(value)}"
+    for j, value in enumerate(reads):
+        if value < 0:
+            return f"trips[0].reads[{j}]", "addresses must be non-negative"
+    return None
+
+
+@given(st.lists(st.one_of(st.integers(-3, 5), st.booleans(), st.floats(-2, 2), st.text(max_size=2), st.none()),
+                unique_by=lambda v: (type(v), v)))
+@example([0, -1])
+@example([-2, 1.0, True])
+def test_a_trips_reads_are_refused_as_one_at_a_time(reads):
+    want = _old_read_checks(reads)
+    assume(want is not None)
+    with pytest.raises(ConfigError) as exc:
+        parse_program(json.dumps({"trips": [{"reads": reads}]}))
+    assert (exc.value.field, exc.value.message) == want
+    if all(type(v) is int for v in reads):
+        with pytest.raises(ConfigError) as exc:
+            TripOp(reads=tuple(reads))
+        assert (f"trips[0].{exc.value.field}", exc.value.message) == want
+
+
+#: Traced bytes per stimulus pulse that ``prepare_program`` and its run may
+#: take at their peak: 106 measured (CPython 3.11-3.13; 103 on 3.10) on the
+#: program below, plus 20%.
+BYTES_PER_STIMULUS_PULSE = 128
+
+
+def test_a_run_takes_a_bounded_number_of_bytes_per_stimulus_pulse():
+    # 2,000 trips at 8 addresses, one write and two reads each: 33,000 stimulus pulses, 50,963 trace keys
+    cfg = SimConfig(frequency_hz=100 * GHZ, num_addresses=8)
+    program = MemoryProgram(tuple(TripOp((t % 8, t % 2), ((t + 3) % 8, (t + 5) % 8)) for t in range(2000)))
+    memory.prepare_program(MemoryProgram(program.trips[:3]), cfg)(cfg.bias)  # compiles the kernel first
+    pulses = len(stimulus_for(program, cfg))
+    tracemalloc.start()
+    try:
+        result = memory.prepare_program(program, cfg)(cfg.bias)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (pulses, len(result.trace.keys), result.passed) == (33_000, 50_963, True)
+    assert peak / pulses < BYTES_PER_STIMULUS_PULSE, peak / pulses
