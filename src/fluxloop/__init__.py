@@ -21,7 +21,7 @@ from .core import (
 from .engine import Connection, Netlist, Trace, run_until, schedule, trace_to_csv, trace_to_vcd, write_csv, write_vcd
 from .memory import (
     MemoryProgram, MemoryResult, TripOp, build_controller, oracle, parse_program, pulse_spacing, required_loop_delay,
-    run_program, scenario_address_sweep, scenario_overwrite, scenario_write_read, serialize_program, stimulus_for,
+    run_program, scenario_address_sweep, scenario_overwrite, scenario_write_read, stimulus_for,
 )
 from .timing import (
     JitterWindow, MarginReport, StaReport, bias_margin, characterize_cell, jitter_tolerance, margin_sweep,
@@ -78,7 +78,6 @@ __all__ = [
     "scenario_write_read",
     "schedule",
     "serialize_config",
-    "serialize_program",
     "speed_factor",
     "sta",
     "stimulus_for",

@@ -80,12 +80,6 @@ class MemoryResult(namedtuple("MemoryResult", "reads trace passed")):
 
     __slots__ = ()
 
-    def reads_by_trip(self) -> list[list[tuple[int, int]]]:
-        by_trip: dict[int, list[tuple[int, int]]] = {}
-        for (trip, addr), bit in sorted(self.reads.items()):
-            by_trip.setdefault(trip, []).append((addr, bit))
-        return [by_trip.get(t, []) for t in range(max(by_trip, default=-1) + 1)]
-
 
 def parse_program(text: str) -> MemoryProgram:
     """Parse a program document: {"trips": [{"write": {"addr", "bit"}|null, "reads": [...]}]}."""
@@ -125,14 +119,6 @@ def _not_an_integer(field_name: str, value: object) -> ConfigError:
     # JSON numbers decode to int or float, and true/false to bool (an int
     # subclass), so ``type(value) is not int`` rejects exactly the non-integers
     return ConfigError(field_name, f"expected an integer, got {json.dumps(value)}")
-
-
-def serialize_program(program: MemoryProgram) -> str:
-    trips = [
-        {"write": None if t.write is None else {"addr": t.write[0], "bit": t.write[1]}, "reads": list(t.reads)}
-        for t in program.trips
-    ]
-    return json.dumps({"trips": trips}, indent=2)
 
 
 def _check_program(program: MemoryProgram, num_addresses: int) -> None:

@@ -3,9 +3,9 @@
 Everything here is deliberately written along different routes than the
 package (decimal arithmetic instead of Fraction, per-centimeter unit
 chains instead of SI, closed-form pass/fail inequalities instead of event
-simulation, trace exports and per-line pulse times read from
-``Trace.events`` instead of kernel keys) so that a shared bug cannot
-silently agree with itself.  The numeric literals frozen into the test
+simulation, trace exports and per-line pulse times decoded from the kernel
+keys by a ``divmod`` of their own instead of read from ``Trace.events``) so
+that a shared bug cannot silently agree with itself.  The numeric literals frozen into the test
 suite were produced by these functions and cross-checked by hand before
 being committed.
 """
@@ -133,44 +133,51 @@ def spacing_m(speed_factor: float, frequency_ghz: float) -> float:
     return cm_per_s / (frequency_ghz * 1e9) / 100.0
 
 
+def _pulses(trace) -> list[tuple[int, str]]:
+    """The trace's pulses as ``(time_fs, line)`` pairs: key ``t * len(lines) + r``
+    is a pulse at ``t`` on ``lines[r]``."""
+    n = len(trace.lines)
+    return [(t, trace.lines[r]) for t, r in (divmod(key, n) for key in trace.keys)]
+
+
 def trace_to_csv(trace) -> str:
-    """``engine.trace_to_csv`` rendered from the trace's ``(time_fs, line)`` events."""
-    events = trace.events
+    """``engine.trace_to_csv`` rendered from the trace's ``(time_fs, line)`` pulses."""
+    pulses = _pulses(trace)
     pulse_rows = {line: f",{line},pulse," for line in trace.observed}
     out = ["time_fs,line,kind,detail"]
     done = 0
     for time_fs, cell, detail in sorted((v.time_fs, v.cell, f"{v.kind.value}: {v.detail}") for v in trace.violations):
-        # events are (time, line)-ordered: the pulses up to this instant first
-        upto = bisect_left(events, (time_fs + 1,))
-        out += [f"{t}{pulse_rows[line]}" for t, line in events[done:upto]]
+        # pulses are (time, line)-ordered: the pulses up to this instant first
+        upto = bisect_left(pulses, (time_fs + 1,))
+        out += [f"{t}{pulse_rows[line]}" for t, line in pulses[done:upto]]
         done = upto
         if "," in detail or '"' in detail:
             detail = '"' + detail.replace('"', '""') + '"'
         out.append(f"{time_fs},{cell},violation,{detail}")
-    out += [f"{t}{pulse_rows[line]}" for t, line in events[done:]]
+    out += [f"{t}{pulse_rows[line]}" for t, line in pulses[done:]]
     return "\n".join(out) + "\n"
 
 
 def trace_to_vcd(trace) -> str:
-    """``engine.trace_to_vcd`` rendered from the trace's ``(time_fs, line)`` events."""
+    """``engine.trace_to_vcd`` rendered from the trace's ``(time_fs, line)`` pulses."""
     if len(trace.observed) > 94:
         raise FluxloopError("too many observed lines for single-character VCD ids")
     ids = {line: chr(33 + i) for i, line in enumerate(trace.observed)}
     out = ["$timescale 1fs $end", "$scope module fluxloop $end"]
     out += [f"$var wire 1 {ids[line]} {line} $end" for line in trace.observed]
     out += ["$upscope $end", "$enddefinitions $end", "#0"]
-    # events are (time, line)-ordered: the t=0 pulses set the initial levels,
+    # pulses are (time, line)-ordered: the t=0 pulses set the initial levels,
     # and each later pulse toggles its line
-    events = trace.events
-    start = bisect_left(events, (1,))
-    high = {line for _, line in events[:start]}
+    pulses = _pulses(trace)
+    start = bisect_left(pulses, (1,))
+    high = {line for _, line in pulses[:start]}
     out += [f"{int(line in high)}{ids[line]}" for line in trace.observed]
     toggle = {
         line: cycle((f"{int(line not in high)}{ids[line]}", f"{int(line in high)}{ids[line]}")).__next__
         for line in trace.observed
     }
     t_prev = 0
-    for t, line in events[start:]:
+    for t, line in pulses[start:]:
         if t != t_prev:
             t_prev = t
             out.append(f"#{t}")
@@ -179,11 +186,11 @@ def trace_to_vcd(trace) -> str:
 
 
 def pulses_on(trace, line: str) -> tuple[int, ...]:
-    """The times of ``trace``'s pulses on ``line``, read from its ``(time_fs, line)`` events;
+    """The times of ``trace``'s pulses on ``line``, decoded from its keys;
     a line the trace does not observe raises ``UnknownLineError``."""
     if line not in trace.observed:
         raise UnknownLineError(f"line {line!r} is not observed by this trace")
-    return tuple(t for t, on in trace.events if on == line)
+    return tuple(t for t, on in _pulses(trace) if on == line)
 
 
 def trace_of(events, violations, observed: tuple[str, ...], t_end_fs: int, bias) -> Trace:

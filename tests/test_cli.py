@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import fluxloop
 from fluxloop import (
     FluxloopError, cli, default_cell_params, parse_config, run_program, scenario_address_sweep, sta, trace_to_csv,
+    trace_to_vcd, write_csv, write_vcd,
 )
 from fluxloop.cli import (
     EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_RUN_FAILED, MAX_SWEEP_POINTS, main,
@@ -40,6 +41,18 @@ def _child_env() -> dict[str, str]:
     """The environment in which a ``python -m fluxloop`` child imports this checkout."""
     src = str(Path(fluxloop.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _run_limited(argv: list[str], kib: int) -> subprocess.CompletedProcess:
+    """``python -m fluxloop`` on ``argv`` in a child whose address space is limited to ``kib`` KiB,
+    as ``ulimit -v`` limits it (POSIX only)."""
+    import resource
+
+    limit = (kib * 1024, kib * 1024)
+    return subprocess.run(
+        [sys.executable, "-m", "fluxloop", *argv], capture_output=True, text=True, env=_child_env(), timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+    )
 
 
 class TestSimulate:
@@ -140,6 +153,12 @@ class TestSimulate:
             assert code == EXIT_CONFIG
             assert captured.err.startswith(error.format(path=path)) and "Traceback" not in captured.err
             assert captured.out == ""
+
+    def test_an_endless_config_is_refused_at_the_size_bound(self):
+        # under a 400,000 KiB address-space limit: /dev/zero read to its end would exhaust it
+        child = _run_limited(["sta", "--config", "/dev/zero"], 400_000)
+        assert (child.returncode, child.stdout) == (EXIT_CONFIG, "")
+        assert child.stderr == "error: config: /dev/zero is larger than 67108864 bytes\n"
 
     @pytest.mark.parametrize("document", ["config", "program"])
     def test_a_document_past_the_size_bound_is_refused(self, tmp_path, monkeypatch, capsys, document):
@@ -730,18 +749,28 @@ def test_a_huge_exponent_in_an_option_is_refused_naming_it(write_config, write_p
 
 
 def test_an_empty_program_over_a_billion_addresses_runs_in_bounded_memory(write_config, write_program):
-    # under a 2 GB address-space limit: a slot per address would ask for 8 GB
-    import resource  # POSIX only
-
-    limit = (2 * 2**30, 2 * 2**30)
-    child = subprocess.run(
-        [sys.executable, "-m", "fluxloop", "simulate", "--config", write_config(num_addresses=10**9),
-         "--program", write_program([])],
-        capture_output=True, text=True, env=_child_env(), timeout=60,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
-    )
+    # under a 2,000,000 KiB address-space limit: a slot per address would ask for 8 GB
+    argv = ["simulate", "--config", write_config(num_addresses=10**9), "--program", write_program([])]
+    child = _run_limited(argv, 2_000_000)
     assert (child.returncode, child.stderr) == (EXIT_OK, "")
     assert child.stdout == "frequency 100 GHz, 1000000000 addresses, bias 1.0\nresult: PASS\n"
+
+
+#: Refusals at the command line, as (config fields, command, exit code, stderr).
+REFUSED_COMMANDS = [
+    ({"loop_delay": "1e5000fs"}, ["sta"], EXIT_CONFIG, "error: loop_delay: number has more than 1000 digits\n"),
+    ({}, ["margins", "--freqs", "1e400GHz,20GHz"], EXIT_CONFIG, "error: freqs: frequency too large for a float\n"),
+    ({"frequency": "1THz"}, ["sta"], EXIT_INFEASIBLE,
+     "error: controller re-timing budget 10000 fs does not fit in a 4000 fs trip at 1000000000000 Hz\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "fields, command, code, error", REFUSED_COMMANDS, ids=["long-loop-delay", "huge-margins-freq", "thz-sta"],
+)
+def test_a_refused_command_exits_with_its_code_and_line(write_config, capsys, fields, command, code, error):
+    assert main([command[0], "--config", write_config(**fields), *command[1:]]) == code
+    assert capsys.readouterr() == ("", error)
 
 
 #: The value each cell override is changed to; a duration not listed here
@@ -1059,6 +1088,36 @@ class TestStreamedReport:
         finally:
             tracemalloc.stop()
         assert sink.size > 700_000 and peak < sink.size / 4, (peak, sink.size)
+
+
+def test_a_long_trace_is_written_in_bounded_heap_and_simulate_writes_the_same_bytes(tmp_path, capsys):
+    # the store_stream workload's program over 2,000 trips: 64 addresses, the store kept half full
+    rng, bits, trips = random.Random(1), [0] * 64, []
+    for _ in range(2000):
+        bit = 1 if 2 * sum(bits) < 64 else 0
+        addr = rng.choice([a for a in range(64) if bits[a] != bit])
+        bits[addr] = bit
+        trips.append({"write": {"addr": addr, "bit": bit}, "reads": sorted(rng.sample(range(64), 16))})
+    (config := tmp_path / "config64.json").write_text('{"frequency": "100GHz", "num_addresses": 64}')
+    (long := tmp_path / "long.json").write_text(json.dumps({"trips": trips}))
+    trace = run_program(parse_program(long.read_text()), parse_config(config.read_text())).trace
+    with open(tmp_path / "long.csv", "w") as file:
+        write_csv(trace, file)
+    assert (tmp_path / "long.csv").read_text() == trace_to_csv(trace)
+    with open(tmp_path / "long.vcd", "w") as file:
+        tracemalloc.start()
+        try:
+            write_vcd(trace, file)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    vcd = (tmp_path / "long.vcd").read_text()
+    assert vcd == trace_to_vcd(trace)
+    assert len(vcd) > 5_000_000 and peak < 1_000_000, (len(vcd), peak)  # the heap does not grow with the document
+    argv = ["simulate", "--config", str(config), "--program", str(long), "--trace", str(tmp_path / "out.vcd")]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert (tmp_path / "out.vcd").read_text() == vcd
 
 
 class _Sink:

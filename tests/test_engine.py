@@ -7,6 +7,7 @@ import contextlib
 import copy
 import gc
 import io
+import json
 import linecache
 import pickle
 import random
@@ -22,7 +23,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import _oracle
 from fluxloop import (
     FluxloopError, SimConfig, build_controller, cells, cli, engine, memory, run_program, scenario_write_read,
-    serialize_config, serialize_program, stimulus_for,
+    serialize_config, stimulus_for,
 )
 from fluxloop.cells import BiasDelayModel, CellKind, CellParams, TimingViolation, ViolationKind
 from fluxloop.core import CELL_NAMES, NOMINAL_BIAS, exact_ratio, trip_duration
@@ -1416,7 +1417,8 @@ def test_the_simulate_path_derives_no_events(suffix, tmp_path, monkeypatch):
     cfg = SimConfig(frequency_hz=100 * 10**9, num_addresses=3)
     program = MemoryProgram((TripOp(write=(1, 1), reads=(1, 2)), TripOp(write=(2, 1), reads=(1,)), TripOp(reads=(2,))))
     (tmp_path / "cfg.json").write_text(serialize_config(cfg))
-    (tmp_path / "program.json").write_text(serialize_program(program))
+    trips = [{"write": {"addr": 1, "bit": 1}, "reads": [1, 2]}, {"write": {"addr": 2, "bit": 1}, "reads": [1]}, {"reads": [2]}]
+    (tmp_path / "program.json").write_text(json.dumps({"trips": trips}))
     reads, derive = [], Trace.events.fget
     monkeypatch.setattr(Trace, "events", property(lambda trace: reads.append(trace) or derive(trace)))
     argv = ["simulate", "--config", str(tmp_path / "cfg.json"), "--program", str(tmp_path / "program.json")]
