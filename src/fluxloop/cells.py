@@ -138,14 +138,16 @@ def delay_at_bias(model: BiasDelayModel, bias: Fraction) -> int:
 
     Raises ``BiasRangeError`` outside the electrical operating range.
     """
-    if not (model.range_lo <= bias <= model.range_hi):
+    # In integers over each ratio's numerator and denominator (> 0), the range
+    # check included; the knots span the range, so some segment ends at or above the bias.
+    p, q = bias.as_integer_ratio()
+    lo, lo_den = model.range_lo.as_integer_ratio()
+    hi, hi_den = model.range_hi.as_integer_ratio()
+    if not (lo * q <= p * lo_den and p * hi_den <= hi * q):
         raise BiasRangeError(
             f"bias {format_ratio(bias)} outside operating range "
             f"[{format_ratio(model.range_lo)}, {format_ratio(model.range_hi)}]"
         )
-    # In integers over each knot's numerator and denominator: the knots span
-    # the range, so some segment ends at or above the bias.
-    p, q = bias.as_integer_ratio()
     for (r0, d0), (r1, d1) in zip(model.points, model.points[1:]):
         a1, b1 = r1.as_integer_ratio()
         if p * b1 <= a1 * q:

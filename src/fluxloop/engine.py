@@ -3,7 +3,8 @@
 A netlist joins cell instances through named signal lines.  Pulses are
 events on lines; a cell consumes the lines wired to its input ports and
 emits onto the lines wired to its outputs.  A netlist is checked and its
-routes resolved in one walk over its connections when it is built.  Each is
+routes resolved in one walk over its connections when it is built, and one
+retapped from it shares them, re-checking only its changed taps.  Each is
 a zero-delay feed (line -> cell port: the cell steps synchronously when the
 line pulses) or drive (cell port -> line), or a line -> line tap: the only
 connection with a delay and the only one that may close a cycle (the storage
@@ -99,11 +100,14 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
         check, slot, its and its peer's ``last`` entries, targets), a target
         (slots, rank offset): a release lands after those cells' delays; a tap
         is (connection index, rank, has a schedule?).  Folded, a release onto
-        a dead line (unobserved, untapped, read by no cell) is dropped, and
-        one onto a fanout-only line (internal, unobserved, untapped, read by
-        one FANOUT alone) lands on the fanout's outputs after both delays.  An
-        output nothing drives is dropped.  The walk that classifies each
-        connection checks it, after the names and cells, before the cycles."""
+        a dead line (unobserved, untapped, and read by no cell but FANOUTs
+        none of whose outputs drives a live line) is dropped, and one onto a
+        fanout-only line (internal, unobserved, untapped, read by one FANOUT
+        alone) lands on the fanout's outputs after both delays.  An output
+        nothing drives is dropped.  The walk that classifies each connection
+        checks it, after the names and cells, before the cycles.  The routes
+        read no tap's delay or schedule, only whether it has one, so a
+        netlist :meth:`retapped` shares them."""
         # a trace's CSV and VCD carry cell and line names unquoted, one field or word each
         names = {end for conn in self.connections for end in (conn.src, conn.dst) if not _is_port(end)}
         for what, group in (("cell", self.cells), ("line", sorted(names.union(self.external_inputs, self.observed)))):
@@ -147,19 +151,14 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
                 drives[cell, port] = conn.dst
                 adjacency.setdefault((cell, True), []).append((conn.dst, False))
             else:  # a tap: every delay it can give is positive, so a cycle through it is no combinational one
-                starts = [s for s, _ in conn.offset_schedule]
-                if starts != sorted(starts):
-                    raise NetlistError(f"{conn.src} -> {conn.dst}: offset schedule must be sorted by start time")
-                least = min([conn.delay_fs] + [conn.delay_fs + offset for _, offset in conn.offset_schedule])
-                if least <= 0:
-                    raise NetlistError(f"line tap {conn.src} -> {conn.dst} needs a positive delay (got {least} fs)")
+                _check_tap(conn)
                 taps.setdefault(conn.src, []).append((index, conn.dst, bool(conn.offset_schedule)))
                 continue
             if conn.delay_fs != 0 or conn.offset_schedule:
                 raise NetlistError(f"{conn.src} -> {conn.dst}: wiring to or from a cell port must have zero delay and no schedule")
         import graphlib  # a netlist's check needs it, an import does not
         try:  # each node drives the nodes it lists: the reverse of graphlib's sense, with the same cycles
-            graphlib.TopologicalSorter(adjacency).prepare()
+            order = tuple(graphlib.TopologicalSorter(adjacency).static_order())  # a node after every node it drives
         except graphlib.CycleError as exc:
             node = min(name for name, _ in exc.args[1])
             raise NetlistError(f"combinational cycle through {node!r}; only a delayed tap may close a cycle") from None
@@ -167,10 +166,16 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
         lines = tuple(sorted(self.external_inputs.union(drives.values(), (dst for line_taps in taps.values() for _, dst, _ in line_taps))))
         rank = {line: r for r, line in enumerate(lines)}
         slot = {name: i for i, name in enumerate(_slot_order(self.cells))}
+        # live: the observed and tapped lines, and each line read by a cell other than a FANOUT that drives no live line
+        live = set(self.observed).union(taps)
+        for name, is_cell in order:
+            if not is_cell and any(self.cells[cell].kind is not CellKind.FANOUT or not live.isdisjoint(
+                    drives.get((cell, out)) for out in OUTPUT_PORTS[CellKind.FANOUT]) for cell, _ in ports_on.get(name, ())):
+                live.add(name)
         dead, fanout_of = set(), {}  # by rank: the dead lines, and each fanout-only line's (fanout, port)
         for line in set(lines) - set(self.observed) - taps.keys():
             ports = ports_on.get(line, ())
-            if not ports:
+            if line not in live:
                 dead.add(rank[line])
             elif len(ports) == 1 and line not in self.external_inputs and self.cells[ports[0][0]].kind is CellKind.FANOUT:
                 fanout_of[rank[line]] = ports[0]
@@ -233,6 +238,35 @@ class Netlist(validated_record("Netlist", "cells connections external_inputs obs
         from the pins of every netlist with equal cells (cached per cell set and
         bias, keyed on its integers: a hit hashes no Fraction)."""
         return _pin(self._cell_set, *bias.as_integer_ratio())
+
+    def retapped(self, connections: tuple[Connection, ...]) -> "Netlist":
+        """This netlist with ``connections``, equal to its own but in taps'
+        delays and schedules (a schedule stays given, or absent): the netlist
+        the constructor would build from them, sharing this one's cells,
+        routes and cell-set key.  Only a changed tap is checked, by the rule
+        the constructor applies (``NetlistError``, in its words); any other
+        change raises ``ValueError``."""
+        if len(connections) != len(self.connections):
+            raise ValueError(f"a retapped netlist keeps its {len(self.connections)} connections")
+        for index, (old, new) in enumerate(zip(self.connections, connections)):
+            if new != old:
+                if (new.src, new.dst) != (old.src, old.dst) or _is_port(old.src) or _is_port(old.dst) or (
+                        bool(new.offset_schedule) != bool(old.offset_schedule)):
+                    raise ValueError(f"connection {index} ({old.src} -> {old.dst}) changes more than a tap's delay and schedule")
+                _check_tap(new)
+        net = tuple.__new__(type(self), (self.cells, connections, self.external_inputs, self.observed))
+        net.__dict__.update(_wiring=self._wiring, _cell_set=self._cell_set)
+        return net
+
+
+def _check_tap(conn: Connection) -> None:
+    """The tap rule: a schedule sorted by start time, and a positive delay with each offset."""
+    starts = [s for s, _ in conn.offset_schedule]
+    if starts != sorted(starts):
+        raise NetlistError(f"{conn.src} -> {conn.dst}: offset schedule must be sorted by start time")
+    least = min([conn.delay_fs] + [conn.delay_fs + offset for _, offset in conn.offset_schedule])
+    if least <= 0:
+        raise NetlistError(f"line tap {conn.src} -> {conn.dst} needs a positive delay (got {least} fs)")
 
 
 class PinnedNetlist:

@@ -185,11 +185,13 @@ def _retiming_budget(cells: Mapping[str, CellParams]) -> int:
 def build_controller(cfg: SimConfig) -> Netlist:
     """Assemble the controller netlist plus the storage-loop connection.
 
-    Compiled (built and validated) once per value of what it reads: the
-    cell overrides, the trip (the frequency, address count and header
-    intervals make), the loop delay (given, or ``required_loop_delay``) and
-    the loop jitter.  Configs that differ only in another field (bias,
-    phases, event cap, search ceiling) share one netlist, from a bounded cache.
+    Compiled once per value of what it reads: the cell overrides, the trip
+    (the frequency, address count and header intervals make), the loop delay
+    (given, or ``required_loop_delay``) and the loop jitter.  Configs that
+    differ only in another field (bias, phases, event cap, search ceiling)
+    share one netlist, from a bounded cache.  The wiring is checked once per
+    cell set and loop shape (jittered or not); each further trip or loop
+    delay retaps it, re-checking only the loop tap (``Netlist.retapped``).
     """
     loop_delay = required_loop_delay(cfg) if cfg.loop_delay_fs is None else cfg.loop_delay_fs
     for t, off in enumerate(cfg.loop_jitter_fs):
@@ -203,11 +205,24 @@ def build_controller(cfg: SimConfig) -> Netlist:
 
 @lru_cache(maxsize=64)
 def _compile(frozen_overrides: tuple, trip: int, loop_delay: int, jitter: tuple[int, ...]) -> Netlist:
-    cells = _cell_set(frozen_overrides)  # the cell set default_cell_params serves, read without a per-call copy
     offsets = tuple((t * trip, off) for t, off in enumerate(jitter))
     if offsets:
         offsets += ((len(jitter) * trip, 0),)
-    connections = (
+    return _controller_wiring(frozen_overrides, bool(offsets)).retapped(_connections(loop_delay, offsets))
+
+
+# Bounded: one entry per cell set and loop shape, which every frequency of a sweep shares.
+@lru_cache(maxsize=32)
+def _controller_wiring(frozen_overrides: tuple, scheduled: bool) -> Netlist:
+    """The controller's wiring, checked once per cell set and loop shape (a
+    jittered loop's tap has a schedule): a netlist of a 1 fs loop, given a
+    zero offset when scheduled, that ``_compile`` retaps at each trip."""
+    cells = _cell_set(frozen_overrides)  # the cell set default_cell_params serves, read without a per-call copy
+    return Netlist(cells, _connections(1, ((0, 0),) if scheduled else ()), frozenset(INPUT_LINES), OBSERVED_LINES)
+
+
+def _connections(loop_delay: int, offsets: tuple[tuple[int, int], ...]) -> tuple[Connection, ...]:
+    return (
         Connection("write_data", "write_dro.data"),
         Connection("write_address", "write_dro.clock"),
         Connection("write_address", "recirc_dro2r.clock1"),
@@ -229,7 +244,6 @@ def _compile(frozen_overrides: tuple, trip: int, loop_delay: int, jitter: tuple[
         Connection("read_dro2r.out0", "read_data"),
         Connection("read_dro2r.out1", "read_discard"),
     )
-    return Netlist(cells, connections, frozenset(INPUT_LINES), OBSERVED_LINES)
 
 
 def _check_stimulus_size(program: MemoryProgram, cfg: SimConfig) -> None:

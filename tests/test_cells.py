@@ -20,7 +20,7 @@ from fluxloop.cells import (
     RELEASES,
     delay_at_bias,
 )
-from fluxloop.core import NOMINAL_BIAS, exact_ratio
+from fluxloop.core import NOMINAL_BIAS, exact_ratio, format_ratio
 from fluxloop.engine import Connection, Netlist, NetlistError, run_until, schedule
 
 NOM = NOMINAL_BIAS
@@ -176,6 +176,24 @@ class TestIntegerInterpolation:
         ratio = r0 + (m + Fraction(1, 2)) * (r1 - r0) / (d0 - d1)
         assert d0 + (d1 - d0) * (ratio - r0) / (r1 - r0) == d0 - m - Fraction(1, 2)
         assert delay_at_bias(model, ratio) == reference_delay(model, ratio) == d0 - m
+
+    @given(st.data())
+    def test_the_range_check_agrees_with_fraction_comparison(self, data):
+        # in integers, the range check refuses exactly the biases the Fraction comparison puts outside
+        model = data.draw(drawn_models())
+        lo, hi = model.range_lo, model.range_hi
+        hair = Fraction(1, data.draw(st.integers(1, 10**12)))
+        ratio = data.draw(st.one_of(
+            st.sampled_from([lo, hi, lo - hair, lo + hair, hi - hair, hi + hair, Fraction(1)]),
+            ratios_in(lo / 2, 2 * hi),
+        ))
+        try:
+            delay_at_bias(model, ratio)
+        except BiasRangeError as exc:
+            assert not lo <= ratio <= hi
+            assert str(exc) == f"bias {format_ratio(ratio)} outside operating range [{format_ratio(lo)}, {format_ratio(hi)}]"
+        else:
+            assert lo <= ratio <= hi
 
 
 def test_cell_params_rejects_nominal_model_mismatch():

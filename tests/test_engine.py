@@ -639,6 +639,60 @@ class TestTaps:
         assert linecache.getline(frame.filename, frame.lineno).strip() == frame.line
 
 
+def two_taps(plain: Connection, scheduled: Connection) -> tuple[Connection, ...]:
+    """A DRO fed through two taps, the first with no schedule, the second with one."""
+    return (Connection("din", "d.data"), plain, Connection("c", "d.clock"), Connection("d.out", "out"), scheduled)
+
+
+class TestRetapped:
+    """A netlist retapped from another is the one the constructor builds from
+    the same connections, sharing the routes and re-checking only its taps."""
+
+    BASE = two_taps(Connection("clk", "c", delay_fs=100), Connection("out", "back", delay_fs=300, offset_schedule=((0, 50),)))
+
+    def base(self) -> Netlist:
+        return Netlist({"d": DRO}, self.BASE, frozenset({"din", "clk"}), ("out", "back", "din"))
+
+    def test_shares_the_routes_and_runs_its_own_taps(self):
+        net = self.base()
+        connections = two_taps(Connection("clk", "c", delay_fs=2500), Connection("out", "back", 700, ((0, 50), (4000, -600))))
+        retapped = net.retapped(connections)
+        built = Netlist(net.cells, connections, net.external_inputs, net.observed)
+        assert retapped == built and type(retapped) is Netlist
+        assert retapped._wiring is net._wiring and retapped._cell_set is net._cell_set and retapped.cells is net.cells
+        stimulus = [(0, "din"), (100, "clk"), (3000, "din"), (3500, "clk")]
+        assert run(retapped, stimulus) == run(built, stimulus) != run(net, stimulus)
+
+    @pytest.mark.parametrize("index, tap", [
+        (1, Connection("clk", "c", delay_fs=0)),
+        (1, Connection("clk", "c", delay_fs=-7)),
+        (4, Connection("out", "back", 300, ((0, 50), (10, -300)))),
+        (4, Connection("out", "back", 300, ((10, 50), (0, 5)))),
+        (4, Connection("out", "back", -100, ((0, 50),))),
+    ])
+    def test_a_refused_tap_gives_the_constructors_text(self, index, tap):
+        net = self.base()
+        connections = (*self.BASE[:index], tap, *self.BASE[index + 1:])
+        with pytest.raises(NetlistError) as built:
+            Netlist(net.cells, connections, net.external_inputs, net.observed)
+        with pytest.raises(NetlistError) as retapped:
+            net.retapped(connections)
+        assert str(retapped.value) == str(built.value)
+
+    @pytest.mark.parametrize("index, changed", [
+        (0, Connection("clk", "d.data")),  # a feed
+        (1, Connection("clk", "b", delay_fs=100)),  # a tap's line
+        (1, Connection("clk", "c", 100, ((0, 5),))),  # a schedule where there was none
+        (4, Connection("out", "back", delay_fs=300)),  # no schedule where there was one
+    ])
+    def test_a_change_to_more_than_a_taps_timing_is_refused(self, index, changed):
+        connections = (*self.BASE[:index], changed, *self.BASE[index + 1:])
+        with pytest.raises(ValueError, match=rf"^connection {index} \(.*\) changes more than a tap's delay and schedule$"):
+            self.base().retapped(connections)
+        with pytest.raises(ValueError, match="keeps its 5 connections"):
+            self.base().retapped(self.BASE[:4])
+
+
 class TestStimulusMerge:
     """The kernel walks the sorted stimulus and merges it with the emitted pulses."""
 
@@ -1192,6 +1246,35 @@ def test_max_events_counts_the_pulses_a_run_can_see(root, bound):
     assert trace.events == ((0, "z"), (root + 500, "a"), (root + 500, "b"), (root + 500, "c"))
     with pytest.raises(RunawayQueueError, match=f"^event queue exceeded {bound - 1} events"):
         run(net, [(0, "z")], max_events=bound - 1)
+
+
+#: c1's release lands on d, which only c0 reads: a fanout whose outputs drive nothing.
+FANOUT_TO_NOWHERE = Netlist(
+    {"c0": FANOUT, "c1": CellParams(kind=CellKind.DRO2R, prop_delay_fs=1000, setup_fs=2000)},
+    (Connection("d", "c0.in"), Connection("a", "c1.data"), Connection("b", "c1.clock1"), Connection("c1.out1", "d")),
+    frozenset({"a", "b", "d"}), ("b",),
+)
+
+
+def fanout_chain() -> Netlist:
+    """A DRO's release onto x, read by a fanout onto y, read by a fanout onto z, which nothing reads."""
+    return Netlist(
+        {"d": DRO, "f1": FANOUT, "f2": FANOUT},
+        (Connection("din", "d.data"), Connection("clk", "d.clock"), Connection("d.out", "x"), Connection("x", "f1.in"),
+         Connection("f1.out_a", "y"), Connection("y", "f2.in"), Connection("f2.out_b", "z")),
+        frozenset({"din", "clk"}), ("clk",),
+    )
+
+
+@pytest.mark.parametrize("net, stimulus", [
+    (FANOUT_TO_NOWHERE, [(0, "a"), (5000, "b")]),
+    (fanout_chain(), [(0, "din"), (3000, "clk")]),
+])
+def test_a_release_only_fanouts_to_nowhere_read_is_dropped(net, stimulus):
+    # folded, every line those fanouts read is dead: no landing is pushed or taken
+    folded = "".join(_kernel_source(net))
+    assert "push(" not in folded and "key +=" not in folded
+    TestKernelMatchesReference.check(net, stimulus, 10_000)
 
 
 def feedback_net(merger: int, fanout: int, tap_a: int, tap_b: int, seen: bool) -> Netlist:

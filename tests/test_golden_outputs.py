@@ -14,6 +14,7 @@ import contextlib
 import hashlib
 import io
 import json
+import linecache
 import random
 from functools import lru_cache
 
@@ -23,6 +24,7 @@ from fluxloop import (
     MemoryProgram,
     SimConfig,
     TripOp,
+    build_controller,
     max_frequency,
     parse_config,
     run_program,
@@ -57,6 +59,13 @@ DENSITY_SHA256 = {
     "density --all --freqs 10GHz,30GHz": "cbbfaf2f3c14446cf4b465b9558bb39ad1335c4a191138848c47ffd48c177042",
 }
 
+
+#: The generated kernel source a controller run takes, by cell overrides: the default cells' folded
+#: kernel, and the wired kernel a zero fanout delay makes.  The frequency and address count change neither.
+KERNEL_SHA256 = {
+    "{}": "c4b52f15172ee863f18861fdbed58dbdde866cc40e2b56b60f1672a6daedd702",
+    '{"fanout": {"prop_delay": 0}}': "7da2fd260e0e30c64e3b3700e97031dd8741be833ac841bb4c0876d51df15d02",
+}
 
 #: What argparse itself prints, by ``fluxloop`` command line (split at spaces): the exit code, and the
 #: sha256 of stdout, a NUL and stderr, at 80 columns.  The same bytes on CPython 3.10 to 3.13.
@@ -180,6 +189,15 @@ def test_fixtures_exercise_the_failure_paths():
 def test_artifact_is_byte_identical(name):
     digest = hashlib.sha256(_artifacts()[name].encode()).hexdigest()
     assert digest == GOLDEN_SHA256[name], f"{name} changed"
+
+
+@pytest.mark.parametrize("overrides", sorted(KERNEL_SHA256))
+def test_controller_kernel_source_is_byte_identical(overrides):
+    for ghz, addresses in ((100, 3), (50, 3), (20, 8)):
+        net = build_controller(SimConfig(frequency_hz=ghz * GHZ, num_addresses=addresses, cell_overrides=json.loads(overrides)))
+        kernel, _ = net._wired_kernel if net.at_bias(exact_ratio(1)).zero_delay else net._folded_kernel
+        source = "".join(linecache.getlines(kernel.__code__.co_filename))
+        assert hashlib.sha256(source.encode()).hexdigest() == KERNEL_SHA256[overrides], f"{overrides} at {ghz} GHz changed"
 
 
 @pytest.mark.parametrize("command", sorted(DENSITY_SHA256))

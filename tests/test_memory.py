@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import linecache
 import time
 import tracemalloc
 from decimal import Decimal
@@ -11,7 +12,7 @@ from unittest import mock
 
 import _oracle
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fluxloop import (
     ConfigError,
@@ -31,8 +32,8 @@ from fluxloop import (
     scenario_write_read,
 )
 from fluxloop import memory
-from fluxloop.core import exact_ratio
-from fluxloop.engine import PreparedRun, RunawayQueueError, UnknownLineError, schedule
+from fluxloop.core import CELL_NAMES, exact_ratio, trip_duration
+from fluxloop.engine import Netlist, PreparedRun, RunawayQueueError, UnknownLineError, run_until, schedule
 from fluxloop.memory import (
     INPUT_LINES,
     OBSERVED_LINES,
@@ -186,6 +187,45 @@ class TestControllerNetlist:
         loops = loop_taps(build_controller(cfg))
         # one entry per trip plus the terminating return-to-zero entry
         assert loops[0].offset_schedule == ((0, 500), (40000, -500), (80000, 0))
+
+
+def _kernel_source(kernel) -> str:
+    return "".join(linecache.getlines(kernel.__code__.co_filename))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # a zero delay reaches the wired kernel
+    overrides=st.dictionaries(st.sampled_from(CELL_NAMES), st.fixed_dictionaries({"prop_delay": st.integers(0, 6000)}), max_size=2),
+    ghz=st.integers(20, 1000),
+    num_addresses=st.integers(1, 4),
+    header=st.integers(1, 3),
+    loop_delay=st.none() | st.integers(1, 200_000),
+    jitter=st.lists(st.integers(-3000, 3000), max_size=3),
+)
+def test_a_controller_is_the_netlist_the_constructor_builds(overrides, ghz, num_addresses, header, loop_delay, jitter):
+    # build_controller retaps one checked wiring per cell set and loop shape; the constructor checks afresh
+    cfg = SimConfig(frequency_hz=ghz * GHZ, num_addresses=num_addresses, header_intervals=header, loop_delay_fs=loop_delay,
+                    loop_jitter_fs=tuple(jitter), cell_overrides=overrides)
+    try:
+        net = build_controller(cfg)
+    except (ConfigError, InfeasibleFrequencyError):
+        assume(False)
+    trip = trip_duration(cfg)
+    offsets = tuple((t * trip, off) for t, off in enumerate(jitter)) + (((len(jitter) * trip, 0),) if jitter else ())
+    loop = ("loop_data_in", "loop_data_out", required_loop_delay(cfg) if loop_delay is None else loop_delay, offsets)
+    assert loop_taps(net) == [loop]
+    built = Netlist(dict(net.cells), net.connections, net.external_inputs, net.observed)
+    assert tuple(net) == tuple(built) and type(net) is type(built)
+    assert net.lines == built.lines and net._wiring == built._wiring
+    for kernel in ("_folded_kernel", "_wired_kernel"):
+        (mine, bound), (theirs, their_bound) = getattr(net, kernel), getattr(built, kernel)
+        assert _kernel_source(mine) == _kernel_source(theirs) and bound[0] == their_bound[0] and bound[2] == their_bound[2]
+    every = tuple(range(num_addresses))
+    program = MemoryProgram((TripOp((0, 1), every), TripOp((num_addresses - 1, 1), every), TripOp(None, every), TripOp(None, every)))
+    stimulus, t_end = stimulus_for(program, cfg), 6 * trip_duration(cfg)
+    for ratio in ("0.9", "1", "1.1"):
+        assert run_until(schedule(net, stimulus), t_end, exact_ratio(ratio)) == run_until(schedule(built, stimulus), t_end, exact_ratio(ratio))
 
 
 class TestStimulus:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 from fractions import Fraction
+from functools import cached_property
 
 import _oracle
 import pytest
@@ -600,22 +601,26 @@ class TestStaPassMeansSimulationPass:
         ghz=st.integers(20, 100),
         num_addresses=st.integers(1, 4),
         header=st.integers(1, 3),
-        # read before write, as the config requires; data anywhere in the interval
-        phases=st.tuples(st.lists(st.integers(0, 99), min_size=2, max_size=2, unique=True).map(sorted), st.integers(0, 99))
-        .map(lambda p: tuple(Fraction(k, 100) for k in (*p[0], p[1]))),
+        # in hundredths, read before write, as the config requires; data anywhere in the interval.  100 stands
+        # for 1 - 1/(2 interval), the least phase that rounds to a whole interval: the next interval's start
+        phases=st.tuples(st.lists(st.integers(0, 99) | st.just(100), min_size=2, max_size=2, unique=True).map(sorted),
+                         st.integers(0, 99) | st.just(100)).map(lambda p: (*p[0], p[1])),
         # none (the required delay), a shift of the required delay, or a delay in fs
         loop_delay=st.none() | st.tuples(st.just("shift"), st.integers(-3000, 3000)) | st.tuples(st.just("fs"), st.integers(1, 250_000)),
         jitter=st.lists(st.integers(-5000, 5000), max_size=4),
         data=st.data(),
     )
     # the loop jitter late by more than the recirc_setup slack: SETUP at recirc_dro2r
-    @example(overrides={}, ghz=100, num_addresses=3, header=1, phases=(Fraction(1, 5), Fraction(1, 2), Fraction(1, 2)),
-             loop_delay=None, jitter=[0, 2500, 0], data=None)
+    @example(overrides={}, ghz=100, num_addresses=3, header=1, phases=(20, 50, 50), loop_delay=None, jitter=[0, 2500, 0], data=None)
     # a loop 1 fs long: the bit aliases into another address, which only a read there shows
-    @example(overrides={}, ghz=100, num_addresses=3, header=1, phases=(Fraction(1, 5), Fraction(1, 2), Fraction(1, 2)),
-             loop_delay=("fs", 1), jitter=[], data=None)
+    @example(overrides={}, ghz=100, num_addresses=3, header=1, phases=(20, 50, 50), loop_delay=("fs", 1), jitter=[], data=None)
+    # the write a whole interval in: sta fails read_hold and the loop race, and the run records SETUP
+    @example(overrides={}, ghz=100, num_addresses=3, header=1, phases=(20, 100, 50), loop_delay=None, jitter=[], data=None)
+    # the data a whole interval in: sta and the run both pass
+    @example(overrides={}, ghz=100, num_addresses=3, header=1, phases=(20, 50, 100), loop_delay=None, jitter=[], data=None)
     def test_met_rows_run_clean(self, overrides, ghz, num_addresses, header, phases, loop_delay, jitter, data):
-        phase_read, phase_write, phase_data = phases
+        whole = 1 - Fraction(1, 2 * interval_duration(SimConfig(frequency_hz=ghz * GHZ, num_addresses=1)))
+        phase_read, phase_write, phase_data = (whole if k == 100 else Fraction(k, 100) for k in phases)
         try:
             cfg = SimConfig(
                 frequency_hz=ghz * GHZ, num_addresses=num_addresses, header_intervals=header, phase_read=phase_read,
@@ -878,10 +883,27 @@ class TestCaches:
             cfg = cfg100.with_frequency(ghz * GHZ)
             sta(cfg)
             bias_margin(cfg, suite, max_pct=1)
-        for cache in (memory._compile, cells._cell_set, timing._window_cells, engine._pin, engine._kernel,
-                      memory.read_window_offset, timing._step_bias):
+        for cache in (memory._compile, memory._controller_wiring, cells._cell_set, timing._window_cells, engine._pin,
+                      engine._kernel, memory.read_window_offset, timing._step_bias):
             info = cache.cache_info()
             assert 0 < info.currsize <= info.maxsize
+
+    def test_a_sweep_walks_the_wiring_once_per_cell_set_and_loop_shape(self, cfg100, monkeypatch):
+        # each further frequency retaps the checked wiring: its routes are the first netlist's
+        walked, walk = [], engine.Netlist.__dict__["_wiring"].func
+        wiring = cached_property(lambda net: walked.append(net) or walk(net))
+        wiring.__set_name__(engine.Netlist, "_wiring")
+        memory._compile.cache_clear()
+        memory._controller_wiring.cache_clear()
+        freqs = [20 * GHZ, 50 * GHZ, 75 * GHZ, 100 * GHZ]
+        cfgs = (cfg100, cfg100._replace(loop_jitter_fs=(100, -100)), cfg100._replace(cell_overrides={"merger": {"prop_delay": 1000}}))
+        with monkeypatch.context() as patched:
+            patched.setattr(engine.Netlist, "_wiring", wiring)
+            for cfg in cfgs:
+                margin_sweep(cfg, freqs)
+            nets = [build_controller(cfg.with_frequency(freq)) for cfg in cfgs for freq in freqs]
+        assert len(walked) == 3 and len({id(net._wiring) for net in nets}) == 3
+        assert len({net.connections for net in nets}) == 12
 
     def test_netlists_with_equal_cells_share_their_pins(self, cfg100):
         # a sweep's netlists differ only in frequency: each bias ratio is pinned once for all of them
